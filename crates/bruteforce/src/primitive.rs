@@ -259,12 +259,7 @@ impl BruteForce {
         D: Dataset<Item = Q::Item>,
         M: Metric<Q::Item>,
     {
-        let (knn, stats) = self.knn(queries, db, metric, 1);
-        let nn = knn
-            .into_iter()
-            .map(|mut v| v.pop().unwrap_or_else(Neighbor::farthest))
-            .collect();
-        (nn, stats)
+        self.nn_with_blocks(queries, db, metric, self.auto_blocks(db, metric))
     }
 
     /// k-NN for every query in `queries` against every item of `db`.
@@ -283,7 +278,15 @@ impl BruteForce {
         D: Dataset<Item = Q::Item>,
         M: Metric<Q::Item>,
     {
-        self.knn_over(queries, db, metric, k, None, self.auto_blocks(db, metric))
+        self.knn_over(
+            queries,
+            db,
+            metric,
+            k,
+            None,
+            self.auto_blocks(db, metric),
+            TopK::into_sorted,
+        )
     }
 
     /// [`knn`](Self::knn) with an explicitly supplied blocked mirror of
@@ -303,7 +306,7 @@ impl BruteForce {
         D: Dataset<Item = Q::Item>,
         M: Metric<Q::Item>,
     {
-        self.knn_over(queries, db, metric, k, None, blocks)
+        self.knn_over(queries, db, metric, k, None, blocks, TopK::into_sorted)
     }
 
     /// [`nn`](Self::nn) with an explicitly supplied blocked mirror of `db`
@@ -320,12 +323,12 @@ impl BruteForce {
         D: Dataset<Item = Q::Item>,
         M: Metric<Q::Item>,
     {
-        let (knn, stats) = self.knn_with_blocks(queries, db, metric, 1, blocks);
-        let nn = knn
-            .into_iter()
-            .map(|mut v| v.pop().unwrap_or_else(Neighbor::farthest))
-            .collect();
-        (nn, stats)
+        // Finished per query inside the scan: a build's `BF(X, R)` asks this
+        // for every database point, and one heap-allocated answer per point
+        // is memory the scanning threads' allocators keep long after.
+        self.knn_over(queries, db, metric, 1, None, blocks, |best| {
+            best.into_sorted().pop().unwrap_or_else(Neighbor::farthest)
+        })
     }
 
     /// k-NN for every query against the sub-database `X[L]` given by
@@ -343,7 +346,7 @@ impl BruteForce {
         D: Dataset<Item = Q::Item>,
         M: Metric<Q::Item>,
     {
-        self.knn_over(queries, db, metric, k, Some(list), None)
+        self.knn_over(queries, db, metric, k, Some(list), None, TopK::into_sorted)
     }
 
     /// 1-NN for every query against the sub-database `X[L]`.
@@ -680,11 +683,25 @@ impl BruteForce {
         // Cursor positions still consuming tiles; a cursor leaves when its
         // sorted-list cut proves no later member can help it.
         let mut active: Vec<usize> = (0..cursors.len()).collect();
+        // Per full lane group of the current tile: does any member carry a
+        // skip flag? That depends on the tile alone, so the random
+        // `flags[members[p]]` loads are paid once per tile, not once per
+        // cursor sharing it.
+        let mut group_flagged: Vec<bool> = Vec::new();
         let mut tile_start = 0usize;
         while tile_start < members.len() && !active.is_empty() {
             let tile_end = (tile_start + db_tile).min(members.len());
             let last_tile = tile_end == members.len();
             stats.tile_passes += 1;
+            let first_group = tile_start.next_multiple_of(LANES);
+            group_flagged.clear();
+            if let (Some(_), Some(flags)) = (blocks, skip) {
+                group_flagged.extend(
+                    members[first_group.min(tile_end)..tile_end]
+                        .chunks_exact(LANES)
+                        .map(|group| group.iter().any(|&member| flags[member])),
+                );
+            }
             active.retain(|&ci| {
                 let cursor = &cursors[ci];
                 let q = queries.get(cursor.query);
@@ -710,8 +727,8 @@ impl BruteForce {
                     // group is scored in one lane-kernel call.
                     if let Some(b) = blocks {
                         if pos.is_multiple_of(LANES) && pos + LANES <= tile_end {
-                            let clean = !(pos..pos + LANES)
-                                .any(|p| skip.is_some_and(|flags| flags[members[p]]));
+                            let clean =
+                                skip.is_none() || !group_flagged[(pos - first_group) / LANES];
                             let mut whole_group = clean;
                             if clean && sorted_cut {
                                 let threshold =
@@ -874,7 +891,10 @@ impl BruteForce {
     // Core tiled implementation
     // ------------------------------------------------------------------
 
-    fn knn_over<Q, D, M>(
+    /// `finish` turns each query's filled collector into its answer, on the
+    /// thread that scanned it.
+    #[allow(clippy::too_many_arguments)] // deliberately a flat kernel signature
+    fn knn_over<Q, D, M, R, F>(
         &self,
         queries: &Q,
         db: &D,
@@ -882,11 +902,14 @@ impl BruteForce {
         k: usize,
         list: Option<&[usize]>,
         blocks: Option<&BlockedVectors>,
-    ) -> (Vec<Vec<Neighbor>>, BfStats)
+        finish: F,
+    ) -> (Vec<R>, BfStats)
     where
         Q: Dataset,
         D: Dataset<Item = Q::Item>,
         M: Metric<Q::Item>,
+        R: Send,
+        F: Fn(TopK) -> R + Sync,
     {
         assert!(k > 0, "k must be at least 1");
         let nq = queries.len();
@@ -909,7 +932,7 @@ impl BruteForce {
         // database tile by tile and keep every query's TopK collector warm,
         // so each database tile is read once per query tile (the blocked
         // matrix-multiply access pattern from §3).
-        let process_tile = |q_start: usize| -> (Vec<Vec<Neighbor>>, BfStats) {
+        let process_tile = |q_start: usize| -> (Vec<R>, BfStats) {
             let q_end = (q_start + query_tile).min(nq);
             let mut collectors: Vec<TopK> = (q_start..q_end).map(|_| TopK::new(k)).collect();
             let mut evals = 0u64;
@@ -967,8 +990,7 @@ impl BruteForce {
                 tile_start = tile_end;
             }
 
-            let results: Vec<Vec<Neighbor>> =
-                collectors.into_iter().map(TopK::into_sorted).collect();
+            let results: Vec<R> = collectors.into_iter().map(&finish).collect();
             let stats = BfStats {
                 distance_evals: evals,
                 lower_bound_skips: skips,
@@ -978,7 +1000,7 @@ impl BruteForce {
         };
 
         let tile_starts: Vec<usize> = (0..nq).step_by(query_tile).collect();
-        let per_tile: Vec<(Vec<Vec<Neighbor>>, BfStats)> = if self.config.parallel {
+        let per_tile: Vec<(Vec<R>, BfStats)> = if self.config.parallel {
             tile_starts.into_par_iter().map(process_tile).collect()
         } else {
             tile_starts.into_iter().map(process_tile).collect()
@@ -1422,10 +1444,14 @@ mod tests {
         let blocks = rbc_metric::Dataset::gather_blocked(&db, &members);
         assert!(blocks.is_some());
         let k = 3;
-        let bf = BruteForce::with_config(BfConfig {
-            db_tile: 48,
-            ..BfConfig::default()
-        });
+        // Skip flags as the exact search sets them (a few scattered
+        // members), so some lane groups of a tile are clean and some are
+        // not; 44 is not a multiple of LANES, so tiles start mid-group.
+        let mut flags = vec![false; db.len()];
+        for &member in members.iter().step_by(37) {
+            flags[member] = true;
+        }
+        let flagged = members.iter().filter(|&&m| flags[m]).count();
         let cursors: Vec<GroupCursor> = (0..queries.len())
             .map(|qi| GroupCursor {
                 query: qi,
@@ -1433,35 +1459,46 @@ mod tests {
                 threshold_cap: Dist::INFINITY,
             })
             .collect();
-        let run = |blocks: Option<&BlockedVectors>| {
-            let accumulators: Vec<Mutex<TopK>> = (0..queries.len())
-                .map(|_| Mutex::new(TopK::new(k)))
-                .collect();
-            let stats = bf.knn_group_in_list(
-                &queries,
-                &db,
-                &Euclidean,
-                &members,
-                &[],
-                &cursors,
-                1.0,
-                false,
-                None,
-                blocks,
-                &accumulators,
-            );
-            let answers: Vec<Vec<Neighbor>> = accumulators
-                .into_iter()
-                .map(|m| m.into_inner().unwrap().into_sorted())
-                .collect();
-            (answers, stats)
-        };
-        let (with_blocks, stats_blocked) = run(blocks.as_ref());
-        let (without, stats_plain) = run(None);
-        assert_eq!(with_blocks, without);
-        // Cut-free scans evaluate every (query, member) pair either way.
-        assert_eq!(stats_blocked.distance_evals, stats_plain.distance_evals);
-        assert_eq!(stats_blocked.tile_passes, stats_plain.tile_passes);
+        for db_tile in [48, 44] {
+            for skip in [None, Some(flags.as_slice())] {
+                let bf = BruteForce::with_config(BfConfig {
+                    db_tile,
+                    ..BfConfig::default()
+                });
+                let run = |blocks: Option<&BlockedVectors>| {
+                    let accumulators: Vec<Mutex<TopK>> = (0..queries.len())
+                        .map(|_| Mutex::new(TopK::new(k)))
+                        .collect();
+                    let stats = bf.knn_group_in_list(
+                        &queries,
+                        &db,
+                        &Euclidean,
+                        &members,
+                        &[],
+                        &cursors,
+                        1.0,
+                        false,
+                        skip,
+                        blocks,
+                        &accumulators,
+                    );
+                    let answers: Vec<Vec<Neighbor>> = accumulators
+                        .into_iter()
+                        .map(|m| m.into_inner().unwrap().into_sorted())
+                        .collect();
+                    (answers, stats)
+                };
+                let (with_blocks, stats_blocked) = run(blocks.as_ref());
+                let (without, stats_plain) = run(None);
+                assert_eq!(with_blocks, without);
+                // Cut-free scans evaluate every unflagged (query, member)
+                // pair either way.
+                let scanned = members.len() - skip.map_or(0, |_| flagged);
+                assert_eq!(stats_plain.distance_evals, (queries.len() * scanned) as u64);
+                assert_eq!(stats_blocked.distance_evals, stats_plain.distance_evals);
+                assert_eq!(stats_blocked.tile_passes, stats_plain.tile_passes);
+            }
+        }
     }
 
     #[test]

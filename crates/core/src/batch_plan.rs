@@ -54,10 +54,14 @@ pub struct BatchPlan {
     /// Non-empty list groups, ordered **largest scan first**: descending
     /// estimated work (group size × list length for the exact plan, group
     /// size for the one-shot plan), ties broken toward the lower list
-    /// index. Emitting the heaviest shared scans first improves rayon's
-    /// load balance on skewed list-size distributions — a thread that
-    /// picks up a huge group early is not left holding it alone at the
-    /// tail of the schedule.
+    /// index. The order is a contract, not an execution schedule: the
+    /// distributed router's longest-processing-time routing walks it, and
+    /// [`execute_list_major`] re-orders for itself (nearest lists first).
+    /// It does suit a scheduler that hands out groups on demand — the
+    /// parallel executor claims a few at a time, so the heavy scans start
+    /// early and the light tail evens the threads out — whereas cutting
+    /// this list into one contiguous run per thread would give the first
+    /// thread every heavy group.
     pub groups: Vec<ListGroup>,
     /// Per-query pruning cap `γ_k` — the k-th smallest representative
     /// distance, a valid upper bound on the k-th NN distance because
@@ -299,7 +303,11 @@ impl BatchPlan {
 /// `bf.config().accumulator` (see `rbc_bruteforce::AccumulatorStrategy`);
 /// both strategies are bit-identical in exact mode because stale
 /// snapshots only ever prune less and the accumulator's total order makes
-/// its contents insertion-order-independent. `parallel` selects
+/// its contents insertion-order-independent. For the same reason the
+/// *order* groups run in changes only how early thresholds tighten, i.e.
+/// evaluation counts, never answers: groups that are some query's nearest
+/// planned list run first, the rest follow, and under `parallel` threads
+/// claim from that order a few groups at a time. `parallel` selects
 /// whether groups run on the rayon pool or the calling thread;
 /// `rep_evals_per_query` and `rep_distance_evals` account the stage-1
 /// work the caller already performed.
@@ -336,6 +344,17 @@ where
     // span's context here so each group's span parents under it rather
     // than starting an orphan trace on the pool thread.
     let scan_ctx = rbc_trace::current();
+    let cursors: Vec<Vec<GroupCursor>> = plan
+        .groups
+        .iter()
+        .map(|group| {
+            group
+                .queries
+                .iter()
+                .map(|&qi| cursor(group.list_index, qi))
+                .collect()
+        })
+        .collect();
     let scan = |gi: usize| -> GroupScanStats {
         let _group_span = rbc_trace::span_under("core.scan.group", scan_ctx);
         let group = &plan.groups[gi];
@@ -343,18 +362,13 @@ where
         // One blocked mirror per ownership list, in member order, built
         // once at index-build time (see the `list_blocks` docs above).
         let blocks = list_blocks.and_then(|b| b[group.list_index].as_ref());
-        let cursors: Vec<GroupCursor> = group
-            .queries
-            .iter()
-            .map(|&qi| cursor(group.list_index, qi))
-            .collect();
         bf.knn_group_in_list(
             queries,
             db,
             metric,
             &list.members,
             &list.member_dists,
-            &cursors,
+            &cursors[gi],
             shrink,
             sorted_cut,
             skip,
@@ -362,10 +376,13 @@ where
             &accumulators,
         )
     };
+    // The plan's own order is left alone — the distributed router balances
+    // on it; only the execution is re-ordered.
+    let order = nearest_first(&cursors, plan.queries);
     let per_group: Vec<GroupScanStats> = if parallel {
-        (0..plan.groups.len()).into_par_iter().map(scan).collect()
+        order.par_iter().map(|&gi| scan(gi)).collect()
     } else {
-        (0..plan.groups.len()).map(scan).collect()
+        order.iter().map(|&gi| scan(gi)).collect()
     };
 
     let mut per_query_evals = vec![rep_evals_per_query; plan.queries];
@@ -376,10 +393,11 @@ where
         list_scans: plan.groups.len() as u64,
         ..SearchStats::default()
     };
-    for (group, scan_stats) in plan.groups.iter().zip(&per_group) {
+    for (&gi, scan_stats) in order.iter().zip(&per_group) {
         agg.list_distance_evals += scan_stats.distance_evals;
         agg.list_points_skipped += scan_stats.points_skipped;
         agg.list_tile_passes += scan_stats.tile_passes;
+        let group = &plan.groups[gi];
         for (&qi, &evals) in group.queries.iter().zip(&scan_stats.evals_per_cursor) {
             per_query_evals[qi] += evals;
         }
@@ -395,6 +413,35 @@ where
         })
         .collect();
     (results, agg)
+}
+
+/// The order to run a batch's list groups in, as positions into `cursors`
+/// (one cursor vector per group, in plan order): first the groups that are
+/// the nearest planned list (smallest `d_to_rep`) of at least one of their
+/// queries, then the rest, both in plan order. A query's nearest list is
+/// where its true neighbours most likely are, so scanning it first
+/// tightens that query's threshold before its other lists are cut against
+/// it. In exact mode the order moves evaluation counts only, never answers.
+///
+/// Public so a wire node (`rbc-distributed`'s `NodeShard`) runs its groups
+/// in the same order as the in-process execution it must match evaluation
+/// for evaluation. `queries` bounds every `GroupCursor::query`.
+pub fn nearest_first(cursors: &[Vec<GroupCursor>], queries: usize) -> Vec<usize> {
+    let mut nearest: Vec<Option<(Dist, usize)>> = vec![None; queries];
+    for (gi, group) in cursors.iter().enumerate() {
+        for cursor in group {
+            if nearest[cursor.query].is_none_or(|(best, _)| cursor.d_to_rep < best) {
+                nearest[cursor.query] = Some((cursor.d_to_rep, gi));
+            }
+        }
+    }
+    let mut seeds = vec![false; cursors.len()];
+    for (_, gi) in nearest.into_iter().flatten() {
+        seeds[gi] = true;
+    }
+    let (mut order, rest): (Vec<usize>, Vec<usize>) = (0..cursors.len()).partition(|&gi| seeds[gi]);
+    order.extend(rest);
+    order
 }
 
 /// The `k`-th smallest value of `values` (1-based `k`), linear time.

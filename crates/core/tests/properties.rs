@@ -371,6 +371,71 @@ proptest! {
         }
     }
 
+    /// Answers do not depend on the schedule: however many threads claim
+    /// the batch's groups and queries, and in whatever order they get to
+    /// them, both exact batch strategies and the one-shot search return
+    /// bit-identical neighbors (only evaluation counts may move), and the
+    /// exact ones match brute force — on uniform and on clustered data,
+    /// where many queries share a list and one accumulator.
+    #[test]
+    fn answers_are_schedule_independent(
+        db_rows in cloud(30..120),
+        centers in prop::collection::vec(prop::collection::vec(-20.0f32..20.0, DIM), 2..6),
+        q_rows in cloud(2..24),
+        n_reps in 2usize..30,
+        seed in 0u64..1000,
+    ) {
+        let clustered: Vec<Vec<f32>> = db_rows
+            .iter()
+            .enumerate()
+            .map(|(i, row)| {
+                centers[i % centers.len()]
+                    .iter()
+                    .zip(row.iter())
+                    .map(|(&c, &r)| c + 0.02 * r)
+                    .collect()
+            })
+            .collect();
+        let queries = VectorSet::from_rows(&q_rows);
+        for rows in [&db_rows, &clustered] {
+            let db = VectorSet::from_rows(rows);
+            let params = RbcParams::standard(db.len(), seed).with_n_reps(n_reps);
+            let exact = ExactRbc::build(&db, Euclidean, params.clone(), RbcConfig::default());
+            let one_shot = OneShotRbc::build(&db, Euclidean, params, RbcConfig::default());
+            for k in [1usize, 10] {
+                let answers = |threads: usize| {
+                    rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .expect("the shim's builder cannot fail")
+                        .install(|| {
+                            (
+                                exact
+                                    .query_batch_k_with_strategy(&queries, k, BatchStrategy::ListMajor)
+                                    .0,
+                                exact
+                                    .query_batch_k_with_strategy(&queries, k, BatchStrategy::QueryMajor)
+                                    .0,
+                                one_shot.query_batch_k(&queries, k).0,
+                            )
+                        })
+                };
+                let alone = answers(1);
+                prop_assert_eq!(&alone.0, &alone.1);
+                for (qi, got) in alone.0.iter().enumerate() {
+                    let want = brute_knn(&db, queries.point(qi), &Euclidean, k);
+                    prop_assert_eq!(got.len(), want.len());
+                    for (g, w) in got.iter().zip(want.iter()) {
+                        prop_assert!((g.dist - w.dist).abs() < 1e-12);
+                    }
+                }
+                for threads in [2usize, 5] {
+                    prop_assert_eq!(&answers(threads), &alone);
+                }
+            }
+        }
+    }
+
     /// The one-shot structure's two batch strategies answer from the same
     /// realised lists, so they must agree bit-for-bit too.
     #[test]

@@ -27,6 +27,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use rbc_bruteforce::{BfConfig, BruteForce, GroupCursor, TopK};
+use rbc_core::batch_plan::nearest_first;
 use rbc_core::ExactRbc;
 use rbc_metric::{BlockedVectors, Dataset, Dist, Metric, VectorSet, VectorSetBuilder};
 
@@ -183,32 +184,42 @@ impl<M: Metric<[f32]>> NodeShard<M> {
         }
         let queries = VectorSet::from_flat(request.coords.clone(), self.dim.max(1));
         let accumulators: Vec<Mutex<TopK>> = (0..nq).map(|_| Mutex::new(TopK::new(k))).collect();
-        let mut evals = 0u64;
+        let mut placed = Vec::with_capacity(request.groups.len());
+        let mut cursors: Vec<Vec<GroupCursor>> = Vec::with_capacity(request.groups.len());
         for group in &request.groups {
             let &slot = self
                 .slot_of_list
                 .get(&(group.list_index as usize))
                 .ok_or("list not placed on this node")?;
             let list = &self.lists[slot];
-            let cursors: Vec<GroupCursor> = group
-                .members
-                .iter()
-                .map(|&m| {
-                    let m = m as usize;
-                    GroupCursor {
-                        query: m,
-                        d_to_rep: self.metric.dist(queries.point(m), &list.rep_coords),
-                        threshold_cap: request.gammas[m],
-                    }
-                })
-                .collect();
+            placed.push(list);
+            cursors.push(
+                group
+                    .members
+                    .iter()
+                    .map(|&m| {
+                        let m = m as usize;
+                        GroupCursor {
+                            query: m,
+                            d_to_rep: self.metric.dist(queries.point(m), &list.rep_coords),
+                            threshold_cap: request.gammas[m],
+                        }
+                    })
+                    .collect(),
+            );
+        }
+        // Same execution order as the in-process shard, so both transports
+        // do the same evaluations.
+        let mut evals = 0u64;
+        for gi in nearest_first(&cursors, nq) {
+            let list = placed[gi];
             let stats = self.bf.knn_group_in_list(
                 &queries,
                 &self.points,
                 &self.metric,
                 &list.members,
                 &list.member_dists,
-                &cursors,
+                &cursors[gi],
                 request.shrink,
                 request.sorted_cut,
                 Some(&self.rep_flags),

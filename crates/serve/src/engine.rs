@@ -354,18 +354,25 @@ fn execute_batch<I: SearchIndex, O: Borrow<I::Query>>(
     let _respond_span = rbc_trace::span_under("serve.respond", batch_ctx);
     let batch_size = live.len();
     let mut latencies = Vec::with_capacity(batch_size);
+    let mut replies = Vec::with_capacity(batch_size);
     for ((request, mut neighbors), degraded) in live.into_iter().zip(answers).zip(degraded) {
         neighbors.truncate(request.k);
         let latency = request.submitted_at.elapsed();
         latencies.push(latency);
-        request.ticket.complete(Ok(ServeReply {
+        let reply = ServeReply {
             neighbors,
             latency,
             batch_size,
             degraded,
-        }));
+        };
+        replies.push((request.ticket, reply));
     }
+    // Counted before anyone is woken: a client holding its reply must find
+    // it in the metrics.
     metrics.record_batch(batch_size, evals, &latencies);
+    for (ticket, reply) in replies {
+        ticket.complete(Ok(reply));
+    }
 }
 
 #[cfg(test)]

@@ -170,6 +170,33 @@ mod tests {
     }
 
     #[test]
+    fn rings_of_exited_threads_are_drained_once_and_unlisted() {
+        let _guard = fresh(Sampling::Always);
+        // Whatever earlier tests' threads left behind goes first.
+        clear();
+        let before = span::listed_rings();
+        let dropped_before = dropped_records();
+        for _ in 0..500 {
+            std::thread::spawn(|| drop(span("short.lived")))
+                .join()
+                .expect("recording thread panicked");
+        }
+        assert_eq!(span::listed_rings(), before + 500, "one ring per thread");
+        let records = drain();
+        set_sampling(Sampling::Off);
+        assert_eq!(
+            records.iter().filter(|r| r.label == "short.lived").count(),
+            500,
+            "every exited thread's record is drained"
+        );
+        // Only rings of threads that are still alive remain: at most the
+        // ones listed before, none of the 500.
+        assert!(span::listed_rings() <= before);
+        assert!(drain().is_empty());
+        assert_eq!(dropped_records(), dropped_before);
+    }
+
+    #[test]
     fn record_interval_is_retroactive_and_respects_parent_sampling() {
         let _guard = fresh(Sampling::Always);
         let start = Instant::now();

@@ -373,21 +373,35 @@ impl Drop for SpanGuard {
     }
 }
 
+/// Evictions counted by rings that [`drain`] has since unlisted, so
+/// [`dropped_records`] never goes backwards. Changes only under the
+/// `all_rings` lock.
+static RETIRED_DROPPED: AtomicU64 = AtomicU64::new(0);
+
 /// Drains every thread's ring buffer into one stream, ordered by start
 /// time. Records of spans still open stay pending until their guards
-/// drop.
+/// drop. A ring whose thread has exited is emptied one last time and
+/// unlisted, so the registry stays as large as the set of live recording
+/// threads rather than growing with every thread that ever recorded.
 pub fn drain() -> Vec<SpanRecord> {
-    let rings: Vec<Arc<Mutex<Ring>>> = all_rings()
+    let mut out = Vec::new();
+    all_rings()
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clone();
-    let mut out = Vec::new();
-    for ring in rings {
-        let mut ring = ring
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        out.extend(ring.records.drain(..));
-    }
+        .retain(|ring| {
+            // The owning thread's `LOCAL` slot holds the only other
+            // reference. Looked at *before* emptying: once it is gone no
+            // record can follow the ones taken below.
+            let orphaned = Arc::strong_count(ring) == 1;
+            let mut ring = ring
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            out.extend(ring.records.drain(..));
+            if orphaned {
+                RETIRED_DROPPED.fetch_add(ring.dropped, Ordering::Relaxed);
+            }
+            !orphaned
+        });
     out.sort_by_key(|r| (r.start_ns, r.id));
     out
 }
@@ -401,14 +415,25 @@ pub fn clear() {
 /// non-zero value means [`drain`] is being called too rarely for the
 /// span volume.
 pub fn dropped_records() -> u64 {
-    all_rings()
+    let rings = all_rings()
         .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let listed: u64 = rings
         .iter()
         .map(|ring| {
             ring.lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .dropped
         })
-        .sum()
+        .sum();
+    listed + RETIRED_DROPPED.load(Ordering::Relaxed)
+}
+
+/// Rings currently listed (test hook for the registry's size).
+#[cfg(test)]
+pub(crate) fn listed_rings() -> usize {
+    all_rings()
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .len()
 }
