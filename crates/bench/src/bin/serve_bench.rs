@@ -11,21 +11,8 @@
 //! the p50/p95/p99 latency percentiles — are written as JSON under
 //! `results/serve_bench.json`.
 //!
-//! With `--contention` it instead runs the lock-contention grid that
-//! motivated the sharded submission queues and the per-worker accumulator
-//! shards: producer counts {4, 16, 64} (far above the worker count) ×
-//! {locked, sharded} accumulators × {single, sharded} submission queues,
-//! reporting throughput and tail latency (p99/p999) per cell and writing
-//! them under `results/serve_contention.json`. Total request volume is
-//! held constant across cells so the numbers are comparable.
-//! `--assert-speedup F` turns the sweep into a smoke test: it exits
-//! non-zero unless the fully-sharded cell reaches `F×` the fully-locked
-//! cell's throughput at the highest producer count (CI runs it with 1.0,
-//! i.e. "sharding must never lose").
-//!
 //! Usage: `serve_bench [--n N] [--queries N] [--producers N]
-//! [--requests N] [--k N] [--seed N] [--contention] [--workers N]
-//! [--assert-speedup F]`
+//! [--requests N] [--depth N] [--k N] [--seed N] [--trace]`
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,7 +20,7 @@ use std::time::Duration;
 use serde::Serialize;
 
 use rbc_bench::{write_json_records, Table};
-use rbc_core::{AccumulatorStrategy, ExactRbc, RbcConfig, RbcParams, SearchIndex};
+use rbc_core::{ExactRbc, RbcConfig, RbcParams, SearchIndex};
 use rbc_data::low_dim_manifold;
 use rbc_metric::{Euclidean, VectorSet};
 use rbc_serve::{CacheCounters, CachedIndex, Engine, MetricsSnapshot, ServeConfig};
@@ -61,17 +48,6 @@ struct Options {
     seed: u64,
     /// Record spans during the sweep and print the stage breakdown.
     trace: bool,
-    /// Run the contention grid instead of the batch-policy sweep.
-    contention: bool,
-    /// Worker threads for the contention grid (`None` = 8, the
-    /// acceptance configuration; the batch-policy sweep keeps the
-    /// engine default).
-    workers: Option<usize>,
-    /// Minimum sharded/locked throughput ratio; exit non-zero below it.
-    assert_speedup: Option<f64>,
-    /// Runs per contention cell; the median-throughput run is reported,
-    /// which keeps the smoke gate stable on noisy shared runners.
-    repeats: usize,
 }
 
 impl Default for Options {
@@ -85,10 +61,6 @@ impl Default for Options {
             k: 1,
             seed: 0,
             trace: false,
-            contention: false,
-            workers: None,
-            assert_speedup: None,
-            repeats: 1,
         }
     }
 }
@@ -111,16 +83,6 @@ fn parse_options() -> Options {
             "--k" => opts.k = need(&mut args, "--k").max(1),
             "--seed" => opts.seed = need(&mut args, "--seed") as u64,
             "--trace" => opts.trace = true,
-            "--contention" => opts.contention = true,
-            "--workers" => opts.workers = Some(need(&mut args, "--workers").max(1)),
-            "--repeats" => opts.repeats = need(&mut args, "--repeats").max(1),
-            "--assert-speedup" => {
-                opts.assert_speedup = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--assert-speedup needs a number")),
-                )
-            }
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown flag {other}")),
         }
@@ -134,8 +96,7 @@ fn usage(error: &str) -> ! {
     }
     eprintln!(
         "usage: serve_bench [--n N] [--queries N] [--producers N] [--requests N] \
-         [--depth N] [--k N] [--seed N] [--trace] [--contention] [--workers N] \
-         [--assert-speedup F] [--repeats N]"
+         [--depth N] [--k N] [--seed N] [--trace]"
     );
     std::process::exit(if error.is_empty() { 0 } else { 2 });
 }
@@ -196,168 +157,8 @@ where
     engine.shutdown()
 }
 
-/// One cell of the contention grid, flattened for the JSON report.
-#[derive(Serialize)]
-struct ContentionRecord {
-    accumulator: String,
-    queue_shards: usize,
-    producers: usize,
-    workers: usize,
-    requests: usize,
-    snapshot: MetricsSnapshot,
-}
-
-/// The contention grid: producer counts far above the worker count, with
-/// each lock hot spot toggled independently — accumulator strategy on the
-/// index side, submission-queue sharding on the engine side. Request
-/// volume is held constant so cells are comparable.
-fn contention_sweep(opts: &Options) {
-    let workers = opts.workers.unwrap_or(8);
-    let queue_shards_sharded = 8usize;
-    let total_requests = opts.producers * opts.requests_per_producer;
-    println!(
-        "serve_bench --contention: n = {}, query pool = {}, {} total requests, {} workers, k = {}\n",
-        opts.n, opts.query_pool, total_requests, workers, opts.k
-    );
-
-    println!("generating workload and building locked + sharded exact RBCs ...");
-    let database = low_dim_manifold(opts.n, 3, 24, 0.01, 7 + opts.seed);
-    let queries = low_dim_manifold(opts.query_pool, 3, 24, 0.01, 8 + opts.seed);
-    let params = RbcParams::standard(opts.n, 42 + opts.seed);
-    let locked_index = Arc::new(ExactRbc::build(
-        database.clone(),
-        Euclidean,
-        params.clone(),
-        RbcConfig::default().with_accumulator(AccumulatorStrategy::Locked),
-    ));
-    let sharded_index = Arc::new(ExactRbc::build(
-        database,
-        Euclidean,
-        params,
-        RbcConfig::default().with_accumulator(AccumulatorStrategy::Sharded),
-    ));
-
-    // The grid is only a fair fight if both accumulator strategies return
-    // the same bits; check the whole pool up front.
-    let (locked_answers, _) = locked_index.query_batch_k(&queries, opts.k);
-    let (sharded_answers, _) = sharded_index.query_batch_k(&queries, opts.k);
-    assert_eq!(
-        locked_answers, sharded_answers,
-        "sharded accumulators must be bit-identical to the locked baseline"
-    );
-    println!("bit-identity over the {}-query pool: ok\n", queries.len());
-
-    let linger = Duration::from_micros(500);
-    let mut records: Vec<ContentionRecord> = Vec::new();
-    let mut table = Table::new(
-        "serve hot path under contention (throughput + tails per cell)",
-        &[
-            "producers",
-            "accumulator",
-            "queues",
-            "qps",
-            "p99 us",
-            "p999 us",
-        ],
-    );
-
-    for producers in [4usize, 16, 64] {
-        let cell_opts = Options {
-            producers,
-            requests_per_producer: (total_requests / producers).max(1),
-            ..opts.clone()
-        };
-        for (accumulator, index) in [("locked", &locked_index), ("sharded", &sharded_index)] {
-            for queue_shards in [1usize, queue_shards_sharded] {
-                let policy = ServeConfig::default()
-                    .with_max_batch(32)
-                    .with_linger(linger)
-                    .with_queue_capacity(4096)
-                    .with_workers(workers)
-                    .with_queue_shards(queue_shards);
-                // Median of `repeats` runs: one noisy scheduler decision
-                // must not decide the smoke gate.
-                let mut runs: Vec<MetricsSnapshot> = (0..opts.repeats)
-                    .map(|_| {
-                        drive(
-                            Arc::clone(index),
-                            policy.clone(),
-                            &cell_opts,
-                            &queries,
-                            None,
-                        )
-                    })
-                    .collect();
-                runs.sort_by(|a, b| a.throughput_qps.total_cmp(&b.throughput_qps));
-                let snapshot = runs.swap_remove(runs.len() / 2);
-                table.row(&[
-                    producers.to_string(),
-                    accumulator.to_string(),
-                    if queue_shards == 1 {
-                        "single".to_string()
-                    } else {
-                        format!("{queue_shards} shards")
-                    },
-                    format!("{:.0}", snapshot.throughput_qps),
-                    snapshot.latency_p99_us.to_string(),
-                    snapshot.latency_p999_us.to_string(),
-                ]);
-                records.push(ContentionRecord {
-                    accumulator: accumulator.to_string(),
-                    queue_shards,
-                    producers,
-                    workers,
-                    requests: cell_opts.producers * cell_opts.requests_per_producer,
-                    snapshot,
-                });
-            }
-        }
-    }
-
-    println!();
-    table.print();
-
-    // The headline comparison: everything locked vs everything sharded at
-    // the most contended point of the grid.
-    let cell = |acc: &str, shards: usize| {
-        records
-            .iter()
-            .filter(|r| r.accumulator == acc && r.queue_shards == shards)
-            .max_by_key(|r| r.producers)
-            .expect("grid always contains every cell")
-    };
-    let locked_cell = cell("locked", 1);
-    let sharded_cell = cell("sharded", queue_shards_sharded);
-    let speedup = sharded_cell.snapshot.throughput_qps / locked_cell.snapshot.throughput_qps.max(1e-9);
-    println!(
-        "\nat {} producers: locked+single {:.0} qps -> sharded+{} shards {:.0} qps ({:.2}x)",
-        locked_cell.producers,
-        locked_cell.snapshot.throughput_qps,
-        queue_shards_sharded,
-        sharded_cell.snapshot.throughput_qps,
-        speedup
-    );
-
-    match write_json_records("serve_contention", &records) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(error) => eprintln!("could not write JSON records: {error}"),
-    }
-
-    if let Some(min) = opts.assert_speedup {
-        assert!(
-            speedup >= min,
-            "contention smoke: sharded/locked throughput ratio {speedup:.3} fell below {min}"
-        );
-        println!("contention smoke: {speedup:.2}x >= {min}x, ok");
-    }
-}
-
 fn main() {
     let opts = parse_options();
-    if opts.contention {
-        contention_sweep(&opts);
-        return;
-    }
     println!(
         "serve_bench: n = {}, query pool = {}, {} producers x {} requests (depth {}), k = {}\n",
         opts.n, opts.query_pool, opts.producers, opts.requests_per_producer, opts.depth, opts.k

@@ -47,7 +47,7 @@ use rbc_bench::{
     CellMetrics, CheckFailure, Table, Tolerances, TrajectoryFile, AREAS, SCHEMA_VERSION,
 };
 use rbc_bruteforce::{BfConfig, BruteForce, Neighbor};
-use rbc_core::{AccumulatorStrategy, BatchStrategy, ExactRbc, OneShotRbc, RbcConfig, RbcParams, SearchStats};
+use rbc_core::{BatchStrategy, ExactRbc, OneShotRbc, RbcConfig, RbcParams, SearchStats};
 use rbc_data::{adversarial_ball_queries, drifting_queries, gaussian_mixture, skewed_queries};
 use rbc_distributed::{
     eval_skew, ClusterConfig, DistributedQueryStats, DistributedRbc, PlacementPolicy,
@@ -539,23 +539,14 @@ fn run_serve(scale: f64, seed: u64) -> TrajectoryFile {
     let index = Arc::new(ExactRbc::build(
         database.clone(),
         Euclidean,
-        params.clone(),
-        RbcConfig::default(),
-    ));
-    // The hot-path variant axis: everything locked vs everything sharded
-    // (accumulators on the index side, submission queues on the engine
-    // side). Both must serve the same exact answers — the cells differ
-    // only in timing, which the serve gate deliberately ignores.
-    let locked_index = Arc::new(ExactRbc::build(
-        database.clone(),
-        Euclidean,
         params,
-        RbcConfig::default().with_accumulator(AccumulatorStrategy::Locked),
+        RbcConfig::default(),
     ));
 
     // Drives the producer pool against `engine` and returns each reply
     // with its query index, so recall is measurable afterwards.
-    let drive = |engine: &Engine<Arc<ExactRbc<VectorSet, Euclidean>>, Vec<f32>>, stream: &VectorSet| {
+    let drive = |engine: &Engine<Arc<ExactRbc<VectorSet, Euclidean>>, Vec<f32>>,
+                 stream: &VectorSet| {
         let mut answers: Vec<(usize, Vec<Neighbor>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..producers)
                 .map(|p| {
@@ -592,14 +583,16 @@ fn run_serve(scale: f64, seed: u64) -> TrajectoryFile {
     for stream_name in ["matched", "adversarial"] {
         let stream = make_stream(stream_name, pool, seed);
         let truth = ground_truth(&database, &stream, k);
-        // (cell id, engine config, index, variant tag)
-        let grid: Vec<(String, ServeConfig, &Arc<ExactRbc<VectorSet, Euclidean>>, &str, usize)> = vec![
+        // (cell id, engine config, variant tag, max batch). The `locked` /
+        // `sharded` variants differ in the submission queue only (one shard
+        // vs eight); both must serve the same exact answers, and the serve
+        // gate deliberately ignores their timing.
+        let grid: Vec<(String, ServeConfig, &str, usize)> = vec![
             (
                 format!("serve/b1/{stream_name}"),
                 ServeConfig::default()
                     .with_max_batch(1)
                     .with_linger(Duration::from_micros(500)),
-                &index,
                 "",
                 1,
             ),
@@ -608,7 +601,6 @@ fn run_serve(scale: f64, seed: u64) -> TrajectoryFile {
                 ServeConfig::default()
                     .with_max_batch(32)
                     .with_linger(Duration::from_micros(500)),
-                &index,
                 "",
                 32,
             ),
@@ -618,7 +610,6 @@ fn run_serve(scale: f64, seed: u64) -> TrajectoryFile {
                     .with_max_batch(32)
                     .with_linger(Duration::from_micros(500))
                     .with_queue_shards(1),
-                &locked_index,
                 "locked",
                 32,
             ),
@@ -628,14 +619,12 @@ fn run_serve(scale: f64, seed: u64) -> TrajectoryFile {
                     .with_max_batch(32)
                     .with_linger(Duration::from_micros(500))
                     .with_queue_shards(8),
-                &index,
                 "sharded",
                 32,
             ),
         ];
-        for (id, policy, cell_index, variant, max_batch) in grid {
-            let engine =
-                Engine::start(Arc::clone(cell_index), policy).expect("valid serve policy");
+        for (id, policy, variant, max_batch) in grid {
+            let engine = Engine::start(Arc::clone(&index), policy).expect("valid serve policy");
             let start = Instant::now();
             let answers = drive(&engine, &stream);
             let elapsed = start.elapsed();

@@ -1,0 +1,1060 @@
+//! The stage-2 kernel of the RBC searches: one ownership list scanned for
+//! the queries whose pruning rules selected it — **intervals, then dense**.
+//!
+//! **Intervals.** Members are sorted by their distance to the list's
+//! representative, so the members neither triangle-inequality cut rules out
+//! for a query (`d_to_rep − d_xr > t`, `d_xr − d_to_rep > t`, with `t` the
+//! smaller of the query's top-k threshold and its `threshold_cap`, over
+//! `shrink`, the `(1+ε)` relaxation) form one contiguous *run*. Each
+//! cursor's run is found by two binary searches before any distance is
+//! computed and rounded outward to whole lane groups; a cursor whose run is
+//! empty never touches the list.
+//!
+//! **Dense.** Inside its run a cursor scores whole lane groups and nothing
+//! else — from the list's [`ListMirror`], whose lane mask discards padding
+//! and skip-flagged members, or, for a metric without a lane kernel, member
+//! by member from the row-major database. Pruning is decided between blocks
+//! of lane groups (a block that tightened the threshold re-clips the rest
+//! of the run), never inside the scoring loop. Rounding outward only adds
+//! evaluations of real, unflagged members and a stale threshold only prunes
+//! *less*, so with strict thresholds (`shrink == 1.0`) answers are those of
+//! a full private scan; `TopK` breaks ties deterministically.
+//!
+//! **Shared.** A group's cursors scan one after another on one thread, so
+//! the list is fetched from memory once per group scan and every cursor
+//! after the first finds its tiles in cache (a √n-sized list at n = 10⁶ is
+//! 64 KB of mirror): the traffic saving of list-major batching, which
+//! [`GroupScanStats::tile_passes`] counts.
+
+use std::cell::RefCell;
+use std::ops::Range;
+use std::sync::Mutex;
+
+use rbc_metric::{BlockedVectors, Dataset, Dist, Metric, LANES};
+
+use crate::neighbor::Neighbor;
+use crate::primitive::BruteForce;
+use crate::topk::TopK;
+
+// A lane mask is one byte per lane group.
+const _: () = assert!(LANES == 8);
+
+/// Lane groups a cursor scores between two re-clips of its run: it bounds
+/// how far a scan overshoots a cut that moved, at two binary searches per
+/// block that tightened the threshold (`exact_batch` evaluates the same
+/// ±1 % at any grain from 2 to 16, its runs being ~10 groups long).
+const RECLIP_GROUPS: usize = 4;
+
+/// Per-query cursor state for a shared ownership-list scan
+/// ([`BruteForce::knn_group_in_list`]).
+///
+/// The `query` field indexes both the query dataset and the accumulator
+/// slice; the remaining fields drive the per-query sorted-list
+/// triangle-inequality cut.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct GroupCursor {
+    /// Position of the query within the batch — also the index of its
+    /// top-k accumulator in the accumulator slice.
+    pub query: usize,
+    /// Distance from this query to the list's representative, `ρ(q, r)`.
+    pub d_to_rep: Dist,
+    /// Static cap folded into the pruning threshold (the exact search's
+    /// `γ_k`); `Dist::INFINITY` leaves only the evolving top-k threshold.
+    pub threshold_cap: Dist,
+}
+
+/// Work accounting of one list scan.
+///
+/// Per cursor, `evaluations + skipped + masked = members`, where *masked*
+/// are the skip-flagged members inside the lane groups the cursor scored
+/// (their lanes are computed with the rest of the group and discarded).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct GroupScanStats {
+    /// Distinct `db_tile`-sized tiles of the list (whole lane groups) that
+    /// at least one cursor scored a group in. A tile is counted **once** no
+    /// matter how many queries of the group consumed it — this is the
+    /// memory-traffic measure that list-major batching reduces.
+    pub tile_passes: u64,
+    /// Total distance evaluations across all cursors: every unflagged
+    /// member of every lane group a cursor scored. Always one per
+    /// `(query, point)` pair: a distance belongs to exactly one query and
+    /// can never be shared, only the tile it reads can.
+    pub distance_evals: u64,
+    /// Members outside the lane groups a cursor scored, summed over
+    /// cursors: what the sorted-list cut saved.
+    pub points_skipped: u64,
+    /// Distance evaluations attributed to each cursor, parallel to the
+    /// input cursor slice (lets callers keep per-query tail statistics
+    /// exact even though the scan itself is shared). Left empty by
+    /// [`BruteForce::knn_cursor_in_list`], whose one cursor's count is
+    /// `distance_evals`.
+    pub evals_per_cursor: Vec<u64>,
+}
+
+/// The blocked mirror of one ownership list in member order (lane group `g`
+/// holds `members[g * LANES..]`), plus one byte per lane group naming the
+/// lanes a scan may admit: real members (not the padding of the last group)
+/// that carry no skip flag. Gathered once — at index build or shard load —
+/// so a scan never goes back to the row-major database or the flag table.
+#[derive(Clone, Debug)]
+pub struct ListMirror {
+    blocks: BlockedVectors,
+    live: Vec<u8>,
+}
+
+impl ListMirror {
+    /// Gathers `members` out of `db`, masking the members flagged in
+    /// `skip`. `None` when the dataset has no blocked layout.
+    pub fn gather<D: Dataset>(db: &D, members: &[usize], skip: Option<&[bool]>) -> Option<Self> {
+        let blocks = db.gather_blocked(members)?;
+        let live = members.chunks(LANES).map(|g| live_lanes(g, skip)).collect();
+        Some(Self { blocks, live })
+    }
+}
+
+/// Bit `lane` is set iff `group[lane]` exists and is not flagged in `skip`.
+fn live_lanes(group: &[usize], skip: Option<&[bool]>) -> u8 {
+    group.iter().enumerate().fold(0, |mask, (lane, &member)| {
+        mask | (u8::from(!skip.is_some_and(|flags| flags[member])) << lane)
+    })
+}
+
+/// Scan state reused across a thread's scans, so the steady state
+/// allocates nothing per (cursor, list) pair.
+struct Scratch {
+    /// A cursor's private collector: seeded from the shared accumulator
+    /// when its scan starts, tightening from its own candidates only.
+    local: TopK,
+    /// Candidates `local` admitted — what the shared accumulator has not
+    /// seen yet and is handed when the cursor's run is exhausted.
+    fresh: Vec<Neighbor>,
+    /// Per tile of the list: did any cursor score a lane group in it?
+    touched: Vec<bool>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Option<Scratch>> = const { RefCell::new(None) };
+}
+
+/// Feeds one group scan's accounting into the global trace registry
+/// (`rbc_bf_*` counters). Only called when tracing is enabled; the
+/// registry handles are cached per thread so the steady-state cost is
+/// three relaxed atomic adds, not a registry lock per scan.
+fn record_group_scan(stats: &GroupScanStats) {
+    thread_local! {
+        static BF_COUNTERS: RefCell<
+            Option<(rbc_trace::Counter, rbc_trace::Counter, rbc_trace::Counter)>,
+        > = const { RefCell::new(None) };
+    }
+    BF_COUNTERS.with(|cell| {
+        let mut cell = cell.borrow_mut();
+        let (tiles, evals, skipped) = cell.get_or_insert_with(|| {
+            let registry = rbc_trace::registry();
+            (
+                registry.counter("rbc_bf_tile_passes_total"),
+                registry.counter("rbc_bf_distance_evals_total"),
+                registry.counter("rbc_bf_points_skipped_total"),
+            )
+        });
+        tiles.add(stats.tile_passes);
+        evals.add(stats.distance_evals);
+        skipped.add(stats.points_skipped);
+    });
+}
+
+/// One list as every cursor of a scan sees it.
+struct ListScan<'a, D, M> {
+    db: &'a D,
+    metric: &'a M,
+    members: &'a [usize],
+    /// Empty when the sorted-list cut is off.
+    member_dists: &'a [Dist],
+    shrink: f64,
+    skip: Option<&'a [bool]>,
+    /// `None` selects the row-major fallback.
+    mirror: Option<&'a ListMirror>,
+    tile_groups: usize,
+}
+
+impl<'a, D, M> ListScan<'a, D, M>
+where
+    D: Dataset,
+    M: Metric<D::Item>,
+{
+    #[allow(clippy::too_many_arguments)] // the flat kernel signature, forwarded
+    fn new(
+        bf: &BruteForce,
+        db: &'a D,
+        metric: &'a M,
+        members: &'a [usize],
+        member_dists: &'a [Dist],
+        shrink: f64,
+        sorted_cut: bool,
+        skip: Option<&'a [bool]>,
+        mirror: Option<&'a ListMirror>,
+    ) -> Self {
+        assert!(
+            !sorted_cut || member_dists.len() == members.len(),
+            "sorted-list cut needs one representative distance per member"
+        );
+        Self {
+            db,
+            metric,
+            members,
+            member_dists: if sorted_cut { member_dists } else { &[] },
+            shrink,
+            skip,
+            mirror: mirror.filter(|m| {
+                bf.lane_gate(Some(&m.blocks), metric, members.len())
+                    .is_some()
+            }),
+            tile_groups: (bf.config().db_tile / LANES).max(1),
+        }
+    }
+
+    fn groups(&self) -> usize {
+        self.members.len().div_ceil(LANES)
+    }
+
+    /// This thread's scratch, with no tile of this list touched yet.
+    fn scratch(&self) -> Scratch {
+        let mut scratch = SCRATCH.take().unwrap_or_else(|| Scratch {
+            local: TopK::new(1),
+            fresh: Vec::new(),
+            touched: Vec::new(),
+        });
+        scratch.touched.clear();
+        let tiles = self.groups().div_ceil(self.tile_groups);
+        scratch.touched.resize(tiles, false);
+        scratch
+    }
+
+    /// Writes the distances from `q` to lane group `g` and returns its
+    /// live-lane mask: from the mirror, or — the one fallback, for metrics
+    /// without a lane kernel — member by member from the row-major `db`.
+    #[inline]
+    fn score(&self, q: &D::Item, g: usize, out: &mut [Dist; LANES]) -> u8 {
+        match self.mirror {
+            Some(mirror) => {
+                let computed = self.metric.dist_lanes(q, mirror.blocks.group(g), out);
+                debug_assert!(computed, "lanes_supported() metric must compute lanes");
+                mirror.live[g]
+            }
+            None => {
+                let group = &self.members[g * LANES..((g + 1) * LANES).min(self.members.len())];
+                let live = live_lanes(group, self.skip);
+                for (lane, &member) in group.iter().enumerate() {
+                    if (live >> lane) & 1 != 0 {
+                        out[lane] = self.metric.dist(q, self.db.get(member));
+                    }
+                }
+                live
+            }
+        }
+    }
+
+    /// The part of `groups` a cursor whose top-k threshold is `bound` can
+    /// still need, rounded outward to whole lane groups. The predicates are
+    /// the scan's two triangle-inequality cuts, both monotone in the sorted
+    /// member distance and both false on NaN (a NaN bound or `d_to_rep`
+    /// keeps the whole window).
+    fn clip(&self, cursor: &GroupCursor, bound: Dist, groups: Range<usize>) -> Range<usize> {
+        if self.member_dists.is_empty() {
+            return groups;
+        }
+        let t = bound / self.shrink;
+        let behind = |d: Dist| cursor.d_to_rep - d > t;
+        let beyond = |d: Dist| d - cursor.d_to_rep > t;
+        let first = groups.start * LANES;
+        let window = &self.member_dists[first..(groups.end * LANES).min(self.members.len())];
+        let lo = window.partition_point(|&d| behind(d));
+        let hi = lo + window[lo..].partition_point(|&d| !beyond(d));
+        if lo == hi {
+            return groups.end..groups.end;
+        }
+        (first + lo) / LANES..(first + hi).div_ceil(LANES)
+    }
+
+    /// The run of a cursor whose top-k threshold is `kth` on entry.
+    fn enter(&self, cursor: &GroupCursor, kth: Dist) -> Range<usize> {
+        self.clip(cursor, kth.min(cursor.threshold_cap), 0..self.groups())
+    }
+
+    /// Scores `run` — what [`enter`](Self::enter) returned for `topk`'s
+    /// threshold — into `topk`, a block of lane groups at a time,
+    /// re-clipping the rest of the run whenever a block tightened the
+    /// threshold; `admitted` sees every candidate `topk` let in, `touched`
+    /// every tile a scored group lies in. Returns the evaluations made and
+    /// the real members (padding excluded) of the groups scored.
+    fn scan(
+        &self,
+        cursor: &GroupCursor,
+        q: &D::Item,
+        mut run: Range<usize>,
+        topk: &mut TopK,
+        touched: &mut [bool],
+        mut admitted: impl FnMut(Neighbor),
+    ) -> (u64, usize) {
+        let mut bound = topk.threshold().min(cursor.threshold_cap);
+        let (mut evals, mut scored) = (0u64, 0usize);
+        let mut lane_dists = [0.0 as Dist; LANES];
+        while !run.is_empty() {
+            let block = run.start..(run.start + RECLIP_GROUPS).min(run.end);
+            for g in block.clone() {
+                let live = self.score(q, g, &mut lane_dists);
+                evals += u64::from(live.count_ones());
+                // Whole-group admission filter: no live lane at or under
+                // the current kth means no lane can enter the heap (ties
+                // can still be admitted by index order, hence `<=`).
+                let kth = topk.threshold();
+                let is_live = |lane: usize| (live >> lane) & 1 != 0;
+                let lanes = lane_dists.iter().enumerate();
+                if lanes.fold(false, |any, (lane, &d)| any | (is_live(lane) & (d <= kth))) {
+                    for (lane, &d) in lane_dists.iter().enumerate() {
+                        // A dead lane may be padding, past the members' end.
+                        if is_live(lane) {
+                            let candidate = Neighbor::new(self.members[g * LANES + lane], d);
+                            if topk.push(candidate) {
+                                admitted(candidate);
+                            }
+                        }
+                    }
+                }
+            }
+            scored += (block.end * LANES).min(self.members.len()) - block.start * LANES;
+            touched[block.start / self.tile_groups..=(block.end - 1) / self.tile_groups].fill(true);
+            run.start = block.end;
+            let tightened = topk.threshold().min(cursor.threshold_cap);
+            if tightened < bound && !run.is_empty() {
+                bound = tightened;
+                run = self.clip(cursor, bound, run);
+            }
+        }
+        (evals, scored)
+    }
+}
+
+impl BruteForce {
+    /// Scans the sub-database `X[L]` (`members`) once for a *group* of
+    /// queries, merging candidates into their per-query top-k
+    /// `accumulators` — the stage-2 kernel of the list-major batched RBC
+    /// search (see the [module docs](self) for how).
+    ///
+    /// When `sorted_cut` is set, `member_dists` must hold the ascending
+    /// distances of `members` to the list's representative. `mirror`, when
+    /// supplied, must have been gathered from `members` with the same
+    /// `skip` flags; `skip` itself is what the row-major fallback reads
+    /// (the exact search flags representatives, which its first stage
+    /// already answered).
+    ///
+    /// **Private, then merged.** Each cursor takes its accumulator's lock
+    /// twice: once to read the threshold its run is clipped against and to
+    /// seed a private `TopK`; once when its run is exhausted, to hand over
+    /// the candidates the private copy admitted (never the seeded entries,
+    /// which the shared accumulator already holds, so nothing is
+    /// duplicated). All distance arithmetic runs outside the lock, so
+    /// concurrent groups sharing a query never serialise their evaluations.
+    #[allow(clippy::too_many_arguments)] // deliberately a flat kernel signature
+    pub fn knn_group_in_list<Q, D, M>(
+        &self,
+        queries: &Q,
+        db: &D,
+        metric: &M,
+        members: &[usize],
+        member_dists: &[Dist],
+        cursors: &[GroupCursor],
+        shrink: f64,
+        sorted_cut: bool,
+        skip: Option<&[bool]>,
+        mirror: Option<&ListMirror>,
+        accumulators: &[Mutex<TopK>],
+    ) -> GroupScanStats
+    where
+        Q: Dataset,
+        D: Dataset<Item = Q::Item>,
+        M: Metric<Q::Item>,
+    {
+        let _scan_span = rbc_trace::span("bf.group_scan");
+        let list = ListScan::new(
+            self,
+            db,
+            metric,
+            members,
+            member_dists,
+            shrink,
+            sorted_cut,
+            skip,
+            mirror,
+        );
+        let mut scratch = list.scratch();
+        let Scratch {
+            local,
+            fresh,
+            touched,
+        } = &mut scratch;
+        let mut stats = GroupScanStats {
+            evals_per_cursor: Vec::with_capacity(cursors.len()),
+            ..GroupScanStats::default()
+        };
+        for cursor in cursors {
+            let accumulator = &accumulators[cursor.query];
+            let shared = accumulator.lock().expect("top-k accumulator lock poisoned");
+            let run = list.enter(cursor, shared.threshold());
+            if !run.is_empty() {
+                local.clone_from(&shared);
+            }
+            drop(shared);
+            let q = queries.get(cursor.query);
+            let (evals, scored) = list.scan(cursor, q, run, local, touched, |c| fresh.push(c));
+            if !fresh.is_empty() {
+                let mut shared = accumulator.lock().expect("top-k accumulator lock poisoned");
+                for candidate in fresh.drain(..) {
+                    shared.push(candidate);
+                }
+            }
+            stats.distance_evals += evals;
+            stats.points_skipped += (members.len() - scored) as u64;
+            stats.evals_per_cursor.push(evals);
+        }
+        stats.tile_passes = touched.iter().filter(|&&t| t).count() as u64;
+        SCRATCH.set(Some(scratch));
+        if rbc_trace::enabled() {
+            record_group_scan(&stats);
+        }
+        stats
+    }
+
+    /// [`knn_group_in_list`](Self::knn_group_in_list) for one query that
+    /// owns its collector: the same run search and dense scan, working on
+    /// `topk` directly — no lock, no private copy. `cursor.query` is
+    /// ignored. This is the single-query exact search's stage 2.
+    #[allow(clippy::too_many_arguments)] // deliberately a flat kernel signature
+    pub fn knn_cursor_in_list<D, M>(
+        &self,
+        query: &D::Item,
+        db: &D,
+        metric: &M,
+        members: &[usize],
+        member_dists: &[Dist],
+        cursor: &GroupCursor,
+        shrink: f64,
+        sorted_cut: bool,
+        skip: Option<&[bool]>,
+        mirror: Option<&ListMirror>,
+        topk: &mut TopK,
+    ) -> GroupScanStats
+    where
+        D: Dataset,
+        M: Metric<D::Item>,
+    {
+        let list = ListScan::new(
+            self,
+            db,
+            metric,
+            members,
+            member_dists,
+            shrink,
+            sorted_cut,
+            skip,
+            mirror,
+        );
+        let mut scratch = list.scratch();
+        let run = list.enter(cursor, topk.threshold());
+        let (evals, scored) = list.scan(cursor, query, run, topk, &mut scratch.touched, |_| {});
+        let stats = GroupScanStats {
+            tile_passes: scratch.touched.iter().filter(|&&t| t).count() as u64,
+            distance_evals: evals,
+            points_skipped: (members.len() - scored) as u64,
+            evals_per_cursor: Vec::new(),
+        };
+        SCRATCH.set(Some(scratch));
+        stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::primitive::BfConfig;
+    use rbc_metric::{Euclidean, VectorSet};
+
+    /// A deterministic pseudo-random cloud (no dependency on `rand` needed
+    /// for unit tests).
+    fn cloud(n: usize, dim: usize, seed: u64) -> VectorSet {
+        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+        let mut rows = Vec::with_capacity(n);
+        for _ in 0..n {
+            let mut row = Vec::with_capacity(dim);
+            for _ in 0..dim {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                row.push(((state >> 33) as f32 / u32::MAX as f32) * 20.0 - 10.0);
+            }
+            rows.push(row);
+        }
+        VectorSet::from_rows(&rows)
+    }
+
+    /// Reference for the group kernel: each query's scan of the full list,
+    /// done privately.
+    fn private_scans(
+        queries: &VectorSet,
+        db: &VectorSet,
+        list: &[usize],
+        k: usize,
+    ) -> Vec<Vec<Neighbor>> {
+        let bf = BruteForce::new();
+        (0..queries.len())
+            .map(|qi| {
+                bf.knn_single_in_list(queries.point(qi), db, list, &Euclidean, k)
+                    .0
+            })
+            .collect()
+    }
+
+    #[test]
+    fn group_scan_matches_private_scans_and_shares_tiles() {
+        let db = cloud(300, 5, 30);
+        let queries = cloud(12, 5, 31);
+        let list: Vec<usize> = (0..300).filter(|i| i % 2 == 0).collect();
+        let k = 4;
+        let bf = BruteForce::with_config(BfConfig {
+            db_tile: 32,
+            ..BfConfig::default()
+        });
+        let accumulators: Vec<Mutex<TopK>> = (0..queries.len())
+            .map(|_| Mutex::new(TopK::new(k)))
+            .collect();
+        let cursors: Vec<GroupCursor> = (0..queries.len())
+            .map(|qi| GroupCursor {
+                query: qi,
+                d_to_rep: 0.0,
+                threshold_cap: Dist::INFINITY,
+            })
+            .collect();
+        let stats = bf.knn_group_in_list(
+            &queries,
+            &db,
+            &Euclidean,
+            &list,
+            &[],
+            &cursors,
+            1.0,
+            false,
+            None,
+            None,
+            &accumulators,
+        );
+        let got: Vec<Vec<Neighbor>> = accumulators
+            .into_iter()
+            .map(|m| m.into_inner().unwrap().into_sorted())
+            .collect();
+        assert_eq!(got, private_scans(&queries, &db, &list, k));
+        // Every (query, point) pair is evaluated exactly once ...
+        assert_eq!(stats.distance_evals, (queries.len() * list.len()) as u64);
+        assert_eq!(stats.evals_per_cursor, vec![list.len() as u64; 12]);
+        // ... but the tiles are streamed once for the whole group, not once
+        // per query: 150 members at db_tile=32 is 5 shared passes.
+        assert_eq!(stats.tile_passes, list.len().div_ceil(32) as u64);
+    }
+
+    #[test]
+    fn group_scan_sorted_cut_retires_cursors_early() {
+        // One-dimensional line: members sorted by distance to the
+        // representative at the origin; a query sitting at the origin with
+        // a tight threshold cap must stop after the near prefix.
+        let db = VectorSet::from_rows(
+            &(0..100)
+                .map(|i| vec![i as f32, 0.0])
+                .collect::<Vec<Vec<f32>>>(),
+        );
+        let queries = VectorSet::from_rows(&[[0.0f32, 0.0]]);
+        let members: Vec<usize> = (0..100).collect();
+        let member_dists: Vec<Dist> = (0..100).map(|i| i as Dist).collect();
+        let bf = BruteForce::with_config(BfConfig {
+            db_tile: 10,
+            ..BfConfig::default()
+        });
+        let accumulators = vec![Mutex::new(TopK::new(1))];
+        let cursors = [GroupCursor {
+            query: 0,
+            d_to_rep: 0.0,
+            threshold_cap: 5.0,
+        }];
+        let stats = bf.knn_group_in_list(
+            &queries,
+            &db,
+            &Euclidean,
+            &members,
+            &member_dists,
+            &cursors,
+            1.0,
+            true,
+            None,
+            None,
+            &accumulators,
+        );
+        // The forward cut fires at d_xr > threshold; the true NN (distance
+        // 0) tightens the threshold to 0 after the first evaluation, so the
+        // cursor retires within the first tile and later tiles never stream.
+        assert_eq!(stats.tile_passes, 1);
+        assert!(stats.distance_evals < 10);
+        assert!(stats.points_skipped > 90);
+        let best = accumulators[0].lock().unwrap().best().unwrap();
+        assert_eq!(best.index, 0);
+        assert_eq!(best.dist, 0.0);
+    }
+
+    #[test]
+    fn group_scan_honours_skip_flags() {
+        let db = cloud(40, 3, 32);
+        let queries = cloud(3, 3, 33);
+        let members: Vec<usize> = (0..40).collect();
+        let mut skip = vec![false; 40];
+        skip[7] = true;
+        skip[23] = true;
+        let bf = BruteForce::new();
+        let accumulators: Vec<Mutex<TopK>> = (0..3).map(|_| Mutex::new(TopK::new(40))).collect();
+        let cursors: Vec<GroupCursor> = (0..3)
+            .map(|qi| GroupCursor {
+                query: qi,
+                d_to_rep: 0.0,
+                threshold_cap: Dist::INFINITY,
+            })
+            .collect();
+        let stats = bf.knn_group_in_list(
+            &queries,
+            &db,
+            &Euclidean,
+            &members,
+            &[],
+            &cursors,
+            1.0,
+            false,
+            Some(&skip),
+            None,
+            &accumulators,
+        );
+        assert_eq!(stats.distance_evals, 3 * 38);
+        for acc in accumulators {
+            let found: Vec<usize> = acc
+                .into_inner()
+                .unwrap()
+                .into_sorted()
+                .iter()
+                .map(|n| n.index)
+                .collect();
+            assert!(!found.contains(&7) && !found.contains(&23));
+            assert_eq!(found.len(), 38);
+        }
+    }
+
+    #[test]
+    fn group_scan_with_blocks_matches_unblocked_scan() {
+        let db = cloud(300, 5, 42);
+        let queries = cloud(8, 5, 43);
+        let members: Vec<usize> = (0..300).filter(|i| i % 3 != 0).collect();
+        let k = 3;
+        // Skip flags as the exact search sets them (a few scattered
+        // members), so some lane groups of a tile are clean and some are
+        // not; 44 is not a multiple of LANES, so tiles start mid-group.
+        let mut flags = vec![false; db.len()];
+        for &member in members.iter().step_by(37) {
+            flags[member] = true;
+        }
+        let flagged = members.iter().filter(|&&m| flags[m]).count();
+        let cursors: Vec<GroupCursor> = (0..queries.len())
+            .map(|qi| GroupCursor {
+                query: qi,
+                d_to_rep: 0.0,
+                threshold_cap: Dist::INFINITY,
+            })
+            .collect();
+        for db_tile in [48, 44] {
+            for skip in [None, Some(flags.as_slice())] {
+                let bf = BruteForce::with_config(BfConfig {
+                    db_tile,
+                    ..BfConfig::default()
+                });
+                let mirror = ListMirror::gather(&db, &members, skip);
+                assert!(mirror.is_some());
+                let run = |mirror: Option<&ListMirror>| {
+                    let accumulators: Vec<Mutex<TopK>> = (0..queries.len())
+                        .map(|_| Mutex::new(TopK::new(k)))
+                        .collect();
+                    let stats = bf.knn_group_in_list(
+                        &queries,
+                        &db,
+                        &Euclidean,
+                        &members,
+                        &[],
+                        &cursors,
+                        1.0,
+                        false,
+                        skip,
+                        mirror,
+                        &accumulators,
+                    );
+                    let answers: Vec<Vec<Neighbor>> = accumulators
+                        .into_iter()
+                        .map(|m| m.into_inner().unwrap().into_sorted())
+                        .collect();
+                    (answers, stats)
+                };
+                let (with_blocks, stats_blocked) = run(mirror.as_ref());
+                let (without, stats_plain) = run(None);
+                assert_eq!(with_blocks, without);
+                // Cut-free scans evaluate every unflagged (query, member)
+                // pair either way.
+                let scanned = members.len() - skip.map_or(0, |_| flagged);
+                assert_eq!(stats_plain.distance_evals, (queries.len() * scanned) as u64);
+                assert_eq!(stats_blocked.distance_evals, stats_plain.distance_evals);
+                assert_eq!(stats_blocked.tile_passes, stats_plain.tile_passes);
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_accumulators_merge_across_concurrent_groups() {
+        // Two overlapping "groups" scanning disjoint halves of the
+        // database into the *same* accumulators, as the list-major
+        // executor does when one query survives to several lists. The
+        // merged result must equal a private scan over the union.
+        let db = cloud(200, 4, 52);
+        let queries = cloud(6, 4, 53);
+        let first: Vec<usize> = (0..100).collect();
+        let second: Vec<usize> = (100..200).collect();
+        let k = 5;
+        let bf = BruteForce::new();
+        let accumulators: Vec<Mutex<TopK>> = (0..queries.len())
+            .map(|_| Mutex::new(TopK::new(k)))
+            .collect();
+        let cursors: Vec<GroupCursor> = (0..queries.len())
+            .map(|qi| GroupCursor {
+                query: qi,
+                d_to_rep: 0.0,
+                threshold_cap: Dist::INFINITY,
+            })
+            .collect();
+        std::thread::scope(|scope| {
+            for members in [&first, &second] {
+                scope.spawn(|| {
+                    bf.knn_group_in_list(
+                        &queries,
+                        &db,
+                        &Euclidean,
+                        members,
+                        &[],
+                        &cursors,
+                        1.0,
+                        false,
+                        None,
+                        None,
+                        &accumulators,
+                    )
+                });
+            }
+        });
+        let got: Vec<Vec<Neighbor>> = accumulators
+            .into_iter()
+            .map(|m| m.into_inner().unwrap().into_sorted())
+            .collect();
+        let all: Vec<usize> = (0..200).collect();
+        assert_eq!(got, private_scans(&queries, &db, &all, k));
+    }
+
+    /// One interval-scan scenario: a list of `rows` around the representative
+    /// `rep`, sorted by distance to it as an ownership list is, scanned by
+    /// `queries`, whose accumulators start with `seeds` points each from
+    /// outside the list (as the exact search seeds representatives).
+    struct Case {
+        rows: Vec<Vec<f32>>,
+        rep: Vec<f32>,
+        queries: Vec<Vec<f32>>,
+        k: usize,
+        cap: Dist,
+        shrink: f64,
+        flagged: Vec<usize>,
+        db_tile: usize,
+        seeds: usize,
+    }
+
+    impl Case {
+        /// `n` pseudo-random points in the unit cube scaled by ten, the
+        /// representative at the origin, and one query each for: at the
+        /// representative (`d_to_rep` below every member distance), far
+        /// outside (above every one), and exactly on the middle member.
+        fn new(n: usize, seed: u64) -> Self {
+            let points = cloud(n, 3, seed);
+            let rows: Vec<Vec<f32>> = points.iter().map(<[f32]>::to_vec).collect();
+            let queries = vec![vec![0.0; 3], vec![40.0; 3], rows[n / 2].clone()];
+            Self {
+                rows,
+                rep: vec![0.0; 3],
+                queries,
+                k: 3,
+                cap: Dist::INFINITY,
+                shrink: 1.0,
+                flagged: Vec::new(),
+                db_tile: 256,
+                seeds: 0,
+            }
+        }
+
+        /// Scans through both layouts and checks, for each: the answers
+        /// against private scans of the unflagged members and the query's
+        /// seeds; the accounting identity `evals + skipped + masked =
+        /// cursors × members` (with `masked ≤ flagged` per cursor, and zero
+        /// without flags); and that no cursor evaluates more than its entry
+        /// run — the members neither cut rules out at the entry threshold,
+        /// the smaller of `cap` and the seeded k-th distance, over `shrink`
+        /// — rounded outward to lane groups.
+        fn check(&self) {
+            let mut order: Vec<(Dist, usize)> = self
+                .rows
+                .iter()
+                .enumerate()
+                .map(|(i, row)| (Euclidean.dist(row, &self.rep), i))
+                .collect();
+            order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let members: Vec<usize> = order.iter().map(|&(_, i)| i).collect();
+            let member_dists: Vec<Dist> = order.iter().map(|&(d, _)| d).collect();
+            // Seed `j` of query `qi` sits `0.7 (j + 1)` from it along one
+            // axis, after the list's points in the database.
+            let mut rows = self.rows.clone();
+            for query in &self.queries {
+                for j in 0..self.seeds {
+                    let mut seed = query.clone();
+                    seed[j % 3] += 0.7 * (j + 1) as f32;
+                    rows.push(seed);
+                }
+            }
+            let seeds_of = |qi: usize| {
+                let first = self.rows.len() + qi * self.seeds;
+                first..first + self.seeds
+            };
+            let db = VectorSet::from_rows(&rows);
+            let queries = VectorSet::from_rows(&self.queries);
+            let seeded = |qi: usize| {
+                let mut topk = TopK::new(self.k);
+                for i in seeds_of(qi) {
+                    topk.push(Neighbor::new(
+                        i,
+                        Euclidean.dist(queries.point(qi), db.point(i)),
+                    ));
+                }
+                topk
+            };
+            let mut flags = vec![false; db.len()];
+            for &position in &self.flagged {
+                flags[members[position]] = true;
+            }
+            let unflagged: Vec<usize> = members.iter().copied().filter(|&m| !flags[m]).collect();
+            let cursors: Vec<GroupCursor> = (0..queries.len())
+                .map(|qi| GroupCursor {
+                    query: qi,
+                    d_to_rep: Euclidean.dist(queries.point(qi), &self.rep),
+                    threshold_cap: self.cap,
+                })
+                .collect();
+            let entry_run: Vec<u64> = cursors
+                .iter()
+                .map(|c| {
+                    let t = seeded(c.query).threshold().min(self.cap) / self.shrink;
+                    let lo = member_dists.partition_point(|&d| c.d_to_rep - d > t);
+                    let hi = member_dists.partition_point(|&d| d - c.d_to_rep <= t);
+                    if lo >= hi {
+                        0
+                    } else {
+                        (hi.div_ceil(LANES) * LANES).min(members.len()) as u64
+                            - (lo / LANES * LANES) as u64
+                    }
+                })
+                .collect();
+            let bf = BruteForce::with_config(BfConfig {
+                db_tile: self.db_tile,
+                ..BfConfig::default()
+            });
+            let mirror = ListMirror::gather(&db, &members, Some(&flags));
+            assert!(mirror.is_some());
+            for mirror in [mirror.as_ref(), None] {
+                let accumulators: Vec<Mutex<TopK>> = (0..queries.len())
+                    .map(|qi| Mutex::new(seeded(qi)))
+                    .collect();
+                let stats = bf.knn_group_in_list(
+                    &queries,
+                    &db,
+                    &Euclidean,
+                    &members,
+                    &member_dists,
+                    &cursors,
+                    self.shrink,
+                    true,
+                    Some(&flags),
+                    mirror,
+                    &accumulators,
+                );
+                let got: Vec<Vec<Neighbor>> = accumulators
+                    .into_iter()
+                    .map(|m| m.into_inner().unwrap().into_sorted())
+                    .collect();
+                let want: Vec<Vec<Neighbor>> = (0..queries.len())
+                    .map(|qi| {
+                        let pool: Vec<usize> =
+                            unflagged.iter().copied().chain(seeds_of(qi)).collect();
+                        let q = VectorSet::from_rows(&[queries.point(qi)]);
+                        private_scans(&q, &db, &pool, self.k).remove(0)
+                    })
+                    .collect();
+                if self.shrink == 1.0 && self.cap == Dist::INFINITY {
+                    assert_eq!(got, want);
+                } else {
+                    // A finite cap or a (1+ε) cut may drop members outside
+                    // it; what is returned is still the best of what the
+                    // cut allows, never better than the truth.
+                    for (g, w) in got.iter().zip(&want) {
+                        assert!(g.len() <= w.len());
+                        for (a, b) in g.iter().zip(w) {
+                            assert!(a.dist >= b.dist);
+                        }
+                        if let (Some(a), Some(b)) = (g.first(), w.first()) {
+                            let reachable = b.dist <= self.cap / self.shrink;
+                            assert!(!reachable || a.dist <= self.shrink * b.dist);
+                        }
+                    }
+                }
+                let pairs = (cursors.len() * members.len()) as u64;
+                let masked = pairs - stats.distance_evals - stats.points_skipped;
+                assert!(masked <= (cursors.len() * self.flagged.len()) as u64);
+                assert_eq!(
+                    stats.evals_per_cursor.iter().sum::<u64>(),
+                    stats.distance_evals
+                );
+                for (evals, bound) in stats.evals_per_cursor.iter().zip(&entry_run) {
+                    assert!(evals <= bound, "{evals} evaluations, entry run {bound}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interval_scan_is_exact_at_every_list_length() {
+        for n in [1, 7, 8, 9, 255, 256, 257] {
+            Case::new(n, 60 + n as u64).check();
+            // k larger than the list: every unflagged member comes back.
+            Case {
+                k: n + 5,
+                ..Case::new(n, 70 + n as u64)
+            }
+            .check();
+            // Seeded accumulators: the entry threshold is finite, so both
+            // cuts bite from the first group on and the runs are short.
+            for k in [1, 3] {
+                Case {
+                    k,
+                    seeds: 3,
+                    ..Case::new(n, 90 + n as u64)
+                }
+                .check();
+            }
+        }
+    }
+
+    #[test]
+    fn interval_scan_handles_equal_distances_across_a_group_boundary() {
+        // Positions 5..12 of the sorted list are one point repeated, so a
+        // run of equal `member_dists` straddles the first lane-group
+        // boundary; one query sits exactly on it.
+        let mut case = Case::new(40, 80);
+        let mut by_dist: Vec<usize> = (0..40).collect();
+        by_dist.sort_by(|&a, &b| {
+            Euclidean
+                .dist(&case.rows[a], &case.rep)
+                .total_cmp(&Euclidean.dist(&case.rows[b], &case.rep))
+        });
+        let twin = case.rows[by_dist[5]].clone();
+        for &i in &by_dist[6..12] {
+            case.rows[i] = twin.clone();
+        }
+        case.queries.push(twin);
+        case.check();
+        case.seeds = 2;
+        case.k = 2;
+        case.check();
+    }
+
+    #[test]
+    fn interval_scan_respects_caps_shrink_and_flags() {
+        // A finite cap: the far query's run is empty and it must not touch
+        // the list at all.
+        let capped = Case {
+            cap: 3.0,
+            ..Case::new(257, 81)
+        };
+        capped.check();
+        Case {
+            shrink: 1.5,
+            ..Case::new(257, 82)
+        }
+        .check();
+        Case {
+            shrink: 1.5,
+            cap: 6.0,
+            ..Case::new(100, 83)
+        }
+        .check();
+        // Scattered flags, then every member flagged.
+        Case {
+            flagged: vec![0, 7, 8, 63, 99],
+            seeds: 3,
+            ..Case::new(100, 84)
+        }
+        .check();
+        Case {
+            flagged: (0..41).collect(),
+            ..Case::new(41, 85)
+        }
+        .check();
+        // Tiles that are not whole lane groups.
+        for db_tile in [1, 12, 44] {
+            Case {
+                db_tile,
+                seeds: 3,
+                ..Case::new(257, 86)
+            }
+            .check();
+        }
+    }
+
+    #[test]
+    fn cursor_with_an_empty_run_never_touches_the_list() {
+        let db = cloud(64, 3, 87);
+        let members: Vec<usize> = (0..64).collect();
+        let member_dists: Vec<Dist> = (0..64).map(|i| 1.0 + i as Dist).collect();
+        let queries = cloud(1, 3, 88);
+        let accumulators = vec![Mutex::new(TopK::new(2))];
+        let far = GroupCursor {
+            query: 0,
+            d_to_rep: 500.0,
+            threshold_cap: 10.0,
+        };
+        let stats = BruteForce::new().knn_group_in_list(
+            &queries,
+            &db,
+            &Euclidean,
+            &members,
+            &member_dists,
+            &[far],
+            1.0,
+            true,
+            None,
+            None,
+            &accumulators,
+        );
+        assert_eq!(stats.distance_evals, 0);
+        assert_eq!(stats.tile_passes, 0);
+        assert_eq!(stats.points_skipped, 64);
+        assert!(accumulators[0].lock().unwrap().is_empty());
+    }
+}

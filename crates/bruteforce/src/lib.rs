@@ -27,12 +27,14 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod group_scan;
 pub mod neighbor;
 pub mod primitive;
 pub mod stats;
 pub mod topk;
 
+pub use group_scan::{GroupCursor, GroupScanStats, ListMirror};
 pub use neighbor::Neighbor;
-pub use primitive::{AccumulatorStrategy, BfConfig, BruteForce, GroupCursor, GroupScanStats};
+pub use primitive::{BfConfig, BruteForce, MIN_PARALLEL_EVALS};
 pub use stats::BfStats;
 pub use topk::TopK;

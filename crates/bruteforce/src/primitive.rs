@@ -1,7 +1,5 @@
 //! The brute-force primitive itself: batched, tiled, parallel scans.
 
-use std::sync::Mutex;
-
 use rayon::prelude::*;
 
 use rbc_metric::{BlockedVectors, Dataset, Dist, Metric, QueryBatch, LANES};
@@ -10,40 +8,10 @@ use crate::neighbor::Neighbor;
 use crate::stats::BfStats;
 use crate::topk::TopK;
 
-/// How the shared group-scan kernel ([`BruteForce::knn_group_in_list`])
-/// synchronises with the per-query top-k accumulators it merges into.
-///
-/// In exact mode (`shrink == 1.0`) the two strategies return bit-identical
-/// answers — pruning against a stale snapshot only ever prunes *less*, and
-/// the accumulator's total `(dist, index)` order makes its contents
-/// independent of insertion order — so this is purely a contention A/B
-/// switch, mirroring `BatchStrategy` one layer up. With `shrink > 1.0`
-/// each strategy independently honours the `(1+ε)` guarantee but they may
-/// return different eligible answers.
-///
-/// The query-tile kernel (`knn_over`) is unaffected: its collectors are
-/// already private to the worker that owns the query tile and never lock.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AccumulatorStrategy {
-    /// Lock the shared accumulator twice per (tile, cursor): once to
-    /// snapshot the current top-k before the tile's distance loop, once to
-    /// merge the tile's admitted candidates. Tightest thresholds (another
-    /// group's candidates become visible at every tile boundary) but the
-    /// lock rate grows with both the tile count and the group size — this
-    /// was the only strategy before the sharded path existed, kept
-    /// selectable for A/B benchmarking.
-    Locked,
-    /// Shard the accumulator per in-flight (group, query) pair: snapshot
-    /// the shared top-k **once** at scan entry, keep a private `TopK` plus
-    /// a buffer of admitted candidates across all tiles, and merge that
-    /// buffer under one lock when the cursor retires (or the scan ends).
-    /// Zero locks inside the tile loop — the contention-free shape of the
-    /// paper's manycore argument — at the cost of not observing candidates
-    /// concurrent groups admit for the same query mid-scan, which can only
-    /// loosen the private pruning threshold, never change the answer.
-    #[default]
-    Sharded,
-}
+/// Fewest lane-kernel distance evaluations worth a parallel job (~200 µs).
+/// Below it the caller finishes before a parked helper has woken, and then
+/// sleeps until that helper is done with the one chunk it still claimed.
+pub const MIN_PARALLEL_EVALS: usize = 1 << 16;
 
 /// Tiling and parallelism knobs for the primitive.
 ///
@@ -71,10 +39,6 @@ pub struct BfConfig {
     /// so this is purely a performance A/B toggle — the autotuner in
     /// `rbc-device` sweeps it alongside the tile shape.
     pub blocked: bool,
-    /// How the shared group-scan kernel synchronises its per-query top-k
-    /// accumulators; see [`AccumulatorStrategy`]. Bit-identical either way
-    /// in exact mode, so this is a contention A/B toggle.
-    pub accumulator: AccumulatorStrategy,
 }
 
 impl Default for BfConfig {
@@ -84,7 +48,6 @@ impl Default for BfConfig {
             db_tile: 256,
             parallel: true,
             blocked: true,
-            accumulator: AccumulatorStrategy::default(),
         }
     }
 }
@@ -96,13 +59,6 @@ impl BfConfig {
             parallel: false,
             ..Self::default()
         }
-    }
-
-    /// Selects how the group-scan kernel synchronises its accumulators.
-    #[must_use]
-    pub fn with_accumulator(mut self, accumulator: AccumulatorStrategy) -> Self {
-        self.accumulator = accumulator;
-        self
     }
 
     /// Checks the configuration for degenerate values.
@@ -121,71 +77,6 @@ impl BfConfig {
         }
         Ok(())
     }
-}
-
-/// Per-query cursor state for a shared ownership-list scan
-/// ([`BruteForce::knn_group_in_list`]).
-///
-/// The `query` field indexes both the query dataset and the accumulator
-/// slice; the remaining fields drive the per-query sorted-list
-/// triangle-inequality cut inside the shared tile.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GroupCursor {
-    /// Position of the query within the batch — also the index of its
-    /// top-k accumulator in the accumulator slice.
-    pub query: usize,
-    /// Distance from this query to the list's representative, `ρ(q, r)`.
-    pub d_to_rep: Dist,
-    /// Static cap folded into the pruning threshold (the exact search's
-    /// `γ_k`); `Dist::INFINITY` leaves only the evolving top-k threshold.
-    pub threshold_cap: Dist,
-}
-
-/// Work accounting of one shared list scan.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct GroupScanStats {
-    /// Database tiles streamed through memory. A tile is counted **once**
-    /// no matter how many queries of the group consumed it — this is the
-    /// memory-traffic measure that list-major batching reduces.
-    pub tile_passes: u64,
-    /// Total distance evaluations across all cursors. Always one per
-    /// `(query, point)` pair: a distance belongs to exactly one query and
-    /// can never be shared, only the tile it reads can.
-    pub distance_evals: u64,
-    /// Candidates skipped by the per-query sorted-list cut (summed over
-    /// cursors, including the tail skipped when a cursor retires).
-    pub points_skipped: u64,
-    /// Distance evaluations attributed to each cursor, parallel to the
-    /// input cursor slice (lets callers keep per-query tail statistics
-    /// exact even though the scan itself is shared).
-    pub evals_per_cursor: Vec<u64>,
-}
-
-/// Feeds one group scan's accounting into the global trace registry
-/// (`rbc_bf_*` counters). Only called when tracing is enabled; the
-/// registry handles are cached per thread so the steady-state cost is
-/// three relaxed atomic adds, not a registry lock per scan.
-fn record_group_scan(stats: &GroupScanStats) {
-    use std::cell::RefCell;
-    thread_local! {
-        static BF_COUNTERS: RefCell<
-            Option<(rbc_trace::Counter, rbc_trace::Counter, rbc_trace::Counter)>,
-        > = const { RefCell::new(None) };
-    }
-    BF_COUNTERS.with(|cell| {
-        let mut cell = cell.borrow_mut();
-        let (tiles, evals, skipped) = cell.get_or_insert_with(|| {
-            let registry = rbc_trace::registry();
-            (
-                registry.counter("rbc_bf_tile_passes_total"),
-                registry.counter("rbc_bf_distance_evals_total"),
-                registry.counter("rbc_bf_points_skipped_total"),
-            )
-        });
-        tiles.add(stats.tile_passes);
-        evals.add(stats.distance_evals);
-        skipped.add(stats.points_skipped);
-    });
 }
 
 /// The brute-force primitive `BF(Q, X[L])` with a fixed configuration.
@@ -222,7 +113,7 @@ impl BruteForce {
     /// Applies the blocked-layout gate: a blocked mirror is only usable
     /// when the configuration enables it, the metric has a lane kernel,
     /// and the mirror actually covers `expected_len` points.
-    fn lane_gate<'b, T: ?Sized, M: Metric<T>>(
+    pub(crate) fn lane_gate<'b, T: ?Sized, M: Metric<T>>(
         &self,
         blocks: Option<&'b BlockedVectors>,
         metric: &M,
@@ -499,7 +390,8 @@ impl BruteForce {
                 None => (0..n).map(|j| metric.dist(q, db.get(j))).collect(),
             }
         };
-        let rows: Vec<Vec<Dist>> = if self.config.parallel {
+        let shared = self.config.parallel && (blocks.is_none() || nq * n >= MIN_PARALLEL_EVALS);
+        let rows: Vec<Vec<Dist>> = if shared {
             (0..nq).into_par_iter().map(row).collect()
         } else {
             (0..nq).map(row).collect()
@@ -578,269 +470,6 @@ impl BruteForce {
             collect_chunk(list)
         };
         (merged.into_sorted(), stats)
-    }
-
-    /// Streams the sub-database `X[L]` once, in `db_tile`-sized tiles, for
-    /// a *group* of queries, merging candidates into per-query top-k
-    /// accumulators.
-    ///
-    /// This is the stage-2 kernel of the list-major batched RBC search:
-    /// instead of every query privately re-reading each ownership list it
-    /// survived to (query-major execution), a list is streamed once per
-    /// tile and shared by every query whose pruning rules selected it.
-    /// With strict thresholds (`shrink == 1.0`) results are identical to
-    /// per-query scans because stale thresholds only prune *less* and the
-    /// accumulators implement a total order with deterministic
-    /// tie-breaking; only the amount of memory traffic changes.
-    ///
-    /// When `sorted_cut` is set, `member_dists` must hold the ascending
-    /// distances of `members` to the list's representative; each cursor's
-    /// `d_to_rep` and `threshold_cap` then drive the triangle-inequality
-    /// cut (thresholds divided by `shrink`, the `(1+ε)` relaxation). A
-    /// cursor whose forward cut fires is retired from the remaining tiles,
-    /// and the scan stops as soon as every cursor has retired. Members
-    /// flagged in `skip` are never evaluated (the exact search skips
-    /// representatives, which its first stage already answered).
-    ///
-    /// Locking follows [`BfConfig::accumulator`]. Under
-    /// [`AccumulatorStrategy::Locked`] the accumulator lock is taken twice
-    /// per (tile, cursor) and only for `O(k)`/`O(db_tile · log k)`
-    /// bookkeeping: once to snapshot the current top-k, once to merge the
-    /// tile's fresh candidates. Under [`AccumulatorStrategy::Sharded`]
-    /// (the default) each cursor instead snapshots **once** at scan entry,
-    /// scans every tile against a private shard, and merges its admitted
-    /// candidates under a single lock when it retires or the scan ends —
-    /// at most two lock acquisitions per (group, cursor), none inside the
-    /// tile loop. Either way all distance arithmetic runs outside the lock
-    /// against a snapshot (which keeps tightening from the scan's own
-    /// candidates), so concurrent groups sharing a query never serialise
-    /// their distance evaluations — a snapshot threshold can lag the
-    /// shared one, which costs at most extra evaluations, never a wrong
-    /// answer, and the merge pushes only the candidates this scan admitted
-    /// (never snapshot entries, which the shared accumulator has already
-    /// seen), so nothing is ever duplicated.
-    ///
-    /// `blocks`, when supplied, must be the blocked mirror of the member
-    /// list **in member order** (lane group `g` holds
-    /// `members[g*LANES..]`); aligned full groups not touched by a skip
-    /// flag or a mid-group cut are then scored through the metric's lane
-    /// kernel and admitted against the current kth distance as a whole
-    /// group before any heap is touched. Group-level cut decisions use the
-    /// threshold at group entry, which can only be *looser* than the
-    /// per-member threshold the scalar path would use — so a blocked scan
-    /// may evaluate slightly more candidates near a cut boundary, but its
-    /// answers are bit-identical.
-    #[allow(clippy::too_many_arguments)] // deliberately a flat kernel signature
-    pub fn knn_group_in_list<Q, D, M>(
-        &self,
-        queries: &Q,
-        db: &D,
-        metric: &M,
-        members: &[usize],
-        member_dists: &[Dist],
-        cursors: &[GroupCursor],
-        shrink: f64,
-        sorted_cut: bool,
-        skip: Option<&[bool]>,
-        blocks: Option<&BlockedVectors>,
-        accumulators: &[Mutex<TopK>],
-    ) -> GroupScanStats
-    where
-        Q: Dataset,
-        D: Dataset<Item = Q::Item>,
-        M: Metric<Q::Item>,
-    {
-        assert!(
-            !sorted_cut || member_dists.len() == members.len(),
-            "sorted-list cut needs one representative distance per member"
-        );
-        let blocks = self.lane_gate(blocks, metric, members.len());
-        let _scan_span = rbc_trace::span("bf.group_scan");
-        let db_tile = self.config.db_tile.max(1);
-        let mut stats = GroupScanStats {
-            evals_per_cursor: vec![0; cursors.len()],
-            ..GroupScanStats::default()
-        };
-        let sharded = self.config.accumulator == AccumulatorStrategy::Sharded;
-        // Sharded mode: one private (snapshot, admitted-candidates) shard
-        // per cursor, seeded under one lock each before any tile streams,
-        // and alive across the whole scan. Locked mode leaves these `None`
-        // and re-snapshots around every tile instead.
-        let mut shards: Vec<Option<(TopK, Vec<Neighbor>)>> = if sharded {
-            cursors
-                .iter()
-                .map(|cursor| {
-                    let snapshot = accumulators[cursor.query]
-                        .lock()
-                        .expect("top-k accumulator lock poisoned")
-                        .clone();
-                    Some((snapshot, Vec::new()))
-                })
-                .collect()
-        } else {
-            vec![None; cursors.len()]
-        };
-        // Cursor positions still consuming tiles; a cursor leaves when its
-        // sorted-list cut proves no later member can help it.
-        let mut active: Vec<usize> = (0..cursors.len()).collect();
-        // Per full lane group of the current tile: does any member carry a
-        // skip flag? That depends on the tile alone, so the random
-        // `flags[members[p]]` loads are paid once per tile, not once per
-        // cursor sharing it.
-        let mut group_flagged: Vec<bool> = Vec::new();
-        let mut tile_start = 0usize;
-        while tile_start < members.len() && !active.is_empty() {
-            let tile_end = (tile_start + db_tile).min(members.len());
-            let last_tile = tile_end == members.len();
-            stats.tile_passes += 1;
-            let first_group = tile_start.next_multiple_of(LANES);
-            group_flagged.clear();
-            if let (Some(_), Some(flags)) = (blocks, skip) {
-                group_flagged.extend(
-                    members[first_group.min(tile_end)..tile_end]
-                        .chunks_exact(LANES)
-                        .map(|group| group.iter().any(|&member| flags[member])),
-                );
-            }
-            active.retain(|&ci| {
-                let cursor = &cursors[ci];
-                let q = queries.get(cursor.query);
-                // Snapshot the shared top-k (O(k)) so the distance loop
-                // runs without the lock. The snapshot keeps tightening
-                // from this scan's own candidates; it can only lag the
-                // shared threshold, which prunes less — never wrongly.
-                let (mut local, mut fresh) = match shards[ci].take() {
-                    Some(shard) => shard,
-                    None => (
-                        accumulators[cursor.query]
-                            .lock()
-                            .expect("top-k accumulator lock poisoned")
-                            .clone(),
-                        Vec::new(),
-                    ),
-                };
-                let mut retired = false;
-                let mut pos = tile_start;
-                'tile: while pos < tile_end {
-                    // Blocked fast path: a lane-aligned full group with no
-                    // skip flags whose cut decision is uniform across the
-                    // group is scored in one lane-kernel call.
-                    if let Some(b) = blocks {
-                        if pos.is_multiple_of(LANES) && pos + LANES <= tile_end {
-                            let clean =
-                                skip.is_none() || !group_flagged[(pos - first_group) / LANES];
-                            let mut whole_group = clean;
-                            if clean && sorted_cut {
-                                let threshold =
-                                    local.threshold().min(cursor.threshold_cap) / shrink;
-                                let first = member_dists[pos];
-                                let last = member_dists[pos + LANES - 1];
-                                if first - cursor.d_to_rep > threshold {
-                                    // Ascending d_xr: the forward cut fires
-                                    // for every remaining member.
-                                    stats.points_skipped += (members.len() - pos) as u64;
-                                    retired = true;
-                                    break 'tile;
-                                }
-                                if last - cursor.d_to_rep > threshold {
-                                    // Forward cut fires mid-group: let the
-                                    // scalar arm find the exact position.
-                                    whole_group = false;
-                                } else if cursor.d_to_rep - first > threshold {
-                                    if cursor.d_to_rep - last > threshold {
-                                        // Backward cut covers the whole group.
-                                        stats.points_skipped += LANES as u64;
-                                        pos += LANES;
-                                        continue 'tile;
-                                    }
-                                    whole_group = false;
-                                }
-                            }
-                            if whole_group {
-                                let mut lane_dists = [0.0 as Dist; LANES];
-                                let computed =
-                                    metric.dist_lanes(q, b.group(pos / LANES), &mut lane_dists);
-                                debug_assert!(
-                                    computed,
-                                    "lanes_supported() metric must compute lanes"
-                                );
-                                stats.distance_evals += LANES as u64;
-                                stats.evals_per_cursor[ci] += LANES as u64;
-                                // Whole-group admission filter: if even the
-                                // group's best distance is strictly beyond
-                                // the current kth, no lane can enter the
-                                // heap (ties can still be admitted by index
-                                // order, hence the strict comparison).
-                                let group_min =
-                                    lane_dists.iter().copied().fold(Dist::INFINITY, Dist::min);
-                                if group_min <= local.threshold() {
-                                    for (lane, &d) in lane_dists.iter().enumerate() {
-                                        let candidate = Neighbor::new(members[pos + lane], d);
-                                        if local.push(candidate) {
-                                            fresh.push(candidate);
-                                        }
-                                    }
-                                }
-                                pos += LANES;
-                                continue 'tile;
-                            }
-                        }
-                    }
-                    let member = members[pos];
-                    if skip.is_some_and(|flags| flags[member]) {
-                        pos += 1;
-                        continue;
-                    }
-                    if sorted_cut {
-                        let threshold = local.threshold().min(cursor.threshold_cap) / shrink;
-                        let d_xr = member_dists[pos];
-                        if d_xr - cursor.d_to_rep > threshold {
-                            // Members are sorted by d_xr: no later entry can
-                            // pass either, so retire this cursor for good.
-                            stats.points_skipped += (members.len() - pos) as u64;
-                            retired = true;
-                            break;
-                        }
-                        if cursor.d_to_rep - d_xr > threshold {
-                            stats.points_skipped += 1;
-                            pos += 1;
-                            continue;
-                        }
-                    }
-                    stats.distance_evals += 1;
-                    stats.evals_per_cursor[ci] += 1;
-                    let candidate = Neighbor::new(member, metric.dist(q, db.get(member)));
-                    // Buffer only candidates the local snapshot admits: a
-                    // rejected candidate is beaten by k entries that the
-                    // shared accumulator has already seen (snapshot) or is
-                    // about to see (fresh), so it can never re-enter.
-                    if local.push(candidate) {
-                        fresh.push(candidate);
-                    }
-                    pos += 1;
-                }
-                if sharded && !retired && !last_tile {
-                    // The shard stays private until this cursor's last
-                    // tile; no lock is touched between tiles.
-                    shards[ci] = Some((local, fresh));
-                    return true;
-                }
-                if !fresh.is_empty() {
-                    let mut topk = accumulators[cursor.query]
-                        .lock()
-                        .expect("top-k accumulator lock poisoned");
-                    for candidate in fresh {
-                        topk.push(candidate);
-                    }
-                }
-                !retired
-            });
-            tile_start = tile_end;
-        }
-        if rbc_trace::enabled() {
-            record_group_scan(&stats);
-        }
-        stats
     }
 
     /// k-NN of a single query against the whole database.
@@ -1263,160 +892,6 @@ mod tests {
         assert_eq!(nn_set, nn_items);
     }
 
-    /// Reference for the group kernel: each query's scan of the full list,
-    /// done privately.
-    fn private_scans(
-        queries: &VectorSet,
-        db: &VectorSet,
-        list: &[usize],
-        k: usize,
-    ) -> Vec<Vec<Neighbor>> {
-        let bf = BruteForce::new();
-        (0..queries.len())
-            .map(|qi| {
-                bf.knn_single_in_list(queries.point(qi), db, list, &Euclidean, k)
-                    .0
-            })
-            .collect()
-    }
-
-    #[test]
-    fn group_scan_matches_private_scans_and_shares_tiles() {
-        let db = cloud(300, 5, 30);
-        let queries = cloud(12, 5, 31);
-        let list: Vec<usize> = (0..300).filter(|i| i % 2 == 0).collect();
-        let k = 4;
-        let bf = BruteForce::with_config(BfConfig {
-            db_tile: 32,
-            ..BfConfig::default()
-        });
-        let accumulators: Vec<Mutex<TopK>> = (0..queries.len())
-            .map(|_| Mutex::new(TopK::new(k)))
-            .collect();
-        let cursors: Vec<GroupCursor> = (0..queries.len())
-            .map(|qi| GroupCursor {
-                query: qi,
-                d_to_rep: 0.0,
-                threshold_cap: Dist::INFINITY,
-            })
-            .collect();
-        let stats = bf.knn_group_in_list(
-            &queries,
-            &db,
-            &Euclidean,
-            &list,
-            &[],
-            &cursors,
-            1.0,
-            false,
-            None,
-            None,
-            &accumulators,
-        );
-        let got: Vec<Vec<Neighbor>> = accumulators
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().into_sorted())
-            .collect();
-        assert_eq!(got, private_scans(&queries, &db, &list, k));
-        // Every (query, point) pair is evaluated exactly once ...
-        assert_eq!(stats.distance_evals, (queries.len() * list.len()) as u64);
-        assert_eq!(stats.evals_per_cursor, vec![list.len() as u64; 12]);
-        // ... but the tiles are streamed once for the whole group, not once
-        // per query: 150 members at db_tile=32 is 5 shared passes.
-        assert_eq!(stats.tile_passes, list.len().div_ceil(32) as u64);
-    }
-
-    #[test]
-    fn group_scan_sorted_cut_retires_cursors_early() {
-        // One-dimensional line: members sorted by distance to the
-        // representative at the origin; a query sitting at the origin with
-        // a tight threshold cap must stop after the near prefix.
-        let db = VectorSet::from_rows(
-            &(0..100)
-                .map(|i| vec![i as f32, 0.0])
-                .collect::<Vec<Vec<f32>>>(),
-        );
-        let queries = VectorSet::from_rows(&[[0.0f32, 0.0]]);
-        let members: Vec<usize> = (0..100).collect();
-        let member_dists: Vec<Dist> = (0..100).map(|i| i as Dist).collect();
-        let bf = BruteForce::with_config(BfConfig {
-            db_tile: 10,
-            ..BfConfig::default()
-        });
-        let accumulators = vec![Mutex::new(TopK::new(1))];
-        let cursors = [GroupCursor {
-            query: 0,
-            d_to_rep: 0.0,
-            threshold_cap: 5.0,
-        }];
-        let stats = bf.knn_group_in_list(
-            &queries,
-            &db,
-            &Euclidean,
-            &members,
-            &member_dists,
-            &cursors,
-            1.0,
-            true,
-            None,
-            None,
-            &accumulators,
-        );
-        // The forward cut fires at d_xr > threshold; the true NN (distance
-        // 0) tightens the threshold to 0 after the first evaluation, so the
-        // cursor retires within the first tile and later tiles never stream.
-        assert_eq!(stats.tile_passes, 1);
-        assert!(stats.distance_evals < 10);
-        assert!(stats.points_skipped > 90);
-        let best = accumulators[0].lock().unwrap().best().unwrap();
-        assert_eq!(best.index, 0);
-        assert_eq!(best.dist, 0.0);
-    }
-
-    #[test]
-    fn group_scan_honours_skip_flags() {
-        let db = cloud(40, 3, 32);
-        let queries = cloud(3, 3, 33);
-        let members: Vec<usize> = (0..40).collect();
-        let mut skip = vec![false; 40];
-        skip[7] = true;
-        skip[23] = true;
-        let bf = BruteForce::new();
-        let accumulators: Vec<Mutex<TopK>> = (0..3).map(|_| Mutex::new(TopK::new(40))).collect();
-        let cursors: Vec<GroupCursor> = (0..3)
-            .map(|qi| GroupCursor {
-                query: qi,
-                d_to_rep: 0.0,
-                threshold_cap: Dist::INFINITY,
-            })
-            .collect();
-        let stats = bf.knn_group_in_list(
-            &queries,
-            &db,
-            &Euclidean,
-            &members,
-            &[],
-            &cursors,
-            1.0,
-            false,
-            Some(&skip),
-            None,
-            &accumulators,
-        );
-        assert_eq!(stats.distance_evals, 3 * 38);
-        for acc in accumulators {
-            let found: Vec<usize> = acc
-                .into_inner()
-                .unwrap()
-                .into_sorted()
-                .iter()
-                .map(|n| n.index)
-                .collect();
-            assert!(!found.contains(&7) && !found.contains(&23));
-            assert_eq!(found.len(), 38);
-        }
-    }
-
     #[test]
     fn blocked_and_row_major_scans_are_bit_identical() {
         let db = cloud(237, 7, 40);
@@ -1434,179 +909,6 @@ mod tests {
         let (pa, _) = blocked.pairwise(&queries, &db, &Euclidean);
         let (pb, _) = row_major.pairwise(&queries, &db, &Euclidean);
         assert_eq!(pa, pb);
-    }
-
-    #[test]
-    fn group_scan_with_blocks_matches_unblocked_scan() {
-        let db = cloud(300, 5, 42);
-        let queries = cloud(8, 5, 43);
-        let members: Vec<usize> = (0..300).filter(|i| i % 3 != 0).collect();
-        let blocks = rbc_metric::Dataset::gather_blocked(&db, &members);
-        assert!(blocks.is_some());
-        let k = 3;
-        // Skip flags as the exact search sets them (a few scattered
-        // members), so some lane groups of a tile are clean and some are
-        // not; 44 is not a multiple of LANES, so tiles start mid-group.
-        let mut flags = vec![false; db.len()];
-        for &member in members.iter().step_by(37) {
-            flags[member] = true;
-        }
-        let flagged = members.iter().filter(|&&m| flags[m]).count();
-        let cursors: Vec<GroupCursor> = (0..queries.len())
-            .map(|qi| GroupCursor {
-                query: qi,
-                d_to_rep: 0.0,
-                threshold_cap: Dist::INFINITY,
-            })
-            .collect();
-        for db_tile in [48, 44] {
-            for skip in [None, Some(flags.as_slice())] {
-                let bf = BruteForce::with_config(BfConfig {
-                    db_tile,
-                    ..BfConfig::default()
-                });
-                let run = |blocks: Option<&BlockedVectors>| {
-                    let accumulators: Vec<Mutex<TopK>> = (0..queries.len())
-                        .map(|_| Mutex::new(TopK::new(k)))
-                        .collect();
-                    let stats = bf.knn_group_in_list(
-                        &queries,
-                        &db,
-                        &Euclidean,
-                        &members,
-                        &[],
-                        &cursors,
-                        1.0,
-                        false,
-                        skip,
-                        blocks,
-                        &accumulators,
-                    );
-                    let answers: Vec<Vec<Neighbor>> = accumulators
-                        .into_iter()
-                        .map(|m| m.into_inner().unwrap().into_sorted())
-                        .collect();
-                    (answers, stats)
-                };
-                let (with_blocks, stats_blocked) = run(blocks.as_ref());
-                let (without, stats_plain) = run(None);
-                assert_eq!(with_blocks, without);
-                // Cut-free scans evaluate every unflagged (query, member)
-                // pair either way.
-                let scanned = members.len() - skip.map_or(0, |_| flagged);
-                assert_eq!(stats_plain.distance_evals, (queries.len() * scanned) as u64);
-                assert_eq!(stats_blocked.distance_evals, stats_plain.distance_evals);
-                assert_eq!(stats_blocked.tile_passes, stats_plain.tile_passes);
-            }
-        }
-    }
-
-    #[test]
-    fn locked_and_sharded_accumulators_are_bit_identical() {
-        // Same group scan, both accumulator strategies, with and without
-        // the sorted-list cut: answers (indices *and* distances) must
-        // match exactly, and so must the cut-free work accounting.
-        let db = cloud(300, 5, 50);
-        let queries = cloud(10, 5, 51);
-        let members: Vec<usize> = (0..300).filter(|i| i % 2 == 1).collect();
-        let member_dists: Vec<Dist> = (0..members.len()).map(|i| i as Dist * 0.05).collect();
-        let k = 3;
-        let run = |strategy: AccumulatorStrategy, sorted_cut: bool| {
-            let bf = BruteForce::with_config(BfConfig {
-                db_tile: 32,
-                ..BfConfig::default().with_accumulator(strategy)
-            });
-            let accumulators: Vec<Mutex<TopK>> = (0..queries.len())
-                .map(|_| Mutex::new(TopK::new(k)))
-                .collect();
-            let cursors: Vec<GroupCursor> = (0..queries.len())
-                .map(|qi| GroupCursor {
-                    query: qi,
-                    d_to_rep: 2.0,
-                    threshold_cap: Dist::INFINITY,
-                })
-                .collect();
-            let stats = bf.knn_group_in_list(
-                &queries,
-                &db,
-                &Euclidean,
-                &members,
-                &member_dists,
-                &cursors,
-                1.0,
-                sorted_cut,
-                None,
-                None,
-                &accumulators,
-            );
-            let answers: Vec<Vec<Neighbor>> = accumulators
-                .into_iter()
-                .map(|m| m.into_inner().unwrap().into_sorted())
-                .collect();
-            (answers, stats)
-        };
-        for sorted_cut in [false, true] {
-            let (locked, locked_stats) = run(AccumulatorStrategy::Locked, sorted_cut);
-            let (sharded, sharded_stats) = run(AccumulatorStrategy::Sharded, sorted_cut);
-            assert_eq!(locked, sharded, "sorted_cut={sorted_cut}");
-            if !sorted_cut {
-                // Cut-free scans do exactly the same work either way; with
-                // the cut enabled only the answers are pinned (snapshot
-                // staleness may shift where the cut fires).
-                assert_eq!(locked_stats, sharded_stats);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_accumulators_merge_across_concurrent_groups() {
-        // Two overlapping "groups" scanning disjoint halves of the
-        // database into the *same* accumulators, as the list-major
-        // executor does when one query survives to several lists. The
-        // merged result must equal a private scan over the union.
-        let db = cloud(200, 4, 52);
-        let queries = cloud(6, 4, 53);
-        let first: Vec<usize> = (0..100).collect();
-        let second: Vec<usize> = (100..200).collect();
-        let k = 5;
-        let bf = BruteForce::with_config(
-            BfConfig::default().with_accumulator(AccumulatorStrategy::Sharded),
-        );
-        let accumulators: Vec<Mutex<TopK>> = (0..queries.len())
-            .map(|_| Mutex::new(TopK::new(k)))
-            .collect();
-        let cursors: Vec<GroupCursor> = (0..queries.len())
-            .map(|qi| GroupCursor {
-                query: qi,
-                d_to_rep: 0.0,
-                threshold_cap: Dist::INFINITY,
-            })
-            .collect();
-        std::thread::scope(|scope| {
-            for members in [&first, &second] {
-                scope.spawn(|| {
-                    bf.knn_group_in_list(
-                        &queries,
-                        &db,
-                        &Euclidean,
-                        members,
-                        &[],
-                        &cursors,
-                        1.0,
-                        false,
-                        None,
-                        None,
-                        &accumulators,
-                    )
-                });
-            }
-        });
-        let got: Vec<Vec<Neighbor>> = accumulators
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().into_sorted())
-            .collect();
-        let all: Vec<usize> = (0..200).collect();
-        assert_eq!(got, private_scans(&queries, &db, &all, k));
     }
 
     #[test]

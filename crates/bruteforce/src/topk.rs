@@ -11,11 +11,27 @@ use crate::neighbor::Neighbor;
 use rbc_metric::Dist;
 
 /// Bounded collector of the `k` nearest neighbors seen so far.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct TopK {
     k: usize,
     /// Max-heap: `heap[0]` is the current k-th (worst retained) neighbor.
     heap: Vec<Neighbor>,
+}
+
+impl Clone for TopK {
+    fn clone(&self) -> Self {
+        Self {
+            k: self.k,
+            heap: self.heap.clone(),
+        }
+    }
+
+    /// Reuses `self`'s heap allocation — the group scan re-seeds one
+    /// private collector per cursor from scratch it keeps across scans.
+    fn clone_from(&mut self, source: &Self) {
+        self.k = source.k;
+        self.heap.clone_from(&source.heap);
+    }
 }
 
 impl TopK {

@@ -30,12 +30,26 @@ use std::sync::Mutex;
 
 use rayon::prelude::*;
 
-use rbc_bruteforce::{BruteForce, GroupCursor, GroupScanStats, Neighbor, TopK};
-use rbc_metric::{BlockedVectors, Dataset, Dist, Metric};
+use rbc_bruteforce::{
+    BruteForce, GroupCursor, GroupScanStats, ListMirror, Neighbor, TopK, MIN_PARALLEL_EVALS,
+};
+use rbc_metric::{Dataset, Dist, Metric};
 
 use crate::params::RbcConfig;
 use crate::reps::OwnershipList;
 use crate::stats::SearchStats;
+
+/// Queries per parallel claim while planning: a survivor row costs ~3 µs,
+/// and waking a helper for less than ~50 µs of work loses (batches of four
+/// planned 60 % slower in parallel than on the caller's thread).
+const PLAN_MIN_QUERIES: usize = 16;
+
+/// Planned members (group size × list length, summed over a plan's groups)
+/// below which a lane-kernel stage 2 stays on the calling thread. The cuts
+/// leave a seventh to a tenth of them to evaluate, some 30 000 evaluations
+/// here: a serving batch's handful of cache misses ran 15 % faster without
+/// the helper's wake-up and the wait for its last group than with them.
+const MIN_PARALLEL_PLANNED: usize = 4 * MIN_PARALLEL_EVALS;
 
 /// The queries that must scan one ownership list.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -90,6 +104,22 @@ impl BatchPlan {
         k: usize,
         config: &RbcConfig,
     ) -> Self {
+        Self::plan_exact_seeded(rep_dists, lists, k, config).0
+    }
+
+    /// [`plan_exact`](Self::plan_exact), also returning each query's top-k
+    /// collector seeded with the representatives (`lists[ri].rep_index` at
+    /// distance `rep_dists[qi, ri]`) — the state every exact search starts
+    /// its stage 2 or its merge from. `γ_k` *is* the seeded collector's
+    /// threshold, so one selection per query serves both. The per-query
+    /// work runs on the rayon pool when `config.bf.parallel`; only the
+    /// inversion into list groups is sequential.
+    pub fn plan_exact_seeded(
+        rep_dists: &[Dist],
+        lists: &[OwnershipList],
+        k: usize,
+        config: &RbcConfig,
+    ) -> (Self, Vec<TopK>) {
         let n_lists = lists.len();
         assert!(n_lists > 0, "cannot plan over zero ownership lists");
         assert!(
@@ -97,36 +127,36 @@ impl BatchPlan {
             "distance matrix does not tile into rows of {n_lists}"
         );
         let nq = rep_dists.len() / n_lists;
-        let shrink = 1.0 + config.epsilon;
+        let row_survivors = |qi: usize| {
+            survivors(
+                &rep_dists[qi * n_lists..(qi + 1) * n_lists],
+                lists,
+                k,
+                config,
+            )
+        };
+        let per_query: Vec<(TopK, Vec<usize>)> = if config.bf.parallel {
+            (0..nq)
+                .into_par_iter()
+                .with_min_len(PLAN_MIN_QUERIES)
+                .map(row_survivors)
+                .collect()
+        } else {
+            (0..nq).map(row_survivors).collect()
+        };
+        let (seeds, kept): (Vec<TopK>, Vec<Vec<usize>>) = per_query.into_iter().unzip();
 
-        let mut gamma_k = Vec::with_capacity(nq);
-        let mut per_list: Vec<Vec<usize>> = vec![Vec::new(); n_lists];
-        let mut pairs = 0usize;
-        for qi in 0..nq {
-            let row = &rep_dists[qi * n_lists..(qi + 1) * n_lists];
-            let gamma = if k <= row.len() {
-                kth_smallest(row, k)
-            } else {
-                Dist::INFINITY
-            };
-            gamma_k.push(gamma);
-            for (ri, list) in lists.iter().enumerate() {
-                if list.is_empty() {
-                    continue;
-                }
-                let d_qr = row[ri];
-                if config.use_radius_bound && d_qr >= gamma / shrink + list.radius {
-                    // eq. (1): every owned point is at distance
-                    // ≥ d_qr − ψ_r ≥ γ/(1+ε); the list cannot improve the
-                    // answer beyond the allowed approximation.
-                    continue;
-                }
-                if config.use_lemma1_bound && d_qr > 3.0 * gamma {
-                    // eq. (2) / Lemma 1, generalised to γ_k for k-NN.
-                    continue;
-                }
+        // Invert, sizing each group before filling it.
+        let mut group_sizes = vec![0usize; n_lists];
+        for &ri in kept.iter().flatten() {
+            group_sizes[ri] += 1;
+        }
+        let pairs = group_sizes.iter().sum();
+        let mut per_list: Vec<Vec<usize>> =
+            group_sizes.into_iter().map(Vec::with_capacity).collect();
+        for (qi, kept) in kept.iter().enumerate() {
+            for &ri in kept {
                 per_list[ri].push(qi);
-                pairs += 1;
             }
         }
 
@@ -146,12 +176,13 @@ impl BatchPlan {
                 g.list_index,
             )
         });
-        Self {
+        let plan = Self {
             groups,
-            gamma_k,
+            gamma_k: seeds.iter().map(TopK::threshold).collect(),
             queries: nq,
             pairs,
-        }
+        };
+        (plan, seeds)
     }
 
     /// Builds the one-shot plan: each query scans exactly the list of its
@@ -291,26 +322,25 @@ impl BatchPlan {
 /// part that differs between the two searches (the exact search threads
 /// `ρ(q, r)` and `γ_k` through it; the one-shot search runs uncut).
 /// `list_blocks`, when supplied, must hold one slot per entry of `lists`
-/// with a blocked SoA mirror in member order (the builders gather these
-/// once at build time; empty lists carry `None`) so each group scan can
-/// run the metric's SIMD lane kernel; `None` overall scans row-major.
-/// `accumulators` arrive pre-seeded (the exact search seeds the
-/// representatives; a distributed worker node starts from empty
-/// accumulators and lets the coordinator seed the merge instead) and must
-/// hold one entry per batch position (`plan.queries`). How concurrent
-/// group scans synchronise on a shared accumulator — per-tile locking or
-/// per-scan private shards merged at retirement — follows
-/// `bf.config().accumulator` (see `rbc_bruteforce::AccumulatorStrategy`);
-/// both strategies are bit-identical in exact mode because stale
-/// snapshots only ever prune less and the accumulator's total order makes
-/// its contents insertion-order-independent. For the same reason the
-/// *order* groups run in changes only how early thresholds tighten, i.e.
-/// evaluation counts, never answers: groups that are some query's nearest
-/// planned list run first, the rest follow, and under `parallel` threads
-/// claim from that order a few groups at a time. `parallel` selects
-/// whether groups run on the rayon pool or the calling thread;
-/// `rep_evals_per_query` and `rep_distance_evals` account the stage-1
-/// work the caller already performed.
+/// with the list's [`ListMirror`] (the builders gather these once at build
+/// time, masking the members `skip` flags; empty lists carry `None`) so
+/// each group scan scores lane groups from the mirror; `None` overall
+/// scores them member by member from `db`. `accumulators` arrive
+/// pre-seeded (the exact search seeds the representatives; a distributed
+/// worker node starts from empty accumulators and lets the coordinator
+/// seed the merge instead) and must hold one entry per batch position
+/// (`plan.queries`). Concurrent group scans sharing a query each work on a
+/// private copy of its accumulator and merge what they admitted when done;
+/// a stale copy only ever prunes less and the accumulator's total order
+/// makes its contents insertion-order-independent, so the *order* groups
+/// run in changes only how early thresholds tighten, i.e. evaluation
+/// counts, never answers: groups that are some query's nearest planned
+/// list run first, the rest follow, and under `parallel` threads claim
+/// from that order a few groups at a time. `parallel` selects whether
+/// groups run on the rayon pool or the calling thread (where a mirror
+/// plan below `MIN_PARALLEL_PLANNED` stays either way);
+/// `rep_evals_per_query` and `rep_distance_evals` account the stage-1 work
+/// the caller already performed.
 ///
 /// This is public so `rbc-distributed` can execute the per-node sub-plans
 /// produced by [`BatchPlan::split_by_owner`] through the exact same
@@ -324,7 +354,7 @@ pub fn execute_list_major<Q, D, M, F>(
     db: &D,
     metric: &M,
     lists: &[OwnershipList],
-    list_blocks: Option<&[Option<BlockedVectors>]>,
+    list_blocks: Option<&[Option<ListMirror>]>,
     plan: &BatchPlan,
     cursor: F,
     shrink: f64,
@@ -379,7 +409,17 @@ where
     // The plan's own order is left alone — the distributed router balances
     // on it; only the execution is re-ordered.
     let order = nearest_first(&cursors, plan.queries);
-    let per_group: Vec<GroupScanStats> = if parallel {
+    // A small batch's mirror scans finish on the calling thread before a
+    // parked helper could join them (see `MIN_PARALLEL_PLANNED`); without
+    // mirrors an evaluation costs whatever the metric costs, and is shared.
+    let planned = || -> usize {
+        plan.groups
+            .iter()
+            .map(|g| g.queries.len() * lists[g.list_index].len())
+            .sum()
+    };
+    let shared = parallel && (list_blocks.is_none() || planned() >= MIN_PARALLEL_PLANNED);
+    let per_group: Vec<GroupScanStats> = if shared {
         order.par_iter().map(|&gi| scan(gi)).collect()
     } else {
         order.iter().map(|&gi| scan(gi)).collect()
@@ -444,21 +484,44 @@ pub fn nearest_first(cursors: &[Vec<GroupCursor>], queries: usize) -> Vec<usize>
     order
 }
 
-/// The `k`-th smallest value of `values` (1-based `k`), linear time.
-pub(crate) fn kth_smallest(values: &[Dist], k: usize) -> Dist {
-    debug_assert!(k >= 1 && k <= values.len());
-    if k == 1 {
-        return values.iter().copied().fold(Dist::INFINITY, Dist::min);
+/// One query's stage-1 outcome, from its `row` of representative distances:
+/// a top-k collector seeded with the representatives, and the lists its
+/// pruning rules keep (ascending).
+///
+/// The collector's threshold is `γ_k`, the k-th smallest representative
+/// distance. Representatives are database points, so this is a valid upper
+/// bound on the k-th NN distance (for k = 1 it is the γ of the paper). With
+/// fewer than `k` representatives it is `INFINITY`: no such bound exists, so
+/// pruning is disabled (the query degenerates to a full scan but stays
+/// exact).
+pub(crate) fn survivors(
+    row: &[Dist],
+    lists: &[OwnershipList],
+    k: usize,
+    config: &RbcConfig,
+) -> (TopK, Vec<usize>) {
+    let mut seeded = TopK::new(k);
+    for (list, &d_qr) in lists.iter().zip(row) {
+        // Most representatives lose to the current k-th: skip the push.
+        if d_qr <= seeded.threshold() {
+            seeded.push(Neighbor::new(list.rep_index, d_qr));
+        }
     }
-    let mut worst_of_best = TopK::new(k);
-    for (i, &v) in values.iter().enumerate() {
-        worst_of_best.push(Neighbor::new(i, v));
+    let gamma = seeded.threshold();
+    let within = gamma / (1.0 + config.epsilon);
+    let mut kept = Vec::with_capacity(lists.len());
+    for (ri, (list, &d_qr)) in lists.iter().zip(row).enumerate() {
+        // eq. (1): every owned point is at distance ≥ d_qr − ψ_r ≥ γ/(1+ε);
+        // the list cannot improve the answer beyond the allowed
+        // approximation.
+        let radius_pruned = config.use_radius_bound && d_qr >= within + list.radius;
+        // eq. (2) / Lemma 1, generalised to γ_k for k-NN.
+        let lemma1_pruned = config.use_lemma1_bound && d_qr > 3.0 * gamma;
+        if !(list.is_empty() || radius_pruned || lemma1_pruned) {
+            kept.push(ri);
+        }
     }
-    worst_of_best
-        .into_sorted()
-        .last()
-        .map(|n| n.dist)
-        .unwrap_or(Dist::INFINITY)
+    (seeded, kept)
 }
 
 #[cfg(test)]
@@ -648,14 +711,6 @@ mod tests {
         let lists = singleton_lists(&[1.0]);
         let plan = BatchPlan::plan_exact(&[0.5], &lists, 1, &RbcConfig::default());
         let _ = plan.split_by_owner(&[3], 1);
-    }
-
-    #[test]
-    fn kth_smallest_helper_is_correct() {
-        let v = vec![5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(kth_smallest(&v, 1), 1.0);
-        assert_eq!(kth_smallest(&v, 3), 3.0);
-        assert_eq!(kth_smallest(&v, 5), 5.0);
     }
 
     #[test]

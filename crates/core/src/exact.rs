@@ -24,10 +24,10 @@ use std::sync::Mutex;
 
 use rayon::prelude::*;
 
-use rbc_bruteforce::{BfConfig, BruteForce, GroupCursor, Neighbor, TopK};
+use rbc_bruteforce::{BfConfig, BruteForce, GroupCursor, ListMirror, Neighbor, TopK};
 use rbc_metric::{BlockedVectors, Dataset, Dist, Metric};
 
-use crate::batch_plan::{self, kth_smallest, BatchPlan};
+use crate::batch_plan::{self, BatchPlan};
 use crate::params::{BatchStrategy, RbcConfig, RbcParams};
 use crate::reps::{sample_representatives, OwnershipList};
 use crate::stats::{QueryStats, SearchStats};
@@ -50,9 +50,9 @@ pub struct ExactRbc<D, M> {
     /// SIMD lane kernel. `None` when the layout is disabled or the
     /// dataset/metric cannot use it.
     rep_blocked: Option<BlockedVectors>,
-    /// Blocked SoA mirror of each ownership list in member order (empty
-    /// lists carry `None`), for the list-major stage-2 group scans.
-    list_blocks: Option<Vec<Option<BlockedVectors>>>,
+    /// Blocked SoA mirror of each ownership list in member order, with the
+    /// representatives masked out, for the stage-2 list scans.
+    list_blocks: Option<Vec<Option<ListMirror>>>,
     build_distance_evals: u64,
 }
 
@@ -106,7 +106,7 @@ where
             Some(
                 lists
                     .iter()
-                    .map(|list| db.gather_blocked(&list.members))
+                    .map(|list| ListMirror::gather(&db, &list.members, Some(&rep_flags)))
                     .collect(),
             )
         } else {
@@ -135,8 +135,8 @@ where
     }
 
     /// The blocked SoA mirrors of the ownership lists (one slot per list,
-    /// in member order), if they were built.
-    pub fn list_blocks(&self) -> Option<&[Option<BlockedVectors>]> {
+    /// in member order, representatives masked), if they were built.
+    pub fn list_blocks(&self) -> Option<&[Option<ListMirror>]> {
         self.list_blocks.as_deref()
     }
 
@@ -324,23 +324,14 @@ where
             bf.pairwise_with_blocks(queries, &rep_view, &self.metric, self.rep_blocked.as_ref());
         drop(stage1_span);
 
-        // Invert the survivor sets: for each list, who must scan it.
+        // Invert the survivor sets: for each list, who must scan it. Every
+        // accumulator starts seeded with the representatives (same
+        // corner-case and (1+ε)-soundness argument as the single-query
+        // path).
         let plan_span = rbc_trace::span("core.plan");
-        let plan = BatchPlan::plan_exact(&rep_dists, &self.lists, k, &self.config);
+        let (plan, seeded) = BatchPlan::plan_exact_seeded(&rep_dists, &self.lists, k, &self.config);
+        let accumulators: Vec<Mutex<TopK>> = seeded.into_iter().map(Mutex::new).collect();
         drop(plan_span);
-
-        // Seed every accumulator with the representatives (same corner-case
-        // and (1+ε)-soundness argument as the single-query path).
-        let accumulators: Vec<Mutex<TopK>> = (0..nq)
-            .map(|qi| {
-                let row = &rep_dists[qi * n_reps..(qi + 1) * n_reps];
-                let mut topk = TopK::new(k);
-                for (ri, &rep_index) in self.rep_indices.iter().enumerate() {
-                    topk.push(Neighbor::new(rep_index, row[ri]));
-                }
-                Mutex::new(topk)
-            })
-            .collect();
 
         // Stage 2: parallelise across lists. Each group streams its list's
         // tiles once for all of its queries; the per-query thresholds keep
@@ -384,99 +375,54 @@ where
         let rep_view = self.db.subset(&self.rep_indices);
         let (rep_dists, rep_stats) = bf.distances_single(query, &rep_view, &self.metric);
 
-        // γ_k: the k-th smallest representative distance. Representatives
-        // are database points, so this is a valid upper bound on the k-th
-        // NN distance (for k = 1 it is the γ of the paper). When fewer than
-        // k representatives exist no such bound is available, so pruning is
-        // disabled (the query degenerates to a full scan but stays exact).
-        let gamma_k = if k <= rep_dists.len() {
-            kth_smallest(&rep_dists, k)
-        } else {
-            Dist::INFINITY
-        };
-        let shrink = 1.0 + self.config.epsilon;
-
-        // Survivors of the pruning rules, ordered by ascending distance so
-        // the best-so-far threshold tightens as early as possible.
-        let mut candidates: Vec<usize> = (0..self.lists.len())
-            .filter(|&ri| {
-                let list = &self.lists[ri];
-                if list.is_empty() {
-                    return false;
-                }
-                let d_qr = rep_dists[ri];
-                if self.config.use_radius_bound && d_qr >= gamma_k / shrink + list.radius {
-                    // eq. (1): every owned point is at distance ≥ d_qr − ψ_r
-                    // ≥ γ/(1+ε), so the list cannot improve the answer
-                    // (beyond the allowed approximation).
-                    return false;
-                }
-                if self.config.use_lemma1_bound && d_qr > 3.0 * gamma_k {
-                    // eq. (2) / Lemma 1, generalised to γ_k for k-NN.
-                    return false;
-                }
-                true
-            })
-            .collect();
-        candidates.sort_by(|&a, &b| {
-            rep_dists[a]
-                .partial_cmp(&rep_dists[b])
-                .expect("finite distances")
-        });
-
-        // Stage 2: brute force over the surviving lists, with the
-        // sorted-list triangle-inequality cut.
+        // The representatives seed the collector, whose threshold is γ_k;
+        // the survivors of the pruning rules are then ordered by ascending
+        // distance so the best-so-far threshold tightens as early as
+        // possible.
         //
-        // The representatives themselves are seeded as candidates first:
-        // their exact distances were already computed in stage 1, they are
-        // genuine database points, and seeding them guarantees a valid
-        // answer even in the corner case where every ownership list is
-        // pruned (e.g. the nearest representative owns only itself, so its
-        // singleton list satisfies eq. 1 with ψ_r = 0). It is also what
-        // makes the (1+ε)-approximate mode sound: whatever gets pruned, the
-        // answer returned is never worse than the nearest representative.
-        let mut topk = TopK::new(k);
-        for (ri, &rep_index) in self.rep_indices.iter().enumerate() {
-            topk.push(Neighbor::new(rep_index, rep_dists[ri]));
-        }
+        // Seeding the representatives — their exact distances were already
+        // computed in stage 1 and they are genuine database points —
+        // guarantees a valid answer even in the corner case where every
+        // ownership list is pruned (e.g. the nearest representative owns
+        // only itself, so its singleton list satisfies eq. 1 with ψ_r = 0).
+        // It is also what makes the (1+ε)-approximate mode sound: whatever
+        // gets pruned, the answer returned is never worse than the nearest
+        // representative. List scans skip them (`rep_flags`): already
+        // answered, and a second entry would duplicate a k-NN result.
+        let (mut topk, mut candidates) =
+            batch_plan::survivors(&rep_dists, &self.lists, k, &self.config);
+        let gamma_k = topk.threshold();
+        let shrink = 1.0 + self.config.epsilon;
+        candidates.sort_by(|&a, &b| rep_dists[a].total_cmp(&rep_dists[b]));
+
+        // Stage 2: the surviving lists, nearest representative first, each
+        // through the same run search and dense scan as the batched path.
         let mut list_evals = 0u64;
         let mut skipped = 0u64;
         let mut tile_passes = 0u64;
-        let db_tile = bf.config().db_tile.max(1);
         let reps_examined = candidates.len();
         for &ri in &candidates {
             let list = &self.lists[ri];
-            let d_qr = rep_dists[ri];
-            let mut visited = 0usize;
-            for (pos, &member) in list.members.iter().enumerate() {
-                visited = pos + 1;
-                if self.rep_flags[member] {
-                    // Already answered from stage 1; skipping avoids both a
-                    // redundant evaluation and a duplicate k-NN entry.
-                    continue;
-                }
-                let d_xr = list.member_dists[pos];
-                if self.config.sorted_list_pruning {
-                    let threshold = topk.threshold().min(gamma_k) / shrink;
-                    if d_xr - d_qr > threshold {
-                        // Lists are sorted by d_xr, so no later member can
-                        // be within the threshold either.
-                        skipped += (list.len() - pos) as u64;
-                        break;
-                    }
-                    if d_qr - d_xr > threshold {
-                        // Lower bound |d_qr − d_xr| already too large.
-                        skipped += 1;
-                        continue;
-                    }
-                }
-                list_evals += 1;
-                topk.push(Neighbor::new(
-                    member,
-                    self.metric.dist(query, self.db.get(member)),
-                ));
-            }
-            tile_passes += visited.div_ceil(db_tile) as u64;
+            let scan = bf.knn_cursor_in_list(
+                query,
+                &self.db,
+                &self.metric,
+                &list.members,
+                &list.member_dists,
+                &GroupCursor {
+                    query: 0,
+                    d_to_rep: rep_dists[ri],
+                    threshold_cap: gamma_k,
+                },
+                shrink,
+                self.config.sorted_list_pruning,
+                Some(&self.rep_flags),
+                self.list_blocks.as_ref().and_then(|b| b[ri].as_ref()),
+                &mut topk,
+            );
+            list_evals += scan.distance_evals;
+            skipped += scan.points_skipped;
+            tile_passes += scan.tile_passes;
         }
 
         let stats = QueryStats {
@@ -901,6 +847,33 @@ mod tests {
                 let want = brute_knn(&db, queries.point(qi), k);
                 assert_eq!(per_q, &want, "k={k} query {qi}");
             }
+        }
+    }
+
+    #[test]
+    fn nan_query_neither_panics_nor_disturbs_its_batch() {
+        // A NaN coordinate makes every distance of that query NaN: no
+        // pruning rule and no cut fires (they are all false on NaN), so it
+        // scans every list once and its own answer is unspecified — but it
+        // must come back, and a finite query sharing the batch must still
+        // get exactly its brute-force answer.
+        let db = clustered_cloud(600, 5, 50);
+        let rbc = ExactRbc::build(
+            &db,
+            Euclidean,
+            RbcParams::standard(db.len(), 51),
+            RbcConfig::default(),
+        );
+        let mut poisoned = vec![0.5f32; 5];
+        poisoned[2] = f32::NAN;
+        let finite = random_cloud(1, 5, 52).point(0).to_vec();
+        let (_, single_stats) = rbc.query_k(&poisoned, 10);
+        assert!(single_stats.list_distance_evals <= db.len() as u64);
+        let queries = VectorSet::from_rows(&[poisoned, finite.clone()]);
+        for strategy in [BatchStrategy::ListMajor, BatchStrategy::QueryMajor] {
+            let (answers, stats) = rbc.query_batch_k_with_strategy(&queries, 10, strategy);
+            assert_eq!(answers[1], brute_knn(&db, &finite, 10), "{strategy:?}");
+            assert!(stats.list_distance_evals <= 2 * db.len() as u64);
         }
     }
 

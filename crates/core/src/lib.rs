@@ -51,12 +51,11 @@
 //!    batch positions that must scan it.
 //! 2. **Stage 2 — list-major execution.** The default
 //!    [`BatchStrategy::ListMajor`] parallelises over ownership *lists*,
-//!    not queries: each planned list streams its members tile by tile
-//!    **once** through `rbc_bruteforce`'s shared group-scan kernel, and
-//!    every query in the group consumes the hot tile, merging candidates
-//!    into per-query top-k accumulators behind fine-grained locks. The
-//!    per-query sorted-list cut still applies inside the shared tile, and
-//!    a query retires from a list as soon as the cut fires.
+//!    not queries: each planned list goes **once** through
+//!    `rbc_bruteforce`'s group scan, which finds every query's admissible
+//!    run of the sorted list by binary search and scores its lane groups
+//!    while the list is cache-resident, each query on a private top-k copy
+//!    merged into the shared accumulator when its run is done.
 //!
 //! The old behaviour — every query privately re-reading each list it
 //! survived to — remains available as [`BatchStrategy::QueryMajor`] for
@@ -124,7 +123,6 @@ pub use exact::ExactRbc;
 pub use index::SearchIndex;
 pub use one_shot::OneShotRbc;
 pub use params::{BatchStrategy, RbcConfig, RbcParams};
-pub use rbc_bruteforce::AccumulatorStrategy;
 pub use rank::{mean_rank, rank_of};
 pub use reps::{sample_representatives, OwnershipList};
 pub use stats::{QueryStats, SearchStats};

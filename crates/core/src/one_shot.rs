@@ -11,7 +11,7 @@ use std::sync::Mutex;
 
 use rayon::prelude::*;
 
-use rbc_bruteforce::{BfConfig, BruteForce, GroupCursor, Neighbor, TopK};
+use rbc_bruteforce::{BfConfig, BruteForce, GroupCursor, ListMirror, Neighbor, TopK};
 use rbc_metric::{BlockedVectors, Dataset, Dist, Metric};
 
 use crate::batch_plan::{self, BatchPlan};
@@ -37,7 +37,7 @@ pub struct OneShotRbc<D, M> {
     rep_blocked: Option<BlockedVectors>,
     /// Blocked SoA mirror of each ownership list in member order (empty
     /// lists carry `None`), for the list-major stage-2 group scans.
-    list_blocks: Option<Vec<Option<BlockedVectors>>>,
+    list_blocks: Option<Vec<Option<ListMirror>>>,
     build_distance_evals: u64,
 }
 
@@ -90,7 +90,7 @@ where
             Some(
                 lists
                     .iter()
-                    .map(|list| db.gather_blocked(&list.members))
+                    .map(|list| ListMirror::gather(&db, &list.members, None))
                     .collect(),
             )
         } else {
@@ -117,7 +117,7 @@ where
 
     /// The blocked SoA mirrors of the ownership lists (one slot per list,
     /// in member order), if they were built.
-    pub fn list_blocks(&self) -> Option<&[Option<BlockedVectors>]> {
+    pub fn list_blocks(&self) -> Option<&[Option<ListMirror>]> {
         self.list_blocks.as_deref()
     }
 

@@ -19,7 +19,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use rbc_bruteforce::{AccumulatorStrategy, BfConfig};
+use rbc_bruteforce::BfConfig;
 
 /// Parameters of the RBC data structure.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -204,17 +204,6 @@ impl RbcConfig {
     #[must_use]
     pub fn with_batch_strategy(mut self, batch_strategy: BatchStrategy) -> Self {
         self.batch_strategy = batch_strategy;
-        self
-    }
-
-    /// Selects how the list-major group scans synchronise their per-query
-    /// top-k accumulators (forwarded to every brute-force call through
-    /// [`BfConfig::accumulator`]). Bit-identical either way in exact mode;
-    /// kept as a builder so the serve benches can sweep locked vs sharded
-    /// next to [`BatchStrategy`].
-    #[must_use]
-    pub fn with_accumulator(mut self, accumulator: AccumulatorStrategy) -> Self {
-        self.bf.accumulator = accumulator;
         self
     }
 

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use rbc_bruteforce::{BruteForce, Neighbor};
-use rbc_core::{AccumulatorStrategy, BatchStrategy, ExactRbc, OneShotRbc, RbcConfig, RbcParams};
+use rbc_core::{BatchStrategy, ExactRbc, OneShotRbc, RbcConfig, RbcParams};
 use rbc_metric::{Euclidean, Manhattan, Metric, VectorSet};
 
 const DIM: usize = 3;
@@ -316,16 +316,16 @@ proptest! {
         }
     }
 
-    /// The serve-hot-path tentpole equivalence: per-worker sharded top-k
-    /// accumulators return bit-identical neighbors and ordering to the
-    /// locked baseline, across k ∈ {1, 5, n}, both batch strategies, and
-    /// both kernel layouts (blocked SoA on/off — run the suite under
-    /// `RBC_FORCE_SCALAR=1` to cover the scalar kernels too), on uniform
-    /// and clustered data. Clustered clouds are the adversarial case:
-    /// many queries pile onto the same ownership lists, so the sharded
-    /// snapshot/merge path sees real multi-way merges.
+    /// Both scan layouts — lane groups from the blocked mirrors, or the
+    /// row-major fallback scoring each group member by member — return
+    /// bit-identical neighbors and ordering, across k ∈ {1, 5, n} and both
+    /// batch strategies (run the suite under `RBC_FORCE_SCALAR=1` to cover
+    /// the scalar kernels too), on uniform and clustered data. Clustered
+    /// clouds are the adversarial case: many queries pile onto the same
+    /// ownership lists, so the private-then-merged accumulators see real
+    /// multi-way merges.
     #[test]
-    fn sharded_accumulators_are_bit_identical_to_locked(
+    fn blocked_and_row_major_layouts_are_bit_identical(
         db_rows in cloud(2..60),
         centers in prop::collection::vec(prop::collection::vec(-20.0f32..20.0, DIM), 2..6),
         q_rows in cloud(1..8),
@@ -349,23 +349,15 @@ proptest! {
             let db = VectorSet::from_rows(rows);
             let queries = VectorSet::from_rows(&q_rows);
             let params = RbcParams::standard(db.len(), seed).with_n_reps(n_reps.min(db.len()));
-            for blocked in [false, true] {
-                let mut locked_cfg =
-                    RbcConfig::default().with_accumulator(AccumulatorStrategy::Locked);
-                locked_cfg.bf.blocked = blocked;
-                let mut sharded_cfg =
-                    RbcConfig::default().with_accumulator(AccumulatorStrategy::Sharded);
-                sharded_cfg.bf.blocked = blocked;
-                let locked = ExactRbc::build(&db, Euclidean, params.clone(), locked_cfg);
-                let sharded = ExactRbc::build(&db, Euclidean, params.clone(), sharded_cfg);
-                for k in [1usize, 5, db.len()] {
-                    for strategy in [BatchStrategy::ListMajor, BatchStrategy::QueryMajor] {
-                        let (want, _) =
-                            locked.query_batch_k_with_strategy(&queries, k, strategy);
-                        let (got, _) =
-                            sharded.query_batch_k_with_strategy(&queries, k, strategy);
-                        prop_assert_eq!(&got, &want);
-                    }
+            let mut row_major_cfg = RbcConfig::default();
+            row_major_cfg.bf.blocked = false;
+            let row_major = ExactRbc::build(&db, Euclidean, params.clone(), row_major_cfg);
+            let blocked = ExactRbc::build(&db, Euclidean, params, RbcConfig::default());
+            for k in [1usize, 5, db.len()] {
+                for strategy in [BatchStrategy::ListMajor, BatchStrategy::QueryMajor] {
+                    let (want, _) = row_major.query_batch_k_with_strategy(&queries, k, strategy);
+                    let (got, _) = blocked.query_batch_k_with_strategy(&queries, k, strategy);
+                    prop_assert_eq!(&got, &want);
                 }
             }
         }

@@ -92,7 +92,6 @@ mod tests {
             db_tile: 777,
             parallel: false,
             blocked: false,
-            ..BfConfig::default()
         };
         let policy = TilePolicy::from_config(base);
         assert_eq!(

@@ -639,7 +639,7 @@ where
         // plus the work already routed within this batch, so a hot group
         // that spiked one replica last batch is steered to another one
         // this batch — routing balances *observed traffic*, not storage.
-        let plan = BatchPlan::plan_exact(&rep_dists, lists, k, config);
+        let (plan, seeded) = BatchPlan::plan_exact_seeded(&rep_dists, lists, k, config);
         drop(plan_span);
         let route_span = rbc_trace::span("dist.route");
         let mut est: Vec<u64> = self.load.snapshot().iter().map(|l| l.evals).collect();
@@ -796,13 +796,10 @@ where
         // Coordinator reduce: representatives (whose exact distances stage
         // 1 already computed) merged with every surviving node's partial
         // top-k, then the degraded truncation.
-        let results: Vec<Vec<Neighbor>> = (0..nq)
-            .map(|qi| {
-                let row = &rep_dists[qi * n_reps..(qi + 1) * n_reps];
-                let mut topk = TopK::new(k);
-                for (ri, &rep_index) in reps.iter().enumerate() {
-                    topk.push(Neighbor::new(rep_index, row[ri]));
-                }
+        let results: Vec<Vec<Neighbor>> = seeded
+            .into_iter()
+            .enumerate()
+            .map(|(qi, mut topk)| {
                 for (_, _, _, (partials, _)) in &executed {
                     for &candidate in &partials[qi] {
                         topk.push(candidate);

@@ -26,10 +26,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use rbc_bruteforce::{BfConfig, BruteForce, GroupCursor, TopK};
+use rbc_bruteforce::{BfConfig, BruteForce, GroupCursor, ListMirror, TopK};
 use rbc_core::batch_plan::nearest_first;
 use rbc_core::ExactRbc;
-use rbc_metric::{BlockedVectors, Dataset, Dist, Metric, VectorSet, VectorSetBuilder};
+use rbc_metric::{Dataset, Dist, Metric, VectorSet, VectorSetBuilder};
 
 use super::codec::{ProbeAck, QueryReply, QueryRequest};
 use super::endpoint::{NetConfig, NodeEndpoint, TcpNodeClient};
@@ -40,12 +40,12 @@ use crate::placement::Placement;
 /// One ownership list as stored on its node: members as local point
 /// indices (original list order), the sorted representative distances
 /// that drive the sorted-list cut, the representative's coordinates,
-/// and the blocked SIMD mirror.
+/// and the blocked SIMD mirror (representatives masked).
 struct ShardList {
     members: Vec<usize>,
     member_dists: Vec<Dist>,
     rep_coords: Vec<f32>,
-    blocks: Option<BlockedVectors>,
+    blocks: Option<ListMirror>,
 }
 
 /// A worker node's shard: the placed lists and only their points.
@@ -117,7 +117,7 @@ impl<M: Metric<[f32]>> NodeShard<M> {
                         .expect("member gathered into the local point set")
                 })
                 .collect();
-            let blocks = points.gather_blocked(&members);
+            let blocks = ListMirror::gather(&points, &members, Some(&rep_flags));
             slot_of_list.insert(l, shard_lists.len());
             shard_lists.push(ShardList {
                 members,
