@@ -63,6 +63,27 @@ pub struct GroupCursor {
     pub threshold_cap: Dist,
 }
 
+impl GroupCursor {
+    /// The sorted-list cut on the near side: a member at `d_xr` from the
+    /// list's representative is at least `d_to_rep − d_xr` from the query,
+    /// farther than the bound `t` allows. Monotone in `d_xr`, and false on
+    /// NaN.
+    #[inline]
+    fn behind(&self, d_xr: Dist, t: Dist) -> bool {
+        self.d_to_rep - d_xr > t
+    }
+
+    /// Whether a sorted-cut scan of a list of radius `radius` (its largest
+    /// member distance) would find this cursor's run empty when the query's
+    /// top-k threshold is `kth`: the near-side cut holds at the radius, so
+    /// it holds for every member. Strict, like the cut itself — a list that
+    /// may hold a point at exactly `kth` is kept, so ties still resolve by
+    /// index — and false on NaN. Callers skip the scan when it is true.
+    pub fn run_is_empty(&self, radius: Dist, kth: Dist, shrink: f64) -> bool {
+        self.behind(radius, kth.min(self.threshold_cap) / shrink)
+    }
+}
+
 /// Work accounting of one list scan.
 ///
 /// Per cursor, `evaluations + skipped + masked = members`, where *masked*
@@ -263,7 +284,7 @@ where
             return groups;
         }
         let t = bound / self.shrink;
-        let behind = |d: Dist| cursor.d_to_rep - d > t;
+        let behind = |d: Dist| cursor.behind(d, t);
         let beyond = |d: Dist| d - cursor.d_to_rep > t;
         let first = groups.start * LANES;
         let window = &self.member_dists[first..(groups.end * LANES).min(self.members.len())];
@@ -557,6 +578,52 @@ mod tests {
         // ... but the tiles are streamed once for the whole group, not once
         // per query: 150 members at db_tile=32 is 5 shared passes.
         assert_eq!(stats.tile_passes, list.len().div_ceil(32) as u64);
+    }
+
+    #[test]
+    fn run_is_empty_is_the_scan_finding_nothing_to_score() {
+        // Members at 0..=9 on a line around a representative at the origin
+        // (radius 9), a query at 12 on the same line: the nearest member is
+        // at distance exactly 3.
+        let db = VectorSet::from_rows(
+            &(0..10)
+                .map(|i| vec![i as f32, 0.0])
+                .collect::<Vec<Vec<f32>>>(),
+        );
+        let members: Vec<usize> = (0..10).collect();
+        let member_dists: Vec<Dist> = (0..10).map(|i| i as Dist).collect();
+        let query: &[f32] = &[12.0, 0.0];
+        let bf = BruteForce::new();
+        for shrink in [1.0, 1.5] {
+            for (kth, cap) in [(2.9, Dist::INFINITY), (3.0, 9.0), (9.0, 3.0), (9.0, 3.5)] {
+                let cursor = GroupCursor {
+                    query: 0,
+                    d_to_rep: 12.0,
+                    threshold_cap: cap,
+                };
+                let mut topk = TopK::new(1);
+                topk.push(Neighbor::new(99, kth));
+                let stats = bf.knn_cursor_in_list(
+                    query,
+                    &db,
+                    &Euclidean,
+                    &members,
+                    &member_dists,
+                    &cursor,
+                    shrink,
+                    true,
+                    None,
+                    None,
+                    &mut topk,
+                );
+                // Strict: a bound of exactly 3 still scores the member at 3
+                // (it could win a tie on index); anything under 3 — or 3
+                // shrunk by 1 + ε — scores nothing.
+                let empty = kth.min(cap) / shrink < 3.0;
+                assert_eq!(cursor.run_is_empty(9.0, kth, shrink), empty);
+                assert_eq!(stats.distance_evals == 0, empty, "kth {kth} cap {cap}");
+            }
+        }
     }
 
     #[test]

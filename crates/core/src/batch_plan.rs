@@ -1,4 +1,4 @@
-//! Stage-1 planning for list-major batched search.
+//! Planning and executing stage 2 of a list-major batched search.
 //!
 //! Cayton's argument is that metric search should be recast as batched
 //! brute-force kernels so the hardware sees dense, regular work. The
@@ -7,24 +7,29 @@
 //! ownership lists it survived to, so a list selected by many queries of
 //! the batch is streamed through memory once *per query*.
 //!
-//! [`BatchPlan`] inverts that. After stage 1 has produced the full
-//! query × representative distance matrix, the plan applies the paper's
-//! pruning rules (eq. 1 / eq. 2, exactly as the query-major path does) per
-//! query and then groups the survivors *by list*: for each ownership list,
-//! the set of batch positions that must scan it. Stage 2 execution then
-//! parallelises over lists and streams each list's tiles once for its
-//! whole group — the `BF(Q_group, X[L])` shape — merging candidates into
-//! per-query top-k accumulators.
+//! List-major execution inverts that: (query, list) pairs are grouped *by
+//! list*, and each list's tiles are streamed once for its whole group — the
+//! `BF(Q_group, X[L])` shape — merging candidates into per-query top-k
+//! accumulators. [`Stage2`] is that execution. For the exact search it runs
+//! as two dense phases with the plan *between* them
+//! ([`Stage2::nearest_then_rest`]): every query first meets the nearest
+//! list its `γ_k` rules (eq. 1 / eq. 2) keep, and only then — against the
+//! threshold that scan left — is it decided which of its other survivors
+//! are worth a cursor. The buffer-k-d-tree discipline: a query's own leaf
+//! first, then the leaves it still has to visit.
 //!
-//! The plan is pure bookkeeping: building it costs no distance
-//! evaluations, and because the survivor sets are identical to the
-//! query-major path's, the two strategies return bit-identical answers in
-//! exact mode (pruning with strict thresholds only ever discards points
-//! that provably cannot enter the final top-k, and ties break
-//! deterministically by index). With `epsilon > 0` the cut is allowed to
-//! discard points inside the `(1+ε)` margin, so the strategies still each
-//! honour the approximation guarantee but may return different eligible
-//! answers.
+//! [`BatchPlan`] is the `γ_k` plan in inverted form — every survivor pair,
+//! grouped by list. The in-process search no longer builds it (it never
+//! inverts the pairs its re-plan drops); the distributed coordinator does,
+//! because it holds no lists: the plan is what its router balances on and
+//! what crosses the wire, and each node re-plans the part it was sent.
+//!
+//! Planning costs no distance evaluations, and every cut is the triangle
+//! inequality at a strict threshold, so list-major, query-major and
+//! brute-force answers are bit-identical in exact mode (ties break
+//! deterministically by index). With `epsilon > 0` the cuts may discard
+//! points inside the `(1+ε)` margin, so the strategies each honour the
+//! approximation guarantee but may return different eligible answers.
 
 use std::sync::Mutex;
 
@@ -44,13 +49,6 @@ use crate::stats::SearchStats;
 /// planned 60 % slower in parallel than on the caller's thread).
 const PLAN_MIN_QUERIES: usize = 16;
 
-/// Planned members (group size × list length, summed over a plan's groups)
-/// below which a lane-kernel stage 2 stays on the calling thread. The cuts
-/// leave a seventh to a tenth of them to evaluate, some 30 000 evaluations
-/// here: a serving batch's handful of cache misses ran 15 % faster without
-/// the helper's wake-up and the wait for its last group than with them.
-const MIN_PARALLEL_PLANNED: usize = 4 * MIN_PARALLEL_EVALS;
-
 /// The queries that must scan one ownership list.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ListGroup {
@@ -68,14 +66,12 @@ pub struct BatchPlan {
     /// Non-empty list groups, ordered **largest scan first**: descending
     /// estimated work (group size × list length for the exact plan, group
     /// size for the one-shot plan), ties broken toward the lower list
-    /// index. The order is a contract, not an execution schedule: the
-    /// distributed router's longest-processing-time routing walks it, and
-    /// [`execute_list_major`] re-orders for itself (nearest lists first).
-    /// It does suit a scheduler that hands out groups on demand — the
-    /// parallel executor claims a few at a time, so the heavy scans start
-    /// early and the light tail evens the threads out — whereas cutting
-    /// this list into one contiguous run per thread would give the first
-    /// thread every heavy group.
+    /// index. The order is a contract: the distributed router's
+    /// longest-processing-time routing walks it. It also suits a scheduler
+    /// that hands out groups on demand — the heavy scans start early and
+    /// the light tail evens the threads out — whereas cutting this list
+    /// into one contiguous run per thread would give the first thread every
+    /// heavy group.
     pub groups: Vec<ListGroup>,
     /// Per-query pruning cap `γ_k` — the k-th smallest representative
     /// distance, a valid upper bound on the k-th NN distance because
@@ -121,41 +117,19 @@ impl BatchPlan {
         config: &RbcConfig,
     ) -> (Self, Vec<TopK>) {
         let n_lists = lists.len();
-        assert!(n_lists > 0, "cannot plan over zero ownership lists");
-        assert!(
-            rep_dists.len().is_multiple_of(n_lists),
-            "distance matrix does not tile into rows of {n_lists}"
-        );
-        let nq = rep_dists.len() / n_lists;
-        let row_survivors = |qi: usize| {
-            survivors(
-                &rep_dists[qi * n_lists..(qi + 1) * n_lists],
-                lists,
-                k,
-                config,
-            )
-        };
-        let per_query: Vec<(TopK, Vec<usize>)> = if config.bf.parallel {
-            (0..nq)
-                .into_par_iter()
-                .with_min_len(PLAN_MIN_QUERIES)
-                .map(row_survivors)
-                .collect()
-        } else {
-            (0..nq).map(row_survivors).collect()
-        };
-        let (seeds, kept): (Vec<TopK>, Vec<Vec<usize>>) = per_query.into_iter().unzip();
+        let (seeds, kept) = seeded_survivors(rep_dists, lists, k, config);
+        let nq = seeds.len();
 
         // Invert, sizing each group before filling it.
         let mut group_sizes = vec![0usize; n_lists];
-        for &ri in kept.iter().flatten() {
+        for &(ri, _) in kept.iter().flatten() {
             group_sizes[ri] += 1;
         }
         let pairs = group_sizes.iter().sum();
         let mut per_list: Vec<Vec<usize>> =
             group_sizes.into_iter().map(Vec::with_capacity).collect();
         for (qi, kept) in kept.iter().enumerate() {
-            for &ri in kept {
+            for &(ri, _) in kept {
                 per_list[ri].push(qi);
             }
         }
@@ -310,183 +284,341 @@ impl BatchPlan {
     }
 }
 
-/// Executes a planned list-major stage 2, shared by the exact and
-/// one-shot searches: parallelise over the plan's groups, stream each
-/// group's list once through the shared kernel
-/// ([`BruteForce::knn_group_in_list`]), fold the group stats into a
-/// batch-level [`SearchStats`] (attributing evaluations back to queries so
-/// `max_query_evals` stays exact), and extract the sorted per-query
-/// answers.
-///
-/// `cursor` builds the per-`(list_index, query)` cursor state — the only
-/// part that differs between the two searches (the exact search threads
-/// `ρ(q, r)` and `γ_k` through it; the one-shot search runs uncut).
-/// `list_blocks`, when supplied, must hold one slot per entry of `lists`
-/// with the list's [`ListMirror`] (the builders gather these once at build
-/// time, masking the members `skip` flags; empty lists carry `None`) so
-/// each group scan scores lane groups from the mirror; `None` overall
-/// scores them member by member from `db`. `accumulators` arrive
-/// pre-seeded (the exact search seeds the representatives; a distributed
-/// worker node starts from empty accumulators and lets the coordinator
-/// seed the merge instead) and must hold one entry per batch position
-/// (`plan.queries`). Concurrent group scans sharing a query each work on a
-/// private copy of its accumulator and merge what they admitted when done;
-/// a stale copy only ever prunes less and the accumulator's total order
-/// makes its contents insertion-order-independent, so the *order* groups
-/// run in changes only how early thresholds tighten, i.e. evaluation
-/// counts, never answers: groups that are some query's nearest planned
-/// list run first, the rest follow, and under `parallel` threads claim
-/// from that order a few groups at a time. `parallel` selects whether
-/// groups run on the rayon pool or the calling thread (where a mirror
-/// plan below `MIN_PARALLEL_PLANNED` stays either way);
-/// `rep_evals_per_query` and `rep_distance_evals` account the stage-1 work
-/// the caller already performed.
-///
-/// This is public so `rbc-distributed` can execute the per-node sub-plans
-/// produced by [`BatchPlan::split_by_owner`] through the exact same
-/// kernel as the centralized search; it is execution plumbing, not a
+/// One ownership list as stage 2 reads it, wherever it is stored (the
+/// index's [`OwnershipList`]s and mirrors, or a wire node's shard).
+#[derive(Clone, Copy, Debug)]
+pub struct ListView<'a> {
+    /// Database indices of the members, sorted by `member_dists`.
+    pub members: &'a [usize],
+    /// Ascending distances of `members` to the list's representative.
+    pub member_dists: &'a [Dist],
+    /// The last of `member_dists`, the list's radius `ψ_r` — carried so the
+    /// re-plan tests a list without touching its arrays.
+    pub radius: Dist,
+    /// The list's blocked mirror, gathered from `members` with the scan's
+    /// `skip` flags masked; `None` scores member by member from the database.
+    pub mirror: Option<&'a ListMirror>,
+}
+
+impl<'a> ListView<'a> {
+    /// An index's own list, with its slot of the index's mirrors.
+    pub(crate) fn of(list: &'a OwnershipList, mirror: Option<&'a ListMirror>) -> Self {
+        Self {
+            members: &list.members,
+            member_dists: &list.member_dists,
+            radius: list.radius,
+            mirror,
+        }
+    }
+}
+
+/// One planned group scan: a list (as [`Stage2::list`] names it), and the
+/// cursors of the queries that scan it.
+struct CursorGroup {
+    list: usize,
+    cursors: Vec<GroupCursor>,
+    /// The smallest `ρ(q, r)` among the cursors. A phase runs its groups in
+    /// ascending order of it: the nearer a list is to one of its queries,
+    /// the sooner scanning it tightens that query's threshold for the
+    /// farther ones (on uniform data 3–10 % fewer evaluations than largest
+    /// scan first; no difference in wall time on `exact_batch`).
+    nearest: Dist,
+    /// Group size × list length; among equally near groups — all of an
+    /// uncut phase — the largest scan runs first, which suits a pool
+    /// claiming groups on demand. Remaining ties go to the lower list id.
+    work: usize,
+}
+
+/// A query's stage-2 candidates: `(list, ρ(q, r))` for every list its `γ_k`
+/// rules keep (or, on a worker node, the part of them routed there).
+pub type CandidateRow = Vec<(usize, Dist)>;
+
+/// Stage 2 of a batched search — everything a group scan needs besides the
+/// groups themselves. Shared by the exact and one-shot searches and by
+/// `rbc-distributed`'s nodes (in-process and wire), so every caller makes
+/// the same evaluations through the same kernel
+/// ([`BruteForce::knn_group_in_list`]); it is execution plumbing, not a
 /// user-facing search entry point.
-#[allow(clippy::too_many_arguments)] // deliberately a flat execution-plumbing signature
-pub fn execute_list_major<Q, D, M, F>(
-    bf: &BruteForce,
-    parallel: bool,
-    queries: &Q,
-    db: &D,
-    metric: &M,
-    lists: &[OwnershipList],
-    list_blocks: Option<&[Option<ListMirror>]>,
-    plan: &BatchPlan,
-    cursor: F,
-    shrink: f64,
-    sorted_cut: bool,
-    skip: Option<&[bool]>,
-    accumulators: Vec<Mutex<TopK>>,
-    rep_evals_per_query: u64,
-    rep_distance_evals: u64,
-) -> (Vec<Vec<Neighbor>>, SearchStats)
+///
+/// Concurrent group scans sharing a query each work on a private copy of
+/// its accumulator and merge what they admitted when done; a stale copy only
+/// ever prunes less and the accumulator's total order makes its contents
+/// insertion-order-independent, so the order groups run in changes only how
+/// early thresholds tighten, i.e. evaluation counts, never answers.
+pub struct Stage2<'a, Q, D, M, L> {
+    /// The scanning primitive; its own `parallel` switch is not consulted.
+    pub bf: &'a BruteForce,
+    /// Whether a phase's groups may run on the rayon pool.
+    pub parallel: bool,
+    /// The batch; cursors index it (and the accumulators) by position.
+    pub queries: &'a Q,
+    /// The database the lists' members index.
+    pub db: &'a D,
+    /// The metric.
+    pub metric: &'a M,
+    /// List id → the list. Must be cheap: it is called per planned pair.
+    pub list: L,
+    /// The `(1+ε)` relaxation of every cut.
+    pub shrink: f64,
+    /// Whether scans apply the sorted-list cut (and the re-plan with it).
+    pub sorted_cut: bool,
+    /// Members a scan must not admit (the exact search's representatives).
+    pub skip: Option<&'a [bool]>,
+}
+
+impl<'a, Q, D, M, L> Stage2<'a, Q, D, M, L>
 where
     Q: Dataset,
     D: Dataset<Item = Q::Item>,
     M: Metric<Q::Item>,
-    F: Fn(usize, usize) -> GroupCursor + Sync,
+    L: Fn(usize) -> ListView<'a> + Sync,
 {
-    // Group scans may run on rayon pool threads; capture the enclosing
-    // span's context here so each group's span parents under it rather
-    // than starting an orphan trace on the pool thread.
-    let scan_ctx = rbc_trace::current();
-    let cursors: Vec<Vec<GroupCursor>> = plan
-        .groups
-        .iter()
-        .map(|group| {
-            group
-                .queries
-                .iter()
-                .map(|&qi| cursor(group.list_index, qi))
-                .collect()
-        })
-        .collect();
-    let scan = |gi: usize| -> GroupScanStats {
-        let _group_span = rbc_trace::span_under("core.scan.group", scan_ctx);
-        let group = &plan.groups[gi];
-        let list = &lists[group.list_index];
-        // One blocked mirror per ownership list, in member order, built
-        // once at index-build time (see the `list_blocks` docs above).
-        let blocks = list_blocks.and_then(|b| b[group.list_index].as_ref());
-        bf.knn_group_in_list(
-            queries,
-            db,
-            metric,
-            &list.members,
-            &list.member_dists,
-            &cursors[gi],
-            shrink,
-            sorted_cut,
-            skip,
-            blocks,
-            &accumulators,
-        )
-    };
-    // The plan's own order is left alone — the distributed router balances
-    // on it; only the execution is re-ordered.
-    let order = nearest_first(&cursors, plan.queries);
-    // A small batch's mirror scans finish on the calling thread before a
-    // parked helper could join them (see `MIN_PARALLEL_PLANNED`); without
-    // mirrors an evaluation costs whatever the metric costs, and is shared.
-    let planned = || -> usize {
-        plan.groups
-            .iter()
-            .map(|g| g.queries.len() * lists[g.list_index].len())
-            .sum()
-    };
-    let shared = parallel && (list_blocks.is_none() || planned() >= MIN_PARALLEL_PLANNED);
-    let per_group: Vec<GroupScanStats> = if shared {
-        order.par_iter().map(|&gi| scan(gi)).collect()
-    } else {
-        order.iter().map(|&gi| scan(gi)).collect()
-    };
-
-    let mut per_query_evals = vec![rep_evals_per_query; plan.queries];
-    let mut agg = SearchStats {
-        queries: plan.queries as u64,
-        rep_distance_evals,
-        reps_examined: plan.pairs as u64,
-        list_scans: plan.groups.len() as u64,
-        ..SearchStats::default()
-    };
-    for (&gi, scan_stats) in order.iter().zip(&per_group) {
-        agg.list_distance_evals += scan_stats.distance_evals;
-        agg.list_points_skipped += scan_stats.points_skipped;
-        agg.list_tile_passes += scan_stats.tile_passes;
-        let group = &plan.groups[gi];
-        for (&qi, &evals) in group.queries.iter().zip(&scan_stats.evals_per_cursor) {
-            per_query_evals[qi] += evals;
+    /// Scans every group's list once for its cursors. The groups go to the
+    /// rayon pool when `parallel` and their planned members (group size ×
+    /// list length) reach [`MIN_PARALLEL_EVALS`] — under that a parked
+    /// helper's wake-up costs more than it saves; without mirrors an
+    /// evaluation costs whatever the metric costs, and is always shared.
+    fn scan_groups(
+        &self,
+        groups: &[CursorGroup],
+        accumulators: &[Mutex<TopK>],
+    ) -> Vec<GroupScanStats> {
+        // Group scans may run on rayon pool threads; capture the enclosing
+        // span's context here so each group's span parents under it rather
+        // than starting an orphan trace on the pool thread.
+        let scan_ctx = rbc_trace::current();
+        let scan = |group: &CursorGroup| -> GroupScanStats {
+            let _group_span = rbc_trace::span_under("core.scan.group", scan_ctx);
+            let list = (self.list)(group.list);
+            self.bf.knn_group_in_list(
+                self.queries,
+                self.db,
+                self.metric,
+                list.members,
+                list.member_dists,
+                &group.cursors,
+                self.shrink,
+                self.sorted_cut,
+                self.skip,
+                list.mirror,
+                accumulators,
+            )
+        };
+        let planned: usize = groups.iter().map(|group| group.work).sum();
+        let mirrored = || groups.iter().all(|g| (self.list)(g.list).mirror.is_some());
+        if self.parallel && (planned >= MIN_PARALLEL_EVALS || !mirrored()) {
+            groups.par_iter().map(scan).collect()
+        } else {
+            groups.iter().map(scan).collect()
         }
     }
-    agg.max_query_evals = per_query_evals.iter().copied().max().unwrap_or(0);
 
-    let results: Vec<Vec<Neighbor>> = accumulators
+    /// Groups `pairs` by list, in the order the groups should run (see
+    /// [`CursorGroup::nearest`]).
+    fn invert(&self, pairs: impl Iterator<Item = (usize, GroupCursor)>) -> Vec<CursorGroup> {
+        let mut cursors: Vec<(usize, GroupCursor)> = pairs.collect();
+        cursors.sort_by_key(|&(list, _)| list); // stable: a list's cursors keep their order
+        let mut groups: Vec<CursorGroup> = cursors
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| {
+                let cursors: Vec<GroupCursor> = run.iter().map(|&(_, cursor)| cursor).collect();
+                let to_reps = cursors.iter().map(|cursor| cursor.d_to_rep);
+                CursorGroup {
+                    list: run[0].0,
+                    nearest: to_reps.fold(Dist::INFINITY, Dist::min),
+                    work: cursors.len() * (self.list)(run[0].0).members.len(),
+                    cursors,
+                }
+            })
+            .collect();
+        groups.sort_by(|a, b| {
+            let by_nearest = a.nearest.total_cmp(&b.nearest);
+            let then_largest = by_nearest.then_with(|| b.work.cmp(&a.work));
+            then_largest.then_with(|| a.list.cmp(&b.list))
+        });
+        groups
+    }
+
+    /// One dense phase — the whole of the one-shot search's stage 2, each
+    /// half of the exact search's. Groups the `(list, cursor)` `pairs` by
+    /// list, scans each list once for its group (cursors in the order
+    /// their pairs arrived), merging candidates into `accumulators` (one
+    /// per batch position, already holding whatever the caller seeded), and
+    /// adds the phase's account to
+    /// `work` — `reps_examined` (cursors built), `list_scans` (group scans)
+    /// and the list evaluation, skip and tile-pass counts — and each
+    /// cursor's evaluations to `list_evals[query]`, so tail statistics stay
+    /// exact although the scans are shared.
+    pub fn scan_pairs(
+        &self,
+        pairs: impl Iterator<Item = (usize, GroupCursor)>,
+        accumulators: &[Mutex<TopK>],
+        work: &mut SearchStats,
+        list_evals: &mut [u64],
+    ) {
+        let groups = self.invert(pairs);
+        let per_group = self.scan_groups(&groups, accumulators);
+        for (group, scan) in groups.iter().zip(&per_group) {
+            work.reps_examined += group.cursors.len() as u64;
+            work.list_scans += 1;
+            work.list_distance_evals += scan.distance_evals;
+            work.list_points_skipped += scan.points_skipped;
+            work.list_tile_passes += scan.tile_passes;
+            for (cursor, &evals) in group.cursors.iter().zip(&scan.evals_per_cursor) {
+                list_evals[cursor.query] += evals;
+            }
+        }
+    }
+
+    /// The exact search's stage 2: **nearest list first, then plan**.
+    ///
+    /// *Phase A* scans, for every query, the nearest list of its row (the
+    /// one-shot plan restricted to survivors; ties toward the earlier
+    /// entry) — where Theorem 2 says its neighbours most likely are. Then
+    /// each query's tightened threshold `τ_q` is read once from its
+    /// accumulator, and *phase B* plans only what is left of the rows: a
+    /// list whose run `τ_q` already empties
+    /// ([`GroupCursor::run_is_empty`], the scan's own near-side cut taken
+    /// at the list's radius — strict, so a list that may hold a point at
+    /// exactly `τ_q` stays and ties still resolve by index) is dropped
+    /// before a cursor is built for it. A dropped pair is a pair whose scan
+    /// would have evaluated nothing, so answers are those of scanning every
+    /// row in full, and `(1+ε)`-sound by the argument the cut already
+    /// carries. Both phases cut against `caps` (`γ_k`) as well.
+    ///
+    /// Returns the stage-2 share of a [`SearchStats`]: `queries`,
+    /// `reps_examined` (cursors built, A + B), `list_scans` (group scans,
+    /// A + B), the list evaluation, skip (a dropped pair skips its whole
+    /// list) and tile-pass counts, and in `max_query_evals` the largest
+    /// per-query *list* evaluation count.
+    pub fn nearest_then_rest(
+        &self,
+        rows: &[CandidateRow],
+        caps: &[Dist],
+        accumulators: &[Mutex<TopK>],
+    ) -> SearchStats {
+        let mut work = SearchStats {
+            queries: rows.len() as u64,
+            ..SearchStats::default()
+        };
+        let mut list_evals = vec![0u64; rows.len()];
+
+        let cursor = |qi: usize, d_to_rep: Dist| GroupCursor {
+            query: qi,
+            d_to_rep,
+            threshold_cap: caps[qi],
+        };
+
+        // First minimum of each row: its position, so phase B can leave
+        // exactly that entry out.
+        let nearest: Vec<Option<usize>> = rows
+            .iter()
+            .map(|row| {
+                (0..row.len()).reduce(|best, at| if row[at].1 < row[best].1 { at } else { best })
+            })
+            .collect();
+        let firsts = nearest.iter().enumerate().filter_map(|(qi, at)| {
+            let (list, d_to_rep) = rows[qi][(*at)?];
+            Some((list, cursor(qi, d_to_rep)))
+        });
+        self.scan_pairs(firsts, accumulators, &mut work, &mut list_evals);
+
+        // The re-plan, per query: the cursors of its row that survive τ_q,
+        // and how many members the dropped lists hold.
+        let replan = |qi: usize| -> (Vec<(usize, GroupCursor)>, u64) {
+            let tau = accumulators[qi]
+                .lock()
+                .expect("top-k accumulator lock poisoned")
+                .threshold();
+            let mut skipped = 0u64;
+            let mut rest = Vec::new();
+            for (at, &(list, d_to_rep)) in rows[qi].iter().enumerate() {
+                if Some(at) == nearest[qi] {
+                    continue;
+                }
+                let cursor = cursor(qi, d_to_rep);
+                let view = (self.list)(list);
+                if self.sorted_cut && cursor.run_is_empty(view.radius, tau, self.shrink) {
+                    skipped += view.members.len() as u64;
+                } else {
+                    rest.push((list, cursor));
+                }
+            }
+            (rest, skipped)
+        };
+        let rests: Vec<(Vec<(usize, GroupCursor)>, u64)> = if self.parallel {
+            (0..rows.len())
+                .into_par_iter()
+                .with_min_len(PLAN_MIN_QUERIES)
+                .map(replan)
+                .collect()
+        } else {
+            (0..rows.len()).map(replan).collect()
+        };
+        work.list_points_skipped += rests.iter().map(|(_, skipped)| skipped).sum::<u64>();
+        let rest = rests.iter().flat_map(|(rest, _)| rest.iter().copied());
+        self.scan_pairs(rest, accumulators, &mut work, &mut list_evals);
+
+        work.max_query_evals = list_evals.into_iter().max().unwrap_or(0);
+        work
+    }
+}
+
+/// Takes the sorted answers out of a batch's accumulators.
+pub fn into_answers(accumulators: Vec<Mutex<TopK>>) -> Vec<Vec<Neighbor>> {
+    accumulators
         .into_iter()
         .map(|m| {
             m.into_inner()
                 .expect("top-k accumulator lock poisoned")
                 .into_sorted()
         })
-        .collect();
-    (results, agg)
+        .collect()
 }
 
-/// The order to run a batch's list groups in, as positions into `cursors`
-/// (one cursor vector per group, in plan order): first the groups that are
-/// the nearest planned list (smallest `d_to_rep`) of at least one of their
-/// queries, then the rest, both in plan order. A query's nearest list is
-/// where its true neighbours most likely are, so scanning it first
-/// tightens that query's threshold before its other lists are cut against
-/// it. In exact mode the order moves evaluation counts only, never answers.
+/// Every query's stage-1 outcome ([`survivors`]) from the stage-1 distance
+/// matrix `rep_dists` (row-major, one row of `lists.len()` distances per
+/// query): the seeded collectors and the candidate rows, by batch position.
+/// Runs on the rayon pool when `config.bf.parallel`.
 ///
-/// Public so a wire node (`rbc-distributed`'s `NodeShard`) runs its groups
-/// in the same order as the in-process execution it must match evaluation
-/// for evaluation. `queries` bounds every `GroupCursor::query`.
-pub fn nearest_first(cursors: &[Vec<GroupCursor>], queries: usize) -> Vec<usize> {
-    let mut nearest: Vec<Option<(Dist, usize)>> = vec![None; queries];
-    for (gi, group) in cursors.iter().enumerate() {
-        for cursor in group {
-            if nearest[cursor.query].is_none_or(|(best, _)| cursor.d_to_rep < best) {
-                nearest[cursor.query] = Some((cursor.d_to_rep, gi));
-            }
-        }
-    }
-    let mut seeds = vec![false; cursors.len()];
-    for (_, gi) in nearest.into_iter().flatten() {
-        seeds[gi] = true;
-    }
-    let (mut order, rest): (Vec<usize>, Vec<usize>) = (0..cursors.len()).partition(|&gi| seeds[gi]);
-    order.extend(rest);
-    order
+/// # Panics
+/// Panics if `rep_dists.len()` is not a multiple of `lists.len()`.
+pub(crate) fn seeded_survivors(
+    rep_dists: &[Dist],
+    lists: &[OwnershipList],
+    k: usize,
+    config: &RbcConfig,
+) -> (Vec<TopK>, Vec<CandidateRow>) {
+    let n_lists = lists.len();
+    assert!(n_lists > 0, "cannot plan over zero ownership lists");
+    assert!(
+        rep_dists.len().is_multiple_of(n_lists),
+        "distance matrix does not tile into rows of {n_lists}"
+    );
+    let nq = rep_dists.len() / n_lists;
+    let row_survivors = |qi: usize| {
+        survivors(
+            &rep_dists[qi * n_lists..(qi + 1) * n_lists],
+            lists,
+            k,
+            config,
+        )
+    };
+    let per_query: Vec<(TopK, CandidateRow)> = if config.bf.parallel {
+        (0..nq)
+            .into_par_iter()
+            .with_min_len(PLAN_MIN_QUERIES)
+            .map(row_survivors)
+            .collect()
+    } else {
+        (0..nq).map(row_survivors).collect()
+    };
+    per_query.into_iter().unzip()
 }
 
 /// One query's stage-1 outcome, from its `row` of representative distances:
 /// a top-k collector seeded with the representatives, and the lists its
-/// pruning rules keep (ascending).
+/// pruning rules keep (ascending), each with its `ρ(q, r)`.
 ///
 /// The collector's threshold is `γ_k`, the k-th smallest representative
 /// distance. Representatives are database points, so this is a valid upper
@@ -499,7 +631,7 @@ pub(crate) fn survivors(
     lists: &[OwnershipList],
     k: usize,
     config: &RbcConfig,
-) -> (TopK, Vec<usize>) {
+) -> (TopK, CandidateRow) {
     let mut seeded = TopK::new(k);
     for (list, &d_qr) in lists.iter().zip(row) {
         // Most representatives lose to the current k-th: skip the push.
@@ -518,7 +650,7 @@ pub(crate) fn survivors(
         // eq. (2) / Lemma 1, generalised to γ_k for k-NN.
         let lemma1_pruned = config.use_lemma1_bound && d_qr > 3.0 * gamma;
         if !(list.is_empty() || radius_pruned || lemma1_pruned) {
-            kept.push(ri);
+            kept.push((ri, d_qr));
         }
     }
     (seeded, kept)
@@ -528,6 +660,7 @@ pub(crate) fn survivors(
 mod tests {
     use super::*;
     use crate::params::RbcConfig;
+    use rbc_metric::{Euclidean, VectorSet};
 
     fn singleton_lists(radii: &[Dist]) -> Vec<OwnershipList> {
         radii
@@ -711,6 +844,183 @@ mod tests {
         let lists = singleton_lists(&[1.0]);
         let plan = BatchPlan::plan_exact(&[0.5], &lists, 1, &RbcConfig::default());
         let _ = plan.split_by_owner(&[3], 1);
+    }
+
+    /// Points on a line (second coordinate 0) under hand-made ownership
+    /// lists, so every distance a test reasons about is an exact integer.
+    struct Line {
+        db: VectorSet,
+        lists: Vec<OwnershipList>,
+        skip: Vec<bool>,
+    }
+
+    impl Line {
+        /// `lists[i] = (representative, members)`, all as database indices
+        /// into `xs`; representatives are skip-flagged like the exact
+        /// search's.
+        fn new(xs: &[f32], lists: &[(usize, &[usize])]) -> Self {
+            let db = VectorSet::from_rows(&xs.iter().map(|&x| [x, 0.0]).collect::<Vec<_>>());
+            let mut skip = vec![false; xs.len()];
+            let lists = lists
+                .iter()
+                .map(|&(rep, members)| {
+                    skip[rep] = true;
+                    let pairs = members
+                        .iter()
+                        .map(|&m| (m, f64::from((xs[m] - xs[rep]).abs())))
+                        .collect();
+                    OwnershipList::from_pairs(rep, pairs)
+                })
+                .collect();
+            Self { db, lists, skip }
+        }
+
+        /// Runs `nearest_then_rest` for one query at `x` over all lists
+        /// (or `row`, when given), the accumulator seeded with the
+        /// representatives as the exact search seeds it.
+        fn search(
+            &self,
+            x: f32,
+            k: usize,
+            epsilon: f64,
+            row: Option<CandidateRow>,
+        ) -> (Vec<Neighbor>, SearchStats) {
+            let queries = VectorSet::from_rows(&[[x, 0.0]]);
+            let d_to = |i: usize| Euclidean.dist(queries.point(0), self.db.point(i));
+            let mut seeded = TopK::new(k);
+            for list in &self.lists {
+                seeded.push(Neighbor::new(list.rep_index, d_to(list.rep_index)));
+            }
+            let gamma_k = seeded.threshold();
+            let row = row.unwrap_or_else(|| {
+                let lists = self.lists.iter().enumerate();
+                lists.map(|(li, l)| (li, d_to(l.rep_index))).collect()
+            });
+            let accumulators = vec![Mutex::new(seeded)];
+            let bf = BruteForce::with_config(RbcConfig::sequential().bf);
+            let stage2 = Stage2 {
+                bf: &bf,
+                parallel: false,
+                queries: &queries,
+                db: &self.db,
+                metric: &Euclidean,
+                list: |li: usize| ListView::of(&self.lists[li], None),
+                shrink: 1.0 + epsilon,
+                sorted_cut: true,
+                skip: Some(&self.skip),
+            };
+            let stats = stage2.nearest_then_rest(&[row], &[gamma_k], &accumulators);
+            (into_answers(accumulators).remove(0), stats)
+        }
+    }
+
+    #[test]
+    fn replan_keeps_a_list_whose_bound_equals_the_threshold() {
+        // Query at 0, k = 1. List 0 (rep 4 at x = 1) owns index 3 at x = 1:
+        // after phase A, τ = 1 (index 3; the rep at the same distance has
+        // the higher index). List 1 (rep 0 at x = −3) owns index 1 at
+        // x = −1, its radius 2: ρ(q, r) − ψ = 3 − 2 = 1 = τ. The cut is
+        // strict, so the list stays — and holds the answer: index 1 ties
+        // index 3 at distance 1 and wins on index.
+        let line = Line::new(&[-3.0, -1.0, 9.0, 1.0, 1.0], &[(4, &[3, 4]), (0, &[0, 1])]);
+        let (got, stats) = line.search(0.0, 1, 0.0, None);
+        assert_eq!(got, vec![Neighbor::new(1, 1.0)]);
+        assert_eq!(stats.reps_examined, 2);
+        assert_eq!(stats.list_scans, 2);
+
+        // Move list 1's far member out to x = −0.5 (radius 2.5 → bound 0.5):
+        // nothing changes. Move it *in* to x = −1.5 (radius 1.5 → bound
+        // 1.5 > τ): the pair is dropped before a cursor exists, and its
+        // whole list is accounted as skipped.
+        let line = Line::new(&[-3.0, -1.5, 9.0, 1.0, 1.0], &[(4, &[3, 4]), (0, &[0, 1])]);
+        let (got, stats) = line.search(0.0, 1, 0.0, None);
+        assert_eq!(got, vec![Neighbor::new(3, 1.0)]);
+        assert_eq!(stats.reps_examined, 1);
+        assert_eq!(stats.list_scans, 1);
+        assert_eq!(stats.list_points_skipped, 2);
+        assert_eq!(stats.list_distance_evals, 1);
+    }
+
+    #[test]
+    fn replan_never_drops_on_nan() {
+        // A NaN ρ(q, r) — and with it a NaN threshold — makes every
+        // comparison of the cut false: the pair is kept and scanned in full.
+        let line = Line::new(&[-3.0, -1.5, 9.0, 1.0, 1.0], &[(4, &[3, 4]), (0, &[0, 1])]);
+        let row = vec![(0, 1.0), (1, Dist::NAN)];
+        let (got, stats) = line.search(0.0, 1, 0.0, Some(row));
+        assert_eq!(got, vec![Neighbor::new(3, 1.0)]);
+        assert_eq!(stats.reps_examined, 2);
+        assert_eq!(stats.list_distance_evals, 2);
+        let cursor = GroupCursor {
+            query: 0,
+            d_to_rep: 3.0,
+            threshold_cap: Dist::INFINITY,
+        };
+        assert!(cursor.run_is_empty(1.5, 1.0, 1.0));
+        assert!(!cursor.run_is_empty(1.5, Dist::NAN, 1.0));
+        assert!(!cursor.run_is_empty(Dist::NAN, 1.0, 1.0));
+    }
+
+    #[test]
+    fn replan_with_a_short_or_empty_first_list_falls_back_to_gamma_k() {
+        // k = 3 over three lists. The nearest list (rep 2 at x = 0.5) holds
+        // only its flagged representative: phase A evaluates nothing, τ
+        // stays γ_k = 4 (the third representative), and phase B must still
+        // find the true neighbours in the lists γ_k admits.
+        let xs = [-4.0, -1.0, 0.5, 2.0, 3.0, 3.5];
+        let brute = |line: &Line, k: usize| {
+            let origin: &[f32] = &[0.0, 0.0];
+            BruteForce::new()
+                .knn_single(origin, &line.db, &Euclidean, k)
+                .0
+        };
+        let lists: [(usize, &[usize]); 3] = [(2, &[2]), (0, &[0, 1]), (4, &[3, 4, 5])];
+        let line = Line::new(&xs, &lists);
+        let (got, stats) = line.search(0.0, 3, 0.0, None);
+        assert_eq!(got, brute(&line, 3));
+        assert_eq!(stats.reps_examined, 3);
+
+        // With k = 5 over three representatives there is no γ_k at all (∞),
+        // and a first list shorter than k leaves τ at ∞ too: nothing is
+        // dropped.
+        let line = Line::new(&xs, &[(2, &[2, 1]), (0, &[0]), (4, &[3, 4, 5])]);
+        let (got, stats) = line.search(0.0, 5, 0.0, None);
+        assert_eq!(got, brute(&line, 5));
+        assert_eq!(stats.reps_examined, 3);
+    }
+
+    #[test]
+    fn replan_of_empty_rows_does_nothing() {
+        // Every list pruned under γ_k: phase A has no pair, phase B neither,
+        // and the seeded accumulator is the answer.
+        let line = Line::new(&[0.0, 5.0], &[(0, &[0]), (1, &[1])]);
+        let (got, stats) = line.search(0.0, 1, 0.0, Some(Vec::new()));
+        assert_eq!(got, vec![Neighbor::new(0, 0.0)]);
+        assert_eq!(
+            stats,
+            SearchStats {
+                queries: 1,
+                ..SearchStats::default()
+            }
+        );
+    }
+
+    #[test]
+    fn replan_under_epsilon_drops_more_and_stays_within_the_factor() {
+        // τ = 1 after the first list; list 1's bound is 0.8. Exact search
+        // keeps it (0.8 ≤ 1) and finds the true neighbour at 0.8; with
+        // ε = 0.5 the bound is compared with 1 / 1.5 and the list goes —
+        // the answer, the seeded representative at distance 1, is within
+        // 1.5 × 0.8.
+        let xs = [-3.0, -0.8, 9.0, 1.0, 1.0];
+        let lists: [(usize, &[usize]); 2] = [(4, &[3, 4]), (0, &[0, 1])];
+        let line = Line::new(&xs, &lists);
+        let (exact, _) = line.search(0.0, 1, 0.0, None);
+        assert_eq!(exact[0].index, 1);
+        let (approx, stats) = line.search(0.0, 1, 0.5, None);
+        assert_eq!(approx, vec![Neighbor::new(4, 1.0)]);
+        assert!(approx[0].dist <= 1.5 * exact[0].dist);
+        assert_eq!(stats.reps_examined, 1);
     }
 
     #[test]

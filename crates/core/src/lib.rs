@@ -43,19 +43,35 @@
 //! the serving layer routes through [`SearchIndex::search_batch`]) run in
 //! two stages, selectable per call via [`BatchStrategy`]:
 //!
-//! 1. **Stage 1 — plan.** One dense `BF(Q, R)` call produces the full
-//!    query × representative distance matrix. From it, a [`BatchPlan`]
-//!    applies the per-query pruning rules (eq. 1 / eq. 2 for the exact
-//!    structure; nearest-representative argmin for the one-shot) and then
-//!    *inverts* the survivor sets: for each ownership list, the group of
-//!    batch positions that must scan it.
+//! 1. **Stage 1 — seed.** One dense `BF(Q, R)` call produces the full
+//!    query × representative distance matrix. From it every query gets
+//!    its candidate row: for the exact structure a top-k collector seeded
+//!    with the representatives (its threshold is `γ_k`) and the lists
+//!    eq. 1 / eq. 2 keep against `γ_k`; for the one-shot, the argmin.
 //! 2. **Stage 2 — list-major execution.** The default
 //!    [`BatchStrategy::ListMajor`] parallelises over ownership *lists*,
-//!    not queries: each planned list goes **once** through
+//!    not queries ([`batch_plan::Stage2`]): (query, list) pairs are
+//!    grouped by list, and each group's list goes **once** through
 //!    `rbc_bruteforce`'s group scan, which finds every query's admissible
 //!    run of the sorted list by binary search and scores its lane groups
 //!    while the list is cache-resident, each query on a private top-k copy
-//!    merged into the shared accumulator when its run is done.
+//!    merged into the shared accumulator when its run is done. The one-shot
+//!    search is one such phase. The exact search is two, with the plan
+//!    *between* them: *phase A* scans each query's **nearest surviving
+//!    list** — where Theorem 2 says its neighbours are; then each query's
+//!    tightened threshold `τ_q` is read once, and *phase B* plans only the
+//!    survivors whose run `τ_q` does not already empty (the scan's own
+//!    near-side cut taken at the list's radius, strict, so ties still
+//!    resolve by index). A plan made before any scan can cut only against
+//!    `γ_k`, and its work grows with the batch (a list nearest to one query
+//!    is merely a survivor for the others that share its group); this way a
+//!    query evaluates the same ≈ single-query floor at every batch size,
+//!    and cursors are built for ≈ 6 pairs per query instead of ≈ 78.
+//!
+//! [`BatchPlan`] — every `γ_k` survivor pair, inverted into list groups —
+//! is what a *distributed* coordinator routes (it holds no lists to scan
+//! first); each node then runs the same two phases over the pairs it was
+//! sent.
 //!
 //! The old behaviour — every query privately re-reading each list it
 //! survived to — remains available as [`BatchStrategy::QueryMajor`] for

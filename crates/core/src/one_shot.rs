@@ -14,7 +14,7 @@ use rayon::prelude::*;
 use rbc_bruteforce::{BfConfig, BruteForce, GroupCursor, ListMirror, Neighbor, TopK};
 use rbc_metric::{BlockedVectors, Dataset, Dist, Metric};
 
-use crate::batch_plan::{self, BatchPlan};
+use crate::batch_plan::{self, BatchPlan, ListView, Stage2};
 use crate::params::{BatchStrategy, RbcConfig, RbcParams};
 use crate::reps::{sample_representatives, OwnershipList};
 use crate::stats::{QueryStats, SearchStats};
@@ -254,28 +254,41 @@ where
             parallel: false,
             ..self.config.bf
         });
-        let _scan_span = rbc_trace::span("core.scan");
-        batch_plan::execute_list_major(
-            &inner_bf,
-            self.config.bf.parallel,
+        // Stage 2: one uncut phase, every query on the one list it chose.
+        let scan_span = rbc_trace::span("core.scan");
+        let stage2 = Stage2 {
+            bf: &inner_bf,
+            parallel: self.config.bf.parallel,
             queries,
-            &self.db,
-            &self.metric,
-            &self.lists,
-            self.list_blocks.as_deref(),
-            &plan,
-            |_, qi| GroupCursor {
-                query: qi,
-                d_to_rep: 0.0,
-                threshold_cap: Dist::INFINITY,
+            db: &self.db,
+            metric: &self.metric,
+            list: |ri: usize| {
+                let mirrors = self.list_blocks.as_ref();
+                ListView::of(&self.lists[ri], mirrors.and_then(|b| b[ri].as_ref()))
             },
-            1.0,
-            false,
-            None,
-            accumulators,
-            n_reps as u64,
-            rep_stats.distance_evals,
-        )
+            shrink: 1.0,
+            sorted_cut: false,
+            skip: None,
+        };
+        let mut stats = SearchStats {
+            queries: nq as u64,
+            rep_distance_evals: rep_stats.distance_evals,
+            ..SearchStats::default()
+        };
+        let mut list_evals = vec![0u64; nq];
+        let uncut = |query: usize| GroupCursor {
+            query,
+            d_to_rep: 0.0,
+            threshold_cap: Dist::INFINITY,
+        };
+        let pairs = plan.groups.iter().flat_map(|group| {
+            let queries = group.queries.iter();
+            queries.map(|&query| (group.list_index, uncut(query)))
+        });
+        stage2.scan_pairs(pairs, &accumulators, &mut stats, &mut list_evals);
+        drop(scan_span);
+        stats.max_query_evals = n_reps as u64 + list_evals.into_iter().max().unwrap_or(0);
+        (batch_plan::into_answers(accumulators), stats)
     }
 
     fn query_k_with(

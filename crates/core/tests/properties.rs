@@ -12,8 +12,8 @@
 
 use proptest::prelude::*;
 use rbc_bruteforce::{BruteForce, Neighbor};
-use rbc_core::{BatchStrategy, ExactRbc, OneShotRbc, RbcConfig, RbcParams};
-use rbc_metric::{Euclidean, Manhattan, Metric, VectorSet};
+use rbc_core::{BatchPlan, BatchStrategy, ExactRbc, OneShotRbc, RbcConfig, RbcParams};
+use rbc_metric::{Dataset, Euclidean, Manhattan, Metric, VectorSet};
 
 const DIM: usize = 3;
 
@@ -235,10 +235,21 @@ proptest! {
         prop_assert!(qm_stats.total_distance_evals() <= bound);
         // Stage 1 is identical under both strategies.
         prop_assert_eq!(lm_stats.rep_distance_evals, qm_stats.rep_distance_evals);
-        // Both count the same (query, list) survivor pairs; list-major
-        // never performs more physical scans than query-major.
-        prop_assert_eq!(lm_stats.reps_examined, qm_stats.reps_examined);
-        prop_assert!(lm_stats.list_scans <= qm_stats.list_scans);
+        // `reps_examined` counts the (query, list) pairs a cursor was built
+        // for: only ever γ_k survivors, and the batch's re-plan (one
+        // threshold per query) never drops a pair the query-major walk (a
+        // threshold per list) keeps. A physical scan serves at least one
+        // pair, and query-major scans every pair privately. (List-major can
+        // perform *more* scans than query-major on a batch this small: each
+        // pair the walk dropped and the re-plan kept may be a scan of its
+        // own.)
+        let reps = db.subset(rbc.rep_indices());
+        let (rep_dists, _) = BruteForce::new().pairwise(&queries, &reps, &Euclidean);
+        let survivors = BatchPlan::plan_exact(&rep_dists, rbc.lists(), 1, rbc.config()).pairs;
+        prop_assert!(qm_stats.reps_examined <= lm_stats.reps_examined);
+        prop_assert!(lm_stats.reps_examined <= survivors as u64);
+        prop_assert!(lm_stats.list_scans <= lm_stats.reps_examined);
+        prop_assert_eq!(qm_stats.list_scans, qm_stats.reps_examined);
     }
 
     /// The tentpole equivalence: list-major `query_batch_k` returns

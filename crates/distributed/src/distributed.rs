@@ -4,8 +4,8 @@ use std::sync::{Arc, Mutex};
 
 use rayon::prelude::*;
 
-use rbc_bruteforce::{BfConfig, BruteForce, GroupCursor, Neighbor, TopK};
-use rbc_core::batch_plan::{execute_list_major, BatchPlan, ListGroup};
+use rbc_bruteforce::{BfConfig, BruteForce, Neighbor, TopK};
+use rbc_core::batch_plan::{into_answers, BatchPlan, CandidateRow, ListGroup, Stage2};
 use rbc_core::{ExactRbc, SearchIndex};
 use rbc_metric::{Dataset, Dist, Metric, QueryBatch};
 use serde::Serialize;
@@ -347,7 +347,7 @@ where
         let cost_of = |group: &ListGroup| -> u64 {
             (group.queries.len() * lists[group.list_index].len().max(1)) as u64
         };
-        let total: u64 = plan.groups.iter().map(|g| cost_of(g)).sum();
+        let total: u64 = plan.groups.iter().map(cost_of).sum();
         let fair = (total / live_nodes as u64).max(1);
         let splittable = |group: &ListGroup| {
             group.queries.len() >= 2
@@ -358,7 +358,7 @@ where
                     .count()
                     > 1
         };
-        if !plan.groups.iter().any(|g| splittable(g)) {
+        if !plan.groups.iter().any(splittable) {
             return None;
         }
         let mut groups = Vec::with_capacity(plan.groups.len() + live_nodes);
@@ -559,17 +559,19 @@ where
     /// with replica-aware failover.
     ///
     /// Stage 1 runs **once** on the coordinator: one dense `BF(Q, R)`
-    /// pass, the paper's pruning rules per query, and the inverted
-    /// [`BatchPlan`] — exactly the plan the centralized list-major search
-    /// builds. The plan's list groups are then routed by policy
+    /// pass, the paper's pruning rules per query against `γ_k`, and the
+    /// inverted [`BatchPlan`] of every surviving pair. The plan's list
+    /// groups are then routed by policy
     /// ([`BatchPlan::split_routed`]): each group goes to the least-loaded
     /// **live** replica of its list, so a replicated hot list spreads its
     /// groups across all of its homes instead of melting one node. Every
     /// contacted node receives **one** message carrying the distinct
-    /// queries its groups need, executes only its own groups through the
-    /// shared group-scan kernel over its shard, and replies with per-query
-    /// partial top-k results that the coordinator merges with the
-    /// representative candidates it already evaluated.
+    /// queries its groups need, runs the shared stage 2
+    /// ([`Stage2::nearest_then_rest`]) over its own pairs — each query's
+    /// nearest local list first, then the lists its tightened threshold
+    /// still admits — and replies with per-query partial top-k results
+    /// that the coordinator merges with the representative candidates it
+    /// already evaluated.
     ///
     /// **Failover.** A node that dies mid-batch (its contact fails — see
     /// [`NodeHealth::poison`]) never replies; the coordinator re-routes
@@ -633,8 +635,8 @@ where
         let (rep_dists, rep_stats) =
             coordinator_bf.pairwise_with_blocks(queries, &rep_view, metric, self.rbc.rep_blocked());
 
-        // The same plan the centralized list-major search would execute,
-        // routed to the least-loaded live replica of each list. "Load" is
+        // Every γ_k survivor pair, grouped by list and routed to the
+        // least-loaded live replica of each list. "Load" is
         // the cumulative observed per-node evaluations (`ClusterLoad`)
         // plus the work already routed within this batch, so a hot group
         // that spiked one replica last batch is steered to another one
@@ -649,7 +651,7 @@ where
 
         // Worker rounds: nodes run in parallel with each other, each
         // executing only its own sub-plan over its shard through the same
-        // kernel as the centralized search. Accumulators start empty (the
+        // stage 2 as the centralized search. Accumulators start empty (the
         // per-query γ_k cap still bounds the cut); the coordinator seeds
         // the representatives at merge time instead. A contact that fails
         // (the node died after routing) yields no reply; its groups are
@@ -696,27 +698,26 @@ where
                     let _node_span = rbc_trace::span_under("dist.node", scan_ctx);
                     let accumulators: Vec<Mutex<TopK>> =
                         (0..nq).map(|_| Mutex::new(TopK::new(k))).collect();
-                    let (partials, node_stats) = execute_list_major(
-                        &node_bf,
-                        false,
+                    let mut rows = vec![CandidateRow::new(); nq];
+                    for group in &part.groups {
+                        let li = group.list_index;
+                        for &qi in &group.queries {
+                            rows[qi].push((li, rep_dists[qi * n_reps + li]));
+                        }
+                    }
+                    let stage2 = Stage2 {
+                        bf: &node_bf,
+                        parallel: false,
                         queries,
                         db,
                         metric,
-                        lists,
-                        self.rbc.list_blocks(),
-                        part,
-                        |list_index, qi| GroupCursor {
-                            query: qi,
-                            d_to_rep: rep_dists[qi * n_reps + list_index],
-                            threshold_cap: plan.gamma_k[qi],
-                        },
+                        list: |li: usize| self.rbc.list_view(li),
                         shrink,
-                        config.sorted_list_pruning,
-                        Some(&self.rep_flags),
-                        accumulators,
-                        0,
-                        0,
-                    );
+                        sorted_cut: config.sorted_list_pruning,
+                        skip: Some(&self.rep_flags),
+                    };
+                    let node_stats = stage2.nearest_then_rest(&rows, &plan.gamma_k, &accumulators);
+                    let partials = into_answers(accumulators);
                     Some((partials, node_stats.list_distance_evals))
                 })
                 .collect();

@@ -49,19 +49,23 @@
 //! ([`query_batch_exact`](DistributedRbc::query_batch_exact)):
 //!
 //! 1. **Plan once, centrally.** The coordinator runs one dense `BF(Q, R)`
-//!    pass and the paper's pruning rules, producing the same inverted
-//!    [`BatchPlan`](rbc_core::BatchPlan) the centralized list-major
-//!    search executes: for each ownership list, the group of queries that
-//!    must scan it.
+//!    pass and the paper's pruning rules against `γ_k`, producing the
+//!    inverted [`BatchPlan`](rbc_core::BatchPlan): for each ownership
+//!    list, the group of queries that may have to scan it. (The
+//!    coordinator holds no lists, so it cannot scan a query's nearest one
+//!    first and re-plan as the centralized search does; every node does
+//!    that with the pairs it is sent.)
 //! 2. **Route groups to shards.** The plan is split by the routing policy
 //!    (`BatchPlan::split_routed`): every group goes to the least-loaded
 //!    **live** replica of its list, and every contacted node receives
 //!    **one** message per batch carrying the distinct query payloads its
 //!    groups need — not one message per `(query, node)` pair, so headers
 //!    amortise and bytes on the wire grow sublinearly in the batch size.
-//! 3. **Scan shards, merge partials.** Each node streams its lists' tiles
-//!    once per group through the shared group-scan kernel
-//!    (`rbc_bruteforce::BruteForce::knn_group_in_list`) and replies with
+//! 3. **Scan shards, merge partials.** Each node runs the shared stage 2
+//!    (`rbc_core::batch_plan::Stage2::nearest_then_rest`) over its pairs —
+//!    every query's nearest *local* list first, then the lists its
+//!    tightened threshold still admits, each list streamed once per group
+//!    through `rbc_bruteforce::BruteForce::knn_group_in_list` — and replies with
 //!    per-query partial top-k sets; the coordinator merges them with the
 //!    representative candidates stage 1 already evaluated. With
 //!    `epsilon == 0` the merged answers are bit-identical to the

@@ -26,8 +26,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use rbc_bruteforce::{BfConfig, BruteForce, GroupCursor, ListMirror, TopK};
-use rbc_core::batch_plan::nearest_first;
+use rbc_bruteforce::{BfConfig, BruteForce, ListMirror, TopK};
+use rbc_core::batch_plan::{CandidateRow, ListView, Stage2};
 use rbc_core::ExactRbc;
 use rbc_metric::{Dataset, Dist, Metric, VectorSet, VectorSetBuilder};
 
@@ -39,11 +39,13 @@ use crate::placement::Placement;
 
 /// One ownership list as stored on its node: members as local point
 /// indices (original list order), the sorted representative distances
-/// that drive the sorted-list cut, the representative's coordinates,
+/// that drive the sorted-list cut (and the largest of them, the list's
+/// radius), the representative's coordinates,
 /// and the blocked SIMD mirror (representatives masked).
 struct ShardList {
     members: Vec<usize>,
     member_dists: Vec<Dist>,
+    radius: Dist,
     rep_coords: Vec<f32>,
     blocks: Option<ListMirror>,
 }
@@ -122,6 +124,7 @@ impl<M: Metric<[f32]>> NodeShard<M> {
             shard_lists.push(ShardList {
                 members,
                 member_dists: list.member_dists.clone(),
+                radius: list.radius,
                 rep_coords: db.get(list.rep_index).to_vec(),
                 blocks,
             });
@@ -162,10 +165,11 @@ impl<M: Metric<[f32]>> NodeShard<M> {
         self.global_ids.len()
     }
 
-    /// Executes a routed sub-plan against the shard: for each group,
-    /// recompute `ρ(q, rep_ℓ)` from the stored representative, run the
-    /// shared group-scan kernel, and remap the partial top-k results
-    /// back to global database indices.
+    /// Executes a routed sub-plan against the shard: recompute each
+    /// pair's `ρ(q, rep_ℓ)` from the stored representative, run the shared
+    /// stage 2 over the pairs (every query's nearest *local* list first,
+    /// then what its threshold still admits), and remap the partial top-k
+    /// results back to global database indices.
     ///
     /// # Errors
     /// A static message when the request is inconsistent with this
@@ -184,50 +188,43 @@ impl<M: Metric<[f32]>> NodeShard<M> {
         }
         let queries = VectorSet::from_flat(request.coords.clone(), self.dim.max(1));
         let accumulators: Vec<Mutex<TopK>> = (0..nq).map(|_| Mutex::new(TopK::new(k))).collect();
-        let mut placed = Vec::with_capacity(request.groups.len());
-        let mut cursors: Vec<Vec<GroupCursor>> = Vec::with_capacity(request.groups.len());
+        // The routed pairs by query, each with its `ρ(q, rep_ℓ)`; lists are
+        // named by shard slot. Same rows, same driver as the in-process
+        // shard, so both transports do the same evaluations.
+        let mut rows = vec![CandidateRow::new(); nq];
         for group in &request.groups {
             let &slot = self
                 .slot_of_list
                 .get(&(group.list_index as usize))
                 .ok_or("list not placed on this node")?;
-            let list = &self.lists[slot];
-            placed.push(list);
-            cursors.push(
-                group
-                    .members
-                    .iter()
-                    .map(|&m| {
-                        let m = m as usize;
-                        GroupCursor {
-                            query: m,
-                            d_to_rep: self.metric.dist(queries.point(m), &list.rep_coords),
-                            threshold_cap: request.gammas[m],
-                        }
-                    })
-                    .collect(),
-            );
+            let rep_coords = &self.lists[slot].rep_coords;
+            for &m in &group.members {
+                let d_to_rep = self.metric.dist(queries.point(m as usize), rep_coords);
+                rows[m as usize].push((slot, d_to_rep));
+            }
         }
-        // Same execution order as the in-process shard, so both transports
-        // do the same evaluations.
-        let mut evals = 0u64;
-        for gi in nearest_first(&cursors, nq) {
-            let list = placed[gi];
-            let stats = self.bf.knn_group_in_list(
-                &queries,
-                &self.points,
-                &self.metric,
-                &list.members,
-                &list.member_dists,
-                &cursors[gi],
-                request.shrink,
-                request.sorted_cut,
-                Some(&self.rep_flags),
-                list.blocks.as_ref(),
-                &accumulators,
-            );
-            evals += stats.distance_evals;
-        }
+        let stage2 = Stage2 {
+            bf: &self.bf,
+            parallel: false,
+            queries: &queries,
+            db: &self.points,
+            metric: &self.metric,
+            list: |slot: usize| {
+                let list = &self.lists[slot];
+                ListView {
+                    members: &list.members,
+                    member_dists: &list.member_dists,
+                    radius: list.radius,
+                    mirror: list.blocks.as_ref(),
+                }
+            },
+            shrink: request.shrink,
+            sorted_cut: request.sorted_cut,
+            skip: Some(&self.rep_flags),
+        };
+        let evals = stage2
+            .nearest_then_rest(&rows, &request.gammas, &accumulators)
+            .list_distance_evals;
         let results = accumulators
             .into_iter()
             .map(|acc| {

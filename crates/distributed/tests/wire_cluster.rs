@@ -13,10 +13,13 @@
 
 use std::time::{Duration, Instant};
 
-use rbc_core::{BatchStrategy, ExactRbc, RbcConfig, RbcParams};
-use rbc_distributed::net::{spawn_local_cluster, NetConfig};
+use rbc_bruteforce::{BruteForce, Neighbor};
+use rbc_core::{BatchPlan, BatchStrategy, ExactRbc, RbcConfig, RbcParams};
+use rbc_distributed::net::{
+    spawn_local_cluster, NetConfig, NodeShard, QueryReply, QueryRequest, WireGroup,
+};
 use rbc_distributed::{ClusterConfig, DistributedRbc, PlacementPolicy};
-use rbc_metric::{Euclidean, VectorSet};
+use rbc_metric::{Dataset, Euclidean, QueryBatch, VectorSet};
 
 /// Clustered rows (queries co-travel through shared ownership lists,
 /// so routed groups are non-trivial on every node).
@@ -119,6 +122,76 @@ fn wire_transport_is_bit_identical_to_in_process() {
         );
         cluster.shutdown();
     }
+}
+
+/// A shard that holds none of a query's three nearest lists starts its
+/// two phases from the nearest *local* list — a poor witness — and must
+/// still contribute exactly what a full scan of the lists it was sent
+/// would: merged with the coordinator's seeds, the same top-k.
+#[test]
+fn shard_without_a_querys_near_lists_still_contributes_exactly() {
+    let (db, queries) = clustered(600, 16, 5);
+    let rbc = build_rbc(&db, 5, 24);
+    let index = DistributedRbc::from_exact_with_policy(
+        rbc.clone(),
+        ClusterConfig::with_nodes(4),
+        PlacementPolicy::SingleOwner,
+        db.dim(),
+    );
+    let placement = index.placement();
+    let reps = db.subset(rbc.rep_indices());
+    let k = 5;
+    let mut checked = 0;
+    for qi in 0..queries.len() {
+        let query = [queries.point(qi)];
+        let (rep_dists, _) =
+            BruteForce::new().pairwise(&QueryBatch::new(&query), &reps, &Euclidean);
+        let (plan, seeded) = BatchPlan::plan_exact_seeded(&rep_dists, rbc.lists(), k, rbc.config());
+        let mut by_nearness: Vec<usize> = (0..rep_dists.len()).collect();
+        by_nearness.sort_by(|&a, &b| rep_dists[a].total_cmp(&rep_dists[b]));
+        // Three lists have at most three owners: one of four nodes is far.
+        let far = (0..4)
+            .find(|node| {
+                let mut near = by_nearness[..3].iter();
+                near.all(|&l| !placement.replicas_of_list[l].contains(node))
+            })
+            .expect("single-owner placement of three lists leaves a node out");
+        let groups: Vec<WireGroup> = plan
+            .groups
+            .iter()
+            .filter(|g| placement.replicas_of_list[g.list_index].contains(&far))
+            .map(|g| WireGroup {
+                list_index: g.list_index as u32,
+                members: vec![0],
+            })
+            .collect();
+        if groups.len() < 2 {
+            continue; // nothing for the second phase to decide
+        }
+        checked += 1;
+        let shard = NodeShard::from_exact(&rbc, placement, far);
+        let request = |sorted_cut: bool, gamma: f64| QueryRequest {
+            k: k as u16,
+            sorted_cut,
+            shrink: 1.0,
+            dim: db.dim() as u16,
+            gammas: vec![gamma],
+            coords: queries.point(qi).to_vec(),
+            groups: groups.clone(),
+        };
+        let merged = |reply: QueryReply| {
+            let mut topk = seeded[0].clone();
+            for &(index, dist) in &reply.results[0] {
+                topk.push(Neighbor::new(index as usize, dist));
+            }
+            topk.into_sorted()
+        };
+        let cut = shard.execute(&request(true, plan.gamma_k[0])).unwrap();
+        let full = shard.execute(&request(false, f64::INFINITY)).unwrap();
+        assert!(cut.evals <= full.evals);
+        assert_eq!(merged(cut), merged(full), "query {qi}, node {far}");
+    }
+    assert!(checked >= 4, "only {checked} queries exercised a far shard");
 }
 
 /// A node that hangs mid-frame — accepts the connection, emits two

@@ -738,7 +738,11 @@ mod tests {
         assert_eq!(snapshot.queue_shards.len(), 4);
         let pushed: u64 = snapshot.queue_shards.iter().map(|s| s.pushed).sum();
         assert_eq!(pushed, 32);
-        let active = snapshot.queue_shards.iter().filter(|s| s.pushed > 0).count();
+        let active = snapshot
+            .queue_shards
+            .iter()
+            .filter(|s| s.pushed > 0)
+            .count();
         assert!(active > 1, "all submissions landed on one shard");
         assert!(snapshot.queue_shards.iter().all(|s| s.depth == 0));
     }
