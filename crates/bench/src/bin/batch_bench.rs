@@ -29,9 +29,10 @@
 //!   makes every `MachineProfile::tile_policy()` return the measured
 //!   shape — the device-profiled autotuning loop.
 //! * `--simd-check` runs the dense brute-force kernel and the batched
-//!   exact search under the forced-scalar kernel and under whatever SIMD
-//!   kernel the host detects, asserts the answers are **bit-identical**,
-//!   and reports the speedup; `--assert-speedup X` turns the dense-kernel
+//!   exact and one-shot searches under the forced-scalar kernel, SSE2 and
+//!   whatever SIMD kernel the host detects, asserts the answers are
+//!   **bit-identical** and the searches' `distance_evals` equal, and
+//!   reports the speedup; `--assert-speedup X` turns the dense-kernel
 //!   ratio into a hard assertion (skipped with a notice when the host has
 //!   no SIMD kernel).
 //!
@@ -45,7 +46,7 @@ use serde::Serialize;
 
 use rbc_bench::{write_json_records, Table};
 use rbc_bruteforce::{BfConfig, BruteForce};
-use rbc_core::{BatchStrategy, ExactRbc, RbcConfig, RbcParams, SearchStats};
+use rbc_core::{BatchStrategy, ExactRbc, OneShotRbc, RbcConfig, RbcParams, SearchStats};
 use rbc_data::gaussian_mixture;
 use rbc_device::{MachineProfile, TilePolicy};
 use rbc_metric::{active_kernel, force_kernel, Dataset, Euclidean, KernelChoice, VectorSet};
@@ -284,13 +285,24 @@ fn run_tune(opts: &Options) {
     }
 }
 
-/// `--simd-check`: runs the dense brute-force kernel and the batched
-/// exact search under the forced-scalar kernel and under the detected
-/// SIMD kernel, asserts bit-identical answers, and reports speedups.
+/// `--simd-check`: runs the dense brute-force kernel, the batched exact
+/// search and the batched one-shot search under every kernel the host
+/// supports (forced scalar, SSE2, and the detected one), asserts
+/// bit-identical answers and equal evaluation counts, and reports speedups.
 fn run_simd_check(opts: &Options) {
     let (database, queries) = workload(opts);
     force_kernel(None);
     let detected = active_kernel();
+    // SSE2 is nobody's detected kernel on a host with AVX2, and its screen
+    // rounds differently from the FMA one: it gets full searches of its own.
+    force_kernel(Some(KernelChoice::Sse2));
+    let mut kernels = vec![KernelChoice::Scalar];
+    for kernel in [active_kernel(), detected] {
+        if !kernels.contains(&kernel) {
+            kernels.push(kernel);
+        }
+    }
+    force_kernel(None);
     println!(
         "simd-check: n = {}, {} queries, dim {}, k = {}; detected kernel: {}\n",
         opts.n,
@@ -305,82 +317,105 @@ fn run_simd_check(opts: &Options) {
         ..MachineProfile::host().tile_policy()
     };
     let bf = BruteForce::with_config(config);
-    // One build serves both kernels: every kernel is bit-identical, so
-    // the structure (and its blocked mirrors) is kernel-independent.
-    let rbc = ExactRbc::build(
-        &database,
-        Euclidean,
-        RbcParams::standard(opts.n, 42 + opts.seed),
-        RbcConfig {
-            bf: config,
-            ..RbcConfig::default()
-        },
-    );
+    // One build serves every kernel: distances are bit-identical, so the
+    // structures (and their blocked mirrors) are kernel-independent.
+    let params = RbcParams::standard(opts.n, 42 + opts.seed);
+    let rbc_config = RbcConfig {
+        bf: config,
+        ..RbcConfig::default()
+    };
+    let exact = ExactRbc::build(&database, Euclidean, params.clone(), rbc_config);
+    let one_shot = OneShotRbc::build(&database, Euclidean, params, rbc_config);
 
-    let time_dense = || {
-        let mut ms = f64::INFINITY;
-        let mut answers = Vec::new();
+    /// Best of three: the answers and the fastest run's milliseconds.
+    fn timed<A>(mut run: impl FnMut() -> A) -> (A, f64) {
+        let mut best: Option<(A, f64)> = None;
         for _ in 0..3 {
             let start = Instant::now();
-            let (a, _) = bf.knn(&queries, &database, &Euclidean, opts.k);
-            ms = ms.min(start.elapsed().as_secs_f64() * 1e3);
-            answers = a;
+            let answers = run();
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            if best.as_ref().is_none_or(|(_, fastest)| ms < *fastest) {
+                best = Some((answers, ms));
+            }
         }
-        (answers, ms)
-    };
-    let time_rbc = || {
-        let mut ms = f64::INFINITY;
-        let mut answers = Vec::new();
-        for _ in 0..3 {
-            let start = Instant::now();
-            let (a, _) = rbc.query_batch_k(&queries, opts.k);
-            ms = ms.min(start.elapsed().as_secs_f64() * 1e3);
-            answers = a;
-        }
-        (answers, ms)
-    };
+        best.expect("three runs were made")
+    }
+    // Evaluation counts of a parallel list-major search depend on which
+    // group tightened a threshold first; on one thread they are a function
+    // of the data alone, so any difference is the kernel's.
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("the shim's builder cannot fail");
 
-    force_kernel(Some(KernelChoice::Scalar));
-    let (dense_scalar, dense_scalar_ms) = time_dense();
-    let (rbc_scalar, rbc_scalar_ms) = time_rbc();
+    let workloads = [
+        "dense BF(Q, DB)",
+        "batched exact RBC",
+        "batched one-shot RBC",
+    ];
+    let mut runs = Vec::with_capacity(kernels.len());
+    for &kernel in &kernels {
+        force_kernel(Some(kernel));
+        let (dense, dense_ms) = timed(|| bf.knn(&queries, &database, &Euclidean, opts.k).0);
+        let (exact_answers, exact_ms) = timed(|| exact.query_batch_k(&queries, opts.k).0);
+        let (one_shot_answers, one_shot_ms) = timed(|| one_shot.query_batch_k(&queries, opts.k).0);
+        let evals = one_thread.install(|| {
+            let (_, exact_stats) = exact.query_batch_k(&queries, opts.k);
+            let (_, one_shot_stats) = one_shot.query_batch_k(&queries, opts.k);
+            [
+                exact_stats.total_distance_evals(),
+                one_shot_stats.total_distance_evals(),
+            ]
+        });
+        runs.push((
+            [dense, exact_answers, one_shot_answers],
+            evals,
+            [dense_ms, exact_ms, one_shot_ms],
+        ));
+    }
     force_kernel(None);
-    let (dense_simd, dense_simd_ms) = time_dense();
-    let (rbc_simd, rbc_simd_ms) = time_rbc();
 
-    assert_eq!(
-        dense_scalar,
-        dense_simd,
-        "dense brute-force answers differ between scalar and {} kernels",
-        detected.name()
-    );
-    assert_eq!(
-        rbc_scalar,
-        rbc_simd,
-        "batched exact RBC answers differ between scalar and {} kernels",
-        detected.name()
-    );
+    let (scalar_answers, scalar_evals, scalar_ms) = &runs[0];
+    for (kernel, (answers, evals, _)) in kernels.iter().zip(&runs).skip(1) {
+        for (workload, (got, want)) in workloads.iter().zip(answers.iter().zip(scalar_answers)) {
+            assert_eq!(
+                got,
+                want,
+                "{workload} answers differ between scalar and {} kernels",
+                kernel.name()
+            );
+        }
+        assert_eq!(
+            evals,
+            scalar_evals,
+            "distance_evals (exact, one-shot) differ between scalar and {} kernels",
+            kernel.name()
+        );
+    }
 
-    let dense_speedup = dense_scalar_ms / dense_simd_ms;
-    let rbc_speedup = rbc_scalar_ms / rbc_simd_ms;
+    let mut header = vec!["workload".to_string()];
+    header.extend(kernels.iter().map(|kernel| format!("{} ms", kernel.name())));
+    header.push("speedup".to_string());
+    let header: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut table = Table::new(
-        "scalar vs detected SIMD kernel (bit-identical answers asserted)",
-        &["workload", "scalar ms", "simd ms", "speedup"],
+        "every supported kernel (bit-identical answers, equal distance_evals asserted)",
+        &header,
     );
-    table.row(&[
-        "dense BF(Q, DB)".to_string(),
-        format!("{dense_scalar_ms:.2}"),
-        format!("{dense_simd_ms:.2}"),
-        format!("{dense_speedup:.2}x"),
-    ]);
-    table.row(&[
-        "batched exact RBC".to_string(),
-        format!("{rbc_scalar_ms:.2}"),
-        format!("{rbc_simd_ms:.2}"),
-        format!("{rbc_speedup:.2}x"),
-    ]);
+    let detected_at = kernels.iter().position(|&kernel| kernel == detected);
+    let (_, _, detected_ms) = &runs[detected_at.expect("the detected kernel was run")];
+    for (w, workload) in workloads.iter().enumerate() {
+        let mut row = vec![workload.to_string()];
+        row.extend(runs.iter().map(|(_, _, ms)| format!("{:.2}", ms[w])));
+        row.push(format!("{:.2}x", scalar_ms[w] / detected_ms[w]));
+        table.row(&row);
+    }
     table.print();
-    println!("\nanswers bit-identical across kernels on both workloads.");
+    println!(
+        "\nanswers bit-identical and distance_evals equal across {} kernels on all workloads.",
+        kernels.len()
+    );
 
+    let dense_speedup = scalar_ms[0] / detected_ms[0];
     if detected == KernelChoice::Scalar {
         println!(
             "host has no SIMD kernel (or RBC_FORCE_SCALAR is set); speedup assertion skipped."

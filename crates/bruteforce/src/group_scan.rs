@@ -1,5 +1,6 @@
 //! The stage-2 kernel of the RBC searches: one ownership list scanned for
-//! the queries whose pruning rules selected it — **intervals, then dense**.
+//! the queries whose pruning rules selected it — **intervals, then
+//! screened, then dense**.
 //!
 //! **Intervals.** Members are sorted by their distance to the list's
 //! representative, so the members neither triangle-inequality cut rules out
@@ -8,17 +9,28 @@
 //! `shrink`, the `(1+ε)` relaxation) form one contiguous *run*. Each
 //! cursor's run is found by two binary searches before any distance is
 //! computed and rounded outward to whole lane groups; a cursor whose run is
-//! empty never touches the list.
+//! empty never touches the list. A mirrored list is searched through its
+//! per-lane-group `(first, last)` summary of the member distances — a
+//! quarter of the bytes, and the same range.
 //!
-//! **Dense.** Inside its run a cursor scores whole lane groups and nothing
-//! else — from the list's [`ListMirror`], whose lane mask discards padding
-//! and skip-flagged members, or, for a metric without a lane kernel, member
-//! by member from the row-major database. Pruning is decided between blocks
-//! of lane groups (a block that tightened the threshold re-clips the rest
-//! of the run), never inside the scoring loop. Rounding outward only adds
-//! evaluations of real, unflagged members and a stale threshold only prunes
-//! *less*, so with strict thresholds (`shrink == 1.0`) answers are those of
-//! a full private scan; `TopK` breaks ties deterministically.
+//! **Screened.** Inside its run a cursor works a block of lane groups at a
+//! time. The metric first screens the block against the cursor's top-k
+//! threshold ([`Metric::screen_lanes`]: for the Euclidean metrics one pure
+//! `f32` pass that may clear a lane only when its distance is certainly
+//! above the threshold); a group left without a live lane cannot enter the
+//! collector and is done. The screen decides only what is skipped: every
+//! distance that reaches `TopK` is computed by the canonical kernel below,
+//! so answers, ties, thresholds and evaluation counts do not depend on it.
+//!
+//! **Dense.** The groups that survive are scored whole — from the list's
+//! [`ListMirror`], whose lane mask discards padding and skip-flagged
+//! members, or, for a metric without a lane kernel, member by member from
+//! the row-major database (no screen: every group survives). Pruning is
+//! decided between blocks (a block that tightened the threshold re-clips
+//! the rest of the run), never inside the scoring loop. Rounding outward
+//! only adds evaluations of real, unflagged members and a stale threshold
+//! only prunes *less*, so with strict thresholds (`shrink == 1.0`) answers
+//! are those of a full private scan; `TopK` breaks ties deterministically.
 //!
 //! **Shared.** A group's cursors scan one after another on one thread, so
 //! the list is fetched from memory once per group scan and every cursor
@@ -39,10 +51,12 @@ use crate::topk::TopK;
 // A lane mask is one byte per lane group.
 const _: () = assert!(LANES == 8);
 
-/// Lane groups a cursor scores between two re-clips of its run: it bounds
-/// how far a scan overshoots a cut that moved, at two binary searches per
-/// block that tightened the threshold (`exact_batch` evaluates the same
-/// ±1 % at any grain from 2 to 16, its runs being ~10 groups long).
+/// Lane groups a cursor screens at once and scores between two re-clips of
+/// its run: it bounds how far a scan overshoots a cut that moved, at two
+/// binary searches per block that tightened the threshold (`exact_batch`
+/// evaluates the same ±1 % at any grain from 2 to 16, its runs being ~10
+/// groups long), and four groups give the screen kernel four independent
+/// accumulators.
 const RECLIP_GROUPS: usize = 4;
 
 /// Per-query cursor state for a shared ownership-list scan
@@ -73,6 +87,14 @@ impl GroupCursor {
         self.d_to_rep - d_xr > t
     }
 
+    /// The sorted-list cut on the far side: a member at `d_xr` is at least
+    /// `d_xr − d_to_rep` from the query. Monotone in `d_xr` the other way,
+    /// and false on NaN.
+    #[inline]
+    fn beyond(&self, d_xr: Dist, t: Dist) -> bool {
+        d_xr - self.d_to_rep > t
+    }
+
     /// Whether a sorted-cut scan of a list of radius `radius` (its largest
     /// member distance) would find this cursor's run empty when the query's
     /// top-k threshold is `kth`: the near-side cut holds at the radius, so
@@ -86,9 +108,11 @@ impl GroupCursor {
 
 /// Work accounting of one list scan.
 ///
-/// Per cursor, `evaluations + skipped + masked = members`, where *masked*
-/// are the skip-flagged members inside the lane groups the cursor scored
-/// (their lanes are computed with the rest of the group and discarded).
+/// Per cursor, `evaluations + skipped + masked = members`: an *evaluation*
+/// is a live lane of a lane group in the cursor's run (screened, and
+/// recomputed canonically if its group survived), *masked* are the
+/// skip-flagged members inside those groups (their lanes are computed with
+/// the rest of the group and discarded).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GroupScanStats {
     /// Distinct `db_tile`-sized tiles of the list (whole lane groups) that
@@ -110,6 +134,13 @@ pub struct GroupScanStats {
     /// [`BruteForce::knn_cursor_in_list`], whose one cursor's count is
     /// `distance_evals`.
     pub evals_per_cursor: Vec<u64>,
+    /// Lane groups recomputed by the canonical kernel, summed over cursors:
+    /// the groups of the runs that survived [`Metric::screen_lanes`] (all of
+    /// them for a metric without a screen). Unlike every other field this
+    /// depends on the active kernel's rounding and, through the threshold
+    /// each block was screened against, on scan order — report it, never
+    /// gate on it or compare it for equality.
+    pub reranked: u64,
 }
 
 /// The blocked mirror of one ownership list in member order (lane group `g`
@@ -117,19 +148,52 @@ pub struct GroupScanStats {
 /// lanes a scan may admit: real members (not the padding of the last group)
 /// that carry no skip flag. Gathered once — at index build or shard load —
 /// so a scan never goes back to the row-major database or the flag table.
+/// A list scanned with the sorted-list cut also gets, per lane group, the
+/// first and last of its members' distances to the representative: the
+/// table the run search reads in place of `member_dists`, four times its
+/// size.
 #[derive(Clone, Debug)]
 pub struct ListMirror {
     blocks: BlockedVectors,
     live: Vec<u8>,
+    /// `(first, last)` member distance of each lane group; empty when the
+    /// mirror was gathered without distances.
+    summary: Vec<(Dist, Dist)>,
 }
 
 impl ListMirror {
     /// Gathers `members` out of `db`, masking the members flagged in
-    /// `skip`. `None` when the dataset has no blocked layout.
-    pub fn gather<D: Dataset>(db: &D, members: &[usize], skip: Option<&[bool]>) -> Option<Self> {
+    /// `skip`. `member_dists`, for a list that will be scanned with the
+    /// sorted-list cut, are the members' ascending distances to the list's
+    /// representative — the ones the scans will be handed. `None` when the
+    /// dataset has no blocked layout.
+    ///
+    /// # Panics
+    /// Panics if `member_dists` is given and is not one distance per member.
+    pub fn gather<D: Dataset>(
+        db: &D,
+        members: &[usize],
+        member_dists: Option<&[Dist]>,
+        skip: Option<&[bool]>,
+    ) -> Option<Self> {
         let blocks = db.gather_blocked(members)?;
         let live = members.chunks(LANES).map(|g| live_lanes(g, skip)).collect();
-        Some(Self { blocks, live })
+        let summary = member_dists.map_or_else(Vec::new, |dists| {
+            assert_eq!(
+                dists.len(),
+                members.len(),
+                "a list mirror needs one representative distance per member"
+            );
+            dists
+                .chunks(LANES)
+                .map(|g| (g[0], g[g.len() - 1]))
+                .collect()
+        });
+        Some(Self {
+            blocks,
+            live,
+            summary,
+        })
     }
 }
 
@@ -160,26 +224,27 @@ thread_local! {
 /// Feeds one group scan's accounting into the global trace registry
 /// (`rbc_bf_*` counters). Only called when tracing is enabled; the
 /// registry handles are cached per thread so the steady-state cost is
-/// three relaxed atomic adds, not a registry lock per scan.
+/// four relaxed atomic adds, not a registry lock per scan.
 fn record_group_scan(stats: &GroupScanStats) {
     thread_local! {
-        static BF_COUNTERS: RefCell<
-            Option<(rbc_trace::Counter, rbc_trace::Counter, rbc_trace::Counter)>,
-        > = const { RefCell::new(None) };
+        static BF_COUNTERS: RefCell<Option<[rbc_trace::Counter; 4]>> =
+            const { RefCell::new(None) };
     }
     BF_COUNTERS.with(|cell| {
         let mut cell = cell.borrow_mut();
-        let (tiles, evals, skipped) = cell.get_or_insert_with(|| {
+        let [tiles, evals, skipped, reranked] = cell.get_or_insert_with(|| {
             let registry = rbc_trace::registry();
-            (
+            [
                 registry.counter("rbc_bf_tile_passes_total"),
                 registry.counter("rbc_bf_distance_evals_total"),
                 registry.counter("rbc_bf_points_skipped_total"),
-            )
+                registry.counter("rbc_bf_reranked_groups_total"),
+            ]
         });
         tiles.add(stats.tile_passes);
         evals.add(stats.distance_evals);
         skipped.add(stats.points_skipped);
+        reranked.add(stats.reranked);
     });
 }
 
@@ -190,11 +255,26 @@ struct ListScan<'a, D, M> {
     members: &'a [usize],
     /// Empty when the sorted-list cut is off.
     member_dists: &'a [Dist],
+    /// The mirror's per-lane-group `(first, last)` of `member_dists`; empty
+    /// when the cut is off or the list has no summary, and the run search
+    /// then reads `member_dists` itself.
+    summary: &'a [(Dist, Dist)],
     shrink: f64,
     skip: Option<&'a [bool]>,
     /// `None` selects the row-major fallback.
     mirror: Option<&'a ListMirror>,
     tile_groups: usize,
+}
+
+/// What one cursor's scan of its run did.
+#[derive(Default)]
+struct CursorWork {
+    /// Live lanes of the lane groups in the run: the evaluations made.
+    evals: u64,
+    /// Lane groups the screen kept, recomputed canonically.
+    reranked: u64,
+    /// Real members (padding excluded) of the lane groups in the run.
+    scored: usize,
 }
 
 impl<'a, D, M> ListScan<'a, D, M>
@@ -214,21 +294,28 @@ where
         skip: Option<&'a [bool]>,
         mirror: Option<&'a ListMirror>,
     ) -> Self {
+        // The one thing the cut cannot do without. A mirror gathered
+        // without distances is fine: its list is searched member by member.
         assert!(
             !sorted_cut || member_dists.len() == members.len(),
             "sorted-list cut needs one representative distance per member"
         );
+        let mirror = mirror.filter(|m| {
+            bf.lane_gate(Some(&m.blocks), metric, members.len())
+                .is_some()
+        });
         Self {
             db,
             metric,
             members,
             member_dists: if sorted_cut { member_dists } else { &[] },
+            summary: match mirror {
+                Some(mirror) if sorted_cut => &mirror.summary,
+                _ => &[],
+            },
             shrink,
             skip,
-            mirror: mirror.filter(|m| {
-                bf.lane_gate(Some(&m.blocks), metric, members.len())
-                    .is_some()
-            }),
+            mirror,
             tile_groups: (bf.config().db_tile / LANES).max(1),
         }
     }
@@ -250,26 +337,38 @@ where
         scratch
     }
 
-    /// Writes the distances from `q` to lane group `g` and returns its
-    /// live-lane mask: from the mirror, or — the one fallback, for metrics
-    /// without a lane kernel — member by member from the row-major `db`.
+    /// The members of lane group `g` (fewer than `LANES` in the last one).
+    fn group_members(&self, g: usize) -> Range<usize> {
+        g * LANES..((g + 1) * LANES).min(self.members.len())
+    }
+
+    /// The lanes of group `g` a scan may admit.
     #[inline]
-    fn score(&self, q: &D::Item, g: usize, out: &mut [Dist; LANES]) -> u8 {
+    fn live(&self, g: usize) -> u8 {
+        match self.mirror {
+            Some(mirror) => mirror.live[g],
+            None => live_lanes(&self.members[self.group_members(g)], self.skip),
+        }
+    }
+
+    /// Writes the canonical distances from `q` to the `live` lanes of group
+    /// `g`: the whole group from the mirror, or — the one fallback, for
+    /// metrics without a lane kernel — member by member from the row-major
+    /// `db`.
+    #[inline]
+    fn score(&self, q: &D::Item, g: usize, live: u8, out: &mut [Dist; LANES]) {
         match self.mirror {
             Some(mirror) => {
                 let computed = self.metric.dist_lanes(q, mirror.blocks.group(g), out);
                 debug_assert!(computed, "lanes_supported() metric must compute lanes");
-                mirror.live[g]
             }
             None => {
-                let group = &self.members[g * LANES..((g + 1) * LANES).min(self.members.len())];
-                let live = live_lanes(group, self.skip);
+                let group = &self.members[self.group_members(g)];
                 for (lane, &member) in group.iter().enumerate() {
                     if (live >> lane) & 1 != 0 {
                         out[lane] = self.metric.dist(q, self.db.get(member));
                     }
                 }
-                live
             }
         }
     }
@@ -284,16 +383,49 @@ where
             return groups;
         }
         let t = bound / self.shrink;
-        let behind = |d: Dist| cursor.behind(d, t);
-        let beyond = |d: Dist| d - cursor.d_to_rep > t;
+        if self.summary.is_empty() {
+            self.clip_by_members(cursor, t, groups)
+        } else {
+            self.clip_by_summary(cursor, t, groups)
+        }
+    }
+
+    /// [`clip`](Self::clip) by two binary searches over the members of
+    /// `groups`: the first member the near-side cut lets through, then the
+    /// first after it the far-side cut rules out.
+    fn clip_by_members(&self, cursor: &GroupCursor, t: Dist, groups: Range<usize>) -> Range<usize> {
         let first = groups.start * LANES;
         let window = &self.member_dists[first..(groups.end * LANES).min(self.members.len())];
-        let lo = window.partition_point(|&d| behind(d));
-        let hi = lo + window[lo..].partition_point(|&d| !beyond(d));
+        let lo = window.partition_point(|&d| cursor.behind(d, t));
+        let hi = lo + window[lo..].partition_point(|&d| !cursor.beyond(d, t));
         if lo == hi {
             return groups.end..groups.end;
         }
         (first + lo) / LANES..(first + hi).div_ceil(LANES)
+    }
+
+    /// [`clip_by_members`](Self::clip_by_members), to the same range, from
+    /// the per-group summary. The cuts are monotone, so the first group
+    /// holding a member the near-side cut lets through is the first whose
+    /// *last* member it lets through, and every later group is in the run
+    /// exactly while its *first* member is not beyond the far-side cut. Only
+    /// a run that begins and ends inside one group needs that group's own
+    /// members, to say whether anything lies between the two cuts.
+    fn clip_by_summary(&self, cursor: &GroupCursor, t: Dist, groups: Range<usize>) -> Range<usize> {
+        let empty = groups.end..groups.end;
+        let window = &self.summary[groups.clone()];
+        let lo = window.partition_point(|&(_, last)| cursor.behind(last, t));
+        if lo == window.len() {
+            return empty;
+        }
+        let after = &window[lo + 1..];
+        let hi = lo + 1 + after.partition_point(|&(first, _)| !cursor.beyond(first, t));
+        let run = groups.start + lo..groups.start + hi;
+        let in_one_group = hi == lo + 1 && cursor.beyond(window[lo].1, t);
+        if in_one_group && self.clip_by_members(cursor, t, run.clone()).is_empty() {
+            return empty;
+        }
+        run
     }
 
     /// The run of a cursor whose top-k threshold is `kth` on entry.
@@ -302,11 +434,11 @@ where
     }
 
     /// Scores `run` — what [`enter`](Self::enter) returned for `topk`'s
-    /// threshold — into `topk`, a block of lane groups at a time,
-    /// re-clipping the rest of the run whenever a block tightened the
-    /// threshold; `admitted` sees every candidate `topk` let in, `touched`
-    /// every tile a scored group lies in. Returns the evaluations made and
-    /// the real members (padding excluded) of the groups scored.
+    /// threshold — into `topk`, a block of lane groups at a time: the block
+    /// is screened against the threshold it was entered with, its surviving
+    /// groups are scored canonically, and the rest of the run is re-clipped
+    /// if that tightened the threshold. `admitted` sees every candidate
+    /// `topk` let in, `touched` every tile a group of the run lies in.
     fn scan(
         &self,
         cursor: &GroupCursor,
@@ -315,15 +447,29 @@ where
         topk: &mut TopK,
         touched: &mut [bool],
         mut admitted: impl FnMut(Neighbor),
-    ) -> (u64, usize) {
+    ) -> CursorWork {
         let mut bound = topk.threshold().min(cursor.threshold_cap);
-        let (mut evals, mut scored) = (0u64, 0usize);
+        let mut work = CursorWork::default();
         let mut lane_dists = [0.0 as Dist; LANES];
         while !run.is_empty() {
             let block = run.start..(run.start + RECLIP_GROUPS).min(run.end);
-            for g in block.clone() {
-                let live = self.score(q, g, &mut lane_dists);
-                evals += u64::from(live.count_ones());
+            // A lane the screen clears is above the threshold now and the
+            // threshold only falls, so the admission filter below would
+            // have turned its group away whenever it got to it.
+            let mut keep = [u8::MAX; RECLIP_GROUPS];
+            if let Some(mirror) = self.mirror {
+                let lanes = mirror.blocks.block(block.clone());
+                self.metric
+                    .screen_lanes(q, lanes, topk.threshold(), &mut keep);
+            }
+            for (g, keep) in block.clone().zip(keep) {
+                let live = self.live(g);
+                work.evals += u64::from(live.count_ones());
+                if live & keep == 0 {
+                    continue;
+                }
+                work.reranked += 1;
+                self.score(q, g, live, &mut lane_dists);
                 // Whole-group admission filter: no live lane at or under
                 // the current kth means no lane can enter the heap (ties
                 // can still be admitted by index order, hence `<=`).
@@ -342,7 +488,7 @@ where
                     }
                 }
             }
-            scored += (block.end * LANES).min(self.members.len()) - block.start * LANES;
+            work.scored += (block.end * LANES).min(self.members.len()) - block.start * LANES;
             touched[block.start / self.tile_groups..=(block.end - 1) / self.tile_groups].fill(true);
             run.start = block.end;
             let tightened = topk.threshold().min(cursor.threshold_cap);
@@ -351,7 +497,7 @@ where
                 run = self.clip(cursor, bound, run);
             }
         }
-        (evals, scored)
+        work
     }
 }
 
@@ -364,7 +510,8 @@ impl BruteForce {
     /// When `sorted_cut` is set, `member_dists` must hold the ascending
     /// distances of `members` to the list's representative. `mirror`, when
     /// supplied, must have been gathered from `members` with the same
-    /// `skip` flags; `skip` itself is what the row-major fallback reads
+    /// `skip` flags (and, if with distances, these `member_dists`); `skip`
+    /// itself is what the row-major fallback reads
     /// (the exact search flags representatives, which its first stage
     /// already answered).
     ///
@@ -426,16 +573,17 @@ impl BruteForce {
             }
             drop(shared);
             let q = queries.get(cursor.query);
-            let (evals, scored) = list.scan(cursor, q, run, local, touched, |c| fresh.push(c));
+            let work = list.scan(cursor, q, run, local, touched, |c| fresh.push(c));
             if !fresh.is_empty() {
                 let mut shared = accumulator.lock().expect("top-k accumulator lock poisoned");
                 for candidate in fresh.drain(..) {
                     shared.push(candidate);
                 }
             }
-            stats.distance_evals += evals;
-            stats.points_skipped += (members.len() - scored) as u64;
-            stats.evals_per_cursor.push(evals);
+            stats.distance_evals += work.evals;
+            stats.points_skipped += (members.len() - work.scored) as u64;
+            stats.evals_per_cursor.push(work.evals);
+            stats.reranked += work.reranked;
         }
         stats.tile_passes = touched.iter().filter(|&&t| t).count() as u64;
         SCRATCH.set(Some(scratch));
@@ -481,12 +629,13 @@ impl BruteForce {
         );
         let mut scratch = list.scratch();
         let run = list.enter(cursor, topk.threshold());
-        let (evals, scored) = list.scan(cursor, query, run, topk, &mut scratch.touched, |_| {});
+        let work = list.scan(cursor, query, run, topk, &mut scratch.touched, |_| {});
         let stats = GroupScanStats {
             tile_passes: scratch.touched.iter().filter(|&&t| t).count() as u64,
-            distance_evals: evals,
-            points_skipped: (members.len() - scored) as u64,
+            distance_evals: work.evals,
+            points_skipped: (members.len() - work.scored) as u64,
             evals_per_cursor: Vec::new(),
+            reranked: work.reranked,
         };
         SCRATCH.set(Some(scratch));
         stats
@@ -744,7 +893,7 @@ mod tests {
                     db_tile,
                     ..BfConfig::default()
                 });
-                let mirror = ListMirror::gather(&db, &members, skip);
+                let mirror = ListMirror::gather(&db, &members, None, skip);
                 assert!(mirror.is_some());
                 let run = |mirror: Option<&ListMirror>| {
                     let accumulators: Vec<Mutex<TopK>> = (0..queries.len())
@@ -783,7 +932,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_accumulators_merge_across_concurrent_groups() {
+    fn concurrent_groups_sharing_accumulators_merge_to_the_union_scan() {
         // Two overlapping "groups" scanning disjoint halves of the
         // database into the *same* accumulators, as the list-major
         // executor does when one query survives to several lists. The
@@ -943,7 +1092,7 @@ mod tests {
                 db_tile: self.db_tile,
                 ..BfConfig::default()
             });
-            let mirror = ListMirror::gather(&db, &members, Some(&flags));
+            let mirror = ListMirror::gather(&db, &members, Some(&member_dists), Some(&flags));
             assert!(mirror.is_some());
             for mirror in [mirror.as_ref(), None] {
                 let accumulators: Vec<Mutex<TopK>> = (0..queries.len())
@@ -1091,6 +1240,98 @@ mod tests {
                 ..Case::new(257, 86)
             }
             .check();
+        }
+    }
+
+    #[test]
+    fn summary_run_search_returns_the_member_level_range() {
+        let bf = BruteForce::new();
+        for n in [1usize, 7, 8, 9, 255, 256, 257] {
+            // Every distance three times over, so runs of equal values
+            // straddle the lane-group boundaries.
+            let member_dists: Vec<Dist> = (0..n).map(|i| (i / 3) as Dist * 0.5).collect();
+            let radius = member_dists[n - 1];
+            let members: Vec<usize> = (0..n).collect();
+            let db = cloud(n, 2, n as u64);
+            let summarised = ListMirror::gather(&db, &members, Some(&member_dists), None);
+            let bare = ListMirror::gather(&db, &members, None, None);
+            for shrink in [1.0, 1.5] {
+                let scan = |mirror| {
+                    let dists = &member_dists;
+                    ListScan::new(
+                        &bf, &db, &Euclidean, &members, dists, shrink, true, None, mirror,
+                    )
+                };
+                let by_summary = scan(summarised.as_ref());
+                // A mirror gathered without distances, and no mirror at
+                // all, both search the members themselves.
+                let by_members = scan(bare.as_ref());
+                assert_eq!(by_summary.summary.len(), n.div_ceil(LANES));
+                assert!(by_members.summary.is_empty() && by_members.mirror.is_some());
+                assert!(scan(None).summary.is_empty());
+
+                let groups = n.div_ceil(LANES);
+                let to_rep = [
+                    0.0,
+                    0.25,
+                    0.75,
+                    1.0,
+                    radius / 2.0,
+                    radius / 2.0 + 0.1,
+                    radius,
+                    radius + 0.3,
+                    radius + 100.0,
+                    Dist::NAN,
+                ];
+                let bounds = [
+                    0.0,
+                    0.1,
+                    0.25,
+                    0.5,
+                    0.75,
+                    3.0,
+                    radius,
+                    Dist::INFINITY,
+                    Dist::NAN,
+                ];
+                for d_to_rep in to_rep {
+                    for cap in [Dist::INFINITY, 0.6] {
+                        let cursor = GroupCursor {
+                            query: 0,
+                            d_to_rep,
+                            threshold_cap: cap,
+                        };
+                        for kth in bounds {
+                            let entry = by_members.enter(&cursor, kth);
+                            assert_eq!(by_summary.enter(&cursor, kth), entry);
+                            // Re-clips: every window of the list, most of
+                            // them starting mid-list.
+                            for start in 0..groups {
+                                for end in start + 1..=groups {
+                                    assert_eq!(
+                                        by_summary.clip(&cursor, kth.min(cap), start..end),
+                                        by_members.clip(&cursor, kth.min(cap), start..end),
+                                        "n {n} shrink {shrink} to_rep {d_to_rep} cap {cap} \
+                                         kth {kth} window {start}..{end}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+                if n > LANES {
+                    // Members at 0.5 are behind, members at 1.0 beyond, and
+                    // both sit in the first group: the one candidate group
+                    // holds nothing admissible.
+                    let between = GroupCursor {
+                        query: 0,
+                        d_to_rep: 0.75,
+                        threshold_cap: Dist::INFINITY,
+                    };
+                    assert!(by_summary.enter(&between, 0.1).is_empty());
+                    assert!(!by_summary.enter(&between, 0.25 * shrink).is_empty());
+                }
+            }
         }
     }
 

@@ -446,7 +446,7 @@ where
     /// per batch position, already holding whatever the caller seeded), and
     /// adds the phase's account to
     /// `work` — `reps_examined` (cursors built), `list_scans` (group scans)
-    /// and the list evaluation, skip and tile-pass counts — and each
+    /// and the list evaluation, skip, tile-pass and re-rank counts — and each
     /// cursor's evaluations to `list_evals[query]`, so tail statistics stay
     /// exact although the scans are shared.
     pub fn scan_pairs(
@@ -464,6 +464,7 @@ where
             work.list_distance_evals += scan.distance_evals;
             work.list_points_skipped += scan.points_skipped;
             work.list_tile_passes += scan.tile_passes;
+            work.list_reranked_groups += scan.reranked;
             for (cursor, &evals) in group.cursors.iter().zip(&scan.evals_per_cursor) {
                 list_evals[cursor.query] += evals;
             }

@@ -106,7 +106,14 @@ where
             Some(
                 lists
                     .iter()
-                    .map(|list| ListMirror::gather(&db, &list.members, Some(&rep_flags)))
+                    .map(|list| {
+                        ListMirror::gather(
+                            &db,
+                            &list.members,
+                            Some(&list.member_dists),
+                            Some(&rep_flags),
+                        )
+                    })
                     .collect(),
             )
         } else {

@@ -90,7 +90,7 @@ where
             Some(
                 lists
                     .iter()
-                    .map(|list| ListMirror::gather(&db, &list.members, None))
+                    .map(|list| ListMirror::gather(&db, &list.members, None, None))
                     .collect(),
             )
         } else {

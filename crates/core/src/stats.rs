@@ -93,6 +93,14 @@ pub struct SearchStats {
     /// shared group scan once; query-major performs one private scan per
     /// `(query, list)` pair, making this equal to `reps_examined`.
     pub list_scans: u64,
+    /// Lane groups the stage-2 group scans recomputed with the canonical
+    /// kernel after the `f32` screen (`GroupScanStats::reranked`); the
+    /// share of `list_distance_evals / 8` the screen did *not* reject. Only
+    /// batched list-major searches report it (a solo query's [`QueryStats`]
+    /// has no slot for it). It depends on the active kernel's rounding and
+    /// on scan order: a report, never a gate, and never compared for
+    /// equality.
+    pub list_reranked_groups: u64,
 }
 
 impl SearchStats {
@@ -120,6 +128,7 @@ impl SearchStats {
         self.max_query_evals = self.max_query_evals.max(other.max_query_evals);
         self.list_tile_passes += other.list_tile_passes;
         self.list_scans += other.list_scans;
+        self.list_reranked_groups += other.list_reranked_groups;
     }
 
     /// Total distance evaluations across both stages and all queries.

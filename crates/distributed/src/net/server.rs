@@ -119,7 +119,12 @@ impl<M: Metric<[f32]>> NodeShard<M> {
                         .expect("member gathered into the local point set")
                 })
                 .collect();
-            let blocks = ListMirror::gather(&points, &members, Some(&rep_flags));
+            let blocks = ListMirror::gather(
+                &points,
+                &members,
+                Some(&list.member_dists),
+                Some(&rep_flags),
+            );
             slot_of_list.insert(l, shard_lists.len());
             shard_lists.push(ShardList {
                 members,

@@ -1,6 +1,6 @@
 //! The [`Metric`] trait: a distance function over items of some type.
 
-use crate::simd::{LaneGroup, LANES};
+use crate::simd::{LaneBlock, LaneGroup, LANES};
 
 /// Distances throughout the library are `f64`.
 ///
@@ -76,6 +76,24 @@ pub trait Metric<T: ?Sized>: Sync {
     fn dist_lanes(&self, _query: &T, _group: LaneGroup<'_>, _out: &mut [Dist; LANES]) -> bool {
         false
     }
+
+    /// Cheaply screens the lane groups of `block` against `bound` before
+    /// anyone pays for [`dist_lanes`](Self::dist_lanes): bit `lane` of
+    /// `keep[j]` may be cleared only if `dist_lanes` on group `j` is
+    /// certain to report a distance **greater than** `bound` for that lane
+    /// (a NaN bound clears nothing). A set bit promises nothing; callers
+    /// recompute a group with `dist_lanes` before using any lane of it, so
+    /// the screen decides what is skipped, never what is answered — which is
+    /// why its masks, unlike distances, may differ between kernels.
+    ///
+    /// The default keeps every lane, which is always valid.
+    ///
+    /// # Panics
+    /// Implementations may panic if `keep` is shorter than `block.groups()`.
+    #[inline]
+    fn screen_lanes(&self, _query: &T, block: LaneBlock<'_>, _bound: Dist, keep: &mut [u8]) {
+        keep[..block.groups()].fill(u8::MAX);
+    }
 }
 
 impl<T: ?Sized, M: Metric<T>> Metric<T> for &M {
@@ -102,6 +120,11 @@ impl<T: ?Sized, M: Metric<T>> Metric<T> for &M {
     fn dist_lanes(&self, query: &T, group: LaneGroup<'_>, out: &mut [Dist; LANES]) -> bool {
         (**self).dist_lanes(query, group, out)
     }
+
+    #[inline]
+    fn screen_lanes(&self, query: &T, block: LaneBlock<'_>, bound: Dist, keep: &mut [u8]) {
+        (**self).screen_lanes(query, block, bound, keep);
+    }
 }
 
 #[cfg(test)]
@@ -117,6 +140,20 @@ mod tests {
         let b = [3.0f32, 4.0];
         assert_eq!(Metric::<[f32]>::dist(&r, &a[..], &b[..]), 5.0);
         assert_eq!(Metric::<[f32]>::name(&r), "euclidean");
+    }
+
+    #[test]
+    fn default_screen_keeps_every_lane() {
+        struct Unscreened;
+        impl Metric<[f32]> for Unscreened {
+            fn dist(&self, _a: &[f32], _b: &[f32]) -> Dist {
+                1.0
+            }
+        }
+        let blocked = crate::BlockedVectors::from_flat(&[0.0; 20], 1);
+        let mut keep = [0u8; 4];
+        Unscreened.screen_lanes(&[9.0][..], blocked.block(0..3), 0.0, &mut keep);
+        assert_eq!(keep, [u8::MAX, u8::MAX, u8::MAX, 0]);
     }
 
     #[test]

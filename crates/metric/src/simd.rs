@@ -15,11 +15,16 @@
 //! * [`squared_l2_lanes`] — the group kernel: squared Euclidean distances
 //!   from one query to all eight lanes of a group, dispatched at runtime
 //!   to an AVX2+FMA, SSE2, or portable scalar implementation.
+//! * [`screen_squared_l2`] — the block screen: for a run of consecutive
+//!   lane groups ([`LaneBlock`]), which lanes *might* lie within a bound.
+//!   Pure `f32`, no converts, no square roots; it decides only what is not
+//!   worth the group kernel, never a distance.
 //!
 //! # Bit-compatibility contract
 //!
-//! Every kernel computes, per lane, *exactly* the same floating-point
-//! result as the canonical scalar accumulation used by
+//! **What is bit-identical: every distance.** Every [`squared_l2_lanes`]
+//! kernel computes, per lane, *exactly* the same floating-point result as
+//! the canonical scalar accumulation used by
 //! [`Euclidean`](crate::Euclidean) / [`SquaredEuclidean`](crate::SquaredEuclidean):
 //! the per-dimension difference is an `f32` subtraction widened to `f64`,
 //! and squares are accumulated sequentially in a single `f64` accumulator.
@@ -30,8 +35,53 @@
 //! exactly in `f64`, making `fma(d, d, acc)` bit-identical to
 //! `acc + d * d`. Consequently the scalar, SSE2 and AVX2 kernels — and the
 //! per-point [`Metric::dist`](crate::Metric::dist) path — all return
-//! identical bits, and every layout/kernel combination yields identical
-//! answers *and* identical pruning statistics.
+//! identical bits. Every distance that reaches a top-k collector comes from
+//! these kernels, so every layout/kernel combination yields identical
+//! answers, ties and thresholds, *and* identical `distance_evals`.
+//!
+//! **What is not: the screen's sums and masks.** [`screen_squared_l2`]
+//! accumulates the same `f32` differences in `f32`, and its three variants
+//! round differently (one rounding per term with FMA, two with multiply +
+//! add), so which lanes it clears near the bound depends on the active
+//! kernel. That is allowed because of what a cleared lane means — "the
+//! canonical distance is certainly above the bound" — and the callers'
+//! discipline: a screened-out lane is skipped, a kept lane is *recomputed*
+//! by the canonical kernel before anything is compared or stored. The
+//! screen's sums never leave this module. How many groups survive it
+//! (`GroupScanStats::reranked`) is therefore reported, never compared.
+//!
+//! **Why the screen is conservative.** Write `u = 2⁻²⁴`, `dᵢ` for the
+//! `f32` differences (the same in both computations), `T = Σ dᵢ²` exactly,
+//! `c` for the canonical `f64` sum and `s` for the screen's `f32` sum. All
+//! terms are non-negative, so rounding errors compound as relative factors:
+//!
+//! * FMA screen: one rounding per term, `s ≤ T·(1+u)^dim`; multiply + add
+//!   (SSE2, scalar): two, `s ≤ T·(1+u)^(2·dim)`.
+//! * Canonical: squares are exact, one `f64` rounding per add,
+//!   `c ≥ T·(1−2⁻⁵³)^dim`.
+//! * A lane matters when its reported distance is `≤ kth`. For
+//!   [`SquaredEuclidean`](crate::SquaredEuclidean) that is `c ≤ kth`; for
+//!   [`Euclidean`](crate::Euclidean), `sqrt_rn(c) ≤ kth ⇒
+//!   c ≤ kth²·(1+2⁻⁵²)²`, and `kth²` itself is one more `f64` rounding.
+//!
+//! So a lane that matters has `s ≤ B·(1+u)^(2·dim)·(1+2⁻³³)` with `B` the
+//! squared bound, the last factor covering every `f64` term up to
+//! `dim = 2¹⁶`. With `x = (2·dim+8)·u ≤ 1`, `(1+u)^(2·dim) ≤ e^(2·dim·u) ≤
+//! 1 + x + x² − 8u`, which leaves `8u = 2⁻²¹` for the `f64` terms: one slack
+//! `1 + x·(1+x)` serves all three kernels (to first order
+//! `1 + (2·dim+8)·2⁻²⁴`; the `x²` is what keeps it a bound at large `dim`).
+//! The limit `B·slack` is rounded **up** to `f32`, and a lane is cleared
+//! only when `s > limit`.
+//!
+//! The relative bounds fail where `f32` underflows: a product or sum below
+//! `2⁻¹²⁶` is off by up to `2⁻¹⁵⁰` absolutely, `dim·2⁻¹⁵⁰ ≤ 2⁻¹³⁴` in all.
+//! The limit is therefore never taken below `2⁻¹⁰⁰`, against which that is
+//! a relative `2⁻³⁴` — inside the `8u`. Everything else errs towards
+//! keeping: a sum that overflows `f32` meets a limit that rounded up to
+//! `+∞` or is dropped against a finite one it really exceeds; a NaN sum or
+//! a NaN bound compares false and keeps the lane; a `+∞` bound keeps
+//! everything (a lane at canonical distance `+∞` is `≤` it); and above
+//! `dim = 2¹⁶` the screen is off.
 //!
 //! # Kernel selection
 //!
@@ -45,6 +95,7 @@
 // intrinsics behind runtime feature detection, over bounds-checked slices.
 #![allow(unsafe_code)]
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::metric::Dist;
@@ -167,6 +218,24 @@ impl BlockedVectors {
             dim: self.dim,
         }
     }
+
+    /// The consecutive lane groups `groups` as one view, for kernels that
+    /// work on several groups at a time.
+    ///
+    /// # Panics
+    /// Panics if `groups` reaches past `num_groups()`.
+    pub fn block(&self, groups: Range<usize>) -> LaneBlock<'_> {
+        assert!(
+            groups.start <= groups.end && groups.end <= self.num_groups(),
+            "group range out of range"
+        );
+        let stride = self.dim * LANES;
+        LaneBlock {
+            data: &self.data
+                [self.offset + groups.start * stride..self.offset + groups.end * stride],
+            dim: self.dim,
+        }
+    }
 }
 
 /// A borrowed view of one lane group: `dim` runs of [`LANES`] floats,
@@ -187,6 +256,28 @@ impl LaneGroup<'_> {
     /// The raw interleaved values (`dim * LANES` floats).
     pub fn as_slice(&self) -> &[f32] {
         self.data
+    }
+}
+
+/// A borrowed view of consecutive lane groups
+/// ([`BlockedVectors::block`]): group `j` of the block is the
+/// `dim * LANES` floats at `j * dim * LANES`, laid out as a [`LaneGroup`].
+#[derive(Clone, Copy, Debug)]
+pub struct LaneBlock<'a> {
+    /// Always a whole number of groups: `groups() * dim * LANES` floats.
+    data: &'a [f32],
+    dim: usize,
+}
+
+impl LaneBlock<'_> {
+    /// Dimensionality of the block's points.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Number of lane groups in the block.
+    pub fn groups(&self) -> usize {
+        self.data.len() / (self.dim * LANES)
     }
 }
 
@@ -383,6 +474,208 @@ unsafe fn avx2_lanes(query: &[f32], data: &[f32], dim: usize, out: &mut [Dist; L
     _mm256_storeu_pd(out.as_mut_ptr().add(4), acc_hi);
 }
 
+/// Largest dimension the screen's rounding bound is proven for; above it
+/// [`screen_squared_l2`] keeps every lane.
+const SCREEN_MAX_DIM: usize = 1 << 16;
+
+/// Floor of the screen's limit: below it `f32` products underflow and the
+/// relative rounding bounds no longer hold (see the module docs).
+const SCREEN_FLOOR: f64 = f64::from_bits((1023 - 100) << 52); // 2⁻¹⁰⁰
+
+/// `u = 2⁻²⁴`, the unit roundoff of `f32`.
+const F32_ROUNDOFF: f64 = 1.0 / (1u64 << 24) as f64;
+
+/// The largest `f32` sum the screen can produce for a lane whose canonical
+/// squared distance matters under `sq_bound` — `sq_bound` inflated by the
+/// rounding slack of the module docs, floored, and rounded **up** to `f32`.
+/// `+∞` (keep everything) for a NaN or `+∞` bound, one that overflows
+/// `f32`, or a dimension the bound is not proven for.
+fn screen_limit(sq_bound: f64, dim: usize) -> f32 {
+    if sq_bound.is_nan() || dim > SCREEN_MAX_DIM {
+        return f32::INFINITY;
+    }
+    let x = (2 * dim + 8) as f64 * F32_ROUNDOFF;
+    let limit = (sq_bound * (1.0 + x * (1.0 + x))).max(SCREEN_FLOOR);
+    // `as` rounds to nearest (and saturates to +∞); step up if it went down.
+    let nearest = limit as f32;
+    if f64::from(nearest) < limit {
+        nearest.next_up()
+    } else {
+        nearest
+    }
+}
+
+/// Screens the lane groups of `block` against a canonical **squared**
+/// distance bound: `keep[j]` gets one bit per lane of group `j`, cleared
+/// only if that lane's [`squared_l2_lanes`] result is certainly above
+/// `sq_bound` (and its square root above `sqrt(sq_bound)`), on every
+/// kernel. A set bit promises nothing — recompute the group canonically
+/// before using any lane of it. Padding lanes are screened like the point
+/// they replicate; `keep` beyond `block.groups()` is left alone.
+///
+/// The masks themselves are *not* part of the bit-compatibility contract
+/// (see the module docs). Dimensions beyond `min(query.len(), block.dim())`
+/// are ignored, as in the group kernel.
+///
+/// # Panics
+/// Panics if `keep` is shorter than `block.groups()`.
+pub fn screen_squared_l2(query: &[f32], block: LaneBlock<'_>, sq_bound: Dist, keep: &mut [u8]) {
+    let keep = &mut keep[..block.groups()];
+    let dim = block.dim.min(query.len());
+    let limit = screen_limit(sq_bound, dim);
+    if limit == f32::INFINITY {
+        keep.fill(u8::MAX);
+        return;
+    }
+    let (query, stride) = (&query[..dim], block.dim * LANES);
+    match active_kernel() {
+        KernelChoice::Scalar => scalar_screen(query, block.data, stride, limit, keep),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the kernel choice is either runtime-detected or clamped
+        // by `force_kernel`, so the required features are present. A
+        // `LaneBlock` holds `keep.len()` whole groups of `stride` floats
+        // and `query.len() * LANES <= stride`, which is every float the
+        // kernels read: `query.len() * LANES` from the start of each group.
+        KernelChoice::Sse2 => unsafe { sse2_screen(query, block.data, stride, limit, keep) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as for SSE2 above.
+        KernelChoice::Avx2Fma => unsafe { avx2_screen(query, block.data, stride, limit, keep) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => scalar_screen(query, block.data, stride, limit, keep),
+    }
+}
+
+/// Portable screen: per lane, the `f32` differences squared and summed in
+/// `f32` (two roundings per term). Lane-outer like [`scalar_lanes`].
+fn scalar_screen(query: &[f32], data: &[f32], stride: usize, limit: f32, keep: &mut [u8]) {
+    for (slot, group) in keep.iter_mut().zip(data.chunks_exact(stride)) {
+        *slot = 0;
+        for lane in 0..LANES {
+            let mut sum = 0.0f32;
+            for (d, &qv) in query.iter().enumerate() {
+                let diff = qv - group[d * LANES + lane];
+                sum += diff * diff;
+            }
+            // Not `sum <= limit`: a NaN sum must keep its lane.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            let kept = !(sum > limit);
+            *slot |= u8::from(kept) << lane;
+        }
+    }
+}
+
+/// Runs a `G`-groups-at-a-time screen kernel over all of `keep`: blocks of
+/// four (one accumulator per group, so four independent dependency
+/// chains), then the 1–3 groups left over in one call.
+#[cfg(target_arch = "x86_64")]
+macro_rules! screen_in_fours {
+    ($kernel:ident, $query:ident, $data:ident, $stride:ident, $limit:ident, $keep:ident) => {{
+        let mut fours = $keep.chunks_exact_mut(4);
+        let mut at = 0;
+        for four in &mut fours {
+            $kernel::<4>($query, $data.as_ptr().add(at), $stride, $limit, four);
+            at += 4 * $stride;
+        }
+        let data = $data.as_ptr().add(at);
+        match fours.into_remainder() {
+            rest @ [_, _, _] => $kernel::<3>($query, data, $stride, $limit, rest),
+            rest @ [_, _] => $kernel::<2>($query, data, $stride, $limit, rest),
+            rest @ [_] => $kernel::<1>($query, data, $stride, $limit, rest),
+            _ => {}
+        }
+    }};
+}
+
+/// SSE2 screen: each group's 8 lanes as two `f32` quads, multiply + add
+/// (two roundings per term).
+///
+/// # Safety
+/// The CPU must support SSE2, and `data` must hold `keep.len()` groups of
+/// `stride >= query.len() * LANES` floats.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+unsafe fn sse2_screen(query: &[f32], data: &[f32], stride: usize, limit: f32, keep: &mut [u8]) {
+    debug_assert!(data.len() >= keep.len() * stride && stride >= query.len() * LANES);
+    screen_in_fours!(sse2_screen_groups, query, data, stride, limit, keep);
+}
+
+/// # Safety
+/// The CPU must support SSE2, `keep.len() == G`, and `data` must point at
+/// `G` groups of `stride >= query.len() * LANES` readable floats.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+#[inline]
+unsafe fn sse2_screen_groups<const G: usize>(
+    query: &[f32],
+    data: *const f32,
+    stride: usize,
+    limit: f32,
+    keep: &mut [u8],
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [[_mm_setzero_ps(); 2]; G];
+    for (d, &qv) in query.iter().enumerate() {
+        let q = _mm_set1_ps(qv);
+        let row = data.add(d * LANES);
+        for (j, halves) in acc.iter_mut().enumerate() {
+            for (half, sum) in halves.iter_mut().enumerate() {
+                let diff = _mm_sub_ps(q, _mm_loadu_ps(row.add(j * stride + half * 4)));
+                *sum = _mm_add_ps(*sum, _mm_mul_ps(diff, diff));
+            }
+        }
+    }
+    let limit = _mm_set1_ps(limit);
+    for (slot, [lo, hi]) in keep.iter_mut().zip(acc) {
+        // "Not greater than" is true on NaN: a NaN sum keeps its lane.
+        let lo = _mm_movemask_ps(_mm_cmpngt_ps(lo, limit));
+        let hi = _mm_movemask_ps(_mm_cmpngt_ps(hi, limit));
+        *slot = (lo | hi << 4) as u8;
+    }
+}
+
+/// AVX2 + FMA screen: one 8-wide load, subtract and fused multiply-add per
+/// group and dimension (one rounding per term).
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA, and `data` must hold `keep.len()`
+/// groups of `stride >= query.len() * LANES` floats.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn avx2_screen(query: &[f32], data: &[f32], stride: usize, limit: f32, keep: &mut [u8]) {
+    debug_assert!(data.len() >= keep.len() * stride && stride >= query.len() * LANES);
+    screen_in_fours!(avx2_screen_groups, query, data, stride, limit, keep);
+}
+
+/// # Safety
+/// The CPU must support AVX2 and FMA, `keep.len() == G`, and `data` must
+/// point at `G` groups of `stride >= query.len() * LANES` readable floats.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn avx2_screen_groups<const G: usize>(
+    query: &[f32],
+    data: *const f32,
+    stride: usize,
+    limit: f32,
+    keep: &mut [u8],
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [_mm256_setzero_ps(); G];
+    for (d, &qv) in query.iter().enumerate() {
+        let q = _mm256_set1_ps(qv);
+        let row = data.add(d * LANES);
+        for (j, sum) in acc.iter_mut().enumerate() {
+            let diff = _mm256_sub_ps(q, _mm256_loadu_ps(row.add(j * stride)));
+            *sum = _mm256_fmadd_ps(diff, diff, *sum);
+        }
+    }
+    let limit = _mm256_set1_ps(limit);
+    for (slot, sum) in keep.iter_mut().zip(acc) {
+        // "Not greater than, unordered": a NaN sum keeps its lane.
+        *slot = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NGT_UQ>(sum, limit)) as u8;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,6 +756,48 @@ mod tests {
                 assert_eq!(group.as_slice()[d * LANES + i % LANES], data[p][d]);
             }
         }
+    }
+
+    #[test]
+    fn block_views_consecutive_groups() {
+        let data = rows(29, 3, 5);
+        let blocked = BlockedVectors::from_flat(&flat(&data), 3);
+        let block = blocked.block(1..3);
+        assert_eq!((block.groups(), block.dim()), (2, 3));
+        let joined = [blocked.group(1).as_slice(), blocked.group(2).as_slice()].concat();
+        assert_eq!(block.data, joined);
+        assert_eq!(blocked.block(4..4).groups(), 0);
+    }
+
+    #[test]
+    fn screen_limit_rounds_up_and_gives_way_at_the_edges() {
+        for (bound, dim) in [
+            (1.0, 1usize),
+            (3.7e5, 64),
+            (1e-3, 65),
+            (2.5e38, 3),
+            (7.0, 1 << 16),
+        ] {
+            let limit = screen_limit(bound, dim);
+            let x = (2 * dim + 8) as f64 * F32_ROUNDOFF;
+            let exact = bound * (1.0 + x * (1.0 + x));
+            assert!(f64::from(limit) >= exact, "bound {bound} dim {dim}");
+            assert!(
+                f64::from(limit.next_down()) < exact,
+                "bound {bound} dim {dim}"
+            );
+        }
+        // The floor, for bounds whose squares underflow `f32` arithmetic.
+        for bound in [0.0, -1.0, 1e-40] {
+            assert_eq!(f64::from(screen_limit(bound, 8)), SCREEN_FLOOR);
+        }
+        assert_eq!(SCREEN_FLOOR, 0.5f64.powi(100));
+        // Keep everything: no bound, no comparable bound, a bound past
+        // `f32`, a dimension past the proof.
+        assert_eq!(screen_limit(f64::INFINITY, 8), f32::INFINITY);
+        assert_eq!(screen_limit(f64::NAN, 8), f32::INFINITY);
+        assert_eq!(screen_limit(3.5e38, 8), f32::INFINITY);
+        assert_eq!(screen_limit(1.0, SCREEN_MAX_DIM + 1), f32::INFINITY);
     }
 
     #[test]

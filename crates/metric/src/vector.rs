@@ -15,7 +15,7 @@
 //! bitwise identical to these scalar loops on any hardware.
 
 use crate::metric::{Dist, Metric};
-use crate::simd::{squared_l2_lanes, LaneGroup, LANES};
+use crate::simd::{screen_squared_l2, squared_l2_lanes, LaneBlock, LaneGroup, LANES};
 
 #[inline]
 fn debug_check_dims(a: &[f32], b: &[f32]) {
@@ -59,6 +59,13 @@ impl Metric<[f32]> for Euclidean {
         }
         true
     }
+
+    #[inline]
+    fn screen_lanes(&self, query: &[f32], block: LaneBlock<'_>, bound: Dist, keep: &mut [u8]) {
+        // `sqrt_rn(c) <= bound` puts `c` within a few ulps of `bound²`; the
+        // screen's slack covers them and this product's own rounding.
+        screen_squared_l2(query, block, bound * bound, keep);
+    }
 }
 
 /// The *squared* Euclidean distance.
@@ -91,6 +98,11 @@ impl Metric<[f32]> for SquaredEuclidean {
     fn dist_lanes(&self, query: &[f32], group: LaneGroup<'_>, out: &mut [Dist; LANES]) -> bool {
         squared_l2_lanes(query, group, out);
         true
+    }
+
+    #[inline]
+    fn screen_lanes(&self, query: &[f32], block: LaneBlock<'_>, bound: Dist, keep: &mut [u8]) {
+        screen_squared_l2(query, block, bound, keep);
     }
 }
 

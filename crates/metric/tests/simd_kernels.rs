@@ -9,6 +9,10 @@
 //! then follows and is pinned separately, because that is the property
 //! the search layers actually rely on.
 //!
+//! The `f32` screen is held to a different contract — **conservatism**: it
+//! may keep anything, but under no kernel, magnitude or bound may it clear
+//! a lane whose canonical distance is within the bound.
+//!
 //! Kernel forcing mutates process-global dispatch state, so every test
 //! that forces serialises on one mutex and restores auto-detection
 //! before releasing it.
@@ -33,6 +37,13 @@ const KERNELS: [KernelChoice; 3] = [
     KernelChoice::Sse2,
     KernelChoice::Avx2Fma,
 ];
+
+/// Coordinate scales for the screen's safety net, `SCALES[0]` the ordinary
+/// one: differences whose squares go subnormal in `f32` (1e-20) or vanish
+/// (1e-30), subnormal differences (1e-39), the 1e±18 of the issue, squares
+/// that overflow `f32` but not `f64` (3e19), and differences that overflow
+/// `f32` themselves (3e38).
+const SCALES: [f32; 8] = [1.0, 1e-20, 1e-30, 1e-39, 1e-18, 1e18, 3e19, 3e38];
 
 /// Serialises tests that force the process-global kernel choice.
 static KERNEL_LOCK: Mutex<()> = Mutex::new(());
@@ -216,5 +227,105 @@ proptest! {
         force_kernel(None);
         prop_assert_eq!(&per_kernel[0], &per_kernel[1], "scalar vs sse2");
         prop_assert_eq!(&per_kernel[0], &per_kernel[2], "scalar vs avx2+fma");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The safety net under the screen: whatever the kernel, the metric,
+    /// the magnitudes and the bound, a lane whose canonical distance is
+    /// `<=` the bound keeps its bit — and on ordinary data the screen still
+    /// earns its keep, clearing every lane clearly above the bound.
+    #[test]
+    fn screen_never_clears_a_lane_within_the_bound(
+        unit in prop::collection::vec(-1.0f32..1.0, MAX_N * MAX_DIM),
+        qunit in prop::collection::vec(-1.0f32..1.0, MAX_DIM),
+        dim in 1usize..=MAX_DIM,
+        n in 1usize..=MAX_N,
+        first_group in 0usize..3,
+        poison in prop::collection::vec((0usize..MAX_N * MAX_DIM, 0usize..3), 6),
+        target in 0usize..MAX_N,
+    ) {
+        let _guard = lock();
+        // Coordinate magnitudes: one scale for everything (ordinary, or
+        // differences and squares that underflow or overflow `f32`), a
+        // different scale per coordinate, or that with NaN and ±∞ sprinkled
+        // over the points and the query.
+        for regime in 0..SCALES.len() + 2 {
+            let scale =
+                |i: usize| SCALES[if regime < SCALES.len() { regime } else { i % SCALES.len() }];
+            let mut flat: Vec<f32> =
+                (0..n * dim).map(|i| unit[i] * scale(i / dim + i % dim)).collect();
+            let mut query: Vec<f32> = (0..dim).map(|d| qunit[d] * scale(d)).collect();
+            if regime > SCALES.len() {
+                let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+                for (k, &(at, which)) in poison.iter().enumerate() {
+                    if k == 0 {
+                        query[at % dim] = specials[which];
+                    } else {
+                        flat[at % (n * dim)] = specials[which];
+                    }
+                }
+            }
+            let blocked = BlockedVectors::from_flat(&flat, dim);
+            // Full blocks of four groups and tails of one to three, from
+            // the start of the list or from inside it.
+            let groups = first_group.min(blocked.num_groups() - 1)..blocked.num_groups();
+            let member = groups.start * LANES + target % (n - groups.start * LANES);
+
+            for (kernel, euclidean) in KERNELS.into_iter().flat_map(|k| [(k, true), (k, false)]) {
+                force_kernel(Some(kernel));
+                let lanes = |g: usize| {
+                    let mut out = [0.0f64; LANES];
+                    let computed = if euclidean {
+                        Euclidean.dist_lanes(&query, blocked.group(g), &mut out)
+                    } else {
+                        SquaredEuclidean.dist_lanes(&query, blocked.group(g), &mut out)
+                    };
+                    assert!(computed);
+                    out
+                };
+                // The bound: on a member's canonical distance, one ulp
+                // either side of it, well inside and outside, 0, +∞, NaN.
+                let on = lanes(member / LANES)[member % LANES];
+                let bounds =
+                    [on, on.next_down(), on.next_up(), on * 0.5, on * 2.0, 0.0, f64::INFINITY, f64::NAN];
+                for bound in bounds {
+                    let mut keep = [0u8; MAX_N.div_ceil(LANES)];
+                    let block = blocked.block(groups.clone());
+                    if euclidean {
+                        Euclidean.screen_lanes(&query, block, bound, &mut keep);
+                    } else {
+                        SquaredEuclidean.screen_lanes(&query, block, bound, &mut keep);
+                    }
+                    let case = format!(
+                        "kernel {kernel:?} euclidean {euclidean} dim {dim} regime {regime} bound {bound}"
+                    );
+                    for (j, g) in groups.clone().enumerate() {
+                        if bound.is_nan() || bound == f64::INFINITY {
+                            prop_assert_eq!(keep[j], u8::MAX, "{}: screened anyway", case);
+                        }
+                        for (lane, &dist) in lanes(g).iter().enumerate() {
+                            let kept = (keep[j] >> lane) & 1 != 0;
+                            prop_assert!(
+                                kept || dist.partial_cmp(&bound).is_none_or(|o| o.is_gt()),
+                                "{}: lane {} of group {} at {} cleared", case, lane, g, dist
+                            );
+                            // A NaN sum (a NaN or ∞ − ∞ difference) keeps its lane.
+                            prop_assert!(kept || !dist.is_nan(), "{}: NaN lane cleared", case);
+                            if regime == 0 && bound.is_finite() && dist > bound * 1.001 {
+                                prop_assert!(!kept, "{}: lane at {} kept", case, dist);
+                            }
+                        }
+                    }
+                    prop_assert!(
+                        keep[groups.len()..].iter().all(|&mask| mask == 0),
+                        "{}: wrote past the block", case
+                    );
+                }
+            }
+        }
+        force_kernel(None);
     }
 }
