@@ -1,5 +1,7 @@
 //! The brute-force primitive itself: batched, tiled, parallel scans.
 
+use std::sync::Mutex;
+
 use rayon::prelude::*;
 
 use rbc_metric::{BlockedVectors, Dataset, Dist, Metric, QueryBatch, LANES};
@@ -12,6 +14,10 @@ use crate::topk::TopK;
 /// Below it the caller finishes before a parked helper has woken, and then
 /// sleeps until that helper is done with the one chunk it still claimed.
 pub const MIN_PARALLEL_EVALS: usize = 1 << 16;
+
+/// Row tiles a shared [`BruteForce::rows_with`] call cuts per thread: the
+/// last tile a thread claims is then a quarter of its share at most.
+const TILES_PER_THREAD: usize = 4;
 
 /// Tiling and parallelism knobs for the primitive.
 ///
@@ -343,8 +349,7 @@ impl BruteForce {
     /// Dense pairwise distance matrix (row-major, `queries.len() × db.len()`).
     ///
     /// This is the "distance computation step" of the primitive in
-    /// isolation; the exact RBC search uses it on the representative set,
-    /// where all distances must be retained for the pruning rules.
+    /// isolation: [`rows_with`](Self::rows_with) keeping every row.
     pub fn pairwise<Q, D, M>(&self, queries: &Q, db: &D, metric: &M) -> (Vec<Dist>, BfStats)
     where
         Q: Dataset,
@@ -355,9 +360,10 @@ impl BruteForce {
     }
 
     /// [`pairwise`](Self::pairwise) with an explicitly supplied blocked
-    /// mirror of `db` — the stage-1 `BF(Q, R)` scan of the RBC engines,
-    /// which keep a blocked copy of their representative set. Every matrix
-    /// entry is bit-identical to the per-point path.
+    /// mirror of `db` — what a caller that needs the whole stage-1 matrix
+    /// at once asks for (the distributed coordinator re-reads it when it
+    /// builds node rows). Every matrix entry is bit-identical to the
+    /// per-point path.
     pub fn pairwise_with_blocks<Q, D, M>(
         &self,
         queries: &Q,
@@ -370,37 +376,105 @@ impl BruteForce {
         D: Dataset<Item = Q::Item>,
         M: Metric<Q::Item>,
     {
-        let nq = queries.len();
-        let n = db.len();
+        let (nq, n) = (queries.len(), db.len());
+        let mut matrix = vec![0.0 as Dist; nq * n];
+        if matrix.is_empty() {
+            return (matrix, BfStats::full_scan(nq as u64, n as u64));
+        }
+        // One slot per row, each locked once, by the thread that scored it.
+        let slots: Vec<Mutex<&mut [Dist]>> = matrix.chunks_mut(n).map(Mutex::new).collect();
+        let (_, stats) = self.rows_with(queries, db, metric, blocks, |qi, row| {
+            slots[qi]
+                .lock()
+                .expect("a matrix row is written once")
+                .copy_from_slice(row);
+        });
+        drop(slots);
+        (matrix, stats)
+    }
+
+    /// `BF(Q, X)` with every distance retained — one row of `db.len()`
+    /// distances per query, in database order, each bit-identical to
+    /// [`Metric::dist`] on that pair — and **consumed where it was
+    /// produced**: `finish(qi, row)` runs on the thread that scored row
+    /// `qi`, while the row is still in cache, and only its results (in
+    /// query order) leave the call. The exact RBC search passes its
+    /// pruning rules, so no `queries × db` matrix ever exists.
+    ///
+    /// The paper's §3 block decomposition: a tile of at most `query_tile`
+    /// queries meets the blocked table one lane group at a time, the group
+    /// scored for every query of the tile while it sits in L1. Tiles go to
+    /// the rayon pool when the configuration is parallel and the call is
+    /// worth a helper's wake-up — evaluations plus the entries `finish`
+    /// reads reach [`MIN_PARALLEL_EVALS`] — and are then cut so every thread
+    /// has several to claim. Without a lane kernel (or `blocked: false`)
+    /// rows are scored point by point and always shared: an evaluation
+    /// costs whatever the metric costs.
+    pub fn rows_with<Q, D, M, R, F>(
+        &self,
+        queries: &Q,
+        db: &D,
+        metric: &M,
+        blocks: Option<&BlockedVectors>,
+        finish: F,
+    ) -> (Vec<R>, BfStats)
+    where
+        Q: Dataset,
+        D: Dataset<Item = Q::Item>,
+        M: Metric<Q::Item>,
+        R: Send,
+        F: Fn(usize, &[Dist]) -> R + Sync,
+    {
+        let (nq, n) = (queries.len(), db.len());
+        let stats = BfStats::full_scan(nq as u64, n as u64);
         let blocks = self.lane_gate(blocks, metric, n);
-        let row = |qi: usize| -> Vec<Dist> {
-            let q = queries.get(qi);
+        let shared = self.config.parallel && (blocks.is_none() || 2 * nq * n >= MIN_PARALLEL_EVALS);
+        let tile = if shared {
+            let claims = TILES_PER_THREAD * rayon::current_num_threads();
+            self.config.query_tile.min(nq.div_ceil(claims)).max(1)
+        } else {
+            self.config.query_tile.max(1)
+        };
+
+        let score_tile = |q_start: usize| -> Vec<R> {
+            let tile_queries = q_start..(q_start + tile).min(nq);
+            let mut rows = vec![0.0 as Dist; tile_queries.len() * n];
             match blocks {
                 Some(b) => {
-                    let mut out = vec![0.0 as Dist; n];
                     let mut lane_dists = [0.0 as Dist; LANES];
                     for g in 0..b.num_groups() {
-                        let computed = metric.dist_lanes(q, b.group(g), &mut lane_dists);
-                        debug_assert!(computed, "lanes_supported() metric must compute lanes");
-                        let valid = b.valid_lanes(g);
-                        out[g * LANES..g * LANES + valid].copy_from_slice(&lane_dists[..valid]);
+                        let (group, valid) = (b.group(g), b.valid_lanes(g));
+                        for (row, qi) in tile_queries.clone().enumerate() {
+                            let computed =
+                                metric.dist_lanes(queries.get(qi), group, &mut lane_dists);
+                            debug_assert!(computed, "lanes_supported() metric must compute lanes");
+                            rows[row * n + g * LANES..][..valid]
+                                .copy_from_slice(&lane_dists[..valid]);
+                        }
                     }
-                    out
                 }
-                None => (0..n).map(|j| metric.dist(q, db.get(j))).collect(),
+                None => {
+                    for (row, qi) in tile_queries.clone().enumerate() {
+                        let q = queries.get(qi);
+                        for (j, d) in rows[row * n..][..n].iter_mut().enumerate() {
+                            *d = metric.dist(q, db.get(j));
+                        }
+                    }
+                }
             }
+            tile_queries
+                .enumerate()
+                .map(|(row, qi)| finish(qi, &rows[row * n..][..n]))
+                .collect()
         };
-        let shared = self.config.parallel && (blocks.is_none() || nq * n >= MIN_PARALLEL_EVALS);
-        let rows: Vec<Vec<Dist>> = if shared {
-            (0..nq).into_par_iter().map(row).collect()
+
+        let tile_starts: Vec<usize> = (0..nq).step_by(tile).collect();
+        let per_tile: Vec<Vec<R>> = if shared {
+            tile_starts.into_par_iter().map(score_tile).collect()
         } else {
-            (0..nq).map(row).collect()
+            tile_starts.into_iter().map(score_tile).collect()
         };
-        let mut flat = Vec::with_capacity(nq * n);
-        for r in rows {
-            flat.extend_from_slice(&r);
-        }
-        (flat, BfStats::full_scan(nq as u64, n as u64))
+        (per_tile.into_iter().flatten().collect(), stats)
     }
 
     // ------------------------------------------------------------------
@@ -648,7 +722,7 @@ impl BruteForce {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbc_metric::{Euclidean, VectorSet};
+    use rbc_metric::{Euclidean, Manhattan, VectorSet};
 
     /// A deterministic pseudo-random cloud (no dependency on `rand` needed
     /// for unit tests).
@@ -855,6 +929,139 @@ mod tests {
                     Euclidean.dist(queries.point(qi), db.point(j))
                 );
             }
+        }
+    }
+
+    /// Every row `rows_with` hands out, in query order, must be
+    /// `metric.dist` per point, bit for bit.
+    fn assert_rows_are_per_point_distances<M: Metric<[f32]>>(
+        bf: &BruteForce,
+        queries: &VectorSet,
+        db: &VectorSet,
+        metric: &M,
+    ) {
+        let (rows, stats) = bf.rows_with(queries, db, metric, db.lane_blocks(), |qi, row| {
+            (qi, row.to_vec())
+        });
+        assert_eq!(
+            stats,
+            BfStats::full_scan(queries.len() as u64, db.len() as u64)
+        );
+        assert_eq!(rows.len(), queries.len());
+        for (at, (qi, row)) in rows.iter().enumerate() {
+            assert_eq!(*qi, at, "results come back in query order");
+            let want: Vec<Dist> = (0..db.len())
+                .map(|j| metric.dist(queries.point(at), db.point(j)))
+                .collect();
+            let same = row.len() == want.len()
+                && row
+                    .iter()
+                    .zip(&want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(
+                same,
+                "row {at} differs: dim {}, n {}, {:?}",
+                db.dim(),
+                db.len(),
+                bf.config()
+            );
+        }
+    }
+
+    #[test]
+    fn rows_are_bit_identical_to_per_point_distances() {
+        // 21 queries: neither a multiple of the default tile (16) nor of
+        // the odd one (5); database sizes on both sides of a lane group
+        // and of a `db_tile`.
+        let tiles = [BfConfig::default().query_tile, 5];
+        for dim in 1..=65 {
+            let queries = cloud(21, dim, 100 + dim as u64);
+            for n in [1, 7, 8, 9, 255, 256, 257] {
+                let db = cloud(n, dim, 200 + (dim * n) as u64);
+                for (blocked, query_tile) in [(true, tiles[dim % 2]), (false, tiles[0])] {
+                    let bf = BruteForce::with_config(BfConfig {
+                        blocked,
+                        query_tile,
+                        ..BfConfig::default()
+                    });
+                    assert_rows_are_per_point_distances(&bf, &queries, &db, &Euclidean);
+                    // No lane kernel: the point-by-point arm, always shared.
+                    assert_rows_are_per_point_distances(&bf, &queries, &db, &Manhattan);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_rows_do_not_depend_on_the_schedule() {
+        // 150 × 257 evaluations, each read once by the consumer: enough for
+        // the lane path to publish its tiles (8 rows under five threads,
+        // 16 under two; 150 is a multiple of neither).
+        let db = cloud(257, 16, 50);
+        let queries = cloud(150, 16, 51);
+        assert!(2 * queries.len() * db.len() >= MIN_PARALLEL_EVALS);
+        for threads in [1, 2, 5] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads);
+            let pool = pool.build().expect("the shim's builder cannot fail");
+            pool.install(|| {
+                for blocked in [true, false] {
+                    let bf = BruteForce::with_config(BfConfig {
+                        blocked,
+                        ..BfConfig::default()
+                    });
+                    assert_rows_are_per_point_distances(&bf, &queries, &db, &Euclidean);
+                    assert_rows_are_per_point_distances(&bf, &queries, &db, &Manhattan);
+                    let (matrix, _) = bf.pairwise(&queries, &db, &Euclidean);
+                    let (rows, _) =
+                        bf.rows_with(&queries, &db, &Euclidean, None, |_, row| row.to_vec());
+                    assert_eq!(matrix, rows.concat(), "pairwise is the kernel, copied");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn rows_over_an_empty_side_are_empty() {
+        let bf = BruteForce::new();
+        let some = cloud(3, 2, 52);
+        let none = VectorSet::empty(2);
+        let lens = |_: usize, row: &[Dist]| row.len();
+        assert_eq!(bf.rows_with(&some, &none, &Euclidean, None, lens).0, [0; 3]);
+        assert!(bf
+            .rows_with(&none, &some, &Euclidean, None, lens)
+            .0
+            .is_empty());
+        assert!(bf.pairwise(&some, &none, &Euclidean).0.is_empty());
+        assert!(bf.pairwise(&none, &some, &Euclidean).0.is_empty());
+    }
+
+    #[test]
+    fn nn_over_duplicated_points_is_the_row_argmin() {
+        // Every point three times over: each query's nearest distance is
+        // attained by three indices, in different lane groups, and the
+        // dense k = 1 kernel must settle on the lowest — `Neighbor::closer`
+        // folded over the query's row.
+        let distinct = cloud(37, 6, 53);
+        let mut db = VectorSet::empty(6);
+        for _ in 0..3 {
+            distinct.iter().for_each(|point| db.push(point));
+        }
+        let queries = cloud(21, 6, 54);
+        for blocked in [true, false] {
+            let bf = BruteForce::with_config(BfConfig {
+                blocked,
+                ..BfConfig::default()
+            });
+            let (nearest, _) = bf.nn(&queries, &db, &Euclidean);
+            let (argmin, _) =
+                bf.rows_with(&queries, &db, &Euclidean, db.lane_blocks(), |_, row| {
+                    let entries = row.iter().enumerate();
+                    entries
+                        .map(|(j, &d)| Neighbor::new(j, d))
+                        .fold(Neighbor::farthest(), Neighbor::closer)
+                });
+            assert_eq!(nearest, argmin);
+            assert!(nearest.iter().all(|nb| nb.index < distinct.len()));
         }
     }
 

@@ -160,10 +160,11 @@ impl BatchPlan {
     }
 
     /// Builds the one-shot plan: each query scans exactly the list of its
-    /// nearest representative, so the groups partition the batch by argmin
-    /// of each row (smallest distance, ties broken towards the lower list
-    /// index — the same deterministic rule as the `BF(q, R)` reduction of
-    /// the query-major path).
+    /// nearest representative — the argmin of its row (smallest distance,
+    /// ties broken towards the lower list index, the rule of every
+    /// `BF(q, R)` reduction), then [`group_by_nearest`]. A row with no
+    /// nearest entry (all NaN) joins no group, and `pairs` counts the
+    /// queries that joined one.
     ///
     /// # Panics
     /// Panics if `rep_dists.len()` is not a multiple of `n_lists`.
@@ -173,34 +174,18 @@ impl BatchPlan {
             rep_dists.len().is_multiple_of(n_lists),
             "distance matrix does not tile into rows of {n_lists}"
         );
-        let nq = rep_dists.len() / n_lists;
-        let mut per_list: Vec<Vec<usize>> = vec![Vec::new(); n_lists];
-        for qi in 0..nq {
-            let row = &rep_dists[qi * n_lists..(qi + 1) * n_lists];
-            let nearest = row
-                .iter()
-                .enumerate()
+        let nearest = rep_dists.chunks_exact(n_lists).map(|row| {
+            let entries = row.iter().enumerate();
+            entries
                 .map(|(ri, &d)| Neighbor::new(ri, d))
-                .fold(Neighbor::farthest(), Neighbor::closer);
-            per_list[nearest.index].push(qi);
-        }
-        let mut groups: Vec<ListGroup> = per_list
-            .into_iter()
-            .enumerate()
-            .filter(|(_, queries)| !queries.is_empty())
-            .map(|(list_index, queries)| ListGroup {
-                list_index,
-                queries,
-            })
-            .collect();
-        // Largest groups first (list lengths are not known here; the group
-        // size is the schedulable proxy), ties toward the lower list index.
-        groups.sort_by_key(|g| (std::cmp::Reverse(g.queries.len()), g.list_index));
+                .fold(Neighbor::farthest(), Neighbor::closer)
+        });
+        let groups = group_by_nearest(nearest, n_lists);
         Self {
+            pairs: groups.iter().map(|group| group.queries.len()).sum(),
             groups,
             gamma_k: Vec::new(),
-            queries: nq,
-            pairs: nq,
+            queries: rep_dists.len() / n_lists,
         }
     }
 
@@ -565,6 +550,36 @@ where
     }
 }
 
+/// The one-shot plan proper: groups batch positions by the list of their
+/// nearest representative (`nearest[qi].index`), largest group first (list
+/// lengths are not known here; the group size is the schedulable proxy),
+/// ties toward the lower list index. A query with no nearest representative
+/// — the [`Neighbor::farthest`] sentinel of an empty reduction, or a NaN
+/// distance, which is all a NaN query ever measures — joins no group and is
+/// answered empty.
+pub(crate) fn group_by_nearest(
+    nearest: impl IntoIterator<Item = Neighbor>,
+    n_lists: usize,
+) -> Vec<ListGroup> {
+    let mut per_list: Vec<Vec<usize>> = vec![Vec::new(); n_lists];
+    for (qi, nearest) in nearest.into_iter().enumerate() {
+        if !(nearest.is_sentinel() || nearest.dist.is_nan()) {
+            per_list[nearest.index].push(qi);
+        }
+    }
+    let mut groups: Vec<ListGroup> = per_list
+        .into_iter()
+        .enumerate()
+        .filter(|(_, queries)| !queries.is_empty())
+        .map(|(list_index, queries)| ListGroup {
+            list_index,
+            queries,
+        })
+        .collect();
+    groups.sort_by_key(|g| (std::cmp::Reverse(g.queries.len()), g.list_index));
+    groups
+}
+
 /// Takes the sorted answers out of a batch's accumulators.
 pub fn into_answers(accumulators: Vec<Mutex<TopK>>) -> Vec<Vec<Neighbor>> {
     accumulators
@@ -577,10 +592,13 @@ pub fn into_answers(accumulators: Vec<Mutex<TopK>>) -> Vec<Vec<Neighbor>> {
         .collect()
 }
 
-/// Every query's stage-1 outcome ([`survivors`]) from the stage-1 distance
-/// matrix `rep_dists` (row-major, one row of `lists.len()` distances per
-/// query): the seeded collectors and the candidate rows, by batch position.
-/// Runs on the rayon pool when `config.bf.parallel`.
+/// Every query's stage-1 outcome ([`survivors`]) from a stage-1 distance
+/// matrix `rep_dists` somebody else computed (row-major, one row of
+/// `lists.len()` distances per query): the seeded collectors and the
+/// candidate rows, by batch position. Only [`BatchPlan::plan_exact_seeded`]
+/// — the coordinator's plan — still starts from a matrix; the in-process
+/// search hands [`survivors`] to `BruteForce::rows_with` and never holds
+/// one. Runs on the rayon pool when `config.bf.parallel`.
 ///
 /// # Panics
 /// Panics if `rep_dists.len()` is not a multiple of `lists.len()`.
@@ -781,6 +799,22 @@ mod tests {
         assert_eq!(plan.groups[1].queries, vec![1]);
         assert_eq!(plan.groups[2].queries, vec![2]);
         assert!((plan.sharing_factor() - 4.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn one_shot_plan_leaves_an_all_nan_row_out() {
+        let nan = Dist::NAN;
+        let rep_dists = vec![
+            2.0, 1.0, 3.0, // query 0 → list 1
+            nan, nan, nan, // query 1: nothing is nearest to it
+            nan, 4.0, nan, // query 2 → list 1, the one comparable entry
+        ];
+        let plan = BatchPlan::plan_one_shot(&rep_dists, 3);
+        assert_eq!(plan.queries, 3);
+        assert_eq!(plan.pairs, 2);
+        assert_eq!(plan.groups.len(), 1);
+        assert_eq!(plan.groups[0].list_index, 1);
+        assert_eq!(plan.groups[0].queries, vec![0, 2]);
     }
 
     #[test]

@@ -24,10 +24,10 @@ use std::sync::Mutex;
 
 use rayon::prelude::*;
 
-use rbc_bruteforce::{BfConfig, BruteForce, GroupCursor, ListMirror, Neighbor, TopK};
+use rbc_bruteforce::{BfConfig, BfStats, BruteForce, GroupCursor, ListMirror, Neighbor, TopK};
 use rbc_metric::{BlockedVectors, Dataset, Dist, Metric};
 
-use crate::batch_plan::{self, ListView, Stage2};
+use crate::batch_plan::{self, CandidateRow, ListView, Stage2};
 use crate::params::{BatchStrategy, RbcConfig, RbcParams};
 use crate::reps::{sample_representatives, OwnershipList};
 use crate::stats::{QueryStats, SearchStats};
@@ -291,10 +291,10 @@ where
     }
 
     /// The list-major batch path (see the crate-level "Batched search
-    /// architecture" notes): one dense `BF(Q, R)` stage, an inverted
-    /// [`BatchPlan`], then a parallel loop over *ownership lists* in which
-    /// each list's tiles are streamed once and shared by every query whose
-    /// pruning rules selected the list.
+    /// architecture" notes): one dense `BF(Q, R)` stage that finishes every
+    /// query's `γ_k` plan as its row is scored, then a parallel loop over
+    /// *ownership lists* in which each list's tiles are streamed once and
+    /// shared by every query whose pruning rules selected the list.
     fn query_batch_k_list_major<Q>(
         &self,
         queries: &Q,
@@ -308,22 +308,14 @@ where
         if nq == 0 {
             return (Vec::new(), SearchStats::default());
         }
-        let bf = BruteForce::with_config(self.config.bf);
         let n_reps = self.rep_indices.len();
 
-        // Stage 1: one dense BF(Q, R) pass, all distances retained.
         let stage1_span = rbc_trace::span("core.stage1");
-        let rep_view = self.db.subset(&self.rep_indices);
-        let (rep_dists, rep_stats) =
-            bf.pairwise_with_blocks(queries, &rep_view, &self.metric, self.rep_blocked.as_ref());
+        let (per_query, rep_stats) = self.stage1(queries, k);
         drop(stage1_span);
 
-        // Every accumulator starts seeded with the representatives (same
-        // corner-case and (1+ε)-soundness argument as the single-query
-        // path); the survivor rows stay per query — stage 2 inverts only
-        // what its re-plan leaves.
         let plan_span = rbc_trace::span("core.plan");
-        let (seeded, rows) = batch_plan::seeded_survivors(&rep_dists, &self.lists, k, &self.config);
+        let (seeded, rows): (Vec<TopK>, Vec<CandidateRow>) = per_query.into_iter().unzip();
         let gamma_k: Vec<Dist> = seeded.iter().map(TopK::threshold).collect();
         let accumulators: Vec<Mutex<TopK>> = seeded.into_iter().map(Mutex::new).collect();
         drop(plan_span);
@@ -352,6 +344,29 @@ where
         stats.rep_distance_evals = rep_stats.distance_evals;
         stats.max_query_evals += n_reps as u64;
         (batch_plan::into_answers(accumulators), stats)
+    }
+
+    /// Stage 1 of a batch: one dense `BF(Q, R)` pass whose rows never leave
+    /// the thread that scored them — each is turned into its query's
+    /// [`survivors`](batch_plan::survivors) on the spot: the collector
+    /// seeded with the representatives (same corner-case and
+    /// (1+ε)-soundness argument as the single-query path) and the candidate
+    /// row. The rows stay per query; stage 2 inverts only what its re-plan
+    /// leaves.
+    fn stage1<Q>(&self, queries: &Q, k: usize) -> (Vec<(TopK, CandidateRow)>, BfStats)
+    where
+        Q: Dataset<Item = D::Item>,
+    {
+        let bf = BruteForce::with_config(self.config.bf);
+        let rep_view = self.db.subset(&self.rep_indices);
+        let plan_row = |_, row: &[Dist]| batch_plan::survivors(row, &self.lists, k, &self.config);
+        bf.rows_with(
+            queries,
+            &rep_view,
+            &self.metric,
+            self.rep_blocked.as_ref(),
+            plan_row,
+        )
     }
 
     /// List `ri` as stage 2 reads it.
@@ -528,6 +543,38 @@ mod tests {
         let reps = rbc.database().subset(rbc.rep_indices());
         let (rep_dists, _) = BruteForce::new().pairwise(queries, &reps, rbc.metric());
         BatchPlan::plan_exact(&rep_dists, rbc.lists(), k, rbc.config()).pairs as u64
+    }
+
+    #[test]
+    fn fused_stage_one_equals_the_plan_over_the_matrix() {
+        // The rows the tiled kernel hands to `survivors` on its own threads
+        // are the rows of the stage-1 matrix: same seeds, same candidates.
+        let db = clustered_cloud(900, 7, 60);
+        let queries = clustered_cloud(150, 7, 61);
+        let params = RbcParams::standard(db.len(), 62).with_n_reps(230);
+        for config in [RbcConfig::default(), RbcConfig::sequential()] {
+            let rbc = ExactRbc::build(&db, Euclidean, params.clone(), config);
+            let reps = db.subset(rbc.rep_indices());
+            let (matrix, matrix_stats) =
+                BruteForce::new().pairwise_with_blocks(&queries, &reps, &Euclidean, None);
+            for k in [1usize, 10] {
+                let (seeds, rows) =
+                    batch_plan::seeded_survivors(&matrix, rbc.lists(), k, rbc.config());
+                let (fused, stats) = rbc.stage1(&queries, k);
+                assert_eq!(stats, matrix_stats);
+                assert_eq!(
+                    stats.distance_evals,
+                    (queries.len() * rbc.num_reps()) as u64
+                );
+                let (fused_seeds, fused_rows): (Vec<TopK>, Vec<CandidateRow>) =
+                    fused.into_iter().unzip();
+                assert_eq!(fused_rows, rows);
+                let sorted = |seeds: Vec<TopK>| -> Vec<Vec<Neighbor>> {
+                    seeds.into_iter().map(TopK::into_sorted).collect()
+                };
+                assert_eq!(sorted(fused_seeds), sorted(seeds));
+            }
+        }
     }
 
     #[test]

@@ -43,11 +43,16 @@
 //! the serving layer routes through [`SearchIndex::search_batch`]) run in
 //! two stages, selectable per call via [`BatchStrategy`]:
 //!
-//! 1. **Stage 1 — seed.** One dense `BF(Q, R)` call produces the full
-//!    query × representative distance matrix. From it every query gets
-//!    its candidate row: for the exact structure a top-k collector seeded
+//! 1. **Stage 1 — seed.** One dense, tiled `BF(Q, R)` call scores every
+//!    query against every representative, and each query's row is turned
+//!    into its candidate row on the thread that scored it, while it is in
+//!    cache (`BruteForce::rows_with`; the query × representative matrix is
+//!    never assembled): for the exact structure a top-k collector seeded
 //!    with the representatives (its threshold is `γ_k`) and the lists
-//!    eq. 1 / eq. 2 keep against `γ_k`; for the one-shot, the argmin.
+//!    eq. 1 / eq. 2 keep against `γ_k`; for the one-shot, the argmin — all
+//!    its stage 1 retains. A query whose distances are all NaN has no
+//!    nearest representative: the one-shot search answers it empty, as the
+//!    exact search does.
 //! 2. **Stage 2 — list-major execution.** The default
 //!    [`BatchStrategy::ListMajor`] parallelises over ownership *lists*,
 //!    not queries ([`batch_plan::Stage2`]): (query, list) pairs are

@@ -14,7 +14,7 @@ use rayon::prelude::*;
 use rbc_bruteforce::{BfConfig, BruteForce, GroupCursor, ListMirror, Neighbor, TopK};
 use rbc_metric::{BlockedVectors, Dataset, Dist, Metric};
 
-use crate::batch_plan::{self, BatchPlan, ListView, Stage2};
+use crate::batch_plan::{self, ListView, Stage2};
 use crate::params::{BatchStrategy, RbcConfig, RbcParams};
 use crate::reps::{sample_representatives, OwnershipList};
 use crate::stats::{QueryStats, SearchStats};
@@ -209,12 +209,12 @@ where
         (results, agg)
     }
 
-    /// The list-major batch path: one dense `BF(Q, R)` stage, queries
-    /// grouped by their chosen representative, then a parallel loop over
-    /// the chosen *lists* in which each list's tiles are streamed once for
-    /// its whole group (`BF(Q_group, X[L_r])`). Each query belongs to
-    /// exactly one group, so the shared kernel's accumulator locks are
-    /// uncontended here.
+    /// The list-major batch path: one dense `BF(Q, R)` stage that keeps
+    /// only each query's nearest representative, queries grouped by it,
+    /// then a parallel loop over the chosen *lists* in which each list's
+    /// tiles are streamed once for its whole group (`BF(Q_group, X[L_r])`).
+    /// Each query belongs to at most one group, so the shared kernel's
+    /// accumulator locks are uncontended here.
     fn query_batch_k_list_major<Q>(
         &self,
         queries: &Q,
@@ -228,25 +228,19 @@ where
         if nq == 0 {
             return (Vec::new(), SearchStats::default());
         }
-        if nq == 1 {
-            // A single-query batch has no tiles to share; skip the
-            // planning and accumulator-locking overhead (the work
-            // performed is identical either way).
-            return self.query_batch_k_query_major(queries, k);
-        }
         let bf = BruteForce::with_config(self.config.bf);
         let n_reps = self.rep_indices.len();
 
-        // Stage 1: one dense BF(Q, R) pass; argmin per row picks the
-        // representative (ties to the lower index, like the query-major
-        // reduction).
+        // Stage 1: the dense k = 1 kernel over the representatives (ties
+        // to the lower index, like the query-major reduction); no distance
+        // but the nearest is retained.
         let stage1_span = rbc_trace::span("core.stage1");
         let rep_view = self.db.subset(&self.rep_indices);
-        let (rep_dists, rep_stats) =
-            bf.pairwise_with_blocks(queries, &rep_view, &self.metric, self.rep_blocked.as_ref());
+        let (nearest, rep_stats) =
+            bf.nn_with_blocks(queries, &rep_view, &self.metric, self.rep_blocked.as_ref());
         drop(stage1_span);
         let plan_span = rbc_trace::span("core.plan");
-        let plan = BatchPlan::plan_one_shot(&rep_dists, n_reps);
+        let groups = batch_plan::group_by_nearest(nearest, n_reps);
         drop(plan_span);
 
         let accumulators: Vec<Mutex<TopK>> = (0..nq).map(|_| Mutex::new(TopK::new(k))).collect();
@@ -281,7 +275,7 @@ where
             d_to_rep: 0.0,
             threshold_cap: Dist::INFINITY,
         };
-        let pairs = plan.groups.iter().flat_map(|group| {
+        let pairs = groups.iter().flat_map(|group| {
             let queries = group.queries.iter();
             queries.map(|&query| (group.list_index, uncut(query)))
         });
@@ -300,21 +294,24 @@ where
         // Stage 1: BF(q, R) — nearest representative.
         let rep_view = self.db.subset(&self.rep_indices);
         let (best_rep, rep_stats) = bf.nn_single(query, &rep_view, &self.metric);
-        let rep_pos = best_rep.index; // position within rep_indices
+        let mut stats = QueryStats {
+            rep_distance_evals: rep_stats.distance_evals,
+            reps_total: self.rep_indices.len(),
+            ..QueryStats::default()
+        };
+        // No representative is nearest to a query whose every distance is
+        // NaN; like the batched path, it scans no list and answers empty.
+        if best_rep.is_sentinel() {
+            return (Vec::new(), stats);
+        }
 
-        // Stage 2: BF(q, X[L_r]).
-        let list = &self.lists[rep_pos];
+        // Stage 2: BF(q, X[L_r]); `best_rep.index` is a position within R.
+        let list = &self.lists[best_rep.index];
         let (neighbors, list_stats) =
             bf.knn_single_in_list(query, &self.db, &list.members, &self.metric, k);
-
-        let stats = QueryStats {
-            rep_distance_evals: rep_stats.distance_evals,
-            list_distance_evals: list_stats.distance_evals,
-            reps_total: self.rep_indices.len(),
-            reps_examined: 1,
-            list_points_skipped: 0,
-            list_tile_passes: list.len().div_ceil(bf.config().db_tile.max(1)) as u64,
-        };
+        stats.list_distance_evals = list_stats.distance_evals;
+        stats.reps_examined = 1;
+        stats.list_tile_passes = list.len().div_ceil(bf.config().db_tile.max(1)) as u64;
         (neighbors, stats)
     }
 
@@ -580,6 +577,108 @@ mod tests {
             assert!(lm_stats.list_scans < qm_stats.list_scans);
             assert!(lm_stats.tile_sharing_factor() > 1.0);
         }
+    }
+
+    #[test]
+    fn a_nan_query_is_answered_empty_and_its_batch_mates_unchanged() {
+        let db = clustered_cloud(600, 6, 40);
+        let good = clustered_cloud(30, 6, 41);
+        let rbc = OneShotRbc::build(
+            &db,
+            Euclidean,
+            RbcParams::standard(db.len(), 42),
+            RbcConfig::default(),
+        );
+        // One NaN coordinate makes every distance of the row NaN.
+        let mut rows: Vec<Vec<f32>> = good.iter().map(<[f32]>::to_vec).collect();
+        let mut poisoned = rows[7].clone();
+        poisoned[2] = f32::NAN;
+        rows.insert(7, poisoned);
+        let mixed = VectorSet::from_rows(&rows);
+        let nan_query = mixed.point(7);
+
+        let (want, want_stats) = rbc.query_batch_k(&good, 3);
+        for strategy in [BatchStrategy::ListMajor, BatchStrategy::QueryMajor] {
+            let (mut got, stats) = rbc.query_batch_k_with_strategy(&mixed, 3, strategy);
+            assert!(got.remove(7).is_empty(), "{strategy:?}");
+            assert_eq!(got, want, "{strategy:?}");
+            assert_eq!(
+                stats.list_distance_evals, want_stats.list_distance_evals,
+                "the NaN query scans no list ({strategy:?})"
+            );
+        }
+        // Alone in its batch, through the single-query entry, and behind
+        // the serving trait.
+        let alone = VectorSet::from_rows(&[nan_query]);
+        assert_eq!(rbc.query_batch_k(&alone, 3).0, vec![Vec::new()]);
+        let (single, stats) = rbc.query_k(nan_query, 3);
+        assert!(single.is_empty());
+        assert_eq!((stats.reps_examined, stats.list_distance_evals), (0, 0));
+        assert!(rbc.query(nan_query).0.is_sentinel());
+        let refs: Vec<&[f32]> = mixed.iter().collect();
+        let (mut served, _) = crate::SearchIndex::search_batch(&rbc, &refs, 3);
+        assert!(served.remove(7).is_empty());
+        assert_eq!(served, want);
+    }
+
+    #[test]
+    fn single_row_batches_take_the_batched_path_and_agree_with_query_k() {
+        let db = clustered_cloud(600, 6, 43);
+        let queries = clustered_cloud(12, 6, 44);
+        let rbc = OneShotRbc::build(
+            &db,
+            Euclidean,
+            RbcParams::standard(db.len(), 45),
+            RbcConfig::default(),
+        );
+        for qi in 0..queries.len() {
+            let row = VectorSet::from_rows(&[queries.point(qi)]);
+            let (batched, stats) = rbc.query_batch_k(&row, 4);
+            let (single, single_stats) = rbc.query_k(queries.point(qi), 4);
+            assert_eq!(batched, vec![single]);
+            assert_eq!(
+                stats.total_distance_evals(),
+                single_stats.total_distance_evals()
+            );
+            assert_eq!(stats.list_tile_passes, single_stats.list_tile_passes);
+            assert_eq!(stats.list_scans, 1);
+        }
+    }
+
+    #[test]
+    fn stage_one_keeps_the_row_argmin_under_duplicated_representatives() {
+        // Every point twice: representatives drawn from both copies are at
+        // equal distance from every query, and the batch must send a query
+        // to the one at the lower position — what `plan_one_shot` reads off
+        // the full distance matrix.
+        let distinct = clustered_cloud(150, 5, 46);
+        let mut db = VectorSet::empty(5);
+        for _ in 0..2 {
+            distinct.iter().for_each(|point| db.push(point));
+        }
+        let queries = clustered_cloud(37, 5, 47);
+        let params = RbcParams::standard(db.len(), 48).with_n_reps(120);
+        let rbc = OneShotRbc::build(&db, Euclidean, params, RbcConfig::default());
+        let mut drawn: Vec<usize> = rbc.rep_indices().iter().map(|r| r % 150).collect();
+        drawn.sort_unstable();
+        drawn.dedup();
+        assert!(drawn.len() < rbc.num_reps(), "no duplicated representative");
+
+        let bf = BruteForce::new();
+        let reps = db.subset(rbc.rep_indices());
+        let (nearest, stats) = bf.nn_with_blocks(&queries, &reps, &Euclidean, rbc.rep_blocked());
+        assert_eq!(
+            stats.distance_evals,
+            (queries.len() * rbc.num_reps()) as u64
+        );
+        let (matrix, _) = bf.pairwise_with_blocks(&queries, &reps, &Euclidean, rbc.rep_blocked());
+        let plan = batch_plan::BatchPlan::plan_one_shot(&matrix, rbc.num_reps());
+        assert_eq!(
+            batch_plan::group_by_nearest(nearest, rbc.num_reps()),
+            plan.groups
+        );
+        let (_, search) = rbc.query_batch_k(&queries, 1);
+        assert_eq!(search.rep_distance_evals, stats.distance_evals);
     }
 
     #[test]

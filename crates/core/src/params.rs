@@ -134,7 +134,8 @@ pub enum BatchStrategy {
     /// paper's batching argument is about. Trades some extra distance
     /// evaluations (thresholds no longer tighten nearest-list-first) for
     /// far fewer memory streams; a single-query batch has nothing to share
-    /// and automatically degenerates to the query-major execution.
+    /// but runs the same path — its list scan still reads the list's
+    /// blocked mirror, which the query-major execution does not.
     #[default]
     ListMajor,
 }

@@ -17,7 +17,8 @@ pub struct QueryStats {
     /// Number of representatives in the structure.
     pub reps_total: usize,
     /// Representatives whose lists were scanned (exact search: survivors of
-    /// the pruning rules; one-shot: always 1).
+    /// the pruning rules; one-shot: 1, or 0 for a query no representative
+    /// is nearest to — every distance NaN).
     pub reps_examined: usize,
     /// Candidate points skipped by the sorted-list triangle-inequality cut
     /// (exact search only).
