@@ -152,7 +152,7 @@ pub struct GroupScanStats {
 /// first and last of its members' distances to the representative: the
 /// table the run search reads in place of `member_dists`, four times its
 /// size.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ListMirror {
     blocks: BlockedVectors,
     live: Vec<u8>,

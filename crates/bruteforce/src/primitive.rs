@@ -8,7 +8,7 @@ use rbc_metric::{BlockedVectors, Dataset, Dist, Metric, QueryBatch, LANES};
 
 use crate::neighbor::Neighbor;
 use crate::stats::BfStats;
-use crate::topk::TopK;
+use crate::topk::{Collector, SelectK, TopK};
 
 /// Fewest lane-kernel distance evaluations worth a parallel job (~200 µs).
 /// Below it the caller finishes before a parked helper has woken, and then
@@ -182,7 +182,7 @@ impl BruteForce {
             k,
             None,
             self.auto_blocks(db, metric),
-            TopK::into_sorted,
+            sorted_answer,
         )
     }
 
@@ -203,7 +203,7 @@ impl BruteForce {
         D: Dataset<Item = Q::Item>,
         M: Metric<Q::Item>,
     {
-        self.knn_over(queries, db, metric, k, None, blocks, TopK::into_sorted)
+        self.knn_over(queries, db, metric, k, None, blocks, sorted_answer)
     }
 
     /// [`nn`](Self::nn) with an explicitly supplied blocked mirror of `db`
@@ -223,8 +223,45 @@ impl BruteForce {
         // Finished per query inside the scan: a build's `BF(X, R)` asks this
         // for every database point, and one heap-allocated answer per point
         // is memory the scanning threads' allocators keep long after.
-        self.knn_over(queries, db, metric, 1, None, blocks, |best| {
+        self.knn_over(queries, db, metric, 1, None, blocks, |_, best: TopK| {
             best.into_sorted().pop().unwrap_or_else(Neighbor::farthest)
+        })
+    }
+
+    /// `BF(Q, X)` for an index build: each query's `k` nearest items of
+    /// `db`, for `k` in the hundreds or thousands, **consumed where they
+    /// were selected** — `finish(qi, nearest)` runs on the thread that
+    /// scanned for query `qi` and sees its `min(k, db.len())` nearest,
+    /// ascending by `(dist, index)`; only its results (in query order)
+    /// leave the call, so no `queries × k` table of neighbors exists.
+    ///
+    /// The scan is [`knn`](Self::knn)'s — same tiles, same lane kernel,
+    /// same evaluation counts — and on NaN-free distances `nearest` is
+    /// exactly what `knn` returns for that query. What differs is the
+    /// comparison step: a bound and one `select_nth_unstable` each time a
+    /// `2k` buffer fills, not a `k`-deep heap sifted on every admission.
+    /// A NaN distance (which `knn`'s heap leaves wherever it lands) is kept
+    /// only when fewer than `k` numbers were seen, and sorts last.
+    pub fn select_with<Q, D, M, R, F>(
+        &self,
+        queries: &Q,
+        db: &D,
+        metric: &M,
+        k: usize,
+        finish: F,
+    ) -> (Vec<R>, BfStats)
+    where
+        Q: Dataset,
+        D: Dataset<Item = Q::Item>,
+        M: Metric<Q::Item>,
+        R: Send,
+        F: Fn(usize, &[Neighbor]) -> R + Sync,
+    {
+        // The buffer is sized by `k`; more than the database cannot come back.
+        let k = k.min(db.len().max(1));
+        let blocks = self.auto_blocks(db, metric);
+        self.knn_over(queries, db, metric, k, None, blocks, |qi, best: SelectK| {
+            finish(qi, &best.into_sorted())
         })
     }
 
@@ -243,7 +280,7 @@ impl BruteForce {
         D: Dataset<Item = Q::Item>,
         M: Metric<Q::Item>,
     {
-        self.knn_over(queries, db, metric, k, Some(list), None, TopK::into_sorted)
+        self.knn_over(queries, db, metric, k, Some(list), None, sorted_answer)
     }
 
     /// 1-NN for every query against the sub-database `X[L]`.
@@ -594,10 +631,11 @@ impl BruteForce {
     // Core tiled implementation
     // ------------------------------------------------------------------
 
-    /// `finish` turns each query's filled collector into its answer, on the
-    /// thread that scanned it.
+    /// The one dense scan, generic over what it fills: [`TopK`] for answers,
+    /// [`SelectK`] for builds. `finish(qi, collector)` turns query `qi`'s
+    /// filled collector into its result, on the thread that scanned it.
     #[allow(clippy::too_many_arguments)] // deliberately a flat kernel signature
-    fn knn_over<Q, D, M, R, F>(
+    fn knn_over<Q, D, M, C, R, F>(
         &self,
         queries: &Q,
         db: &D,
@@ -611,8 +649,9 @@ impl BruteForce {
         Q: Dataset,
         D: Dataset<Item = Q::Item>,
         M: Metric<Q::Item>,
+        C: Collector,
         R: Send,
-        F: Fn(TopK) -> R + Sync,
+        F: Fn(usize, C) -> R + Sync,
     {
         assert!(k > 0, "k must be at least 1");
         let nq = queries.len();
@@ -632,12 +671,12 @@ impl BruteForce {
         let db_tile = self.config.db_tile.max(1);
 
         // One parallel task per tile of queries. Within a task, iterate the
-        // database tile by tile and keep every query's TopK collector warm,
+        // database tile by tile and keep every query's collector warm,
         // so each database tile is read once per query tile (the blocked
         // matrix-multiply access pattern from §3).
         let process_tile = |q_start: usize| -> (Vec<R>, BfStats) {
             let q_end = (q_start + query_tile).min(nq);
-            let mut collectors: Vec<TopK> = (q_start..q_end).map(|_| TopK::new(k)).collect();
+            let mut collectors: Vec<C> = (q_start..q_end).map(|_| C::with_k(k)).collect();
             let mut evals = 0u64;
             let mut skips = 0u64;
 
@@ -651,8 +690,8 @@ impl BruteForce {
                     while pos < tile_end {
                         // Blocked fast path: score a lane-aligned full
                         // group through the metric's lane kernel, then
-                        // admit the whole group against the current kth
-                        // distance before any heap push. The partial tail
+                        // admit the whole group against the collector's
+                        // threshold before any offer. The partial tail
                         // group falls through to the per-point arm.
                         if let Some(b) = blocks {
                             if pos.is_multiple_of(LANES) && pos + LANES <= tile_end {
@@ -668,7 +707,7 @@ impl BruteForce {
                                     lane_dists.iter().copied().fold(Dist::INFINITY, Dist::min);
                                 if group_min <= collector.threshold() {
                                     for (lane, &d) in lane_dists.iter().enumerate() {
-                                        collector.push(Neighbor::new(pos + lane, d));
+                                        collector.offer(Neighbor::new(pos + lane, d));
                                     }
                                 }
                                 pos += LANES;
@@ -686,14 +725,17 @@ impl BruteForce {
                             continue;
                         }
                         evals += 1;
-                        collector.push(Neighbor::new(db_idx, metric.dist(q, item)));
+                        collector.offer(Neighbor::new(db_idx, metric.dist(q, item)));
                         pos += 1;
                     }
                 }
                 tile_start = tile_end;
             }
 
-            let results: Vec<R> = collectors.into_iter().map(&finish).collect();
+            let results: Vec<R> = (q_start..q_end)
+                .zip(collectors)
+                .map(|(qi, collector)| finish(qi, collector))
+                .collect();
             let stats = BfStats {
                 distance_evals: evals,
                 lower_bound_skips: skips,
@@ -717,6 +759,11 @@ impl BruteForce {
         }
         (out, stats)
     }
+}
+
+/// A query's answer from its filled heap (a `knn_over` `finish`).
+fn sorted_answer(_query: usize, best: TopK) -> Vec<Neighbor> {
+    best.into_sorted()
 }
 
 #[cfg(test)]
@@ -1066,6 +1113,46 @@ mod tests {
     }
 
     #[test]
+    fn select_with_hands_each_query_what_knn_returns() {
+        // Every point three times over (ties at every distance), sizes on
+        // both sides of a lane group and a `db_tile`, `k` from one to past
+        // the database.
+        let distinct = cloud(91, 6, 55);
+        let mut db = VectorSet::empty(6);
+        for _ in 0..3 {
+            distinct.iter().for_each(|point| db.push(point));
+        }
+        let queries = cloud(21, 6, 56);
+        for (blocked, parallel, query_tile, db_tile) in [
+            (true, true, 16, 256),
+            (true, false, 5, 24),
+            (false, true, 4, 7),
+        ] {
+            let bf = BruteForce::with_config(BfConfig {
+                query_tile,
+                db_tile,
+                parallel,
+                blocked,
+            });
+            for k in [1, 2, 40, db.len() - 1, db.len(), db.len() + 5] {
+                let (want, want_stats) = bf.knn(&queries, &db, &Euclidean, k);
+                let (got, stats) =
+                    bf.select_with(&queries, &db, &Euclidean, k, |qi, near| (qi, near.to_vec()));
+                let queries_in_order: Vec<usize> = got.iter().map(|(qi, _)| *qi).collect();
+                assert_eq!(queries_in_order, (0..queries.len()).collect::<Vec<_>>());
+                let got: Vec<Vec<Neighbor>> = got.into_iter().map(|(_, near)| near).collect();
+                assert_eq!(got, want, "k {k}, {:?}", bf.config());
+                assert_eq!(stats, want_stats);
+
+                let (want, _) = bf.knn(&queries, &db, &Manhattan, k);
+                let (got, _) =
+                    bf.select_with(&queries, &db, &Manhattan, k, |_, near| near.to_vec());
+                assert_eq!(got, want, "manhattan, k {k}, {:?}", bf.config());
+            }
+        }
+    }
+
+    #[test]
     fn empty_query_set_is_handled() {
         let db = cloud(10, 2, 21);
         let queries = VectorSet::empty(2);
@@ -1073,6 +1160,13 @@ mod tests {
         let (knn, stats) = bf.knn(&queries, &db, &Euclidean, 3);
         assert!(knn.is_empty());
         assert_eq!(stats, BfStats::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be at least 1")]
+    fn select_with_rejects_zero_k() {
+        let db = cloud(10, 2, 22);
+        let _ = BruteForce::new().select_with(&db, &db, &Euclidean, 0, |_, near| near.len());
     }
 
     #[test]

@@ -6,9 +6,46 @@
 //! candidate is admitted only if it beats the root, and admission is
 //! `O(log k)`. Two collectors can be merged, which is what the parallel
 //! reduction over database chunks does.
+//!
+//! A heap pays `O(log k)` per admission, which is the right price for an
+//! answer (`k` ≤ a few dozen) and the wrong one for an index build that
+//! asks for the 1 225 nearest of 100 000: [`SelectK`] keeps an unsorted
+//! buffer under a bound instead and partitions it once each time it fills.
+//! Both are a [`Collector`], so the dense scan of `primitive.rs` is written
+//! once; the entry point a caller names decides which one it fills.
 
 use crate::neighbor::Neighbor;
 use rbc_metric::Dist;
+
+/// What the dense scan needs of the per-query state it fills.
+pub(crate) trait Collector {
+    /// An empty collector for the `k` nearest candidates (`k ≥ 1`).
+    fn with_k(k: usize) -> Self;
+
+    /// A distance no candidate the collector would still keep exceeds
+    /// (`+∞` while it keeps everything). It may be stale — larger than the
+    /// true `k`-th distance so far — never smaller.
+    fn threshold(&self) -> Dist;
+
+    /// Offers a candidate.
+    fn offer(&mut self, cand: Neighbor);
+}
+
+impl Collector for TopK {
+    fn with_k(k: usize) -> Self {
+        Self::new(k)
+    }
+
+    #[inline]
+    fn threshold(&self) -> Dist {
+        TopK::threshold(self)
+    }
+
+    #[inline]
+    fn offer(&mut self, cand: Neighbor) {
+        self.push(cand);
+    }
+}
 
 /// Bounded collector of the `k` nearest neighbors seen so far.
 #[derive(Debug)]
@@ -146,9 +183,183 @@ impl TopK {
     }
 }
 
+/// Bounded selection of the `k` nearest candidates of a long stream, for
+/// `k` in the hundreds or thousands.
+///
+/// An unsorted buffer of capacity `2k` admits a candidate only if it is
+/// below the current bound in `(dist, index)` order; when the buffer fills,
+/// one `select_nth_unstable` moves the `k` smallest to the front, the rest
+/// are dropped and the `k`-th becomes the bound. There is no bound before
+/// the first partition, and every later bound is the exact `k`-th of all
+/// candidates offered up to its partition, so nothing that belongs to the
+/// final `k` is ever refused: on a NaN-free stream [`into_sorted`]
+/// (Self::into_sorted) equals [`TopK::into_sorted`], ties included, in any
+/// arrival order. Comparisons use [`Neighbor::cmp_nan_last`], so a NaN
+/// distance is kept only while fewer than `k` numbers have been offered
+/// and comes out last.
+#[derive(Debug)]
+pub(crate) struct SelectK {
+    k: usize,
+    /// Unsorted; at most `2k` long, and the `k` smallest candidates offered
+    /// so far are always in it.
+    buf: Vec<Neighbor>,
+    /// The `k`-th smallest candidate as of the last partition.
+    bound: Option<Neighbor>,
+}
+
+impl SelectK {
+    /// Moves the `k` smallest to the front and drops the rest.
+    fn partition(&mut self) {
+        if self.buf.len() > self.k {
+            self.buf
+                .select_nth_unstable_by(self.k - 1, Neighbor::cmp_nan_last);
+            self.buf.truncate(self.k);
+            self.bound = Some(self.buf[self.k - 1]);
+        }
+    }
+
+    /// Consumes the collector and returns the `k` smallest candidates it
+    /// was offered (all of them if fewer), ascending by `(dist, index)`
+    /// with NaN distances last.
+    pub(crate) fn into_sorted(mut self) -> Vec<Neighbor> {
+        self.partition();
+        self.buf.sort_unstable_by(Neighbor::cmp_nan_last);
+        self.buf
+    }
+}
+
+impl Collector for SelectK {
+    fn with_k(k: usize) -> Self {
+        Self {
+            k,
+            buf: Vec::with_capacity(2 * k),
+            bound: None,
+        }
+    }
+
+    #[inline]
+    fn threshold(&self) -> Dist {
+        match self.bound {
+            // A NaN bound (fewer than `k` numbers so far) excludes nothing.
+            Some(bound) if !bound.dist.is_nan() => bound.dist,
+            _ => Dist::INFINITY,
+        }
+    }
+
+    #[inline]
+    fn offer(&mut self, cand: Neighbor) {
+        // Most lanes of an admitted lane group are plainly too far: one
+        // float comparison turns them away before the full order is asked.
+        if cand.dist > self.threshold()
+            || self
+                .bound
+                .is_some_and(|bound| cand.cmp_nan_last(&bound).is_ge())
+        {
+            return;
+        }
+        self.buf.push(cand);
+        if self.buf.len() == 2 * self.k {
+            self.partition();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn select_sorted(k: usize, stream: &[Neighbor]) -> Vec<Neighbor> {
+        let mut select = SelectK::with_k(k);
+        stream.iter().for_each(|&cand| select.offer(cand));
+        select.into_sorted()
+    }
+
+    /// Candidate `i` gets distance `dist(entries[i].0)`; the second field
+    /// is its place in the arrival order.
+    fn arrivals(entries: &[(u8, u32)], dist: impl Fn(u8) -> Dist) -> Vec<Neighbor> {
+        let mut order: Vec<usize> = (0..entries.len()).collect();
+        order.sort_by_key(|&i| entries[i].1);
+        let arrival = order.into_iter();
+        arrival
+            .map(|i| Neighbor::new(i, dist(entries[i].0)))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Six distance levels over up to 160 candidates: duplicates
+        /// everywhere and ties at the `k`-th distance; small `k` fills and
+        /// partitions the buffer many times, `k` around `n` never does.
+        #[test]
+        fn select_k_equals_the_heap_on_nan_free_streams(
+            entries in prop::collection::vec((0u8..6, 0u32..1_000_000), 1..160),
+            k_choice in 0usize..6,
+            k_small in 1usize..12,
+        ) {
+            let n = entries.len();
+            let k = [1, (n - 1).max(1), n, n + 5, k_small, k_small][k_choice];
+            let stream = arrivals(&entries, |level| Dist::from(level) * 0.5);
+            let mut heap = TopK::new(k);
+            stream.iter().for_each(|&cand| { heap.push(cand); });
+            prop_assert_eq!(select_sorted(k, &stream), heap.into_sorted());
+        }
+
+        /// Levels 0 and 1 are NaNs of either sign, arriving anywhere in the
+        /// stream — before the buffer first fills and after.
+        #[test]
+        fn select_k_puts_the_smallest_numbers_first_whatever_nans_arrive(
+            entries in prop::collection::vec((0u8..7, 0u32..1_000_000), 1..120),
+            k in 1usize..20,
+        ) {
+            let stream = arrivals(&entries, |level| match level {
+                0 => Dist::NAN,
+                1 => -Dist::NAN,
+                _ => Dist::from(level),
+            });
+            let mut numbers: Vec<Neighbor> =
+                stream.iter().copied().filter(|cand| !cand.dist.is_nan()).collect();
+            numbers.sort();
+            numbers.truncate(k);
+            let got = select_sorted(k, &stream);
+            prop_assert_eq!(got.len(), k.min(stream.len()));
+            prop_assert_eq!(&got[..numbers.len()], &numbers[..]);
+            prop_assert!(got[numbers.len()..].iter().all(|cand| cand.dist.is_nan()));
+        }
+    }
+
+    #[test]
+    fn select_k_drops_nans_once_k_numbers_have_been_seen() {
+        let nan = Dist::NAN;
+        // k = 2: the buffer fills at the fourth arrival, NaNs on both sides.
+        let dists = [nan, 5.0, nan, 4.0, nan, 3.0, 9.0, nan, 1.0];
+        let stream: Vec<Neighbor> = (0..).zip(dists).map(|(i, d)| Neighbor::new(i, d)).collect();
+        assert_eq!(
+            select_sorted(2, &stream),
+            [Neighbor::new(8, 1.0), Neighbor::new(5, 3.0)]
+        );
+        // Fewer numbers than `k`: the NaNs fill the tail, lowest index first.
+        let got = select_sorted(3, &stream[..3]);
+        assert_eq!(got[0], Neighbor::new(1, 5.0));
+        assert_eq!((got[1].index, got[2].index), (0, 2));
+        assert!(got[1].dist.is_nan() && got[2].dist.is_nan());
+    }
+
+    #[test]
+    fn select_k_threshold_is_infinite_until_the_kth_is_a_number() {
+        let mut select = SelectK::with_k(2);
+        assert_eq!(select.threshold(), Dist::INFINITY);
+        for (i, d) in [(0, Dist::NAN), (1, 7.0), (2, Dist::NAN), (3, Dist::NAN)] {
+            select.offer(Neighbor::new(i, d));
+        }
+        // Partitioned with one number seen: the bound is a NaN.
+        assert_eq!(select.threshold(), Dist::INFINITY);
+        for (i, d) in [(4, 6.0), (5, 8.0)] {
+            select.offer(Neighbor::new(i, d));
+        }
+        assert_eq!(select.threshold(), 7.0);
+    }
 
     fn offer_all(topk: &mut TopK, dists: &[f64]) {
         for (i, &d) in dists.iter().enumerate() {

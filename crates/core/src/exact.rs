@@ -29,7 +29,7 @@ use rbc_metric::{BlockedVectors, Dataset, Dist, Metric};
 
 use crate::batch_plan::{self, CandidateRow, ListView, Stage2};
 use crate::params::{BatchStrategy, RbcConfig, RbcParams};
-use crate::reps::{sample_representatives, OwnershipList};
+use crate::reps::{gather_mirrors, sample_representatives, OwnershipList};
 use crate::stats::{QueryStats, SearchStats};
 
 /// The exact Random Ball Cover index.
@@ -102,23 +102,8 @@ where
         for &r in &rep_indices {
             rep_flags[r] = true;
         }
-        let list_blocks = if use_lanes {
-            Some(
-                lists
-                    .iter()
-                    .map(|list| {
-                        ListMirror::gather(
-                            &db,
-                            &list.members,
-                            Some(&list.member_dists),
-                            Some(&rep_flags),
-                        )
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
+        let list_blocks = use_lanes
+            .then(|| gather_mirrors(&db, &lists, true, Some(&rep_flags), config.bf.parallel));
 
         Self {
             db,
@@ -543,6 +528,70 @@ mod tests {
         let reps = rbc.database().subset(rbc.rep_indices());
         let (rep_dists, _) = BruteForce::new().pairwise(queries, &reps, rbc.metric());
         BatchPlan::plan_exact(&rep_dists, rbc.lists(), k, rbc.config()).pairs as u64
+    }
+
+    #[test]
+    fn mirrors_gathered_in_parallel_equal_mirrors_gathered_in_turn() {
+        let db = clustered_cloud(1500, 6, 70);
+        let params = RbcParams::standard(db.len(), 71);
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(3);
+        let pool = pool.build().expect("the shim's builder cannot fail");
+        let rbc = pool.install(|| ExactRbc::build(&db, Euclidean, params, RbcConfig::default()));
+        let in_turn = gather_mirrors(&db, &rbc.lists, true, Some(&rbc.rep_flags), false);
+        assert_eq!(in_turn.len(), rbc.num_reps());
+        assert!(in_turn.iter().any(Option::is_some));
+        assert_eq!(rbc.list_blocks.as_deref(), Some(&in_turn[..]));
+        // Neither the flags nor the distances are optional extras.
+        assert_ne!(gather_mirrors(&db, &rbc.lists, true, None, true), in_turn);
+        assert_ne!(
+            gather_mirrors(&db, &rbc.lists, false, Some(&rbc.rep_flags), true),
+            in_turn
+        );
+    }
+
+    #[test]
+    fn a_nan_database_point_sits_last_in_its_list_and_changes_no_answer() {
+        // Point 333 has a NaN coordinate: its distance to everything is NaN.
+        // The same database with that point far away instead is the oracle.
+        let clean = clustered_cloud(600, 6, 72);
+        let queries = clustered_cloud(40, 6, 73);
+        let params = RbcParams::standard(clean.len(), 74);
+        let poisoned_at = 333;
+        assert!(
+            !sample_representatives(clean.len(), params.n_reps, params.seed).contains(&poisoned_at)
+        );
+        let with_row = |row: Vec<f32>| {
+            let mut rows: Vec<Vec<f32>> = clean.iter().map(<[f32]>::to_vec).collect();
+            rows[poisoned_at] = row;
+            VectorSet::from_rows(&rows)
+        };
+        let mut nan_row = clean.point(poisoned_at).to_vec();
+        nan_row[1] = f32::NAN;
+        let (poisoned, far) = (with_row(nan_row), with_row(vec![1.0e6; 6]));
+
+        for blocked in [true, false] {
+            let mut config = RbcConfig::default();
+            config.bf.blocked = blocked;
+            let got = ExactRbc::build(&poisoned, Euclidean, params.clone(), config);
+            let holders: Vec<&OwnershipList> = got
+                .lists()
+                .iter()
+                .filter(|l| l.members.contains(&poisoned_at))
+                .collect();
+            assert_eq!(holders.len(), 1, "the lists still partition the database");
+            assert_eq!(holders[0].members.last(), Some(&poisoned_at));
+            assert!(holders[0].member_dists.last().is_some_and(|d| d.is_nan()));
+
+            let want = ExactRbc::build(&far, Euclidean, params.clone(), config);
+            assert_eq!(
+                got.query_batch_k(&queries, 3).0,
+                want.query_batch_k(&queries, 3).0
+            );
+            for qi in 0..queries.len() {
+                let q = queries.point(qi);
+                assert_eq!(got.query_k(q, 3).0, brute_knn(&far, q, 3));
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,11 @@
 //!
 //! Build: choose random representatives `R`, then one call `BF(R, X)`
 //! assigns to each representative the `s` database points nearest to it
-//! (ownership lists overlap). Search: `BF(q, R)` finds the nearest
+//! (ownership lists overlap). That call is the primitive's dense scan with
+//! a *selecting* collector ([`BruteForce::select_with`]): `s` is in the
+//! hundreds or thousands, so each representative keeps a bound and an
+//! unsorted buffer that is partitioned when it fills, not an `s`-deep
+//! heap, and the thread that selected a list writes it. Search: `BF(q, R)` finds the nearest
 //! representative `r`, and `BF(q, X[L_r])` answers from `r`'s list. The
 //! answer is the true nearest neighbor with probability at least `1 − δ`
 //! when `n_r = s = c·√(n·ln(1/δ))` (Theorem 2).
@@ -16,7 +20,7 @@ use rbc_metric::{BlockedVectors, Dataset, Dist, Metric};
 
 use crate::batch_plan::{self, ListView, Stage2};
 use crate::params::{BatchStrategy, RbcConfig, RbcParams};
-use crate::reps::{sample_representatives, OwnershipList};
+use crate::reps::{gather_mirrors, sample_representatives, OwnershipList};
 use crate::stats::{QueryStats, SearchStats};
 
 /// The one-shot Random Ball Cover index.
@@ -48,9 +52,14 @@ where
 {
     /// Builds the one-shot structure over `db`.
     ///
-    /// The build is a single `BF(R, X)` call: every representative finds
-    /// its `s = params.list_size` nearest database points. Work is
-    /// `O(n_r · n)` distance evaluations, fully parallel.
+    /// The build is a single `BF(R, X)` call: every representative selects
+    /// its `s = params.list_size` nearest database points (bounded
+    /// selection, see [`BruteForce::select_with`]) and its list is written,
+    /// already sorted and exactly `s` long, by the thread that scanned for
+    /// it. Work is `n_r · n` distance evaluations, fully parallel; the
+    /// lists are those an `s`-deep heap per representative would produce,
+    /// ties by index included. The per-list blocked mirrors are then
+    /// gathered in parallel.
     ///
     /// # Panics
     /// Panics if `db` is empty.
@@ -61,22 +70,16 @@ where
         let s = params.list_size.min(n);
 
         let bf = BruteForce::with_config(config.bf);
-        // BF(R, X): k-NN of every representative among the full database.
+        // BF(R, X): every representative selects its `s` nearest database
+        // points, and the thread that selected them writes the list.
         let rep_view = db.subset(&rep_indices);
-        let (rep_knn, build_stats) = bf.knn(&rep_view, &db, &metric, s);
-        let lists: Vec<OwnershipList> = rep_indices
-            .iter()
-            .zip(rep_knn)
-            .map(|(&rep_index, neighbors)| {
-                OwnershipList::from_pairs(
-                    rep_index,
-                    neighbors
-                        .into_iter()
-                        .map(|nb| (nb.index, nb.dist))
-                        .collect(),
-                )
-            })
-            .collect();
+        let (lists, build_stats) = bf.select_with(&rep_view, &db, &metric, s, |ri, nearest| {
+            OwnershipList::from_sorted(
+                rep_indices[ri],
+                nearest.iter().map(|nb| nb.index).collect(),
+                nearest.iter().map(|nb| nb.dist).collect(),
+            )
+        });
 
         // Gather the blocked SoA mirrors once; every batched query reuses
         // them (the gate mirrors the one inside the primitive).
@@ -86,16 +89,8 @@ where
         } else {
             None
         };
-        let list_blocks = if use_lanes {
-            Some(
-                lists
-                    .iter()
-                    .map(|list| ListMirror::gather(&db, &list.members, None, None))
-                    .collect(),
-            )
-        } else {
-            None
-        };
+        let list_blocks =
+            use_lanes.then(|| gather_mirrors(&db, &lists, false, None, config.bf.parallel));
 
         Self {
             db,
@@ -368,7 +363,28 @@ mod tests {
     use super::*;
     use rand::prelude::*;
     use rand::rngs::StdRng;
-    use rbc_metric::{Euclidean, VectorSet};
+    use rbc_metric::{Euclidean, Manhattan, VectorSet};
+
+    /// The lists as the heap made them: `bf.knn(R, X, s)`, every answer
+    /// sorted once more by `from_pairs`.
+    fn lists_from_knn<M: Metric<[f32]>>(
+        db: &VectorSet,
+        metric: &M,
+        params: &RbcParams,
+        bf: BfConfig,
+    ) -> Vec<OwnershipList> {
+        let rep_indices = sample_representatives(db.len(), params.n_reps, params.seed);
+        let reps = db.subset(&rep_indices);
+        let s = params.list_size.min(db.len());
+        let (knn, _) = BruteForce::with_config(bf).knn(&reps, db, metric, s);
+        let answers = rep_indices.iter().zip(knn);
+        answers
+            .map(|(&rep, nearest)| {
+                let pairs = nearest.into_iter().map(|nb| (nb.index, nb.dist)).collect();
+                OwnershipList::from_pairs(rep, pairs)
+            })
+            .collect()
+    }
 
     fn clustered_cloud(n: usize, dim: usize, seed: u64) -> VectorSet {
         // Tight clusters so the one-shot structure virtually always answers
@@ -438,6 +454,115 @@ mod tests {
             rbc.build_distance_evals(),
             (rbc.num_reps() * db.len()) as u64
         );
+    }
+
+    #[test]
+    fn build_selects_exactly_the_lists_the_heap_made() {
+        let mut rng = StdRng::seed_from_u64(60);
+        let uniform: Vec<Vec<f32>> = (0..700)
+            .map(|_| (0..5).map(|_| rng.gen_range(-5.0f32..5.0)).collect())
+            .collect();
+        let databases = [
+            ("random", VectorSet::from_rows(&uniform)),
+            ("clustered", clustered_cloud(900, 6, 61)),
+            (
+                "all duplicates",
+                VectorSet::from_rows(&vec![vec![1.5f32, -2.0, 0.25]; 300]),
+            ),
+        ];
+        for (name, db) in &databases {
+            let standard = RbcParams::standard(db.len(), 62);
+            // Lists several times the standard size, so every buffer fills
+            // and partitions more than once; then lists that are the database.
+            let sizes = [standard.list_size, 4 * standard.list_size, db.len() + 7];
+            for list_size in sizes {
+                let params = standard.clone().with_list_size(list_size);
+                for (parallel, blocked) in [(true, true), (false, true), (true, false)] {
+                    let mut config = RbcConfig::default();
+                    config.bf.parallel = parallel;
+                    config.bf.blocked = blocked;
+                    let case = format!("{name}, s {list_size}, {:?}", config.bf);
+
+                    let rbc = OneShotRbc::build(db, Euclidean, params.clone(), config);
+                    let want = lists_from_knn(db, &Euclidean, &params, config.bf);
+                    assert_eq!(rbc.lists(), want, "{case}");
+                    assert_eq!(
+                        rbc.build_distance_evals(),
+                        (rbc.num_reps() * db.len()) as u64,
+                        "{case}"
+                    );
+                    assert!(rbc
+                        .lists()
+                        .iter()
+                        .all(|l| l.len() == list_size.min(db.len())));
+
+                    // No lane kernel: the per-point arm, lower bound and all.
+                    let rbc = OneShotRbc::build(db, Manhattan, params.clone(), config);
+                    let want = lists_from_knn(db, &Manhattan, &params, config.bf);
+                    assert_eq!(rbc.lists(), want, "manhattan, {case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mirrors_gathered_in_parallel_equal_mirrors_gathered_in_turn() {
+        let db = clustered_cloud(900, 6, 63);
+        let params = RbcParams::standard(db.len(), 64).with_list_size(101);
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(3);
+        let pool = pool.build().expect("the shim's builder cannot fail");
+        let rbc = pool.install(|| OneShotRbc::build(&db, Euclidean, params, RbcConfig::default()));
+        let in_turn = gather_mirrors(&db, rbc.lists(), false, None, false);
+        assert_eq!(in_turn.len(), rbc.num_reps());
+        assert!(in_turn.iter().all(Option::is_some));
+        assert_eq!(rbc.list_blocks(), Some(&in_turn[..]));
+    }
+
+    #[test]
+    fn a_nan_database_point_joins_no_list_and_changes_no_answer() {
+        // Point 333 has a NaN coordinate: its distance to everything is NaN.
+        // The same database with that point far away instead is the oracle.
+        let clean = clustered_cloud(600, 6, 65);
+        let queries = clustered_cloud(40, 6, 66);
+        let params = RbcParams::standard(clean.len(), 67);
+        let poisoned_at = 333;
+        assert!(
+            !sample_representatives(clean.len(), params.n_reps, params.seed).contains(&poisoned_at)
+        );
+        let with_row = |row: Vec<f32>| {
+            let mut rows: Vec<Vec<f32>> = clean.iter().map(<[f32]>::to_vec).collect();
+            rows[poisoned_at] = row;
+            VectorSet::from_rows(&rows)
+        };
+        let mut nan_row = clean.point(poisoned_at).to_vec();
+        nan_row[1] = f32::NAN;
+        let (poisoned, far) = (with_row(nan_row), with_row(vec![1.0e6; 6]));
+
+        for blocked in [true, false] {
+            let mut config = RbcConfig::default();
+            config.bf.blocked = blocked;
+            let got = OneShotRbc::build(&poisoned, Euclidean, params.clone(), config);
+            let want = OneShotRbc::build(&far, Euclidean, params.clone(), config);
+            assert_eq!(got.lists(), want.lists());
+            assert!(got
+                .lists()
+                .iter()
+                .all(|l| !l.members.contains(&poisoned_at)));
+            assert_eq!(
+                got.query_batch_k(&queries, 3).0,
+                want.query_batch_k(&queries, 3).0
+            );
+
+            // Lists as long as the database hold it — last.
+            let everything = params.clone().with_list_size(clean.len());
+            let got = OneShotRbc::build(&poisoned, Euclidean, everything, config);
+            for list in got.lists() {
+                assert_eq!(list.members.last(), Some(&poisoned_at));
+                assert!(list.member_dists[..list.len() - 1]
+                    .iter()
+                    .all(|d| d.is_finite()));
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,11 @@
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use rbc_metric::Dist;
+use rbc_bruteforce::{ListMirror, Neighbor};
+use rbc_metric::{Dataset, Dist};
 
 /// Draws the random representative set `R`.
 ///
@@ -55,15 +57,28 @@ pub struct OwnershipList {
 }
 
 impl OwnershipList {
-    /// Builds a list from unsorted `(index, distance)` pairs.
+    /// Builds a list from unsorted `(index, distance)` pairs. Members are
+    /// ordered by [`Neighbor::cmp_nan_last`]: ascending `(distance, index)`,
+    /// a NaN distance (a database point with a NaN coordinate) after every
+    /// number.
     pub fn from_pairs(rep_index: usize, mut pairs: Vec<(usize, Dist)>) -> Self {
-        pairs.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .expect("distances are finite")
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        let members: Vec<usize> = pairs.iter().map(|&(i, _)| i).collect();
-        let member_dists: Vec<Dist> = pairs.iter().map(|&(_, d)| d).collect();
+        pairs
+            .sort_by(|&(i, di), &(j, dj)| Neighbor::new(i, di).cmp_nan_last(&Neighbor::new(j, dj)));
+        let (members, member_dists) = pairs.into_iter().unzip();
+        Self::from_sorted(rep_index, members, member_dists)
+    }
+
+    /// Builds a list from members already in list order — ascending
+    /// `(distance, index)`, NaN distances last — with their distances.
+    pub fn from_sorted(rep_index: usize, members: Vec<usize>, member_dists: Vec<Dist>) -> Self {
+        debug_assert_eq!(members.len(), member_dists.len());
+        debug_assert!(
+            (1..members.len()).all(|at| {
+                let entry = |at: usize| Neighbor::new(members[at], member_dists[at]);
+                entry(at - 1).cmp_nan_last(&entry(at)).is_lt()
+            }),
+            "members must ascend by (dist, index)"
+        );
         let radius = member_dists.last().copied().unwrap_or(0.0);
         Self {
             rep_index,
@@ -89,6 +104,29 @@ impl OwnershipList {
     /// purposes, which is exactly this binary search.
     pub fn prefix_within(&self, cutoff: Dist) -> usize {
         self.member_dists.partition_point(|&d| d <= cutoff)
+    }
+}
+
+/// Gathers the blocked mirror of every list, in list order: the one
+/// routine both builds share. Each list is gathered on whichever thread
+/// claims it (`parallel`) or all of them on the caller. `sorted_cut` lists
+/// carry their members' distances into the mirror's run-search summary;
+/// members flagged in `skip` are masked out of every scan.
+pub(crate) fn gather_mirrors<D: Dataset>(
+    db: &D,
+    lists: &[OwnershipList],
+    sorted_cut: bool,
+    skip: Option<&[bool]>,
+    parallel: bool,
+) -> Vec<Option<ListMirror>> {
+    let gather = |list: &OwnershipList| {
+        let member_dists = sorted_cut.then_some(&list.member_dists[..]);
+        ListMirror::gather(db, &list.members, member_dists, skip)
+    };
+    if parallel {
+        lists.par_iter().map(gather).collect()
+    } else {
+        lists.iter().map(gather).collect()
     }
 }
 
@@ -141,6 +179,32 @@ mod tests {
         assert_eq!(l.radius, 3.0);
         assert_eq!(l.len(), 3);
         assert!(!l.is_empty());
+    }
+
+    #[test]
+    fn from_sorted_keeps_the_order_it_is_given_and_records_radius() {
+        let l = OwnershipList::from_sorted(5, vec![1, 4, 9], vec![1.0, 2.0, 2.0]);
+        assert_eq!(
+            l,
+            OwnershipList::from_pairs(5, vec![(9, 2.0), (4, 2.0), (1, 1.0)])
+        );
+        assert_eq!(l.radius, 2.0);
+        assert_eq!(OwnershipList::from_sorted(3, vec![], vec![]).radius, 0.0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "members must ascend")]
+    fn from_sorted_checks_the_order_in_debug_builds() {
+        let _ = OwnershipList::from_sorted(0, vec![4, 1], vec![2.0, 2.0]);
+    }
+
+    #[test]
+    fn a_nan_distance_sorts_last_instead_of_panicking() {
+        let l = OwnershipList::from_pairs(0, vec![(3, Dist::NAN), (8, 2.0), (1, Dist::INFINITY)]);
+        assert_eq!(l.members, vec![8, 1, 3]);
+        assert!(l.member_dists[2].is_nan());
+        assert_eq!(l.prefix_within(5.0), 1);
     }
 
     #[test]

@@ -238,6 +238,16 @@ impl BlockedVectors {
     }
 }
 
+/// Equal when both hold the same points in the same lanes; where the
+/// allocator put either buffer (`offset`) does not count.
+impl PartialEq for BlockedVectors {
+    fn eq(&self, other: &Self) -> bool {
+        let floats = self.num_groups() * self.dim * LANES;
+        (self.dim, self.len) == (other.dim, other.len)
+            && self.data[self.offset..][..floats] == other.data[other.offset..][..floats]
+    }
+}
+
 /// A borrowed view of one lane group: `dim` runs of [`LANES`] floats,
 /// dimension-major (`data[d * LANES + lane]` is dimension `d` of lane
 /// `lane`'s point).
