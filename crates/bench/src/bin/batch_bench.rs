@@ -1,24 +1,18 @@
-//! `batch_bench` — query-major vs list-major batched exact search.
+//! `batch_bench` — what batching buys the exact search.
 //!
 //! Not a paper artifact: the paper's tables batch queries but never ask
-//! *how* stage 2 should be parallelised. This binary answers that with an
-//! A/B sweep on one built exact RBC: the same clustered query stream is
-//! executed at batch sizes {1, 16, 256} under both [`BatchStrategy`]
-//! variants, and for each cell we report distance evaluations (arithmetic
-//! work — strategy-independent up to pruning order), **list-tile passes**
-//! (memory traffic — what list-major batching reduces), the achieved
-//! tile-sharing factor, and wall-clock. Tile shapes come from the
-//! device layer (`MachineProfile::host().tile_policy()`), so the sweep
-//! measures the policy an actual machine profile would run with.
-//!
-//! At batch size 1 a list-major call explicitly degenerates to the
-//! query-major execution (nothing to share, and query-major's
-//! nearest-list-first scan order tightens thresholds fastest), so the two
-//! rows coincide; from batch size 16 up, clustered queries co-travel
-//! through the same ownership lists and list-major streams strictly fewer
-//! tiles at the cost of somewhat more distance evaluations (its
-//! thresholds tighten in list order, not nearest-first). The full grid is
-//! written as JSON under `results/batch_bench.json`.
+//! what a batch shares. This binary runs the same clustered query stream
+//! through one built exact RBC in batches of {1, 16, 256} — the one search
+//! path, a single query being a batch of one — and for each size reports
+//! distance evaluations (arithmetic work — a query meets its nearest list
+//! first, so it barely moves with the batch), **list-tile passes** (memory
+//! traffic — what shared list scans reduce), the achieved tile-sharing
+//! factor, and wall-clock. It asserts that every size returns identical
+//! answers and that batches of 256 stream no more list tiles than single
+//! queries do. Tile shapes come from the device layer
+//! (`MachineProfile::host().tile_policy()`), so the sweep measures the
+//! policy an actual machine profile would run with. The grid is written as
+//! JSON under `results/batch_bench.json`.
 //!
 //! Two extra modes ride on the same workload generator:
 //!
@@ -46,19 +40,19 @@ use serde::Serialize;
 
 use rbc_bench::{write_json_records, Table};
 use rbc_bruteforce::{BfConfig, BruteForce};
-use rbc_core::{BatchStrategy, ExactRbc, OneShotRbc, RbcConfig, RbcParams, SearchStats};
+use rbc_core::{ExactRbc, OneShotRbc, RbcConfig, RbcParams, SearchStats};
 use rbc_data::gaussian_mixture;
 use rbc_device::{MachineProfile, TilePolicy};
 use rbc_metric::{active_kernel, force_kernel, Dataset, Euclidean, KernelChoice, VectorSet};
 
-/// Command-line configuration of the A/B sweep.
+/// Command-line configuration of the batch-size sweep.
 struct Options {
     /// Database size.
     n: usize,
     /// Length of the clustered query stream.
     queries: usize,
     /// Clusters in the Gaussian-mixture workload (more clusters =
-    /// less co-travel for list-major batching to exploit).
+    /// less co-travel for a batch's shared list scans to exploit).
     clusters: usize,
     /// Ambient dimension.
     dim: usize,
@@ -66,7 +60,7 @@ struct Options {
     k: usize,
     /// Base RNG seed for the database, stream, and representatives.
     seed: u64,
-    /// Run the tile-shape autotuning sweep instead of the A/B sweep.
+    /// Run the tile-shape autotuning sweep instead of the batch-size sweep.
     tune: bool,
     /// Where `--tune` persists the winning policy.
     tune_out: String,
@@ -142,10 +136,9 @@ fn usage(error: &str) -> ! {
     std::process::exit(if error.is_empty() { 0 } else { 2 });
 }
 
-/// One cell of the strategy × batch-size grid, flattened for JSON.
+/// One batch size of the sweep, flattened for JSON.
 #[derive(Serialize)]
 struct Record {
-    strategy: String,
     batch_size: usize,
     queries: usize,
     k: usize,
@@ -157,14 +150,13 @@ struct Record {
     elapsed_ms: f64,
 }
 
-/// Runs the whole query stream through `rbc` in `batch_size` chunks under
-/// `strategy`, merging per-chunk stats.
+/// Runs the whole query stream through `rbc` in `batch_size` chunks,
+/// merging per-chunk stats.
 fn run_sweep<D: Dataset<Item = [f32]>>(
     rbc: &ExactRbc<D, Euclidean>,
     queries: &VectorSet,
     batch_size: usize,
     k: usize,
-    strategy: BatchStrategy,
 ) -> (Vec<Vec<rbc_bruteforce::Neighbor>>, SearchStats, f64) {
     let start = Instant::now();
     let mut stats = SearchStats::default();
@@ -174,7 +166,7 @@ fn run_sweep<D: Dataset<Item = [f32]>>(
         let end = (begin + batch_size).min(queries.len());
         let indices: Vec<usize> = (begin..end).collect();
         let chunk = queries.subset(&indices);
-        let (chunk_answers, chunk_stats) = rbc.query_batch_k_with_strategy(&chunk, k, strategy);
+        let (chunk_answers, chunk_stats) = rbc.query_batch_k(&chunk, k);
         stats.merge(&chunk_stats);
         answers.extend(chunk_answers);
         begin = end;
@@ -466,70 +458,51 @@ fn main() {
 
     let mut records = Vec::new();
     let mut table = Table::new(
-        "offline batched exact search: query-major vs list-major",
-        &[
-            "strategy",
-            "batch",
-            "evals/q",
-            "tile passes",
-            "scans",
-            "share",
-            "ms",
-        ],
+        "offline batched exact search by batch size",
+        &["batch", "evals/q", "tile passes", "scans", "share", "ms"],
     );
-
+    let mut single: Option<(Vec<Vec<rbc_bruteforce::Neighbor>>, u64)> = None;
     for batch_size in [1usize, 16, 256] {
-        let mut reference: Option<Vec<Vec<rbc_bruteforce::Neighbor>>> = None;
-        let mut passes_by_strategy = Vec::new();
-        for (name, strategy) in [
-            ("query-major", BatchStrategy::QueryMajor),
-            ("list-major", BatchStrategy::ListMajor),
-        ] {
-            let (answers, stats, elapsed_ms) =
-                run_sweep(&rbc, &queries, batch_size, opts.k, strategy);
-            match &reference {
-                None => reference = Some(answers),
-                Some(expected) => assert_eq!(
+        let (answers, stats, elapsed_ms) = run_sweep(&rbc, &queries, batch_size, opts.k);
+        match &single {
+            None => single = Some((answers, stats.list_tile_passes)),
+            Some((expected, single_passes)) => {
+                assert_eq!(
                     expected, &answers,
-                    "strategies disagreed at batch size {batch_size}"
-                ),
+                    "batches of {batch_size} disagreed with single queries"
+                );
+                let passes = stats.list_tile_passes;
+                assert!(
+                    batch_size < 256 || passes <= *single_passes,
+                    "batches of {batch_size} streamed more list tiles than single queries \
+                     ({passes} vs {single_passes})"
+                );
             }
-            passes_by_strategy.push(stats.list_tile_passes);
-            table.row(&[
-                name.to_string(),
-                batch_size.to_string(),
-                format!("{:.0}", stats.evals_per_query()),
-                stats.list_tile_passes.to_string(),
-                stats.list_scans.to_string(),
-                format!("{:.2}", stats.tile_sharing_factor()),
-                format!("{elapsed_ms:.1}"),
-            ]);
-            records.push(Record {
-                strategy: name.to_string(),
-                batch_size,
-                queries: opts.queries,
-                k: opts.k,
-                total_distance_evals: stats.total_distance_evals(),
-                list_tile_passes: stats.list_tile_passes,
-                list_scans: stats.list_scans,
-                reps_examined: stats.reps_examined,
-                tile_sharing_factor: stats.tile_sharing_factor(),
-                elapsed_ms,
-            });
         }
-        if batch_size >= 16 {
-            let (qm_passes, lm_passes) = (passes_by_strategy[0], passes_by_strategy[1]);
-            assert!(
-                lm_passes < qm_passes,
-                "list-major must stream fewer list tiles at batch size {batch_size} \
-                 (got {lm_passes} vs {qm_passes})"
-            );
-        }
+        table.row(&[
+            batch_size.to_string(),
+            format!("{:.0}", stats.evals_per_query()),
+            stats.list_tile_passes.to_string(),
+            stats.list_scans.to_string(),
+            format!("{:.2}", stats.tile_sharing_factor()),
+            format!("{elapsed_ms:.1}"),
+        ]);
+        records.push(Record {
+            batch_size,
+            queries: opts.queries,
+            k: opts.k,
+            total_distance_evals: stats.total_distance_evals(),
+            list_tile_passes: stats.list_tile_passes,
+            list_scans: stats.list_scans,
+            reps_examined: stats.reps_examined,
+            tile_sharing_factor: stats.tile_sharing_factor(),
+            elapsed_ms,
+        });
     }
 
     println!();
     table.print();
-    println!("\nanswers identical across strategies at every batch size.");
+    println!("\nanswers identical at every batch size.");
 
     match write_json_records("batch_bench", &records) {
         Ok(path) => println!("wrote {}", path.display()),

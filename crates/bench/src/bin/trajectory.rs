@@ -7,7 +7,7 @@
 //! | File               | Area    | What it sweeps |
 //! |--------------------|---------|----------------|
 //! | `BENCH_core.json`  | `core`  | brute force vs. exact vs. one-shot RBC, across database scale, `k`, and all four streams |
-//! | `BENCH_batch.json` | `batch` | query-major vs. list-major batching across micro-batch sizes, with tile-sharing stats |
+//! | `BENCH_batch.json` | `batch` | exact batches across micro-batch sizes, with tile-sharing stats |
 //! | `BENCH_shard.json` | `shard` | node counts, placement policies, and a node-down failure cell on the hostile streams |
 //! | `BENCH_serve.json` | `serve` | per-query dispatch vs. micro-batch coalescing under concurrent producers |
 //!
@@ -47,7 +47,7 @@ use rbc_bench::{
     CellMetrics, CheckFailure, Table, Tolerances, TrajectoryFile, AREAS, SCHEMA_VERSION,
 };
 use rbc_bruteforce::{BfConfig, BruteForce, Neighbor};
-use rbc_core::{BatchStrategy, ExactRbc, OneShotRbc, RbcConfig, RbcParams, SearchStats};
+use rbc_core::{ExactRbc, OneShotRbc, RbcConfig, RbcParams, SearchStats};
 use rbc_data::{adversarial_ball_queries, drifting_queries, gaussian_mixture, skewed_queries};
 use rbc_distributed::{
     eval_skew, ClusterConfig, DistributedQueryStats, DistributedRbc, PlacementPolicy,
@@ -346,7 +346,7 @@ fn run_core(scale: f64, seed: u64) -> TrajectoryFile {
 }
 
 // ---------------------------------------------------------------------
-// batch area: strategy x micro-batch size x streams
+// batch area: micro-batch size x streams
 // ---------------------------------------------------------------------
 
 fn run_batch(scale: f64, seed: u64) -> TrajectoryFile {
@@ -366,53 +366,47 @@ fn run_batch(scale: f64, seed: u64) -> TrajectoryFile {
     for stream_name in ["matched", "skewed", "adversarial"] {
         let stream = make_stream(stream_name, queries, seed);
         let truth = ground_truth(&database, &stream, k);
-        for (strategy_name, strategy) in [
-            ("query-major", BatchStrategy::QueryMajor),
-            ("list-major", BatchStrategy::ListMajor),
-        ] {
-            for batch in [16usize, 128] {
-                let batch = batch.min(queries);
-                let start = Instant::now();
-                let mut answers = Vec::with_capacity(queries);
-                let mut stats = SearchStats::default();
-                let mut begin = 0usize;
-                while begin < queries {
-                    let end = (begin + batch).min(queries);
-                    let indices: Vec<usize> = (begin..end).collect();
-                    let chunk = stream.subset(&indices);
-                    let (chunk_answers, chunk_stats) =
-                        exact.query_batch_k_with_strategy(&chunk, k, strategy);
-                    answers.extend(chunk_answers);
-                    stats.merge(&chunk_stats);
-                    begin = end;
-                }
-                let elapsed = start.elapsed();
-                let metrics = CellMetrics {
-                    recall: recall_at_k(&answers, &truth),
-                    evals_per_query: stats.total_distance_evals() as f64 / queries as f64,
-                    tile_passes_per_query: stats.list_tile_passes as f64 / queries as f64,
-                    tile_sharing_factor: stats.tile_sharing_factor(),
-                    throughput_qps: queries as f64 / elapsed.as_secs_f64().max(1e-9),
-                    elapsed_ms: elapsed.as_secs_f64() * 1e3,
-                    mean_batch_size: batch as f64,
-                    ..CellMetrics::default()
-                };
-                file.cells.push(Cell {
-                    id: format!("batch/{strategy_name}/b{batch}/{stream_name}"),
-                    engine: format!("exact-{strategy_name}"),
-                    stream: stream_name.to_string(),
-                    n,
-                    dim: DIM,
-                    queries,
-                    k,
-                    batch,
-                    nodes: 0,
-                    replication: 0,
-                    failed_nodes: 0,
-                    variant: String::new(),
-                    metrics,
-                });
+        for batch in [16usize, 128] {
+            let batch = batch.min(queries);
+            let start = Instant::now();
+            let mut answers = Vec::with_capacity(queries);
+            let mut stats = SearchStats::default();
+            let mut begin = 0usize;
+            while begin < queries {
+                let end = (begin + batch).min(queries);
+                let indices: Vec<usize> = (begin..end).collect();
+                let chunk = stream.subset(&indices);
+                let (chunk_answers, chunk_stats) = exact.query_batch_k(&chunk, k);
+                answers.extend(chunk_answers);
+                stats.merge(&chunk_stats);
+                begin = end;
             }
+            let elapsed = start.elapsed();
+            let metrics = CellMetrics {
+                recall: recall_at_k(&answers, &truth),
+                evals_per_query: stats.total_distance_evals() as f64 / queries as f64,
+                tile_passes_per_query: stats.list_tile_passes as f64 / queries as f64,
+                tile_sharing_factor: stats.tile_sharing_factor(),
+                throughput_qps: queries as f64 / elapsed.as_secs_f64().max(1e-9),
+                elapsed_ms: elapsed.as_secs_f64() * 1e3,
+                mean_batch_size: batch as f64,
+                ..CellMetrics::default()
+            };
+            file.cells.push(Cell {
+                id: format!("batch/list-major/b{batch}/{stream_name}"),
+                engine: "exact-list-major".to_string(),
+                stream: stream_name.to_string(),
+                n,
+                dim: DIM,
+                queries,
+                k,
+                batch,
+                nodes: 0,
+                replication: 0,
+                failed_nodes: 0,
+                variant: String::new(),
+                metrics,
+            });
         }
     }
     file

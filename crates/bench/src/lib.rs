@@ -26,7 +26,7 @@
 //!
 //! | Binary        | Layer | What it measures |
 //! |---------------|-------|------------------|
-//! | `batch_bench` | `rbc-core`        | query-major vs. list-major batching: tile passes, sharing factor |
+//! | `batch_bench` | `rbc-core`        | batch-size sweep {1, 16, 256}: identical answers, tile passes, sharing factor |
 //! | `serve_bench` | `rbc-serve`       | micro-batch policy sweep under concurrent producers, plus cached serving |
 //! | `shard_bench` | `rbc-distributed` | routed batch protocol across node counts, placements, and failures (asserting bit-identity, byte amortisation, skew halving, lossless failover) |
 //! | `trajectory`  | all of the above  | the perf-trajectory harness: every engine over matched and hostile streams, into the schema-versioned `BENCH_<area>.json` baselines, with the `--check` regression gate CI runs |

@@ -130,9 +130,7 @@ pub struct GroupScanStats {
     pub points_skipped: u64,
     /// Distance evaluations attributed to each cursor, parallel to the
     /// input cursor slice (lets callers keep per-query tail statistics
-    /// exact even though the scan itself is shared). Left empty by
-    /// [`BruteForce::knn_cursor_in_list`], whose one cursor's count is
-    /// `distance_evals`.
+    /// exact even though the scan itself is shared).
     pub evals_per_cursor: Vec<u64>,
     /// Lane groups recomputed by the canonical kernel, summed over cursors:
     /// the groups of the runs that survived [`Metric::screen_lanes`] (all of
@@ -437,7 +435,7 @@ where
     /// threshold — into `topk`, a block of lane groups at a time: the block
     /// is screened against the threshold it was entered with, its surviving
     /// groups are scored canonically, and the rest of the run is re-clipped
-    /// if that tightened the threshold. `admitted` sees every candidate
+    /// if that tightened the threshold. `fresh` receives every candidate
     /// `topk` let in, `touched` every tile a group of the run lies in.
     fn scan(
         &self,
@@ -446,7 +444,7 @@ where
         mut run: Range<usize>,
         topk: &mut TopK,
         touched: &mut [bool],
-        mut admitted: impl FnMut(Neighbor),
+        fresh: &mut Vec<Neighbor>,
     ) -> CursorWork {
         let mut bound = topk.threshold().min(cursor.threshold_cap);
         let mut work = CursorWork::default();
@@ -482,7 +480,7 @@ where
                         if is_live(lane) {
                             let candidate = Neighbor::new(self.members[g * LANES + lane], d);
                             if topk.push(candidate) {
-                                admitted(candidate);
+                                fresh.push(candidate);
                             }
                         }
                     }
@@ -573,7 +571,7 @@ impl BruteForce {
             }
             drop(shared);
             let q = queries.get(cursor.query);
-            let work = list.scan(cursor, q, run, local, touched, |c| fresh.push(c));
+            let work = list.scan(cursor, q, run, local, touched, fresh);
             if !fresh.is_empty() {
                 let mut shared = accumulator.lock().expect("top-k accumulator lock poisoned");
                 for candidate in fresh.drain(..) {
@@ -590,54 +588,6 @@ impl BruteForce {
         if rbc_trace::enabled() {
             record_group_scan(&stats);
         }
-        stats
-    }
-
-    /// [`knn_group_in_list`](Self::knn_group_in_list) for one query that
-    /// owns its collector: the same run search and dense scan, working on
-    /// `topk` directly — no lock, no private copy. `cursor.query` is
-    /// ignored. This is the single-query exact search's stage 2.
-    #[allow(clippy::too_many_arguments)] // deliberately a flat kernel signature
-    pub fn knn_cursor_in_list<D, M>(
-        &self,
-        query: &D::Item,
-        db: &D,
-        metric: &M,
-        members: &[usize],
-        member_dists: &[Dist],
-        cursor: &GroupCursor,
-        shrink: f64,
-        sorted_cut: bool,
-        skip: Option<&[bool]>,
-        mirror: Option<&ListMirror>,
-        topk: &mut TopK,
-    ) -> GroupScanStats
-    where
-        D: Dataset,
-        M: Metric<D::Item>,
-    {
-        let list = ListScan::new(
-            self,
-            db,
-            metric,
-            members,
-            member_dists,
-            shrink,
-            sorted_cut,
-            skip,
-            mirror,
-        );
-        let mut scratch = list.scratch();
-        let run = list.enter(cursor, topk.threshold());
-        let work = list.scan(cursor, query, run, topk, &mut scratch.touched, |_| {});
-        let stats = GroupScanStats {
-            tile_passes: scratch.touched.iter().filter(|&&t| t).count() as u64,
-            distance_evals: work.evals,
-            points_skipped: (members.len() - work.scored) as u64,
-            evals_per_cursor: Vec::new(),
-            reranked: work.reranked,
-        };
-        SCRATCH.set(Some(scratch));
         stats
     }
 }
@@ -741,7 +691,7 @@ mod tests {
         );
         let members: Vec<usize> = (0..10).collect();
         let member_dists: Vec<Dist> = (0..10).map(|i| i as Dist).collect();
-        let query: &[f32] = &[12.0, 0.0];
+        let queries = VectorSet::from_rows(&[[12.0f32, 0.0]]);
         let bf = BruteForce::new();
         for shrink in [1.0, 1.5] {
             for (kth, cap) in [(2.9, Dist::INFINITY), (3.0, 9.0), (9.0, 3.0), (9.0, 3.5)] {
@@ -750,20 +700,20 @@ mod tests {
                     d_to_rep: 12.0,
                     threshold_cap: cap,
                 };
-                let mut topk = TopK::new(1);
-                topk.push(Neighbor::new(99, kth));
-                let stats = bf.knn_cursor_in_list(
-                    query,
+                let mut seeded = TopK::new(1);
+                seeded.push(Neighbor::new(99, kth));
+                let stats = bf.knn_group_in_list(
+                    &queries,
                     &db,
                     &Euclidean,
                     &members,
                     &member_dists,
-                    &cursor,
+                    &[cursor],
                     shrink,
                     true,
                     None,
                     None,
-                    &mut topk,
+                    &[Mutex::new(seeded)],
                 );
                 // Strict: a bound of exactly 3 still scores the member at 3
                 // (it could win a tie on index); anything under 3 — or 3

@@ -236,11 +236,10 @@ impl BruteForce {
     /// leave the call, so no `queries × k` table of neighbors exists.
     ///
     /// The scan is [`knn`](Self::knn)'s — same tiles, same lane kernel,
-    /// same evaluation counts — and on NaN-free distances `nearest` is
-    /// exactly what `knn` returns for that query. What differs is the
-    /// comparison step: a bound and one `select_nth_unstable` each time a
-    /// `2k` buffer fills, not a `k`-deep heap sifted on every admission.
-    /// A NaN distance (which `knn`'s heap leaves wherever it lands) is kept
+    /// same evaluation counts — and `nearest` is exactly what `knn` returns
+    /// for that query. What differs is the comparison step: a bound and one
+    /// `select_nth_unstable` each time a `2k` buffer fills, not a `k`-deep
+    /// heap sifted on every admission. Either way a NaN distance is kept
     /// only when fewer than `k` numbers were seen, and sorts last.
     pub fn select_with<Q, D, M, R, F>(
         &self,

@@ -100,7 +100,8 @@ impl TopK {
     }
 
     /// The distance a candidate must beat to be admitted: the current k-th
-    /// distance, or `+∞` while fewer than `k` candidates are held.
+    /// distance, or `+∞` while fewer than `k` candidates are held — or while
+    /// the k-th is a NaN, which every number beats.
     ///
     /// This doubles as a pruning threshold for callers that can skip
     /// candidates using a cheap lower bound.
@@ -109,7 +110,8 @@ impl TopK {
         if self.heap.len() < self.k {
             Dist::INFINITY
         } else {
-            self.heap[0].dist
+            // `min` takes the number: a NaN k-th reads as +∞.
+            self.heap[0].dist.min(Dist::INFINITY)
         }
     }
 
@@ -192,11 +194,11 @@ impl TopK {
 /// are dropped and the `k`-th becomes the bound. There is no bound before
 /// the first partition, and every later bound is the exact `k`-th of all
 /// candidates offered up to its partition, so nothing that belongs to the
-/// final `k` is ever refused: on a NaN-free stream [`into_sorted`]
-/// (Self::into_sorted) equals [`TopK::into_sorted`], ties included, in any
-/// arrival order. Comparisons use [`Neighbor::cmp_nan_last`], so a NaN
-/// distance is kept only while fewer than `k` numbers have been offered
-/// and comes out last.
+/// final `k` is ever refused: [`into_sorted`](Self::into_sorted) equals
+/// [`TopK::into_sorted`], ties included, in any arrival order. Both use
+/// `Neighbor`'s order (partitions and sorts through its integer
+/// [`sort_key`](Neighbor::sort_key)), so a NaN distance is kept only while
+/// fewer than `k` numbers have been offered and comes out last.
 #[derive(Debug)]
 pub(crate) struct SelectK {
     k: usize,
@@ -212,7 +214,7 @@ impl SelectK {
     fn partition(&mut self) {
         if self.buf.len() > self.k {
             self.buf
-                .select_nth_unstable_by(self.k - 1, Neighbor::cmp_nan_last);
+                .select_nth_unstable_by_key(self.k - 1, Neighbor::sort_key);
             self.buf.truncate(self.k);
             self.bound = Some(self.buf[self.k - 1]);
         }
@@ -223,7 +225,7 @@ impl SelectK {
     /// with NaN distances last.
     pub(crate) fn into_sorted(mut self) -> Vec<Neighbor> {
         self.partition();
-        self.buf.sort_unstable_by(Neighbor::cmp_nan_last);
+        self.buf.sort_unstable_by_key(Neighbor::sort_key);
         self.buf
     }
 }
@@ -250,11 +252,7 @@ impl Collector for SelectK {
     fn offer(&mut self, cand: Neighbor) {
         // Most lanes of an admitted lane group are plainly too far: one
         // float comparison turns them away before the full order is asked.
-        if cand.dist > self.threshold()
-            || self
-                .bound
-                .is_some_and(|bound| cand.cmp_nan_last(&bound).is_ge())
-        {
+        if cand.dist > self.threshold() || self.bound.is_some_and(|bound| cand >= bound) {
             return;
         }
         self.buf.push(cand);
@@ -326,6 +324,11 @@ mod tests {
             prop_assert_eq!(got.len(), k.min(stream.len()));
             prop_assert_eq!(&got[..numbers.len()], &numbers[..]);
             prop_assert!(got[numbers.len()..].iter().all(|cand| cand.dist.is_nan()));
+            // The heap keeps the same ones (NaN ≠ NaN, so compare indices).
+            let mut heap = TopK::new(k);
+            stream.iter().for_each(|&cand| { heap.push(cand); });
+            let indices = |v: &[Neighbor]| v.iter().map(|nb| nb.index).collect::<Vec<_>>();
+            prop_assert_eq!(indices(&heap.into_sorted()), indices(&got));
         }
     }
 
@@ -396,6 +399,23 @@ mod tests {
         assert_eq!(t.threshold(), 4.0);
         t.push(Neighbor::new(2, 1.0));
         assert_eq!(t.threshold(), 2.0);
+    }
+
+    #[test]
+    fn a_nan_kth_admits_every_number() {
+        let mut t = TopK::new(2);
+        t.push(Neighbor::new(0, Dist::NAN));
+        t.push(Neighbor::new(1, 5.0));
+        assert_eq!(t.threshold(), f64::INFINITY);
+        assert!(!t.push(Neighbor::new(2, Dist::NAN)));
+        assert!(t.push(Neighbor::new(3, f64::INFINITY)));
+        assert_eq!(t.threshold(), f64::INFINITY);
+        assert!(t.push(Neighbor::new(4, 7.0)));
+        assert_eq!(t.threshold(), 7.0);
+        assert_eq!(
+            t.into_sorted(),
+            [Neighbor::new(1, 5.0), Neighbor::new(4, 7.0)]
+        );
     }
 
     #[test]

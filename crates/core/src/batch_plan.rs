@@ -1,13 +1,12 @@
 //! Planning and executing stage 2 of a list-major batched search.
 //!
 //! Cayton's argument is that metric search should be recast as batched
-//! brute-force kernels so the hardware sees dense, regular work. The
-//! query-major batch path gets this for stage 1 (`BF(Q, R)` is one dense
-//! call) but loses it in stage 2: every query privately re-scans the
-//! ownership lists it survived to, so a list selected by many queries of
-//! the batch is streamed through memory once *per query*.
+//! brute-force kernels so the hardware sees dense, regular work. Stage 1
+//! gets this for free (`BF(Q, R)` is one dense call); stage 2 gets it only
+//! if a list selected by many queries of the batch is not streamed through
+//! memory once *per query*.
 //!
-//! List-major execution inverts that: (query, list) pairs are grouped *by
+//! List-major execution sees to that: (query, list) pairs are grouped *by
 //! list*, and each list's tiles are streamed once for its whole group — the
 //! `BF(Q_group, X[L])` shape — merging candidates into per-query top-k
 //! accumulators. [`Stage2`] is that execution. For the exact search it runs
@@ -25,11 +24,11 @@
 //! what crosses the wire, and each node re-plans the part it was sent.
 //!
 //! Planning costs no distance evaluations, and every cut is the triangle
-//! inequality at a strict threshold, so list-major, query-major and
-//! brute-force answers are bit-identical in exact mode (ties break
-//! deterministically by index). With `epsilon > 0` the cuts may discard
-//! points inside the `(1+ε)` margin, so the strategies each honour the
-//! approximation guarantee but may return different eligible answers.
+//! inequality at a strict threshold, so batched and brute-force answers
+//! are bit-identical in exact mode (ties break deterministically by index),
+//! whatever else shares the batch. With `epsilon > 0` the cuts may discard
+//! points inside the `(1+ε)` margin: every answer honours the approximation
+//! guarantee, but which eligible one comes back may depend on the batch.
 
 use std::sync::Mutex;
 
@@ -80,8 +79,8 @@ pub struct BatchPlan {
     pub gamma_k: Vec<Dist>,
     /// Number of queries the plan covers.
     pub queries: usize,
-    /// Total (query, list) scan pairs — the number of *private* list scans
-    /// query-major execution would perform for the same batch.
+    /// Total (query, list) scan pairs — the number of list scans the batch's
+    /// queries would perform one at a time.
     pub pairs: usize,
 }
 
@@ -89,7 +88,7 @@ impl BatchPlan {
     /// Builds the exact-search plan from the stage-1 distance matrix
     /// `rep_dists` (row-major, one row of `lists.len()` distances per
     /// query), applying the radius bound (eq. 1) and the Lemma 1 bound
-    /// (eq. 2) per query exactly as the query-major path does, then
+    /// (eq. 2) per query exactly as the in-process search does, then
     /// inverting the survivor sets into list groups.
     ///
     /// # Panics
@@ -258,7 +257,7 @@ impl BatchPlan {
     }
 
     /// Mean number of queries sharing each planned list scan — how many
-    /// private query-major scans one shared list-major scan replaces.
+    /// one-query scans one shared scan replaces.
     /// `0.0` for an empty plan.
     pub fn sharing_factor(&self) -> f64 {
         if self.groups.is_empty() {
@@ -762,7 +761,7 @@ mod tests {
     }
 
     #[test]
-    fn exact_plan_prunes_like_the_query_major_rules() {
+    fn exact_plan_applies_both_pruning_rules() {
         let lists = singleton_lists(&[0.5, 0.0]);
         let rep_dists = vec![2.0, 1.0]; // γ = 1.0
         let plan = BatchPlan::plan_exact(&rep_dists, &lists, 1, &RbcConfig::default());

@@ -22,13 +22,11 @@
 
 use std::sync::Mutex;
 
-use rayon::prelude::*;
-
-use rbc_bruteforce::{BfConfig, BfStats, BruteForce, GroupCursor, ListMirror, Neighbor, TopK};
-use rbc_metric::{BlockedVectors, Dataset, Dist, Metric};
+use rbc_bruteforce::{BfConfig, BfStats, BruteForce, ListMirror, Neighbor, TopK};
+use rbc_metric::{BlockedVectors, Dataset, Dist, Metric, QueryBatch};
 
 use crate::batch_plan::{self, CandidateRow, ListView, Stage2};
-use crate::params::{BatchStrategy, RbcConfig, RbcParams};
+use crate::params::{RbcConfig, RbcParams};
 use crate::reps::{gather_mirrors, sample_representatives, OwnershipList};
 use crate::stats::{QueryStats, SearchStats};
 
@@ -133,10 +131,12 @@ where
     }
 
     /// Exact `k` nearest neighbors of a single query, sorted by ascending
-    /// distance. Returns `min(k, n)` results.
+    /// distance. Returns `min(k, n)` results. A batch of one: the answer
+    /// and the work of [`query_batch_k`](Self::query_batch_k) on that row.
     pub fn query_k(&self, query: &D::Item, k: usize) -> (Vec<Neighbor>, QueryStats) {
-        let bf = BruteForce::with_config(self.config.bf);
-        self.query_k_with(query, k, &bf)
+        let (mut answers, stats) = self.query_batch_k(&QueryBatch::new(&[query]), k);
+        let answer = answers.pop().unwrap_or_default();
+        (answer, stats.into_query(self.rep_indices.len()))
     }
 
     /// Every database point within `radius` of the query, sorted by
@@ -200,7 +200,7 @@ where
         (hits, stats)
     }
 
-    /// Batch search: exact NN for every query, parallelised across queries.
+    /// Batch search: exact NN for every query.
     pub fn query_batch<Q>(&self, queries: &Q) -> (Vec<Neighbor>, SearchStats)
     where
         Q: Dataset<Item = D::Item>,
@@ -213,78 +213,15 @@ where
         (nn, stats)
     }
 
-    /// Batch exact k-NN search, executed with the configured
-    /// [`BatchStrategy`] (list-major by default).
-    pub fn query_batch_k<Q>(&self, queries: &Q, k: usize) -> (Vec<Vec<Neighbor>>, SearchStats)
-    where
-        Q: Dataset<Item = D::Item>,
-    {
-        self.query_batch_k_with_strategy(queries, k, self.config.batch_strategy)
-    }
-
-    /// Batch exact k-NN search with an explicit execution strategy,
-    /// overriding the built configuration. In exact mode (`epsilon == 0`)
-    /// both strategies return bit-identical answers; this entry point
-    /// exists so benchmarks and equivalence tests can A/B them on one
-    /// built structure. With `epsilon > 0` each strategy independently
-    /// honours the `(1+ε)` guarantee but the returned eligible answers may
-    /// differ (see [`BatchStrategy`]).
-    pub fn query_batch_k_with_strategy<Q>(
-        &self,
-        queries: &Q,
-        k: usize,
-        strategy: BatchStrategy,
-    ) -> (Vec<Vec<Neighbor>>, SearchStats)
-    where
-        Q: Dataset<Item = D::Item>,
-    {
-        match strategy {
-            BatchStrategy::QueryMajor => self.query_batch_k_query_major(queries, k),
-            BatchStrategy::ListMajor => self.query_batch_k_list_major(queries, k),
-        }
-    }
-
-    /// The query-major batch path: parallelise across queries, each query
-    /// scanning its own surviving lists.
-    fn query_batch_k_query_major<Q>(
-        &self,
-        queries: &Q,
-        k: usize,
-    ) -> (Vec<Vec<Neighbor>>, SearchStats)
-    where
-        Q: Dataset<Item = D::Item>,
-    {
-        let nq = queries.len();
-        let inner_bf = BruteForce::with_config(BfConfig {
-            parallel: false,
-            ..self.config.bf
-        });
-        let run = |qi: usize| self.query_k_with(queries.get(qi), k, &inner_bf);
-        let per_query: Vec<(Vec<Neighbor>, QueryStats)> = if self.config.bf.parallel {
-            (0..nq).into_par_iter().map(run).collect()
-        } else {
-            (0..nq).map(run).collect()
-        };
-
-        let mut results = Vec::with_capacity(nq);
-        let mut agg = SearchStats::default();
-        for (res, qs) in per_query {
-            agg.absorb(&qs);
-            results.push(res);
-        }
-        (results, agg)
-    }
-
-    /// The list-major batch path (see the crate-level "Batched search
+    /// Batch exact k-NN search (see the crate-level "Batched search
     /// architecture" notes): one dense `BF(Q, R)` stage that finishes every
     /// query's `γ_k` plan as its row is scored, then a parallel loop over
     /// *ownership lists* in which each list's tiles are streamed once and
-    /// shared by every query whose pruning rules selected the list.
-    fn query_batch_k_list_major<Q>(
-        &self,
-        queries: &Q,
-        k: usize,
-    ) -> (Vec<Vec<Neighbor>>, SearchStats)
+    /// shared by every query whose pruning rules selected the list — each
+    /// query's nearest list first, then whatever of its row the threshold
+    /// that scan left still admits. Every k-NN search of the structure runs
+    /// here; a single query is a batch of one.
+    pub fn query_batch_k<Q>(&self, queries: &Q, k: usize) -> (Vec<Vec<Neighbor>>, SearchStats)
     where
         Q: Dataset<Item = D::Item>,
     {
@@ -333,11 +270,19 @@ where
 
     /// Stage 1 of a batch: one dense `BF(Q, R)` pass whose rows never leave
     /// the thread that scored them — each is turned into its query's
-    /// [`survivors`](batch_plan::survivors) on the spot: the collector
-    /// seeded with the representatives (same corner-case and
-    /// (1+ε)-soundness argument as the single-query path) and the candidate
-    /// row. The rows stay per query; stage 2 inverts only what its re-plan
-    /// leaves.
+    /// [`survivors`](batch_plan::survivors) on the spot: the candidate row,
+    /// and the collector seeded with the representatives.
+    ///
+    /// Seeding the representatives — their exact distances are computed
+    /// here anyway and they are genuine database points — guarantees a
+    /// valid answer even in the corner case where every ownership list is
+    /// pruned (e.g. the nearest representative owns only itself, so its
+    /// singleton list satisfies eq. 1 with ψ_r = 0). It is also what makes
+    /// the (1+ε)-approximate mode sound: whatever gets pruned, the answer
+    /// returned is never worse than the nearest representative. List scans
+    /// skip them (`rep_flags`): already answered, and a second entry would
+    /// duplicate a k-NN result. The rows stay per query; stage 2 inverts
+    /// only what its re-plan leaves.
     fn stage1<Q>(&self, queries: &Q, k: usize) -> (Vec<(TopK, CandidateRow)>, BfStats)
     where
         Q: Dataset<Item = D::Item>,
@@ -358,87 +303,6 @@ where
     pub fn list_view(&self, ri: usize) -> ListView<'_> {
         let mirrors = self.list_blocks.as_ref();
         ListView::of(&self.lists[ri], mirrors.and_then(|b| b[ri].as_ref()))
-    }
-
-    fn query_k_with(
-        &self,
-        query: &D::Item,
-        k: usize,
-        bf: &BruteForce,
-    ) -> (Vec<Neighbor>, QueryStats) {
-        assert!(k > 0, "k must be at least 1");
-        // Stage 1: BF(q, R), retaining all distances for the pruning rules.
-        let rep_view = self.db.subset(&self.rep_indices);
-        let (rep_dists, rep_stats) = bf.distances_single(query, &rep_view, &self.metric);
-
-        // The representatives seed the collector, whose threshold is γ_k;
-        // the survivors of the pruning rules are then ordered by ascending
-        // distance so the best-so-far threshold tightens as early as
-        // possible.
-        //
-        // Seeding the representatives — their exact distances were already
-        // computed in stage 1 and they are genuine database points —
-        // guarantees a valid answer even in the corner case where every
-        // ownership list is pruned (e.g. the nearest representative owns
-        // only itself, so its singleton list satisfies eq. 1 with ψ_r = 0).
-        // It is also what makes the (1+ε)-approximate mode sound: whatever
-        // gets pruned, the answer returned is never worse than the nearest
-        // representative. List scans skip them (`rep_flags`): already
-        // answered, and a second entry would duplicate a k-NN result.
-        let (mut topk, mut candidates) =
-            batch_plan::survivors(&rep_dists, &self.lists, k, &self.config);
-        let gamma_k = topk.threshold();
-        let shrink = 1.0 + self.config.epsilon;
-        let sorted_cut = self.config.sorted_list_pruning;
-        candidates.sort_by(|a, b| a.1.total_cmp(&b.1));
-
-        // Stage 2: the surviving lists, nearest representative first, each
-        // through the same run search and dense scan as the batched path —
-        // unless the threshold the earlier lists left already empties its
-        // run (the batched re-plan's rule), which spares the call.
-        let mut list_evals = 0u64;
-        let mut skipped = 0u64;
-        let mut tile_passes = 0u64;
-        let mut reps_examined = 0usize;
-        for &(ri, d_to_rep) in &candidates {
-            let list = self.list_view(ri);
-            let cursor = GroupCursor {
-                query: 0,
-                d_to_rep,
-                threshold_cap: gamma_k,
-            };
-            if sorted_cut && cursor.run_is_empty(list.radius, topk.threshold(), shrink) {
-                skipped += list.members.len() as u64;
-                continue;
-            }
-            reps_examined += 1;
-            let scan = bf.knn_cursor_in_list(
-                query,
-                &self.db,
-                &self.metric,
-                list.members,
-                list.member_dists,
-                &cursor,
-                shrink,
-                sorted_cut,
-                Some(&self.rep_flags),
-                list.mirror,
-                &mut topk,
-            );
-            list_evals += scan.distance_evals;
-            skipped += scan.points_skipped;
-            tile_passes += scan.tile_passes;
-        }
-
-        let stats = QueryStats {
-            rep_distance_evals: rep_stats.distance_evals,
-            list_distance_evals: list_evals,
-            reps_total: self.rep_indices.len(),
-            reps_examined,
-            list_points_skipped: skipped,
-            list_tile_passes: tile_passes,
-        };
-        (topk.into_sorted(), stats)
     }
 
     // --- accessors -----------------------------------------------------
@@ -885,7 +749,7 @@ mod tests {
     }
 
     #[test]
-    fn list_major_and_query_major_agree_bit_for_bit() {
+    fn batched_rows_equal_brute_force_and_their_rows_alone() {
         let db = clustered_cloud(900, 6, 40);
         let queries = random_cloud(48, 6, 41);
         let rbc = ExactRbc::build(
@@ -895,32 +759,35 @@ mod tests {
             RbcConfig::default(),
         );
         for k in [1usize, 4, 16] {
-            let (lm, lm_stats) =
-                rbc.query_batch_k_with_strategy(&queries, k, BatchStrategy::ListMajor);
-            let (qm, qm_stats) =
-                rbc.query_batch_k_with_strategy(&queries, k, BatchStrategy::QueryMajor);
-            assert_eq!(lm, qm, "k={k}");
-            // A cursor is built only for a γ_k survivor, and the batch's
-            // re-plan (one threshold per query, read after its first list)
-            // never drops a pair the query-major walk (a threshold per
-            // list) keeps ...
-            assert!(qm_stats.reps_examined <= lm_stats.reps_examined);
-            assert!(lm_stats.reps_examined <= gamma_k_pairs(&rbc, &queries, k));
-            assert_eq!(lm_stats.queries, qm_stats.queries);
-            // ... but fewer physical scans whenever queries co-travel.
-            assert!(lm_stats.list_scans <= qm_stats.list_scans);
-            assert!(lm_stats.tile_sharing_factor() >= qm_stats.tile_sharing_factor());
+            let (batched, stats) = rbc.query_batch_k(&queries, k);
+            let mut alone_examined = 0;
+            for (qi, got) in batched.iter().enumerate() {
+                let q = queries.point(qi);
+                assert_eq!(got, &brute_knn(&db, q, k), "k={k} query {qi}");
+                let (single, single_stats) = rbc.query_k(q, k);
+                assert_eq!(got, &single, "k={k} query {qi}");
+                alone_examined += single_stats.reps_examined as u64;
+            }
+            // A cursor is built only for a γ_k survivor, and which ones get
+            // one depends only on the query's own nearest list: the same
+            // pairs in the batch as row by row ...
+            assert_eq!(stats.reps_examined, alone_examined);
+            assert!(stats.reps_examined <= gamma_k_pairs(&rbc, &queries, k));
+            assert_eq!(stats.queries, queries.len() as u64);
+            // ... and never more physical scans than pairs.
+            assert!(stats.list_scans <= stats.reps_examined);
+            assert!(stats.tile_sharing_factor() >= 1.0);
         }
     }
 
     #[test]
     fn evaluations_do_not_grow_with_the_batch() {
         // Every query meets its own nearest list before any other, so what
-        // it evaluates does not depend on who shares its batch: list-major
-        // work per query stays at the query-major floor at every batch size
-        // (sequential, so the counts are exact). A plan made before any
-        // list is scanned can cut only against γ_k, which costs 2–4× more
-        // evaluations at b = 128 than at b = 4.
+        // it evaluates does not depend on who shares its batch: work per
+        // query stays at the one-row floor at every batch size (sequential,
+        // so the counts are exact). A plan made before any list is scanned
+        // can cut only against γ_k, which costs 2–4× more evaluations at
+        // b = 128 than at b = 4.
         //
         // 48 clusters under ~140 representatives: fewer representatives
         // per cluster than k, so γ_k reaches into the neighbouring clusters
@@ -935,29 +802,29 @@ mod tests {
             RbcParams::standard(db.len(), 62),
             RbcConfig::sequential(),
         );
-        let list_evals = |batch: usize, strategy: BatchStrategy| -> f64 {
+        let list_evals = |batch: usize| -> f64 {
             let per_batch = rows.chunks(batch).map(|chunk| {
                 let batch = rbc_metric::QueryBatch::new(chunk);
-                let (_, stats) = rbc.query_batch_k_with_strategy(&batch, 10, strategy);
+                let (_, stats) = rbc.query_batch_k(&batch, 10);
                 stats.list_distance_evals
             });
             per_batch.sum::<u64>() as f64 / rows.len() as f64
         };
-        let floor = list_evals(1, BatchStrategy::QueryMajor);
+        let floor = list_evals(1);
         for batch in [4usize, 32, 128] {
-            let evals = list_evals(batch, BatchStrategy::ListMajor);
+            let evals = list_evals(batch);
             assert!(
                 (evals - floor).abs() <= 0.05 * floor,
-                "b = {batch}: {evals} list evaluations per query, query-major {floor}"
+                "b = {batch}: {evals} list evaluations per query, one-row batches {floor}"
             );
         }
     }
 
     #[test]
     fn list_major_shares_tiles_on_clustered_queries() {
-        // Clustered queries land in the same ownership lists, so the
-        // list-major plan must serve several queries per physical scan and
-        // stream strictly fewer tiles than the query-major path.
+        // Clustered queries land in the same ownership lists, so the batch
+        // must serve several queries per physical scan and stream strictly
+        // fewer tiles than its rows do one at a time.
         let db = clustered_cloud(1500, 8, 43);
         let queries = clustered_cloud(64, 8, 44);
         let rbc = ExactRbc::build(
@@ -966,20 +833,22 @@ mod tests {
             RbcParams::standard(db.len(), 45),
             RbcConfig::default(),
         );
-        let (lm, lm_stats) = rbc.query_batch_k_with_strategy(&queries, 1, BatchStrategy::ListMajor);
-        let (qm, qm_stats) =
-            rbc.query_batch_k_with_strategy(&queries, 1, BatchStrategy::QueryMajor);
-        assert_eq!(lm, qm);
+        let (batched, stats) = rbc.query_batch_k(&queries, 1);
+        let mut alone_tiles = 0;
+        for (qi, got) in batched.iter().enumerate() {
+            let (single, single_stats) = rbc.query_k(queries.point(qi), 1);
+            assert_eq!(got, &single, "query {qi}");
+            alone_tiles += single_stats.list_tile_passes;
+        }
         assert!(
-            lm_stats.tile_sharing_factor() > 1.5,
+            stats.tile_sharing_factor() > 1.5,
             "sharing factor too low: {}",
-            lm_stats.tile_sharing_factor()
+            stats.tile_sharing_factor()
         );
         assert!(
-            lm_stats.list_tile_passes < qm_stats.list_tile_passes,
-            "list-major streamed {} tiles, query-major {}",
-            lm_stats.list_tile_passes,
-            qm_stats.list_tile_passes
+            stats.list_tile_passes < alone_tiles,
+            "the batch streamed {} tiles, its rows alone {alone_tiles}",
+            stats.list_tile_passes
         );
     }
 
@@ -987,7 +856,7 @@ mod tests {
     fn all_lists_pruned_corner_case_is_answered_from_stage_one() {
         // Every point its own representative: every ownership list is a
         // singleton holding the representative itself, so stage 2 has
-        // nothing to contribute and both strategies must answer entirely
+        // nothing to contribute and every query must be answered entirely
         // from the seeded stage-1 distances.
         let db = random_cloud(60, 4, 46);
         let params = RbcParams::standard(db.len(), 47).with_n_reps(10 * db.len());
@@ -995,14 +864,12 @@ mod tests {
         assert_eq!(rbc.num_reps(), db.len());
         let queries = random_cloud(9, 4, 48);
         for k in [1usize, 5, db.len()] {
-            let (lm, lm_stats) =
-                rbc.query_batch_k_with_strategy(&queries, k, BatchStrategy::ListMajor);
-            let (qm, _) = rbc.query_batch_k_with_strategy(&queries, k, BatchStrategy::QueryMajor);
-            assert_eq!(lm, qm, "k={k}");
-            assert_eq!(lm_stats.list_distance_evals, 0, "k={k}");
-            for (qi, per_q) in lm.iter().enumerate() {
-                let want = brute_knn(&db, queries.point(qi), k);
-                assert_eq!(per_q, &want, "k={k} query {qi}");
+            let (batched, stats) = rbc.query_batch_k(&queries, k);
+            assert_eq!(stats.list_distance_evals, 0, "k={k}");
+            for (qi, per_q) in batched.iter().enumerate() {
+                let q = queries.point(qi);
+                assert_eq!(per_q, &brute_knn(&db, q, k), "k={k} query {qi}");
+                assert_eq!(per_q, &rbc.query_k(q, k).0, "k={k} query {qi}");
             }
         }
     }
@@ -1027,11 +894,10 @@ mod tests {
         let (_, single_stats) = rbc.query_k(&poisoned, 10);
         assert!(single_stats.list_distance_evals <= db.len() as u64);
         let queries = VectorSet::from_rows(&[poisoned, finite.clone()]);
-        for strategy in [BatchStrategy::ListMajor, BatchStrategy::QueryMajor] {
-            let (answers, stats) = rbc.query_batch_k_with_strategy(&queries, 10, strategy);
-            assert_eq!(answers[1], brute_knn(&db, &finite, 10), "{strategy:?}");
-            assert!(stats.list_distance_evals <= 2 * db.len() as u64);
-        }
+        let (answers, stats) = rbc.query_batch_k(&queries, 10);
+        assert_eq!(answers[1], brute_knn(&db, &finite, 10));
+        assert_eq!(answers[1], rbc.query_k(&finite, 10).0);
+        assert!(stats.list_distance_evals <= 2 * db.len() as u64);
     }
 
     #[test]

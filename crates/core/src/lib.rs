@@ -39,9 +39,10 @@
 //!
 //! # Batched search architecture
 //!
-//! Batched queries (`query_batch_k` on either structure, and everything
-//! the serving layer routes through [`SearchIndex::search_batch`]) run in
-//! two stages, selectable per call via [`BatchStrategy`]:
+//! Every k-NN search runs as a batch (`query_batch_k` on either structure,
+//! and everything the serving layer routes through
+//! [`SearchIndex::search_batch`]); `query` / `query_k` are batches of one.
+//! A batch runs the paper's two brute-force calls:
 //!
 //! 1. **Stage 1 — seed.** One dense, tiled `BF(Q, R)` call scores every
 //!    query against every representative, and each query's row is turned
@@ -53,9 +54,9 @@
 //!    its stage 1 retains. A query whose distances are all NaN has no
 //!    nearest representative: the one-shot search answers it empty, as the
 //!    exact search does.
-//! 2. **Stage 2 — list-major execution.** The default
-//!    [`BatchStrategy::ListMajor`] parallelises over ownership *lists*,
-//!    not queries ([`batch_plan::Stage2`]): (query, list) pairs are
+//! 2. **Stage 2 — list-major execution.** `BF` over the chosen lists,
+//!    parallel over ownership *lists*, not queries
+//!    ([`batch_plan::Stage2`]): (query, list) pairs are
 //!    grouped by list, and each group's list goes **once** through
 //!    `rbc_bruteforce`'s group scan, which finds every query's admissible
 //!    run of the sorted list by binary search and scores its lane groups
@@ -78,17 +79,15 @@
 //! first); each node then runs the same two phases over the pairs it was
 //! sent.
 //!
-//! The old behaviour — every query privately re-reading each list it
-//! survived to — remains available as [`BatchStrategy::QueryMajor`] for
-//! A/B benchmarking (`query_batch_k_with_strategy`, and the `batch_bench`
-//! binary in `rbc-bench`). In exact mode (`epsilon == 0`) both strategies
-//! return bit-identical answers: pruning only ever discards points that
-//! provably cannot enter the final top-k and ties break deterministically
-//! by index, so only the memory traffic changes. With `epsilon > 0` the
-//! cut is deliberately lossy, so each strategy independently honours the
-//! `(1+ε)` guarantee but their chosen eligible answers may differ.
-//! [`SearchStats::tile_sharing_factor`] reports how many private scans
-//! each shared scan replaced.
+//! In exact mode (`epsilon == 0`) a batch's answers are brute force's,
+//! bit for bit, and each row's answer is the one it gets alone: pruning
+//! only ever discards points that provably cannot enter the final top-k
+//! and ties break deterministically by index (NaN distances last), so
+//! what a batch changes is memory traffic. With `epsilon > 0` the cut is
+//! deliberately lossy; every answer honours the `(1+ε)` guarantee, but
+//! which eligible answer comes back may depend on the batch.
+//! [`SearchStats::tile_sharing_factor`] reports how many queries each
+//! shared scan served.
 //!
 //! # Quick example
 //!
@@ -143,7 +142,7 @@ pub use batch_plan::{BatchPlan, ListGroup};
 pub use exact::ExactRbc;
 pub use index::SearchIndex;
 pub use one_shot::OneShotRbc;
-pub use params::{BatchStrategy, RbcConfig, RbcParams};
+pub use params::{RbcConfig, RbcParams};
 pub use rank::{mean_rank, rank_of};
 pub use reps::{sample_representatives, OwnershipList};
 pub use stats::{QueryStats, SearchStats};

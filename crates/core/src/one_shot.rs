@@ -13,13 +13,11 @@
 
 use std::sync::Mutex;
 
-use rayon::prelude::*;
-
 use rbc_bruteforce::{BfConfig, BruteForce, GroupCursor, ListMirror, Neighbor, TopK};
-use rbc_metric::{BlockedVectors, Dataset, Dist, Metric};
+use rbc_metric::{BlockedVectors, Dataset, Dist, Metric, QueryBatch};
 
 use crate::batch_plan::{self, ListView, Stage2};
-use crate::params::{BatchStrategy, RbcConfig, RbcParams};
+use crate::params::{RbcConfig, RbcParams};
 use crate::reps::{gather_mirrors, sample_representatives, OwnershipList};
 use crate::stats::{QueryStats, SearchStats};
 
@@ -124,16 +122,15 @@ where
 
     /// `k` nearest neighbors of a single query from the chosen
     /// representative's ownership list (probabilistically correct; at most
-    /// `min(k, s)` results can be returned).
+    /// `min(k, s)` results can be returned). A batch of one: the answer and
+    /// the work of [`query_batch_k`](Self::query_batch_k) on that row.
     pub fn query_k(&self, query: &D::Item, k: usize) -> (Vec<Neighbor>, QueryStats) {
-        let bf = BruteForce::with_config(self.config.bf);
-        self.query_k_with(query, k, &bf)
+        let (mut answers, stats) = self.query_batch_k(&QueryBatch::new(&[query]), k);
+        let answer = answers.pop().unwrap_or_default();
+        (answer, stats.into_query(self.rep_indices.len()))
     }
 
-    /// Batch search: one-shot NN for every query, parallelised across
-    /// queries (each individual query runs its two brute-force stages
-    /// sequentially, which is the layout the paper uses for large query
-    /// batches).
+    /// Batch search: one-shot NN for every query.
     pub fn query_batch<Q>(&self, queries: &Q) -> (Vec<Neighbor>, SearchStats)
     where
         Q: Dataset<Item = D::Item>,
@@ -146,75 +143,14 @@ where
         (nn, stats)
     }
 
-    /// Batch k-NN search, executed with the configured [`BatchStrategy`]
-    /// (list-major by default).
+    /// Batch k-NN search: one dense `BF(Q, R)` stage that keeps only each
+    /// query's nearest representative, queries grouped by it, then a
+    /// parallel loop over the chosen *lists* in which each list's tiles are
+    /// streamed once for its whole group (`BF(Q_group, X[L_r])`). Each query
+    /// belongs to at most one group, so the shared kernel's accumulator
+    /// locks are uncontended here. Every k-NN search of the structure runs
+    /// here; a single query is a batch of one.
     pub fn query_batch_k<Q>(&self, queries: &Q, k: usize) -> (Vec<Vec<Neighbor>>, SearchStats)
-    where
-        Q: Dataset<Item = D::Item>,
-    {
-        self.query_batch_k_with_strategy(queries, k, self.config.batch_strategy)
-    }
-
-    /// Batch k-NN search with an explicit execution strategy, overriding
-    /// the built configuration. Both strategies answer from the same
-    /// realised structure and return bit-identical results; this entry
-    /// point exists so benchmarks and equivalence tests can A/B them.
-    pub fn query_batch_k_with_strategy<Q>(
-        &self,
-        queries: &Q,
-        k: usize,
-        strategy: BatchStrategy,
-    ) -> (Vec<Vec<Neighbor>>, SearchStats)
-    where
-        Q: Dataset<Item = D::Item>,
-    {
-        match strategy {
-            BatchStrategy::QueryMajor => self.query_batch_k_query_major(queries, k),
-            BatchStrategy::ListMajor => self.query_batch_k_list_major(queries, k),
-        }
-    }
-
-    /// The query-major batch path: parallelise across queries.
-    fn query_batch_k_query_major<Q>(
-        &self,
-        queries: &Q,
-        k: usize,
-    ) -> (Vec<Vec<Neighbor>>, SearchStats)
-    where
-        Q: Dataset<Item = D::Item>,
-    {
-        let nq = queries.len();
-        let inner_bf = BruteForce::with_config(BfConfig {
-            parallel: false,
-            ..self.config.bf
-        });
-        let run = |qi: usize| self.query_k_with(queries.get(qi), k, &inner_bf);
-        let per_query: Vec<(Vec<Neighbor>, QueryStats)> = if self.config.bf.parallel {
-            (0..nq).into_par_iter().map(run).collect()
-        } else {
-            (0..nq).map(run).collect()
-        };
-
-        let mut results = Vec::with_capacity(nq);
-        let mut agg = SearchStats::default();
-        for (res, qs) in per_query {
-            agg.absorb(&qs);
-            results.push(res);
-        }
-        (results, agg)
-    }
-
-    /// The list-major batch path: one dense `BF(Q, R)` stage that keeps
-    /// only each query's nearest representative, queries grouped by it,
-    /// then a parallel loop over the chosen *lists* in which each list's
-    /// tiles are streamed once for its whole group (`BF(Q_group, X[L_r])`).
-    /// Each query belongs to at most one group, so the shared kernel's
-    /// accumulator locks are uncontended here.
-    fn query_batch_k_list_major<Q>(
-        &self,
-        queries: &Q,
-        k: usize,
-    ) -> (Vec<Vec<Neighbor>>, SearchStats)
     where
         Q: Dataset<Item = D::Item>,
     {
@@ -227,8 +163,8 @@ where
         let n_reps = self.rep_indices.len();
 
         // Stage 1: the dense k = 1 kernel over the representatives (ties
-        // to the lower index, like the query-major reduction); no distance
-        // but the nearest is retained.
+        // to the lower index, NaN distances last, like every `BF(q, R)`
+        // reduction); no distance but the nearest is retained.
         let stage1_span = rbc_trace::span("core.stage1");
         let rep_view = self.db.subset(&self.rep_indices);
         let (nearest, rep_stats) =
@@ -278,36 +214,6 @@ where
         drop(scan_span);
         stats.max_query_evals = n_reps as u64 + list_evals.into_iter().max().unwrap_or(0);
         (batch_plan::into_answers(accumulators), stats)
-    }
-
-    fn query_k_with(
-        &self,
-        query: &D::Item,
-        k: usize,
-        bf: &BruteForce,
-    ) -> (Vec<Neighbor>, QueryStats) {
-        // Stage 1: BF(q, R) — nearest representative.
-        let rep_view = self.db.subset(&self.rep_indices);
-        let (best_rep, rep_stats) = bf.nn_single(query, &rep_view, &self.metric);
-        let mut stats = QueryStats {
-            rep_distance_evals: rep_stats.distance_evals,
-            reps_total: self.rep_indices.len(),
-            ..QueryStats::default()
-        };
-        // No representative is nearest to a query whose every distance is
-        // NaN; like the batched path, it scans no list and answers empty.
-        if best_rep.is_sentinel() {
-            return (Vec::new(), stats);
-        }
-
-        // Stage 2: BF(q, X[L_r]); `best_rep.index` is a position within R.
-        let list = &self.lists[best_rep.index];
-        let (neighbors, list_stats) =
-            bf.knn_single_in_list(query, &self.db, &list.members, &self.metric, k);
-        stats.list_distance_evals = list_stats.distance_evals;
-        stats.reps_examined = 1;
-        stats.list_tile_passes = list.len().div_ceil(bf.config().db_tile.max(1)) as u64;
-        (neighbors, stats)
     }
 
     // --- accessors -----------------------------------------------------
@@ -677,7 +583,7 @@ mod tests {
     }
 
     #[test]
-    fn list_major_and_query_major_agree_and_share_scans() {
+    fn batched_rows_agree_with_their_rows_alone_and_share_scans() {
         let db = clustered_cloud(800, 6, 30);
         let queries = clustered_cloud(40, 6, 31);
         let rbc = OneShotRbc::build(
@@ -687,20 +593,22 @@ mod tests {
             RbcConfig::default(),
         );
         for k in [1usize, 3, 8] {
-            let (lm, lm_stats) =
-                rbc.query_batch_k_with_strategy(&queries, k, BatchStrategy::ListMajor);
-            let (qm, qm_stats) =
-                rbc.query_batch_k_with_strategy(&queries, k, BatchStrategy::QueryMajor);
-            assert_eq!(lm, qm, "k={k}");
-            assert_eq!(
-                lm_stats.total_distance_evals(),
-                qm_stats.total_distance_evals()
-            );
-            assert_eq!(lm_stats.max_query_evals, qm_stats.max_query_evals);
+            let (batched, stats) = rbc.query_batch_k(&queries, k);
+            let mut alone = SearchStats::default();
+            for (qi, got) in batched.iter().enumerate() {
+                let row = VectorSet::from_rows(&[queries.point(qi)]);
+                let (single, single_stats) = rbc.query_batch_k(&row, k);
+                assert_eq!(got, &single[0], "k={k} query {qi}");
+                alone.merge(&single_stats);
+            }
+            // One list per query, scanned in full: the work is the rows'.
+            assert_eq!(stats.total_distance_evals(), alone.total_distance_evals());
+            assert_eq!(stats.max_query_evals, alone.max_query_evals);
+            assert_eq!(stats.reps_examined, alone.reps_examined);
             // 40 clustered queries choose far fewer than 40 distinct
             // representatives, so the shared scans must coalesce.
-            assert!(lm_stats.list_scans < qm_stats.list_scans);
-            assert!(lm_stats.tile_sharing_factor() > 1.0);
+            assert!(stats.list_scans < alone.list_scans);
+            assert!(stats.tile_sharing_factor() > 1.0);
         }
     }
 
@@ -723,15 +631,13 @@ mod tests {
         let nan_query = mixed.point(7);
 
         let (want, want_stats) = rbc.query_batch_k(&good, 3);
-        for strategy in [BatchStrategy::ListMajor, BatchStrategy::QueryMajor] {
-            let (mut got, stats) = rbc.query_batch_k_with_strategy(&mixed, 3, strategy);
-            assert!(got.remove(7).is_empty(), "{strategy:?}");
-            assert_eq!(got, want, "{strategy:?}");
-            assert_eq!(
-                stats.list_distance_evals, want_stats.list_distance_evals,
-                "the NaN query scans no list ({strategy:?})"
-            );
-        }
+        let (mut got, stats) = rbc.query_batch_k(&mixed, 3);
+        assert!(got.remove(7).is_empty());
+        assert_eq!(got, want);
+        assert_eq!(
+            stats.list_distance_evals, want_stats.list_distance_evals,
+            "the NaN query scans no list"
+        );
         // Alone in its batch, through the single-query entry, and behind
         // the serving trait.
         let alone = VectorSet::from_rows(&[nan_query]);
@@ -744,6 +650,58 @@ mod tests {
         let (mut served, _) = crate::SearchIndex::search_batch(&rbc, &refs, 3);
         assert!(served.remove(7).is_empty());
         assert_eq!(served, want);
+    }
+
+    #[test]
+    fn a_partly_nan_row_picks_the_same_representative_on_every_path() {
+        // A query with a +∞ coordinate is NaN from a representative with a
+        // +∞ coordinate too (∞ − ∞) and +∞ from every finite one. With such
+        // representatives at the lowest positions — one, then a whole lane
+        // group and one more — its stage-1 row opens with NaNs, and every
+        // `BF(q, R)` reduction must skip them for the first number.
+        let clean = clustered_cloud(400, 6, 49);
+        let queries = clustered_cloud(12, 6, 50);
+        let params = RbcParams::standard(clean.len(), 51).with_list_size(30);
+        let reps = sample_representatives(clean.len(), params.n_reps, params.seed);
+        let mut with_inf = queries.point(5).to_vec();
+        with_inf[0] = f32::INFINITY;
+        for poisoned in [1, rbc_metric::LANES + 1] {
+            let mut rows: Vec<Vec<f32>> = clean.iter().map(<[f32]>::to_vec).collect();
+            for &rep in &reps[..poisoned] {
+                rows[rep][0] = f32::INFINITY;
+            }
+            let db = VectorSet::from_rows(&rows);
+            let rbc = OneShotRbc::build(&db, Euclidean, params.clone(), RbcConfig::default());
+            assert_eq!(rbc.rep_indices(), reps);
+
+            let bf = BruteForce::new();
+            let rep_view = db.subset(rbc.rep_indices());
+            let one = VectorSet::from_rows(&[&with_inf]);
+            let (single, _) = bf.nn_single(&with_inf[..], &rep_view, &Euclidean);
+            assert_eq!(single, Neighbor::new(poisoned, Dist::INFINITY));
+            let (blocked, _) = bf.nn_with_blocks(&one, &rep_view, &Euclidean, rbc.rep_blocked());
+            assert_eq!(blocked, vec![single], "{poisoned} poisoned");
+            let (matrix, _) = bf.pairwise(&one, &rep_view, &Euclidean);
+            assert!(matrix[..poisoned].iter().all(|d| d.is_nan()));
+            let plan = batch_plan::BatchPlan::plan_one_shot(&matrix, rbc.num_reps());
+            assert_eq!(plan.groups.len(), 1);
+            assert_eq!(plan.groups[0].list_index, single.index);
+
+            // The answer is that list's, alone and inside a batch.
+            let list = &rbc.lists()[single.index].members;
+            let want = bf
+                .knn_single_in_list(&with_inf[..], &db, list, &Euclidean, 3)
+                .0;
+            assert_eq!(want.len(), 3);
+            assert_eq!(rbc.query_k(&with_inf, 3).0, want, "{poisoned} poisoned");
+            let mut mixed: Vec<Vec<f32>> = queries.iter().map(<[f32]>::to_vec).collect();
+            mixed[5] = with_inf.clone();
+            let (batched, _) = rbc.query_batch_k(&VectorSet::from_rows(&mixed), 3);
+            assert_eq!(batched[5], want, "{poisoned} poisoned");
+            for (qi, got) in batched.iter().enumerate() {
+                assert_eq!(got, &rbc.query_k(&mixed[qi], 3).0, "query {qi}");
+            }
+        }
     }
 
     #[test]
@@ -761,11 +719,7 @@ mod tests {
             let (batched, stats) = rbc.query_batch_k(&row, 4);
             let (single, single_stats) = rbc.query_k(queries.point(qi), 4);
             assert_eq!(batched, vec![single]);
-            assert_eq!(
-                stats.total_distance_evals(),
-                single_stats.total_distance_evals()
-            );
-            assert_eq!(stats.list_tile_passes, single_stats.list_tile_passes);
+            assert_eq!(stats.into_query(rbc.num_reps()), single_stats);
             assert_eq!(stats.list_scans, 1);
         }
     }

@@ -110,36 +110,6 @@ impl RbcParams {
     }
 }
 
-/// How a batched query call (`query_batch_k`) is executed.
-///
-/// In exact mode (`epsilon == 0`, the default) both strategies return
-/// bit-identical answers — the equivalence is pinned by property tests —
-/// and differ only in which axis stage 2 parallelises over, and therefore
-/// in how often ownership-list tiles are re-read. With `epsilon > 0` the
-/// sorted-list cut is deliberately lossy, so each strategy independently
-/// honours the `(1+ε)` guarantee but they may return different eligible
-/// answers (and list-major's choice can vary with thread scheduling).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BatchStrategy {
-    /// Parallelise across queries: each query runs its own two-stage
-    /// search and privately re-reads every ownership list it scans. Kept
-    /// selectable for A/B benchmarking — this was the only strategy before
-    /// the list-major planner existed.
-    QueryMajor,
-    /// Plan stage 1 for the whole batch (`BF(Q, R)` plus the pruning rules
-    /// applied per query), then parallelise stage 2 across *ownership
-    /// lists*: each surviving list is streamed once per tile and shared by
-    /// every query whose pruning rules selected it — the access-pattern
-    /// inversion that turns stage 2 into the `BF(Q, X_sub)` shape the
-    /// paper's batching argument is about. Trades some extra distance
-    /// evaluations (thresholds no longer tighten nearest-list-first) for
-    /// far fewer memory streams; a single-query batch has nothing to share
-    /// but runs the same path — its list scan still reads the list's
-    /// blocked mirror, which the query-major execution does not.
-    #[default]
-    ListMajor,
-}
-
 /// Behavioural switches for the search algorithms, exposed mainly so the
 /// ablation benchmarks can turn individual design choices off.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -164,9 +134,6 @@ pub struct RbcConfig {
     /// (the relaxation mentioned in the paper's footnote 1), which
     /// tightens every pruning rule by a factor `1/(1+ε)` and reduces work.
     pub epsilon: f64,
-    /// Which execution strategy batched queries use; single-query entry
-    /// points are unaffected. Defaults to [`BatchStrategy::ListMajor`].
-    pub batch_strategy: BatchStrategy,
 }
 
 impl Default for RbcConfig {
@@ -177,7 +144,6 @@ impl Default for RbcConfig {
             use_lemma1_bound: true,
             sorted_list_pruning: true,
             epsilon: 0.0,
-            batch_strategy: BatchStrategy::default(),
         }
     }
 }
@@ -198,13 +164,6 @@ impl RbcConfig {
     pub fn without_pruning(mut self) -> Self {
         self.use_radius_bound = false;
         self.use_lemma1_bound = false;
-        self
-    }
-
-    /// Selects the batched execution strategy.
-    #[must_use]
-    pub fn with_batch_strategy(mut self, batch_strategy: BatchStrategy) -> Self {
-        self.batch_strategy = batch_strategy;
         self
     }
 
@@ -274,14 +233,19 @@ mod tests {
         let c = RbcConfig::default();
         assert!(c.use_radius_bound && c.use_lemma1_bound && c.sorted_list_pruning);
         assert_eq!(c.epsilon, 0.0);
-        assert_eq!(c.batch_strategy, BatchStrategy::ListMajor);
         let no_prune = c.without_pruning();
         assert!(!no_prune.use_radius_bound && !no_prune.use_lemma1_bound);
         let approx = c.with_epsilon(0.5);
         assert_eq!(approx.epsilon, 0.5);
-        assert!(!RbcConfig::sequential().bf.parallel);
-        let query_major = c.with_batch_strategy(BatchStrategy::QueryMajor);
-        assert_eq!(query_major.batch_strategy, BatchStrategy::QueryMajor);
+        let sequential = RbcConfig::sequential();
+        assert!(!sequential.bf.parallel);
+        assert_eq!(
+            sequential,
+            RbcConfig {
+                bf: sequential.bf,
+                ..c
+            }
+        );
     }
 
     #[test]

@@ -58,12 +58,11 @@ pub struct OwnershipList {
 
 impl OwnershipList {
     /// Builds a list from unsorted `(index, distance)` pairs. Members are
-    /// ordered by [`Neighbor::cmp_nan_last`]: ascending `(distance, index)`,
+    /// ordered as [`Neighbor`]s are: ascending `(distance, index)`,
     /// a NaN distance (a database point with a NaN coordinate) after every
     /// number.
     pub fn from_pairs(rep_index: usize, mut pairs: Vec<(usize, Dist)>) -> Self {
-        pairs
-            .sort_by(|&(i, di), &(j, dj)| Neighbor::new(i, di).cmp_nan_last(&Neighbor::new(j, dj)));
+        pairs.sort_by_key(|&(i, d)| Neighbor::new(i, d).sort_key());
         let (members, member_dists) = pairs.into_iter().unzip();
         Self::from_sorted(rep_index, members, member_dists)
     }
@@ -75,7 +74,7 @@ impl OwnershipList {
         debug_assert!(
             (1..members.len()).all(|at| {
                 let entry = |at: usize| Neighbor::new(members[at], member_dists[at]);
-                entry(at - 1).cmp_nan_last(&entry(at)).is_lt()
+                entry(at - 1) < entry(at)
             }),
             "members must ascend by (dist, index)"
         );

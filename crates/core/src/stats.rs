@@ -2,8 +2,9 @@
 //!
 //! The theory (§6) is phrased in distance evaluations, and the experiments
 //! report speedups over brute force; these counters let both be measured
-//! directly. Every query returns a [`QueryStats`]; batch entry points
-//! aggregate them into a [`SearchStats`].
+//! directly. Every search is a batch and returns a [`SearchStats`]; the
+//! single-query entry points are batches of one and hand back their one row
+//! as a [`QueryStats`].
 
 use serde::{Deserialize, Serialize};
 
@@ -23,10 +24,9 @@ pub struct QueryStats {
     /// Candidate points skipped by the sorted-list triangle-inequality cut
     /// (exact search only).
     pub list_points_skipped: u64,
-    /// Ownership-list tiles this query streamed in stage 2. A single query
-    /// always pays for its own tiles, so this is a private count; batched
-    /// list-major execution is where tiles get shared (see
-    /// [`SearchStats::list_tile_passes`]).
+    /// Ownership-list tiles this query streamed in stage 2. Alone in its
+    /// batch it shares them with nobody; in a larger batch tiles are shared
+    /// (see [`SearchStats::list_tile_passes`]).
     pub list_tile_passes: u64,
 }
 
@@ -51,25 +51,24 @@ impl QueryStats {
 /// # Counter semantics
 ///
 /// Two kinds of stage-2 work are counted, and they deliberately scale
-/// differently under list-major (tile-sharing) execution:
+/// differently as a batch grows and its queries share list scans:
 ///
 /// * **Distance evaluations** (`list_distance_evals`) are always counted
 ///   once per `(query, point)` pair. A distance belongs to exactly one
-///   query; no execution strategy can share it, so this number measures
-///   arithmetic work and is strategy-independent up to pruning-order
-///   effects.
+///   query and can never be shared, so this number measures arithmetic
+///   work; each query meets its nearest list first, so it barely depends
+///   on who else is in the batch.
 /// * **Tile passes** (`list_tile_passes`) are counted once per *shared*
-///   tile stream. When list-major execution streams one ownership-list
-///   tile for a group of co-travelling queries, that is **one** pass — not
-///   one per query sharing it. Query-major execution gives every query a
-///   private pass over every list it scans, so there the count equals the
-///   sum of per-query passes. This number measures memory traffic, the
-///   resource the paper's batching argument is about.
+///   tile stream. When a group scan streams one ownership-list tile for
+///   several co-travelling queries, that is **one** pass — not one per
+///   query sharing it. For a batch of one it is the query's own count.
+///   This number measures memory traffic, the resource the paper's
+///   batching argument is about.
 ///
-/// `reps_examined` stays a per-(query, list) count under both strategies
-/// (it answers "how well did pruning work per query"), while `list_scans`
-/// counts physical scans — so `reps_examined / list_scans` is the achieved
-/// tile-sharing factor (see [`tile_sharing_factor`]).
+/// `reps_examined` is a per-(query, list) count (it answers "how well did
+/// pruning work per query"), while `list_scans` counts physical scans — so
+/// `reps_examined / list_scans` is the achieved tile-sharing factor (see
+/// [`tile_sharing_factor`]).
 ///
 /// [`tile_sharing_factor`]: SearchStats::tile_sharing_factor
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,33 +89,34 @@ pub struct SearchStats {
     /// Stage-2 list tiles streamed through memory, counted once per
     /// shared pass (see the type-level counter semantics).
     pub list_tile_passes: u64,
-    /// Physical stage-2 list scans performed: list-major counts each
-    /// shared group scan once; query-major performs one private scan per
-    /// `(query, list)` pair, making this equal to `reps_examined`.
+    /// Physical stage-2 list scans performed, each shared group scan
+    /// counted once; equal to `reps_examined` when no two queries shared
+    /// one (always, for a batch of one).
     pub list_scans: u64,
     /// Lane groups the stage-2 group scans recomputed with the canonical
     /// kernel after the `f32` screen (`GroupScanStats::reranked`); the
-    /// share of `list_distance_evals / 8` the screen did *not* reject. Only
-    /// batched list-major searches report it (a solo query's [`QueryStats`]
-    /// has no slot for it). It depends on the active kernel's rounding and
+    /// share of `list_distance_evals / 8` the screen did *not* reject (a
+    /// single query's [`QueryStats`] has no slot for it). It depends on the
+    /// active kernel's rounding and
     /// on scan order: a report, never a gate, and never compared for
     /// equality.
     pub list_reranked_groups: u64,
 }
 
 impl SearchStats {
-    /// Folds one query's stats into the aggregate. A solo query streams
-    /// its tiles privately, so each of its list scans counts as one
-    /// physical scan and its tile passes add unshared.
-    pub fn absorb(&mut self, q: &QueryStats) {
-        self.queries += 1;
-        self.rep_distance_evals += q.rep_distance_evals;
-        self.list_distance_evals += q.list_distance_evals;
-        self.reps_examined += q.reps_examined as u64;
-        self.list_points_skipped += q.list_points_skipped;
-        self.max_query_evals = self.max_query_evals.max(q.total_distance_evals());
-        self.list_tile_passes += q.list_tile_passes;
-        self.list_scans += q.reps_examined as u64;
+    /// The account of a batch of one as its query's [`QueryStats`], in a
+    /// structure of `reps_total` representatives (`list_reranked_groups`
+    /// has no slot there and is dropped).
+    pub(crate) fn into_query(self, reps_total: usize) -> QueryStats {
+        debug_assert_eq!(self.queries, 1, "only a batch of one is one query");
+        QueryStats {
+            rep_distance_evals: self.rep_distance_evals,
+            list_distance_evals: self.list_distance_evals,
+            reps_total,
+            reps_examined: self.reps_examined as usize,
+            list_points_skipped: self.list_points_skipped,
+            list_tile_passes: self.list_tile_passes,
+        }
     }
 
     /// Merges another aggregate into this one.
@@ -156,10 +156,10 @@ impl SearchStats {
     }
 
     /// Mean number of queries served per physical list scan — the achieved
-    /// stage-2 tile-sharing factor. Query-major execution is always `1.0`
-    /// (every scan serves one query); list-major execution exceeds `1.0`
-    /// whenever co-travelling queries selected the same ownership lists.
-    /// `0.0` when no list was scanned at all.
+    /// stage-2 tile-sharing factor: `1.0` when every scan served one query
+    /// (always, for a batch of one), more whenever co-travelling queries
+    /// selected the same ownership lists. `0.0` when no list was scanned at
+    /// all.
     pub fn tile_sharing_factor(&self) -> f64 {
         if self.list_scans == 0 {
             0.0
@@ -181,16 +181,6 @@ impl SearchStats {
     }
 }
 
-impl std::iter::FromIterator<QueryStats> for SearchStats {
-    fn from_iter<I: IntoIterator<Item = QueryStats>>(iter: I) -> Self {
-        let mut agg = SearchStats::default();
-        for q in iter {
-            agg.absorb(&q);
-        }
-        agg
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,6 +196,20 @@ mod tests {
         }
     }
 
+    /// `queries` queries' worth of work, three lists each, scanned apart.
+    fn batch(queries: u64, rep: u64, list: u64, max_query: u64) -> SearchStats {
+        SearchStats {
+            queries,
+            rep_distance_evals: rep,
+            list_distance_evals: list,
+            reps_examined: 3 * queries,
+            max_query_evals: max_query,
+            list_tile_passes: 2 * queries,
+            list_scans: 3 * queries,
+            ..SearchStats::default()
+        }
+    }
+
     #[test]
     fn query_totals_and_survival() {
         let q = sample_query(10, 25);
@@ -215,20 +219,19 @@ mod tests {
     }
 
     #[test]
-    fn absorb_accumulates_and_tracks_max() {
-        let mut agg = SearchStats::default();
-        agg.absorb(&sample_query(10, 20));
-        agg.absorb(&sample_query(10, 50));
-        assert_eq!(agg.queries, 2);
-        assert_eq!(agg.total_distance_evals(), 90);
-        assert_eq!(agg.max_query_evals, 60);
-        assert_eq!(agg.evals_per_query(), 45.0);
-        assert_eq!(agg.reps_examined_per_query(), 3.0);
-        // Solo queries stream privately: one physical scan per examined
-        // list, so the sharing factor is exactly 1.
-        assert_eq!(agg.list_tile_passes, 8);
-        assert_eq!(agg.list_scans, 6);
-        assert_eq!(agg.tile_sharing_factor(), 1.0);
+    fn a_batch_of_one_is_its_query_stats() {
+        let row = SearchStats {
+            queries: 1,
+            rep_distance_evals: 10,
+            list_distance_evals: 25,
+            reps_examined: 3,
+            list_points_skipped: 2,
+            max_query_evals: 35,
+            list_tile_passes: 4,
+            list_scans: 3,
+            list_reranked_groups: 1,
+        };
+        assert_eq!(row.into_query(10), sample_query(10, 25));
     }
 
     #[test]
@@ -248,19 +251,19 @@ mod tests {
 
     #[test]
     fn merge_combines_aggregates() {
-        let mut a: SearchStats = vec![sample_query(5, 5)].into_iter().collect();
-        let b: SearchStats = vec![sample_query(7, 3), sample_query(1, 1)]
-            .into_iter()
-            .collect();
-        a.merge(&b);
+        let mut a = batch(1, 5, 5, 10);
+        a.merge(&batch(2, 8, 4, 7));
         assert_eq!(a.queries, 3);
         assert_eq!(a.total_distance_evals(), 22);
         assert_eq!(a.max_query_evals, 10);
+        assert_eq!(a.evals_per_query(), 22.0 / 3.0);
+        assert_eq!(a.reps_examined_per_query(), 3.0);
+        assert_eq!((a.list_tile_passes, a.list_scans), (6, 9));
     }
 
     #[test]
     fn work_speedup_is_relative_to_database_size() {
-        let agg: SearchStats = vec![sample_query(10, 10)].into_iter().collect();
+        let agg = batch(1, 10, 10, 20);
         assert_eq!(agg.work_speedup_over_brute_force(2000), 100.0);
         assert_eq!(
             SearchStats::default().work_speedup_over_brute_force(100),

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use rbc_bruteforce::{BruteForce, Neighbor};
-use rbc_core::{BatchPlan, BatchStrategy, ExactRbc, OneShotRbc, RbcConfig, RbcParams};
+use rbc_core::{BatchPlan, ExactRbc, OneShotRbc, RbcConfig, RbcParams};
 use rbc_metric::{Dataset, Euclidean, Manhattan, Metric, VectorSet};
 
 const DIM: usize = 3;
@@ -199,12 +199,13 @@ proptest! {
         }
     }
 
-    /// Work accounting is consistent. Query-major batches are literally the
-    /// per-query searches run in parallel, so their totals match the sum
-    /// over single queries exactly. List-major batches share list tiles and
-    /// tighten thresholds in a different order, so only the answers are
-    /// bit-identical — their work must still respect the brute-force bound
-    /// and account every stage-1 evaluation.
+    /// Work accounting is consistent. A batch shares list tiles between
+    /// its rows, and the order its scans run in moves evaluation counts a
+    /// little, never answers; but stage 1 and the (query, list) pairs a
+    /// cursor is built for are each row's own — a query meets its nearest
+    /// list first, and only that scan decides which of its other lists it
+    /// keeps — so they add up over the rows exactly. Everything respects
+    /// the brute-force bound.
     #[test]
     fn work_accounting_is_consistent(
         db_rows in cloud(4..50),
@@ -215,46 +216,30 @@ proptest! {
         let queries = VectorSet::from_rows(&q_rows);
         let params = RbcParams::standard(db.len(), seed);
         let rbc = ExactRbc::build(&db, Euclidean, params, RbcConfig::default());
-        let (_, qm_stats) =
-            rbc.query_batch_k_with_strategy(&queries, 1, BatchStrategy::QueryMajor);
-        let mut total_single = 0u64;
-        for qi in 0..queries.len() {
-            let (_, qs) = rbc.query(queries.point(qi));
-            total_single += qs.total_distance_evals();
-        }
-        prop_assert_eq!(qm_stats.total_distance_evals(), total_single);
-        // Query-major scans are private: sharing factor is exactly 1 (or 0
-        // when every list was pruned for every query).
-        let qm_sharing = qm_stats.tile_sharing_factor();
-        prop_assert!(qm_sharing == 0.0 || (qm_sharing - 1.0).abs() < 1e-12);
-
-        let (_, lm_stats) =
-            rbc.query_batch_k_with_strategy(&queries, 1, BatchStrategy::ListMajor);
+        let (_, stats) = rbc.query_batch_k(&queries, 1);
         let bound = (queries.len() * (db.len() + rbc.num_reps())) as u64;
-        prop_assert!(lm_stats.total_distance_evals() <= bound);
-        prop_assert!(qm_stats.total_distance_evals() <= bound);
-        // Stage 1 is identical under both strategies.
-        prop_assert_eq!(lm_stats.rep_distance_evals, qm_stats.rep_distance_evals);
+        prop_assert!(stats.total_distance_evals() <= bound);
+        let (mut rep_evals, mut examined) = (0u64, 0u64);
+        for qi in 0..queries.len() {
+            let (_, row) = rbc.query(queries.point(qi));
+            prop_assert!(row.total_distance_evals() <= (db.len() + rbc.num_reps()) as u64);
+            rep_evals += row.rep_distance_evals;
+            examined += row.reps_examined as u64;
+        }
+        prop_assert_eq!(stats.rep_distance_evals, rep_evals);
+        prop_assert_eq!(stats.reps_examined, examined);
         // `reps_examined` counts the (query, list) pairs a cursor was built
-        // for: only ever γ_k survivors, and the batch's re-plan (one
-        // threshold per query) never drops a pair the query-major walk (a
-        // threshold per list) keeps. A physical scan serves at least one
-        // pair, and query-major scans every pair privately. (List-major can
-        // perform *more* scans than query-major on a batch this small: each
-        // pair the walk dropped and the re-plan kept may be a scan of its
-        // own.)
+        // for: only ever γ_k survivors. A physical scan serves at least one.
         let reps = db.subset(rbc.rep_indices());
         let (rep_dists, _) = BruteForce::new().pairwise(&queries, &reps, &Euclidean);
         let survivors = BatchPlan::plan_exact(&rep_dists, rbc.lists(), 1, rbc.config()).pairs;
-        prop_assert!(qm_stats.reps_examined <= lm_stats.reps_examined);
-        prop_assert!(lm_stats.reps_examined <= survivors as u64);
-        prop_assert!(lm_stats.list_scans <= lm_stats.reps_examined);
-        prop_assert_eq!(qm_stats.list_scans, qm_stats.reps_examined);
+        prop_assert!(stats.reps_examined <= survivors as u64);
+        prop_assert!(stats.list_scans <= stats.reps_examined);
     }
 
-    /// The tentpole equivalence: list-major `query_batch_k` returns
-    /// bit-identical neighbors and ordering to the query-major path and to
-    /// per-query `query_k`, across k ∈ {1, 5, n}, on uniform data.
+    /// The batch equivalence: `query_batch_k` returns bit-identical
+    /// neighbors and ordering to brute force and to each row searched alone
+    /// (`query_k`, a batch of one), across k ∈ {1, 5, n}, on uniform data.
     #[test]
     fn list_major_is_bit_identical_uniform(
         db_rows in cloud(2..70),
@@ -267,14 +252,11 @@ proptest! {
         let params = RbcParams::standard(db.len(), seed).with_n_reps(n_reps.min(db.len()));
         let rbc = ExactRbc::build(&db, Euclidean, params, RbcConfig::default());
         for k in [1usize, 5, db.len()] {
-            let (lm, _) =
-                rbc.query_batch_k_with_strategy(&queries, k, BatchStrategy::ListMajor);
-            let (qm, _) =
-                rbc.query_batch_k_with_strategy(&queries, k, BatchStrategy::QueryMajor);
-            prop_assert_eq!(&lm, &qm);
-            for (qi, batched) in lm.iter().enumerate() {
-                let (single, _) = rbc.query_k(queries.point(qi), k);
-                prop_assert_eq!(batched, &single);
+            let (batched, _) = rbc.query_batch_k(&queries, k);
+            for (qi, got) in batched.iter().enumerate() {
+                let q = queries.point(qi);
+                prop_assert_eq!(got, &brute_knn(&db, q, &Euclidean, k));
+                prop_assert_eq!(got, &rbc.query_k(q, k).0);
             }
         }
     }
@@ -314,14 +296,11 @@ proptest! {
             let params = RbcParams::standard(db.len(), seed).with_n_reps(n_reps);
             let rbc = ExactRbc::build(&db, Euclidean, params, RbcConfig::default());
             for k in [1usize, 5, db.len()] {
-                let (lm, _) =
-                    rbc.query_batch_k_with_strategy(&queries, k, BatchStrategy::ListMajor);
-                let (qm, _) =
-                    rbc.query_batch_k_with_strategy(&queries, k, BatchStrategy::QueryMajor);
-                prop_assert_eq!(&lm, &qm);
-                for (qi, batched) in lm.iter().enumerate() {
-                    let (single, _) = rbc.query_k(queries.point(qi), k);
-                    prop_assert_eq!(batched, &single);
+                let (batched, _) = rbc.query_batch_k(&queries, k);
+                for (qi, got) in batched.iter().enumerate() {
+                    let q = queries.point(qi);
+                    prop_assert_eq!(got, &brute_knn(&db, q, &Euclidean, k));
+                    prop_assert_eq!(got, &rbc.query_k(q, k).0);
                 }
             }
         }
@@ -329,8 +308,8 @@ proptest! {
 
     /// Both scan layouts — lane groups from the blocked mirrors, or the
     /// row-major fallback scoring each group member by member — return
-    /// bit-identical neighbors and ordering, across k ∈ {1, 5, n} and both
-    /// batch strategies (run the suite under `RBC_FORCE_SCALAR=1` to cover
+    /// bit-identical neighbors and ordering, across k ∈ {1, 5, n}, in a batch
+    /// and row by row (run the suite under `RBC_FORCE_SCALAR=1` to cover
     /// the scalar kernels too), on uniform and clustered data. Clustered
     /// clouds are the adversarial case: many queries pile onto the same
     /// ownership lists, so the private-then-merged accumulators see real
@@ -365,10 +344,11 @@ proptest! {
             let row_major = ExactRbc::build(&db, Euclidean, params.clone(), row_major_cfg);
             let blocked = ExactRbc::build(&db, Euclidean, params, RbcConfig::default());
             for k in [1usize, 5, db.len()] {
-                for strategy in [BatchStrategy::ListMajor, BatchStrategy::QueryMajor] {
-                    let (want, _) = row_major.query_batch_k_with_strategy(&queries, k, strategy);
-                    let (got, _) = blocked.query_batch_k_with_strategy(&queries, k, strategy);
-                    prop_assert_eq!(&got, &want);
+                let (want, _) = row_major.query_batch_k(&queries, k);
+                let (got, _) = blocked.query_batch_k(&queries, k);
+                prop_assert_eq!(&got, &want);
+                for (qi, want) in want.iter().enumerate() {
+                    prop_assert_eq!(&blocked.query_k(queries.point(qi), k).0, want);
                 }
             }
         }
@@ -376,10 +356,10 @@ proptest! {
 
     /// Answers do not depend on the schedule: however many threads claim
     /// the batch's groups and queries, and in whatever order they get to
-    /// them, both exact batch strategies and the one-shot search return
-    /// bit-identical neighbors (only evaluation counts may move), and the
-    /// exact ones match brute force — on uniform and on clustered data,
-    /// where many queries share a list and one accumulator.
+    /// them, the exact and the one-shot search return bit-identical
+    /// neighbors (only evaluation counts may move), and the exact ones
+    /// match brute force — on uniform and on clustered data, where many
+    /// queries share a list and one accumulator.
     #[test]
     fn answers_are_schedule_independent(
         db_rows in cloud(30..120),
@@ -413,24 +393,17 @@ proptest! {
                         .expect("the shim's builder cannot fail")
                         .install(|| {
                             (
-                                exact
-                                    .query_batch_k_with_strategy(&queries, k, BatchStrategy::ListMajor)
-                                    .0,
-                                exact
-                                    .query_batch_k_with_strategy(&queries, k, BatchStrategy::QueryMajor)
-                                    .0,
+                                exact.query_batch_k(&queries, k).0,
                                 one_shot.query_batch_k(&queries, k).0,
                             )
                         })
                 };
                 let alone = answers(1);
-                prop_assert_eq!(&alone.0, &alone.1);
                 for (qi, got) in alone.0.iter().enumerate() {
-                    let want = brute_knn(&db, queries.point(qi), &Euclidean, k);
-                    prop_assert_eq!(got.len(), want.len());
-                    for (g, w) in got.iter().zip(want.iter()) {
-                        prop_assert!((g.dist - w.dist).abs() < 1e-12);
-                    }
+                    let q = queries.point(qi);
+                    prop_assert_eq!(got, &brute_knn(&db, q, &Euclidean, k));
+                    prop_assert_eq!(got, &exact.query_k(q, k).0);
+                    prop_assert_eq!(&alone.1[qi], &one_shot.query_k(q, k).0);
                 }
                 for threads in [2usize, 5] {
                     prop_assert_eq!(&answers(threads), &alone);
@@ -439,8 +412,9 @@ proptest! {
         }
     }
 
-    /// The one-shot structure's two batch strategies answer from the same
-    /// realised lists, so they must agree bit-for-bit too.
+    /// The one-shot structure answers a row from the same realised list
+    /// whoever shares its batch, so a batch and its rows alone must agree
+    /// bit-for-bit too.
     #[test]
     fn one_shot_list_major_is_bit_identical(
         db_rows in cloud(2..60),
@@ -451,15 +425,16 @@ proptest! {
         let queries = VectorSet::from_rows(&q_rows);
         let params = RbcParams::standard(db.len(), seed);
         let rbc = OneShotRbc::build(&db, Euclidean, params, RbcConfig::default());
+        let (bf, reps) = (BruteForce::new(), db.subset(rbc.rep_indices()));
         for k in [1usize, 5, db.len()] {
-            let (lm, _) =
-                rbc.query_batch_k_with_strategy(&queries, k, BatchStrategy::ListMajor);
-            let (qm, _) =
-                rbc.query_batch_k_with_strategy(&queries, k, BatchStrategy::QueryMajor);
-            prop_assert_eq!(&lm, &qm);
-            for (qi, batched) in lm.iter().enumerate() {
-                let (single, _) = rbc.query_k(queries.point(qi), k);
-                prop_assert_eq!(batched, &single);
+            let (batched, _) = rbc.query_batch_k(&queries, k);
+            for (qi, got) in batched.iter().enumerate() {
+                let q = queries.point(qi);
+                prop_assert_eq!(got, &rbc.query_k(q, k).0);
+                // Its nearest representative's list, brute-forced.
+                let (nearest, _) = bf.nn_single(q, &reps, &Euclidean);
+                let list = &rbc.lists()[nearest.index].members;
+                prop_assert_eq!(got, &bf.knn_single_in_list(q, &db, list, &Euclidean, k).0);
             }
         }
     }

@@ -12,7 +12,7 @@
 //! placement where one node owns almost every list.
 
 use proptest::prelude::*;
-use rbc_core::{BatchStrategy, ExactRbc, RbcConfig, RbcParams};
+use rbc_core::{ExactRbc, RbcConfig, RbcParams};
 use rbc_distributed::{
     eval_skew, ClusterConfig, DistributedRbc, NodeLoad, Placement, PlacementPolicy,
 };
@@ -66,7 +66,7 @@ proptest! {
         let (db, queries) = clustered(&cs, n, nq, seed);
         let params = RbcParams::standard(db.len(), seed).with_n_reps(n_reps.min(db.len()));
         let rbc = ExactRbc::build(&db, Euclidean, params, RbcConfig::default());
-        let (want, _) = rbc.query_batch_k_with_strategy(&queries, k, BatchStrategy::ListMajor);
+        let (want, _) = rbc.query_batch_k(&queries, k);
         for nodes in [1usize, 3, 8] {
             let sharded = DistributedRbc::from_exact(
                 rbc.clone(),
@@ -133,7 +133,7 @@ proptest! {
         let (db, queries) = clustered(&cs, n, nq, seed);
         let params = RbcParams::standard(db.len(), seed).with_n_reps(n_reps.min(db.len()));
         let rbc = ExactRbc::build(&db, Euclidean, params, RbcConfig::default());
-        let (want, _) = rbc.query_batch_k_with_strategy(&queries, k, BatchStrategy::ListMajor);
+        let (want, _) = rbc.query_batch_k(&queries, k);
         for victim in 0..nodes {
             // Down before routing: the router never contacts the victim.
             let sharded = DistributedRbc::from_exact_with_policy(
@@ -183,7 +183,7 @@ proptest! {
         let (db, queries) = clustered(&cs, n, nq, seed);
         let params = RbcParams::standard(db.len(), seed).with_n_reps(n_reps.min(db.len()));
         let rbc = ExactRbc::build(&db, Euclidean, params, RbcConfig::default());
-        let (want, _) = rbc.query_batch_k_with_strategy(&queries, k, BatchStrategy::ListMajor);
+        let (want, _) = rbc.query_batch_k(&queries, k);
         let sharded = DistributedRbc::from_exact(
             rbc.clone(),
             ClusterConfig::with_nodes(nodes),

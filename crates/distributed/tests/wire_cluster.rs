@@ -14,7 +14,7 @@
 use std::time::{Duration, Instant};
 
 use rbc_bruteforce::{BruteForce, Neighbor};
-use rbc_core::{BatchPlan, BatchStrategy, ExactRbc, RbcConfig, RbcParams};
+use rbc_core::{BatchPlan, ExactRbc, RbcConfig, RbcParams};
 use rbc_distributed::net::{
     spawn_local_cluster, NetConfig, NodeShard, QueryReply, QueryRequest, WireGroup,
 };
@@ -86,7 +86,7 @@ fn twins(
 fn wire_transport_is_bit_identical_to_in_process() {
     let (db, queries) = clustered(500, 24, 11);
     let rbc = build_rbc(&db, 11, 22);
-    let (want_central, _) = rbc.query_batch_k_with_strategy(&queries, 3, BatchStrategy::ListMajor);
+    let (want_central, _) = rbc.query_batch_k(&queries, 3);
 
     for (nodes, policy) in [
         (1usize, PlacementPolicy::SingleOwner),

@@ -130,7 +130,7 @@ fn main() {
     );
     assert!(
         batch_stats.tile_sharing_factor() >= 1.0,
-        "list-major batching should never scan more often than query-major"
+        "a batch should never scan a list more often than its rows do alone"
     );
 
     // --- Deadlines: shed instead of serving stale answers -----------------

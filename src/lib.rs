@@ -68,7 +68,7 @@ pub use rbc_trace as trace;
 
 pub use rbc_bruteforce::{BfConfig, BruteForce, Neighbor};
 pub use rbc_core::{
-    BatchStrategy, ExactRbc, OneShotRbc, QueryStats, RbcConfig, RbcParams, SearchIndex, SearchStats,
+    ExactRbc, OneShotRbc, QueryStats, RbcConfig, RbcParams, SearchIndex, SearchStats,
 };
 pub use rbc_distributed::{ClusterConfig, DistributedRbc, Placement, PlacementPolicy};
 pub use rbc_metric::{Dataset, Dist, Euclidean, Metric, VectorSet};
@@ -78,8 +78,7 @@ pub use rbc_serve::{CachedIndex, Engine, ServeConfig, ServeError, ServeHandle, T
 pub mod prelude {
     pub use rbc_bruteforce::{BfConfig, BruteForce, Neighbor};
     pub use rbc_core::{
-        BatchStrategy, ExactRbc, OneShotRbc, QueryStats, RbcConfig, RbcParams, SearchIndex,
-        SearchStats,
+        ExactRbc, OneShotRbc, QueryStats, RbcConfig, RbcParams, SearchIndex, SearchStats,
     };
     pub use rbc_distributed::{ClusterConfig, DistributedRbc, PlacementPolicy};
     pub use rbc_metric::{Dataset, Dist, Euclidean, Manhattan, Metric, VectorSet};
