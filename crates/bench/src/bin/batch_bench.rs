@@ -23,7 +23,8 @@
 //!   makes every `MachineProfile::tile_policy()` return the measured
 //!   shape — the device-profiled autotuning loop.
 //! * `--simd-check` runs the dense brute-force kernel and the batched
-//!   exact and one-shot searches under the forced-scalar kernel, SSE2 and
+//!   exact and one-shot searches (the exact one screens `f32` lanes, the
+//!   one-shot one `u8` codes) under the forced-scalar kernel, SSE2 and
 //!   whatever SIMD kernel the host detects, asserts the answers are
 //!   **bit-identical** and the searches' `distance_evals` equal, and
 //!   reports the speedup; `--assert-speedup X` turns the dense-kernel
@@ -310,7 +311,7 @@ fn run_simd_check(opts: &Options) {
     };
     let bf = BruteForce::with_config(config);
     // One build serves every kernel: distances are bit-identical, so the
-    // structures (and their blocked mirrors) are kernel-independent.
+    // structures (their `f32` and coded mirrors) are kernel-independent.
     let params = RbcParams::standard(opts.n, 42 + opts.seed);
     let rbc_config = RbcConfig {
         bf: config,
@@ -318,6 +319,12 @@ fn run_simd_check(opts: &Options) {
     };
     let exact = ExactRbc::build(&database, Euclidean, params.clone(), rbc_config);
     let one_shot = OneShotRbc::build(&database, Euclidean, params, rbc_config);
+    // The one-shot arm is the code screen's: every list it scans is coded.
+    let coded = one_shot.list_blocks().is_some_and(|mirrors| {
+        let mut mirrors = mirrors.iter().flatten();
+        mirrors.all(|mirror| mirror.codes().is_some())
+    });
+    assert!(coded, "the one-shot lists must be screened from codes");
 
     /// Best of three: the answers and the fastest run's milliseconds.
     fn timed<A>(mut run: impl FnMut() -> A) -> (A, f64) {
@@ -343,7 +350,7 @@ fn run_simd_check(opts: &Options) {
     let workloads = [
         "dense BF(Q, DB)",
         "batched exact RBC",
-        "batched one-shot RBC",
+        "batched one-shot RBC (codes)",
     ];
     let mut runs = Vec::with_capacity(kernels.len());
     for &kernel in &kernels {

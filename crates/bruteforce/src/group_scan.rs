@@ -15,22 +15,31 @@
 //!
 //! **Screened.** Inside its run a cursor works a block of lane groups at a
 //! time. The metric first screens the block against the cursor's top-k
-//! threshold ([`Metric::screen_lanes`]: for the Euclidean metrics one pure
-//! `f32` pass that may clear a lane only when its distance is certainly
-//! above the threshold); a group left without a live lane cannot enter the
-//! collector and is done. The screen decides only what is skipped: every
-//! distance that reaches `TopK` is computed by the canonical kernel below,
-//! so answers, ties, thresholds and evaluation counts do not depend on it.
+//! threshold — [`Metric::screen_lanes`] over a mirror of `f32` lanes,
+//! [`Metric::screen_codes`] over one of `u8` codes; for the Euclidean
+//! metrics one pure `f32` pass that may clear a lane only when its distance
+//! is certainly above the threshold. A cleared lane is neither scored nor
+//! offered, and a group left without a kept lane is done. The screen decides
+//! only what is skipped: every distance that reaches `TopK` is computed by
+//! the canonical kernels below, so answers, ties, thresholds and evaluation
+//! counts do not depend on it.
 //!
-//! **Dense.** The groups that survive are scored whole — from the list's
-//! [`ListMirror`], whose lane mask discards padding and skip-flagged
-//! members, or, for a metric without a lane kernel, member by member from
-//! the row-major database (no screen: every group survives). Pruning is
-//! decided between blocks (a block that tightened the threshold re-clips
-//! the rest of the run), never inside the scoring loop. Rounding outward
-//! only adds evaluations of real, unflagged members and a stale threshold
-//! only prunes *less*, so with strict thresholds (`shrink == 1.0`) answers
-//! are those of a full private scan; `TopK` breaks ties deterministically.
+//! **Dense.** The kept lanes are scored canonically — a whole group at once
+//! from an `f32` [`ListMirror`], lane by lane from the row-major database
+//! for a coded mirror (codes are no distances) and for a metric without a
+//! lane kernel (no screen: every lane is kept). The mirror's lane mask
+//! discards padding and skip-flagged members. Which kind of mirror a list
+//! has is its index's choice: the one-shot lists, about 16 copies of the
+//! database between them and each streamed whole by the few queries that
+//! chose it, are coded; the exact lists, a partition of the database that
+//! a batch reads again and again from cache, keep their `f32` lanes, whose
+//! surviving groups are rescored from the group the screen just read.
+//! Pruning is decided between blocks (a block that tightened the threshold
+//! re-clips the rest of the run), never inside the scoring loop. Rounding
+//! outward only adds evaluations of real, unflagged members and a stale
+//! threshold only prunes *less*, so with strict thresholds
+//! (`shrink == 1.0`) answers are those of a full private scan; `TopK`
+//! breaks ties deterministically.
 //!
 //! **Shared.** A group's cursors scan one after another on one thread, so
 //! the list is fetched from memory once per group scan and every cursor
@@ -42,7 +51,7 @@ use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Mutex;
 
-use rbc_metric::{BlockedVectors, Dataset, Dist, Metric, LANES};
+use rbc_metric::{BlockedVectors, CodedVectors, Dataset, Dist, Metric, LANES};
 
 use crate::neighbor::Neighbor;
 use crate::primitive::BruteForce;
@@ -110,9 +119,8 @@ impl GroupCursor {
 ///
 /// Per cursor, `evaluations + skipped + masked = members`: an *evaluation*
 /// is a live lane of a lane group in the cursor's run (screened, and
-/// recomputed canonically if its group survived), *masked* are the
-/// skip-flagged members inside those groups (their lanes are computed with
-/// the rest of the group and discarded).
+/// recomputed canonically if the screen kept it), *masked* are the
+/// skip-flagged members inside those groups (never offered).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GroupScanStats {
     /// Distinct `db_tile`-sized tiles of the list (whole lane groups) that
@@ -132,39 +140,51 @@ pub struct GroupScanStats {
     /// input cursor slice (lets callers keep per-query tail statistics
     /// exact even though the scan itself is shared).
     pub evals_per_cursor: Vec<u64>,
-    /// Lane groups recomputed by the canonical kernel, summed over cursors:
-    /// the groups of the runs that survived [`Metric::screen_lanes`] (all of
-    /// them for a metric without a screen). Unlike every other field this
-    /// depends on the active kernel's rounding and, through the threshold
-    /// each block was screened against, on scan order — report it, never
-    /// gate on it or compare it for equality.
+    /// Lane groups with a lane rescored canonically, summed over cursors:
+    /// the groups of the runs that survived [`Metric::screen_lanes`] or
+    /// [`Metric::screen_codes`] (all of them for a metric without a screen).
+    /// Unlike every other field this depends on the active kernel's rounding
+    /// and, through the threshold each block was screened against, on scan
+    /// order — report it, never gate on it or compare it for equality.
     pub reranked: u64,
 }
 
-/// The blocked mirror of one ownership list in member order (lane group `g`
-/// holds `members[g * LANES..]`), plus one byte per lane group naming the
-/// lanes a scan may admit: real members (not the padding of the last group)
-/// that carry no skip flag. Gathered once — at index build or shard load —
-/// so a scan never goes back to the row-major database or the flag table.
-/// A list scanned with the sorted-list cut also gets, per lane group, the
-/// first and last of its members' distances to the representative: the
-/// table the run search reads in place of `member_dists`, four times its
-/// size.
+/// The lane-blocked mirror of one ownership list in member order (lane group
+/// `g` holds `members[g * LANES..]`), plus one byte per lane group naming
+/// the lanes a scan may admit: real members (not the padding of the last
+/// group) that carry no skip flag. Gathered once — at index build or shard
+/// load — so a scan never goes back to the flag table. A list scanned with
+/// the sorted-list cut also gets, per lane group, the first and last of its
+/// members' distances to the representative: the table the run search reads
+/// in place of `member_dists`, four times its size.
+///
+/// The lanes themselves are one of two things, chosen by whoever builds the
+/// list ([`gather`](Self::gather) or [`gather_codes`](Self::gather_codes)):
+/// the members' `f32` coordinates, which the scan screens *and* scores from;
+/// or one `u8` code per coordinate ([`CodedVectors`]), which it only screens
+/// from, scoring the lanes that survive from the row-major database.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ListMirror {
-    blocks: BlockedVectors,
+    lanes: Lanes,
     live: Vec<u8>,
     /// `(first, last)` member distance of each lane group; empty when the
     /// mirror was gathered without distances.
     summary: Vec<(Dist, Dist)>,
 }
 
+/// What a [`ListMirror`] keeps of its members' coordinates.
+#[derive(Clone, Debug, PartialEq)]
+enum Lanes {
+    Floats(BlockedVectors),
+    Codes(CodedVectors),
+}
+
 impl ListMirror {
-    /// Gathers `members` out of `db`, masking the members flagged in
-    /// `skip`. `member_dists`, for a list that will be scanned with the
-    /// sorted-list cut, are the members' ascending distances to the list's
-    /// representative — the ones the scans will be handed. `None` when the
-    /// dataset has no blocked layout.
+    /// Gathers `members` out of `db` as `f32` lanes, masking the members
+    /// flagged in `skip`. `member_dists`, for a list that will be scanned
+    /// with the sorted-list cut, are the members' ascending distances to the
+    /// list's representative — the ones the scans will be handed. `None`
+    /// when the dataset has no blocked layout.
     ///
     /// # Panics
     /// Panics if `member_dists` is given and is not one distance per member.
@@ -175,6 +195,42 @@ impl ListMirror {
         skip: Option<&[bool]>,
     ) -> Option<Self> {
         let blocks = db.gather_blocked(members)?;
+        Some(Self::with_lanes(
+            Lanes::Floats(blocks),
+            members,
+            member_dists,
+            skip,
+        ))
+    }
+
+    /// [`gather`](Self::gather), but the lanes are `u8` codes quantised
+    /// straight from `db`'s rows ([`Dataset::gather_coded`]): a quarter of
+    /// the bytes, screened with [`Metric::screen_codes`], every surviving
+    /// lane scored from `db` itself. `None` when the dataset cannot code.
+    ///
+    /// # Panics
+    /// Panics if `member_dists` is given and is not one distance per member.
+    pub fn gather_codes<D: Dataset>(
+        db: &D,
+        members: &[usize],
+        member_dists: Option<&[Dist]>,
+        skip: Option<&[bool]>,
+    ) -> Option<Self> {
+        let codes = db.gather_coded(members)?;
+        Some(Self::with_lanes(
+            Lanes::Codes(codes),
+            members,
+            member_dists,
+            skip,
+        ))
+    }
+
+    fn with_lanes(
+        lanes: Lanes,
+        members: &[usize],
+        member_dists: Option<&[Dist]>,
+        skip: Option<&[bool]>,
+    ) -> Self {
         let live = members.chunks(LANES).map(|g| live_lanes(g, skip)).collect();
         let summary = member_dists.map_or_else(Vec::new, |dists| {
             assert_eq!(
@@ -187,11 +243,43 @@ impl ListMirror {
                 .map(|g| (g[0], g[g.len() - 1]))
                 .collect()
         });
-        Some(Self {
-            blocks,
+        Self {
+            lanes,
             live,
             summary,
-        })
+        }
+    }
+
+    /// The codes of a coded mirror; `None` for one holding `f32` lanes.
+    pub fn codes(&self) -> Option<&CodedVectors> {
+        match &self.lanes {
+            Lanes::Floats(_) => None,
+            Lanes::Codes(codes) => Some(codes),
+        }
+    }
+
+    /// Number of members mirrored.
+    fn len(&self) -> usize {
+        match &self.lanes {
+            Lanes::Floats(blocks) => blocks.len(),
+            Lanes::Codes(codes) => codes.len(),
+        }
+    }
+
+    /// Screens lane groups `groups` for query `q` against `bound`, with the
+    /// metric's screen for the kind of lanes held.
+    fn screen<T: ?Sized, M: Metric<T>>(
+        &self,
+        metric: &M,
+        q: &T,
+        groups: Range<usize>,
+        bound: Dist,
+        keep: &mut [u8],
+    ) {
+        match &self.lanes {
+            Lanes::Floats(blocks) => metric.screen_lanes(q, blocks.block(groups), bound, keep),
+            Lanes::Codes(codes) => metric.screen_codes(q, codes.block(groups), bound, keep),
+        }
     }
 }
 
@@ -298,10 +386,7 @@ where
             !sorted_cut || member_dists.len() == members.len(),
             "sorted-list cut needs one representative distance per member"
         );
-        let mirror = mirror.filter(|m| {
-            bf.lane_gate(Some(&m.blocks), metric, members.len())
-                .is_some()
-        });
+        let mirror = mirror.filter(|m| bf.lanes_usable(metric) && m.len() == members.len());
         Self {
             db,
             metric,
@@ -349,24 +434,21 @@ where
         }
     }
 
-    /// Writes the canonical distances from `q` to the `live` lanes of group
-    /// `g`: the whole group from the mirror, or — the one fallback, for
-    /// metrics without a lane kernel — member by member from the row-major
-    /// `db`.
+    /// Writes the canonical distances from `q` to the `lanes` of group `g`:
+    /// the whole group from an `f32` mirror, or member by member from the
+    /// row-major `db` — for a coded mirror (whose codes are no distances)
+    /// and for metrics without a lane kernel.
     #[inline]
-    fn score(&self, q: &D::Item, g: usize, live: u8, out: &mut [Dist; LANES]) {
-        match self.mirror {
-            Some(mirror) => {
-                let computed = self.metric.dist_lanes(q, mirror.blocks.group(g), out);
-                debug_assert!(computed, "lanes_supported() metric must compute lanes");
-            }
-            None => {
-                let group = &self.members[self.group_members(g)];
-                for (lane, &member) in group.iter().enumerate() {
-                    if (live >> lane) & 1 != 0 {
-                        out[lane] = self.metric.dist(q, self.db.get(member));
-                    }
-                }
+    fn score(&self, q: &D::Item, g: usize, lanes: u8, out: &mut [Dist; LANES]) {
+        if let Some(Lanes::Floats(blocks)) = self.mirror.map(|mirror| &mirror.lanes) {
+            let computed = self.metric.dist_lanes(q, blocks.group(g), out);
+            debug_assert!(computed, "lanes_supported() metric must compute lanes");
+            return;
+        }
+        let group = &self.members[self.group_members(g)];
+        for (lane, &member) in group.iter().enumerate() {
+            if (lanes >> lane) & 1 != 0 {
+                out[lane] = self.metric.dist(q, self.db.get(member));
             }
         }
     }
@@ -452,32 +534,31 @@ where
         while !run.is_empty() {
             let block = run.start..(run.start + RECLIP_GROUPS).min(run.end);
             // A lane the screen clears is above the threshold now and the
-            // threshold only falls, so the admission filter below would
-            // have turned its group away whenever it got to it.
+            // threshold only falls, so `TopK` would turn it away whenever
+            // it got to it: it is neither scored nor offered.
             let mut keep = [u8::MAX; RECLIP_GROUPS];
             if let Some(mirror) = self.mirror {
-                let lanes = mirror.blocks.block(block.clone());
-                self.metric
-                    .screen_lanes(q, lanes, topk.threshold(), &mut keep);
+                mirror.screen(self.metric, q, block.clone(), topk.threshold(), &mut keep);
             }
             for (g, keep) in block.clone().zip(keep) {
                 let live = self.live(g);
                 work.evals += u64::from(live.count_ones());
-                if live & keep == 0 {
+                let kept = live & keep;
+                if kept == 0 {
                     continue;
                 }
                 work.reranked += 1;
-                self.score(q, g, live, &mut lane_dists);
-                // Whole-group admission filter: no live lane at or under
+                self.score(q, g, kept, &mut lane_dists);
+                // Whole-group admission filter: no kept lane at or under
                 // the current kth means no lane can enter the heap (ties
                 // can still be admitted by index order, hence `<=`).
                 let kth = topk.threshold();
-                let is_live = |lane: usize| (live >> lane) & 1 != 0;
+                let is_kept = |lane: usize| (kept >> lane) & 1 != 0;
                 let lanes = lane_dists.iter().enumerate();
-                if lanes.fold(false, |any, (lane, &d)| any | (is_live(lane) & (d <= kth))) {
+                if lanes.fold(false, |any, (lane, &d)| any | (is_kept(lane) & (d <= kth))) {
                     for (lane, &d) in lane_dists.iter().enumerate() {
                         // A dead lane may be padding, past the members' end.
-                        if is_live(lane) {
+                        if is_kept(lane) {
                             let candidate = Neighbor::new(self.members[g * LANES + lane], d);
                             if topk.push(candidate) {
                                 fresh.push(candidate);
@@ -844,7 +925,8 @@ mod tests {
                     ..BfConfig::default()
                 });
                 let mirror = ListMirror::gather(&db, &members, None, skip);
-                assert!(mirror.is_some());
+                let coded = ListMirror::gather_codes(&db, &members, None, skip);
+                assert!(mirror.is_some() && coded.is_some());
                 let run = |mirror: Option<&ListMirror>| {
                     let accumulators: Vec<Mutex<TopK>> = (0..queries.len())
                         .map(|_| Mutex::new(TopK::new(k)))
@@ -869,15 +951,42 @@ mod tests {
                     (answers, stats)
                 };
                 let (with_blocks, stats_blocked) = run(mirror.as_ref());
+                let (with_codes, stats_coded) = run(coded.as_ref());
                 let (without, stats_plain) = run(None);
                 assert_eq!(with_blocks, without);
+                assert_eq!(with_codes, without);
                 // Cut-free scans evaluate every unflagged (query, member)
                 // pair either way.
                 let scanned = members.len() - skip.map_or(0, |_| flagged);
                 assert_eq!(stats_plain.distance_evals, (queries.len() * scanned) as u64);
-                assert_eq!(stats_blocked.distance_evals, stats_plain.distance_evals);
-                assert_eq!(stats_blocked.tile_passes, stats_plain.tile_passes);
+                for stats in [&stats_blocked, &stats_coded] {
+                    assert_eq!(stats.distance_evals, stats_plain.distance_evals);
+                    assert_eq!(stats.tile_passes, stats_plain.tile_passes);
+                }
+                // Both screens clear something at k = 3 of 200 members.
+                assert!(stats_blocked.reranked < stats_plain.reranked);
+                assert!(stats_coded.reranked < stats_plain.reranked);
             }
+        }
+    }
+
+    #[test]
+    fn a_coded_mirror_holds_codes_and_no_float_lanes() {
+        let db = cloud(300, 5, 44);
+        for n in [1usize, 7, 8, 9, 150] {
+            let members: Vec<usize> = (0..n).map(|i| (i * 7) % 300).collect();
+            let coded = ListMirror::gather_codes(&db, &members, None, None).expect("vectors code");
+            // Codes in place of the `f32` lanes, not beside them.
+            let codes = coded.codes().expect("a coded mirror has codes");
+            // `dim` bytes per member, the last lane group padded out.
+            assert_eq!(codes.code_bytes(), n.div_ceil(LANES) * LANES * 5);
+            assert_eq!((codes.len(), codes.dim()), (n, 5));
+            assert_eq!(coded.live.len(), n.div_ceil(LANES));
+            assert!(codes.err().is_finite());
+
+            let floats = ListMirror::gather(&db, &members, None, None).expect("vectors block");
+            assert!(floats.codes().is_none());
+            assert_eq!((floats.live, floats.summary), (coded.live, coded.summary));
         }
     }
 
@@ -1043,8 +1152,10 @@ mod tests {
                 ..BfConfig::default()
             });
             let mirror = ListMirror::gather(&db, &members, Some(&member_dists), Some(&flags));
-            assert!(mirror.is_some());
-            for mirror in [mirror.as_ref(), None] {
+            let coded = ListMirror::gather_codes(&db, &members, Some(&member_dists), Some(&flags));
+            assert!(mirror.is_some() && coded.is_some());
+            let mut first = None;
+            for mirror in [mirror.as_ref(), coded.as_ref(), None] {
                 let accumulators: Vec<Mutex<TopK>> = (0..queries.len())
                     .map(|qi| Mutex::new(seeded(qi)))
                     .collect();
@@ -1100,6 +1211,10 @@ mod tests {
                 for (evals, bound) in stats.evals_per_cursor.iter().zip(&entry_run) {
                     assert!(evals <= bound, "{evals} evaluations, entry run {bound}");
                 }
+                // Whatever the lanes are, or if there are none, the same
+                // answers come from the same work.
+                let work = (got, stats.evals_per_cursor, stats.points_skipped);
+                assert_eq!(*first.get_or_insert_with(|| work.clone()), work);
             }
         }
     }

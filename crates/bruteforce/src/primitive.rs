@@ -125,8 +125,13 @@ impl BruteForce {
         metric: &M,
         expected_len: usize,
     ) -> Option<&'b BlockedVectors> {
-        blocks
-            .filter(|b| self.config.blocked && metric.lanes_supported() && b.len() == expected_len)
+        blocks.filter(|b| self.lanes_usable(metric) && b.len() == expected_len)
+    }
+
+    /// Whether the configuration enables lane-blocked scans and the metric
+    /// has a lane kernel.
+    pub(crate) fn lanes_usable<T: ?Sized, M: Metric<T>>(&self, metric: &M) -> bool {
+        self.config.blocked && metric.lanes_supported()
     }
 
     /// The dataset's own blocked mirror, if the configuration and metric
@@ -138,7 +143,7 @@ impl BruteForce {
         D: Dataset,
         M: Metric<D::Item>,
     {
-        if self.config.blocked && metric.lanes_supported() {
+        if self.lanes_usable(metric) {
             self.lane_gate(db.lane_blocks(), metric, db.len())
         } else {
             None

@@ -9,10 +9,13 @@
 //!
 //! A heap pays `O(log k)` per admission, which is the right price for an
 //! answer (`k` ≤ a few dozen) and the wrong one for an index build that
-//! asks for the 1 225 nearest of 100 000: [`SelectK`] keeps an unsorted
-//! buffer under a bound instead and partitions it once each time it fills.
-//! Both are a [`Collector`], so the dense scan of `primitive.rs` is written
-//! once; the entry point a caller names decides which one it fills.
+//! asks for the 1 225 nearest of 100 000: the crate-private `SelectK` keeps
+//! an unsorted buffer under a bound instead and partitions it once each
+//! time it fills. Both implement the crate-private `Collector` trait, so
+//! the dense scan of `primitive.rs` is written once; the entry point a
+//! caller names ([`BruteForce::knn`](crate::BruteForce::knn) or
+//! [`BruteForce::select_with`](crate::BruteForce::select_with)) decides
+//! which one it fills.
 
 use crate::neighbor::Neighbor;
 use rbc_metric::Dist;

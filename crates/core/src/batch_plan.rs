@@ -161,7 +161,8 @@ impl BatchPlan {
     /// Builds the one-shot plan: each query scans exactly the list of its
     /// nearest representative — the argmin of its row (smallest distance,
     /// ties broken towards the lower list index, the rule of every
-    /// `BF(q, R)` reduction), then [`group_by_nearest`]. A row with no
+    /// `BF(q, R)` reduction), then the crate's `group_by_nearest`, which
+    /// the in-process one-shot search also ends in. A row with no
     /// nearest entry (all NaN) joins no group, and `pairs` counts the
     /// queries that joined one.
     ///

@@ -100,8 +100,20 @@ where
         for &r in &rep_indices {
             rep_flags[r] = true;
         }
-        let list_blocks = use_lanes
-            .then(|| gather_mirrors(&db, &lists, true, Some(&rep_flags), config.bf.parallel));
+        // `f32` lanes: a batch reads these lists from cache again and again,
+        // and rescores a screened group from the lanes it just read (coded
+        // lists rescored from the database measured slower).
+        let list_blocks = use_lanes.then(|| {
+            let parallel = config.bf.parallel;
+            gather_mirrors(
+                &db,
+                &lists,
+                ListMirror::gather,
+                true,
+                Some(&rep_flags),
+                parallel,
+            )
+        });
 
         Self {
             db,
@@ -122,6 +134,12 @@ where
     /// distributed coordinator — reuse it).
     pub fn rep_blocked(&self) -> Option<&BlockedVectors> {
         self.rep_blocked.as_ref()
+    }
+
+    /// The `f32` mirrors of the ownership lists (one slot per list, in
+    /// member order, representatives masked), if they were built.
+    pub fn list_blocks(&self) -> Option<&[Option<ListMirror>]> {
+        self.list_blocks.as_deref()
     }
 
     /// Exact nearest neighbor of a single query.
@@ -401,14 +419,18 @@ mod tests {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(3);
         let pool = pool.build().expect("the shim's builder cannot fail");
         let rbc = pool.install(|| ExactRbc::build(&db, Euclidean, params, RbcConfig::default()));
-        let in_turn = gather_mirrors(&db, &rbc.lists, true, Some(&rbc.rep_flags), false);
+        let gather = ListMirror::gather;
+        let in_turn = gather_mirrors(&db, &rbc.lists, gather, true, Some(&rbc.rep_flags), false);
         assert_eq!(in_turn.len(), rbc.num_reps());
         assert!(in_turn.iter().any(Option::is_some));
-        assert_eq!(rbc.list_blocks.as_deref(), Some(&in_turn[..]));
+        assert_eq!(rbc.list_blocks(), Some(&in_turn[..]));
         // Neither the flags nor the distances are optional extras.
-        assert_ne!(gather_mirrors(&db, &rbc.lists, true, None, true), in_turn);
         assert_ne!(
-            gather_mirrors(&db, &rbc.lists, false, Some(&rbc.rep_flags), true),
+            gather_mirrors(&db, &rbc.lists, gather, true, None, true),
+            in_turn
+        );
+        assert_ne!(
+            gather_mirrors(&db, &rbc.lists, gather, false, Some(&rbc.rep_flags), true),
             in_turn
         );
     }

@@ -6,8 +6,12 @@
 //! a *selecting* collector ([`BruteForce::select_with`]): `s` is in the
 //! hundreds or thousands, so each representative keeps a bound and an
 //! unsorted buffer that is partitioned when it fills, not an `s`-deep
-//! heap, and the thread that selected a list writes it. Search: `BF(q, R)` finds the nearest
-//! representative `r`, and `BF(q, X[L_r])` answers from `r`'s list. The
+//! heap, and the thread that selected a list writes it. The lists overlap
+//! (together they hold about `n_r·s/n` copies of the database), so each is
+//! kept as `u8` codes beside the database rather than as an `f32` copy.
+//! Search: `BF(q, R)` finds the nearest representative `r`, and
+//! `BF(q, X[L_r])` answers from `r`'s list, screened from its codes and
+//! rescored from the database rows. The
 //! answer is the true nearest neighbor with probability at least `1 − δ`
 //! when `n_r = s = c·√(n·ln(1/δ))` (Theorem 2).
 
@@ -37,8 +41,9 @@ pub struct OneShotRbc<D, M> {
     /// Blocked SoA mirror of the representative set for stage-1 scans
     /// (`None` when the blocked layout is disabled or unavailable).
     rep_blocked: Option<BlockedVectors>,
-    /// Blocked SoA mirror of each ownership list in member order (empty
-    /// lists carry `None`), for the list-major stage-2 group scans.
+    /// Coded mirror of each ownership list in member order (empty lists
+    /// carry `None`), for the list-major stage-2 group scans: screened from
+    /// its `u8` codes, rescored from `db`.
     list_blocks: Option<Vec<Option<ListMirror>>>,
     build_distance_evals: u64,
 }
@@ -56,8 +61,9 @@ where
     /// already sorted and exactly `s` long, by the thread that scanned for
     /// it. Work is `n_r · n` distance evaluations, fully parallel; the
     /// lists are those an `s`-deep heap per representative would produce,
-    /// ties by index included. The per-list blocked mirrors are then
-    /// gathered in parallel.
+    /// ties by index included. The per-list mirrors are then coded, in
+    /// parallel, straight from the database rows (`u8` codes; no `f32` copy
+    /// of a list is made).
     ///
     /// # Panics
     /// Panics if `db` is empty.
@@ -79,16 +85,20 @@ where
             )
         });
 
-        // Gather the blocked SoA mirrors once; every batched query reuses
-        // them (the gate mirrors the one inside the primitive).
+        // Gather the mirrors once; every batched query reuses them (the gate
+        // mirrors the one inside the primitive). The lists are coded straight
+        // from the database rows: they hold ~16 copies of it between them,
+        // and a query screens its whole list but rescores a few per cent.
         let use_lanes = config.bf.blocked && metric.lanes_supported();
         let rep_blocked = if use_lanes {
             db.gather_blocked(&rep_indices)
         } else {
             None
         };
-        let list_blocks =
-            use_lanes.then(|| gather_mirrors(&db, &lists, false, None, config.bf.parallel));
+        let list_blocks = use_lanes.then(|| {
+            let parallel = config.bf.parallel;
+            gather_mirrors(&db, &lists, ListMirror::gather_codes, false, None, parallel)
+        });
 
         Self {
             db,
@@ -108,8 +118,8 @@ where
         self.rep_blocked.as_ref()
     }
 
-    /// The blocked SoA mirrors of the ownership lists (one slot per list,
-    /// in member order), if they were built.
+    /// The coded mirrors of the ownership lists (one slot per list, in
+    /// member order), if they were built.
     pub fn list_blocks(&self) -> Option<&[Option<ListMirror>]> {
         self.list_blocks.as_deref()
     }
@@ -418,10 +428,43 @@ mod tests {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(3);
         let pool = pool.build().expect("the shim's builder cannot fail");
         let rbc = pool.install(|| OneShotRbc::build(&db, Euclidean, params, RbcConfig::default()));
-        let in_turn = gather_mirrors(&db, rbc.lists(), false, None, false);
+        let in_turn = gather_mirrors(
+            &db,
+            rbc.lists(),
+            ListMirror::gather_codes,
+            false,
+            None,
+            false,
+        );
         assert_eq!(in_turn.len(), rbc.num_reps());
         assert!(in_turn.iter().all(Option::is_some));
         assert_eq!(rbc.list_blocks(), Some(&in_turn[..]));
+    }
+
+    #[test]
+    fn one_shot_lists_are_coded_and_exact_lists_are_not() {
+        let db = clustered_cloud(900, 6, 68);
+        let params = RbcParams::standard(db.len(), 69);
+        let one_shot = OneShotRbc::build(&db, Euclidean, params.clone(), RbcConfig::default());
+        let mirrors = one_shot
+            .list_blocks()
+            .expect("Euclidean lists are mirrored");
+        assert_eq!(mirrors.len(), one_shot.num_reps());
+        for (mirror, list) in mirrors.iter().zip(one_shot.lists()) {
+            let codes = mirror.as_ref().and_then(ListMirror::codes);
+            let codes = codes.expect("every one-shot list is coded");
+            // One byte per coordinate, padded to whole lane groups.
+            let padded = list.len().div_ceil(rbc_metric::LANES) * rbc_metric::LANES;
+            assert_eq!(codes.code_bytes(), padded * db.dim());
+            assert!(codes.err().is_finite());
+        }
+        let exact = crate::ExactRbc::build(&db, Euclidean, params, RbcConfig::default());
+        let mirrors = exact.list_blocks().expect("Euclidean lists are mirrored");
+        assert!(mirrors.iter().flatten().count() > 0);
+        assert!(mirrors
+            .iter()
+            .flatten()
+            .all(|mirror| mirror.codes().is_none()));
     }
 
     #[test]
@@ -461,13 +504,45 @@ mod tests {
 
             // Lists as long as the database hold it — last.
             let everything = params.clone().with_list_size(clean.len());
-            let got = OneShotRbc::build(&poisoned, Euclidean, everything, config);
+            let got = OneShotRbc::build(&poisoned, Euclidean, everything.clone(), config);
             for list in got.lists() {
                 assert_eq!(list.members.last(), Some(&poisoned_at));
                 assert!(list.member_dists[..list.len() - 1]
                     .iter()
                     .all(|d| d.is_finite()));
             }
+
+            // A +∞ coordinate instead: every list holds it, so no list can
+            // be screened from codes (each keeps every lane) — and the
+            // answers are still the far-point build's.
+            let mut inf_row = clean.point(poisoned_at).to_vec();
+            inf_row[4] = f32::INFINITY;
+            let infinite = with_row(inf_row);
+            let got = OneShotRbc::build(&infinite, Euclidean, everything.clone(), config);
+            let want = OneShotRbc::build(&far, Euclidean, everything.clone(), config);
+            for list in got.lists() {
+                assert_eq!(list.members.last(), Some(&poisoned_at));
+                assert_eq!(list.member_dists.last(), Some(&Dist::INFINITY));
+            }
+            let coded = got.list_blocks().into_iter().flatten().flatten();
+            assert_eq!(
+                coded.clone().count(),
+                if blocked { got.num_reps() } else { 0 }
+            );
+            assert!(coded
+                .map(|m| m.codes().expect("coded"))
+                .all(|c| c.err() == Dist::INFINITY));
+            let far_coded = want.list_blocks().into_iter().flatten().flatten();
+            assert!(far_coded
+                .map(|m| m.codes().expect("coded"))
+                .all(|c| c.err().is_finite()));
+            let (got_answers, got_stats) = got.query_batch_k(&queries, 3);
+            let (want_answers, want_stats) = want.query_batch_k(&queries, 3);
+            assert_eq!(got_answers, want_answers);
+            assert_eq!(
+                got_stats.list_distance_evals,
+                want_stats.list_distance_evals
+            );
         }
     }
 

@@ -106,21 +106,28 @@ impl OwnershipList {
     }
 }
 
-/// Gathers the blocked mirror of every list, in list order: the one
-/// routine both builds share. Each list is gathered on whichever thread
-/// claims it (`parallel`) or all of them on the caller. `sorted_cut` lists
-/// carry their members' distances into the mirror's run-search summary;
-/// members flagged in `skip` are masked out of every scan.
+/// How a list's mirror is made: [`ListMirror::gather`] (`f32` lanes) or
+/// [`ListMirror::gather_codes`] (`u8` codes), each with its arguments.
+pub(crate) type MirrorGather<D> =
+    fn(&D, &[usize], Option<&[Dist]>, Option<&[bool]>) -> Option<ListMirror>;
+
+/// Gathers the mirror of every list with `gather`, in list order: the one
+/// routine both builds share, each naming the kind of mirror it scans.
+/// Each list is gathered on whichever thread claims it (`parallel`) or all
+/// of them on the caller. `sorted_cut` lists carry their members' distances
+/// into the mirror's run-search summary; members flagged in `skip` are
+/// masked out of every scan.
 pub(crate) fn gather_mirrors<D: Dataset>(
     db: &D,
     lists: &[OwnershipList],
+    gather: MirrorGather<D>,
     sorted_cut: bool,
     skip: Option<&[bool]>,
     parallel: bool,
 ) -> Vec<Option<ListMirror>> {
     let gather = |list: &OwnershipList| {
         let member_dists = sorted_cut.then_some(&list.member_dists[..]);
-        ListMirror::gather(db, &list.members, member_dists, skip)
+        gather(db, &list.members, member_dists, skip)
     };
     if parallel {
         lists.par_iter().map(gather).collect()

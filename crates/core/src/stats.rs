@@ -93,13 +93,12 @@ pub struct SearchStats {
     /// counted once; equal to `reps_examined` when no two queries shared
     /// one (always, for a batch of one).
     pub list_scans: u64,
-    /// Lane groups the stage-2 group scans recomputed with the canonical
-    /// kernel after the `f32` screen (`GroupScanStats::reranked`); the
-    /// share of `list_distance_evals / 8` the screen did *not* reject (a
-    /// single query's [`QueryStats`] has no slot for it). It depends on the
-    /// active kernel's rounding and
-    /// on scan order: a report, never a gate, and never compared for
-    /// equality.
+    /// Lane groups in which the stage-2 group scans recomputed a lane
+    /// canonically after the `f32` or code screen
+    /// (`GroupScanStats::reranked`); the share of `list_distance_evals / 8`
+    /// the screen did *not* reject (a single query's [`QueryStats`] has no
+    /// slot for it). It depends on the active kernel's rounding and on scan
+    /// order: a report, never a gate, and never compared for equality.
     pub list_reranked_groups: u64,
 }
 

@@ -11,7 +11,7 @@
 //! view of a dataset restricted to a list of indices, without copying.
 
 use crate::metric::Metric;
-use crate::simd::BlockedVectors;
+use crate::simd::{BlockedVectors, CodedVectors};
 use std::sync::OnceLock;
 
 /// An indexed collection of items of type `Item`.
@@ -67,6 +67,15 @@ pub trait Dataset: Sync {
     fn gather_blocked(&self, _indices: &[usize]) -> Option<BlockedVectors> {
         None
     }
+
+    /// Codes the selected items into a lane-blocked `u8` copy
+    /// ([`CodedVectors`]), straight from the items, when the item type
+    /// supports it — a quarter of [`gather_blocked`](Self::gather_blocked)'s
+    /// bytes, for lists that are screened from codes and scored from the
+    /// items themselves.
+    fn gather_coded(&self, _indices: &[usize]) -> Option<CodedVectors> {
+        None
+    }
 }
 
 impl<D: Dataset> Dataset for &D {
@@ -86,6 +95,10 @@ impl<D: Dataset> Dataset for &D {
 
     fn gather_blocked(&self, indices: &[usize]) -> Option<BlockedVectors> {
         (**self).gather_blocked(indices)
+    }
+
+    fn gather_coded(&self, indices: &[usize]) -> Option<CodedVectors> {
+        (**self).gather_coded(indices)
     }
 }
 
@@ -298,6 +311,13 @@ impl Dataset for VectorSet {
             return None;
         }
         Some(BlockedVectors::gather_flat(&self.data, self.dim, indices))
+    }
+
+    fn gather_coded(&self, indices: &[usize]) -> Option<CodedVectors> {
+        if indices.is_empty() {
+            return None;
+        }
+        Some(CodedVectors::gather_flat(&self.data, self.dim, indices))
     }
 }
 

@@ -1,6 +1,6 @@
 //! The [`Metric`] trait: a distance function over items of some type.
 
-use crate::simd::{LaneBlock, LaneGroup, LANES};
+use crate::simd::{CodeBlock, LaneBlock, LaneGroup, LANES};
 
 /// Distances throughout the library are `f64`.
 ///
@@ -94,6 +94,22 @@ pub trait Metric<T: ?Sized>: Sync {
     fn screen_lanes(&self, _query: &T, block: LaneBlock<'_>, _bound: Dist, keep: &mut [u8]) {
         keep[..block.groups()].fill(u8::MAX);
     }
+
+    /// [`screen_lanes`](Self::screen_lanes) from a `u8`-coded block
+    /// ([`CodedVectors`](crate::CodedVectors)): bit `lane` of `keep[j]` may
+    /// be cleared only if [`dist`](Self::dist) on the *original* point that
+    /// lane codes is certain to be **greater than** `bound`. The codes are
+    /// lossy, so nothing but `dist` on the original decides what a kept lane
+    /// is worth.
+    ///
+    /// The default keeps every lane, which is always valid.
+    ///
+    /// # Panics
+    /// Implementations may panic if `keep` is shorter than `block.groups()`.
+    #[inline]
+    fn screen_codes(&self, _query: &T, block: CodeBlock<'_>, _bound: Dist, keep: &mut [u8]) {
+        keep[..block.groups()].fill(u8::MAX);
+    }
 }
 
 impl<T: ?Sized, M: Metric<T>> Metric<T> for &M {
@@ -125,6 +141,11 @@ impl<T: ?Sized, M: Metric<T>> Metric<T> for &M {
     fn screen_lanes(&self, query: &T, block: LaneBlock<'_>, bound: Dist, keep: &mut [u8]) {
         (**self).screen_lanes(query, block, bound, keep);
     }
+
+    #[inline]
+    fn screen_codes(&self, query: &T, block: CodeBlock<'_>, bound: Dist, keep: &mut [u8]) {
+        (**self).screen_codes(query, block, bound, keep);
+    }
 }
 
 #[cfg(test)]
@@ -153,6 +174,10 @@ mod tests {
         let blocked = crate::BlockedVectors::from_flat(&[0.0; 20], 1);
         let mut keep = [0u8; 4];
         Unscreened.screen_lanes(&[9.0][..], blocked.block(0..3), 0.0, &mut keep);
+        assert_eq!(keep, [u8::MAX, u8::MAX, u8::MAX, 0]);
+        let coded = crate::CodedVectors::gather_flat(&[0.0; 20], 1, &[0; 20]);
+        let mut keep = [0u8; 4];
+        Unscreened.screen_codes(&[9.0][..], coded.block(0..3), 0.0, &mut keep);
         assert_eq!(keep, [u8::MAX, u8::MAX, u8::MAX, 0]);
     }
 

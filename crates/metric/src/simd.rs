@@ -19,6 +19,11 @@
 //!   lane groups ([`LaneBlock`]), which lanes *might* lie within a bound.
 //!   Pure `f32`, no converts, no square roots; it decides only what is not
 //!   worth the group kernel, never a distance.
+//! * [`CodedVectors`] — the same lane-blocked layout with one `u8` code per
+//!   coordinate (a quarter of the bytes), a per-dimension decode
+//!   `x̂ = lo + step·code` and one error radius `err ≥ max ‖x − x̂‖`; and
+//!   [`screen_codes_l2`], the screen that reads it. The codes are never
+//!   distances either: what survives is scored from the original rows.
 //!
 //! # Bit-compatibility contract
 //!
@@ -82,6 +87,38 @@
 //! a NaN bound compares false and keeps the lane; a `+∞` bound keeps
 //! everything (a lane at canonical distance `+∞` is `≤` it); and above
 //! `dim = 2¹⁶` the screen is off.
+//!
+//! **The code screen.** [`screen_codes_l2`] holds to the same contract —
+//! clear a lane only if its canonical distance is certainly above the bound
+//! — but sums the squares of `d̂ᵢ = fl(qᵢ − x̂ᵢ)`, the differences to the
+//! *decoded* point, and its bound `R` is a Euclidean one (a distance, not a
+//! square). Three facts make it a bound:
+//!
+//! * The decode is exact on every kernel. `step` is a power of two and `lo`
+//!   a multiple of it, so `x̂ = step·(lo/step + code)` with an integer under
+//!   `2²⁴` in the brackets: representable in `f32`, and produced unrounded
+//!   by FMA (AVX2) and by multiply + add (SSE2, scalar) alike. Lists for
+//!   which that cannot be arranged — a non-finite coordinate, a decode that
+//!   would leave `f32` — get `err = +∞` and are never screened.
+//! * `err` is the largest `‖x − x̂‖` over the members, computed in `f64` and
+//!   inflated by `1 + 2⁻³⁰` — far more than the `f64` roundings of `dim ≤
+//!   2¹⁶` terms — so it bounds the real distance between a point and its
+//!   decode.
+//! * With `T` as above (the canonical differences `dᵢ`): `|qᵢ − xᵢ| ≤
+//!   |dᵢ|/(1−u)`, so `‖q − x‖ ≤ √T/(1−u)`; by the triangle inequality
+//!   `‖q − x̂‖ ≤ ‖q − x‖ + err`; and `|d̂ᵢ| ≤ (1+u)·|qᵢ − x̂ᵢ|`. Chained
+//!   with the sum's own rounding, a lane that matters (`√T ≤ R` up to the
+//!   `f64` factors above) has `s ≤ (R + err)²·(1+u)^(2·dim+4)`, using
+//!   `1/(1−u) ≤ (1+u)(1+2u²)`.
+//!
+//! That is the plain screen's inequality for the squared bound
+//! `(R + err)²` at `dim + 2`, so the code screen's limit is
+//! `screen_limit((R + err)², dim + 2)`: the `x` of the slack grows by
+//! `4u`, and the `8u` left over still covers every `f64` factor. Underflow
+//! adds nothing new (a difference of two `f32`s that lands below `2⁻¹²⁶` is
+//! exact), and every special value errs towards keeping: a NaN or `+∞`
+//! bound or `err` makes the limit `+∞`, a NaN query coordinate makes the
+//! sum NaN.
 //!
 //! # Kernel selection
 //!
@@ -288,6 +325,226 @@ impl LaneBlock<'_> {
     /// Number of lane groups in the block.
     pub fn groups(&self) -> usize {
         self.data.len() / (self.dim * LANES)
+    }
+}
+
+/// The most a code can count in steps above its dimension's `lo`.
+const CODE_MAX: f64 = u8::MAX as f64;
+
+/// A lane-blocked copy of a vector set in which every coordinate is one
+/// `u8` code: dimension `d` of a point decodes to `lo[d] + step[d]·code`.
+///
+/// The codes sit exactly where [`BlockedVectors`] keeps its floats (group
+/// `g`, dimension `d`, lane `lane` at `(g·dim + d)·LANES + lane`, the last
+/// group padded with the last point), so a group is `dim·LANES` bytes. The
+/// decode is exact in `f32` on every kernel (see the module docs), and
+/// [`err`](Self::err) bounds how far any stored point is from its decode —
+/// `+∞` for a set the codes cannot describe that way, which no screen then
+/// clears anything of. Codes screen; they are never distances.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CodedVectors {
+    codes: Vec<u8>,
+    lo: Vec<f32>,
+    step: Vec<f32>,
+    err: Dist,
+    dim: usize,
+    len: usize,
+}
+
+impl CodedVectors {
+    /// Codes the selected rows of a row-major flat buffer, in `indices`
+    /// order (the layout of [`BlockedVectors::gather_flat`]), reading each
+    /// row twice — once for the per-dimension range, once to code it — and
+    /// keeping nothing of it but the codes.
+    ///
+    /// # Panics
+    /// Panics if `dim == 0`, `indices` is empty or an index is out of range.
+    pub fn gather_flat(flat: &[f32], dim: usize, indices: &[usize]) -> Self {
+        assert!(dim > 0, "dimension must be positive");
+        assert!(!indices.is_empty(), "cannot code an empty selection");
+        let row = |i: usize| &flat[i * dim..(i + 1) * dim];
+        let len = indices.len();
+        let mut low = vec![f32::INFINITY; dim];
+        let mut high = vec![f32::NEG_INFINITY; dim];
+        let mut finite = true;
+        for &i in indices {
+            for ((low, high), &x) in low.iter_mut().zip(&mut high).zip(row(i)) {
+                finite &= x.is_finite();
+                *low = low.min(x);
+                *high = high.max(x);
+            }
+        }
+        let decode: Option<Vec<(f32, f32)>> = finite
+            .then(|| {
+                low.iter()
+                    .zip(&high)
+                    .map(|(&l, &h)| decode_for(l, h))
+                    .collect()
+            })
+            .flatten();
+        let mut codes = vec![0u8; len.div_ceil(LANES) * dim * LANES];
+        let Some(decode) = decode else {
+            // Nothing to screen with: every code 0, and an error radius no
+            // bound survives.
+            return Self {
+                codes,
+                lo: vec![0.0; dim],
+                step: vec![1.0; dim],
+                err: Dist::INFINITY,
+                dim,
+                len,
+            };
+        };
+
+        // `(lo, step, 1/step)` in f64; `1/step` is exact, a power of two.
+        let decode_f64: Vec<(f64, f64, f64)> = decode
+            .iter()
+            .map(|&(lo, step)| (f64::from(lo), f64::from(step), 1.0 / f64::from(step)))
+            .collect();
+        let mut worst = 0.0f64;
+        for (g, group) in codes.chunks_exact_mut(dim * LANES).enumerate() {
+            // Padding lanes replicate the last point, like the float layout.
+            let rows: [&[f32]; LANES] =
+                std::array::from_fn(|lane| row(indices[(g * LANES + lane).min(len - 1)]));
+            let mut sq = [0.0f64; LANES];
+            let dims = group.chunks_exact_mut(LANES).zip(&decode_f64).enumerate();
+            for (d, (codes, &(lo, step, per_step))) in dims {
+                for ((code, sq), row) in codes.iter_mut().zip(&mut sq).zip(rows) {
+                    let x = f64::from(row[d]);
+                    *code = code_of(x, lo, per_step);
+                    // `lo + step·code` is exact in f64 and equals the f32
+                    // decode.
+                    let diff = x - (lo + step * f64::from(*code));
+                    *sq += diff * diff;
+                }
+            }
+            worst = sq.into_iter().fold(worst, f64::max);
+        }
+        Self {
+            codes,
+            lo: decode.iter().map(|&(lo, _)| lo).collect(),
+            step: decode.iter().map(|&(_, step)| step).collect(),
+            // Inflated past the f64 roundings of forming it (module docs).
+            err: worst.sqrt() * (1.0 + ERR_INFLATION),
+            dim,
+            len,
+        }
+    }
+
+    /// Number of real (unpadded) points stored.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no points are stored.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Dimensionality of the stored points.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Number of lane groups (the last one may be padded).
+    pub fn num_groups(&self) -> usize {
+        self.len.div_ceil(LANES)
+    }
+
+    /// Bytes of codes held: `dim` per point, padded to whole lane groups.
+    pub fn code_bytes(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// An upper bound on `‖x − x̂‖` over every stored point and its decode;
+    /// `+∞` when the set holds a non-finite coordinate or cannot be decoded
+    /// exactly, and then no screen clears any lane of it.
+    pub fn err(&self) -> Dist {
+        self.err
+    }
+
+    /// The consecutive lane groups `groups` as one view, for the code
+    /// screen.
+    ///
+    /// # Panics
+    /// Panics if `groups` reaches past `num_groups()`.
+    pub fn block(&self, groups: Range<usize>) -> CodeBlock<'_> {
+        assert!(
+            groups.start <= groups.end && groups.end <= self.num_groups(),
+            "group range out of range"
+        );
+        let stride = self.dim * LANES;
+        CodeBlock {
+            codes: &self.codes[groups.start * stride..groups.end * stride],
+            lo: &self.lo,
+            step: &self.step,
+            err: self.err,
+        }
+    }
+}
+
+/// Relative inflation of a coded set's error radius: covers the `f64`
+/// roundings of its differences, squares, sum and square root up to
+/// `dim = 2¹⁶` (about `2⁻³⁶`) with room to spare.
+const ERR_INFLATION: f64 = 1.0 / (1u64 << 30) as f64;
+
+/// The decode `(lo, step)` of one dimension whose values span `low..=high`:
+/// `step` the smallest power of two with `254·step ≥ high − low` and at
+/// least `max(|low|, |high|)·2⁻²³` (so `lo/step + 255 < 2²⁴`), and
+/// `lo = ⌊low/step⌋·step`. Then `lo + 255·step ≥ low + 254·step ≥ high`, and
+/// every decode is a multiple of `step` under `2²⁴` of them — exact in
+/// `f32`. `None` if `lo` or the top of the range would leave `f32`.
+fn decode_for(low: f32, high: f32) -> Option<(f32, f32)> {
+    let (low, high) = (f64::from(low), f64::from(high));
+    let wanted = ((high - low) / (CODE_MAX - 1.0))
+        .max(low.abs().max(high.abs()) / f64::from(1u32 << 23))
+        .max(f64::from(f32::from_bits(1))); // the smallest subnormal, 2⁻¹⁴⁹
+                                            // `2^e`, built from its bits: `wanted` lies in [2⁻¹⁴⁹, 2¹²²].
+    let pow2 = |e: i32| f64::from_bits(((e + 1023) as u64) << 52);
+    let mut e = wanted.log2().ceil() as i32;
+    while pow2(e) < wanted {
+        e += 1;
+    }
+    while pow2(e - 1) >= wanted {
+        e -= 1;
+    }
+    let step = pow2(e);
+    let lo = (low / step).floor() * step;
+    // The largest decode any member gets.
+    let top = lo + f64::from(code_of(high, lo, 1.0 / step)) * step;
+    let fits = |v: f64| v.abs() <= f64::from(f32::MAX);
+    (fits(lo) && fits(top)).then_some((lo as f32, step as f32))
+}
+
+/// The code of `x ≥ lo`: the nearest whole number of steps above `lo`
+/// (`per_step` is `1/step`), saturating at 255. `as` is the rounding: the
+/// value is non-negative, so truncating it plus one half rounds it, without
+/// the library call `f64::round` is on baseline x86-64.
+#[inline]
+fn code_of(x: f64, lo: f64, per_step: f64) -> u8 {
+    ((x - lo) * per_step + 0.5) as u8
+}
+
+/// A borrowed view of consecutive lane groups of a [`CodedVectors`]
+/// ([`CodedVectors::block`]), with the decode and error radius they need.
+#[derive(Clone, Copy, Debug)]
+pub struct CodeBlock<'a> {
+    /// Always a whole number of groups: `groups() * dim * LANES` codes.
+    codes: &'a [u8],
+    lo: &'a [f32],
+    step: &'a [f32],
+    err: Dist,
+}
+
+impl CodeBlock<'_> {
+    /// Dimensionality of the block's points.
+    pub fn dim(&self) -> usize {
+        self.lo.len()
+    }
+
+    /// Number of lane groups in the block.
+    pub fn groups(&self) -> usize {
+        self.codes.len() / (self.dim() * LANES)
     }
 }
 
@@ -576,21 +833,23 @@ fn scalar_screen(query: &[f32], data: &[f32], stride: usize, limit: f32, keep: &
 
 /// Runs a `G`-groups-at-a-time screen kernel over all of `keep`: blocks of
 /// four (one accumulator per group, so four independent dependency
-/// chains), then the 1–3 groups left over in one call.
+/// chains), then the 1–3 groups left over in one call. The kernel takes the
+/// `[lead]` arguments, a pointer to its first group in `data`, `stride`,
+/// `limit` and its slice of `keep`.
 #[cfg(target_arch = "x86_64")]
 macro_rules! screen_in_fours {
-    ($kernel:ident, $query:ident, $data:ident, $stride:ident, $limit:ident, $keep:ident) => {{
+    ($kernel:ident, [$($lead:ident),+], $data:ident, $stride:ident, $limit:ident, $keep:ident) => {{
         let mut fours = $keep.chunks_exact_mut(4);
         let mut at = 0;
         for four in &mut fours {
-            $kernel::<4>($query, $data.as_ptr().add(at), $stride, $limit, four);
+            $kernel::<4>($($lead,)+ $data.as_ptr().add(at), $stride, $limit, four);
             at += 4 * $stride;
         }
         let data = $data.as_ptr().add(at);
         match fours.into_remainder() {
-            rest @ [_, _, _] => $kernel::<3>($query, data, $stride, $limit, rest),
-            rest @ [_, _] => $kernel::<2>($query, data, $stride, $limit, rest),
-            rest @ [_] => $kernel::<1>($query, data, $stride, $limit, rest),
+            rest @ [_, _, _] => $kernel::<3>($($lead,)+ data, $stride, $limit, rest),
+            rest @ [_, _] => $kernel::<2>($($lead,)+ data, $stride, $limit, rest),
+            rest @ [_] => $kernel::<1>($($lead,)+ data, $stride, $limit, rest),
             _ => {}
         }
     }};
@@ -606,7 +865,7 @@ macro_rules! screen_in_fours {
 #[target_feature(enable = "sse2")]
 unsafe fn sse2_screen(query: &[f32], data: &[f32], stride: usize, limit: f32, keep: &mut [u8]) {
     debug_assert!(data.len() >= keep.len() * stride && stride >= query.len() * LANES);
-    screen_in_fours!(sse2_screen_groups, query, data, stride, limit, keep);
+    screen_in_fours!(sse2_screen_groups, [query], data, stride, limit, keep);
 }
 
 /// # Safety
@@ -653,7 +912,7 @@ unsafe fn sse2_screen_groups<const G: usize>(
 #[target_feature(enable = "avx2,fma")]
 unsafe fn avx2_screen(query: &[f32], data: &[f32], stride: usize, limit: f32, keep: &mut [u8]) {
     debug_assert!(data.len() >= keep.len() * stride && stride >= query.len() * LANES);
-    screen_in_fours!(avx2_screen_groups, query, data, stride, limit, keep);
+    screen_in_fours!(avx2_screen_groups, [query], data, stride, limit, keep);
 }
 
 /// # Safety
@@ -676,6 +935,223 @@ unsafe fn avx2_screen_groups<const G: usize>(
         let row = data.add(d * LANES);
         for (j, sum) in acc.iter_mut().enumerate() {
             let diff = _mm256_sub_ps(q, _mm256_loadu_ps(row.add(j * stride)));
+            *sum = _mm256_fmadd_ps(diff, diff, *sum);
+        }
+    }
+    let limit = _mm256_set1_ps(limit);
+    for (slot, sum) in keep.iter_mut().zip(acc) {
+        // "Not greater than, unordered": a NaN sum keeps its lane.
+        *slot = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NGT_UQ>(sum, limit)) as u8;
+    }
+}
+
+/// Screens the lane groups of a coded `block` against a **Euclidean**
+/// distance bound: bit `lane` of `keep[j]` is cleared only if that lane's
+/// canonical Euclidean distance to `query` — computed from the point
+/// itself, not its code — is certainly above `bound`, on every kernel. A set
+/// bit promises nothing. The limit is the plain screen's for
+/// `(bound + err)²` at `dim + 2` (see the module docs); a NaN or `+∞` bound
+/// or error radius keeps every lane. Padding lanes, `keep` beyond
+/// `block.groups()` and the dimensions past `query.len()` are treated as in
+/// [`screen_squared_l2`].
+///
+/// # Panics
+/// Panics if `keep` is shorter than `block.groups()`.
+pub fn screen_codes_l2(query: &[f32], block: CodeBlock<'_>, bound: Dist, keep: &mut [u8]) {
+    let keep = &mut keep[..block.groups()];
+    let dim = block.dim().min(query.len());
+    let reach = bound + block.err;
+    let limit = screen_limit(reach * reach, dim + 2);
+    if limit == f32::INFINITY {
+        keep.fill(u8::MAX);
+        return;
+    }
+    let query = &query[..dim];
+    let stride = block.dim() * LANES;
+    let (codes, lo, step) = (block.codes, &block.lo[..dim], &block.step[..dim]);
+    match active_kernel() {
+        KernelChoice::Scalar => scalar_screen_codes(query, lo, step, codes, stride, limit, keep),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the kernel choice is either runtime-detected or clamped
+        // by `force_kernel`, so the required features are present. A
+        // `CodeBlock` holds `keep.len()` whole groups of `stride` codes,
+        // `lo` and `step` are `query.len()` long and `query.len() * LANES <=
+        // stride`: every byte the kernels read is `query.len() * LANES` from
+        // the start of each group.
+        KernelChoice::Sse2 => unsafe {
+            sse2_screen_codes(query, lo, step, codes, stride, limit, keep)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as for SSE2 above.
+        KernelChoice::Avx2Fma => unsafe {
+            avx2_screen_codes(query, lo, step, codes, stride, limit, keep)
+        },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => scalar_screen_codes(query, lo, step, codes, stride, limit, keep),
+    }
+}
+
+/// Portable code screen: per lane, decode (`lo + step·code`, exact), the
+/// `f32` difference squared and summed in `f32`. Lane-outer like
+/// [`scalar_lanes`].
+fn scalar_screen_codes(
+    query: &[f32],
+    lo: &[f32],
+    step: &[f32],
+    codes: &[u8],
+    stride: usize,
+    limit: f32,
+    keep: &mut [u8],
+) {
+    for (slot, group) in keep.iter_mut().zip(codes.chunks_exact(stride)) {
+        *slot = 0;
+        for lane in 0..LANES {
+            let mut sum = 0.0f32;
+            for (d, &qv) in query.iter().enumerate() {
+                let decoded = lo[d] + step[d] * f32::from(group[d * LANES + lane]);
+                let diff = qv - decoded;
+                sum += diff * diff;
+            }
+            // Not `sum <= limit`: a NaN sum must keep its lane.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            let kept = !(sum > limit);
+            *slot |= u8::from(kept) << lane;
+        }
+    }
+}
+
+/// SSE2 code screen: each group's 8 codes widened to two `i32` quads,
+/// converted, decoded with multiply + add (exact), then the float screen's
+/// multiply + add.
+///
+/// # Safety
+/// The CPU must support SSE2, `lo` and `step` must be `query.len()` long,
+/// and `codes` must hold `keep.len()` groups of `stride >= query.len() *
+/// LANES` bytes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+unsafe fn sse2_screen_codes(
+    query: &[f32],
+    lo: &[f32],
+    step: &[f32],
+    codes: &[u8],
+    stride: usize,
+    limit: f32,
+    keep: &mut [u8],
+) {
+    debug_assert!(codes.len() >= keep.len() * stride && stride >= query.len() * LANES);
+    debug_assert!(lo.len() == query.len() && step.len() == query.len());
+    screen_in_fours!(
+        sse2_screen_code_groups,
+        [query, lo, step],
+        codes,
+        stride,
+        limit,
+        keep
+    );
+}
+
+/// # Safety
+/// As [`sse2_screen_codes`], with `keep.len() == G` and `codes` pointing at
+/// `G` groups.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+#[inline]
+unsafe fn sse2_screen_code_groups<const G: usize>(
+    query: &[f32],
+    lo: &[f32],
+    step: &[f32],
+    codes: *const u8,
+    stride: usize,
+    limit: f32,
+    keep: &mut [u8],
+) {
+    use std::arch::x86_64::*;
+    let zero = _mm_setzero_si128();
+    let mut acc = [[_mm_setzero_ps(); 2]; G];
+    for (d, &qv) in query.iter().enumerate() {
+        let (q, lo, step) = (_mm_set1_ps(qv), _mm_set1_ps(lo[d]), _mm_set1_ps(step[d]));
+        let row = codes.add(d * LANES);
+        for (j, halves) in acc.iter_mut().enumerate() {
+            let bytes = _mm_loadl_epi64(row.add(j * stride) as *const __m128i);
+            let words = _mm_unpacklo_epi8(bytes, zero);
+            let quads = [
+                _mm_unpacklo_epi16(words, zero),
+                _mm_unpackhi_epi16(words, zero),
+            ];
+            for (sum, quad) in halves.iter_mut().zip(quads) {
+                let decoded = _mm_add_ps(_mm_mul_ps(_mm_cvtepi32_ps(quad), step), lo);
+                let diff = _mm_sub_ps(q, decoded);
+                *sum = _mm_add_ps(*sum, _mm_mul_ps(diff, diff));
+            }
+        }
+    }
+    let limit = _mm_set1_ps(limit);
+    for (slot, [lo, hi]) in keep.iter_mut().zip(acc) {
+        // "Not greater than" is true on NaN: a NaN sum keeps its lane.
+        let lo = _mm_movemask_ps(_mm_cmpngt_ps(lo, limit));
+        let hi = _mm_movemask_ps(_mm_cmpngt_ps(hi, limit));
+        *slot = (lo | hi << 4) as u8;
+    }
+}
+
+/// AVX2 + FMA code screen: per group and dimension one 8-byte load widened
+/// and converted to eight floats, a fused decode (exact), a subtract and a
+/// fused multiply-add.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA; otherwise as [`sse2_screen_codes`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn avx2_screen_codes(
+    query: &[f32],
+    lo: &[f32],
+    step: &[f32],
+    codes: &[u8],
+    stride: usize,
+    limit: f32,
+    keep: &mut [u8],
+) {
+    debug_assert!(codes.len() >= keep.len() * stride && stride >= query.len() * LANES);
+    debug_assert!(lo.len() == query.len() && step.len() == query.len());
+    screen_in_fours!(
+        avx2_screen_code_groups,
+        [query, lo, step],
+        codes,
+        stride,
+        limit,
+        keep
+    );
+}
+
+/// # Safety
+/// As [`avx2_screen_codes`], with `keep.len() == G` and `codes` pointing at
+/// `G` groups.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn avx2_screen_code_groups<const G: usize>(
+    query: &[f32],
+    lo: &[f32],
+    step: &[f32],
+    codes: *const u8,
+    stride: usize,
+    limit: f32,
+    keep: &mut [u8],
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [_mm256_setzero_ps(); G];
+    for (d, &qv) in query.iter().enumerate() {
+        let (q, lo, step) = (
+            _mm256_set1_ps(qv),
+            _mm256_set1_ps(lo[d]),
+            _mm256_set1_ps(step[d]),
+        );
+        let row = codes.add(d * LANES);
+        for (j, sum) in acc.iter_mut().enumerate() {
+            let bytes = _mm_loadl_epi64(row.add(j * stride) as *const __m128i);
+            let code = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes));
+            let diff = _mm256_sub_ps(q, _mm256_fmadd_ps(code, step, lo));
             *sum = _mm256_fmadd_ps(diff, diff, *sum);
         }
     }

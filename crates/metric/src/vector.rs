@@ -15,7 +15,9 @@
 //! bitwise identical to these scalar loops on any hardware.
 
 use crate::metric::{Dist, Metric};
-use crate::simd::{screen_squared_l2, squared_l2_lanes, LaneBlock, LaneGroup, LANES};
+use crate::simd::{
+    screen_codes_l2, screen_squared_l2, squared_l2_lanes, CodeBlock, LaneBlock, LaneGroup, LANES,
+};
 
 #[inline]
 fn debug_check_dims(a: &[f32], b: &[f32]) {
@@ -66,6 +68,11 @@ impl Metric<[f32]> for Euclidean {
         // screen's slack covers them and this product's own rounding.
         screen_squared_l2(query, block, bound * bound, keep);
     }
+
+    #[inline]
+    fn screen_codes(&self, query: &[f32], block: CodeBlock<'_>, bound: Dist, keep: &mut [u8]) {
+        screen_codes_l2(query, block, bound, keep);
+    }
 }
 
 /// The *squared* Euclidean distance.
@@ -103,6 +110,13 @@ impl Metric<[f32]> for SquaredEuclidean {
     #[inline]
     fn screen_lanes(&self, query: &[f32], block: LaneBlock<'_>, bound: Dist, keep: &mut [u8]) {
         screen_squared_l2(query, block, bound, keep);
+    }
+
+    #[inline]
+    fn screen_codes(&self, query: &[f32], block: CodeBlock<'_>, bound: Dist, keep: &mut [u8]) {
+        // The code screen's bound is a distance. `sqrt_rn` may land an ulp
+        // under `√bound`; the screen's slack covers it.
+        screen_codes_l2(query, block, bound.sqrt(), keep);
     }
 }
 

@@ -9,9 +9,11 @@
 //! then follows and is pinned separately, because that is the property
 //! the search layers actually rely on.
 //!
-//! The `f32` screen is held to a different contract — **conservatism**: it
-//! may keep anything, but under no kernel, magnitude or bound may it clear
-//! a lane whose canonical distance is within the bound.
+//! The `f32` screen and the `u8` code screen are held to a different
+//! contract — **conservatism**: they may keep anything, but under no
+//! kernel, magnitude or bound may they clear a lane whose canonical
+//! distance is within the bound (for the code screen: the distance of the
+//! point the lane codes, not of its decode).
 //!
 //! Kernel forcing mutates process-global dispatch state, so every test
 //! that forces serialises on one mutex and restores auto-detection
@@ -21,7 +23,7 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use rbc_metric::{
-    force_kernel, squared_l2_lanes, BlockedVectors, Euclidean, KernelChoice, Metric,
+    force_kernel, squared_l2_lanes, BlockedVectors, CodedVectors, Euclidean, KernelChoice, Metric,
     SquaredEuclidean, LANES,
 };
 
@@ -328,4 +330,169 @@ proptest! {
         }
         force_kernel(None);
     }
+
+    /// The same safety net under the code screen, which reads `u8` codes
+    /// and must answer for the *original* points: whatever the kernel, the
+    /// metric, the magnitudes, the list and the bound, a lane whose point's
+    /// canonical distance is `<=` the bound keeps its bit. A list holding a
+    /// NaN or ±∞ coordinate, and a NaN query, keep every lane; on ordinary
+    /// data every lane clearly outside the bound plus twice the error radius
+    /// (the lane's own decode may sit one radius nearer) is cleared.
+    #[test]
+    fn code_screen_never_clears_a_lane_within_the_bound(
+        unit in prop::collection::vec(-1.0f32..1.0, MAX_N * MAX_DIM),
+        qunit in prop::collection::vec(-1.0f32..1.0, MAX_DIM),
+        grid in prop::collection::vec(-100i32..100, MAX_N * MAX_DIM),
+        dim in 1usize..=MAX_DIM,
+        n in 1usize..=MAX_N,
+        first_group in 0usize..3,
+        poison in prop::collection::vec((0usize..MAX_N * MAX_DIM, 0usize..3), 3),
+        target in 0usize..MAX_N,
+    ) {
+        let _guard = lock();
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for regime in CodeRegime::ALL {
+            let scale = |i: usize| match regime {
+                CodeRegime::Scale(s) => s,
+                _ => CODE_SCALES[i % CODE_SCALES.len()],
+            };
+            let mut flat: Vec<f32> = (0..n * dim)
+                .map(|i| match regime {
+                    // Multiples of 2⁻⁷: every code exact, `err` = 0.
+                    CodeRegime::Grid => grid[i] as f32 / 128.0,
+                    // Far from the origin relative to their spread.
+                    CodeRegime::Offset => 1000.0 + unit[i] * 1e-3,
+                    CodeRegime::Duplicates => unit[i % dim],
+                    _ => unit[i] * scale(i / dim + i % dim),
+                })
+                .collect();
+            let mut query: Vec<f32> = (0..dim)
+                .map(|d| match regime {
+                    CodeRegime::Offset => 1000.0 + qunit[d] * 2e-3,
+                    _ => qunit[d] * scale(d),
+                })
+                .collect();
+            match regime {
+                CodeRegime::NonFinitePoints => {
+                    for &(at, which) in &poison {
+                        flat[at % (n * dim)] = specials[which];
+                    }
+                }
+                CodeRegime::NanQuery => query[poison[0].0 % dim] = f32::NAN,
+                _ => {}
+            }
+            let rows = carve_rows(&flat, n, dim);
+            let members: Vec<usize> = (0..n).collect();
+            let coded = CodedVectors::gather_flat(&flat, dim, &members);
+            prop_assert_eq!(coded.len(), n);
+            prop_assert_eq!(coded.code_bytes(), n.div_ceil(LANES) * LANES * dim);
+            if regime == CodeRegime::NonFinitePoints {
+                prop_assert_eq!(coded.err(), f64::INFINITY, "a non-finite list is screened");
+            }
+            if regime == CodeRegime::Grid {
+                prop_assert_eq!(coded.err(), 0.0, "grid points decode exactly");
+            }
+            let err = coded.err();
+            let keeps_all = matches!(regime, CodeRegime::NonFinitePoints | CodeRegime::NanQuery);
+            let groups = first_group.min(coded.num_groups() - 1)..coded.num_groups();
+            let member = groups.start * LANES + target % (n - groups.start * LANES);
+
+            for (kernel, euclidean) in KERNELS.into_iter().flat_map(|k| [(k, true), (k, false)]) {
+                force_kernel(Some(kernel));
+                // Canonical distances of the points themselves, padding
+                // lanes standing for the last point.
+                let dist = |point: usize| {
+                    let row = &rows[point.min(n - 1)];
+                    if euclidean {
+                        Euclidean.dist(&query, row)
+                    } else {
+                        SquaredEuclidean.dist(&query, row)
+                    }
+                };
+                let on = dist(member);
+                let bounds =
+                    [on, on.next_down(), on.next_up(), on * 0.5, on * 2.0, 0.0, f64::INFINITY, f64::NAN];
+                for bound in bounds {
+                    let mut keep = [0u8; MAX_N.div_ceil(LANES)];
+                    let block = coded.block(groups.clone());
+                    if euclidean {
+                        Euclidean.screen_codes(&query, block, bound, &mut keep);
+                    } else {
+                        SquaredEuclidean.screen_codes(&query, block, bound, &mut keep);
+                    }
+                    let case = format!(
+                        "kernel {kernel:?} euclidean {euclidean} dim {dim} n {n} {regime:?} \
+                         bound {bound} err {err}"
+                    );
+                    // The bound and the error radius on the distance scale.
+                    let reach = |d: f64| if euclidean { d } else { d.sqrt() };
+                    for (j, g) in groups.clone().enumerate() {
+                        if keeps_all || bound.is_nan() || bound == f64::INFINITY {
+                            prop_assert_eq!(keep[j], u8::MAX, "{}: screened anyway", case);
+                        }
+                        for lane in 0..LANES {
+                            let d = dist(g * LANES + lane);
+                            let kept = (keep[j] >> lane) & 1 != 0;
+                            prop_assert!(
+                                kept || d.partial_cmp(&bound).is_none_or(|o| o.is_gt()),
+                                "{}: lane {} of group {} at {} cleared", case, lane, g, d
+                            );
+                            prop_assert!(kept || !d.is_nan(), "{}: NaN lane cleared", case);
+                            let outside = reach(d) > 1.01 * (reach(bound) + 2.0 * err);
+                            if regime == CodeRegime::Scale(1.0) && bound.is_finite() && outside {
+                                prop_assert!(!kept, "{}: lane at {} kept", case, d);
+                            }
+                        }
+                    }
+                    prop_assert!(
+                        keep[groups.len()..].iter().all(|&mask| mask == 0),
+                        "{}: wrote past the block", case
+                    );
+                }
+            }
+        }
+        force_kernel(None);
+    }
+}
+
+/// Coordinate scales for the code screen's safety net (`1.0` first, the
+/// ordinary one): magnitudes whose squares go subnormal in `f32` or vanish,
+/// the 1e±18 of the float screen, and near the top of `f32`.
+const CODE_SCALES: [f32; 6] = [1.0, 1e-20, 1e-30, 1e-18, 1e18, 3e38];
+
+/// One list-and-query shape of the code screen's safety net.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum CodeRegime {
+    /// Every coordinate at one magnitude.
+    Scale(f32),
+    /// A different magnitude per coordinate.
+    Mixed,
+    /// Points on a grid the codes hit exactly (`err` = 0), so only the
+    /// slack stands between the bound and a rounding.
+    Grid,
+    /// Points far from the origin relative to their spread.
+    Offset,
+    /// One point repeated: every dimension's range is 0.
+    Duplicates,
+    /// NaN and ±∞ coordinates among the points: nothing may be cleared.
+    NonFinitePoints,
+    /// A NaN coordinate in the query: nothing may be cleared.
+    NanQuery,
+}
+
+impl CodeRegime {
+    const ALL: [CodeRegime; 12] = [
+        CodeRegime::Scale(CODE_SCALES[0]),
+        CodeRegime::Scale(CODE_SCALES[1]),
+        CodeRegime::Scale(CODE_SCALES[2]),
+        CodeRegime::Scale(CODE_SCALES[3]),
+        CodeRegime::Scale(CODE_SCALES[4]),
+        CodeRegime::Scale(CODE_SCALES[5]),
+        CodeRegime::Mixed,
+        CodeRegime::Grid,
+        CodeRegime::Offset,
+        CodeRegime::Duplicates,
+        CodeRegime::NonFinitePoints,
+        CodeRegime::NanQuery,
+    ];
 }

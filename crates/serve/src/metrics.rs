@@ -17,8 +17,8 @@ use serde::{Deserialize, Serialize};
 use crate::cache::CacheCounters;
 
 /// Point-in-time accounting for one submission-queue shard, as reported
-/// by [`ShardedQueue::shard_snapshots`](crate::queue::ShardedQueue) and
-/// surfaced in [`MetricsSnapshot::queue_shards`] and the
+/// by the engine's sharded submission queue (`ShardedQueue::shard_snapshots`)
+/// and surfaced in [`MetricsSnapshot::queue_shards`] and the
 /// `rbc_serve_queue_shard_*` metric family.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueueShardSnapshot {
