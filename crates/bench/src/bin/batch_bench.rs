@@ -25,8 +25,9 @@
 //! * `--simd-check` runs the dense brute-force kernel and the batched
 //!   exact and one-shot searches (the exact one screens `f32` lanes, the
 //!   one-shot one `u8` codes) under the forced-scalar kernel, SSE2 and
-//!   whatever SIMD kernel the host detects, asserts the answers are
-//!   **bit-identical** and the searches' `distance_evals` equal, and
+//!   whatever SIMD kernel the host detects — each kernel building its own
+//!   indexes — asserts the lists and answers are **bit-identical** and the
+//!   searches' `distance_evals` equal, and
 //!   reports the speedup; `--assert-speedup X` turns the dense-kernel
 //!   ratio into a hard assertion (skipped with a notice when the host has
 //!   no SIMD kernel).
@@ -41,7 +42,7 @@ use serde::Serialize;
 
 use rbc_bench::{write_json_records, Table};
 use rbc_bruteforce::{BfConfig, BruteForce};
-use rbc_core::{ExactRbc, OneShotRbc, RbcConfig, RbcParams, SearchStats};
+use rbc_core::{ExactRbc, OneShotRbc, OwnershipList, RbcConfig, RbcParams, SearchStats};
 use rbc_data::gaussian_mixture;
 use rbc_device::{MachineProfile, TilePolicy};
 use rbc_metric::{active_kernel, force_kernel, Dataset, Euclidean, KernelChoice, VectorSet};
@@ -280,8 +281,9 @@ fn run_tune(opts: &Options) {
 
 /// `--simd-check`: runs the dense brute-force kernel, the batched exact
 /// search and the batched one-shot search under every kernel the host
-/// supports (forced scalar, SSE2, and the detected one), asserts
-/// bit-identical answers and equal evaluation counts, and reports speedups.
+/// supports (forced scalar, SSE2, and the detected one), each over indexes
+/// built under that kernel; asserts bit-identical lists and answers and
+/// equal evaluation counts, and reports speedups.
 fn run_simd_check(opts: &Options) {
     let (database, queries) = workload(opts);
     force_kernel(None);
@@ -310,21 +312,33 @@ fn run_simd_check(opts: &Options) {
         ..MachineProfile::host().tile_policy()
     };
     let bf = BruteForce::with_config(config);
-    // One build serves every kernel: distances are bit-identical, so the
-    // structures (their `f32` and coded mirrors) are kernel-independent.
+    // Each kernel builds its own indexes: the exact build's `BF(X, R)`
+    // screens lane groups, and the screen's masks differ between kernels,
+    // so that the lists do not is checked, not assumed.
     let params = RbcParams::standard(opts.n, 42 + opts.seed);
     let rbc_config = RbcConfig {
         bf: config,
         ..RbcConfig::default()
     };
-    let exact = ExactRbc::build(&database, Euclidean, params.clone(), rbc_config);
-    let one_shot = OneShotRbc::build(&database, Euclidean, params, rbc_config);
-    // The one-shot arm is the code screen's: every list it scans is coded.
-    let coded = one_shot.list_blocks().is_some_and(|mirrors| {
-        let mut mirrors = mirrors.iter().flatten();
-        mirrors.all(|mirror| mirror.codes().is_some())
-    });
-    assert!(coded, "the one-shot lists must be screened from codes");
+    let build = || {
+        let exact = ExactRbc::build(&database, Euclidean, params.clone(), rbc_config);
+        let one_shot = OneShotRbc::build(&database, Euclidean, params.clone(), rbc_config);
+        // The one-shot arm is the code screen's: every list it scans is coded.
+        let coded = one_shot.list_blocks().is_some_and(|mirrors| {
+            let mut mirrors = mirrors.iter().flatten();
+            mirrors.all(|mirror| mirror.codes().is_some())
+        });
+        assert!(coded, "the one-shot lists must be screened from codes");
+        (exact, one_shot)
+    };
+    /// Every list's representative, members and distance bits, in order.
+    fn list_bits(lists: &[OwnershipList]) -> Vec<(usize, Vec<usize>, Vec<u64>)> {
+        let bits = |list: &OwnershipList| list.member_dists.iter().map(|d| d.to_bits()).collect();
+        let lists = lists.iter();
+        lists
+            .map(|list| (list.rep_index, list.members.clone(), bits(list)))
+            .collect()
+    }
 
     /// Best of three: the answers and the fastest run's milliseconds.
     fn timed<A>(mut run: impl FnMut() -> A) -> (A, f64) {
@@ -353,8 +367,19 @@ fn run_simd_check(opts: &Options) {
         "batched one-shot RBC (codes)",
     ];
     let mut runs = Vec::with_capacity(kernels.len());
+    let mut scalar_lists = None;
     for &kernel in &kernels {
         force_kernel(Some(kernel));
+        let (exact, one_shot) = build();
+        let lists = [list_bits(exact.lists()), list_bits(one_shot.lists())];
+        match &scalar_lists {
+            None => scalar_lists = Some(lists),
+            Some(want) => assert!(
+                &lists == want,
+                "(exact, one-shot) lists built under {} differ from the scalar build's",
+                kernel.name()
+            ),
+        }
         let (dense, dense_ms) = timed(|| bf.knn(&queries, &database, &Euclidean, opts.k).0);
         let (exact_answers, exact_ms) = timed(|| exact.query_batch_k(&queries, opts.k).0);
         let (one_shot_answers, one_shot_ms) = timed(|| one_shot.query_batch_k(&queries, opts.k).0);
@@ -397,7 +422,7 @@ fn run_simd_check(opts: &Options) {
     header.push("speedup".to_string());
     let header: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut table = Table::new(
-        "every supported kernel (bit-identical answers, equal distance_evals asserted)",
+        "every supported kernel (bit-identical lists and answers, equal distance_evals asserted)",
         &header,
     );
     let detected_at = kernels.iter().position(|&kernel| kernel == detected);
@@ -410,7 +435,7 @@ fn run_simd_check(opts: &Options) {
     }
     table.print();
     println!(
-        "\nanswers bit-identical and distance_evals equal across {} kernels on all workloads.",
+        "\nlists and answers bit-identical and distance_evals equal across {} kernels on all workloads.",
         kernels.len()
     );
 

@@ -19,6 +19,10 @@ pub const MIN_PARALLEL_EVALS: usize = 1 << 16;
 /// last tile a thread claims is then a quarter of its share at most.
 const TILES_PER_THREAD: usize = 4;
 
+/// Lane groups a screened dense scan screens at once: four give the screen
+/// kernel four independent accumulators.
+const SCREEN_GROUPS: usize = 4;
+
 /// Tiling and parallelism knobs for the primitive.
 ///
 /// The defaults are sensible for dense vectors of moderate dimension; the
@@ -180,7 +184,7 @@ impl BruteForce {
         D: Dataset<Item = Q::Item>,
         M: Metric<Q::Item>,
     {
-        self.knn_over(
+        self.knn_over::<false, _, _, _, _, _, _>(
             queries,
             db,
             metric,
@@ -208,11 +212,33 @@ impl BruteForce {
         D: Dataset<Item = Q::Item>,
         M: Metric<Q::Item>,
     {
-        self.knn_over(queries, db, metric, k, None, blocks, sorted_answer)
+        self.knn_over::<false, _, _, _, _, _, _>(
+            queries,
+            db,
+            metric,
+            k,
+            None,
+            blocks,
+            sorted_answer,
+        )
     }
 
     /// [`nn`](Self::nn) with an explicitly supplied blocked mirror of `db`
     /// (see [`knn_with_blocks`](Self::knn_with_blocks)).
+    ///
+    /// The one *screened* dense scan. Once a query has a finite nearest
+    /// distance, the lane groups of each database tile are screened four
+    /// at a time with [`Metric::screen_lanes`] against it, and only groups
+    /// with a kept lane are scored canonically and admitted. Answers (ties
+    /// to the lower index, NaN last) and `distance_evals` are those of the
+    /// unscreened scan, bit for bit; [`BfStats::reranked_groups`] says how
+    /// many groups were scored. This is the one-shot search's stage 1 and
+    /// the exact build's `BF(X, R)`.
+    ///
+    /// [`knn`](Self::knn) and [`select_with`](Self::select_with) do not
+    /// screen yet. `knn` is the brute-force reference the RBC speedups are
+    /// measured against, so screening it changes every speedup at once;
+    /// the build screen of `select_with` has not been sized.
     pub fn nn_with_blocks<Q, D, M>(
         &self,
         queries: &Q,
@@ -228,9 +254,15 @@ impl BruteForce {
         // Finished per query inside the scan: a build's `BF(X, R)` asks this
         // for every database point, and one heap-allocated answer per point
         // is memory the scanning threads' allocators keep long after.
-        self.knn_over(queries, db, metric, 1, None, blocks, |_, best: TopK| {
-            best.into_sorted().pop().unwrap_or_else(Neighbor::farthest)
-        })
+        self.knn_over::<true, _, _, _, _, _, _>(
+            queries,
+            db,
+            metric,
+            1,
+            None,
+            blocks,
+            |_, best: TopK| best.into_sorted().pop().unwrap_or_else(Neighbor::farthest),
+        )
     }
 
     /// `BF(Q, X)` for an index build: each query's `k` nearest items of
@@ -264,9 +296,15 @@ impl BruteForce {
         // The buffer is sized by `k`; more than the database cannot come back.
         let k = k.min(db.len().max(1));
         let blocks = self.auto_blocks(db, metric);
-        self.knn_over(queries, db, metric, k, None, blocks, |qi, best: SelectK| {
-            finish(qi, &best.into_sorted())
-        })
+        self.knn_over::<false, _, _, _, _, _, _>(
+            queries,
+            db,
+            metric,
+            k,
+            None,
+            blocks,
+            |qi, best: SelectK| finish(qi, &best.into_sorted()),
+        )
     }
 
     /// k-NN for every query against the sub-database `X[L]` given by
@@ -284,7 +322,8 @@ impl BruteForce {
         D: Dataset<Item = Q::Item>,
         M: Metric<Q::Item>,
     {
-        self.knn_over(queries, db, metric, k, Some(list), None, sorted_answer)
+        let list = Some(list);
+        self.knn_over::<false, _, _, _, _, _, _>(queries, db, metric, k, list, None, sorted_answer)
     }
 
     /// 1-NN for every query against the sub-database `X[L]`.
@@ -467,8 +506,11 @@ impl BruteForce {
         F: Fn(usize, &[Dist]) -> R + Sync,
     {
         let (nq, n) = (queries.len(), db.len());
-        let stats = BfStats::full_scan(nq as u64, n as u64);
         let blocks = self.lane_gate(blocks, metric, n);
+        let stats = BfStats {
+            reranked_groups: blocks.map_or(0, |b| (nq * b.num_groups()) as u64),
+            ..BfStats::full_scan(nq as u64, n as u64)
+        };
         let shared = self.config.parallel && (blocks.is_none() || 2 * nq * n >= MIN_PARALLEL_EVALS);
         let tile = if shared {
             let claims = TILES_PER_THREAD * rayon::current_num_threads();
@@ -638,8 +680,18 @@ impl BruteForce {
     /// The one dense scan, generic over what it fills: [`TopK`] for answers,
     /// [`SelectK`] for builds. `finish(qi, collector)` turns query `qi`'s
     /// filled collector into its result, on the thread that scanned it.
+    ///
+    /// `SCREEN` runs [`Metric::screen_lanes`] over the blocked arm, so only
+    /// lane groups with a lane the screen keeps are scored. It changes what
+    /// is skipped, never a distance, an answer or an evaluation count; a
+    /// canonical scan compiles to the one-group-at-a-time loop alone. Only
+    /// [`nn_with_blocks`](Self::nn_with_blocks) passes `true`: `knn` is the
+    /// brute-force reference every speedup is measured against, and
+    /// `select_with`'s build screen is still to be sized. The parameter
+    /// goes when both screen too (ROADMAP item 1, "The comparator (`knn`)
+    /// and `select_with` get the screen").
     #[allow(clippy::too_many_arguments)] // deliberately a flat kernel signature
-    fn knn_over<Q, D, M, C, R, F>(
+    fn knn_over<const SCREEN: bool, Q, D, M, C, R, F>(
         &self,
         queries: &Q,
         db: &D,
@@ -683,6 +735,7 @@ impl BruteForce {
             let mut collectors: Vec<C> = (q_start..q_end).map(|_| C::with_k(k)).collect();
             let mut evals = 0u64;
             let mut skips = 0u64;
+            let mut reranked = 0u64;
 
             let mut tile_start = 0usize;
             while tile_start < n_candidates {
@@ -692,29 +745,40 @@ impl BruteForce {
                     let collector = &mut collectors[ci];
                     let mut pos = tile_start;
                     while pos < tile_end {
-                        // Blocked fast path: score a lane-aligned full
-                        // group through the metric's lane kernel, then
-                        // admit the whole group against the collector's
-                        // threshold before any offer. The partial tail
-                        // group falls through to the per-point arm.
+                        // Blocked fast path over the lane-aligned whole
+                        // groups of the tile. A screened scan whose
+                        // threshold is finite first clears the lanes
+                        // certainly above it, up to `SCREEN_GROUPS` groups
+                        // at once, and scores only the groups with a kept
+                        // lane; a cleared lane could not be admitted now,
+                        // nor later, as the threshold only falls. Otherwise
+                        // (a canonical scan, or `+∞`, which clears nothing)
+                        // the group is scored outright. Every lane counts
+                        // as an evaluation. The partial tail group falls
+                        // through to the per-point arm.
                         if let Some(b) = blocks {
                             if pos.is_multiple_of(LANES) && pos + LANES <= tile_end {
-                                let mut lane_dists = [0.0 as Dist; LANES];
-                                let computed =
-                                    metric.dist_lanes(q, b.group(pos / LANES), &mut lane_dists);
-                                debug_assert!(
-                                    computed,
-                                    "lanes_supported() metric must compute lanes"
-                                );
-                                evals += LANES as u64;
-                                let group_min =
-                                    lane_dists.iter().copied().fold(Dist::INFINITY, Dist::min);
-                                if group_min <= collector.threshold() {
-                                    for (lane, &d) in lane_dists.iter().enumerate() {
-                                        collector.offer(Neighbor::new(pos + lane, d));
+                                let first = pos / LANES;
+                                let bound = collector.threshold();
+                                if SCREEN && bound.is_finite() {
+                                    let last =
+                                        first + ((tile_end - pos) / LANES).min(SCREEN_GROUPS);
+                                    let mut keep = [0u8; SCREEN_GROUPS];
+                                    metric.screen_lanes(q, b.block(first..last), bound, &mut keep);
+                                    for (g, keep) in (first..last).zip(keep) {
+                                        if keep != 0 {
+                                            reranked += 1;
+                                            admit_group(metric, q, b, g, collector);
+                                        }
                                     }
+                                    evals += ((last - first) * LANES) as u64;
+                                    pos = last * LANES;
+                                } else {
+                                    reranked += 1;
+                                    admit_group(metric, q, b, first, collector);
+                                    evals += LANES as u64;
+                                    pos += LANES;
                                 }
-                                pos += LANES;
                                 continue;
                             }
                         }
@@ -744,6 +808,7 @@ impl BruteForce {
                 distance_evals: evals,
                 lower_bound_skips: skips,
                 queries: (q_end - q_start) as u64,
+                reranked_groups: reranked,
             };
             (results, stats)
         };
@@ -762,6 +827,28 @@ impl BruteForce {
             stats.merge_from(tile_stats);
         }
         (out, stats)
+    }
+}
+
+/// Scores lane group `g` of `blocks` for `q` with the lane kernel and, if
+/// its nearest lane is within `collector`'s threshold, offers every lane:
+/// the whole-group admission of the blocked arm of `knn_over`.
+#[inline]
+fn admit_group<T: ?Sized, M: Metric<T>, C: Collector>(
+    metric: &M,
+    q: &T,
+    blocks: &BlockedVectors,
+    g: usize,
+    collector: &mut C,
+) {
+    let mut lane_dists = [0.0 as Dist; LANES];
+    let computed = metric.dist_lanes(q, blocks.group(g), &mut lane_dists);
+    debug_assert!(computed, "lanes_supported() metric must compute lanes");
+    let group_min = lane_dists.iter().copied().fold(Dist::INFINITY, Dist::min);
+    if group_min <= collector.threshold() {
+        for (lane, &d) in lane_dists.iter().enumerate() {
+            collector.offer(Neighbor::new(g * LANES + lane, d));
+        }
     }
 }
 
@@ -994,9 +1081,10 @@ mod tests {
         let (rows, stats) = bf.rows_with(queries, db, metric, db.lane_blocks(), |qi, row| {
             (qi, row.to_vec())
         });
+        let full = BfStats::full_scan(queries.len() as u64, db.len() as u64);
         assert_eq!(
-            stats,
-            BfStats::full_scan(queries.len() as u64, db.len() as u64)
+            (stats.distance_evals, stats.queries),
+            (full.distance_evals, full.queries)
         );
         assert_eq!(rows.len(), queries.len());
         for (at, (qi, row)) in rows.iter().enumerate() {
@@ -1114,6 +1202,28 @@ mod tests {
             assert_eq!(nearest, argmin);
             assert!(nearest.iter().all(|nb| nb.index < distinct.len()));
         }
+    }
+
+    #[test]
+    fn the_screened_nn_scores_only_the_groups_a_near_hit_leaves_open() {
+        // The query sits on point 0; every other point is ~2 000 away. The
+        // first group meets a threshold of +∞ and is scored unscreened;
+        // once point 0 is in, the screen clears all fifteen others under
+        // every kernel — and they still count as evaluations.
+        let dim = 4;
+        let mut db = VectorSet::empty(dim);
+        db.push(&[0.0; 4]);
+        for point in cloud(16 * LANES - 1, dim, 57).iter() {
+            db.push(&point.iter().map(|x| x + 1000.0).collect::<Vec<_>>());
+        }
+        let queries = VectorSet::from_rows(&[vec![0.0; 4]]);
+        let bf = BruteForce::with_config(BfConfig::sequential());
+        let (nearest, stats) = bf.nn(&queries, &db, &Euclidean);
+        assert_eq!(nearest, [Neighbor::new(0, 0.0)]);
+        assert_eq!(stats.distance_evals, db.len() as u64);
+        assert_eq!(stats.reranked_groups, 1);
+        let (_, canonical) = bf.knn(&queries, &db, &Euclidean, 1);
+        assert_eq!(canonical.reranked_groups, 16, "knn scores every group");
     }
 
     #[test]

@@ -18,6 +18,15 @@ pub struct BfStats {
     pub lower_bound_skips: u64,
     /// Number of queries processed.
     pub queries: u64,
+    /// Lane groups the canonical lane kernel scored: all of them on an
+    /// unscreened blocked scan (a dense scan leaves the partial last group
+    /// to the per-point arm, the row kernel scores it too), the groups the
+    /// screen kept on a screened one
+    /// ([`BruteForce::nn_with_blocks`](crate::BruteForce::nn_with_blocks)),
+    /// zero on the per-point path. Unlike the other fields it depends on
+    /// the active kernel's rounding and on scan order: a report, never a
+    /// gate, and never compared for equality across kernels or schedules.
+    pub reranked_groups: u64,
 }
 
 impl BfStats {
@@ -26,12 +35,13 @@ impl BfStats {
         Self::default()
     }
 
-    /// Counter for a plain scan of `items` candidates for `queries` queries.
+    /// Counter for a plain per-point scan of `items` candidates for
+    /// `queries` queries.
     pub fn full_scan(queries: u64, items: u64) -> Self {
         Self {
             distance_evals: queries * items,
-            lower_bound_skips: 0,
             queries,
+            ..Self::default()
         }
     }
 
@@ -42,6 +52,7 @@ impl BfStats {
             distance_evals: self.distance_evals + other.distance_evals,
             lower_bound_skips: self.lower_bound_skips + other.lower_bound_skips,
             queries: self.queries + other.queries,
+            reranked_groups: self.reranked_groups + other.reranked_groups,
         }
     }
 
@@ -91,16 +102,19 @@ mod tests {
             distance_evals: 5,
             lower_bound_skips: 2,
             queries: 1,
+            reranked_groups: 4,
         };
         let b = BfStats {
             distance_evals: 7,
             lower_bound_skips: 0,
             queries: 3,
+            reranked_groups: 1,
         };
         let m = a.merged(b);
         assert_eq!(m.distance_evals, 12);
         assert_eq!(m.lower_bound_skips, 2);
         assert_eq!(m.queries, 4);
+        assert_eq!(m.reranked_groups, 5);
         assert_eq!(a + b, m);
     }
 

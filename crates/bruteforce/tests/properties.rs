@@ -6,12 +6,43 @@
 
 use proptest::prelude::*;
 use rbc_bruteforce::{BfConfig, BruteForce, Neighbor};
-use rbc_metric::{Euclidean, Manhattan, Metric, VectorSet};
+use rbc_metric::{force_kernel, Dataset, Euclidean, KernelChoice, Manhattan, Metric, VectorSet};
 
 const DIM: usize = 4;
 
+/// Database tiles that make the screened scan's blocks of four lane groups
+/// meet tile ends: 7 holds no whole group, 8 exactly one.
+const DB_TILES: [usize; 4] = [7, 8, 64, 256];
+const QUERY_TILES: [usize; 2] = [1, 16];
+/// Coordinate magnitudes: squares that go subnormal in `f32`, ordinary
+/// ones, squares that overflow `f32`, and differences that overflow it.
+const SCALES: [f32; 4] = [1e-20, 1.0, 1e18, 3e38];
+const KERNELS: [KernelChoice; 3] = [
+    KernelChoice::Scalar,
+    KernelChoice::Sse2,
+    KernelChoice::Avx2Fma,
+];
+/// What a poisoned coordinate becomes.
+const SPECIALS: [f32; 3] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+
 fn points(n_range: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<f32>>> {
     prop::collection::vec(prop::collection::vec(-50.0f32..50.0, DIM), n_range)
+}
+
+/// A deterministic pseudo-random stream in `[-1, 1)`.
+fn unit_stream(seed: u64) -> impl FnMut() -> f32 {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+    }
+}
+
+/// `(index, distance bits)`: an answer compared bit for bit, NaN included.
+fn bits(n: &Neighbor) -> (usize, u64) {
+    (n.index, n.dist.to_bits())
 }
 
 fn naive_knn<M: Metric<[f32]>>(
@@ -144,6 +175,81 @@ proptest! {
             idx.sort_unstable();
             idx.dedup();
             prop_assert_eq!(idx.len(), per_q.len());
+        }
+    }
+
+    /// The screened k = 1 scan (`nn_with_blocks`) answers exactly what the
+    /// unscreened blocked scan (`knn` with k = 1) and the per-point scan
+    /// (`blocked: false`) answer — index and distance bits, NaN included —
+    /// with the same evaluation count, on every kernel, tiling and schedule.
+    /// Databases reach from tail-only (n < 8) through exact multiples of 8;
+    /// some rows are duplicated (the lower index must win) and some
+    /// coordinates poisoned with NaN or ±∞, in rows and in queries.
+    #[test]
+    fn screened_nn_is_bit_identical_to_the_canonical_scan(
+        (seed, dim, n_raw, n_shape) in (any::<u64>(), 1usize..=65, 1usize..=300, 0usize..3),
+        (nq, db_tile, query_tile, scale) in (1usize..=20, 0usize..4, 0usize..2, 0usize..4),
+        (duplicates, poisoned, parallel) in (0usize..6, 0usize..4, any::<bool>()),
+    ) {
+        let n = match n_shape {
+            0 => n_raw % 7 + 1,
+            1 => 8 * (n_raw % 37 + 1),
+            _ => n_raw,
+        };
+        let mut next = unit_stream(seed);
+        let mut cloud = |len: usize| -> Vec<Vec<f32>> {
+            (0..len)
+                .map(|_| (0..dim).map(|_| next() * SCALES[scale]).collect())
+                .collect()
+        };
+        let mut rows = cloud(n);
+        let mut q_rows = cloud(nq);
+        let mut pick = unit_stream(seed ^ 0x5eed);
+        let mut index = |len: usize| ((pick() + 1.0) / 2.0 * len as f32) as usize % len;
+        for _ in 0..duplicates {
+            let (from, to) = (index(n), index(n));
+            rows[to] = rows[from].clone();
+            // A query on the duplicated point ties at distance 0.
+            let at = index(nq);
+            q_rows[at] = rows[from].clone();
+        }
+        for p in 0..poisoned {
+            let special = SPECIALS[p % SPECIALS.len()];
+            let (row, col) = (index(n), index(dim));
+            rows[row][col] = special;
+            if p % 2 == 1 {
+                let (query, col) = (index(nq), index(dim));
+                q_rows[query][col] = special;
+            }
+        }
+        let db = VectorSet::from_rows(&rows);
+        let queries = VectorSet::from_rows(&q_rows);
+        let config = BfConfig {
+            query_tile: QUERY_TILES[query_tile],
+            db_tile: DB_TILES[db_tile],
+            parallel,
+            blocked: true,
+        };
+        let blocked = BruteForce::with_config(config);
+        let per_point = BruteForce::with_config(BfConfig { blocked: false, ..config });
+        let (canonical, canonical_stats) = per_point.nn(&queries, &db, &Euclidean);
+        let canonical: Vec<_> = canonical.iter().map(bits).collect();
+
+        for kernel in KERNELS {
+            force_kernel(Some(kernel));
+            let (screened, stats) =
+                blocked.nn_with_blocks(&queries, &db, &Euclidean, db.lane_blocks());
+            let (knn, knn_stats) = blocked.knn(&queries, &db, &Euclidean, 1);
+            force_kernel(None);
+            let screened: Vec<_> = screened.iter().map(bits).collect();
+            let knn: Vec<_> = knn.iter().map(|answer| bits(&answer[0])).collect();
+            prop_assert_eq!(&screened, &canonical, "kernel {:?}, n {}, dim {}", kernel, n, dim);
+            prop_assert_eq!(&knn, &canonical, "kernel {:?}, n {}, dim {}", kernel, n, dim);
+            prop_assert_eq!(stats.distance_evals, canonical_stats.distance_evals);
+            prop_assert_eq!(knn_stats.distance_evals, canonical_stats.distance_evals);
+            prop_assert_eq!(stats.distance_evals, (n * nq) as u64);
+            // The screen only ever removes canonical work.
+            prop_assert!(stats.reranked_groups <= knn_stats.reranked_groups);
         }
     }
 }

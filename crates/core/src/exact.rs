@@ -282,6 +282,7 @@ where
         let mut stats = stage2.nearest_then_rest(&rows, &gamma_k, &accumulators);
         drop(scan_span);
         stats.rep_distance_evals = rep_stats.distance_evals;
+        stats.rep_reranked_groups = rep_stats.reranked_groups;
         stats.max_query_evals += n_reps as u64;
         (batch_plan::into_answers(accumulators), stats)
     }
@@ -496,7 +497,10 @@ mod tests {
                 let (seeds, rows) =
                     batch_plan::seeded_survivors(&matrix, rbc.lists(), k, rbc.config());
                 let (fused, stats) = rbc.stage1(&queries, k);
-                assert_eq!(stats, matrix_stats);
+                // The same work; only the layout (and so which groups the
+                // lane kernel scored) differs.
+                assert_eq!(stats.queries, matrix_stats.queries);
+                assert_eq!(stats.distance_evals, matrix_stats.distance_evals);
                 assert_eq!(
                     stats.distance_evals,
                     (queries.len() * rbc.num_reps()) as u64
@@ -508,6 +512,43 @@ mod tests {
                     seeds.into_iter().map(TopK::into_sorted).collect()
                 };
                 assert_eq!(sorted(fused_seeds), sorted(seeds));
+            }
+        }
+    }
+
+    #[test]
+    fn the_screened_build_makes_the_lists_the_per_point_build_makes() {
+        // `BF(X, R)` screens lane groups when the build is blocked. Every
+        // point twice over (ties between representatives settle on the
+        // lower position), a NaN point and a far outlier; the lists must
+        // match the row-major build's member for member, distance bit for
+        // distance bit, in order.
+        let distinct = clustered_cloud(700, 7, 75);
+        let mut rows: Vec<Vec<f32>> = distinct.iter().map(<[f32]>::to_vec).collect();
+        rows.extend(rows.clone());
+        rows[123][2] = f32::NAN;
+        rows[456] = vec![1.0e6; 7];
+        let db = VectorSet::from_rows(&rows);
+        let params = RbcParams::standard(db.len(), 76).with_n_reps(230);
+        let bits = |l: &OwnershipList| -> Vec<u64> {
+            l.member_dists.iter().map(|d| d.to_bits()).collect()
+        };
+        for parallel in [true, false] {
+            let mut config = RbcConfig::default();
+            config.bf.parallel = parallel;
+            let screened = ExactRbc::build(&db, Euclidean, params.clone(), config);
+            config.bf.blocked = false;
+            let per_point = ExactRbc::build(&db, Euclidean, params.clone(), config);
+            assert!(screened.rep_blocked().is_some() && per_point.rep_blocked().is_none());
+            assert_eq!(
+                screened.build_distance_evals(),
+                per_point.build_distance_evals()
+            );
+            assert_eq!(screened.lists().len(), per_point.lists().len());
+            for (a, b) in screened.lists().iter().zip(per_point.lists()) {
+                assert_eq!(a.rep_index, b.rep_index);
+                assert_eq!(a.members, b.members, "parallel {parallel}");
+                assert_eq!(bits(a), bits(b), "parallel {parallel}");
             }
         }
     }

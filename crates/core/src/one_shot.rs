@@ -208,6 +208,7 @@ where
         let mut stats = SearchStats {
             queries: nq as u64,
             rep_distance_evals: rep_stats.distance_evals,
+            rep_reranked_groups: rep_stats.reranked_groups,
             ..SearchStats::default()
         };
         let mut list_evals = vec![0u64; nq];

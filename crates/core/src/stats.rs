@@ -100,12 +100,19 @@ pub struct SearchStats {
     /// slot for it). It depends on the active kernel's rounding and on scan
     /// order: a report, never a gate, and never compared for equality.
     pub list_reranked_groups: u64,
+    /// Lane groups stage 1 scored with the canonical lane kernel
+    /// (`BfStats::reranked_groups` of its `BF(Q, R)`): every lane group of
+    /// the representatives' mirror for the exact search, the groups the
+    /// `f32` screen kept for the one-shot search's screened k = 1 scan.
+    /// Like `list_reranked_groups`, a report that depends on the kernel and
+    /// is never gated or compared for equality.
+    pub rep_reranked_groups: u64,
 }
 
 impl SearchStats {
     /// The account of a batch of one as its query's [`QueryStats`], in a
     /// structure of `reps_total` representatives (`list_reranked_groups`
-    /// has no slot there and is dropped).
+    /// and `rep_reranked_groups` have no slot there and are dropped).
     pub(crate) fn into_query(self, reps_total: usize) -> QueryStats {
         debug_assert_eq!(self.queries, 1, "only a batch of one is one query");
         QueryStats {
@@ -129,6 +136,7 @@ impl SearchStats {
         self.list_tile_passes += other.list_tile_passes;
         self.list_scans += other.list_scans;
         self.list_reranked_groups += other.list_reranked_groups;
+        self.rep_reranked_groups += other.rep_reranked_groups;
     }
 
     /// Total distance evaluations across both stages and all queries.
@@ -229,6 +237,7 @@ mod tests {
             list_tile_passes: 4,
             list_scans: 3,
             list_reranked_groups: 1,
+            rep_reranked_groups: 1,
         };
         assert_eq!(row.into_query(10), sample_query(10, 25));
     }

@@ -219,3 +219,70 @@ fn simt_model_prefers_one_shot_over_brute_force_on_catalog_workload() {
         "modeled one-shot speedup should be well above 1 (got {speedup:.2})"
     );
 }
+
+/// Euclidean with its lane kernel but the trait's default keep-all screen.
+struct KeepAll;
+
+impl Metric<[f32]> for KeepAll {
+    fn dist(&self, a: &[f32], b: &[f32]) -> Dist {
+        Euclidean.dist(a, b)
+    }
+
+    fn lanes_supported(&self) -> bool {
+        true
+    }
+
+    fn dist_lanes(
+        &self,
+        query: &[f32],
+        group: rbc::metric::LaneGroup<'_>,
+        out: &mut [Dist; rbc::metric::LANES],
+    ) -> bool {
+        Euclidean.dist_lanes(query, group, out)
+    }
+}
+
+#[test]
+fn k1_reductions_rerank_only_the_lane_groups_the_screen_keeps() {
+    // The gated one-shot shape scaled down to n = 20 000: the benchmark's
+    // 64-cluster mixture, s = n_r = 4 × the standard representative count.
+    let n = 20_000;
+    let db = rbc::data::gaussian_mixture(n, 16, 64, 0.05, 2012);
+    let queries = rbc::data::skewed_queries(512, 16, 64, 0.05, 0.0, 2012, 3);
+    let standard = RbcParams::standard(n, 1);
+    let s = 4 * standard.n_reps;
+    let params = standard.clone().with_n_reps(s).with_list_size(s);
+    let one_shot = OneShotRbc::build(&db, Euclidean, params, RbcConfig::default());
+    let groups = (one_shot.num_reps() / rbc::metric::LANES) as u64;
+
+    let (answers, stats) = one_shot.query_batch_k(&queries, 1);
+    let share = stats.rep_reranked_groups as f64 / (queries.len() as u64 * groups) as f64;
+    assert!(
+        share < 0.15,
+        "stage 1 reranked {share:.3} of its lane groups"
+    );
+
+    // A metric that keeps every lane reranks every whole group, and
+    // answers exactly what the screened scan answers.
+    let bf = BruteForce::new();
+    let reps = db.subset(one_shot.rep_indices());
+    let blocks = one_shot.rep_blocked();
+    let (screened, _) = bf.nn_with_blocks(&queries, &reps, &Euclidean, blocks);
+    let (kept, keep_all) = bf.nn_with_blocks(&queries, &reps, &KeepAll, blocks);
+    assert_eq!(keep_all.reranked_groups, queries.len() as u64 * groups);
+    assert_eq!(screened, kept);
+    let first: Vec<Neighbor> = answers.iter().map(|a| a[0]).collect();
+    assert_eq!(first, one_shot.query_batch(&queries).0);
+
+    // The exact build's `BF(X, R)` at the same n.
+    let exact = ExactRbc::build(&db, Euclidean, standard, RbcConfig::default());
+    let reps = db.subset(exact.rep_indices());
+    let (_, build) = bf.nn_with_blocks(&db, &reps, &Euclidean, exact.rep_blocked());
+    assert_eq!(build.distance_evals, exact.build_distance_evals());
+    let groups = (exact.num_reps() / rbc::metric::LANES) as u64;
+    let share = build.reranked_groups as f64 / (n as u64 * groups) as f64;
+    assert!(
+        share < 0.25,
+        "the exact build reranked {share:.3} of its lane groups"
+    );
+}
