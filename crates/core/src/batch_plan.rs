@@ -17,11 +17,15 @@
 //! are worth a cursor. The buffer-k-d-tree discipline: a query's own leaf
 //! first, then the leaves it still has to visit.
 //!
-//! [`BatchPlan`] is the `γ_k` plan in inverted form — every survivor pair,
-//! grouped by list. The in-process search no longer builds it (it never
-//! inverts the pairs its re-plan drops); the distributed coordinator does,
-//! because it holds no lists: the plan is what its router balances on and
-//! what crosses the wire, and each node re-plans the part it was sent.
+//! [`BatchPlan`] is a set of survivor pairs in inverted form, grouped by
+//! list. The in-process search never builds one (it never inverts the
+//! pairs its re-plan drops); the distributed coordinator does, because it
+//! holds no lists: a plan is what its router balances on and what crosses
+//! the wire. It runs the same two phases as rounds across the cluster —
+//! each query's nearest list on that list's owner, then, from the
+//! thresholds that come back ([`seeded_survivors`] rows, re-planned with
+//! [`GroupCursor::run_is_empty`]), the rest — and each node runs
+//! [`Stage2::nearest_then_rest`] on the part it was sent.
 //!
 //! Planning costs no distance evaluations, and every cut is the triangle
 //! inequality at a strict threshold, so batched and brute-force answers
@@ -72,10 +76,13 @@ pub struct BatchPlan {
     /// into one contiguous run per thread would give the first thread every
     /// heavy group.
     pub groups: Vec<ListGroup>,
-    /// Per-query pruning cap `γ_k` — the k-th smallest representative
-    /// distance, a valid upper bound on the k-th NN distance because
-    /// representatives are database points. `INFINITY` (pruning disabled)
-    /// when fewer than `k` representatives exist.
+    /// Per-query pruning cap. For the exact plan it is `γ_k` — the k-th
+    /// smallest representative distance, a valid upper bound on the k-th
+    /// NN distance because representatives are database points;
+    /// `INFINITY` (pruning disabled) when fewer than `k` representatives
+    /// exist. A plan built by [`from_pairs`](Self::from_pairs) carries
+    /// whatever caps its caller proved, such as the distributed
+    /// coordinator's second-round thresholds `τ_q ≤ γ_k`.
     pub gamma_k: Vec<Dist>,
     /// Number of queries the plan covers.
     pub queries: usize,
@@ -99,40 +106,34 @@ impl BatchPlan {
         k: usize,
         config: &RbcConfig,
     ) -> Self {
-        Self::plan_exact_seeded(rep_dists, lists, k, config).0
+        let (seeds, rows) = seeded_survivors(rep_dists, lists, k, config);
+        let pairs = rows
+            .iter()
+            .enumerate()
+            .flat_map(|(qi, row)| row.iter().map(move |&(list, _)| (qi, list)));
+        Self::from_pairs(pairs, seeds.iter().map(TopK::threshold).collect(), lists)
     }
 
-    /// [`plan_exact`](Self::plan_exact), also returning each query's top-k
-    /// collector seeded with the representatives (`lists[ri].rep_index` at
-    /// distance `rep_dists[qi, ri]`) — the state every exact search starts
-    /// its stage 2 or its merge from. `γ_k` *is* the seeded collector's
-    /// threshold, so one selection per query serves both. The per-query
-    /// work runs on the rayon pool when `config.bf.parallel`; only the
-    /// inversion into list groups is sequential.
-    pub fn plan_exact_seeded(
-        rep_dists: &[Dist],
+    /// Inverts `(query, list)` pairs into list groups, largest scan first
+    /// (queries × list members). `caps` holds one pruning cap per query of
+    /// the batch and becomes [`gamma_k`](Self::gamma_k). Pairs are taken
+    /// in the order given, so pairs sorted by query give every group its
+    /// queries ascending. This is how the distributed coordinator turns
+    /// the pairs of each of its fan-out rounds into a routable plan.
+    ///
+    /// # Panics
+    /// Panics if a pair names a list `>= lists.len()`.
+    pub fn from_pairs(
+        pairs: impl IntoIterator<Item = (usize, usize)>,
+        caps: Vec<Dist>,
         lists: &[OwnershipList],
-        k: usize,
-        config: &RbcConfig,
-    ) -> (Self, Vec<TopK>) {
-        let n_lists = lists.len();
-        let (seeds, kept) = seeded_survivors(rep_dists, lists, k, config);
-        let nq = seeds.len();
-
-        // Invert, sizing each group before filling it.
-        let mut group_sizes = vec![0usize; n_lists];
-        for &(ri, _) in kept.iter().flatten() {
-            group_sizes[ri] += 1;
+    ) -> Self {
+        let mut per_list: Vec<Vec<usize>> = vec![Vec::new(); lists.len()];
+        let mut total = 0;
+        for (qi, list) in pairs {
+            per_list[list].push(qi);
+            total += 1;
         }
-        let pairs = group_sizes.iter().sum();
-        let mut per_list: Vec<Vec<usize>> =
-            group_sizes.into_iter().map(Vec::with_capacity).collect();
-        for (qi, kept) in kept.iter().enumerate() {
-            for &(ri, _) in kept {
-                per_list[ri].push(qi);
-            }
-        }
-
         let mut groups: Vec<ListGroup> = per_list
             .into_iter()
             .enumerate()
@@ -149,13 +150,12 @@ impl BatchPlan {
                 g.list_index,
             )
         });
-        let plan = Self {
+        Self {
             groups,
-            gamma_k: seeds.iter().map(TopK::threshold).collect(),
-            queries: nq,
-            pairs,
-        };
-        (plan, seeds)
+            queries: caps.len(),
+            gamma_k: caps,
+            pairs: total,
+        }
     }
 
     /// Builds the one-shot plan: each query scans exactly the list of its
@@ -495,14 +495,9 @@ where
             threshold_cap: caps[qi],
         };
 
-        // First minimum of each row: its position, so phase B can leave
+        // The nearest entry of each row: its position, so phase B can leave
         // exactly that entry out.
-        let nearest: Vec<Option<usize>> = rows
-            .iter()
-            .map(|row| {
-                (0..row.len()).reduce(|best, at| if row[at].1 < row[best].1 { at } else { best })
-            })
-            .collect();
+        let nearest: Vec<Option<usize>> = rows.iter().map(|row| nearest_entry(row)).collect();
         let firsts = nearest.iter().enumerate().filter_map(|(qi, at)| {
             let (list, d_to_rep) = rows[qi][(*at)?];
             Some((list, cursor(qi, d_to_rep)))
@@ -580,6 +575,15 @@ pub(crate) fn group_by_nearest(
     groups
 }
 
+/// The position of a candidate row's nearest list: its first minimum of
+/// `ρ(q, r)`, so ties go to the earlier entry. Phase A of
+/// [`Stage2::nearest_then_rest`] scans it first, and the distributed
+/// coordinator's first round sends it to its owner. `None` for an empty
+/// row.
+pub fn nearest_entry(row: &[(usize, Dist)]) -> Option<usize> {
+    (0..row.len()).reduce(|best, at| if row[at].1 < row[best].1 { at } else { best })
+}
+
 /// Takes the sorted answers out of a batch's accumulators.
 pub fn into_answers(accumulators: Vec<Mutex<TopK>>) -> Vec<Vec<Neighbor>> {
     accumulators
@@ -592,17 +596,20 @@ pub fn into_answers(accumulators: Vec<Mutex<TopK>>) -> Vec<Vec<Neighbor>> {
         .collect()
 }
 
-/// Every query's stage-1 outcome ([`survivors`]) from a stage-1 distance
-/// matrix `rep_dists` somebody else computed (row-major, one row of
-/// `lists.len()` distances per query): the seeded collectors and the
-/// candidate rows, by batch position. Only [`BatchPlan::plan_exact_seeded`]
-/// — the coordinator's plan — still starts from a matrix; the in-process
-/// search hands [`survivors`] to `BruteForce::rows_with` and never holds
-/// one. Runs on the rayon pool when `config.bf.parallel`.
+/// Every query's stage-1 outcome from a stage-1 distance matrix
+/// `rep_dists` somebody else computed (row-major, one row of `lists.len()`
+/// distances per query), by batch position: a top-k collector seeded with
+/// the representatives (its threshold is `γ_k`, the k-th smallest
+/// representative distance), and the candidate row of the lists the
+/// pruning rules (eq. 1 / eq. 2) keep, ascending, each with its `ρ(q, r)`.
+/// The distributed coordinator starts from these, and so does
+/// [`BatchPlan::plan_exact`]; the in-process search hands the per-row rule
+/// to `BruteForce::rows_with` and never holds a matrix. Runs on the rayon
+/// pool when `config.bf.parallel`.
 ///
 /// # Panics
 /// Panics if `rep_dists.len()` is not a multiple of `lists.len()`.
-pub(crate) fn seeded_survivors(
+pub fn seeded_survivors(
     rep_dists: &[Dist],
     lists: &[OwnershipList],
     k: usize,

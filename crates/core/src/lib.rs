@@ -74,10 +74,11 @@
 //!    query evaluates the same ≈ single-query floor at every batch size,
 //!    and cursors are built for ≈ 6 pairs per query instead of ≈ 78.
 //!
-//! [`BatchPlan`] — every `γ_k` survivor pair, inverted into list groups —
-//! is what a *distributed* coordinator routes (it holds no lists to scan
-//! first); each node then runs the same two phases over the pairs it was
-//! sent.
+//! [`BatchPlan`] — survivor pairs inverted into list groups — is what a
+//! *distributed* coordinator routes (it holds no lists to scan). It runs
+//! the two phases as two fan-out rounds: each query's nearest list on its
+//! owner, then the survivors the returned `τ_q` does not empty; each node
+//! runs the same two phases over the pairs it was sent.
 //!
 //! In exact mode (`epsilon == 0`) a batch's answers are brute force's,
 //! bit for bit, and each row's answer is the one it gets alone: pruning

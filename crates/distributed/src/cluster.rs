@@ -149,8 +149,9 @@ impl CommCost {
     /// entirely when that count is zero) and answers with a single reply
     /// carrying one `k`-record result set per delivered query.
     ///
-    /// This is the accounting shape of the routed batch protocol: one
-    /// query payload per *node* per batch instead of one message per
+    /// This is the accounting shape of the routed batch protocol (called
+    /// once per fan-out round): one query payload per *node* per round
+    /// instead of one message per
     /// `(query, node)` pair, so the per-message header is amortised over
     /// the whole micro-batch and total bytes grow sublinearly in batch
     /// size. Modeled time is one parallel round trip — the coordinator

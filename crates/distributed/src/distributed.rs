@@ -4,8 +4,10 @@ use std::sync::{Arc, Mutex};
 
 use rayon::prelude::*;
 
-use rbc_bruteforce::{BfConfig, BruteForce, Neighbor, TopK};
-use rbc_core::batch_plan::{into_answers, BatchPlan, CandidateRow, ListGroup, Stage2};
+use rbc_bruteforce::{BfConfig, BruteForce, GroupCursor, Neighbor, TopK};
+use rbc_core::batch_plan::{
+    into_answers, nearest_entry, seeded_survivors, BatchPlan, CandidateRow, ListGroup, Stage2,
+};
 use rbc_core::{ExactRbc, SearchIndex};
 use rbc_metric::{Dataset, Dist, Metric, QueryBatch};
 use serde::Serialize;
@@ -42,6 +44,37 @@ impl<D: Dataset> std::fmt::Debug for Wire<D> {
     }
 }
 
+/// A node's reply to one sub-plan: per-query partial top-k results by batch
+/// position, and the node's list distance evaluations.
+type Reply = (Vec<Vec<Neighbor>>, u64);
+
+/// What a batch's fan-out rounds have done so far, accumulated over both
+/// rounds and their failover retries.
+struct Ledger {
+    /// Estimated evaluations per node — its cumulative observed load
+    /// (`ClusterLoad`) plus the work routed to it this batch — which the
+    /// least-loaded router balances, so a hot group that spiked one replica
+    /// last batch is steered to another one this batch.
+    est: Vec<u64>,
+    per_node: Vec<NodeLoad>,
+    comm: CommCost,
+    lists_scanned: u64,
+    rerouted_groups: u64,
+    /// Groups no live replica could take.
+    lost: Vec<ListGroup>,
+}
+
+/// Merges every reply's partial top-k into the per-query collectors.
+fn absorb(collectors: &mut [TopK], replies: &[Vec<Vec<Neighbor>>]) {
+    for partials in replies {
+        for (topk, partial) in collectors.iter_mut().zip(partials) {
+            for &candidate in partial {
+                topk.push(candidate);
+            }
+        }
+    }
+}
+
 /// Work and communication performed by one distributed query (or a batch).
 ///
 /// Serialisable so benchmark harnesses (`shard_bench`, `trajectory`) can
@@ -49,10 +82,11 @@ impl<D: Dataset> std::fmt::Debug for Wire<D> {
 #[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct DistributedQueryStats {
     /// Fan-out messages sent to worker nodes. For the batched protocol
-    /// this counts *per-batch* contacts: a node contacted once for a whole
-    /// micro-batch contributes 1, however many queries it served; a
-    /// failover retry round contributes one more contact per re-contacted
-    /// node.
+    /// this counts *per-round* contacts: a node contacted in a fan-out
+    /// round contributes 1, however many queries it served. A batch has
+    /// two rounds (the owners of the queries' nearest lists, then the
+    /// rest), so a live node is contacted at most twice per batch; a
+    /// failover retry contributes one more contact per re-contacted node.
     pub nodes_contacted: u64,
     /// Ownership-list groups actually executed across all contacted
     /// nodes. Under the batched protocol each shared (list, group) scan
@@ -123,7 +157,8 @@ impl DistributedQueryStats {
     }
 
     /// Mean number of nodes contacted per query. Under the batched
-    /// protocol a node serving many queries of one batch is counted once,
+    /// protocol a node serving many queries of one batch is counted once
+    /// per fan-out round,
     /// so this measures fan-out messages, not query routings (see
     /// [`per_node`](Self::per_node) for the latter).
     pub fn nodes_contacted_per_query(&self) -> f64 {
@@ -419,9 +454,11 @@ where
     }
 
     /// Exact distributed k-NN for one query — the batched protocol run on
-    /// a batch of one: stage 1 on the coordinator, surviving lists routed
-    /// to the least-loaded live replica each, partial top-k results merged
-    /// with the representative candidates. Inherits the full failover
+    /// a batch of one: stage 1 on the coordinator, the nearest surviving
+    /// list scanned on its owner, then the lists the returned threshold
+    /// still admits, each routed to the least-loaded live replica, partial
+    /// top-k results merged with the representative candidates. Inherits
+    /// the full failover
     /// behaviour of [`query_batch_exact`](Self::query_batch_exact),
     /// including flagged partial answers when an unreplicated list's node
     /// is down.
@@ -555,29 +592,52 @@ where
         (topk.into_sorted(), stats)
     }
 
-    /// Batched exact distributed k-NN — the routed list-major protocol
-    /// with replica-aware failover.
+    /// Batched exact distributed k-NN — the owner-first, two-round
+    /// list-major protocol with replica-aware failover.
     ///
-    /// Stage 1 runs **once** on the coordinator: one dense `BF(Q, R)`
-    /// pass, the paper's pruning rules per query against `γ_k`, and the
-    /// inverted [`BatchPlan`] of every surviving pair. The plan's list
-    /// groups are then routed by policy
+    /// **Stage 1** runs **once** on the coordinator: one dense `BF(Q, R)`
+    /// pass and the paper's pruning rules per query against `γ_k`
+    /// ([`seeded_survivors`]), which leave each query a collector seeded
+    /// with the representatives and a row of surviving lists.
+    ///
+    /// **Round 1** sends each query's *nearest* surviving list
+    /// ([`nearest_entry`]: the first minimum of its row in list order, the
+    /// list phase A of [`Stage2::nearest_then_rest`] scans) to that list's
+    /// owner, capped by
+    /// `γ_k`. Where Theorem 2 says a query's neighbours most likely are,
+    /// they are scanned first, on the node that holds them.
+    ///
+    /// **Between rounds** the coordinator merges the round-1 partials into
+    /// the seeded collectors and reads each query's threshold
+    /// `τ_q = min(γ_k, k-th candidate so far)`. A remaining pair whose run
+    /// `τ_q` already empties ([`GroupCursor::run_is_empty`] at the list's
+    /// radius — the in-process re-plan's cut) is dropped: by the triangle
+    /// inequality every point of that list is *strictly* farther than
+    /// `τ_q`, and `τ_q` is the distance of a real candidate, so the list
+    /// holds nothing that could enter the top-k (a point at exactly `τ_q`
+    /// is kept, so ties still resolve by index).
+    ///
+    /// **Round 2** sends what is left with `τ_q` as each query's cap, and
+    /// the coordinator merges seeds, round 1 and round 2. Each node cuts
+    /// only against bounds a true top-k point satisfies, so at
+    /// `epsilon == 0` the answers are exact; with `epsilon > 0` every cut
+    /// is `(1+ε)`-relaxed and answers honour that factor.
+    ///
+    /// In each round the groups are routed by policy
     /// ([`BatchPlan::split_routed`]): each group goes to the least-loaded
     /// **live** replica of its list, so a replicated hot list spreads its
     /// groups across all of its homes instead of melting one node. Every
-    /// contacted node receives **one** message carrying the distinct
-    /// queries its groups need, runs the shared stage 2
-    /// ([`Stage2::nearest_then_rest`]) over its own pairs — each query's
-    /// nearest local list first, then the lists its tightened threshold
-    /// still admits — and replies with per-query partial top-k results
-    /// that the coordinator merges with the representative candidates it
-    /// already evaluated.
+    /// node contacted in a round receives **one** message carrying the
+    /// distinct queries its groups need, runs the shared stage 2
+    /// ([`Stage2::nearest_then_rest`]) over its own pairs, and replies with
+    /// per-query partial top-k results.
     ///
     /// **Failover.** A node that dies mid-batch (its contact fails — see
     /// [`NodeHealth::poison`]) never replies; the coordinator re-routes
-    /// the lost groups to surviving replicas and retries, paying one more
-    /// fan-out round ([`DistributedQueryStats::rerouted_groups`]). A group
-    /// whose replicas are **all** dead is lost
+    /// the lost groups to surviving replicas and retries within the same
+    /// round, paying one more fan-out
+    /// ([`DistributedQueryStats::rerouted_groups`]). A group whose
+    /// replicas are **all** dead, in either round, is lost
     /// ([`lost_groups`](DistributedQueryStats::lost_groups)); each
     /// affected query is answered with a **flagged partial answer**
     /// (`degraded[qi] == true`): the representative candidates plus every
@@ -601,10 +661,11 @@ where
     /// neighbor, and the deterministic `(distance, index)` order makes
     /// merging per-node partial top-k sets equivalent to one global top-k.
     ///
-    /// Communication is accounted per **batch** ([`CommCost::batched_round`]):
+    /// Communication is accounted per **round** ([`CommCost::batched_round`]):
     /// one query payload per contacted node per fan-out round rather than
     /// one message per `(query, node)` pair, so headers amortise and bytes
-    /// on the wire grow sublinearly in batch size; a failed contact's
+    /// on the wire grow sublinearly in batch size — at most two messages
+    /// per live node per batch, plus failover retries; a failed contact's
     /// request bytes are charged (the link carried them) with no reply.
     /// Per-node work and traffic are reported in
     /// [`DistributedQueryStats::per_node`].
@@ -622,170 +683,80 @@ where
             return (Vec::new(), DistributedQueryStats::default());
         }
         let db = self.rbc.database();
-        let metric = self.rbc.metric();
-        let reps = self.rbc.rep_indices();
         let lists = self.rbc.lists();
         let config = self.rbc.config();
-        let n_reps = reps.len();
+        let n_reps = lists.len();
 
-        // Stage 1, coordinator: one dense BF(Q, R), all distances kept.
+        // Stage 1, coordinator: one dense BF(Q, R), all distances kept
+        // (the in-process nodes' rows and the degradation bounds read
+        // them), then the γ_k rules per query.
         let plan_span = rbc_trace::span("dist.plan");
         let coordinator_bf = BruteForce::with_config(config.bf);
-        let rep_view = db.subset(reps);
-        let (rep_dists, rep_stats) =
-            coordinator_bf.pairwise_with_blocks(queries, &rep_view, metric, self.rbc.rep_blocked());
-
-        // Every γ_k survivor pair, grouped by list and routed to the
-        // least-loaded live replica of each list. "Load" is
-        // the cumulative observed per-node evaluations (`ClusterLoad`)
-        // plus the work already routed within this batch, so a hot group
-        // that spiked one replica last batch is steered to another one
-        // this batch — routing balances *observed traffic*, not storage.
-        let (plan, seeded) = BatchPlan::plan_exact_seeded(&rep_dists, lists, k, config);
+        let rep_view = db.subset(self.rbc.rep_indices());
+        let (rep_dists, rep_stats) = coordinator_bf.pairwise_with_blocks(
+            queries,
+            &rep_view,
+            self.rbc.metric(),
+            self.rbc.rep_blocked(),
+        );
+        let (mut seeded, rows) = seeded_survivors(&rep_dists, lists, k, config);
+        let gamma_k: Vec<Dist> = seeded.iter().map(TopK::threshold).collect();
+        let nearest: Vec<Option<usize>> = rows.iter().map(|row| nearest_entry(row)).collect();
+        let firsts = nearest
+            .iter()
+            .enumerate()
+            .filter_map(|(qi, at)| Some((qi, rows[qi][(*at)?].0)));
+        let owner_first = BatchPlan::from_pairs(firsts, gamma_k.clone(), lists);
         drop(plan_span);
-        let route_span = rbc_trace::span("dist.route");
-        let mut est: Vec<u64> = self.load.snapshot().iter().map(|l| l.evals).collect();
-        let live = self.health.live_view();
-        let (mut parts, mut lost) = self.route_parts(&plan, &live, &mut est);
-        drop(route_span);
 
-        // Worker rounds: nodes run in parallel with each other, each
-        // executing only its own sub-plan over its shard through the same
-        // stage 2 as the centralized search. Accumulators start empty (the
-        // per-query γ_k cap still bounds the cut); the coordinator seeds
-        // the representatives at merge time instead. A contact that fails
-        // (the node died after routing) yields no reply; its groups are
-        // re-routed to surviving replicas and retried next round.
-        let node_bf = BruteForce::with_config(BfConfig {
-            parallel: false,
-            ..config.bf
-        });
-        let shrink = 1.0 + config.epsilon;
-        type Reply = (Vec<Vec<Neighbor>>, u64);
-        // (node, executed sub-plan, distinct-query payload, reply).
-        let mut executed: Vec<(usize, BatchPlan, usize, Reply)> = Vec::new();
-        let mut rerouted_groups = 0u64;
-        let mut comm = CommCost::default();
-        let mut per_node_loads: Vec<NodeLoad> =
-            (0..self.cluster.nodes).map(NodeLoad::idle).collect();
-        // Per-node executions run on rayon threads; capture the scan
-        // span's context here so each node's span parents under it.
+        let mut ledger = Ledger {
+            est: self.load.snapshot().iter().map(|l| l.evals).collect(),
+            per_node: (0..self.cluster.nodes).map(NodeLoad::idle).collect(),
+            comm: CommCost::default(),
+            lists_scanned: 0,
+            rerouted_groups: 0,
+            lost: Vec::new(),
+        };
         let scan_span = rbc_trace::span("dist.scan");
-        let scan_ctx = scan_span.ctx();
-        loop {
-            let contacted: Vec<usize> = (0..self.cluster.nodes)
-                .filter(|&nd| !parts[nd].groups.is_empty())
-                .collect();
-            if contacted.is_empty() {
-                break;
-            }
-            let round: Vec<Option<Reply>> = contacted
-                .par_iter()
-                .map(|&nd| {
-                    let part = &parts[nd];
-                    // Over the wire, liveness is *detected*: the request
-                    // is shipped and a missed deadline (connect, write,
-                    // or read — including a peer hanging mid-frame)
-                    // marks the node dead. In-process, the oracle
-                    // simulates the same event at contact time.
-                    if let Some(wire) = &self.wire {
-                        let _node_span = rbc_trace::span_under("dist.node", scan_ctx);
-                        return self.wire_execute(wire, nd, part, queries, &plan, k);
-                    }
-                    if !self.health.contact(nd) {
-                        return None;
-                    }
-                    let _node_span = rbc_trace::span_under("dist.node", scan_ctx);
-                    let accumulators: Vec<Mutex<TopK>> =
-                        (0..nq).map(|_| Mutex::new(TopK::new(k))).collect();
-                    let mut rows = vec![CandidateRow::new(); nq];
-                    for group in &part.groups {
-                        let li = group.list_index;
-                        for &qi in &group.queries {
-                            rows[qi].push((li, rep_dists[qi * n_reps + li]));
-                        }
-                    }
-                    let stage2 = Stage2 {
-                        bf: &node_bf,
-                        parallel: false,
-                        queries,
-                        db,
-                        metric,
-                        list: |li: usize| self.rbc.list_view(li),
-                        shrink,
-                        sorted_cut: config.sorted_list_pruning,
-                        skip: Some(&self.rep_flags),
-                    };
-                    let node_stats = stage2.nearest_then_rest(&rows, &plan.gamma_k, &accumulators);
-                    let partials = into_answers(accumulators);
-                    Some((partials, node_stats.list_distance_evals))
-                })
-                .collect();
+        let partials = self.fan_out(&owner_first, queries, k, &rep_dists, &mut ledger);
 
-            // Account this round's fan-out and collect failed groups.
-            let mut round_queries_per_node = vec![0usize; self.cluster.nodes];
-            let mut failed_groups: Vec<ListGroup> = Vec::new();
-            for (&nd, reply) in contacted.iter().zip(round) {
-                let part = std::mem::take(&mut parts[nd]);
-                let payload = Self::distinct_queries(&part);
-                match reply {
-                    Some(reply) => {
-                        round_queries_per_node[nd] = payload;
-                        for group in &part.groups {
-                            self.load.record_list_traffic(group.list_index);
-                        }
-                        executed.push((nd, part, payload, reply));
-                    }
-                    None => {
-                        // The request crossed the wire; the reply never
-                        // came. Bytes and wire time are both charged:
-                        // retry rounds are modeled sequentially (the
-                        // coordinator only learns of the failure after
-                        // shipping the request), matching the one-shot
-                        // path's accounting of the same event.
-                        let out_bytes = self
-                            .cluster
-                            .batch_query_message_bytes(self.payload_coords, payload);
-                        comm.messages_out += 1;
-                        comm.bytes_out += out_bytes;
-                        comm.modeled_time_us += self.cluster.message_time_us(out_bytes);
-                        per_node_loads[nd].bytes_out += out_bytes;
-                        failed_groups.extend(part.groups);
-                    }
+        // Between the rounds: τ_q from the seeds and round 1, then the
+        // in-process re-plan's cut over what is left of each row.
+        let replan_span = rbc_trace::span("dist.replan");
+        absorb(&mut seeded, &partials);
+        let tau: Vec<Dist> = seeded.iter().map(TopK::threshold).collect();
+        let shrink = 1.0 + config.epsilon;
+        let mut rest = Vec::new();
+        for (qi, row) in rows.iter().enumerate() {
+            for (at, &(list, d_to_rep)) in row.iter().enumerate() {
+                if Some(at) == nearest[qi] {
+                    continue;
+                }
+                let cursor = GroupCursor {
+                    query: qi,
+                    d_to_rep,
+                    threshold_cap: gamma_k[qi],
+                };
+                let emptied = config.sorted_list_pruning
+                    && cursor.run_is_empty(lists[list].radius, tau[qi], shrink);
+                if !emptied {
+                    rest.push((qi, list));
                 }
             }
-            comm.merge(&CommCost::batched_round(
-                &self.cluster,
-                &round_queries_per_node,
-                self.payload_coords,
-                k,
-            ));
-            if failed_groups.is_empty() {
-                break;
-            }
-            // Re-route what the dead node dropped among the survivors.
-            let retry = BatchPlan {
-                groups: failed_groups,
-                gamma_k: plan.gamma_k.clone(),
-                queries: plan.queries,
-                pairs: 0,
-            };
-            let live = self.health.live_view();
-            let (retry_parts, newly_lost) = self.route_parts(&retry, &live, &mut est);
-            rerouted_groups += retry_parts.iter().map(|p| p.groups.len()).sum::<usize>() as u64;
-            lost.extend(newly_lost);
-            parts = retry_parts;
         }
+        let rest = BatchPlan::from_pairs(rest, tau, lists);
+        drop(replan_span);
+        let partials = self.fan_out(&rest, queries, k, &rep_dists, &mut ledger);
         drop(scan_span);
         let merge_span = rbc_trace::span("dist.merge");
 
-        // Degradation: queries with lost groups are answered with the
-        // provably-unaffected prefix. Every point of lost list ℓ is at
-        // distance ≥ ρ(q, rep_ℓ) − ψ_ℓ, so candidates strictly inside the
-        // smallest such bound keep their exact rank.
+        // Degradation: queries with groups lost in either round are
+        // answered with the provably-unaffected prefix. Every point of lost
+        // list ℓ is at distance ≥ ρ(q, rep_ℓ) − ψ_ℓ, so candidates strictly
+        // inside the smallest such bound keep their exact rank.
         let mut degraded = vec![false; nq];
         let mut cutoff = vec![Dist::INFINITY; nq];
-        for group in &lost {
+        for group in &ledger.lost {
             let list = &lists[group.list_index];
             for &qi in &group.queries {
                 degraded[qi] = true;
@@ -794,63 +765,204 @@ where
             }
         }
 
-        // Coordinator reduce: representatives (whose exact distances stage
-        // 1 already computed) merged with every surviving node's partial
-        // top-k, then the degraded truncation.
+        // Coordinator reduce: seeds and round 1 are already merged; add
+        // round 2, then the degraded truncation.
+        absorb(&mut seeded, &partials);
         let results: Vec<Vec<Neighbor>> = seeded
             .into_iter()
-            .enumerate()
-            .map(|(qi, mut topk)| {
-                for (_, _, _, (partials, _)) in &executed {
-                    for &candidate in &partials[qi] {
-                        topk.push(candidate);
-                    }
-                }
+            .zip(degraded.iter().zip(cutoff))
+            .map(|(topk, (&degraded, cutoff))| {
                 let mut sorted = topk.into_sorted();
-                if degraded[qi] {
-                    sorted.retain(|n| n.dist < cutoff[qi]);
+                if degraded {
+                    sorted.retain(|n| n.dist < cutoff);
                 }
                 sorted
             })
             .collect();
         drop(merge_span);
 
-        // Accounting: per-round fan-out, per-node load.
-        let mut lists_scanned = 0u64;
-        for (nd, part, payload, (_, node_evals)) in &executed {
-            let payload = *payload as u64;
-            lists_scanned += part.groups.len() as u64;
-            per_node_loads[*nd].accumulate(&NodeLoad {
-                node: *nd,
-                queries: payload,
-                groups: part.groups.len() as u64,
-                evals: *node_evals,
-                bytes_out: self
-                    .cluster
-                    .batch_query_message_bytes(self.payload_coords, payload as usize),
-                bytes_in: self.cluster.batch_reply_message_bytes(k, payload as usize),
-            });
-        }
-        let worker_evals: u64 = per_node_loads.iter().map(|l| l.evals).sum();
-        let max_node_evals = per_node_loads.iter().map(|l| l.evals).max().unwrap_or(0);
-
+        let per_node = ledger.per_node;
         let stats = DistributedQueryStats {
-            nodes_contacted: comm.messages_out,
-            lists_scanned,
+            nodes_contacted: ledger.comm.messages_out,
+            lists_scanned: ledger.lists_scanned,
             coordinator_evals: rep_stats.distance_evals,
-            worker_evals,
-            max_node_evals,
-            comm,
+            worker_evals: per_node.iter().map(|l| l.evals).sum(),
+            max_node_evals: per_node.iter().map(|l| l.evals).max().unwrap_or(0),
+            comm: ledger.comm,
             queries: nq as u64,
-            rerouted_groups,
-            lost_groups: lost.len() as u64,
+            rerouted_groups: ledger.rerouted_groups,
+            lost_groups: ledger.lost.len() as u64,
             degraded,
-            per_node: per_node_loads,
+            per_node,
         };
         self.load.absorb(&stats.per_node);
-        self.load
-            .record_outcome(stats.degraded_queries(), rerouted_groups, stats.lost_groups);
+        self.load.record_outcome(
+            stats.degraded_queries(),
+            stats.rerouted_groups,
+            stats.lost_groups,
+        );
         (results, stats)
+    }
+
+    /// One fan-out round: routes `plan`'s groups (see
+    /// [`route_parts`](Self::route_parts)), ships every contacted node its
+    /// sub-plan — the nodes run in parallel, each over its own shard through
+    /// the same stage 2 as the centralized search — and returns every
+    /// reply's per-query partial top-k. A contact that fails (the node died
+    /// after routing) yields no reply; its groups are re-routed to
+    /// surviving replicas and retried until each has executed or is lost.
+    /// Work, traffic and losses go to `ledger`.
+    fn fan_out<Q>(
+        &self,
+        plan: &BatchPlan,
+        queries: &Q,
+        k: usize,
+        rep_dists: &[Dist],
+        ledger: &mut Ledger,
+    ) -> Vec<Vec<Vec<Neighbor>>>
+    where
+        Q: Dataset<Item = D::Item>,
+    {
+        // Per-node executions run on rayon threads; capture the enclosing
+        // scan span's context here so each node's span parents under it.
+        let scan_ctx = rbc_trace::current();
+        let mut partials = Vec::new();
+        let mut retry: Option<BatchPlan> = None;
+        loop {
+            let route_span = rbc_trace::span("dist.route");
+            let live = self.health.live_view();
+            let round = retry.as_ref().unwrap_or(plan);
+            let (mut parts, lost) = self.route_parts(round, &live, &mut ledger.est);
+            drop(route_span);
+            ledger.lost.extend(lost);
+            if retry.is_some() {
+                ledger.rerouted_groups += parts.iter().map(|p| p.groups.len() as u64).sum::<u64>();
+            }
+            let contacted: Vec<usize> = (0..self.cluster.nodes)
+                .filter(|&nd| !parts[nd].groups.is_empty())
+                .collect();
+            let replies: Vec<Option<Reply>> = contacted
+                .par_iter()
+                .map(|&nd| self.execute_part(nd, &parts[nd], queries, k, rep_dists, scan_ctx))
+                .collect();
+
+            let mut payloads = vec![0usize; self.cluster.nodes];
+            let mut failed: Vec<ListGroup> = Vec::new();
+            for (&nd, reply) in contacted.iter().zip(replies) {
+                let part = std::mem::take(&mut parts[nd]);
+                let payload = Self::distinct_queries(&part);
+                let out_bytes = self
+                    .cluster
+                    .batch_query_message_bytes(self.payload_coords, payload);
+                match reply {
+                    Some((node_partials, evals)) => {
+                        payloads[nd] = payload;
+                        for group in &part.groups {
+                            self.load.record_list_traffic(group.list_index);
+                        }
+                        ledger.lists_scanned += part.groups.len() as u64;
+                        ledger.per_node[nd].accumulate(&NodeLoad {
+                            node: nd,
+                            queries: payload as u64,
+                            groups: part.groups.len() as u64,
+                            evals,
+                            bytes_out: out_bytes,
+                            bytes_in: self.cluster.batch_reply_message_bytes(k, payload),
+                        });
+                        partials.push(node_partials);
+                    }
+                    None => {
+                        // The request crossed the wire; the reply never
+                        // came. Bytes and wire time are both charged:
+                        // retries are modeled sequentially (the
+                        // coordinator only learns of the failure after
+                        // shipping the request), matching the one-shot
+                        // path's accounting of the same event.
+                        ledger.comm.messages_out += 1;
+                        ledger.comm.bytes_out += out_bytes;
+                        ledger.comm.modeled_time_us += self.cluster.message_time_us(out_bytes);
+                        ledger.per_node[nd].bytes_out += out_bytes;
+                        failed.extend(part.groups);
+                    }
+                }
+            }
+            ledger.comm.merge(&CommCost::batched_round(
+                &self.cluster,
+                &payloads,
+                self.payload_coords,
+                k,
+            ));
+            if failed.is_empty() {
+                return partials;
+            }
+            // Re-route what the dead nodes dropped among the survivors.
+            retry = Some(BatchPlan {
+                groups: failed,
+                gamma_k: plan.gamma_k.clone(),
+                queries: plan.queries,
+                pairs: 0,
+            });
+        }
+    }
+
+    /// Runs one node's sub-plan: over the wire when a transport is
+    /// attached, else in-process against the node's lists. `None` when the
+    /// node fails to reply.
+    fn execute_part<Q>(
+        &self,
+        nd: usize,
+        part: &BatchPlan,
+        queries: &Q,
+        k: usize,
+        rep_dists: &[Dist],
+        scan_ctx: Option<rbc_trace::SpanCtx>,
+    ) -> Option<Reply>
+    where
+        Q: Dataset<Item = D::Item>,
+    {
+        // Over the wire, liveness is *detected*: the request is shipped and
+        // a missed deadline (connect, write, or read — including a peer
+        // hanging mid-frame) marks the node dead. In-process, the oracle
+        // simulates the same event at contact time.
+        if let Some(wire) = &self.wire {
+            let _node_span = rbc_trace::span_under("dist.node", scan_ctx);
+            return self.wire_execute(wire, nd, part, queries, k);
+        }
+        if !self.health.contact(nd) {
+            return None;
+        }
+        let _node_span = rbc_trace::span_under("dist.node", scan_ctx);
+        let config = self.rbc.config();
+        let n_reps = self.rbc.lists().len();
+        // Accumulators start empty (the sub-plan's per-query cap still
+        // bounds the cut); the coordinator holds the seeds.
+        let accumulators: Vec<Mutex<TopK>> = (0..part.queries)
+            .map(|_| Mutex::new(TopK::new(k)))
+            .collect();
+        let mut rows = vec![CandidateRow::new(); part.queries];
+        for group in &part.groups {
+            let li = group.list_index;
+            for &qi in &group.queries {
+                rows[qi].push((li, rep_dists[qi * n_reps + li]));
+            }
+        }
+        let node_bf = BruteForce::with_config(BfConfig {
+            parallel: false,
+            ..config.bf
+        });
+        let stage2 = Stage2 {
+            bf: &node_bf,
+            parallel: false,
+            queries,
+            db: self.rbc.database(),
+            metric: self.rbc.metric(),
+            list: |li: usize| self.rbc.list_view(li),
+            shrink: 1.0 + config.epsilon,
+            sorted_cut: config.sorted_list_pruning,
+            skip: Some(&self.rep_flags),
+        };
+        let node_stats = stage2.nearest_then_rest(&rows, &part.gamma_k, &accumulators);
+        Some((into_answers(accumulators), node_stats.list_distance_evals))
     }
 
     /// Ships one routed sub-plan to `nd`'s endpoint and decodes the
@@ -861,20 +973,19 @@ where
     /// takes over unchanged: this is failure *detection* replacing the
     /// in-process oracle.
     ///
-    /// The request ships each distinct query once (coordinates + γ_k)
-    /// and each group as slot indices into that table; the node
-    /// recomputes `ρ(q, rep_ℓ)` from its stored representative
-    /// coordinates, which is bit-identical to the coordinator's stage-1
-    /// values by the SIMD kernel invariant.
+    /// The request ships each distinct query once (coordinates + the
+    /// round's cap: `γ_k` in round one, `τ_q` in round two) and each group
+    /// as slot indices into that table; the node recomputes `ρ(q, rep_ℓ)`
+    /// from its stored representative coordinates, which is bit-identical
+    /// to the coordinator's stage-1 values by the SIMD kernel invariant.
     fn wire_execute<Q>(
         &self,
         wire: &Wire<D>,
         nd: usize,
         part: &BatchPlan,
         queries: &Q,
-        plan: &BatchPlan,
         k: usize,
-    ) -> Option<(Vec<Vec<Neighbor>>, u64)>
+    ) -> Option<Reply>
     where
         Q: Dataset<Item = D::Item>,
     {
@@ -893,7 +1004,7 @@ where
         let mut gammas = Vec::with_capacity(positions.len());
         let mut coords = Vec::new();
         for &p in &positions {
-            gammas.push(plan.gamma_k[p]);
+            gammas.push(part.gamma_k[p]);
             coords.extend_from_slice((wire.coords)(queries.get(p)));
         }
         let dim = if positions.is_empty() {
@@ -936,7 +1047,7 @@ where
         };
         match wire.endpoints[nd].execute(&request) {
             Ok(reply) => {
-                let mut partials = vec![Vec::new(); plan.queries];
+                let mut partials = vec![Vec::new(); part.queries];
                 for (slot, result) in reply.results.iter().enumerate() {
                     partials[positions[slot]] = result
                         .iter()
@@ -1154,9 +1265,11 @@ mod tests {
             let (want, _) = dist.rbc().query_batch_k(&queries, k);
             assert_eq!(got, want, "k={k}");
             assert_eq!(stats.queries, queries.len() as u64);
-            // Per-batch fan-out: at most one contact per node per batch.
-            assert!(stats.nodes_contacted <= 6);
+            // Per-round fan-out: at most one contact per node per round,
+            // two rounds per batch, and every contact answered.
+            assert!(stats.nodes_contacted <= 2 * 6);
             assert_eq!(stats.comm.messages_out, stats.nodes_contacted);
+            assert_eq!(stats.comm.messages_in, stats.nodes_contacted);
             // Per-node accounting is consistent with the aggregates.
             assert_eq!(stats.per_node.len(), 6);
             let evals: u64 = stats.per_node.iter().map(|l| l.evals).sum();
@@ -1301,8 +1414,8 @@ mod tests {
             per_query.merge(&s);
         }
         // Same answers are pinned elsewhere; here: fewer messages and
-        // fewer bytes, because each node is contacted once per batch with
-        // one shared header.
+        // fewer bytes, because each node is contacted at most once per
+        // round with one shared header.
         assert!(batched.comm.messages_out < per_query.comm.messages_out);
         assert!(batched.comm.bytes_out < per_query.comm.bytes_out);
     }

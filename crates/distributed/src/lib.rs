@@ -18,9 +18,10 @@
 //!   keeps the (small, `O(√n)`) representative set;
 //! * an **exact** query runs the usual first stage locally on the
 //!   coordinator, applies the paper's pruning rules, and forwards the
-//!   query *only to the nodes owning surviving lists*; each contacted node
-//!   answers from its shard and the coordinator reduces the partial
-//!   results;
+//!   query *only to the nodes owning surviving lists* — first to the owner
+//!   of its nearest list, then, under the threshold that scan returned, to
+//!   the owners of the lists it still needs; each contacted node answers
+//!   from its shard and the coordinator reduces the partial results;
 //! * a **one-shot** query contacts exactly one node — the one owning the
 //!   nearest representative's list — which is the property that makes the
 //!   representative-based distribution attractive in the first place.
@@ -49,27 +50,35 @@
 //! ([`query_batch_exact`](DistributedRbc::query_batch_exact)):
 //!
 //! 1. **Plan once, centrally.** The coordinator runs one dense `BF(Q, R)`
-//!    pass and the paper's pruning rules against `γ_k`, producing the
-//!    inverted [`BatchPlan`](rbc_core::BatchPlan): for each ownership
-//!    list, the group of queries that may have to scan it. (The
-//!    coordinator holds no lists, so it cannot scan a query's nearest one
-//!    first and re-plan as the centralized search does; every node does
-//!    that with the pairs it is sent.)
-//! 2. **Route groups to shards.** The plan is split by the routing policy
-//!    (`BatchPlan::split_routed`): every group goes to the least-loaded
-//!    **live** replica of its list, and every contacted node receives
-//!    **one** message per batch carrying the distinct query payloads its
-//!    groups need — not one message per `(query, node)` pair, so headers
-//!    amortise and bytes on the wire grow sublinearly in the batch size.
-//! 3. **Scan shards, merge partials.** Each node runs the shared stage 2
-//!    (`rbc_core::batch_plan::Stage2::nearest_then_rest`) over its pairs —
-//!    every query's nearest *local* list first, then the lists its
-//!    tightened threshold still admits, each list streamed once per group
-//!    through `rbc_bruteforce::BruteForce::knn_group_in_list` — and replies with
-//!    per-query partial top-k sets; the coordinator merges them with the
-//!    representative candidates stage 1 already evaluated. With
-//!    `epsilon == 0` the merged answers are bit-identical to the
-//!    centralized search (and to brute force).
+//!    pass and the paper's pruning rules against `γ_k`
+//!    (`rbc_core::batch_plan::seeded_survivors`): each query keeps a
+//!    collector seeded with the representatives and a row of surviving
+//!    lists.
+//! 2. **Round one: nearest list first, where it lives.** Each query's
+//!    nearest surviving list — the list the centralized search scans first
+//!    (its phase A) — is inverted into a
+//!    [`BatchPlan`](rbc_core::BatchPlan) and sent to that list's owner.
+//! 3. **Re-plan between the rounds.** The round-one partials are merged
+//!    into the seeded collectors, and each query's threshold `τ_q` drops
+//!    every remaining list whose run it already empties — the centralized
+//!    search's re-plan, made where the thresholds come back. Only
+//!    thresholds cross the network, never lists.
+//! 4. **Round two: the rest, capped by `τ_q`.** What is left goes out with
+//!    `τ_q` as each query's cap, and the coordinator merges seeds, round
+//!    one and round two. With `epsilon == 0` the merged answers are
+//!    bit-identical to the centralized search (and to brute force), and the
+//!    cluster does about the centralized search's evaluations.
+//!
+//! In each round the plan is split by the routing policy
+//! (`BatchPlan::split_routed`): every group goes to the least-loaded
+//! **live** replica of its list, and every contacted node receives **one**
+//! message per round carrying the distinct query payloads its groups need
+//! — not one message per `(query, node)` pair, so headers amortise and
+//! bytes on the wire grow sublinearly in the batch size. Each node runs
+//! the shared stage 2 (`rbc_core::batch_plan::Stage2::nearest_then_rest`)
+//! over its pairs, each list streamed once per group through
+//! `rbc_bruteforce::BruteForce::knn_group_in_list`, and replies with
+//! per-query partial top-k sets.
 //!
 //! Work and traffic are observable per node: every result carries
 //! [`NodeLoad`] records (who worked, who got the bytes — load skew is a
@@ -87,7 +96,10 @@
 //! 4–9× eval skew on clustered query streams even with perfectly
 //! balanced points-per-node, because the stream concentrates on a few
 //! hot ownership lists — and a single-owner list has no second home when
-//! its node fails. The placement layer closes both gaps.
+//! its node fails. The placement layer closes both gaps. Owner-first
+//! rounds deepen the first gap: round one sends every query to the owner
+//! of its nearest list, so a hot list's single owner does most of round
+//! one.
 //!
 //! **Placement.** Every list has a replica set
 //! ([`Placement::replicas_of_list`]) built by a [`PlacementPolicy`]:

@@ -10,7 +10,7 @@
 //! The query payload is deliberately tight, because `shard_bench --wire`
 //! holds it against the [`crate::cluster::CommCost`] paper model: a
 //! request ships each distinct query once (its `dim × f32` coordinates
-//! plus its `f64` γ_k cap), and each routed group as a list id plus
+//! plus its `f64` cap, `γ_k` or `τ_q`), and each routed group as a list id plus
 //! `u16` indices into that query table. Nodes recompute `ρ(q, rep_ℓ)`
 //! from their stored representative coordinates instead of having one
 //! `f64` per (query, list) pair shipped to them — bit-identical by the
@@ -224,8 +224,10 @@ pub struct QueryRequest {
     pub shrink: f64,
     /// Coordinate dimension of every shipped query.
     pub dim: u16,
-    /// Per distinct query: the γ_k pruning cap from the coordinator's
-    /// stage-1 plan. Length is the number of shipped queries.
+    /// Per distinct query: the pruning cap of this fan-out round — `γ_k`
+    /// from the coordinator's stage-1 plan in round one, the threshold
+    /// `τ_q ≤ γ_k` round one returned in round two. Length is the number
+    /// of shipped queries.
     pub gammas: Vec<f64>,
     /// Flat `f32` coordinates, `gammas.len() * dim` values in query
     /// order.

@@ -7,8 +7,10 @@
 //! * [`frame`] — length-prefixed, versioned binary frames over
 //!   `std::net` TCP, with request-id correlation and defensive reads;
 //! * [`codec`] — binary codecs for the protocol's messages: routed
-//!   sub-plans (per-list query groups from `BatchPlan::split_routed`),
-//!   partial top-k replies, and health probes;
+//!   sub-plans (per-list query groups from `BatchPlan::split_routed`, with
+//!   one pruning cap per query: `γ_k` in the first round, the threshold
+//!   `τ_q` the first round returned in the second — the frame is the same
+//!   for both), partial top-k replies, and health probes;
 //! * [`endpoint`] — the coordinator's side: [`NodeEndpoint`] and its
 //!   framed-TCP implementation [`TcpNodeClient`], with connect/read
 //!   deadlines, retry-with-backoff, `net.send`/`net.recv`/`net.timeout`
@@ -22,9 +24,9 @@
 //!   servers as separate OS processes.
 //!
 //! Attach endpoints with [`DistributedRbc::with_endpoints`]; the
-//! coordinator then ships every routed sub-plan over the wire, and a
-//! missed deadline feeds the existing mid-batch failover and
-//! flagged-prefix degradation paths unchanged.
+//! coordinator then ships every routed sub-plan of both fan-out rounds
+//! over the wire, and a missed deadline in either round feeds the existing
+//! mid-batch failover and flagged-prefix degradation paths unchanged.
 //!
 //! [`DistributedRbc::with_endpoints`]: crate::DistributedRbc::with_endpoints
 

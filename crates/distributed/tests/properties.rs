@@ -12,11 +12,13 @@
 //! placement where one node owns almost every list.
 
 use proptest::prelude::*;
+use rbc_bruteforce::BruteForce;
+use rbc_core::batch_plan::{nearest_entry, seeded_survivors};
 use rbc_core::{ExactRbc, RbcConfig, RbcParams};
 use rbc_distributed::{
     eval_skew, ClusterConfig, DistributedRbc, NodeLoad, Placement, PlacementPolicy,
 };
-use rbc_metric::{Dataset, VectorSet};
+use rbc_metric::{Dataset, QueryBatch, VectorSet};
 // The Euclidean metric lives in rbc-metric.
 use rbc_metric::Euclidean;
 
@@ -49,6 +51,25 @@ fn clustered(centers: &[Vec<f32>], n: usize, nq: usize, seed: u64) -> (VectorSet
     (VectorSet::from_rows(&db), VectorSet::from_rows(&queries))
 }
 
+/// Uniform rows in a cube: no cluster settles a query's threshold in one
+/// list, so most queries keep lists for round two.
+fn uniform(n: usize, nq: usize, seed: u64) -> (VectorSet, VectorSet) {
+    let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+    let mut row = || -> Vec<f32> {
+        (0..DIM)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 40) as f32 / (1u32 << 24) as f32 * 20.0 - 10.0
+            })
+            .collect()
+    };
+    let db: Vec<Vec<f32>> = (0..n).map(|_| row()).collect();
+    let queries: Vec<Vec<f32>> = (0..nq).map(|_| row()).collect();
+    (VectorSet::from_rows(&db), VectorSet::from_rows(&queries))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -77,7 +98,7 @@ proptest! {
             prop_assert_eq!(&got, &want, "nodes = {}", nodes);
             // Aggregate/per-node consistency.
             prop_assert_eq!(stats.queries, queries.len() as u64);
-            prop_assert!(stats.nodes_contacted <= nodes as u64);
+            prop_assert!(stats.nodes_contacted <= 2 * nodes as u64);
             prop_assert_eq!(stats.per_node.len(), nodes);
             let evals: u64 = stats.per_node.iter().map(|l| l.evals).sum();
             prop_assert_eq!(evals, stats.worker_evals);
@@ -85,7 +106,8 @@ proptest! {
             prop_assert_eq!(max_evals, stats.max_node_evals);
             let bytes: u64 = stats.per_node.iter().map(|l| l.bytes_total()).sum();
             prop_assert_eq!(bytes, stats.comm.total_bytes());
-            // One message per contacted node per batch, both directions.
+            // One message per contacted node per round (two rounds per
+            // batch), both directions.
             prop_assert_eq!(stats.comm.messages_out, stats.nodes_contacted);
             prop_assert_eq!(stats.comm.messages_in, stats.nodes_contacted);
         }
@@ -288,7 +310,10 @@ fn skewed_partition_keeps_answers_identical_and_makes_the_skew_observable() {
         );
         assert!(stats.per_node[0].groups > stats.per_node[1].groups);
         assert!(eval_skew(&stats.per_node) >= 1.0);
-        assert!(stats.nodes_contacted <= 2, "node 2 owns nothing to contact");
+        assert!(
+            stats.nodes_contacted <= 2 * 2,
+            "node 2 owns nothing to contact; two rounds reach the other two"
+        );
     }
 }
 
@@ -309,9 +334,206 @@ fn single_node_cluster_degenerates_to_the_centralized_search_with_one_link() {
     let (got, stats) = sharded.query_batch_exact(&queries, 2);
     let (want, _) = rbc.query_batch_k(&queries, 2);
     assert_eq!(got, want);
-    assert_eq!(stats.nodes_contacted, 1);
-    assert_eq!(
-        stats.comm.messages_out, 1,
-        "one batch, one node, one message"
+    assert!(
+        (1..=2).contains(&stats.nodes_contacted),
+        "one batch, one node, one message per round"
     );
+    assert_eq!(stats.comm.messages_out, stats.nodes_contacted);
+    assert_eq!(stats.comm.messages_in, stats.nodes_contacted);
+}
+
+/// Owner-first rounds are placement, never approximation: at every node
+/// count from 1 to 8, single-owner and 2-fold replicated, k ∈ {1, 5, 10},
+/// on clustered and on uniform data, the cluster answers equal the
+/// centralized search bit for bit; with ε = 0.5 every rank stays within
+/// the (1+ε) factor of brute force.
+#[test]
+fn two_rounds_equal_the_centralized_search_on_every_cluster_shape() {
+    let centers = vec![
+        vec![-30.0f32, 0.0, 9.0],
+        vec![25.0, -14.0, 3.0],
+        vec![4.0, 31.0, -22.0],
+        vec![-9.0, -27.0, 15.0],
+    ];
+    let shapes = [
+        ("clustered", clustered(&centers, 1200, 24, 3)),
+        ("uniform", uniform(1200, 24, 4)),
+    ];
+    for (shape, (db, queries)) in &shapes {
+        for epsilon in [0.0, 0.5] {
+            let config = RbcConfig::default().with_epsilon(epsilon);
+            let rbc = ExactRbc::build(db, Euclidean, RbcParams::standard(db.len(), 7), config);
+            for k in [1usize, 5, 10] {
+                let (want, _) = rbc.query_batch_k(queries, k);
+                let (truth, _) = BruteForce::new().knn(queries, db, &Euclidean, k);
+                for nodes in 1..=8 {
+                    for policy in [
+                        PlacementPolicy::SingleOwner,
+                        PlacementPolicy::Replicated { factor: 2 },
+                    ] {
+                        let sharded = DistributedRbc::from_exact_with_policy(
+                            rbc.clone(),
+                            ClusterConfig::with_nodes(nodes),
+                            policy,
+                            db.dim(),
+                        );
+                        let (got, stats) = sharded.query_batch_exact(queries, k);
+                        let cell = format!("{shape} ε={epsilon} k={k} nodes={nodes} {policy:?}");
+                        assert_eq!(stats.degraded_queries(), 0, "{cell}");
+                        assert!(stats.nodes_contacted <= 2 * nodes as u64, "{cell}");
+                        if epsilon == 0.0 {
+                            assert_eq!(got, want, "{cell}");
+                            continue;
+                        }
+                        for (qi, (got, truth)) in got.iter().zip(&truth).enumerate() {
+                            assert_eq!(got.len(), truth.len(), "{cell} query {qi}");
+                            for (g, t) in got.iter().zip(truth) {
+                                assert!(
+                                    g.dist <= (1.0 + epsilon) * t.dist + 1e-9,
+                                    "{cell} query {qi}: {} vs {}",
+                                    g.dist,
+                                    t.dist
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The work the rounds exist for: on the benchmark's mixture (n = 50 000,
+/// dim 16, 64 clusters) and a skewed batch of 32, four nodes do within 10 %
+/// of the centralized search's list evaluations — each query's nearest list
+/// is scanned on its owner before any other node scans, so no node starts
+/// from a poor local witness.
+#[test]
+fn two_rounds_cost_about_the_centralized_search_on_the_benchmark_mixture() {
+    let db = rbc_data::gaussian_mixture(50_000, 16, 64, 0.05, 2012);
+    let queries = rbc_data::skewed_queries(32, 16, 64, 0.05, 1.0, 2012, 5);
+    let rbc = ExactRbc::build(
+        &db,
+        Euclidean,
+        RbcParams::standard(db.len(), 1),
+        RbcConfig::default(),
+    );
+    let (want, central) = rbc.query_batch_k(&queries, 10);
+    let sharded = DistributedRbc::from_exact_with_policy(
+        rbc,
+        ClusterConfig::with_nodes(4),
+        PlacementPolicy::Replicated { factor: 2 },
+        db.dim(),
+    );
+    let (got, stats) = sharded.query_batch_exact(&queries, 10);
+    assert_eq!(got, want);
+    assert!(
+        stats.worker_evals as f64 <= 1.1 * central.list_distance_evals as f64,
+        "four nodes evaluated {} list points, the centralized search {}",
+        stats.worker_evals,
+        central.list_distance_evals
+    );
+}
+
+/// For a one-query batch on an index with no load yet: the node round one
+/// contacts — the lowest-id replica of the query's nearest surviving list,
+/// since the least-loaded router breaks its tie toward the lower id — and
+/// the nodes that only round two contacts (read off an unpoisoned twin).
+fn round_nodes(
+    rbc: &ExactRbc<&VectorSet, Euclidean>,
+    placement: &Placement,
+    query: &[f32],
+    k: usize,
+) -> (Option<usize>, Vec<usize>) {
+    let db = rbc.database();
+    let reps = db.subset(rbc.rep_indices());
+    let (rep_dists, _) = BruteForce::new().pairwise(&QueryBatch::new(&[query]), &reps, &Euclidean);
+    let (_, rows) = seeded_survivors(&rep_dists, rbc.lists(), k, rbc.config());
+    let owner = nearest_entry(&rows[0]).and_then(|at| {
+        placement.replicas_of_list[rows[0][at].0]
+            .iter()
+            .min()
+            .copied()
+    });
+    let twin = DistributedRbc::from_exact_with_placement(
+        rbc.clone(),
+        ClusterConfig::with_nodes(placement.nodes()),
+        placement.clone(),
+        db.dim(),
+    );
+    let (_, stats) = twin.query_batch_exact(&QueryBatch::new(&[query]), k);
+    let later = stats
+        .per_node
+        .iter()
+        .filter(|load| load.groups > 0 && Some(load.node) != owner)
+        .map(|load| load.node)
+        .collect();
+    (owner, later)
+}
+
+/// A node that dies at its first contact, whether that contact is in round
+/// one (it owns the query's nearest list) or in round two (it owns none of
+/// it): replicated, its groups are re-routed and the answer stays exact;
+/// single-owner, its groups are lost and the answer is a flagged prefix of
+/// the exact one.
+#[test]
+fn a_node_dying_in_either_round_is_rerouted_or_flagged() {
+    let (db, queries) = uniform(1500, 16, 21);
+    let rbc = ExactRbc::build(
+        &db,
+        Euclidean,
+        RbcParams::standard(db.len(), 22),
+        RbcConfig::default(),
+    );
+    let k = 4;
+    let (want, _) = rbc.query_batch_k(&queries, k);
+    let nodes = 5;
+    for policy in [
+        PlacementPolicy::Replicated { factor: 2 },
+        PlacementPolicy::SingleOwner,
+    ] {
+        let placement = DistributedRbc::from_exact_with_policy(
+            rbc.clone(),
+            ClusterConfig::with_nodes(nodes),
+            policy,
+            db.dim(),
+        )
+        .placement()
+        .clone();
+        let mut died_in = [0usize; 2];
+        for (qi, want) in want.iter().enumerate() {
+            let query = queries.point(qi);
+            let (owner, later) = round_nodes(&rbc, &placement, query, k);
+            for (round, victim) in [(0, owner), (1, later.first().copied())] {
+                let Some(victim) = victim else { continue };
+                died_in[round] += 1;
+                let index = DistributedRbc::from_exact_with_placement(
+                    rbc.clone(),
+                    ClusterConfig::with_nodes(nodes),
+                    placement.clone(),
+                    db.dim(),
+                );
+                index.poison_node(victim);
+                let (got, stats) = index.query_batch_exact(&QueryBatch::new(&[query]), k);
+                let cell = format!("{policy:?} query {qi} node {victim} round {}", round + 1);
+                assert!(!index.health().is_live(victim), "{cell}");
+                assert!(stats.comm.messages_out > stats.comm.messages_in, "{cell}");
+                if policy == PlacementPolicy::SingleOwner {
+                    assert!(stats.lost_groups > 0, "{cell}");
+                    assert_eq!(stats.degraded, vec![true], "{cell}");
+                    assert!(got[0].len() <= want.len(), "{cell}");
+                    assert_eq!(got[0][..], want[..got[0].len()], "{cell}");
+                } else {
+                    assert_eq!(&got[0], want, "{cell}");
+                    assert!(stats.rerouted_groups > 0, "{cell}");
+                    assert_eq!(stats.lost_groups, 0, "{cell}");
+                    assert_eq!(stats.degraded, vec![false], "{cell}");
+                }
+            }
+        }
+        assert!(
+            died_in.iter().all(|&n| n >= 4),
+            "{policy:?}: deaths per round {died_in:?}"
+        );
+    }
 }

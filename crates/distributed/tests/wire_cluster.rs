@@ -14,11 +14,12 @@
 use std::time::{Duration, Instant};
 
 use rbc_bruteforce::{BruteForce, Neighbor};
-use rbc_core::{BatchPlan, ExactRbc, RbcConfig, RbcParams};
+use rbc_core::batch_plan::seeded_survivors;
+use rbc_core::{ExactRbc, RbcConfig, RbcParams};
 use rbc_distributed::net::{
     spawn_local_cluster, NetConfig, NodeShard, QueryReply, QueryRequest, WireGroup,
 };
-use rbc_distributed::{ClusterConfig, DistributedRbc, PlacementPolicy};
+use rbc_distributed::{ClusterConfig, DistributedQueryStats, DistributedRbc, PlacementPolicy};
 use rbc_metric::{Dataset, Euclidean, QueryBatch, VectorSet};
 
 /// Clustered rows (queries co-travel through shared ownership lists,
@@ -109,10 +110,19 @@ fn wire_transport_is_bit_identical_to_in_process() {
             if k == 3 {
                 assert_eq!(got, want_central, "both transports must equal centralized");
             }
+            // Over both rounds, node by node: the wire nodes recompute
+            // ρ(q, rep) bit-identically, so they cut exactly where the
+            // in-process shards do.
+            let evals = |stats: &DistributedQueryStats| -> Vec<u64> {
+                stats.per_node.iter().map(|load| load.evals).collect()
+            };
             assert_eq!(
-                got_stats.worker_evals, want_stats.worker_evals,
+                evals(&got_stats),
+                evals(&want_stats),
                 "nodes must do exactly the work the in-process shards do"
             );
+            assert_eq!(got_stats.nodes_contacted, want_stats.nodes_contacted);
+            assert_eq!(got_stats.comm, want_stats.comm);
             assert_eq!(got_stats.degraded_queries(), 0);
             assert_eq!(got_stats.lost_groups, 0);
         }
@@ -146,7 +156,7 @@ fn shard_without_a_querys_near_lists_still_contributes_exactly() {
         let query = [queries.point(qi)];
         let (rep_dists, _) =
             BruteForce::new().pairwise(&QueryBatch::new(&query), &reps, &Euclidean);
-        let (plan, seeded) = BatchPlan::plan_exact_seeded(&rep_dists, rbc.lists(), k, rbc.config());
+        let (seeded, rows) = seeded_survivors(&rep_dists, rbc.lists(), k, rbc.config());
         let mut by_nearness: Vec<usize> = (0..rep_dists.len()).collect();
         by_nearness.sort_by(|&a, &b| rep_dists[a].total_cmp(&rep_dists[b]));
         // Three lists have at most three owners: one of four nodes is far.
@@ -156,12 +166,11 @@ fn shard_without_a_querys_near_lists_still_contributes_exactly() {
                 near.all(|&l| !placement.replicas_of_list[l].contains(node))
             })
             .expect("single-owner placement of three lists leaves a node out");
-        let groups: Vec<WireGroup> = plan
-            .groups
+        let groups: Vec<WireGroup> = rows[0]
             .iter()
-            .filter(|g| placement.replicas_of_list[g.list_index].contains(&far))
-            .map(|g| WireGroup {
-                list_index: g.list_index as u32,
+            .filter(|&&(list, _)| placement.replicas_of_list[list].contains(&far))
+            .map(|&(list, _)| WireGroup {
+                list_index: list as u32,
                 members: vec![0],
             })
             .collect();
@@ -186,7 +195,9 @@ fn shard_without_a_querys_near_lists_still_contributes_exactly() {
             }
             topk.into_sorted()
         };
-        let cut = shard.execute(&request(true, plan.gamma_k[0])).unwrap();
+        let cut = shard
+            .execute(&request(true, seeded[0].threshold()))
+            .unwrap();
         let full = shard.execute(&request(false, f64::INFINITY)).unwrap();
         assert!(cut.evals <= full.evals);
         assert_eq!(merged(cut), merged(full), "query {qi}, node {far}");

@@ -118,17 +118,21 @@ fn one_query_through_a_four_node_cluster_yields_one_accounting_tree() {
     let merge = find_one("dist.merge");
     assert!(descends_from(&records, merge, search.id));
 
-    // Per-node scans: at least one node was contacted, at most all four,
-    // and every node span sits under the scan fan-out.
+    // Per-node scans over two rounds: the owner of the query's nearest
+    // list, then up to all four nodes for the lists its threshold still
+    // admits. Every node span, and the coordinator's re-plan between the
+    // rounds, sits under the one scan fan-out.
     let nodes = find_all("dist.node");
     assert!(
-        (1..=4).contains(&nodes.len()),
-        "expected 1..=4 per-node scan spans, got {}",
+        (2..=5).contains(&nodes.len()),
+        "expected 2..=5 per-node scan spans, got {}",
         nodes.len()
     );
     for node in &nodes {
         assert_eq!(node.parent, Some(scan.id));
     }
+    let replan = find_one("dist.replan");
+    assert_eq!(replan.parent, Some(scan.id));
 
     // The accounting adds up: the recorded queue wait plus the batch
     // execution span cover the reply's measured submit-to-completion
@@ -148,4 +152,5 @@ fn one_query_through_a_four_node_cluster_yields_one_accounting_tree() {
     for node in &nodes {
         assert!(node.dur_ns <= scan.dur_ns);
     }
+    assert!(replan.dur_ns <= scan.dur_ns);
 }

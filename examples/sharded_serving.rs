@@ -8,7 +8,9 @@
 //! `SearchIndex`, the engine can put one on top of the other: every
 //! micro-batch the scheduler closes runs stage 1 once on the coordinator,
 //! routes the per-list query groups to the least-loaded live replica of
-//! each list (one message per node per batch), and merges the partial
+//! each list in two rounds — each query's nearest list first, then what
+//! the returned threshold still admits (one message per node per round)
+//! — and merges the partial
 //! top-k replies — while the engine's metrics snapshot reports the
 //! per-node load, the replica distribution, and the degradation counters.
 //!
@@ -185,7 +187,7 @@ fn main() {
     );
     println!(
         "  fan-out         : {:.2} query routings per request ({} total), \
-         one message per node per batch",
+         one message per node per round",
         routed as f64 / stats.completed as f64,
         routed
     );
