@@ -1,6 +1,6 @@
-//! Ablation benches for the exact-search design choices DESIGN.md calls
+//! Ablation benches for the exact-search design choices the paper calls
 //! out: the two representative pruning rules (eq. 1 and eq. 2 / Lemma 1)
-//! and the sorted-ownership-list cut.
+//! and the sorted-ownership-list cut (the "4γ" observation after Claim 2).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

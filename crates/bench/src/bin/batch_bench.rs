@@ -9,19 +9,12 @@
 //! traffic — what shared list scans reduce), the achieved tile-sharing
 //! factor, and wall-clock. It asserts that every size returns identical
 //! answers and that batches of 256 stream no more list tiles than single
-//! queries do. Tile shapes come from the device layer
-//! (`MachineProfile::host().tile_policy()`), so the sweep measures the
-//! policy an actual machine profile would run with. The grid is written as
-//! JSON under `results/batch_bench.json`.
+//! queries do. The database tile is 64 points, so tile passes are counted
+//! at ownership-list granularity. The grid is written as JSON under
+//! `results/batch_bench.json`.
 //!
-//! Two extra modes ride on the same workload generator:
+//! One extra mode rides on the same workload generator:
 //!
-//! * `--tune` sweeps `query_tile × db_tile × layout` combinations over
-//!   the full batched search, prints the measured grid, and persists the
-//!   fastest shape as a [`TilePolicy`] JSON file (`--tune-out`, default
-//!   `results/tile_policy.json`). Pointing `RBC_TILE_POLICY` at that file
-//!   makes every `MachineProfile::tile_policy()` return the measured
-//!   shape — the device-profiled autotuning loop.
 //! * `--simd-check` runs the dense brute-force kernel and the batched
 //!   exact and one-shot searches (the exact one screens `f32` lanes, the
 //!   one-shot one `u8` codes) under the forced-scalar kernel, SSE2 and
@@ -33,8 +26,7 @@
 //!   no SIMD kernel).
 //!
 //! Usage: `batch_bench [--n N] [--queries N] [--clusters N] [--dim N]
-//! [--k N] [--seed N] [--tune [--tune-out PATH]]
-//! [--simd-check [--assert-speedup X]]`
+//! [--k N] [--seed N] [--simd-check [--assert-speedup X]]`
 
 use std::time::Instant;
 
@@ -44,7 +36,6 @@ use rbc_bench::{write_json_records, Table};
 use rbc_bruteforce::{BfConfig, BruteForce};
 use rbc_core::{ExactRbc, OneShotRbc, OwnershipList, RbcConfig, RbcParams, SearchStats};
 use rbc_data::gaussian_mixture;
-use rbc_device::{MachineProfile, TilePolicy};
 use rbc_metric::{active_kernel, force_kernel, Dataset, Euclidean, KernelChoice, VectorSet};
 
 /// Command-line configuration of the batch-size sweep.
@@ -62,10 +53,6 @@ struct Options {
     k: usize,
     /// Base RNG seed for the database, stream, and representatives.
     seed: u64,
-    /// Run the tile-shape autotuning sweep instead of the batch-size sweep.
-    tune: bool,
-    /// Where `--tune` persists the winning policy.
-    tune_out: String,
     /// Run the SIMD-vs-scalar identity + speedup check instead.
     simd_check: bool,
     /// Minimum dense-kernel speedup `--simd-check` must observe (when the
@@ -82,8 +69,6 @@ impl Default for Options {
             dim: 12,
             k: 1,
             seed: 0,
-            tune: false,
-            tune_out: "results/tile_policy.json".to_string(),
             simd_check: false,
             assert_speedup: None,
         }
@@ -106,12 +91,6 @@ fn parse_options() -> Options {
             "--dim" => opts.dim = need(&mut args, "--dim").max(1),
             "--k" => opts.k = need(&mut args, "--k").max(1),
             "--seed" => opts.seed = need(&mut args, "--seed") as u64,
-            "--tune" => opts.tune = true,
-            "--tune-out" => {
-                opts.tune_out = args
-                    .next()
-                    .unwrap_or_else(|| usage("--tune-out needs a path"));
-            }
             "--simd-check" => opts.simd_check = true,
             "--assert-speedup" => {
                 let value: f64 = args
@@ -133,7 +112,7 @@ fn usage(error: &str) -> ! {
     }
     eprintln!(
         "usage: batch_bench [--n N] [--queries N] [--clusters N] [--dim N] [--k N] [--seed N] \
-         [--tune [--tune-out PATH]] [--simd-check [--assert-speedup X]]"
+         [--simd-check [--assert-speedup X]]"
     );
     std::process::exit(if error.is_empty() { 0 } else { 2 });
 }
@@ -183,102 +162,6 @@ fn workload(opts: &Options) -> (VectorSet, VectorSet) {
     (database, queries)
 }
 
-/// `--tune`: measures the full batched search over a grid of tile shapes
-/// and layouts, prints the grid, and persists the fastest as a
-/// [`TilePolicy`] JSON file for `RBC_TILE_POLICY` to pick up.
-fn run_tune(opts: &Options) {
-    let (database, queries) = workload(opts);
-    let host = MachineProfile::host();
-    let base = host.tile_policy();
-    println!(
-        "tile autotuning on '{}' ({} threads, {} kernel): n = {}, {} queries, dim {}, k = {}\n",
-        host.name,
-        host.threads,
-        host.simd_kernel(),
-        opts.n,
-        opts.queries,
-        opts.dim,
-        opts.k
-    );
-
-    let mut table = Table::new(
-        "batched exact search time by tile shape and layout",
-        &["query_tile", "db_tile", "layout", "ms", ""],
-    );
-    let mut best: Option<(f64, TilePolicy)> = None;
-    for blocked in [false, true] {
-        for &query_tile in &[8usize, 16, 32, 64] {
-            for &db_tile in &[128usize, 256, 512, 1024] {
-                let bf = BfConfig {
-                    query_tile,
-                    db_tile,
-                    blocked,
-                    ..base
-                };
-                let rbc = ExactRbc::build(
-                    &database,
-                    Euclidean,
-                    RbcParams::standard(opts.n, 42 + opts.seed),
-                    RbcConfig {
-                        bf,
-                        ..RbcConfig::default()
-                    },
-                );
-                // Two timed passes, best-of: the first pass also warms
-                // the blocked mirrors and the thread pool.
-                let mut ms = f64::INFINITY;
-                for _ in 0..2 {
-                    let start = Instant::now();
-                    let _ = rbc.query_batch_k(&queries, opts.k);
-                    ms = ms.min(start.elapsed().as_secs_f64() * 1e3);
-                }
-                let policy = TilePolicy::from_config(bf);
-                let improved = best.is_none_or(|(best_ms, _)| ms < best_ms);
-                if improved {
-                    best = Some((ms, policy));
-                }
-                table.row(&[
-                    query_tile.to_string(),
-                    db_tile.to_string(),
-                    if blocked { "blocked" } else { "row-major" }.to_string(),
-                    format!("{ms:.2}"),
-                    if improved { "<- best so far" } else { "" }.to_string(),
-                ]);
-            }
-        }
-    }
-    table.print();
-
-    let (best_ms, policy) = best.expect("the sweep always measures at least one cell");
-    println!(
-        "\nfastest: query_tile = {}, db_tile = {}, {} layout ({best_ms:.2} ms)",
-        policy.query_tile,
-        policy.db_tile,
-        if policy.blocked {
-            "blocked"
-        } else {
-            "row-major"
-        }
-    );
-    let path = std::path::Path::new(&opts.tune_out);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    match policy.save(path) {
-        Ok(()) => println!(
-            "wrote {}\nuse it with: RBC_TILE_POLICY={}",
-            path.display(),
-            path.display()
-        ),
-        Err(error) => {
-            eprintln!("could not write tile policy: {error}");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// `--simd-check`: runs the dense brute-force kernel, the batched exact
 /// search and the batched one-shot search under every kernel the host
 /// supports (forced scalar, SSE2, and the detected one), each over indexes
@@ -307,10 +190,7 @@ fn run_simd_check(opts: &Options) {
         detected.name()
     );
 
-    let config = BfConfig {
-        blocked: true,
-        ..MachineProfile::host().tile_policy()
-    };
+    let config = BfConfig::default();
     let bf = BruteForce::with_config(config);
     // Each kernel builds its own indexes: the exact build's `BF(X, R)`
     // screens lane groups, and the screen's masks differ between kernels,
@@ -455,10 +335,6 @@ fn run_simd_check(opts: &Options) {
 
 fn main() {
     let opts = parse_options();
-    if opts.tune {
-        run_tune(&opts);
-        return;
-    }
     if opts.simd_check {
         run_simd_check(&opts);
         return;
@@ -470,15 +346,13 @@ fn main() {
 
     println!("generating clustered workload and building the exact RBC ...");
     let (database, queries) = workload(&opts);
-    // Tile shapes are a device decision: take the host profile's policy
-    // and shrink the database tile so tile-pass counts are meaningful at
+    // Shrink the database tile so tile-pass counts are meaningful at
     // ownership-list granularity (lists are ~√n points long).
-    let tile_policy = BfConfig {
-        db_tile: 64,
-        ..MachineProfile::host().tile_policy()
-    };
     let config = RbcConfig {
-        bf: tile_policy,
+        bf: BfConfig {
+            db_tile: 64,
+            ..BfConfig::default()
+        },
         ..RbcConfig::default()
     };
     let rbc = ExactRbc::build(

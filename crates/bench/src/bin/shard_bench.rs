@@ -63,7 +63,6 @@ use rbc_bench::{write_json_records, Table};
 use rbc_bruteforce::BfConfig;
 use rbc_core::{ExactRbc, RbcConfig, RbcParams};
 use rbc_data::{gaussian_mixture, skewed_queries};
-use rbc_device::MachineProfile;
 use rbc_distributed::{
     eval_skew, ClusterConfig, DistributedQueryStats, DistributedRbc, PlacementPolicy,
 };
@@ -423,12 +422,11 @@ fn main() {
     println!("generating clustered workload and building the exact RBC ...");
     let database = gaussian_mixture(opts.n, opts.dim, opts.clusters, 0.03, 7 + opts.seed);
     let queries = gaussian_mixture(opts.queries, opts.dim, opts.clusters, 0.03, 8 + opts.seed);
-    let tile_policy = BfConfig {
-        db_tile: 64,
-        ..MachineProfile::host().tile_policy()
-    };
     let config = RbcConfig {
-        bf: tile_policy,
+        bf: BfConfig {
+            db_tile: 64,
+            ..BfConfig::default()
+        },
         ..RbcConfig::default()
     };
     let rbc = ExactRbc::build(

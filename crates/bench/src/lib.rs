@@ -9,10 +9,12 @@
 //! |----------|----------------|----------------|
 //! | `table1` | Table 1        | dataset catalogue + measured expansion rates |
 //! | `fig1`   | Figure 1       | one-shot speedup vs. mean rank error, per dataset, sweeping `n_r = s` |
-//! | `fig2`   | Figure 2       | exact-search speedup over brute force (48-core profile) |
+//! | `fig2`   | Figure 2       | exact-search speedup over brute force (on the host's threads) |
 //! | `fig3`   | Figure 3       | exact-search speedup vs. number of representatives |
-//! | `table2` | Table 2        | one-shot vs. brute force on the SIMT device model |
-//! | `table3` | Table 3        | Cover Tree (1 core) vs. exact RBC (4 cores), total query seconds |
+//! | `table3` | Table 3        | Cover Tree (1 thread) vs. exact RBC (4 threads), total query seconds |
+//!
+//! Table 2 measured a GPU; with none to run on, `fig1`'s one-shot speedup
+//! on the CPU at rank error ≈ 10⁻¹ stands in for it.
 //!
 //! These accept `--scale <f64>` (default 0.005) to grow or shrink the
 //! synthetic datasets relative to the paper's sizes, `--queries <n>` to

@@ -204,27 +204,6 @@ pub fn one_shot_batch(
     )
 }
 
-/// The per-query stage sizes of a one-shot RBC, needed by the SIMT device
-/// model: every query scans all representatives, then its chosen ownership
-/// list.
-pub fn one_shot_stage_profile(
-    workload: &PreparedWorkload,
-    params: RbcParams,
-    config: RbcConfig,
-) -> (Vec<u64>, Vec<u64>) {
-    let rbc = OneShotRbc::build(&workload.database, Euclidean, params, config);
-    let nr = rbc.num_reps() as u64;
-    let mut rep_scans = Vec::with_capacity(workload.queries.len());
-    let mut list_scans = Vec::with_capacity(workload.queries.len());
-    for qi in 0..workload.queries.len() {
-        let (_, stats) = rbc.query(workload.queries.point(qi));
-        debug_assert_eq!(stats.rep_distance_evals, nr);
-        rep_scans.push(stats.rep_distance_evals);
-        list_scans.push(stats.list_distance_evals);
-    }
-    (rep_scans, list_scans)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,17 +271,6 @@ mod tests {
             .with_list_size(4 * 32);
         let (os_generous, _) = one_shot_batch(&w, generous, RbcConfig::default());
         assert!(os_generous.mean_rank_error(&w) <= rank);
-    }
-
-    #[test]
-    fn stage_profiles_have_one_entry_per_query() {
-        let w = tiny_workload();
-        let params = RbcParams::standard(w.n(), 9);
-        let (rep, list) = one_shot_stage_profile(&w, params.clone(), RbcConfig::default());
-        assert_eq!(rep.len(), 30);
-        assert_eq!(list.len(), 30);
-        assert!(rep.iter().all(|&c| c > 0));
-        assert!(list.iter().all(|&c| c <= params.list_size as u64));
     }
 
     #[test]

@@ -386,7 +386,7 @@ where
             !sorted_cut || member_dists.len() == members.len(),
             "sorted-list cut needs one representative distance per member"
         );
-        let mirror = mirror.filter(|m| bf.lanes_usable(metric) && m.len() == members.len());
+        let mirror = mirror.filter(|m| metric.lanes_supported() && m.len() == members.len());
         Self {
             db,
             metric,

@@ -26,8 +26,12 @@ const SCREEN_GROUPS: usize = 4;
 /// Tiling and parallelism knobs for the primitive.
 ///
 /// The defaults are sensible for dense vectors of moderate dimension; the
-/// device layer (`rbc-device`) and the benchmark harness override them when
-/// they model specific machines.
+/// benchmark harness shrinks `db_tile` to count tile passes at list
+/// granularity. The layout is not a knob: a scan runs over the blocked
+/// structure-of-arrays mirror through the metric's SIMD lane kernel exactly
+/// when [`Metric::lanes_supported`] says it has one, and point by point
+/// otherwise (wrap a metric in [`PerPoint`](rbc_metric::PerPoint) to ask
+/// for the per-point path). The two are bit-identical in their answers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BfConfig {
     /// Number of queries grouped into one parallel task. Groups of queries
@@ -38,17 +42,9 @@ pub struct BfConfig {
     /// Number of database items per inner tile.
     pub db_tile: usize,
     /// If `false`, run everything on the calling thread (used by the
-    /// baselines for fair single-core comparisons, and by the SIMT device
-    /// model which supplies its own scheduling).
+    /// baselines for fair single-core comparisons, and by the inner scans
+    /// of a search that parallelises over lists itself).
     pub parallel: bool,
-    /// If `true` (the default), scans run over a blocked
-    /// structure-of-arrays copy of the data through the metric's SIMD lane
-    /// kernel whenever one is available (see
-    /// [`Metric::lanes_supported`]); if `false`, always take the row-major
-    /// per-point path. The two layouts are bit-identical in their answers,
-    /// so this is purely a performance A/B toggle — the autotuner in
-    /// `rbc-device` sweeps it alongside the tile shape.
-    pub blocked: bool,
 }
 
 impl Default for BfConfig {
@@ -57,7 +53,6 @@ impl Default for BfConfig {
             query_tile: 16,
             db_tile: 256,
             parallel: true,
-            blocked: true,
         }
     }
 }
@@ -86,6 +81,31 @@ impl BfConfig {
             return Err("BfConfig::db_tile must be at least 1 (got 0)".into());
         }
         Ok(())
+    }
+}
+
+/// The blocked-layout gate: a blocked mirror is only usable when the metric
+/// has a lane kernel and the mirror actually covers `expected_len` points.
+fn lane_gate<'b, T: ?Sized, M: Metric<T>>(
+    blocks: Option<&'b BlockedVectors>,
+    metric: &M,
+    expected_len: usize,
+) -> Option<&'b BlockedVectors> {
+    blocks.filter(|b| metric.lanes_supported() && b.len() == expected_len)
+}
+
+/// The dataset's own blocked mirror, if the metric can use it. Deliberately
+/// does not call [`Dataset::lane_blocks`] (which may lazily build the
+/// mirror) for a metric without a lane kernel.
+fn auto_blocks<'b, D, M>(db: &'b D, metric: &M) -> Option<&'b BlockedVectors>
+where
+    D: Dataset,
+    M: Metric<D::Item>,
+{
+    if metric.lanes_supported() {
+        lane_gate(db.lane_blocks(), metric, db.len())
+    } else {
+        None
     }
 }
 
@@ -120,40 +140,6 @@ impl BruteForce {
         self.config
     }
 
-    /// Applies the blocked-layout gate: a blocked mirror is only usable
-    /// when the configuration enables it, the metric has a lane kernel,
-    /// and the mirror actually covers `expected_len` points.
-    pub(crate) fn lane_gate<'b, T: ?Sized, M: Metric<T>>(
-        &self,
-        blocks: Option<&'b BlockedVectors>,
-        metric: &M,
-        expected_len: usize,
-    ) -> Option<&'b BlockedVectors> {
-        blocks.filter(|b| self.lanes_usable(metric) && b.len() == expected_len)
-    }
-
-    /// Whether the configuration enables lane-blocked scans and the metric
-    /// has a lane kernel.
-    pub(crate) fn lanes_usable<T: ?Sized, M: Metric<T>>(&self, metric: &M) -> bool {
-        self.config.blocked && metric.lanes_supported()
-    }
-
-    /// The dataset's own blocked mirror, if the configuration and metric
-    /// can use it. Deliberately does not call
-    /// [`Dataset::lane_blocks`] (which may lazily build the mirror) unless
-    /// the gate would accept it.
-    fn auto_blocks<'b, D, M>(&self, db: &'b D, metric: &M) -> Option<&'b BlockedVectors>
-    where
-        D: Dataset,
-        M: Metric<D::Item>,
-    {
-        if self.lanes_usable(metric) {
-            self.lane_gate(db.lane_blocks(), metric, db.len())
-        } else {
-            None
-        }
-    }
-
     // ------------------------------------------------------------------
     // Batched queries against the full database: BF(Q, X)
     // ------------------------------------------------------------------
@@ -165,7 +151,7 @@ impl BruteForce {
         D: Dataset<Item = Q::Item>,
         M: Metric<Q::Item>,
     {
-        self.nn_with_blocks(queries, db, metric, self.auto_blocks(db, metric))
+        self.nn_with_blocks(queries, db, metric, auto_blocks(db, metric))
     }
 
     /// k-NN for every query in `queries` against every item of `db`.
@@ -190,7 +176,7 @@ impl BruteForce {
             metric,
             k,
             None,
-            self.auto_blocks(db, metric),
+            auto_blocks(db, metric),
             sorted_answer,
         )
     }
@@ -295,7 +281,7 @@ impl BruteForce {
     {
         // The buffer is sized by `k`; more than the database cannot come back.
         let k = k.min(db.len().max(1));
-        let blocks = self.auto_blocks(db, metric);
+        let blocks = auto_blocks(db, metric);
         self.knn_over::<false, _, _, _, _, _, _>(
             queries,
             db,
@@ -436,7 +422,7 @@ impl BruteForce {
         D: Dataset<Item = Q::Item>,
         M: Metric<Q::Item>,
     {
-        self.pairwise_with_blocks(queries, db, metric, self.auto_blocks(db, metric))
+        self.pairwise_with_blocks(queries, db, metric, auto_blocks(db, metric))
     }
 
     /// [`pairwise`](Self::pairwise) with an explicitly supplied blocked
@@ -487,9 +473,9 @@ impl BruteForce {
     /// the rayon pool when the configuration is parallel and the call is
     /// worth a helper's wake-up — evaluations plus the entries `finish`
     /// reads reach [`MIN_PARALLEL_EVALS`] — and are then cut so every thread
-    /// has several to claim. Without a lane kernel (or `blocked: false`)
-    /// rows are scored point by point and always shared: an evaluation
-    /// costs whatever the metric costs.
+    /// has several to claim. Without a lane kernel rows are scored point by
+    /// point and always shared: an evaluation costs whatever the metric
+    /// costs.
     pub fn rows_with<Q, D, M, R, F>(
         &self,
         queries: &Q,
@@ -506,7 +492,7 @@ impl BruteForce {
         F: Fn(usize, &[Dist]) -> R + Sync,
     {
         let (nq, n) = (queries.len(), db.len());
-        let blocks = self.lane_gate(blocks, metric, n);
+        let blocks = lane_gate(blocks, metric, n);
         let stats = BfStats {
             reranked_groups: blocks.map_or(0, |b| (nq * b.num_groups()) as u64),
             ..BfStats::full_scan(nq as u64, n as u64)
@@ -718,7 +704,7 @@ impl BruteForce {
         // The blocked mirror indexes the database directly, so it only
         // applies to full-database scans, not index-list sub-scans.
         let blocks = if list.is_none() {
-            self.lane_gate(blocks, metric, n_candidates)
+            lane_gate(blocks, metric, n_candidates)
         } else {
             None
         };
@@ -860,7 +846,7 @@ fn sorted_answer(_query: usize, best: TopK) -> Vec<Neighbor> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbc_metric::{Euclidean, Manhattan, VectorSet};
+    use rbc_metric::{Euclidean, Manhattan, PerPoint, VectorSet};
 
     /// A deterministic pseudo-random cloud (no dependency on `rand` needed
     /// for unit tests).
@@ -1117,15 +1103,23 @@ mod tests {
             let queries = cloud(21, dim, 100 + dim as u64);
             for n in [1, 7, 8, 9, 255, 256, 257] {
                 let db = cloud(n, dim, 200 + (dim * n) as u64);
-                for (blocked, query_tile) in [(true, tiles[dim % 2]), (false, tiles[0])] {
-                    let bf = BruteForce::with_config(BfConfig {
-                        blocked,
+                let bf = |query_tile| {
+                    BruteForce::with_config(BfConfig {
                         query_tile,
                         ..BfConfig::default()
-                    });
-                    assert_rows_are_per_point_distances(&bf, &queries, &db, &Euclidean);
-                    // No lane kernel: the point-by-point arm, always shared.
-                    assert_rows_are_per_point_distances(&bf, &queries, &db, &Manhattan);
+                    })
+                };
+                let (blocked, per_point) = (bf(tiles[dim % 2]), bf(tiles[0]));
+                assert_rows_are_per_point_distances(&blocked, &queries, &db, &Euclidean);
+                // No lane kernel: the point-by-point arm, always shared.
+                assert_rows_are_per_point_distances(
+                    &per_point,
+                    &queries,
+                    &db,
+                    &PerPoint(Euclidean),
+                );
+                for bf in [&blocked, &per_point] {
+                    assert_rows_are_per_point_distances(bf, &queries, &db, &Manhattan);
                 }
             }
         }
@@ -1143,18 +1137,16 @@ mod tests {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads);
             let pool = pool.build().expect("the shim's builder cannot fail");
             pool.install(|| {
-                for blocked in [true, false] {
-                    let bf = BruteForce::with_config(BfConfig {
-                        blocked,
-                        ..BfConfig::default()
-                    });
-                    assert_rows_are_per_point_distances(&bf, &queries, &db, &Euclidean);
-                    assert_rows_are_per_point_distances(&bf, &queries, &db, &Manhattan);
-                    let (matrix, _) = bf.pairwise(&queries, &db, &Euclidean);
-                    let (rows, _) =
-                        bf.rows_with(&queries, &db, &Euclidean, None, |_, row| row.to_vec());
-                    assert_eq!(matrix, rows.concat(), "pairwise is the kernel, copied");
-                }
+                let bf = BruteForce::new();
+                assert_rows_are_per_point_distances(&bf, &queries, &db, &Euclidean);
+                assert_rows_are_per_point_distances(&bf, &queries, &db, &PerPoint(Euclidean));
+                assert_rows_are_per_point_distances(&bf, &queries, &db, &Manhattan);
+                let (matrix, _) = bf.pairwise(&queries, &db, &Euclidean);
+                let (rows, _) =
+                    bf.rows_with(&queries, &db, &Euclidean, None, |_, row| row.to_vec());
+                assert_eq!(matrix, rows.concat(), "pairwise is the kernel, copied");
+                let (matrix, _) = bf.pairwise(&queries, &db, &PerPoint(Euclidean));
+                assert_eq!(matrix, rows.concat(), "the per-point matrix is the lanes'");
             });
         }
     }
@@ -1186,22 +1178,25 @@ mod tests {
             distinct.iter().for_each(|point| db.push(point));
         }
         let queries = cloud(21, 6, 54);
-        for blocked in [true, false] {
-            let bf = BruteForce::with_config(BfConfig {
-                blocked,
-                ..BfConfig::default()
+        fn check<M: Metric<[f32]>>(
+            queries: &VectorSet,
+            db: &VectorSet,
+            metric: &M,
+            distinct: usize,
+        ) {
+            let bf = BruteForce::new();
+            let (nearest, _) = bf.nn(queries, db, metric);
+            let (argmin, _) = bf.rows_with(queries, db, metric, db.lane_blocks(), |_, row| {
+                let entries = row.iter().enumerate();
+                entries
+                    .map(|(j, &d)| Neighbor::new(j, d))
+                    .fold(Neighbor::farthest(), Neighbor::closer)
             });
-            let (nearest, _) = bf.nn(&queries, &db, &Euclidean);
-            let (argmin, _) =
-                bf.rows_with(&queries, &db, &Euclidean, db.lane_blocks(), |_, row| {
-                    let entries = row.iter().enumerate();
-                    entries
-                        .map(|(j, &d)| Neighbor::new(j, d))
-                        .fold(Neighbor::farthest(), Neighbor::closer)
-                });
             assert_eq!(nearest, argmin);
-            assert!(nearest.iter().all(|nb| nb.index < distinct.len()));
+            assert!(nearest.iter().all(|nb| nb.index < distinct));
         }
+        check(&queries, &db, &Euclidean, distinct.len());
+        check(&queries, &db, &PerPoint(Euclidean), distinct.len());
     }
 
     #[test]
@@ -1237,32 +1232,40 @@ mod tests {
             distinct.iter().for_each(|point| db.push(point));
         }
         let queries = cloud(21, 6, 56);
-        for (blocked, parallel, query_tile, db_tile) in [
-            (true, true, 16, 256),
-            (true, false, 5, 24),
-            (false, true, 4, 7),
+        fn check<M: Metric<[f32]>>(
+            bf: &BruteForce,
+            queries: &VectorSet,
+            db: &VectorSet,
+            metric: &M,
+        ) {
+            for k in [1, 2, 40, db.len() - 1, db.len(), db.len() + 5] {
+                let (want, want_stats) = bf.knn(queries, db, metric, k);
+                let (got, stats) =
+                    bf.select_with(queries, db, metric, k, |qi, near| (qi, near.to_vec()));
+                let queries_in_order: Vec<usize> = got.iter().map(|(qi, _)| *qi).collect();
+                assert_eq!(queries_in_order, (0..queries.len()).collect::<Vec<_>>());
+                let got: Vec<Vec<Neighbor>> = got.into_iter().map(|(_, near)| near).collect();
+                let name = metric.name();
+                assert_eq!(got, want, "{name}, k {k}, {:?}", bf.config());
+                assert_eq!(stats, want_stats);
+            }
+        }
+        for (per_point, parallel, query_tile, db_tile) in [
+            (false, true, 16, 256),
+            (false, false, 5, 24),
+            (true, true, 4, 7),
         ] {
             let bf = BruteForce::with_config(BfConfig {
                 query_tile,
                 db_tile,
                 parallel,
-                blocked,
             });
-            for k in [1, 2, 40, db.len() - 1, db.len(), db.len() + 5] {
-                let (want, want_stats) = bf.knn(&queries, &db, &Euclidean, k);
-                let (got, stats) =
-                    bf.select_with(&queries, &db, &Euclidean, k, |qi, near| (qi, near.to_vec()));
-                let queries_in_order: Vec<usize> = got.iter().map(|(qi, _)| *qi).collect();
-                assert_eq!(queries_in_order, (0..queries.len()).collect::<Vec<_>>());
-                let got: Vec<Vec<Neighbor>> = got.into_iter().map(|(_, near)| near).collect();
-                assert_eq!(got, want, "k {k}, {:?}", bf.config());
-                assert_eq!(stats, want_stats);
-
-                let (want, _) = bf.knn(&queries, &db, &Manhattan, k);
-                let (got, _) =
-                    bf.select_with(&queries, &db, &Manhattan, k, |_, near| near.to_vec());
-                assert_eq!(got, want, "manhattan, k {k}, {:?}", bf.config());
+            if per_point {
+                check(&bf, &queries, &db, &PerPoint(Euclidean));
+            } else {
+                check(&bf, &queries, &db, &Euclidean);
             }
+            check(&bf, &queries, &db, &Manhattan);
         }
     }
 
@@ -1311,18 +1314,14 @@ mod tests {
     fn blocked_and_row_major_scans_are_bit_identical() {
         let db = cloud(237, 7, 40);
         let queries = cloud(9, 7, 41);
-        let blocked = BruteForce::new(); // blocked: true by default
-        let row_major = BruteForce::with_config(BfConfig {
-            blocked: false,
-            ..BfConfig::default()
-        });
-        let (a, sa) = blocked.knn(&queries, &db, &Euclidean, 5);
-        let (b, sb) = row_major.knn(&queries, &db, &Euclidean, 5);
+        let bf = BruteForce::new();
+        let (a, sa) = bf.knn(&queries, &db, &Euclidean, 5);
+        let (b, sb) = bf.knn(&queries, &db, &PerPoint(Euclidean), 5);
         assert_eq!(a, b);
         assert_eq!(sa.distance_evals, sb.distance_evals);
 
-        let (pa, _) = blocked.pairwise(&queries, &db, &Euclidean);
-        let (pb, _) = row_major.pairwise(&queries, &db, &Euclidean);
+        let (pa, _) = bf.pairwise(&queries, &db, &Euclidean);
+        let (pb, _) = bf.pairwise(&queries, &db, &PerPoint(Euclidean));
         assert_eq!(pa, pb);
     }
 

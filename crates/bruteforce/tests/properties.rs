@@ -6,7 +6,9 @@
 
 use proptest::prelude::*;
 use rbc_bruteforce::{BfConfig, BruteForce, Neighbor};
-use rbc_metric::{force_kernel, Dataset, Euclidean, KernelChoice, Manhattan, Metric, VectorSet};
+use rbc_metric::{
+    force_kernel, Dataset, Euclidean, KernelChoice, Manhattan, Metric, PerPoint, VectorSet,
+};
 
 const DIM: usize = 4;
 
@@ -180,7 +182,7 @@ proptest! {
 
     /// The screened k = 1 scan (`nn_with_blocks`) answers exactly what the
     /// unscreened blocked scan (`knn` with k = 1) and the per-point scan
-    /// (`blocked: false`) answer — index and distance bits, NaN included —
+    /// (`PerPoint(Euclidean)`) answer — index and distance bits, NaN included —
     /// with the same evaluation count, on every kernel, tiling and schedule.
     /// Databases reach from tail-only (n < 8) through exact multiples of 8;
     /// some rows are duplicated (the lower index must win) and some
@@ -224,15 +226,12 @@ proptest! {
         }
         let db = VectorSet::from_rows(&rows);
         let queries = VectorSet::from_rows(&q_rows);
-        let config = BfConfig {
+        let blocked = BruteForce::with_config(BfConfig {
             query_tile: QUERY_TILES[query_tile],
             db_tile: DB_TILES[db_tile],
             parallel,
-            blocked: true,
-        };
-        let blocked = BruteForce::with_config(config);
-        let per_point = BruteForce::with_config(BfConfig { blocked: false, ..config });
-        let (canonical, canonical_stats) = per_point.nn(&queries, &db, &Euclidean);
+        });
+        let (canonical, canonical_stats) = blocked.nn(&queries, &db, &PerPoint(Euclidean));
         let canonical: Vec<_> = canonical.iter().map(bits).collect();
 
         for kernel in KERNELS {

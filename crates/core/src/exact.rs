@@ -45,8 +45,8 @@ pub struct ExactRbc<D, M> {
     rep_flags: Vec<bool>,
     /// Blocked SoA mirror of the representative set, gathered once at
     /// build time so every stage-1 `BF(Q, R)` scan can run the metric's
-    /// SIMD lane kernel. `None` when the layout is disabled or the
-    /// dataset/metric cannot use it.
+    /// SIMD lane kernel. `None` when the metric has no lane kernel or the
+    /// dataset has no blocked layout.
     rep_blocked: Option<BlockedVectors>,
     /// Blocked SoA mirror of each ownership list in member order, with the
     /// representatives masked out, for the stage-2 list scans.
@@ -74,8 +74,8 @@ where
 
         let bf = BruteForce::with_config(config.bf);
         // Blocked SoA mirrors are gathered once here and reused by every
-        // query; the gate mirrors the one inside the primitive.
-        let use_lanes = config.bf.blocked && metric.lanes_supported();
+        // query; like the primitive, only a metric with lanes gets them.
+        let use_lanes = metric.lanes_supported();
         let rep_blocked = if use_lanes {
             db.gather_blocked(&rep_indices)
         } else {
@@ -374,7 +374,7 @@ mod tests {
     use crate::batch_plan::BatchPlan;
     use rand::prelude::*;
     use rand::rngs::StdRng;
-    use rbc_metric::{Euclidean, Manhattan, VectorSet};
+    use rbc_metric::{Euclidean, Manhattan, PerPoint, VectorSet};
 
     fn random_cloud(n: usize, dim: usize, seed: u64) -> VectorSet {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -440,45 +440,51 @@ mod tests {
     fn a_nan_database_point_sits_last_in_its_list_and_changes_no_answer() {
         // Point 333 has a NaN coordinate: its distance to everything is NaN.
         // The same database with that point far away instead is the oracle.
+        const POISONED_AT: usize = 333;
         let clean = clustered_cloud(600, 6, 72);
         let queries = clustered_cloud(40, 6, 73);
         let params = RbcParams::standard(clean.len(), 74);
-        let poisoned_at = 333;
         assert!(
-            !sample_representatives(clean.len(), params.n_reps, params.seed).contains(&poisoned_at)
+            !sample_representatives(clean.len(), params.n_reps, params.seed).contains(&POISONED_AT)
         );
         let with_row = |row: Vec<f32>| {
             let mut rows: Vec<Vec<f32>> = clean.iter().map(<[f32]>::to_vec).collect();
-            rows[poisoned_at] = row;
+            rows[POISONED_AT] = row;
             VectorSet::from_rows(&rows)
         };
-        let mut nan_row = clean.point(poisoned_at).to_vec();
+        let mut nan_row = clean.point(POISONED_AT).to_vec();
         nan_row[1] = f32::NAN;
         let (poisoned, far) = (with_row(nan_row), with_row(vec![1.0e6; 6]));
 
-        for blocked in [true, false] {
-            let mut config = RbcConfig::default();
-            config.bf.blocked = blocked;
-            let got = ExactRbc::build(&poisoned, Euclidean, params.clone(), config);
+        fn check<M: Metric<[f32]> + Copy>(
+            metric: M,
+            (poisoned, far, queries): (&VectorSet, &VectorSet, &VectorSet),
+            params: &RbcParams,
+        ) {
+            let config = RbcConfig::default();
+            let got = ExactRbc::build(poisoned, metric, params.clone(), config);
             let holders: Vec<&OwnershipList> = got
                 .lists()
                 .iter()
-                .filter(|l| l.members.contains(&poisoned_at))
+                .filter(|l| l.members.contains(&POISONED_AT))
                 .collect();
             assert_eq!(holders.len(), 1, "the lists still partition the database");
-            assert_eq!(holders[0].members.last(), Some(&poisoned_at));
+            assert_eq!(holders[0].members.last(), Some(&POISONED_AT));
             assert!(holders[0].member_dists.last().is_some_and(|d| d.is_nan()));
 
-            let want = ExactRbc::build(&far, Euclidean, params.clone(), config);
+            let want = ExactRbc::build(far, metric, params.clone(), config);
             assert_eq!(
-                got.query_batch_k(&queries, 3).0,
-                want.query_batch_k(&queries, 3).0
+                got.query_batch_k(queries, 3).0,
+                want.query_batch_k(queries, 3).0
             );
             for qi in 0..queries.len() {
                 let q = queries.point(qi);
-                assert_eq!(got.query_k(q, 3).0, brute_knn(&far, q, 3));
+                assert_eq!(got.query_k(q, 3).0, brute_knn(far, q, 3));
             }
         }
+        let sets = (&poisoned, &far, &queries);
+        check(Euclidean, sets, &params);
+        check(PerPoint(Euclidean), sets, &params);
     }
 
     #[test]
@@ -537,8 +543,7 @@ mod tests {
             let mut config = RbcConfig::default();
             config.bf.parallel = parallel;
             let screened = ExactRbc::build(&db, Euclidean, params.clone(), config);
-            config.bf.blocked = false;
-            let per_point = ExactRbc::build(&db, Euclidean, params.clone(), config);
+            let per_point = ExactRbc::build(&db, PerPoint(Euclidean), params.clone(), config);
             assert!(screened.rep_blocked().is_some() && per_point.rep_blocked().is_none());
             assert_eq!(
                 screened.build_distance_evals(),
@@ -787,6 +792,10 @@ mod tests {
             RbcParams::standard(db.len(), 28),
             RbcConfig::default(),
         );
+        // No lane kernel, so no mirror: the metric alone picks the
+        // per-point arm.
+        assert!(rbc.rep_blocked().is_none());
+        assert!(rbc.list_blocks().is_none());
         for qi in 0..queries.len() {
             let q = queries.point(qi);
             let (got, _) = rbc.query(q);

@@ -39,7 +39,8 @@ pub struct OneShotRbc<D, M> {
     rep_indices: Vec<usize>,
     lists: Vec<OwnershipList>,
     /// Blocked SoA mirror of the representative set for stage-1 scans
-    /// (`None` when the blocked layout is disabled or unavailable).
+    /// (`None` when the metric has no lane kernel or the dataset no blocked
+    /// layout).
     rep_blocked: Option<BlockedVectors>,
     /// Coded mirror of each ownership list in member order (empty lists
     /// carry `None`), for the list-major stage-2 group scans: screened from
@@ -85,11 +86,11 @@ where
             )
         });
 
-        // Gather the mirrors once; every batched query reuses them (the gate
-        // mirrors the one inside the primitive). The lists are coded straight
-        // from the database rows: they hold ~16 copies of it between them,
-        // and a query screens its whole list but rescores a few per cent.
-        let use_lanes = config.bf.blocked && metric.lanes_supported();
+        // Gather the mirrors once; every batched query reuses them (like the
+        // primitive, only a metric with lanes gets them). The lists are coded
+        // straight from the database rows: they hold ~16 copies of it between
+        // them, and a query screens its whole list but rescores a few per cent.
+        let use_lanes = metric.lanes_supported();
         let rep_blocked = if use_lanes {
             db.gather_blocked(&rep_indices)
         } else {
@@ -280,7 +281,7 @@ mod tests {
     use super::*;
     use rand::prelude::*;
     use rand::rngs::StdRng;
-    use rbc_metric::{Euclidean, Manhattan, VectorSet};
+    use rbc_metric::{Euclidean, Manhattan, PerPoint, VectorSet};
 
     /// The lists as the heap made them: `bf.knn(R, X, s)`, every answer
     /// sorted once more by `from_pairs`.
@@ -387,6 +388,26 @@ mod tests {
                 VectorSet::from_rows(&vec![vec![1.5f32, -2.0, 0.25]; 300]),
             ),
         ];
+        fn check<'a, M: Metric<[f32]> + Copy>(
+            db: &'a VectorSet,
+            metric: M,
+            params: &RbcParams,
+            config: RbcConfig,
+            case: &str,
+        ) -> OneShotRbc<&'a VectorSet, M> {
+            let rbc = OneShotRbc::build(db, metric, params.clone(), config);
+            let want = lists_from_knn(db, &metric, params, config.bf);
+            let case = format!("{}, {case}", metric.name());
+            assert_eq!(rbc.lists(), want, "{case}");
+            assert_eq!(
+                rbc.build_distance_evals(),
+                (rbc.num_reps() * db.len()) as u64,
+                "{case}"
+            );
+            let s = params.list_size.min(db.len());
+            assert!(rbc.lists().iter().all(|l| l.len() == s), "{case}");
+            rbc
+        }
         for (name, db) in &databases {
             let standard = RbcParams::standard(db.len(), 62);
             // Lists several times the standard size, so every buffer fills
@@ -394,29 +415,21 @@ mod tests {
             let sizes = [standard.list_size, 4 * standard.list_size, db.len() + 7];
             for list_size in sizes {
                 let params = standard.clone().with_list_size(list_size);
-                for (parallel, blocked) in [(true, true), (false, true), (true, false)] {
+                for (per_point, parallel) in [(false, true), (false, false), (true, true)] {
                     let mut config = RbcConfig::default();
                     config.bf.parallel = parallel;
-                    config.bf.blocked = blocked;
                     let case = format!("{name}, s {list_size}, {:?}", config.bf);
+                    if per_point {
+                        check(db, PerPoint(Euclidean), &params, config, &case);
+                    } else {
+                        check(db, Euclidean, &params, config, &case);
+                    }
 
-                    let rbc = OneShotRbc::build(db, Euclidean, params.clone(), config);
-                    let want = lists_from_knn(db, &Euclidean, &params, config.bf);
-                    assert_eq!(rbc.lists(), want, "{case}");
-                    assert_eq!(
-                        rbc.build_distance_evals(),
-                        (rbc.num_reps() * db.len()) as u64,
-                        "{case}"
-                    );
-                    assert!(rbc
-                        .lists()
-                        .iter()
-                        .all(|l| l.len() == list_size.min(db.len())));
-
-                    // No lane kernel: the per-point arm, lower bound and all.
-                    let rbc = OneShotRbc::build(db, Manhattan, params.clone(), config);
-                    let want = lists_from_knn(db, &Manhattan, &params, config.bf);
-                    assert_eq!(rbc.lists(), want, "manhattan, {case}");
+                    // No lane kernel: the per-point arm, lower bound and all,
+                    // chosen by the metric alone, so nothing is mirrored.
+                    let rbc = check(db, Manhattan, &params, config, &case);
+                    assert!(rbc.rep_blocked().is_none(), "{case}");
+                    assert!(rbc.list_blocks().is_none(), "{case}");
                 }
             }
         }
@@ -472,42 +485,52 @@ mod tests {
     fn a_nan_database_point_joins_no_list_and_changes_no_answer() {
         // Point 333 has a NaN coordinate: its distance to everything is NaN.
         // The same database with that point far away instead is the oracle.
+        const POISONED_AT: usize = 333;
         let clean = clustered_cloud(600, 6, 65);
         let queries = clustered_cloud(40, 6, 66);
         let params = RbcParams::standard(clean.len(), 67);
-        let poisoned_at = 333;
         assert!(
-            !sample_representatives(clean.len(), params.n_reps, params.seed).contains(&poisoned_at)
+            !sample_representatives(clean.len(), params.n_reps, params.seed).contains(&POISONED_AT)
         );
         let with_row = |row: Vec<f32>| {
             let mut rows: Vec<Vec<f32>> = clean.iter().map(<[f32]>::to_vec).collect();
-            rows[poisoned_at] = row;
+            rows[POISONED_AT] = row;
             VectorSet::from_rows(&rows)
         };
-        let mut nan_row = clean.point(poisoned_at).to_vec();
+        let mut nan_row = clean.point(POISONED_AT).to_vec();
         nan_row[1] = f32::NAN;
-        let (poisoned, far) = (with_row(nan_row), with_row(vec![1.0e6; 6]));
+        let mut inf_row = clean.point(POISONED_AT).to_vec();
+        inf_row[4] = f32::INFINITY;
+        let databases = [
+            with_row(nan_row),
+            with_row(inf_row),
+            with_row(vec![1.0e6; 6]),
+        ];
 
-        for blocked in [true, false] {
-            let mut config = RbcConfig::default();
-            config.bf.blocked = blocked;
-            let got = OneShotRbc::build(&poisoned, Euclidean, params.clone(), config);
-            let want = OneShotRbc::build(&far, Euclidean, params.clone(), config);
+        fn check<M: Metric<[f32]> + Copy>(
+            metric: M,
+            [poisoned, infinite, far]: &[VectorSet; 3],
+            queries: &VectorSet,
+            params: &RbcParams,
+        ) {
+            let config = RbcConfig::default();
+            let got = OneShotRbc::build(poisoned, metric, params.clone(), config);
+            let want = OneShotRbc::build(far, metric, params.clone(), config);
             assert_eq!(got.lists(), want.lists());
             assert!(got
                 .lists()
                 .iter()
-                .all(|l| !l.members.contains(&poisoned_at)));
+                .all(|l| !l.members.contains(&POISONED_AT)));
             assert_eq!(
-                got.query_batch_k(&queries, 3).0,
-                want.query_batch_k(&queries, 3).0
+                got.query_batch_k(queries, 3).0,
+                want.query_batch_k(queries, 3).0
             );
 
             // Lists as long as the database hold it — last.
-            let everything = params.clone().with_list_size(clean.len());
-            let got = OneShotRbc::build(&poisoned, Euclidean, everything.clone(), config);
+            let everything = params.clone().with_list_size(poisoned.len());
+            let got = OneShotRbc::build(poisoned, metric, everything.clone(), config);
             for list in got.lists() {
-                assert_eq!(list.members.last(), Some(&poisoned_at));
+                assert_eq!(list.members.last(), Some(&POISONED_AT));
                 assert!(list.member_dists[..list.len() - 1]
                     .iter()
                     .all(|d| d.is_finite()));
@@ -516,19 +539,17 @@ mod tests {
             // A +∞ coordinate instead: every list holds it, so no list can
             // be screened from codes (each keeps every lane) — and the
             // answers are still the far-point build's.
-            let mut inf_row = clean.point(poisoned_at).to_vec();
-            inf_row[4] = f32::INFINITY;
-            let infinite = with_row(inf_row);
-            let got = OneShotRbc::build(&infinite, Euclidean, everything.clone(), config);
-            let want = OneShotRbc::build(&far, Euclidean, everything.clone(), config);
+            let got = OneShotRbc::build(infinite, metric, everything.clone(), config);
+            let want = OneShotRbc::build(far, metric, everything.clone(), config);
             for list in got.lists() {
-                assert_eq!(list.members.last(), Some(&poisoned_at));
+                assert_eq!(list.members.last(), Some(&POISONED_AT));
                 assert_eq!(list.member_dists.last(), Some(&Dist::INFINITY));
             }
             let coded = got.list_blocks().into_iter().flatten().flatten();
+            let lanes = metric.lanes_supported();
             assert_eq!(
                 coded.clone().count(),
-                if blocked { got.num_reps() } else { 0 }
+                if lanes { got.num_reps() } else { 0 }
             );
             assert!(coded
                 .map(|m| m.codes().expect("coded"))
@@ -537,14 +558,16 @@ mod tests {
             assert!(far_coded
                 .map(|m| m.codes().expect("coded"))
                 .all(|c| c.err().is_finite()));
-            let (got_answers, got_stats) = got.query_batch_k(&queries, 3);
-            let (want_answers, want_stats) = want.query_batch_k(&queries, 3);
+            let (got_answers, got_stats) = got.query_batch_k(queries, 3);
+            let (want_answers, want_stats) = want.query_batch_k(queries, 3);
             assert_eq!(got_answers, want_answers);
             assert_eq!(
                 got_stats.list_distance_evals,
                 want_stats.list_distance_evals
             );
         }
+        check(Euclidean, &databases, &queries, &params);
+        check(PerPoint(Euclidean), &databases, &queries, &params);
     }
 
     #[test]

@@ -150,8 +150,8 @@ impl Default for RbcConfig {
 
 impl RbcConfig {
     /// Configuration that runs every brute-force call sequentially; used
-    /// for single-core baselines and by the SIMT device model, which does
-    /// its own scheduling.
+    /// for single-core baselines and wherever work counts must not depend
+    /// on the schedule.
     pub fn sequential() -> Self {
         Self {
             bf: BfConfig::sequential(),

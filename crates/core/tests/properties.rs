@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use rbc_bruteforce::{BruteForce, Neighbor};
 use rbc_core::{BatchPlan, ExactRbc, OneShotRbc, RbcConfig, RbcParams};
-use rbc_metric::{Dataset, Euclidean, Manhattan, Metric, VectorSet};
+use rbc_metric::{Dataset, Euclidean, Manhattan, Metric, PerPoint, VectorSet};
 
 const DIM: usize = 3;
 
@@ -307,7 +307,8 @@ proptest! {
     }
 
     /// Both scan layouts — lane groups from the blocked mirrors, or the
-    /// row-major fallback scoring each group member by member — return
+    /// row-major fallback scoring each group member by member (what
+    /// `PerPoint(Euclidean)`, having no lanes, gets) — return
     /// bit-identical neighbors and ordering, across k ∈ {1, 5, n}, in a batch
     /// and row by row (run the suite under `RBC_FORCE_SCALAR=1` to cover
     /// the scalar kernels too), on uniform and clustered data. Clustered
@@ -339,9 +340,8 @@ proptest! {
             let db = VectorSet::from_rows(rows);
             let queries = VectorSet::from_rows(&q_rows);
             let params = RbcParams::standard(db.len(), seed).with_n_reps(n_reps.min(db.len()));
-            let mut row_major_cfg = RbcConfig::default();
-            row_major_cfg.bf.blocked = false;
-            let row_major = ExactRbc::build(&db, Euclidean, params.clone(), row_major_cfg);
+            let row_major =
+                ExactRbc::build(&db, PerPoint(Euclidean), params.clone(), RbcConfig::default());
             let blocked = ExactRbc::build(&db, Euclidean, params, RbcConfig::default());
             for k in [1usize, 5, db.len()] {
                 let (want, _) = row_major.query_batch_k(&queries, k);

@@ -3,7 +3,8 @@
 //! Maps the paper's dataset names to synthetic generators with matched
 //! cardinality and dimensionality, with a global `scale` factor so that the
 //! full experiment suite regenerates in minutes on a laptop while remaining
-//! faithful in shape. See DESIGN.md §3 for the substitution argument.
+//! faithful in shape. The crate docs state why a synthetic analogue may
+//! stand in for each corpus.
 //!
 //! | Name      | Paper size | Dim   | Analogue generator |
 //! |-----------|-----------:|------:|--------------------|

@@ -10,8 +10,11 @@
 //! dimension, and — crucially — controllable intrinsic dimension**. Every
 //! quantity the paper measures (speedup over brute force, rank error,
 //! parameter stability) depends on the data only through its size and its
-//! expansion rate, which these generators expose directly; see DESIGN.md
-//! §3 for the substitution argument.
+//! expansion rate, which these generators expose directly. That is the
+//! whole substitution argument: an analogue with the same `n`, ambient
+//! dimension and expansion rate makes the same demands on the search as
+//! the corpus it stands in for, and [`ExpansionRate`] measures the last
+//! of the three rather than assuming it.
 //!
 //! The crate also provides:
 //!

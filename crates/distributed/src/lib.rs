@@ -27,7 +27,8 @@
 //!   representative-based distribution attractive in the first place.
 //!
 //! Two transports run this protocol, bit-identically. The default is a
-//! single-process simulation (per DESIGN.md §3): worker shards are
+//! single-process simulation (see the `rbc-distributed` section of
+//! docs/ARCHITECTURE.md): worker shards are
 //! ordinary in-memory structures queried in parallel, and the
 //! communication that *would* occur is accounted by an explicit cost
 //! model ([`ClusterConfig`]). The [`net`] module is the real thing:

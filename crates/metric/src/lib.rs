@@ -42,7 +42,7 @@ pub mod vector;
 pub use dataset::{Dataset, QueryBatch, SubsetView, VectorSet, VectorSetBuilder};
 pub use discrete::{Hamming, Levenshtein, StringSet};
 pub use graph::{GraphDataset, ShortestPath};
-pub use metric::{Dist, Metric};
+pub use metric::{Dist, Metric, PerPoint};
 pub use simd::{
     active_kernel, force_kernel, screen_codes_l2, screen_squared_l2, squared_l2_lanes,
     BlockedVectors, CodeBlock, CodedVectors, KernelChoice, LaneBlock, LaneGroup, LANES,

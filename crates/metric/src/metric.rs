@@ -148,6 +148,31 @@ impl<T: ?Sized, M: Metric<T>> Metric<T> for &M {
     }
 }
 
+/// `M` without its lane kernel: the same `dist`, `dist_lower_bound` and
+/// `name`, and [`lanes_supported`](Metric::lanes_supported) left `false`.
+///
+/// Every scan picks its layout from the metric alone, so this wrapper is how
+/// a caller asks for the per-point path on a metric that has lanes — the
+/// reference the lane-blocked scans are checked against bit for bit.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PerPoint<M>(pub M);
+
+impl<T: ?Sized, M: Metric<T>> Metric<T> for PerPoint<M> {
+    #[inline]
+    fn dist(&self, a: &T, b: &T) -> Dist {
+        self.0.dist(a, b)
+    }
+
+    #[inline]
+    fn dist_lower_bound(&self, a: &T, b: &T) -> Dist {
+        self.0.dist_lower_bound(a, b)
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,6 +204,39 @@ mod tests {
         let mut keep = [0u8; 4];
         Unscreened.screen_codes(&[9.0][..], coded.block(0..3), 0.0, &mut keep);
         assert_eq!(keep, [u8::MAX, u8::MAX, u8::MAX, 0]);
+    }
+
+    #[test]
+    fn per_point_forwards_everything_but_the_lanes() {
+        let per_point = PerPoint(Euclidean);
+        assert!(Metric::<[f32]>::lanes_supported(&Euclidean));
+        assert!(!Metric::<[f32]>::lanes_supported(&per_point));
+        assert_eq!(Metric::<[f32]>::name(&per_point), "euclidean");
+        let rows = [
+            ([0.0f32, 0.0, 0.0], [3.0f32, 4.0, 12.0]),
+            ([1.0e-20, -7.5, 0.1], [2.5e18, 0.3, -0.1]),
+            ([f32::NAN, 1.0, 2.0], [0.0, 1.0, 2.0]),
+            ([f32::INFINITY, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ];
+        for (a, b) in &rows {
+            let (a, b) = (&a[..], &b[..]);
+            assert_eq!(
+                per_point.dist(a, b).to_bits(),
+                Euclidean.dist(a, b).to_bits()
+            );
+            assert_eq!(
+                per_point.dist_lower_bound(a, b).to_bits(),
+                Euclidean.dist_lower_bound(a, b).to_bits()
+            );
+        }
+        let blocked = crate::BlockedVectors::from_flat(&[0.0; 24], 3);
+        let mut out = [0.0; LANES];
+        assert!(!per_point.dist_lanes(&[1.0, 2.0, 3.0][..], blocked.group(0), &mut out));
+        // A metric whose lower bound is not the default zero.
+        let edit = PerPoint(crate::Levenshtein);
+        assert_eq!(edit.dist_lower_bound("kitten", "sit"), 3.0);
+        assert_eq!(edit.dist("kitten", "sitting"), 3.0);
+        assert_eq!(edit.name(), "levenshtein");
     }
 
     #[test]

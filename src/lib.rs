@@ -14,8 +14,6 @@
 //!   linear scan comparators.
 //! * [`data`] (`rbc-data`) — synthetic workload generators, random
 //!   projection, expansion-rate estimation.
-//! * [`device`] (`rbc-device`) — pinned CPU thread pools and the SIMT
-//!   (GPU-like) cost model used by the Table 2 reproduction.
 //! * [`distributed`] (`rbc-distributed`) — the paper's future-work
 //!   extension: the database sharded across (simulated) cluster nodes by
 //!   representative, with replicated skew-aware placement
@@ -60,7 +58,6 @@ pub use rbc_baselines as baselines;
 pub use rbc_bruteforce as bruteforce;
 pub use rbc_core as core;
 pub use rbc_data as data;
-pub use rbc_device as device;
 pub use rbc_distributed as distributed;
 pub use rbc_metric as metric;
 pub use rbc_serve as serve;
