@@ -19,9 +19,11 @@
 //!   exact and one-shot searches (the exact one screens `f32` lanes, the
 //!   one-shot one `u8` codes) under the forced-scalar kernel, SSE2 and
 //!   whatever SIMD kernel the host detects — each kernel building its own
-//!   indexes — asserts the lists and answers are **bit-identical** and the
-//!   searches' `distance_evals` equal, and
-//!   reports the speedup; `--assert-speedup X` turns the dense-kernel
+//!   indexes — asserts the lists and answers are **bit-identical**, the
+//!   one-shot lists those the canonical `BruteForce::knn` heap selects, and
+//!   the builds' and searches' `distance_evals` equal; it reports each
+//!   kernel's one-shot build time and the speedup; `--assert-speedup X`
+//!   turns the dense-kernel
 //!   ratio into a hard assertion (skipped with a notice when the host has
 //!   no SIMD kernel).
 //!
@@ -165,8 +167,9 @@ fn workload(opts: &Options) -> (VectorSet, VectorSet) {
 /// `--simd-check`: runs the dense brute-force kernel, the batched exact
 /// search and the batched one-shot search under every kernel the host
 /// supports (forced scalar, SSE2, and the detected one), each over indexes
-/// built under that kernel; asserts bit-identical lists and answers and
-/// equal evaluation counts, and reports speedups.
+/// built under that kernel; asserts bit-identical lists and answers, one-shot
+/// lists equal to the canonical heap's, and equal build and search
+/// evaluation counts, and reports build times and speedups.
 fn run_simd_check(opts: &Options) {
     let (database, queries) = workload(opts);
     force_kernel(None);
@@ -192,9 +195,10 @@ fn run_simd_check(opts: &Options) {
 
     let config = BfConfig::default();
     let bf = BruteForce::with_config(config);
-    // Each kernel builds its own indexes: the exact build's `BF(X, R)`
-    // screens lane groups, and the screen's masks differ between kernels,
-    // so that the lists do not is checked, not assumed.
+    // Each kernel builds its own indexes: the exact build's `BF(X, R)` and
+    // the one-shot build's `BF(R, X)` screen lane groups, and the screen's
+    // masks differ between kernels, so that the lists do not is checked,
+    // not assumed.
     let params = RbcParams::standard(opts.n, 42 + opts.seed);
     let rbc_config = RbcConfig {
         bf: config,
@@ -202,14 +206,16 @@ fn run_simd_check(opts: &Options) {
     };
     let build = || {
         let exact = ExactRbc::build(&database, Euclidean, params.clone(), rbc_config);
+        let start = Instant::now();
         let one_shot = OneShotRbc::build(&database, Euclidean, params.clone(), rbc_config);
+        let one_shot_ms = start.elapsed().as_secs_f64() * 1e3;
         // The one-shot arm is the code screen's: every list it scans is coded.
         let coded = one_shot.list_blocks().is_some_and(|mirrors| {
             let mut mirrors = mirrors.iter().flatten();
             mirrors.all(|mirror| mirror.codes().is_some())
         });
         assert!(coded, "the one-shot lists must be screened from codes");
-        (exact, one_shot)
+        (exact, one_shot, one_shot_ms)
     };
     /// Every list's representative, members and distance bits, in order.
     fn list_bits(lists: &[OwnershipList]) -> Vec<(usize, Vec<usize>, Vec<u64>)> {
@@ -219,6 +225,18 @@ fn run_simd_check(opts: &Options) {
             .map(|list| (list.rep_index, list.members.clone(), bits(list)))
             .collect()
     }
+    // The one-shot lists as the canonical heap selects them: `knn(R, X, s)`,
+    // which screens nothing, for the representatives every build draws.
+    let heap_lists = {
+        let reps = rbc_core::sample_representatives(opts.n, params.n_reps, params.seed);
+        let s = params.list_size.min(opts.n);
+        let (nearest, _) = bf.knn(&database.subset(&reps), &database, &Euclidean, s);
+        let lists = reps.iter().zip(nearest).map(|(&rep, nearest)| {
+            let dists = nearest.iter().map(|nb| nb.dist).collect();
+            OwnershipList::from_sorted(rep, nearest.iter().map(|nb| nb.index).collect(), dists)
+        });
+        list_bits(&lists.collect::<Vec<_>>())
+    };
 
     /// Best of three: the answers and the fastest run's milliseconds.
     fn timed<A>(mut run: impl FnMut() -> A) -> (A, f64) {
@@ -247,18 +265,37 @@ fn run_simd_check(opts: &Options) {
         "batched one-shot RBC (codes)",
     ];
     let mut runs = Vec::with_capacity(kernels.len());
-    let mut scalar_lists = None;
+    let mut scalar_build = None;
+    let mut build_ms = Vec::with_capacity(kernels.len());
     for &kernel in &kernels {
         force_kernel(Some(kernel));
-        let (exact, one_shot) = build();
+        let (exact, one_shot, one_shot_ms) = build();
+        build_ms.push(one_shot_ms);
         let lists = [list_bits(exact.lists()), list_bits(one_shot.lists())];
-        match &scalar_lists {
-            None => scalar_lists = Some(lists),
-            Some(want) => assert!(
-                &lists == want,
-                "(exact, one-shot) lists built under {} differ from the scalar build's",
-                kernel.name()
-            ),
+        assert!(
+            lists[1] == heap_lists,
+            "one-shot lists built under {} differ from the canonical heap's",
+            kernel.name()
+        );
+        let build_evals = [
+            exact.build_distance_evals(),
+            one_shot.build_distance_evals(),
+        ];
+        match &scalar_build {
+            None => scalar_build = Some((lists, build_evals)),
+            Some((want_lists, want_evals)) => {
+                assert!(
+                    &lists == want_lists,
+                    "(exact, one-shot) lists built under {} differ from the scalar build's",
+                    kernel.name()
+                );
+                assert_eq!(
+                    &build_evals,
+                    want_evals,
+                    "build distance_evals (exact, one-shot) differ between scalar and {} kernels",
+                    kernel.name()
+                );
+            }
         }
         let (dense, dense_ms) = timed(|| bf.knn(&queries, &database, &Euclidean, opts.k).0);
         let (exact_answers, exact_ms) = timed(|| exact.query_batch_k(&queries, opts.k).0);
@@ -306,7 +343,12 @@ fn run_simd_check(opts: &Options) {
         &header,
     );
     let detected_at = kernels.iter().position(|&kernel| kernel == detected);
-    let (_, _, detected_ms) = &runs[detected_at.expect("the detected kernel was run")];
+    let detected_at = detected_at.expect("the detected kernel was run");
+    let (_, _, detected_ms) = &runs[detected_at];
+    let mut row = vec!["one-shot build (once)".to_string()];
+    row.extend(build_ms.iter().map(|ms| format!("{ms:.2}")));
+    row.push(format!("{:.2}x", build_ms[0] / build_ms[detected_at]));
+    table.row(&row);
     for (w, workload) in workloads.iter().enumerate() {
         let mut row = vec![workload.to_string()];
         row.extend(runs.iter().map(|(_, _, ms)| format!("{:.2}", ms[w])));
@@ -315,7 +357,8 @@ fn run_simd_check(opts: &Options) {
     }
     table.print();
     println!(
-        "\nlists and answers bit-identical and distance_evals equal across {} kernels on all workloads.",
+        "\nlists and answers bit-identical, one-shot lists the canonical heap's, and build and \
+         search distance_evals equal across {} kernels.",
         kernels.len()
     );
 

@@ -170,13 +170,13 @@ impl BruteForce {
         D: Dataset<Item = Q::Item>,
         M: Metric<Q::Item>,
     {
-        self.knn_over::<false, _, _, _, _, _, _>(
+        self.knn_over::<false, _, _, _, _, _, _, _>(
             queries,
             db,
             metric,
-            k,
             None,
             auto_blocks(db, metric),
+            heaps(k),
             sorted_answer,
         )
     }
@@ -198,13 +198,13 @@ impl BruteForce {
         D: Dataset<Item = Q::Item>,
         M: Metric<Q::Item>,
     {
-        self.knn_over::<false, _, _, _, _, _, _>(
+        self.knn_over::<false, _, _, _, _, _, _, _>(
             queries,
             db,
             metric,
-            k,
             None,
             blocks,
+            heaps(k),
             sorted_answer,
         )
     }
@@ -212,7 +212,7 @@ impl BruteForce {
     /// [`nn`](Self::nn) with an explicitly supplied blocked mirror of `db`
     /// (see [`knn_with_blocks`](Self::knn_with_blocks)).
     ///
-    /// The one *screened* dense scan. Once a query has a finite nearest
+    /// A *screened* dense scan. Once a query has a finite nearest
     /// distance, the lane groups of each database tile are screened four
     /// at a time with [`Metric::screen_lanes`] against it, and only groups
     /// with a kept lane are scored canonically and admitted. Answers (ties
@@ -221,10 +221,10 @@ impl BruteForce {
     /// many groups were scored. This is the one-shot search's stage 1 and
     /// the exact build's `BF(X, R)`.
     ///
-    /// [`knn`](Self::knn) and [`select_with`](Self::select_with) do not
-    /// screen yet. `knn` is the brute-force reference the RBC speedups are
-    /// measured against, so screening it changes every speedup at once;
-    /// the build screen of `select_with` has not been sized.
+    /// [`select_with`](Self::select_with) screens the same way;
+    /// [`knn`](Self::knn) does not. `knn` is the brute-force reference the
+    /// RBC speedups are measured against, so screening it would change
+    /// every speedup at once.
     pub fn nn_with_blocks<Q, D, M>(
         &self,
         queries: &Q,
@@ -240,13 +240,13 @@ impl BruteForce {
         // Finished per query inside the scan: a build's `BF(X, R)` asks this
         // for every database point, and one heap-allocated answer per point
         // is memory the scanning threads' allocators keep long after.
-        self.knn_over::<true, _, _, _, _, _, _>(
+        self.knn_over::<true, _, _, _, _, _, _, _>(
             queries,
             db,
             metric,
-            1,
             None,
             blocks,
+            heaps(1),
             |_, best: TopK| best.into_sorted().pop().unwrap_or_else(Neighbor::farthest),
         )
     }
@@ -258,18 +258,34 @@ impl BruteForce {
     /// ascending by `(dist, index)`; only its results (in query order)
     /// leave the call, so no `queries × k` table of neighbors exists.
     ///
-    /// The scan is [`knn`](Self::knn)'s — same tiles, same lane kernel,
-    /// same evaluation counts — and `nearest` is exactly what `knn` returns
-    /// for that query. What differs is the comparison step: a bound and one
-    /// `select_nth_unstable` each time a `2k` buffer fills, not a `k`-deep
-    /// heap sifted on every admission. Either way a NaN distance is kept
-    /// only when fewer than `k` numbers were seen, and sorts last.
+    /// `nearest` is exactly what [`knn`](Self::knn) returns for that query,
+    /// and `distance_evals` is `knn`'s too, but the scan is
+    /// [`nn_with_blocks`](Self::nn_with_blocks)'s: once a query's threshold
+    /// is finite, lane groups are screened four at a time against it and
+    /// only groups with a kept lane are scored. The comparison step differs
+    /// from `knn`'s as well: a bound and one `select_nth_unstable` each time
+    /// a `2k` buffer fills, not a `k`-deep heap sifted on every admission.
+    /// Either way a NaN distance is kept only when fewer than `k` numbers
+    /// were seen, and sorts last.
+    ///
+    /// The threshold is the selection's running `k`-th distance, which stays
+    /// loose until much of `db` has been seen. A caller that knows better
+    /// passes `caps`, one per query: a distance **at or above** that query's
+    /// true `k`-th nearest distance in `db` (a NaN cap, like `+∞`, caps
+    /// nothing). The threshold is then never above the cap, from the first
+    /// lane group on. A cap below the true `k`-th distance is a caller bug:
+    /// the answer may then be short of `min(k, db.len())` neighbors, or
+    /// differ from `knn`'s.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`, or if `caps` is not one cap per query.
     pub fn select_with<Q, D, M, R, F>(
         &self,
         queries: &Q,
         db: &D,
         metric: &M,
         k: usize,
+        caps: Option<&[Dist]>,
         finish: F,
     ) -> (Vec<R>, BfStats)
     where
@@ -279,16 +295,22 @@ impl BruteForce {
         R: Send,
         F: Fn(usize, &[Neighbor]) -> R + Sync,
     {
+        assert!(k > 0, "k must be at least 1");
+        assert!(
+            caps.is_none_or(|caps| caps.len() == queries.len()),
+            "select_with takes one cap per query"
+        );
         // The buffer is sized by `k`; more than the database cannot come back.
         let k = k.min(db.len().max(1));
         let blocks = auto_blocks(db, metric);
-        self.knn_over::<false, _, _, _, _, _, _>(
+        let cap = |qi: usize| caps.map_or(Dist::INFINITY, |caps| caps[qi]);
+        self.knn_over::<true, _, _, _, _, _, _, _>(
             queries,
             db,
             metric,
-            k,
             None,
             blocks,
+            |qi| SelectK::new(k, cap(qi)),
             |qi, best: SelectK| finish(qi, &best.into_sorted()),
         )
     }
@@ -309,7 +331,15 @@ impl BruteForce {
         M: Metric<Q::Item>,
     {
         let list = Some(list);
-        self.knn_over::<false, _, _, _, _, _, _>(queries, db, metric, k, list, None, sorted_answer)
+        self.knn_over::<false, _, _, _, _, _, _, _>(
+            queries,
+            db,
+            metric,
+            list,
+            None,
+            heaps(k),
+            sorted_answer,
+        )
     }
 
     /// 1-NN for every query against the sub-database `X[L]`.
@@ -664,27 +694,28 @@ impl BruteForce {
     // ------------------------------------------------------------------
 
     /// The one dense scan, generic over what it fills: [`TopK`] for answers,
-    /// [`SelectK`] for builds. `finish(qi, collector)` turns query `qi`'s
-    /// filled collector into its result, on the thread that scanned it.
+    /// [`SelectK`] for builds. `start(qi)` is query `qi`'s empty collector,
+    /// and `finish(qi, collector)` turns it, filled, into its result, on the
+    /// thread that scanned it.
     ///
     /// `SCREEN` runs [`Metric::screen_lanes`] over the blocked arm, so only
     /// lane groups with a lane the screen keeps are scored. It changes what
     /// is skipped, never a distance, an answer or an evaluation count; a
-    /// canonical scan compiles to the one-group-at-a-time loop alone. Only
-    /// [`nn_with_blocks`](Self::nn_with_blocks) passes `true`: `knn` is the
-    /// brute-force reference every speedup is measured against, and
-    /// `select_with`'s build screen is still to be sized. The parameter
-    /// goes when both screen too (ROADMAP item 1, "The comparator (`knn`)
-    /// and `select_with` get the screen").
+    /// canonical scan compiles to the one-group-at-a-time loop alone.
+    /// [`nn_with_blocks`](Self::nn_with_blocks) and
+    /// [`select_with`](Self::select_with) pass `true`; `knn` is the
+    /// brute-force reference every speedup is measured against. The
+    /// parameter goes when it screens too (ROADMAP item 3, "Screen the
+    /// comparator").
     #[allow(clippy::too_many_arguments)] // deliberately a flat kernel signature
-    fn knn_over<const SCREEN: bool, Q, D, M, C, R, F>(
+    fn knn_over<const SCREEN: bool, Q, D, M, C, S, R, F>(
         &self,
         queries: &Q,
         db: &D,
         metric: &M,
-        k: usize,
         list: Option<&[usize]>,
         blocks: Option<&BlockedVectors>,
+        start: S,
         finish: F,
     ) -> (Vec<R>, BfStats)
     where
@@ -692,10 +723,10 @@ impl BruteForce {
         D: Dataset<Item = Q::Item>,
         M: Metric<Q::Item>,
         C: Collector,
+        S: Fn(usize) -> C + Sync,
         R: Send,
         F: Fn(usize, C) -> R + Sync,
     {
-        assert!(k > 0, "k must be at least 1");
         let nq = queries.len();
         let n_candidates = list.map_or(db.len(), <[usize]>::len);
         if nq == 0 {
@@ -718,7 +749,7 @@ impl BruteForce {
         // matrix-multiply access pattern from §3).
         let process_tile = |q_start: usize| -> (Vec<R>, BfStats) {
             let q_end = (q_start + query_tile).min(nq);
-            let mut collectors: Vec<C> = (q_start..q_end).map(|_| C::with_k(k)).collect();
+            let mut collectors: Vec<C> = (q_start..q_end).map(&start).collect();
             let mut evals = 0u64;
             let mut skips = 0u64;
             let mut reranked = 0u64;
@@ -836,6 +867,15 @@ fn admit_group<T: ?Sized, M: Metric<T>, C: Collector>(
             collector.offer(Neighbor::new(g * LANES + lane, d));
         }
     }
+}
+
+/// Every query's empty `k`-heap (a `knn_over` `start`).
+///
+/// # Panics
+/// Panics if `k == 0`, whether or not there are queries.
+fn heaps(k: usize) -> impl Fn(usize) -> TopK + Sync {
+    assert!(k > 0, "k must be at least 1");
+    move |_| TopK::new(k)
 }
 
 /// A query's answer from its filled heap (a `knn_over` `finish`).
@@ -1225,7 +1265,8 @@ mod tests {
     fn select_with_hands_each_query_what_knn_returns() {
         // Every point three times over (ties at every distance), sizes on
         // both sides of a lane group and a `db_tile`, `k` from one to past
-        // the database.
+        // the database; uncapped, and capped at each query's `k`-th
+        // distance, the tightest cap there is.
         let distinct = cloud(91, 6, 55);
         let mut db = VectorSet::empty(6);
         for _ in 0..3 {
@@ -1240,14 +1281,27 @@ mod tests {
         ) {
             for k in [1, 2, 40, db.len() - 1, db.len(), db.len() + 5] {
                 let (want, want_stats) = bf.knn(queries, db, metric, k);
-                let (got, stats) =
-                    bf.select_with(queries, db, metric, k, |qi, near| (qi, near.to_vec()));
-                let queries_in_order: Vec<usize> = got.iter().map(|(qi, _)| *qi).collect();
-                assert_eq!(queries_in_order, (0..queries.len()).collect::<Vec<_>>());
-                let got: Vec<Vec<Neighbor>> = got.into_iter().map(|(_, near)| near).collect();
-                let name = metric.name();
-                assert_eq!(got, want, "{name}, k {k}, {:?}", bf.config());
-                assert_eq!(stats, want_stats);
+                let kth: Vec<Dist> = want.iter().map(|near| near[near.len() - 1].dist).collect();
+                for caps in [None, Some(&kth[..])] {
+                    let (got, stats) = bf
+                        .select_with(queries, db, metric, k, caps, |qi, near| (qi, near.to_vec()));
+                    let queries_in_order: Vec<usize> = got.iter().map(|(qi, _)| *qi).collect();
+                    assert_eq!(queries_in_order, (0..queries.len()).collect::<Vec<_>>());
+                    let got: Vec<Vec<Neighbor>> = got.into_iter().map(|(_, near)| near).collect();
+                    let case = format!("{}, k {k}, capped {}", metric.name(), caps.is_some());
+                    assert_eq!(got, want, "{case}, {:?}", bf.config());
+                    // The screen skips lane groups, never an evaluation.
+                    let scored = stats.reranked_groups;
+                    assert_eq!(
+                        BfStats {
+                            reranked_groups: want_stats.reranked_groups,
+                            ..stats
+                        },
+                        want_stats,
+                        "{case}"
+                    );
+                    assert!(scored <= want_stats.reranked_groups, "{case}");
+                }
             }
         }
         for (per_point, parallel, query_tile, db_tile) in [
@@ -1270,6 +1324,43 @@ mod tests {
     }
 
     #[test]
+    fn a_capped_selection_screens_from_its_first_group() {
+        // The query's eight nearest are the last lane group, every other
+        // point ~2 000 away. Uncapped, the selection's running bound only
+        // falls to the far points' eighth, which leaves far groups open;
+        // capped at the true eighth distance, only the near group is scored.
+        let dim = 4;
+        let mut db = VectorSet::empty(dim);
+        for point in cloud(15 * LANES, dim, 58).iter() {
+            db.push(&point.iter().map(|x| x + 1000.0).collect::<Vec<_>>());
+        }
+        cloud(LANES, dim, 59)
+            .iter()
+            .for_each(|point| db.push(point));
+        let queries = VectorSet::from_rows(&[vec![0.0; 4]]);
+        let bf = BruteForce::with_config(BfConfig::sequential());
+        let (want, _) = bf.knn(&queries, &db, &Euclidean, LANES);
+        assert!(want[0].iter().all(|nb| nb.index >= 15 * LANES));
+        let kth = [want[0][LANES - 1].dist];
+        let near = |_: usize, near: &[Neighbor]| near.to_vec();
+        let (uncapped, loose) = bf.select_with(&queries, &db, &Euclidean, LANES, None, near);
+        let (capped, tight) = bf.select_with(&queries, &db, &Euclidean, LANES, Some(&kth), near);
+        assert_eq!((uncapped, capped), (want.clone(), want));
+        assert_eq!(tight.distance_evals, db.len() as u64);
+        assert_eq!(tight.reranked_groups, 1);
+        assert!(loose.reranked_groups > 2, "{loose:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "one cap per query")]
+    fn select_with_rejects_a_cap_count_other_than_the_query_count() {
+        let db = cloud(10, 2, 22);
+        let caps = [1.0; 3];
+        let _ = BruteForce::new()
+            .select_with(&db, &db, &Euclidean, 2, Some(&caps), |_, near| near.len());
+    }
+
+    #[test]
     fn empty_query_set_is_handled() {
         let db = cloud(10, 2, 21);
         let queries = VectorSet::empty(2);
@@ -1283,7 +1374,7 @@ mod tests {
     #[should_panic(expected = "k must be at least 1")]
     fn select_with_rejects_zero_k() {
         let db = cloud(10, 2, 22);
-        let _ = BruteForce::new().select_with(&db, &db, &Euclidean, 0, |_, near| near.len());
+        let _ = BruteForce::new().select_with(&db, &db, &Euclidean, 0, None, |_, near| near.len());
     }
 
     #[test]

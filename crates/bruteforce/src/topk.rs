@@ -20,11 +20,9 @@
 use crate::neighbor::Neighbor;
 use rbc_metric::Dist;
 
-/// What the dense scan needs of the per-query state it fills.
+/// What the dense scan needs of the per-query state it fills (the caller
+/// of the scan makes each query's empty collector).
 pub(crate) trait Collector {
-    /// An empty collector for the `k` nearest candidates (`k ≥ 1`).
-    fn with_k(k: usize) -> Self;
-
     /// A distance no candidate the collector would still keep exceeds
     /// (`+∞` while it keeps everything). It may be stale — larger than the
     /// true `k`-th distance so far — never smaller.
@@ -35,10 +33,6 @@ pub(crate) trait Collector {
 }
 
 impl Collector for TopK {
-    fn with_k(k: usize) -> Self {
-        Self::new(k)
-    }
-
     #[inline]
     fn threshold(&self) -> Dist {
         TopK::threshold(self)
@@ -202,6 +196,13 @@ impl TopK {
 /// `Neighbor`'s order (partitions and sorts through its integer
 /// [`sort_key`](Neighbor::sort_key)), so a NaN distance is kept only while
 /// fewer than `k` numbers have been offered and comes out last.
+///
+/// A caller that knows more than the stream has shown so far passes a
+/// *cap*: a distance at or above the `k`-th smallest of the whole stream.
+/// The threshold is then the smaller of the bound and the cap from the
+/// first offer on, and the answer is unchanged, since nothing at or under
+/// the final `k`-th is refused either way. A NaN cap, or `+∞`, caps
+/// nothing.
 #[derive(Debug)]
 pub(crate) struct SelectK {
     k: usize,
@@ -210,9 +211,24 @@ pub(crate) struct SelectK {
     buf: Vec<Neighbor>,
     /// The `k`-th smallest candidate as of the last partition.
     bound: Option<Neighbor>,
+    /// The caller's upper bound on the final `k`-th distance (`+∞` if none).
+    cap: Dist,
 }
 
 impl SelectK {
+    /// An empty collector for the `k` nearest candidates (`k ≥ 1`) of a
+    /// stream whose `k`-th smallest distance is at most `cap`.
+    pub(crate) fn new(k: usize, cap: Dist) -> Self {
+        debug_assert!(k > 0, "k must be at least 1");
+        Self {
+            k,
+            buf: Vec::with_capacity(2 * k),
+            bound: None,
+            // `min` takes the number: a NaN cap reads as +∞.
+            cap: cap.min(Dist::INFINITY),
+        }
+    }
+
     /// Moves the `k` smallest to the front and drops the rest.
     fn partition(&mut self) {
         if self.buf.len() > self.k {
@@ -234,20 +250,12 @@ impl SelectK {
 }
 
 impl Collector for SelectK {
-    fn with_k(k: usize) -> Self {
-        Self {
-            k,
-            buf: Vec::with_capacity(2 * k),
-            bound: None,
-        }
-    }
-
     #[inline]
     fn threshold(&self) -> Dist {
         match self.bound {
             // A NaN bound (fewer than `k` numbers so far) excludes nothing.
-            Some(bound) if !bound.dist.is_nan() => bound.dist,
-            _ => Dist::INFINITY,
+            Some(bound) if !bound.dist.is_nan() => bound.dist.min(self.cap),
+            _ => self.cap,
         }
     }
 
@@ -271,7 +279,11 @@ mod tests {
     use proptest::prelude::*;
 
     fn select_sorted(k: usize, stream: &[Neighbor]) -> Vec<Neighbor> {
-        let mut select = SelectK::with_k(k);
+        select_capped(k, Dist::INFINITY, stream)
+    }
+
+    fn select_capped(k: usize, cap: Dist, stream: &[Neighbor]) -> Vec<Neighbor> {
+        let mut select = SelectK::new(k, cap);
         stream.iter().for_each(|&cand| select.offer(cand));
         select.into_sorted()
     }
@@ -333,6 +345,60 @@ mod tests {
             let indices = |v: &[Neighbor]| v.iter().map(|nb| nb.index).collect::<Vec<_>>();
             prop_assert_eq!(indices(&heap.into_sorted()), indices(&got));
         }
+
+        /// Capped at the stream's true `k`-th distance, one ulp above it,
+        /// well above it, at `+∞` or at NaN, the selection is the uncapped
+        /// one. The same six levels, ties at every distance; with `nans`,
+        /// levels 0 and 1 are NaNs of either sign, and a stream with fewer
+        /// than `k` numbers has no finite cap at all.
+        #[test]
+        fn a_cap_at_or_above_the_kth_distance_changes_no_selection(
+            entries in prop::collection::vec((0u8..6, 0u32..1_000_000), 1..160),
+            k_choice in 0usize..6,
+            k_small in 1usize..12,
+            nans in any::<bool>(),
+        ) {
+            let n = entries.len();
+            let k = [1, (n - 1).max(1), n, n + 5, k_small, k_small][k_choice];
+            let stream = arrivals(&entries, |level| match level {
+                0 if nans => Dist::NAN,
+                1 if nans => -Dist::NAN,
+                _ => Dist::from(level) * 0.5,
+            });
+            let mut numbers: Vec<Dist> =
+                stream.iter().map(|cand| cand.dist).filter(|d| !d.is_nan()).collect();
+            numbers.sort_by(Dist::total_cmp);
+            let kth = numbers.get(k - 1).copied().unwrap_or(Dist::INFINITY);
+            // NaN ≠ NaN: compare indices and distance bits.
+            let bits = |v: &[Neighbor]| {
+                v.iter().map(|nb| (nb.index, nb.dist.to_bits())).collect::<Vec<_>>()
+            };
+            let uncapped = bits(&select_sorted(k, &stream));
+            for cap in [kth, kth.next_up(), kth + 10.0, Dist::INFINITY, Dist::NAN] {
+                let capped = bits(&select_capped(k, cap, &stream));
+                prop_assert_eq!(&capped, &uncapped, "k {}, cap {}", k, cap);
+            }
+        }
+    }
+
+    #[test]
+    fn a_cap_lowers_the_threshold_from_the_first_offer() {
+        let mut select = SelectK::new(2, 4.0);
+        assert_eq!(select.threshold(), 4.0);
+        // 9.0 is refused at once; the other three wait for a partition.
+        for (i, d) in [(0, 9.0), (1, 3.0), (2, Dist::NAN), (3, 4.0)] {
+            select.offer(Neighbor::new(i, d));
+        }
+        assert_eq!(select.threshold(), 4.0);
+        // The fourth admission fills the buffer: the bound (3.0) undercuts
+        // the cap.
+        select.offer(Neighbor::new(4, 1.0));
+        assert_eq!(select.threshold(), 3.0);
+        assert_eq!(
+            select.into_sorted(),
+            [Neighbor::new(4, 1.0), Neighbor::new(1, 3.0)]
+        );
+        assert_eq!(SelectK::new(2, Dist::NAN).threshold(), Dist::INFINITY);
     }
 
     #[test]
@@ -354,7 +420,7 @@ mod tests {
 
     #[test]
     fn select_k_threshold_is_infinite_until_the_kth_is_a_number() {
-        let mut select = SelectK::with_k(2);
+        let mut select = SelectK::new(2, Dist::INFINITY);
         assert_eq!(select.threshold(), Dist::INFINITY);
         for (i, d) in [(0, Dist::NAN), (1, 7.0), (2, Dist::NAN), (3, Dist::NAN)] {
             select.offer(Neighbor::new(i, d));

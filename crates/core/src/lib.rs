@@ -16,7 +16,8 @@
 //! use slightly different ownership rules:
 //!
 //! * **one-shot** ([`OneShotRbc`]): `L_r` holds the `s` nearest database
-//!   points to `r` (lists overlap); built with one call `BF(R, X)`.
+//!   points to `r` (lists overlap); built with `BF(R, X)`, in two waves
+//!   so that most representatives screen against a tight cap.
 //! * **exact** ([`ExactRbc`]): `L_r` holds every `x` whose nearest
 //!   representative is `r` (lists partition `X`); built with one call
 //!   `BF(X, R)`.

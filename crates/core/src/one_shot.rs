@@ -1,12 +1,16 @@
 //! The one-shot RBC search structure (paper §5.1).
 //!
-//! Build: choose random representatives `R`, then one call `BF(R, X)`
-//! assigns to each representative the `s` database points nearest to it
-//! (ownership lists overlap). That call is the primitive's dense scan with
-//! a *selecting* collector ([`BruteForce::select_with`]): `s` is in the
+//! Build: choose random representatives `R`, then `BF(R, X)` assigns to
+//! each representative the `s` database points nearest to it (ownership
+//! lists overlap). That is the primitive's screened dense scan with a
+//! *selecting* collector ([`BruteForce::select_with`]): `s` is in the
 //! hundreds or thousands, so each representative keeps a bound and an
 //! unsorted buffer that is partitioned when it fills, not an `s`-deep
-//! heap, and the thread that selected a list writes it. The lists overlap
+//! heap, and the thread that selected a list writes it. The scan runs in
+//! two waves, so that most representatives screen against a bound that is
+//! tight from their first lane group: every 16th selects first under its
+//! own running bound, and every other one is then capped by its distances
+//! to the members of its nearest first-wave list. The lists overlap
 //! (together they hold about `n_r·s/n` copies of the database), so each is
 //! kept as `u8` codes beside the database rather than as an `f32` copy.
 //! Search: `BF(q, R)` finds the nearest representative `r`, and
@@ -17,13 +21,21 @@
 
 use std::sync::Mutex;
 
+use rayon::prelude::*;
 use rbc_bruteforce::{BfConfig, BruteForce, GroupCursor, ListMirror, Neighbor, TopK};
 use rbc_metric::{BlockedVectors, Dataset, Dist, Metric, QueryBatch};
 
 use crate::batch_plan::{self, ListView, Stage2};
 use crate::params::{RbcConfig, RbcParams};
-use crate::reps::{gather_mirrors, sample_representatives, OwnershipList};
+use crate::reps::{sample_representatives, OwnershipList};
 use crate::stats::{QueryStats, SearchStats};
+
+/// One representative in this many (positions `0, 16, 32, …` of the draw)
+/// selects its list in the build's first wave, uncapped; the rest are
+/// capped by the first wave's lists. On the interleaved 64-cluster mixture
+/// at n = 100 000 (1 225 lists of 1 268), 1/8 and 1/16 built fastest of
+/// 1/4, 1/8, 1/16 and 1/32, within noise of each other.
+const FIRST_WAVE_STRIDE: usize = 16;
 
 /// The one-shot Random Ball Cover index.
 ///
@@ -56,18 +68,30 @@ where
 {
     /// Builds the one-shot structure over `db`.
     ///
-    /// The build is a single `BF(R, X)` call: every representative selects
-    /// its `s = params.list_size` nearest database points (bounded
-    /// selection, see [`BruteForce::select_with`]) and its list is written,
-    /// already sorted and exactly `s` long, by the thread that scanned for
-    /// it. Work is `n_r · n` distance evaluations, fully parallel; the
-    /// lists are those an `s`-deep heap per representative would produce,
-    /// ties by index included. The per-list mirrors are then coded, in
-    /// parallel, straight from the database rows (`u8` codes; no `f32` copy
-    /// of a list is made).
+    /// Every representative selects its `s = params.list_size` nearest
+    /// database points with a screened `BF(R, X)` (bounded selection, see
+    /// [`BruteForce::select_with`]), and its list is written, already
+    /// sorted and exactly `s` long, by the thread that scanned for it; on
+    /// the same thread, while its rows are hot, a metric with lanes codes
+    /// the list's mirror straight from the database rows (`u8` codes; no
+    /// `f32` copy of a list is made). The lists are those an `s`-deep heap
+    /// per representative would produce, ties by index included.
+    ///
+    /// The scan runs in two waves. Every 16th representative (`R₁`) selects
+    /// first, against its own running `s`-th distance, which stays loose
+    /// until much of `db` has been seen. Each other one (`r ∈ R₂`) is then
+    /// capped from its first lane group by the largest of its distances to
+    /// the `s` members of its nearest `R₁` list (ties to the lower
+    /// position). At least `s` points lie at or within that distance of
+    /// `r`, so it bounds `r`'s true `s`-th distance without any metric
+    /// axiom; a NaN among those distances, or no `R₁` representative at a
+    /// number distance, leaves `r` uncapped. Work is
+    /// `n_r · n + |R₂| · (|R₁| + s)` distance evaluations, every one of
+    /// them counted, fully parallel.
     ///
     /// # Panics
-    /// Panics if `db` is empty.
+    /// Panics if `db` is empty, or if a capped list comes back shorter than
+    /// `s` (a cap below the true `s`-th distance, which is a bug).
     pub fn build(db: D, metric: M, params: RbcParams, config: RbcConfig) -> Self {
         let n = db.len();
         assert!(n > 0, "cannot build an RBC over an empty database");
@@ -75,31 +99,62 @@ where
         let s = params.list_size.min(n);
 
         let bf = BruteForce::with_config(config.bf);
-        // BF(R, X): every representative selects its `s` nearest database
-        // points, and the thread that selected them writes the list.
-        let rep_view = db.subset(&rep_indices);
-        let (lists, build_stats) = bf.select_with(&rep_view, &db, &metric, s, |ri, nearest| {
-            OwnershipList::from_sorted(
-                rep_indices[ri],
-                nearest.iter().map(|nb| nb.index).collect(),
-                nearest.iter().map(|nb| nb.dist).collect(),
-            )
-        });
-
-        // Gather the mirrors once; every batched query reuses them (like the
-        // primitive, only a metric with lanes gets them). The lists are coded
-        // straight from the database rows: they hold ~16 copies of it between
-        // them, and a query screens its whole list but rescores a few per cent.
         let use_lanes = metric.lanes_supported();
+        // BF(R, X) for one wave: each representative selects its `s` nearest
+        // database points, and the thread that selected them writes the list
+        // and codes its mirror (only a metric with lanes scans one).
+        let select = |reps: &[usize], caps: Option<&[Dist]>| {
+            let view = db.subset(reps);
+            bf.select_with(&view, &db, &metric, s, caps, |ri, nearest| {
+                let members: Vec<usize> = nearest.iter().map(|nb| nb.index).collect();
+                let mirror = if use_lanes {
+                    ListMirror::gather_codes(&db, &members, None, None)
+                } else {
+                    None
+                };
+                let dists = nearest.iter().map(|nb| nb.dist).collect();
+                (OwnershipList::from_sorted(reps[ri], members, dists), mirror)
+            })
+        };
+        // The first representative of each chunk of the draw selects first.
+        let chunks = rep_indices.chunks(FIRST_WAVE_STRIDE);
+        let first: Vec<usize> = chunks.clone().map(|chunk| chunk[0]).collect();
+        let rest: Vec<usize> = chunks
+            .clone()
+            .flat_map(|chunk| &chunk[1..])
+            .copied()
+            .collect();
+
+        let (first_lists, first_stats) = select(&first, None);
+        let (caps, cap_evals) = {
+            let lists: Vec<&OwnershipList> = first_lists.iter().map(|(list, _)| list).collect();
+            second_wave_caps(&bf, &db, &metric, &lists, &rest)
+        };
+        let (rest_lists, rest_stats) = select(&rest, Some(&caps));
+        assert!(
+            rest_lists.iter().all(|(list, _)| list.len() == s),
+            "a capped list came back shorter than s = {s}: its cap was below the s-th distance"
+        );
+
+        // Back into draw order, chunk by chunk.
+        let mut rest_lists = rest_lists.into_iter();
+        let (mut lists, mut mirrors) = (Vec::new(), Vec::new());
+        for (first_list, chunk) in first_lists.into_iter().zip(chunks) {
+            let chunk_lists = rest_lists.by_ref().take(chunk.len() - 1);
+            for (list, mirror) in std::iter::once(first_list).chain(chunk_lists) {
+                lists.push(list);
+                mirrors.push(mirror);
+            }
+        }
+
+        // Like the primitive, only a metric with lanes gets mirrors; every
+        // batched query reuses them.
         let rep_blocked = if use_lanes {
             db.gather_blocked(&rep_indices)
         } else {
             None
         };
-        let list_blocks = use_lanes.then(|| {
-            let parallel = config.bf.parallel;
-            gather_mirrors(&db, &lists, ListMirror::gather_codes, false, None, parallel)
-        });
+        let list_blocks = use_lanes.then_some(mirrors);
 
         Self {
             db,
@@ -110,7 +165,9 @@ where
             lists,
             rep_blocked,
             list_blocks,
-            build_distance_evals: build_stats.distance_evals,
+            build_distance_evals: first_stats.distance_evals
+                + rest_stats.distance_evals
+                + cap_evals,
         }
     }
 
@@ -276,17 +333,82 @@ where
     }
 }
 
+/// The second wave's caps, and the distance evaluations they took: for each
+/// representative of `rest`, the largest of its distances to the members
+/// of its nearest `first` list (ties to the lower position). Each is a real
+/// upper bound on that representative's `s`-th distance — at least `s`
+/// database points lie at or within it — so the caps need no metric axiom.
+/// `+∞` when no `first` representative is at a number distance, or when any
+/// member distance is NaN.
+///
+/// The member distances are rows of [`BruteForce::rows_with`], one call per
+/// list for all the representatives that chose it (each bit-identical to
+/// [`Metric::dist`], every one computed), and the lists are shared out
+/// among the threads.
+fn second_wave_caps<D, M>(
+    bf: &BruteForce,
+    db: &D,
+    metric: &M,
+    first: &[&OwnershipList],
+    rest: &[usize],
+) -> (Vec<Dist>, u64)
+where
+    D: Dataset,
+    M: Metric<D::Item>,
+{
+    let first_reps: Vec<usize> = first.iter().map(|list| list.rep_index).collect();
+    let (nearest, nearest_stats) = bf.nn(&db.subset(rest), &db.subset(&first_reps), metric);
+    let groups = batch_plan::group_by_nearest(nearest, first.len());
+    let inner_bf = BruteForce::with_config(BfConfig {
+        parallel: false,
+        ..bf.config()
+    });
+    let cap_group = |group: &batch_plan::ListGroup| {
+        let members = &first[group.list_index].members;
+        let reps: Vec<usize> = group.queries.iter().map(|&at| rest[at]).collect();
+        let blocks = if metric.lanes_supported() {
+            db.gather_blocked(members)
+        } else {
+            None
+        };
+        let (members, reps) = (db.subset(members), db.subset(&reps));
+        inner_bf.rows_with(&reps, &members, metric, blocks.as_ref(), |_, row| {
+            let row = row
+                .iter()
+                .map(|&d| if d.is_nan() { Dist::INFINITY } else { d });
+            row.fold(Dist::NEG_INFINITY, Dist::max)
+        })
+    };
+    let capped: Vec<_> = if bf.config().parallel {
+        groups.par_iter().map(cap_group).collect()
+    } else {
+        groups.iter().map(cap_group).collect()
+    };
+    let mut caps = vec![Dist::INFINITY; rest.len()];
+    let mut evals = nearest_stats.distance_evals;
+    for (group, (group_caps, stats)) in groups.iter().zip(capped) {
+        for (&at, cap) in group.queries.iter().zip(group_caps) {
+            caps[at] = cap;
+        }
+        evals += stats.distance_evals;
+    }
+    (caps, evals)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reps::gather_mirrors;
     use rand::prelude::*;
     use rand::rngs::StdRng;
-    use rbc_metric::{Euclidean, Manhattan, PerPoint, VectorSet};
+    use rbc_metric::{
+        Euclidean, Levenshtein, Manhattan, PerPoint, SquaredEuclidean, StringSet, VectorSet,
+    };
 
     /// The lists as the heap made them: `bf.knn(R, X, s)`, every answer
     /// sorted once more by `from_pairs`.
-    fn lists_from_knn<M: Metric<[f32]>>(
-        db: &VectorSet,
+    fn lists_from_knn<D: Dataset, M: Metric<D::Item>>(
+        db: &D,
         metric: &M,
         params: &RbcParams,
         bf: BfConfig,
@@ -302,6 +424,14 @@ mod tests {
                 OwnershipList::from_pairs(rep, pairs)
             })
             .collect()
+    }
+
+    /// The build's distance evaluations: `BF(R, X)` in full, then each
+    /// second-wave representative's distances to the first wave and to the
+    /// `s` members of one first-wave list.
+    fn build_evals(n_reps: usize, n: usize, s: usize) -> u64 {
+        let first = n_reps.div_ceil(FIRST_WAVE_STRIDE);
+        (n_reps * n + (n_reps - first) * (first + s)) as u64
     }
 
     fn clustered_cloud(n: usize, dim: usize, seed: u64) -> VectorSet {
@@ -370,7 +500,7 @@ mod tests {
         }
         assert_eq!(
             rbc.build_distance_evals(),
-            (rbc.num_reps() * db.len()) as u64
+            build_evals(rbc.num_reps(), db.len(), params.list_size)
         );
     }
 
@@ -399,12 +529,12 @@ mod tests {
             let want = lists_from_knn(db, &metric, params, config.bf);
             let case = format!("{}, {case}", metric.name());
             assert_eq!(rbc.lists(), want, "{case}");
+            let s = params.list_size.min(db.len());
             assert_eq!(
                 rbc.build_distance_evals(),
-                (rbc.num_reps() * db.len()) as u64,
+                build_evals(rbc.num_reps(), db.len(), s),
                 "{case}"
             );
-            let s = params.list_size.min(db.len());
             assert!(rbc.lists().iter().all(|l| l.len() == s), "{case}");
             rbc
         }
@@ -423,6 +553,8 @@ mod tests {
                         check(db, PerPoint(Euclidean), &params, config, &case);
                     } else {
                         check(db, Euclidean, &params, config, &case);
+                        // Breaks the triangle inequality, which no cap uses.
+                        check(db, SquaredEuclidean, &params, config, &case);
                     }
 
                     // No lane kernel: the per-point arm, lower bound and all,
@@ -431,6 +563,69 @@ mod tests {
                     assert!(rbc.rep_blocked().is_none(), "{case}");
                     assert!(rbc.list_blocks().is_none(), "{case}");
                 }
+            }
+        }
+
+        // Few representatives: one (no second wave), two (a second wave of
+        // one), sixteen and seventeen (a second first-wave list) — each
+        // database is its own representative set, so every list is the
+        // database.
+        let mut drawn = Vec::new();
+        for n in [1, 2, 16, 17] {
+            let db = clustered_cloud(n, 4, 70 + n as u64);
+            let params = RbcParams::standard(n, 71).with_n_reps(n);
+            for list_size in [1, n, n + 3] {
+                let params = params.clone().with_list_size(list_size);
+                let case = format!("n = n_r = {n}, s {list_size}");
+                let config = RbcConfig::default();
+                drawn.push(check(&db, Euclidean, &params, config, &case).num_reps());
+                check(&db, PerPoint(Euclidean), &params, config, &case);
+            }
+        }
+        assert_eq!(drawn, [1, 1, 1, 2, 2, 2, 16, 16, 16, 17, 17, 17]);
+        // Fewer than sixteen drawn from a larger database, lists shorter
+        // than it and longer.
+        let db = &databases[1].1;
+        for n_reps in [1, 3, 12] {
+            for list_size in [40, db.len(), db.len() + 1] {
+                let params = RbcParams::standard(db.len(), 72)
+                    .with_n_reps(n_reps)
+                    .with_list_size(list_size);
+                let case = format!("clustered, n_r ≈ {n_reps}, s {list_size}");
+                let rbc = check(db, Euclidean, &params, RbcConfig::default(), &case);
+                assert!(rbc.num_reps() <= 16, "{case}: {} drawn", rbc.num_reps());
+            }
+        }
+    }
+
+    #[test]
+    fn levenshtein_builds_select_exactly_the_lists_the_heap_made() {
+        // Strings of 3 to 14 letters over a four-letter alphabet: lengths
+        // differ, so the per-point arm's length-difference lower bound
+        // skips candidates once a cap or a bound is finite, and ties in edit
+        // distance are everywhere. The evaluation count depends on those
+        // skips; the lists must not.
+        let mut rng = StdRng::seed_from_u64(73);
+        let words = (0..260).map(|_| {
+            let len = rng.gen_range(3usize..15);
+            (0..len)
+                .map(|_| ['a', 'c', 'g', 't'][rng.gen_range(0usize..4)])
+                .collect::<String>()
+        });
+        let db = StringSet::new(words);
+        let standard = RbcParams::standard(db.len(), 74).with_n_reps(40);
+        for list_size in [standard.list_size, 60] {
+            let params = standard.clone().with_list_size(list_size);
+            for parallel in [true, false] {
+                let mut config = RbcConfig::default();
+                config.bf.parallel = parallel;
+                let rbc = OneShotRbc::build(&db, Levenshtein, params.clone(), config);
+                assert!(
+                    rbc.num_reps() > FIRST_WAVE_STRIDE,
+                    "a second wave is capped"
+                );
+                let want = lists_from_knn(&db, &Levenshtein, &params, config.bf);
+                assert_eq!(rbc.lists(), want, "s {list_size}, parallel {parallel}");
             }
         }
     }

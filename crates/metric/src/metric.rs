@@ -24,7 +24,9 @@ pub type Dist = f64;
 ///
 /// The exact RBC search algorithm relies on axioms 3 and 4 for correctness
 /// of its pruning rules; the one-shot algorithm relies on them only through
-/// its probabilistic analysis. Use
+/// its probabilistic analysis. The one-shot build's screen cap relies on no
+/// axiom: it is the largest of `s` distances to real points, computed with
+/// [`dist`](Self::dist). Use
 /// [`check_metric_axioms`](crate::check_metric_axioms) to sanity-check a new
 /// metric against sampled triples.
 ///
