@@ -21,8 +21,11 @@
 //!   whatever SIMD kernel the host detects — each kernel building its own
 //!   indexes — asserts the lists and answers are **bit-identical**, the
 //!   one-shot lists those the canonical `BruteForce::knn` heap selects, and
-//!   the builds' and searches' `distance_evals` equal; it reports each
-//!   kernel's one-shot build time and the speedup; `--assert-speedup X`
+//!   the builds' and searches' `distance_evals` equal, and the exact
+//!   search's answers and one-thread `distance_evals` those of an exact
+//!   index over `PerPoint(Euclidean)`, which has no lanes and no screen; it
+//!   reports each kernel's one-shot build time, its exact search's
+//!   `list_reranked_groups` per query, and the speedup; `--assert-speedup X`
 //!   turns the dense-kernel
 //!   ratio into a hard assertion (skipped with a notice when the host has
 //!   no SIMD kernel).
@@ -38,7 +41,9 @@ use rbc_bench::{write_json_records, Table};
 use rbc_bruteforce::{BfConfig, BruteForce};
 use rbc_core::{ExactRbc, OneShotRbc, OwnershipList, RbcConfig, RbcParams, SearchStats};
 use rbc_data::gaussian_mixture;
-use rbc_metric::{active_kernel, force_kernel, Dataset, Euclidean, KernelChoice, VectorSet};
+use rbc_metric::{
+    active_kernel, force_kernel, Dataset, Euclidean, KernelChoice, PerPoint, VectorSet,
+};
 
 /// Command-line configuration of the batch-size sweep.
 struct Options {
@@ -168,8 +173,9 @@ fn workload(opts: &Options) -> (VectorSet, VectorSet) {
 /// search and the batched one-shot search under every kernel the host
 /// supports (forced scalar, SSE2, and the detected one), each over indexes
 /// built under that kernel; asserts bit-identical lists and answers, one-shot
-/// lists equal to the canonical heap's, and equal build and search
-/// evaluation counts, and reports build times and speedups.
+/// lists equal to the canonical heap's, equal build and search evaluation
+/// counts, and exact answers and evaluations equal to a lane-free index's,
+/// and reports build times, screened groups and speedups.
 fn run_simd_check(opts: &Options) {
     let (database, queries) = workload(opts);
     force_kernel(None);
@@ -258,6 +264,16 @@ fn run_simd_check(opts: &Options) {
         .num_threads(1)
         .build()
         .expect("the shim's builder cannot fail");
+    // The lane-free reference: over `PerPoint` the exact index scans rows,
+    // screens nothing, and computes no distance any kernel touches, so one
+    // build serves every kernel. The screen decides what is skipped, never
+    // the work: every kernel's lane build must match its answers and its
+    // evaluations.
+    let (per_point_answers, per_point_stats) = {
+        let per_point = ExactRbc::build(&database, PerPoint(Euclidean), params.clone(), rbc_config);
+        one_thread.install(|| per_point.query_batch_k(&queries, opts.k))
+    };
+    let per_query = |groups: u64| groups as f64 / queries.len() as f64;
 
     let workloads = [
         "dense BF(Q, DB)",
@@ -267,6 +283,7 @@ fn run_simd_check(opts: &Options) {
     let mut runs = Vec::with_capacity(kernels.len());
     let mut scalar_build = None;
     let mut build_ms = Vec::with_capacity(kernels.len());
+    let mut reranked_per_query = Vec::with_capacity(kernels.len());
     for &kernel in &kernels {
         force_kernel(Some(kernel));
         let (exact, one_shot, one_shot_ms) = build();
@@ -300,14 +317,23 @@ fn run_simd_check(opts: &Options) {
         let (dense, dense_ms) = timed(|| bf.knn(&queries, &database, &Euclidean, opts.k).0);
         let (exact_answers, exact_ms) = timed(|| exact.query_batch_k(&queries, opts.k).0);
         let (one_shot_answers, one_shot_ms) = timed(|| one_shot.query_batch_k(&queries, opts.k).0);
-        let evals = one_thread.install(|| {
-            let (_, exact_stats) = exact.query_batch_k(&queries, opts.k);
+        let (evals, reranked) = one_thread.install(|| {
+            let (lane_answers, exact_stats) = exact.query_batch_k(&queries, opts.k);
             let (_, one_shot_stats) = one_shot.query_batch_k(&queries, opts.k);
-            [
+            assert!(
+                lane_answers == per_point_answers
+                    && exact_stats.total_distance_evals() == per_point_stats.total_distance_evals(),
+                "exact answers or one-thread distance_evals under {} differ from the lane-free \
+                 index's",
+                kernel.name()
+            );
+            let evals = [
                 exact_stats.total_distance_evals(),
                 one_shot_stats.total_distance_evals(),
-            ]
+            ];
+            (evals, exact_stats.list_reranked_groups)
         });
+        reranked_per_query.push(per_query(reranked));
         runs.push((
             [dense, exact_answers, one_shot_answers],
             evals,
@@ -358,8 +384,20 @@ fn run_simd_check(opts: &Options) {
     table.print();
     println!(
         "\nlists and answers bit-identical, one-shot lists the canonical heap's, and build and \
-         search distance_evals equal across {} kernels.",
+         search distance_evals equal across {} kernels; exact answers and distance_evals those \
+         of the lane-free index.",
         kernels.len()
+    );
+    // Reported, never asserted: which lane groups a screen keeps depends on
+    // the kernel's rounding and on the threshold each screen was called at.
+    let screened = kernels.iter().zip(&reranked_per_query);
+    let screened: Vec<String> = screened
+        .map(|(kernel, groups)| format!("{} {groups:.1}", kernel.name()))
+        .collect();
+    println!(
+        "exact list_reranked_groups per query (one thread): {}; lane-free {:.1}",
+        screened.join(", "),
+        per_query(per_point_stats.list_reranked_groups)
     );
 
     let dense_speedup = scalar_ms[0] / detected_ms[0];

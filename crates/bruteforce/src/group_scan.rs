@@ -13,16 +13,17 @@
 //! per-lane-group `(first, last)` summary of the member distances — a
 //! quarter of the bytes, and the same range.
 //!
-//! **Screened.** Inside its run a cursor works a block of lane groups at a
-//! time. The metric first screens the block against the cursor's top-k
-//! threshold — [`Metric::screen_lanes`] over a mirror of `f32` lanes,
-//! [`Metric::screen_codes`] over one of `u8` codes; for the Euclidean
-//! metrics one pure `f32` pass that may clear a lane only when its distance
-//! is certainly above the threshold. A cleared lane is neither scored nor
-//! offered, and a group left without a kept lane is done. The screen decides
-//! only what is skipped: every distance that reaches `TopK` is computed by
-//! the canonical kernels below, so answers, ties, thresholds and evaluation
-//! counts do not depend on it.
+//! **Screened.** Inside its run a cursor scores a block of lane groups at a
+//! time, each group masked by a screen against the cursor's top-k threshold
+//! — [`Metric::screen_lanes`] over a mirror of `f32` lanes, sixteen groups
+//! of the run per call, [`Metric::screen_codes`] over one of `u8` codes, one
+//! block per call; for the Euclidean metrics one pure `f32` pass that may
+//! clear a lane only when its distance is certainly above the threshold at
+//! the call, and so above every later one. A cleared lane is neither scored
+//! nor offered, and a group left without a kept lane is done. The screen
+//! decides only what is skipped: every distance that reaches `TopK` is
+//! computed by the canonical kernels below, so answers, ties, thresholds and
+//! evaluation counts do not depend on it.
 //!
 //! **Dense.** The kept lanes are scored canonically — a whole group at once
 //! from an `f32` [`ListMirror`], lane by lane from the row-major database
@@ -35,7 +36,8 @@
 //! a batch reads again and again from cache, keep their `f32` lanes, whose
 //! surviving groups are rescored from the group the screen just read.
 //! Pruning is decided between blocks (a block that tightened the threshold
-//! re-clips the rest of the run), never inside the scoring loop. Rounding
+//! so far that an end group of the rest of the run is cut re-clips the
+//! rest), never inside the scoring loop. Rounding
 //! outward only adds evaluations of real, unflagged members and a stale
 //! threshold only prunes *less*, so with strict thresholds
 //! (`shrink == 1.0`) answers are those of a full private scan; `TopK`
@@ -45,7 +47,9 @@
 //! the list is fetched from memory once per group scan and every cursor
 //! after the first finds its tiles in cache (a √n-sized list at n = 10⁶ is
 //! 64 KB of mirror): the traffic saving of list-major batching, which
-//! [`GroupScanStats::tile_passes`] counts.
+//! [`GroupScanStats::tile_passes`] counts. Each cursor scans into a private
+//! copy of its query's accumulator, and hands it over whole when no other
+//! scan admitted anything into the query's accumulator in the meantime.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -60,13 +64,26 @@ use crate::topk::TopK;
 // A lane mask is one byte per lane group.
 const _: () = assert!(LANES == 8);
 
-/// Lane groups a cursor screens at once and scores between two re-clips of
-/// its run: it bounds how far a scan overshoots a cut that moved, at two
-/// binary searches per block that tightened the threshold (`exact_batch`
+/// Lane groups a cursor scores between two chances to re-clip its run: it
+/// bounds how far a scan overshoots a cut that moved (`exact_batch`
 /// evaluates the same ±1 % at any grain from 2 to 16, its runs being ~10
-/// groups long), and four groups give the screen kernel four independent
-/// accumulators.
+/// groups long). It is also the screen's grain on a coded mirror, whose kept
+/// lanes are rescored from database rows, and four groups give the screen
+/// kernel four independent accumulators. A re-clip grain that differed by
+/// lane kind would make the evaluation counts differ by lane kind too.
 const RECLIP_GROUPS: usize = 4;
+
+/// Lane groups one [`Metric::screen_lanes`] call covers on an `f32` mirror,
+/// screened against the threshold at the call and consumed
+/// [`RECLIP_GROUPS`] at a time. A mask from a staler threshold only keeps
+/// more lanes, each rescored from the group just read and turned away by
+/// `TopK`, so the work and the answers are those of one screen per block;
+/// the kernel call and its setup are paid once per 16 groups. Measured on a
+/// 2-vCPU AVX2+FMA host: `exact_batch` (n = 200 000, k = 10) read 68.4 k
+/// `qps` at a grain of 4 and 71.0 k at 16 (4 of 4 pairs); the same grain on
+/// coded mirrors took `oneshot_batch` from 187 k to 153 k, since their kept
+/// lanes are rescored from rows, so those keep one screen per block.
+const SCREEN_AHEAD_GROUPS: usize = 16;
 
 /// Per-query cursor state for a shared ownership-list scan
 /// ([`BruteForce::knn_group_in_list`]).
@@ -144,8 +161,9 @@ pub struct GroupScanStats {
     /// the groups of the runs that survived [`Metric::screen_lanes`] or
     /// [`Metric::screen_codes`] (all of them for a metric without a screen).
     /// Unlike every other field this depends on the active kernel's rounding
-    /// and, through the threshold each block was screened against, on scan
-    /// order — report it, never gate on it or compare it for equality.
+    /// and, through the threshold each screen was called at, on scan order
+    /// and on how far ahead a screen reaches — report it, never gate on it
+    /// or compare it for equality.
     pub reranked: u64,
 }
 
@@ -513,11 +531,47 @@ where
         self.clip(cursor, kth.min(cursor.threshold_cap), 0..self.groups())
     }
 
+    /// The distances to the representative of the first and the last member
+    /// of lane group `g`, from the summary when the list has one.
+    #[inline]
+    fn group_ends(&self, g: usize) -> (Dist, Dist) {
+        match self.summary.get(g) {
+            Some(&ends) => ends,
+            None => {
+                let members = self.group_members(g);
+                (
+                    self.member_dists[members.start],
+                    self.member_dists[members.end - 1],
+                )
+            }
+        }
+    }
+
+    /// Whether [`clip`](Self::clip) at `bound` could return anything but the
+    /// non-empty `run`. Both cuts are monotone in the sorted member
+    /// distance, so only an end group can leave: the first one when its last
+    /// member is behind the near cut, the last one when its first member is
+    /// beyond the far cut, and a lone group also when its last member is
+    /// beyond the far cut (its members may then all be cut one way or the
+    /// other). When none of these holds, `clip` returns `run` as it is.
+    #[inline]
+    fn ends_can_move(&self, cursor: &GroupCursor, bound: Dist, run: &Range<usize>) -> bool {
+        if self.member_dists.is_empty() {
+            return false;
+        }
+        let t = bound / self.shrink;
+        let (first, last) = (self.group_ends(run.start), self.group_ends(run.end - 1));
+        cursor.behind(first.1, t)
+            || cursor.beyond(last.0, t)
+            || (run.len() == 1 && cursor.beyond(first.1, t))
+    }
+
     /// Scores `run` — what [`enter`](Self::enter) returned for `topk`'s
-    /// threshold — into `topk`, a block of lane groups at a time: the block
-    /// is screened against the threshold it was entered with, its surviving
-    /// groups are scored canonically, and the rest of the run is re-clipped
-    /// if that tightened the threshold. `fresh` receives every candidate
+    /// threshold — into `topk`, [`RECLIP_GROUPS`] lane groups at a time: the
+    /// block's masks come from a screen against an earlier or the current
+    /// threshold, its surviving groups are scored canonically, and when that
+    /// tightened the threshold so far that an end group of the rest of the
+    /// run is cut, the rest is re-clipped. `fresh` receives every candidate
     /// `topk` let in, `touched` every tile a group of the run lies in.
     fn scan(
         &self,
@@ -531,16 +585,31 @@ where
         let mut bound = topk.threshold().min(cursor.threshold_cap);
         let mut work = CursorWork::default();
         let mut lane_dists = [0.0 as Dist; LANES];
+        let ahead = match self.mirror.map(|mirror| &mirror.lanes) {
+            Some(Lanes::Floats(_)) => SCREEN_AHEAD_GROUPS,
+            _ => RECLIP_GROUPS,
+        };
+        // The masks of the lane groups `screened`, or every lane kept when
+        // there is no mirror to screen.
+        let mut masks = [u8::MAX; SCREEN_AHEAD_GROUPS];
+        let mut screened = 0..0;
         while !run.is_empty() {
             let block = run.start..(run.start + RECLIP_GROUPS).min(run.end);
-            // A lane the screen clears is above the threshold now and the
-            // threshold only falls, so `TopK` would turn it away whenever
-            // it got to it: it is neither scored nor offered.
-            let mut keep = [u8::MAX; RECLIP_GROUPS];
-            if let Some(mirror) = self.mirror {
-                mirror.screen(self.metric, q, block.clone(), topk.threshold(), &mut keep);
-            }
-            for (g, keep) in block.clone().zip(keep) {
+            // A lane the screen clears is above the threshold of the call
+            // and the threshold only falls, so `TopK` would turn it away
+            // whenever it got to it: it is neither scored nor offered.
+            let keep = match self.mirror {
+                Some(mirror) => {
+                    if block.end > screened.end {
+                        screened = block.start..(block.start + ahead).min(run.end);
+                        let keep = &mut masks[..screened.len()];
+                        mirror.screen(self.metric, q, screened.clone(), topk.threshold(), keep);
+                    }
+                    &masks[block.start - screened.start..][..block.len()]
+                }
+                None => &masks[..block.len()],
+            };
+            for (g, &keep) in block.clone().zip(keep) {
                 let live = self.live(g);
                 work.evals += u64::from(live.count_ones());
                 let kept = live & keep;
@@ -573,10 +642,30 @@ where
             let tightened = topk.threshold().min(cursor.threshold_cap);
             if tightened < bound && !run.is_empty() {
                 bound = tightened;
-                run = self.clip(cursor, bound, run);
+                if self.ends_can_move(cursor, bound, &run) {
+                    run = self.clip(cursor, bound, run);
+                }
             }
         }
         work
+    }
+}
+
+/// Hands a cursor's private collector `local` over to the `shared`
+/// accumulator it was seeded from when `shared` had made `seen` admissions;
+/// `fresh` holds what `local` admitted since. If nothing got into `shared`
+/// in between, `local` is `shared` plus the fresh candidates and is swapped
+/// in whole; otherwise the fresh candidates are pushed into `shared`. The
+/// contents are equal either way, since `TopK`'s `(dist, index)` order
+/// forgets insertion order. `fresh` is left empty.
+fn hand_over(shared: &mut TopK, seen: u64, local: &mut TopK, fresh: &mut Vec<Neighbor>) {
+    if shared.admissions == seen {
+        std::mem::swap(shared, local);
+        fresh.clear();
+    } else {
+        for candidate in fresh.drain(..) {
+            shared.push(candidate);
+        }
     }
 }
 
@@ -595,10 +684,14 @@ impl BruteForce {
     /// already answered).
     ///
     /// **Private, then merged.** Each cursor takes its accumulator's lock
-    /// twice: once to read the threshold its run is clipped against and to
-    /// seed a private `TopK`; once when its run is exhausted, to hand over
-    /// the candidates the private copy admitted (never the seeded entries,
-    /// which the shared accumulator already holds, so nothing is
+    /// twice: once to read the threshold its run is clipped against, to
+    /// note how many candidates the accumulator has admitted and to seed a
+    /// private `TopK`; once when its run is exhausted and the private copy
+    /// admitted something. If the shared accumulator admitted nothing in
+    /// between — always so for a query's only cursor in flight — the private
+    /// copy *is* the merged result and the two are swapped; otherwise the
+    /// candidates the private copy admitted are pushed (never the seeded
+    /// entries, which the shared accumulator already holds, so nothing is
     /// duplicated). All distance arithmetic runs outside the lock, so
     /// concurrent groups sharing a query never serialise their evaluations.
     #[allow(clippy::too_many_arguments)] // deliberately a flat kernel signature
@@ -647,6 +740,7 @@ impl BruteForce {
             let accumulator = &accumulators[cursor.query];
             let shared = accumulator.lock().expect("top-k accumulator lock poisoned");
             let run = list.enter(cursor, shared.threshold());
+            let seen = shared.admissions;
             if !run.is_empty() {
                 local.clone_from(&shared);
             }
@@ -655,9 +749,7 @@ impl BruteForce {
             let work = list.scan(cursor, q, run, local, touched, fresh);
             if !fresh.is_empty() {
                 let mut shared = accumulator.lock().expect("top-k accumulator lock poisoned");
-                for candidate in fresh.drain(..) {
-                    shared.push(candidate);
-                }
+                hand_over(&mut shared, seen, local, fresh);
             }
             stats.distance_evals += work.evals;
             stats.points_skipped += (members.len() - work.scored) as u64;
@@ -1221,7 +1313,9 @@ mod tests {
 
     #[test]
     fn interval_scan_is_exact_at_every_list_length() {
-        for n in [1, 7, 8, 9, 255, 256, 257] {
+        // 127..=129 and 513 run one or more whole 16-group screens and a
+        // ragged last one.
+        for n in [1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 513] {
             Case::new(n, 60 + n as u64).check();
             // k larger than the list: every unflagged member comes back.
             Case {
@@ -1239,6 +1333,14 @@ mod tests {
                 }
                 .check();
             }
+            // Tiles of five and a half lane groups: a 16-group screen spans
+            // three or four of them.
+            Case {
+                seeds: 3,
+                db_tile: 44,
+                ..Case::new(n, 100 + n as u64)
+            }
+            .check();
         }
     }
 
@@ -1308,6 +1410,38 @@ mod tests {
         }
     }
 
+    /// Query-to-representative distances the run-search tests sweep, for a
+    /// list whose member distances are `0, 0, 0, 0.5, …` up to `radius`.
+    fn run_search_to_rep(radius: Dist) -> [Dist; 10] {
+        [
+            0.0,
+            0.25,
+            0.75,
+            1.0,
+            radius / 2.0,
+            radius / 2.0 + 0.1,
+            radius,
+            radius + 0.3,
+            radius + 100.0,
+            Dist::NAN,
+        ]
+    }
+
+    /// Top-k thresholds the run-search tests sweep.
+    fn run_search_bounds(radius: Dist) -> [Dist; 9] {
+        [
+            0.0,
+            0.1,
+            0.25,
+            0.5,
+            0.75,
+            3.0,
+            radius,
+            Dist::INFINITY,
+            Dist::NAN,
+        ]
+    }
+
     #[test]
     fn summary_run_search_returns_the_member_level_range() {
         let bf = BruteForce::new();
@@ -1336,37 +1470,14 @@ mod tests {
                 assert!(scan(None).summary.is_empty());
 
                 let groups = n.div_ceil(LANES);
-                let to_rep = [
-                    0.0,
-                    0.25,
-                    0.75,
-                    1.0,
-                    radius / 2.0,
-                    radius / 2.0 + 0.1,
-                    radius,
-                    radius + 0.3,
-                    radius + 100.0,
-                    Dist::NAN,
-                ];
-                let bounds = [
-                    0.0,
-                    0.1,
-                    0.25,
-                    0.5,
-                    0.75,
-                    3.0,
-                    radius,
-                    Dist::INFINITY,
-                    Dist::NAN,
-                ];
-                for d_to_rep in to_rep {
+                for d_to_rep in run_search_to_rep(radius) {
                     for cap in [Dist::INFINITY, 0.6] {
                         let cursor = GroupCursor {
                             query: 0,
                             d_to_rep,
                             threshold_cap: cap,
                         };
-                        for kth in bounds {
+                        for kth in run_search_bounds(radius) {
                             let entry = by_members.enter(&cursor, kth);
                             assert_eq!(by_summary.enter(&cursor, kth), entry);
                             // Re-clips: every window of the list, most of
@@ -1396,6 +1507,126 @@ mod tests {
                     assert!(by_summary.enter(&between, 0.1).is_empty());
                     assert!(!by_summary.enter(&between, 0.25 * shrink).is_empty());
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_whose_end_groups_survive_the_end_test_is_clipped_to_itself() {
+        let bf = BruteForce::new();
+        let mut skipped = 0;
+        for n in [1usize, 7, 8, 9, 255, 256, 257] {
+            // The summary test's lists: every distance three times over.
+            let member_dists: Vec<Dist> = (0..n).map(|i| (i / 3) as Dist * 0.5).collect();
+            let radius = member_dists[n - 1];
+            let members: Vec<usize> = (0..n).collect();
+            let db = cloud(n, 2, n as u64);
+            let summarised = ListMirror::gather(&db, &members, Some(&member_dists), None);
+            for shrink in [1.0, 1.5] {
+                let scan = |mirror| {
+                    let dists = &member_dists;
+                    ListScan::new(
+                        &bf, &db, &Euclidean, &members, dists, shrink, true, None, mirror,
+                    )
+                };
+                let (by_summary, by_members) = (scan(summarised.as_ref()), scan(None));
+                let groups = n.div_ceil(LANES);
+                for d_to_rep in run_search_to_rep(radius) {
+                    for cap in [Dist::INFINITY, 0.6] {
+                        let cursor = GroupCursor {
+                            query: 0,
+                            d_to_rep,
+                            threshold_cap: cap,
+                        };
+                        for kth in run_search_bounds(radius) {
+                            let bound = kth.min(cap);
+                            for start in 0..groups {
+                                for end in start + 1..=groups {
+                                    for scan in [&by_summary, &by_members] {
+                                        let window = start..end;
+                                        if scan.ends_can_move(&cursor, bound, &window) {
+                                            continue;
+                                        }
+                                        skipped += 1;
+                                        assert_eq!(
+                                            scan.clip(&cursor, bound, window.clone()),
+                                            window,
+                                            "n {n} shrink {shrink} to_rep {d_to_rep} cap {cap} \
+                                             kth {kth}"
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Most windows of these lists are left as they are.
+        assert!(skipped > 100_000, "{skipped} windows passed the end test");
+    }
+
+    /// `stream` offered to a fresh `TopK::new(k)`, sorted.
+    fn private_topk(k: usize, stream: &[Neighbor]) -> Vec<Neighbor> {
+        let mut topk = TopK::new(k);
+        for &candidate in stream {
+            topk.push(candidate);
+        }
+        topk.into_sorted()
+    }
+
+    #[test]
+    fn hand_over_swaps_an_untouched_accumulator_and_re_pushes_into_a_moved_one() {
+        // k = 3: the shared accumulator is seeded with one candidate, so the
+        // NaN gets in before being pushed out, and three candidates tie at
+        // the final k-th distance (6.0), which index 1 wins.
+        let seed = [Neighbor::new(10, 4.0)];
+        let scanned = [
+            Neighbor::new(5, Dist::NAN),
+            Neighbor::new(3, 6.0),
+            Neighbor::new(1, 6.0),
+            Neighbor::new(7, 2.0),
+            Neighbor::new(2, 6.0),
+        ];
+        // Another cursor's candidate, pushed between seed and merge or not.
+        let between = Neighbor::new(8, 3.0);
+        for interleaved in [false, true] {
+            let mut shared = TopK::new(3);
+            seed.iter().for_each(|&candidate| {
+                shared.push(candidate);
+            });
+            let seen = shared.admissions;
+            let mut local = shared.clone();
+            let mut fresh = Vec::new();
+            for &candidate in &scanned {
+                if local.push(candidate) {
+                    fresh.push(candidate);
+                }
+            }
+            if interleaved {
+                assert!(shared.push(between));
+            }
+            let before = shared.clone();
+            hand_over(&mut shared, seen, &mut local, &mut fresh);
+            assert!(fresh.is_empty());
+            let mut stream = seed.to_vec();
+            if interleaved {
+                stream.push(between);
+            }
+            stream.extend(scanned);
+            let want = private_topk(3, &stream);
+            assert_eq!(shared.clone().into_sorted(), want);
+            if interleaved {
+                assert_eq!(want[..2], [Neighbor::new(7, 2.0), Neighbor::new(8, 3.0)]);
+                // Re-pushed: `local` still holds its own scan.
+                assert_eq!(
+                    local.into_sorted(),
+                    private_topk(3, &[&seed[..], &scanned].concat())
+                );
+            } else {
+                assert_eq!(want[2], Neighbor::new(1, 6.0));
+                // Swapped: `local` now holds what `shared` held.
+                assert_eq!(local.into_sorted(), before.into_sorted());
             }
         }
     }

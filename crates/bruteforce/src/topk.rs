@@ -50,6 +50,10 @@ pub struct TopK {
     k: usize,
     /// Max-heap: `heap[0]` is the current k-th (worst retained) neighbor.
     heap: Vec<Neighbor>,
+    /// Candidates [`push`](Self::push) has admitted over the collector's
+    /// life (copied by `clone`): a group scan that seeded a private copy
+    /// reads it to learn whether anyone pushed into the shared one since.
+    pub(crate) admissions: u64,
 }
 
 impl Clone for TopK {
@@ -57,6 +61,7 @@ impl Clone for TopK {
         Self {
             k: self.k,
             heap: self.heap.clone(),
+            admissions: self.admissions,
         }
     }
 
@@ -65,6 +70,7 @@ impl Clone for TopK {
     fn clone_from(&mut self, source: &Self) {
         self.k = source.k;
         self.heap.clone_from(&source.heap);
+        self.admissions = source.admissions;
     }
 }
 
@@ -78,6 +84,7 @@ impl TopK {
         Self {
             k,
             heap: Vec::with_capacity(k),
+            admissions: 0,
         }
     }
 
@@ -121,14 +128,14 @@ impl TopK {
         if self.heap.len() < self.k {
             self.heap.push(cand);
             self.sift_up(self.heap.len() - 1);
-            true
         } else if cand < self.heap[0] {
             self.heap[0] = cand;
             self.sift_down(0);
-            true
         } else {
-            false
+            return false;
         }
+        self.admissions += 1;
+        true
     }
 
     /// Merges another collector into this one.
@@ -495,6 +502,25 @@ mod tests {
         assert!(t.push(Neighbor::new(2, 3.0))); // beats the kth (4.0)
         assert!(!t.push(Neighbor::new(3, 3.0))); // ties the kth: rejected
         assert!(!t.push(Neighbor::new(4, 9.0))); // worse: rejected
+    }
+
+    #[test]
+    fn admissions_count_the_pushes_that_got_in_and_clones_copy_them() {
+        let mut t = TopK::new(2);
+        let stream = [4.0, 2.0, 3.0, 3.0, 9.0, Dist::NAN, 1.0];
+        for (i, d) in stream.into_iter().enumerate() {
+            let before = t.admissions;
+            let admitted = t.push(Neighbor::new(i, d));
+            assert_eq!(t.admissions, before + u64::from(admitted), "push {i}");
+        }
+        assert_eq!(t.admissions, 4);
+        let copy = t.clone();
+        assert_eq!(copy.admissions, 4);
+        let mut reused = TopK::new(5);
+        reused.push(Neighbor::new(0, 1.0));
+        reused.clone_from(&t);
+        assert_eq!((reused.k(), reused.admissions), (2, 4));
+        assert_eq!(reused.into_sorted(), t.into_sorted());
     }
 
     #[test]
