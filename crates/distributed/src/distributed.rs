@@ -14,8 +14,8 @@ use serde::Serialize;
 
 use crate::cluster::{ClusterConfig, CommCost};
 use crate::load::{ClusterLoad, NodeHealth, NodeLoad};
-use crate::net::codec::{QueryRequest, WireGroup};
-use crate::net::endpoint::NodeEndpoint;
+use crate::net::codec::{QueryReply, QueryRequest, WireGroup};
+use crate::net::endpoint::{InFlight, NetError, NodeEndpoint};
 use crate::placement::{Placement, PlacementPolicy};
 
 /// The attached wire transport: one endpoint per node, plus the
@@ -661,6 +661,17 @@ where
     /// neighbor, and the deterministic `(distance, index)` order makes
     /// merging per-node partial top-k sets equivalent to one global top-k.
     ///
+    /// **Over the wire** ([`with_endpoints`](Self::with_endpoints)) each
+    /// round is one pipelined exchange on the calling thread: every
+    /// contacted node's request is encoded and written, and only then are
+    /// the replies read, in contact order, so the nodes scan at the same
+    /// time. A node whose send or read fails is marked dead and its groups
+    /// take the failover path above; every other exchange of the round is
+    /// still read. Endpoints that cannot split an exchange
+    /// ([`NodeEndpoint::send`]'s provided version) make their blocking
+    /// calls on the rayon pool instead. In-process, each contacted node's
+    /// sub-plan runs on the pool.
+    ///
     /// Communication is accounted per **round** ([`CommCost::batched_round`]):
     /// one query payload per contacted node per fan-out round rather than
     /// one message per `(query, node)` pair, so headers amortise and bytes
@@ -807,11 +818,12 @@ where
     /// One fan-out round: routes `plan`'s groups (see
     /// [`route_parts`](Self::route_parts)), ships every contacted node its
     /// sub-plan — the nodes run in parallel, each over its own shard through
-    /// the same stage 2 as the centralized search — and returns every
-    /// reply's per-query partial top-k. A contact that fails (the node died
-    /// after routing) yields no reply; its groups are re-routed to
-    /// surviving replicas and retried until each has executed or is lost.
-    /// Work, traffic and losses go to `ledger`.
+    /// the same stage 2 as the centralized search; over the wire the round
+    /// is one pipelined exchange ([`wire_round`](Self::wire_round)) — and
+    /// returns every reply's per-query partial top-k. A contact that fails
+    /// (the node died after routing) yields no reply; its groups are
+    /// re-routed to surviving replicas and retried until each has executed
+    /// or is lost. Work, traffic and losses go to `ledger`.
     fn fan_out<Q>(
         &self,
         plan: &BatchPlan,
@@ -823,8 +835,9 @@ where
     where
         Q: Dataset<Item = D::Item>,
     {
-        // Per-node executions run on rayon threads; capture the enclosing
-        // scan span's context here so each node's span parents under it.
+        // Node spans may close on other threads (in-process executions run
+        // on rayon threads); capture the enclosing scan span's context here
+        // so each one parents under it.
         let scan_ctx = rbc_trace::current();
         let mut partials = Vec::new();
         let mut retry: Option<BatchPlan> = None;
@@ -841,10 +854,13 @@ where
             let contacted: Vec<usize> = (0..self.cluster.nodes)
                 .filter(|&nd| !parts[nd].groups.is_empty())
                 .collect();
-            let replies: Vec<Option<Reply>> = contacted
-                .par_iter()
-                .map(|&nd| self.execute_part(nd, &parts[nd], queries, k, rep_dists, scan_ctx))
-                .collect();
+            let replies: Vec<Option<Reply>> = match &self.wire {
+                Some(wire) => self.wire_round(wire, &contacted, &parts, queries, k, scan_ctx),
+                None => contacted
+                    .par_iter()
+                    .map(|&nd| self.execute_part(nd, &parts[nd], queries, k, rep_dists, scan_ctx))
+                    .collect(),
+            };
 
             let mut payloads = vec![0usize; self.cluster.nodes];
             let mut failed: Vec<ListGroup> = Vec::new();
@@ -905,9 +921,8 @@ where
         }
     }
 
-    /// Runs one node's sub-plan: over the wire when a transport is
-    /// attached, else in-process against the node's lists. `None` when the
-    /// node fails to reply.
+    /// Runs one node's sub-plan in-process against the node's lists.
+    /// `None` when the node fails to reply.
     fn execute_part<Q>(
         &self,
         nd: usize,
@@ -920,14 +935,8 @@ where
     where
         Q: Dataset<Item = D::Item>,
     {
-        // Over the wire, liveness is *detected*: the request is shipped and
-        // a missed deadline (connect, write, or read — including a peer
-        // hanging mid-frame) marks the node dead. In-process, the oracle
-        // simulates the same event at contact time.
-        if let Some(wire) = &self.wire {
-            let _node_span = rbc_trace::span_under("dist.node", scan_ctx);
-            return self.wire_execute(wire, nd, part, queries, k);
-        }
+        // In-process, the liveness oracle simulates at contact time what
+        // the wire detects by deadline.
         if !self.health.contact(nd) {
             return None;
         }
@@ -965,27 +974,88 @@ where
         Some((into_answers(accumulators), node_stats.list_distance_evals))
     }
 
-    /// Ships one routed sub-plan to `nd`'s endpoint and decodes the
-    /// partial top-k results. Any transport failure — most importantly
-    /// a missed deadline from a peer that hangs mid-frame — marks the
-    /// node dead ([`NodeHealth::fail`]), so the caller's existing
-    /// mid-batch re-route and flagged-prefix degradation machinery
-    /// takes over unchanged: this is failure *detection* replacing the
-    /// in-process oracle.
+    /// One fan-out round over the wire, as one pipelined exchange on this
+    /// thread: every contacted node's request is built, then every request
+    /// is sent, and only then are the replies read, in contact order. The
+    /// nodes therefore scan at the same time, and no pool thread blocks on
+    /// a socket. Sends go out in ascending node order, so rounds that share
+    /// endpoints take their connection locks in one order.
+    ///
+    /// Liveness is *detected*: a failed send or read — a missed deadline
+    /// included, most importantly from a peer that hangs mid-frame — marks
+    /// that node dead ([`NodeHealth::fail`]) and yields no reply, and the
+    /// caller's re-route and flagged-prefix degradation take over. A
+    /// failure never abandons another node's exchange: every sent request
+    /// is read (or its connection dropped) before the round returns.
+    ///
+    /// An endpoint whose [`send`](NodeEndpoint::send) defers
+    /// ([`InFlight::Deferred`]) sent nothing; its blocking call runs on
+    /// the pool, under a `dist.node` span of its own.
+    fn wire_round<Q>(
+        &self,
+        wire: &Wire<D>,
+        contacted: &[usize],
+        parts: &[BatchPlan],
+        queries: &Q,
+        k: usize,
+        scan_ctx: Option<rbc_trace::SpanCtx>,
+    ) -> Vec<Option<Reply>>
+    where
+        Q: Dataset<Item = D::Item>,
+    {
+        let requests: Vec<(QueryRequest, Vec<usize>)> = contacted
+            .iter()
+            .map(|&nd| self.wire_request(wire, &parts[nd], queries, k))
+            .collect();
+        let mut sent = Vec::with_capacity(contacted.len());
+        let mut deferred = Vec::new();
+        for (slot, (&nd, (request, _))) in contacted.iter().zip(&requests).enumerate() {
+            // The node's span runs from its send to its decoded reply, with
+            // the exchange's `net.send` and `net.recv` under it.
+            let node_span = rbc_trace::span_under("dist.node", scan_ctx);
+            match wire.endpoints[nd].send(request) {
+                InFlight::Sent(reply) => sent.push((slot, node_span, reply)),
+                InFlight::Deferred(call) => {
+                    node_span.discard();
+                    deferred.push((slot, call));
+                }
+            }
+        }
+        let mut replies: Vec<Option<Reply>> = vec![None; contacted.len()];
+        let called: Vec<(usize, Result<QueryReply, NetError>)> = deferred
+            .into_par_iter()
+            .map(|(slot, call)| {
+                let _node_span = rbc_trace::span_under("dist.node", scan_ctx);
+                (slot, call())
+            })
+            .collect();
+        for (slot, result) in called {
+            let nd = contacted[slot];
+            replies[slot] = self.wire_reply(nd, &parts[nd], &requests[slot].1, result);
+        }
+        for (slot, node_span, reply) in sent {
+            let nd = contacted[slot];
+            replies[slot] = self.wire_reply(nd, &parts[nd], &requests[slot].1, reply());
+            drop(node_span);
+        }
+        replies
+    }
+
+    /// The request that ships one routed sub-plan, and the batch position
+    /// of each of its query-table slots.
     ///
     /// The request ships each distinct query once (coordinates + the
     /// round's cap: `γ_k` in round one, `τ_q` in round two) and each group
     /// as slot indices into that table; the node recomputes `ρ(q, rep_ℓ)`
     /// from its stored representative coordinates, which is bit-identical
     /// to the coordinator's stage-1 values by the SIMD kernel invariant.
-    fn wire_execute<Q>(
+    fn wire_request<Q>(
         &self,
         wire: &Wire<D>,
-        nd: usize,
         part: &BatchPlan,
         queries: &Q,
         k: usize,
-    ) -> Option<Reply>
+    ) -> (QueryRequest, Vec<usize>)
     where
         Q: Dataset<Item = D::Item>,
     {
@@ -1045,7 +1115,19 @@ where
             coords,
             groups,
         };
-        match wire.endpoints[nd].execute(&request) {
+        (request, positions)
+    }
+
+    /// Scatters node `nd`'s reply back to batch positions, or marks the
+    /// node dead when its exchange failed.
+    fn wire_reply(
+        &self,
+        nd: usize,
+        part: &BatchPlan,
+        positions: &[usize],
+        result: Result<QueryReply, NetError>,
+    ) -> Option<Reply> {
+        match result {
             Ok(reply) => {
                 let mut partials = vec![Vec::new(); part.queries];
                 for (slot, result) in reply.results.iter().enumerate() {

@@ -10,17 +10,23 @@
 //! coordinator reacts exactly as it does to an in-process mid-batch
 //! crash (re-route, then degrade).
 //!
-//! Every send/receive is wrapped in `net.send` / `net.recv` spans, a
-//! detected deadline miss records a `net.timeout` interval, and the
-//! `rbc_net_*` counter families in the shared metric registry meter
-//! frames, bytes, timeouts, and connects per node.
+//! An exchange comes in two halves: [`NodeEndpoint::send`] starts it and
+//! [`InFlight::wait`] reads the reply. The coordinator's fan-out round
+//! sends every contacted node its request before it waits on any, so the
+//! nodes scan at the same time while one thread drives all the sockets.
+//!
+//! Every send/receive is wrapped in `net.send` / `net.recv` spans (both
+//! children of the span current when the exchange was sent), a detected
+//! deadline miss records a `net.timeout` interval, and the `rbc_net_*`
+//! counter families in the shared metric registry meter frames, bytes,
+//! timeouts, and connects per node.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use rbc_trace::registry;
@@ -101,6 +107,12 @@ fn is_timeout(e: &io::Error) -> bool {
 /// anything that honors the contract: `execute` returns the partial
 /// top-k results for the request's query table, or an error the
 /// coordinator treats as a mid-batch node failure.
+///
+/// An exchange may also be split: [`send`](Self::send) starts it and
+/// [`InFlight::wait`] finishes it, so a caller can put several nodes'
+/// requests on the wire before it blocks on any reply. An endpoint that
+/// implements only `node`, `execute` and `probe` gets a `send` that defers
+/// the whole call, which the coordinator then runs on its pool.
 pub trait NodeEndpoint: Send + Sync + fmt::Debug {
     /// The node id this endpoint reaches.
     fn node(&self) -> usize;
@@ -113,11 +125,47 @@ pub trait NodeEndpoint: Send + Sync + fmt::Debug {
     /// the node dead and re-routes.
     fn execute(&self, request: &QueryRequest) -> Result<QueryReply, NetError>;
 
+    /// Starts an exchange; [`InFlight::wait`] returns what
+    /// [`execute`](Self::execute) would. An endpoint that can write the
+    /// request now and read the reply later returns [`InFlight::Sent`];
+    /// this provided version sends nothing and returns
+    /// [`InFlight::Deferred`], which makes the whole `execute` call when
+    /// run.
+    fn send<'a>(&'a self, request: &'a QueryRequest) -> InFlight<'a> {
+        InFlight::Deferred(Box::new(move || self.execute(request)))
+    }
+
     /// Health probe.
     ///
     /// # Errors
     /// Any transport, deadline, or protocol failure.
     fn probe(&self) -> Result<ProbeAck, NetError>;
+}
+
+/// One exchange started by [`NodeEndpoint::send`].
+pub enum InFlight<'a> {
+    /// The request is on the wire; the closure reads and decodes the
+    /// reply. It holds whatever keeps that reply correlated — for
+    /// [`TcpNodeClient`], the connection lock — so another exchange on the
+    /// same endpoint waits until this one is read.
+    Sent(Box<dyn FnOnce() -> Result<QueryReply, NetError> + 'a>),
+    /// Nothing is sent yet: the closure makes the whole blocking call, on
+    /// whichever thread runs it.
+    Deferred(Box<dyn FnOnce() -> Result<QueryReply, NetError> + Send + 'a>),
+}
+
+impl InFlight<'_> {
+    /// Finishes the exchange: reads the reply of a sent request, or makes
+    /// the deferred call.
+    ///
+    /// # Errors
+    /// Any transport, deadline, or protocol failure.
+    pub fn wait(self) -> Result<QueryReply, NetError> {
+        match self {
+            Self::Sent(reply) => reply(),
+            Self::Deferred(call) => call(),
+        }
+    }
 }
 
 /// Per-endpoint wire telemetry: actual bytes and frames on the socket
@@ -202,6 +250,12 @@ impl RegCounters {
 /// Framed-TCP client for one node: a persistent connection (re-dialed
 /// on demand with bounded retries), request-id correlation, and the
 /// deadline behavior described on [the module](self).
+///
+/// [`send`](NodeEndpoint::send) writes the request frame at once and
+/// keeps the connection locked until the reply is read, so exchanges on
+/// one client never interleave. An exchange dropped unread drops its
+/// connection too, so no stale reply is left on a live stream.
+/// [`execute`](NodeEndpoint::execute) is `send` followed by `wait`.
 #[derive(Debug)]
 pub struct TcpNodeClient {
     node: usize,
@@ -278,10 +332,30 @@ impl TcpNodeClient {
             .log(format!("node {} TIMEOUT during {stage}", self.node));
     }
 
-    /// One request/reply exchange. On any failure the cached connection
-    /// is dropped, so the next exchange re-dials a clean stream.
-    fn call(&self, kind: MsgKind, payload: &[u8]) -> Result<(MsgKind, u64, Vec<u8>), NetError> {
+    /// Writes one request frame and returns the exchange awaiting its
+    /// reply.
+    fn start(&self, kind: MsgKind, payload: &[u8]) -> Exchange<'_> {
+        let parent = rbc_trace::current();
         let request_id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
+        let sent = Some(self.write_request(kind, request_id, payload));
+        Exchange {
+            client: self,
+            parent,
+            request_id,
+            sent,
+        }
+    }
+
+    /// Locks the connection (dialing it if needed) and writes the request
+    /// frame; returns the locked connection and when the write began. On
+    /// any failure the cached connection is dropped, so the next exchange
+    /// re-dials a clean stream.
+    fn write_request(
+        &self,
+        kind: MsgKind,
+        request_id: u64,
+        payload: &[u8],
+    ) -> Result<(Connection<'_>, Instant), NetError> {
         let mut conn = self.conn.lock().expect("connection lock poisoned");
         if conn.is_none() {
             *conn = Some(self.dial()?);
@@ -303,6 +377,7 @@ impl TcpNodeClient {
                     "node {} SEND {kind:?} id={request_id} bytes={bytes}",
                     self.node
                 ));
+                Ok((conn, started))
             }
             Err(e) => {
                 *conn = None;
@@ -311,53 +386,14 @@ impl TcpNodeClient {
                     rbc_trace::record_interval("net.timeout", None, started, Instant::now());
                     return Err(NetError::Deadline("send"));
                 }
-                return Err(NetError::Io(e));
+                Err(NetError::Io(e))
             }
         }
+    }
 
-        let recv_result = {
-            let _recv_span = rbc_trace::span("net.recv");
-            let mut reader = CountingReader::new(&mut *stream);
-            read_frame(&mut reader)
-        };
-        match recv_result {
-            Ok((frame, bytes)) => {
-                self.counters.bytes_in.fetch_add(bytes, Ordering::Relaxed);
-                self.counters.frames_in.fetch_add(1, Ordering::Relaxed);
-                self.reg.bytes_in.add(bytes);
-                self.reg.frames_in.inc();
-                self.counters.log(format!(
-                    "node {} RECV {:?} id={} bytes={bytes}",
-                    self.node, frame.kind, frame.request_id
-                ));
-                if frame.request_id != request_id {
-                    *conn = None;
-                    return Err(NetError::Protocol(format!(
-                        "reply id {} for request {request_id}",
-                        frame.request_id
-                    )));
-                }
-                if frame.kind == MsgKind::Error {
-                    return Err(NetError::Protocol(format!(
-                        "node error: {}",
-                        String::from_utf8_lossy(&frame.payload)
-                    )));
-                }
-                Ok((frame.kind, frame.request_id, frame.payload))
-            }
-            Err(FrameError::Io(e)) if is_timeout(&e) => {
-                // The deadline fired: either no reply at all, or a peer
-                // that went silent mid-frame. Both are failure detection.
-                *conn = None;
-                self.on_timeout("recv");
-                rbc_trace::record_interval("net.timeout", None, started, Instant::now());
-                Err(NetError::Deadline("recv"))
-            }
-            Err(e) => {
-                *conn = None;
-                Err(NetError::Frame(e))
-            }
-        }
+    /// One blocking request/reply exchange.
+    fn call(&self, kind: MsgKind, payload: &[u8]) -> Result<(MsgKind, Vec<u8>), NetError> {
+        self.start(kind, payload).finish()
     }
 
     fn expect_kind(
@@ -381,7 +417,7 @@ impl TcpNodeClient {
     /// # Errors
     /// Any transport, deadline, or protocol failure.
     pub fn hang(&self) -> Result<(), NetError> {
-        let (kind, _, payload) = self.call(MsgKind::Hang, &[])?;
+        let (kind, payload) = self.call(MsgKind::Hang, &[])?;
         self.expect_kind(kind, MsgKind::Ack, payload).map(|_| ())
     }
 
@@ -390,8 +426,88 @@ impl TcpNodeClient {
     /// # Errors
     /// Any transport, deadline, or protocol failure.
     pub fn shutdown(&self) -> Result<(), NetError> {
-        let (kind, _, payload) = self.call(MsgKind::Shutdown, &[])?;
+        let (kind, payload) = self.call(MsgKind::Shutdown, &[])?;
         self.expect_kind(kind, MsgKind::Ack, payload).map(|_| ())
+    }
+}
+
+/// A client's connection slot, locked.
+type Connection<'a> = MutexGuard<'a, Option<TcpStream>>;
+
+/// One [`TcpNodeClient`] exchange after its request frame was written (or
+/// failed to be), awaiting the reply that echoes `request_id`.
+struct Exchange<'a> {
+    client: &'a TcpNodeClient,
+    /// The span current at send, which `net.recv` parents under too.
+    parent: Option<rbc_trace::SpanCtx>,
+    request_id: u64,
+    /// The locked connection carrying the request and when it was written
+    /// (a `net.timeout` interval starts there), or why the send failed;
+    /// `None` once the reply is read.
+    sent: Option<Result<(Connection<'a>, Instant), NetError>>,
+}
+
+impl Exchange<'_> {
+    /// Reads the reply: its kind and payload, after the echoed request id
+    /// and the node's error frames are checked.
+    fn finish(mut self) -> Result<(MsgKind, Vec<u8>), NetError> {
+        let (mut conn, started) = self.sent.take().expect("an exchange finishes once")?;
+        let client = self.client;
+        let request_id = self.request_id;
+        let stream = conn.as_mut().expect("a sent request has a connection");
+        let recv_result = {
+            let _recv_span = rbc_trace::span_under("net.recv", self.parent);
+            let mut reader = CountingReader::new(&mut *stream);
+            read_frame(&mut reader)
+        };
+        match recv_result {
+            Ok((frame, bytes)) => {
+                client.counters.bytes_in.fetch_add(bytes, Ordering::Relaxed);
+                client.counters.frames_in.fetch_add(1, Ordering::Relaxed);
+                client.reg.bytes_in.add(bytes);
+                client.reg.frames_in.inc();
+                client.counters.log(format!(
+                    "node {} RECV {:?} id={} bytes={bytes}",
+                    client.node, frame.kind, frame.request_id
+                ));
+                if frame.request_id != request_id {
+                    *conn = None;
+                    return Err(NetError::Protocol(format!(
+                        "reply id {} for request {request_id}",
+                        frame.request_id
+                    )));
+                }
+                if frame.kind == MsgKind::Error {
+                    return Err(NetError::Protocol(format!(
+                        "node error: {}",
+                        String::from_utf8_lossy(&frame.payload)
+                    )));
+                }
+                Ok((frame.kind, frame.payload))
+            }
+            Err(FrameError::Io(e)) if is_timeout(&e) => {
+                // The deadline fired: either no reply at all, or a peer
+                // that went silent mid-frame. Both are failure detection.
+                *conn = None;
+                client.on_timeout("recv");
+                rbc_trace::record_interval("net.timeout", None, started, Instant::now());
+                Err(NetError::Deadline("recv"))
+            }
+            Err(e) => {
+                *conn = None;
+                Err(NetError::Frame(e))
+            }
+        }
+    }
+}
+
+impl Drop for Exchange<'_> {
+    /// A reply never read would answer the connection's next request, so
+    /// an exchange dropped unread drops its connection.
+    fn drop(&mut self) {
+        if let Some(Ok((mut conn, _))) = self.sent.take() {
+            *conn = None;
+        }
     }
 }
 
@@ -401,21 +517,28 @@ impl NodeEndpoint for TcpNodeClient {
     }
 
     fn execute(&self, request: &QueryRequest) -> Result<QueryReply, NetError> {
-        let (kind, _, payload) = self.call(MsgKind::Query, &request.encode())?;
-        let payload = self.expect_kind(kind, MsgKind::Reply, payload)?;
-        let reply = QueryReply::decode(&payload).map_err(NetError::Codec)?;
-        if reply.results.len() != request.queries() {
-            return Err(NetError::Protocol(format!(
-                "{} result sets for {} queries",
-                reply.results.len(),
-                request.queries()
-            )));
-        }
-        Ok(reply)
+        self.send(request).wait()
+    }
+
+    fn send<'a>(&'a self, request: &'a QueryRequest) -> InFlight<'a> {
+        let exchange = self.start(MsgKind::Query, &request.encode());
+        let queries = request.queries();
+        InFlight::Sent(Box::new(move || {
+            let (kind, payload) = exchange.finish()?;
+            let payload = self.expect_kind(kind, MsgKind::Reply, payload)?;
+            let reply = QueryReply::decode(&payload).map_err(NetError::Codec)?;
+            if reply.results.len() != queries {
+                return Err(NetError::Protocol(format!(
+                    "{} result sets for {queries} queries",
+                    reply.results.len()
+                )));
+            }
+            Ok(reply)
+        }))
     }
 
     fn probe(&self) -> Result<ProbeAck, NetError> {
-        let (kind, _, payload) = self.call(MsgKind::Probe, &[])?;
+        let (kind, payload) = self.call(MsgKind::Probe, &[])?;
         let payload = self.expect_kind(kind, MsgKind::ProbeAck, payload)?;
         ProbeAck::decode(&payload).map_err(NetError::Codec)
     }

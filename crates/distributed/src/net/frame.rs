@@ -137,6 +137,9 @@ impl From<io::Error> for FrameError {
 /// Writes one frame; returns the total bytes put on the wire (header +
 /// payload), so callers can meter actual traffic.
 ///
+/// Header and payload go out in one `write_all`: on a `TCP_NODELAY`
+/// socket two writes would be two segments.
+///
 /// # Errors
 /// Propagates any error from the underlying writer.
 pub fn write_frame(
@@ -146,17 +149,17 @@ pub fn write_frame(
     payload: &[u8],
 ) -> io::Result<u64> {
     debug_assert!(payload.len() <= MAX_FRAME_PAYLOAD as usize);
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    header[..4].copy_from_slice(&FRAME_MAGIC);
-    header[4] = PROTOCOL_VERSION;
-    header[5] = kind as u8;
-    // bytes 6..8 reserved, zero
-    header[8..16].copy_from_slice(&request_id.to_le_bytes());
-    header[16..20].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    frame.extend_from_slice(&FRAME_MAGIC);
+    frame.push(PROTOCOL_VERSION);
+    frame.push(kind as u8);
+    frame.extend_from_slice(&[0, 0]); // reserved
+    frame.extend_from_slice(&request_id.to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
-    Ok((FRAME_HEADER_BYTES + payload.len()) as u64)
+    Ok(frame.len() as u64)
 }
 
 /// Reads one frame; returns it with the total bytes consumed.
@@ -233,6 +236,38 @@ mod tests {
         assert_eq!(frame.kind, MsgKind::Query);
         assert_eq!(frame.request_id, 42);
         assert_eq!(frame.payload, b"hello");
+    }
+
+    /// Counts the writes a frame takes.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_with_the_documented_layout() {
+        let mut writes = Writes::default();
+        let wrote = write_frame(&mut writes, MsgKind::Reply, 0x0102, b"abc").unwrap();
+        assert_eq!(writes.0.len(), 1, "header and payload in one write");
+        let frame = &writes.0[0];
+        assert_eq!(wrote as usize, frame.len());
+        assert_eq!(frame.len(), FRAME_HEADER_BYTES + 3);
+        assert_eq!(&frame[..4], b"RBCW");
+        assert_eq!(frame[4], PROTOCOL_VERSION);
+        assert_eq!(frame[5], MsgKind::Reply as u8);
+        assert_eq!(&frame[6..8], &[0, 0]);
+        assert_eq!(&frame[8..16], &0x0102u64.to_le_bytes());
+        assert_eq!(&frame[16..20], &3u32.to_le_bytes());
+        assert_eq!(&frame[20..], b"abc");
     }
 
     #[test]

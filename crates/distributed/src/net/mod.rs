@@ -14,8 +14,11 @@
 //! * [`endpoint`] — the coordinator's side: [`NodeEndpoint`] and its
 //!   framed-TCP implementation [`TcpNodeClient`], with connect/read
 //!   deadlines, retry-with-backoff, `net.send`/`net.recv`/`net.timeout`
-//!   spans and `rbc_net_*` metrics. Deadlines replace the `NodeHealth`
-//!   oracle: a peer that hangs mid-frame is *detected*, not declared;
+//!   spans and `rbc_net_*` metrics. An exchange splits into
+//!   [`NodeEndpoint::send`] and [`InFlight::wait`], so a round can put
+//!   every request on the wire before it reads a reply. Deadlines replace
+//!   the `NodeHealth` oracle: a peer that hangs mid-frame is *detected*,
+//!   not declared;
 //! * [`server`] — the node's side: [`NodeShard`] (a worker owning only
 //!   its placed lists) behind [`NodeServer`]'s accept loop, which binds
 //!   port 0 and publishes the actual address. [`spawn_local_cluster`]
@@ -25,8 +28,11 @@
 //!
 //! Attach endpoints with [`DistributedRbc::with_endpoints`]; the
 //! coordinator then ships every routed sub-plan of both fan-out rounds
-//! over the wire, and a missed deadline in either round feeds the existing
-//! mid-batch failover and flagged-prefix degradation paths unchanged.
+//! over the wire, each round as one pipelined exchange (all requests
+//! written, then all replies read in contact order, so the nodes scan at
+//! the same time), and a missed deadline in either round feeds the
+//! existing mid-batch failover and flagged-prefix degradation paths
+//! unchanged.
 //!
 //! [`DistributedRbc::with_endpoints`]: crate::DistributedRbc::with_endpoints
 
@@ -36,7 +42,7 @@ pub mod frame;
 pub mod server;
 
 pub use codec::{CodecError, ProbeAck, QueryReply, QueryRequest, WireGroup};
-pub use endpoint::{NetConfig, NetCounters, NetError, NodeEndpoint, TcpNodeClient};
+pub use endpoint::{InFlight, NetConfig, NetCounters, NetError, NodeEndpoint, TcpNodeClient};
 pub use frame::{
     read_frame, write_frame, Frame, FrameError, MsgKind, FRAME_HEADER_BYTES, FRAME_MAGIC,
     MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,

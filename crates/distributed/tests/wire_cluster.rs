@@ -11,15 +11,20 @@
 //! mid-batch failover (replicated: rerouted, nothing lost) and
 //! flagged-prefix degradation (single-owner: correct partial answers).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rbc_bruteforce::{BruteForce, Neighbor};
 use rbc_core::batch_plan::seeded_survivors;
 use rbc_core::{ExactRbc, RbcConfig, RbcParams};
 use rbc_distributed::net::{
-    spawn_local_cluster, NetConfig, NodeShard, QueryReply, QueryRequest, WireGroup,
+    spawn_local_cluster, InFlight, NetConfig, NetError, NodeServer, NodeShard, ProbeAck,
+    QueryReply, QueryRequest, TcpNodeClient, WireGroup,
 };
-use rbc_distributed::{ClusterConfig, DistributedQueryStats, DistributedRbc, PlacementPolicy};
+use rbc_distributed::{
+    ClusterConfig, DistributedQueryStats, DistributedRbc, NodeEndpoint, PlacementPolicy,
+};
 use rbc_metric::{Dataset, Euclidean, QueryBatch, VectorSet};
 
 /// Clustered rows (queries co-travel through shared ownership lists,
@@ -132,6 +137,270 @@ fn wire_transport_is_bit_identical_to_in_process() {
         );
         cluster.shutdown();
     }
+}
+
+fn evals(stats: &DistributedQueryStats) -> Vec<u64> {
+    stats.per_node.iter().map(|load| load.evals).collect()
+}
+
+/// One step of an exchange, as a logging endpoint saw it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Step {
+    Send(usize),
+    Wait(usize),
+}
+
+/// Forwards `send`/`wait` to a TCP client and logs both, in the order the
+/// coordinator makes them.
+#[derive(Debug)]
+struct Logged {
+    inner: Arc<TcpNodeClient>,
+    log: Arc<Mutex<Vec<Step>>>,
+}
+
+impl NodeEndpoint for Logged {
+    fn node(&self) -> usize {
+        self.inner.node()
+    }
+
+    fn execute(&self, request: &QueryRequest) -> Result<QueryReply, NetError> {
+        self.send(request).wait()
+    }
+
+    fn send<'a>(&'a self, request: &'a QueryRequest) -> InFlight<'a> {
+        self.log.lock().unwrap().push(Step::Send(self.node()));
+        let inner = self.inner.send(request);
+        InFlight::Sent(Box::new(move || {
+            self.log.lock().unwrap().push(Step::Wait(self.node()));
+            inner.wait()
+        }))
+    }
+
+    fn probe(&self) -> Result<ProbeAck, NetError> {
+        self.inner.probe()
+    }
+}
+
+/// Splits a log into rounds — a run of sends, then a run of waits — and
+/// returns each round's sends. Panics unless every round waits on exactly
+/// the nodes it sent to, in the order it sent.
+fn rounds(log: &[Step]) -> Vec<Vec<usize>> {
+    let mut rounds = Vec::new();
+    let mut at = 0;
+    while at < log.len() {
+        let mut sends = Vec::new();
+        while let Some(&Step::Send(nd)) = log.get(at) {
+            sends.push(nd);
+            at += 1;
+        }
+        let mut waits = Vec::new();
+        while let Some(&Step::Wait(nd)) = log.get(at) {
+            waits.push(nd);
+            at += 1;
+        }
+        assert_eq!(waits, sends, "a round reads its replies in contact order");
+        rounds.push(sends);
+    }
+    rounds
+}
+
+/// Each fan-out round is one pipelined exchange: every request of the
+/// round is sent before the first reply is awaited, and the answers and
+/// per-node work are those of the in-process twin.
+#[test]
+fn every_round_sends_all_its_requests_before_it_reads_a_reply() {
+    let (db, queries) = clustered(600, 32, 17);
+    let rbc = build_rbc(&db, 17, 24);
+    let mut widest = 0;
+    for policy in [
+        PlacementPolicy::SingleOwner,
+        PlacementPolicy::Replicated { factor: 2 },
+    ] {
+        let (local, wired) = twins(&rbc, 4, policy, db.dim());
+        let cluster =
+            spawn_local_cluster(&wired, NetConfig::default(), false).expect("cluster must start");
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let endpoints = cluster
+            .clients()
+            .iter()
+            .map(|client| {
+                Arc::new(Logged {
+                    inner: Arc::clone(client),
+                    log: Arc::clone(&log),
+                }) as Arc<dyn NodeEndpoint>
+            })
+            .collect();
+        let wired = wired.with_endpoints(endpoints);
+        for k in [1usize, 10] {
+            log.lock().unwrap().clear();
+            let (want, want_stats) = local.query_batch_exact(&queries, k);
+            let (got, got_stats) = wired.query_batch_exact(&queries, k);
+            assert_eq!(got, want, "policy={policy:?}, k={k}");
+            assert_eq!(evals(&got_stats), evals(&want_stats));
+
+            let rounds = rounds(&log.lock().unwrap());
+            assert!(
+                (1..=2).contains(&rounds.len()),
+                "two rounds at most, each one exchange: {rounds:?}"
+            );
+            let sent: usize = rounds.iter().map(Vec::len).sum();
+            assert_eq!(sent as u64, got_stats.nodes_contacted);
+            for round in &rounds {
+                assert!(round.windows(2).all(|w| w[0] < w[1]), "{round:?}");
+                widest = widest.max(round.len());
+            }
+        }
+        cluster.shutdown();
+    }
+    assert!(widest >= 2, "no round contacted two nodes");
+}
+
+/// The survivors' connection counts, by node.
+fn connects(clients: &[Arc<TcpNodeClient>]) -> Vec<u64> {
+    clients
+        .iter()
+        .map(|c| c.counters().connects.load(Ordering::Relaxed))
+        .collect()
+}
+
+/// A node that fails mid-round — its server stopped (case A), or the
+/// first-contacted node hung so its read times out before the others are
+/// read (case B) — costs only its own exchange: the round still reads every
+/// other reply, the answers match the in-process twin, and through that
+/// batch and the next every survivor stays live on the connection it
+/// already had.
+#[test]
+fn a_failure_mid_round_leaves_the_other_connections_in_step() {
+    let (db, queries) = clustered(600, 32, 19);
+    let rbc = build_rbc(&db, 19, 24);
+    let net = NetConfig {
+        read_timeout: Some(Duration::from_millis(400)),
+        ..NetConfig::default()
+    };
+    let k = 4;
+    for stop_server in [true, false] {
+        let (local, wired) = twins(&rbc, 4, PlacementPolicy::Replicated { factor: 2 }, db.dim());
+        let mut servers: Vec<NodeServer> = (0..4)
+            .map(|node| {
+                let shard = NodeShard::from_exact(wired.rbc(), wired.placement(), node);
+                NodeServer::spawn(shard, false).expect("node must start")
+            })
+            .collect();
+        let clients: Vec<Arc<TcpNodeClient>> = servers
+            .iter()
+            .enumerate()
+            .map(|(node, server)| Arc::new(TcpNodeClient::new(node, server.addr(), net)))
+            .collect();
+        for client in &clients {
+            client.probe().expect("every node answers before the drill");
+        }
+        let endpoints = clients
+            .iter()
+            .map(|c| Arc::clone(c) as Arc<dyn NodeEndpoint>)
+            .collect();
+        let wired = wired.with_endpoints(endpoints);
+        let (want, _) = local.query_batch_exact(&queries, k);
+
+        // Every node is dialed once by the probes above; a survivor that
+        // dials again lost its connection to the drill.
+        let dialed = connects(&clients);
+        let victim = if stop_server {
+            servers[1].stop();
+            // The victim's connection handler closes at its next poll of
+            // the stop flag; until then it still serves.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while clients[1].probe().is_ok() {
+                assert!(Instant::now() < deadline, "a stopped server kept serving");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            1
+        } else {
+            servers[0].arm_hang();
+            0
+        };
+        let (got, stats) = wired.query_batch_exact(&queries, k);
+        let case = if stop_server { "stopped" } else { "hung" };
+        assert_eq!(got, want, "{case} node {victim}");
+        assert!(
+            stats.rerouted_groups > 0,
+            "{case}: the victim was contacted"
+        );
+        assert_eq!(stats.lost_groups, 0);
+        assert!(!wired.health().is_live(victim));
+
+        let (again, again_stats) = wired.query_batch_exact(&queries, k);
+        assert_eq!(again, want, "{case}: second batch");
+        assert_eq!(again_stats.rerouted_groups, 0);
+        for node in (0..4).filter(|&node| node != victim) {
+            assert!(wired.health().is_live(node), "{case}: survivor {node} died");
+        }
+        let after = connects(&clients);
+        for node in (0..4).filter(|&node| node != victim) {
+            assert_eq!(
+                after[node], dialed[node],
+                "{case}: survivor {node} re-dialed — its exchange was abandoned"
+            );
+        }
+        for server in &mut servers {
+            server.stop();
+        }
+    }
+}
+
+/// An endpoint that implements only `node`, `execute` and `probe`, and
+/// counts its calls.
+#[derive(Debug)]
+struct ExecuteOnly {
+    inner: Arc<TcpNodeClient>,
+    calls: Arc<AtomicU64>,
+}
+
+impl NodeEndpoint for ExecuteOnly {
+    fn node(&self) -> usize {
+        self.inner.node()
+    }
+
+    fn execute(&self, request: &QueryRequest) -> Result<QueryReply, NetError> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.execute(request)
+    }
+
+    fn probe(&self) -> Result<ProbeAck, NetError> {
+        self.inner.probe()
+    }
+}
+
+/// An endpoint without its own `send` defers: the round makes every one of
+/// its exchanges through `execute`, and the answers and per-node work do
+/// not change.
+#[test]
+fn an_endpoint_without_send_sees_every_exchange_through_execute() {
+    let (db, queries) = clustered(600, 32, 23);
+    let rbc = build_rbc(&db, 23, 24);
+    let (local, wired) = twins(&rbc, 4, PlacementPolicy::Replicated { factor: 2 }, db.dim());
+    let cluster =
+        spawn_local_cluster(&wired, NetConfig::default(), false).expect("cluster must start");
+    let calls = Arc::new(AtomicU64::new(0));
+    let endpoints = cluster
+        .clients()
+        .iter()
+        .map(|client| {
+            Arc::new(ExecuteOnly {
+                inner: Arc::clone(client),
+                calls: Arc::clone(&calls),
+            }) as Arc<dyn NodeEndpoint>
+        })
+        .collect();
+    let wired = wired.with_endpoints(endpoints);
+    for k in [1usize, 10] {
+        calls.store(0, Ordering::Relaxed);
+        let (want, want_stats) = local.query_batch_exact(&queries, k);
+        let (got, got_stats) = wired.query_batch_exact(&queries, k);
+        assert_eq!(got, want, "k={k}");
+        assert_eq!(evals(&got_stats), evals(&want_stats));
+        assert_eq!(calls.load(Ordering::Relaxed), got_stats.nodes_contacted);
+    }
+    cluster.shutdown();
 }
 
 /// A shard that holds none of a query's three nearest lists starts its

@@ -6,14 +6,24 @@
 //! batch execution span must cover the reply's measured latency to
 //! within 10%.
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use rbc_core::{ExactRbc, RbcConfig, RbcParams};
+use rbc_distributed::net::{spawn_local_cluster, NetConfig};
 use rbc_distributed::{ClusterConfig, DistributedRbc};
 use rbc_metric::Euclidean;
 use rbc_metric::VectorSet;
 use rbc_serve::{Engine, ServeConfig};
 use rbc_trace::{clear, drain, set_sampling, Sampling, SpanRecord};
+
+/// Sampling and the span rings are process-global, so the tests here must
+/// not interleave.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Deterministic pseudo-random cloud (LCG; no RNG dependency needed).
 fn cloud(n: usize, dim: usize, seed: u64) -> VectorSet {
@@ -45,8 +55,8 @@ fn descends_from(records: &[SpanRecord], record: &SpanRecord, root_id: u64) -> b
     false
 }
 
-#[test]
-fn one_query_through_a_four_node_cluster_yields_one_accounting_tree() {
+/// The four-node cluster both tests serve from.
+fn four_node_cluster() -> (VectorSet, DistributedRbc<VectorSet, Euclidean>) {
     let db = cloud(600, 6, 11);
     let index = ExactRbc::build(
         db.clone(),
@@ -55,7 +65,15 @@ fn one_query_through_a_four_node_cluster_yields_one_accounting_tree() {
         RbcConfig::default(),
     );
     let sharded = DistributedRbc::from_exact(index, ClusterConfig::with_nodes(4), db.dim());
+    (db, sharded)
+}
 
+/// Serves point 17 of `db` through an engine over `index` with every span
+/// sampled; returns the recorded spans and the reply's measured latency.
+fn trace_one_query(
+    db: &VectorSet,
+    index: DistributedRbc<VectorSet, Euclidean>,
+) -> (Vec<SpanRecord>, Duration) {
     set_sampling(Sampling::Always);
     clear();
 
@@ -63,7 +81,7 @@ fn one_query_through_a_four_node_cluster_yields_one_accounting_tree() {
     // — exactly what the trace must attribute — and keeps the wall time
     // large relative to scheduling noise for the 10% accounting check.
     let engine = Engine::start(
-        sharded,
+        index,
         ServeConfig::default()
             .with_workers(1)
             .with_max_batch(16)
@@ -80,6 +98,14 @@ fn one_query_through_a_four_node_cluster_yields_one_accounting_tree() {
 
     let records = drain();
     set_sampling(Sampling::Off);
+    (records, reply.latency)
+}
+
+#[test]
+fn one_query_through_a_four_node_cluster_yields_one_accounting_tree() {
+    let _serial = serial();
+    let (db, sharded) = four_node_cluster();
+    let (records, latency) = trace_one_query(&db, sharded);
 
     // Exactly one root: the micro-batch the query rode in.
     let roots: Vec<&SpanRecord> = records.iter().filter(|r| r.parent.is_none()).collect();
@@ -138,7 +164,7 @@ fn one_query_through_a_four_node_cluster_yields_one_accounting_tree() {
     // execution span cover the reply's measured submit-to-completion
     // latency to within 10%.
     let covered = Duration::from_nanos(queue_wait.dur_ns + root.dur_ns);
-    let wall = reply.latency;
+    let wall = latency;
     let ratio = covered.as_secs_f64() / wall.as_secs_f64().max(1e-12);
     assert!(
         (0.9..=1.1).contains(&ratio),
@@ -153,4 +179,81 @@ fn one_query_through_a_four_node_cluster_yields_one_accounting_tree() {
         assert!(node.dur_ns <= scan.dur_ns);
     }
     assert!(replan.dur_ns <= scan.dur_ns);
+}
+
+/// The same query over a wire cluster: each node's exchange is one
+/// `dist.node` span under the scan, from its send to its decoded reply,
+/// holding exactly one `net.send` and one `net.recv`, and the tree still
+/// accounts for the reply's latency.
+#[test]
+fn one_query_through_a_four_node_wire_cluster_yields_one_accounting_tree() {
+    let _serial = serial();
+    let (db, sharded) = four_node_cluster();
+    let cluster =
+        spawn_local_cluster(&sharded, NetConfig::default(), false).expect("cluster must start");
+    let wired = sharded.with_endpoints(cluster.endpoints());
+    let (records, latency) = trace_one_query(&db, wired);
+    cluster.shutdown();
+
+    // The node servers run as threads of this process, and their scans
+    // open trees of their own; the coordinator's tree is the one rooted
+    // at the batch.
+    let roots: Vec<&SpanRecord> = records
+        .iter()
+        .filter(|r| r.parent.is_none() && r.label == "serve.batch")
+        .collect();
+    assert_eq!(roots.len(), 1, "one batch tree, got {roots:?}");
+    let root = roots[0];
+    for record in &records {
+        if ["serve.", "dist.", "net."]
+            .iter()
+            .any(|p| record.label.starts_with(p))
+        {
+            assert!(
+                record.id == root.id || descends_from(&records, record, root.id),
+                "span {record:?} is outside the batch's tree"
+            );
+        }
+    }
+    let find_all =
+        |label: &str| -> Vec<&SpanRecord> { records.iter().filter(|r| r.label == label).collect() };
+    let scans = find_all("dist.scan");
+    assert_eq!(scans.len(), 1);
+    let scan = scans[0];
+
+    let nodes = find_all("dist.node");
+    assert!(
+        (2..=5).contains(&nodes.len()),
+        "expected 2..=5 per-node exchange spans, got {}",
+        nodes.len()
+    );
+    for node in &nodes {
+        assert_eq!(node.parent, Some(scan.id));
+        assert!(node.start_ns >= scan.start_ns);
+        assert!(node.start_ns + node.dur_ns <= scan.start_ns + scan.dur_ns);
+        for label in ["net.send", "net.recv"] {
+            let children: Vec<&SpanRecord> = records
+                .iter()
+                .filter(|r| r.label == label && r.parent == Some(node.id))
+                .collect();
+            assert_eq!(children.len(), 1, "{label} under {node:?}");
+            let child = children[0];
+            assert!(child.start_ns >= node.start_ns);
+            assert!(child.start_ns + child.dur_ns <= node.start_ns + node.dur_ns);
+        }
+    }
+    assert_eq!(
+        find_all("net.send").len(),
+        nodes.len(),
+        "every exchange sits under a node span"
+    );
+
+    let queue_wait = find_all("serve.queue_wait");
+    assert_eq!(queue_wait.len(), 1);
+    let covered = Duration::from_nanos(queue_wait[0].dur_ns + root.dur_ns);
+    let ratio = covered.as_secs_f64() / latency.as_secs_f64().max(1e-12);
+    assert!(
+        (0.9..=1.1).contains(&ratio),
+        "trace covers {covered:?} of {latency:?} measured latency (ratio {ratio:.3})"
+    );
 }

@@ -112,6 +112,40 @@ mod tests {
     }
 
     #[test]
+    fn sibling_spans_close_in_any_order_and_a_discarded_one_leaves_no_trace() {
+        let _guard = fresh(Sampling::Always);
+        {
+            let root = span("root");
+            let first = span_under("root.first", root.ctx());
+            let first_child = span("root.first.child");
+            drop(first_child);
+            let second = span_under("root.second", root.ctx());
+            let skipped = span_under("root.skipped", root.ctx());
+            skipped.discard();
+            // The latest open sibling parents new spans; closing the
+            // first one before it leaves that unchanged.
+            drop(first);
+            assert_eq!(current(), second.ctx());
+            drop(span("root.second.child"));
+            drop(second);
+            assert_eq!(current(), root.ctx());
+        }
+        let records = drain();
+        set_sampling(Sampling::Off);
+        let find = |label: &str| records.iter().find(|r| r.label == label).unwrap();
+        assert_eq!(records.len(), 5, "{records:?}");
+        assert!(records.iter().all(|r| r.label != "root.skipped"));
+        let root = find("root");
+        assert_eq!(find("root.first").parent, Some(root.id));
+        assert_eq!(find("root.second").parent, Some(root.id));
+        assert_eq!(find("root.first.child").parent, Some(find("root.first").id));
+        assert_eq!(
+            find("root.second.child").parent,
+            Some(find("root.second").id)
+        );
+    }
+
+    #[test]
     fn off_mode_records_nothing_and_reports_no_context() {
         let _guard = fresh(Sampling::Off);
         {

@@ -338,6 +338,27 @@ impl SpanGuard {
             sampled: d.sampled,
         })
     }
+
+    /// Closes the span without recording it — for a span opened before its
+    /// opener learned that the work runs elsewhere, under a span of its own.
+    pub fn discard(mut self) {
+        if let Some(data) = self.data.take() {
+            pop(data.id);
+        }
+    }
+}
+
+/// Pops span `id` from the thread's stack. Guards usually drop in LIFO
+/// order, but a caller may hold sibling spans open together and close them
+/// in another order (the cluster's pipelined fan-out closes its per-node
+/// spans in contact order), so search from the top rather than assume.
+fn pop(id: u64) {
+    STACK.with(|stack| {
+        let mut stack = stack.borrow_mut();
+        if let Some(pos) = stack.iter().rposition(|&(open, _)| open == id) {
+            stack.remove(pos);
+        }
+    });
 }
 
 impl Drop for SpanGuard {
@@ -345,15 +366,7 @@ impl Drop for SpanGuard {
         let Some(data) = self.data.take() else {
             return;
         };
-        // Pop this span from the thread's stack. Guards normally drop in
-        // LIFO order; a stray out-of-order drop only mis-parents later
-        // spans, so search from the top rather than assume.
-        STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            if let Some(pos) = stack.iter().rposition(|&(id, _)| id == data.id) {
-                stack.remove(pos);
-            }
-        });
+        pop(data.id);
         if !data.sampled {
             return;
         }
