@@ -241,22 +241,6 @@ impl BatchPlan {
         (parts, unroutable)
     }
 
-    /// Splits the plan by a total ownership map over lists: sub-plan `o`
-    /// keeps exactly the groups whose list is owned by owner `o`
-    /// (`owner_of_list[group.list_index]`), in plan order — the
-    /// single-owner special case of [`split_routed`](Self::split_routed),
-    /// where every group has exactly one place to go.
-    ///
-    /// # Panics
-    /// Panics if a planned list has no owner (`owner_of_list` too short)
-    /// or an owner index is out of range.
-    pub fn split_by_owner(&self, owner_of_list: &[usize], owners: usize) -> Vec<BatchPlan> {
-        let (parts, unroutable) =
-            self.split_routed(owners, |group| Some(owner_of_list[group.list_index]));
-        debug_assert!(unroutable.is_empty(), "total routes never lose a group");
-        parts
-    }
-
     /// Mean number of queries sharing each planned list scan — how many
     /// one-query scans one shared scan replaces.
     /// `0.0` for an empty plan.
@@ -345,7 +329,9 @@ pub struct Stage2<'a, Q, D, M, L> {
     pub list: L,
     /// The `(1+ε)` relaxation of every cut.
     pub shrink: f64,
-    /// Whether scans apply the sorted-list cut (and the re-plan with it).
+    /// Whether scans apply the sorted-list cut (and the re-plan with it):
+    /// set for lists sorted by distance to their representative; clear for
+    /// one-shot cursors, whose `ρ(q, r)` is a placeholder.
     pub sorted_cut: bool,
     /// Members a scan must not admit (the exact search's representatives).
     pub skip: Option<&'a [bool]>,
@@ -672,9 +658,9 @@ pub(crate) fn survivors(
         // eq. (1): every owned point is at distance ≥ d_qr − ψ_r ≥ γ/(1+ε);
         // the list cannot improve the answer beyond the allowed
         // approximation.
-        let radius_pruned = config.use_radius_bound && d_qr >= within + list.radius;
+        let radius_pruned = d_qr >= within + list.radius;
         // eq. (2) / Lemma 1, generalised to γ_k for k-NN.
-        let lemma1_pruned = config.use_lemma1_bound && d_qr > 3.0 * gamma;
+        let lemma1_pruned = d_qr > 3.0 * gamma;
         if !(list.is_empty() || radius_pruned || lemma1_pruned) {
             kept.push((ri, d_qr));
         }
@@ -825,7 +811,7 @@ mod tests {
     }
 
     #[test]
-    fn split_by_owner_routes_groups_and_recomputes_pairs() {
+    fn split_routed_with_a_total_route_recomputes_pairs() {
         let lists = singleton_lists(&[1.0, 1.0, 1.0]);
         let rep_dists = vec![
             1.0, 1.5, 9.0, // query 0 keeps lists {0, 1}
@@ -833,7 +819,9 @@ mod tests {
         ];
         let plan = BatchPlan::plan_exact(&rep_dists, &lists, 1, &RbcConfig::default());
         // Lists 0 and 1 on owner 1, list 2 on owner 0; owner 2 idle.
-        let parts = plan.split_by_owner(&[1, 1, 0], 3);
+        let owner_of_list = [1, 1, 0];
+        let (parts, unroutable) = plan.split_routed(3, |g| Some(owner_of_list[g.list_index]));
+        assert!(unroutable.is_empty(), "a total route never loses a group");
         assert_eq!(parts.len(), 3);
         assert_eq!(parts[0].groups.len(), 1);
         assert_eq!(parts[0].groups[0].list_index, 2);
@@ -882,10 +870,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "only 1 owners exist")]
-    fn split_by_owner_rejects_out_of_range_owner() {
+    fn split_routed_rejects_out_of_range_owner() {
         let lists = singleton_lists(&[1.0]);
         let plan = BatchPlan::plan_exact(&[0.5], &lists, 1, &RbcConfig::default());
-        let _ = plan.split_by_owner(&[3], 1);
+        let _ = plan.split_routed(1, |_| Some(3));
     }
 
     /// Points on a line (second coordinate 0) under hand-made ownership

@@ -110,24 +110,15 @@ impl RbcParams {
     }
 }
 
-/// Behavioural switches for the search algorithms, exposed mainly so the
-/// ablation benchmarks can turn individual design choices off.
+/// Search-time settings shared by both structures. The exact search
+/// always applies the paper's three rules (eq. 1, eq. 2 and the sorted-list
+/// cut after Claim 2); what remains to choose is how brute force is tiled
+/// and scheduled, and how much approximation slack to allow.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RbcConfig {
     /// Tiling / parallelism configuration forwarded to every brute-force
     /// call.
     pub bf: BfConfig,
-    /// Exact search: apply the radius pruning rule `ρ(q,r) ≥ γ + ψ_r`
-    /// (eq. 1). Turning both pruning rules off degenerates to scanning
-    /// every ownership list, i.e. full brute force in two stages.
-    pub use_radius_bound: bool,
-    /// Exact search: apply the Lemma 1 pruning rule `ρ(q,r) > 3γ` (eq. 2).
-    pub use_lemma1_bound: bool,
-    /// Exact search: exploit ownership lists sorted by distance-to-
-    /// representative to stop scanning a list as soon as the triangle
-    /// inequality proves no later entry can improve the current best
-    /// (the "4γ" refinement discussed after Claim 2).
-    pub sorted_list_pruning: bool,
     /// Exact search: relative approximation slack `ε ≥ 0`. With `ε = 0`
     /// the result is the exact nearest neighbor; with `ε > 0` the returned
     /// point is guaranteed to be within `(1+ε)` of the true NN distance
@@ -140,9 +131,6 @@ impl Default for RbcConfig {
     fn default() -> Self {
         Self {
             bf: BfConfig::default(),
-            use_radius_bound: true,
-            use_lemma1_bound: true,
-            sorted_list_pruning: true,
             epsilon: 0.0,
         }
     }
@@ -157,14 +145,6 @@ impl RbcConfig {
             bf: BfConfig::sequential(),
             ..Self::default()
         }
-    }
-
-    /// Disables both representative pruning rules (ablation).
-    #[must_use]
-    pub fn without_pruning(mut self) -> Self {
-        self.use_radius_bound = false;
-        self.use_lemma1_bound = false;
-        self
     }
 
     /// Sets the approximation slack `ε`.
@@ -231,10 +211,7 @@ mod tests {
     #[test]
     fn config_ablation_switches() {
         let c = RbcConfig::default();
-        assert!(c.use_radius_bound && c.use_lemma1_bound && c.sorted_list_pruning);
         assert_eq!(c.epsilon, 0.0);
-        let no_prune = c.without_pruning();
-        assert!(!no_prune.use_radius_bound && !no_prune.use_lemma1_bound);
         let approx = c.with_epsilon(0.5);
         assert_eq!(approx.epsilon, 0.5);
         let sequential = RbcConfig::sequential();

@@ -78,17 +78,6 @@ impl ClusterConfig {
         Ok(())
     }
 
-    /// Bytes on the wire for one query vector of the given dimensionality.
-    pub fn query_message_bytes(&self, dim: usize) -> u64 {
-        self.batch_query_message_bytes(dim, 1)
-    }
-
-    /// Bytes on the wire for a reply carrying `k` neighbor records
-    /// (index + distance per record).
-    pub fn reply_message_bytes(&self, k: usize) -> u64 {
-        self.batch_reply_message_bytes(k, 1)
-    }
-
     /// Bytes on the wire for one message carrying `queries` query vectors
     /// of the given dimensionality — the per-batch fan-out payload: one
     /// header, many queries.
@@ -126,24 +115,6 @@ pub struct CommCost {
 }
 
 impl CommCost {
-    /// Records one fan-out round: the same query sent to `targets` nodes,
-    /// each answering with a `k`-record reply.
-    pub fn fan_out_round(config: &ClusterConfig, targets: usize, dim: usize, k: usize) -> Self {
-        if targets == 0 {
-            return Self::default();
-        }
-        let out_bytes = config.query_message_bytes(dim);
-        let in_bytes = config.reply_message_bytes(k);
-        Self {
-            messages_out: targets as u64,
-            messages_in: targets as u64,
-            bytes_out: out_bytes * targets as u64,
-            bytes_in: in_bytes * targets as u64,
-            // Parallel fan-out: one round trip, not `targets` of them.
-            modeled_time_us: config.message_time_us(out_bytes) + config.message_time_us(in_bytes),
-        }
-    }
-
     /// Records one *batched* fan-out round: node `nd` receives a single
     /// message carrying `queries_per_node[nd]` query payloads (skipped
     /// entirely when that count is zero) and answers with a single reply
@@ -232,9 +203,9 @@ mod tests {
     #[test]
     fn message_sizes_account_for_dimension_and_k() {
         let c = ClusterConfig::default();
-        assert_eq!(c.query_message_bytes(10), 64 + 40);
-        assert_eq!(c.reply_message_bytes(3), 64 + 48);
-        assert!(c.query_message_bytes(100) > c.query_message_bytes(10));
+        assert_eq!(c.batch_query_message_bytes(10, 1), 64 + 40);
+        assert_eq!(c.batch_reply_message_bytes(3, 1), 64 + 48);
+        assert!(c.batch_query_message_bytes(100, 1) > c.batch_query_message_bytes(10, 1));
     }
 
     #[test]
@@ -247,29 +218,11 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_round_counts_every_target_but_one_round_trip() {
-        let c = ClusterConfig::default();
-        let cost = CommCost::fan_out_round(&c, 5, 16, 1);
-        assert_eq!(cost.messages_out, 5);
-        assert_eq!(cost.messages_in, 5);
-        assert_eq!(cost.bytes_out, 5 * c.query_message_bytes(16));
-        // modeled time is a single round trip regardless of the fan-out
-        let single = CommCost::fan_out_round(&c, 1, 16, 1);
-        assert!((cost.modeled_time_us - single.modeled_time_us).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_fan_out_costs_nothing() {
-        let c = ClusterConfig::default();
-        assert_eq!(CommCost::fan_out_round(&c, 0, 16, 1), CommCost::default());
-    }
-
-    #[test]
     fn merge_accumulates() {
         let c = ClusterConfig::default();
         let mut total = CommCost::default();
-        total.merge(&CommCost::fan_out_round(&c, 2, 8, 1));
-        total.merge(&CommCost::fan_out_round(&c, 3, 8, 1));
+        total.merge(&CommCost::batched_round(&c, &[1, 1], 8, 1));
+        total.merge(&CommCost::batched_round(&c, &[1, 1, 1], 8, 1));
         assert_eq!(total.messages_out, 5);
         assert_eq!(total.total_bytes(), total.bytes_out + total.bytes_in);
     }
@@ -323,7 +276,7 @@ mod tests {
         );
         // The same routing as 8 per-query fan-outs pays 8 headers; the
         // batched round pays 3.
-        let per_query_bytes = 8 * c.query_message_bytes(16);
+        let per_query_bytes = 8 * c.batch_query_message_bytes(16, 1);
         assert!(cost.bytes_out < per_query_bytes);
         // Modeled time is one round trip dominated by the largest pair.
         let largest = c.message_time_us(c.batch_query_message_bytes(16, 4))
@@ -357,15 +310,5 @@ mod tests {
         // Modeled time is the largest single transfer, not the sum.
         let largest = c.message_time_us(c.batch_query_message_bytes(16, 700));
         assert!((replicated.modeled_time_us - largest).abs() < 1e-9);
-    }
-
-    #[test]
-    fn batch_message_bytes_reduce_to_the_single_query_case() {
-        let c = ClusterConfig::default();
-        assert_eq!(
-            c.batch_query_message_bytes(10, 1),
-            c.query_message_bytes(10)
-        );
-        assert_eq!(c.batch_reply_message_bytes(3, 1), c.reply_message_bytes(3));
     }
 }

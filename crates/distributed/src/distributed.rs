@@ -467,131 +467,6 @@ where
         (results.pop().expect("one query in, one answer out"), stats)
     }
 
-    /// One-shot distributed k-NN: the coordinator routes the query to the
-    /// least-loaded live replica of the nearest representative's list
-    /// (load = cumulative observed per-node evaluations, ties toward the
-    /// lower node id — the same policy batched routing uses), which
-    /// answers from that list alone. One message out,
-    /// one message back — the property that makes the representative-based
-    /// sharding attractive. If a replica fails at contact, the next live
-    /// one is tried; with every replica dead the query degrades to the
-    /// representative candidates alone (the coordinator's own scan),
-    /// flagged in [`DistributedQueryStats::degraded`].
-    ///
-    /// Like the centralized one-shot algorithm the answer is approximate;
-    /// because the exact structure's lists do not overlap, its recall is a
-    /// lower bound on what a dedicated one-shot (overlapping-list) build
-    /// would achieve.
-    pub fn query_one_shot(
-        &self,
-        query: &D::Item,
-        k: usize,
-    ) -> (Vec<Neighbor>, DistributedQueryStats) {
-        assert!(k > 0, "k must be at least 1");
-        let db = self.rbc.database();
-        let metric = self.rbc.metric();
-        let reps = self.rbc.rep_indices();
-        let lists = self.rbc.lists();
-
-        let rep_dists: Vec<Dist> = reps
-            .iter()
-            .map(|&r| metric.dist(query, db.get(r)))
-            .collect();
-        let best_rep = rep_dists
-            .iter()
-            .enumerate()
-            .map(|(ri, &d)| Neighbor::new(ri, d))
-            .fold(Neighbor::farthest(), Neighbor::closer)
-            .index;
-        let coordinator_evals = reps.len() as u64;
-
-        // Contact live replicas least-loaded first (cumulative observed
-        // evaluations, ties toward the lower node id) so a stream of
-        // queries hitting the same hot list spreads across all of its
-        // homes instead of melting the primary. Contacts that fail
-        // mid-delivery cost a wasted message and fall through to the next
-        // candidate.
-        let est: Vec<u64> = self.load.snapshot().iter().map(|l| l.evals).collect();
-        let mut candidates: Vec<usize> = self.placement.replicas_of_list[best_rep]
-            .iter()
-            .copied()
-            .filter(|&nd| self.health.is_live(nd))
-            .collect();
-        candidates.sort_by_key(|&nd| (est[nd], nd));
-        let mut per_node_loads: Vec<NodeLoad> =
-            (0..self.cluster.nodes).map(NodeLoad::idle).collect();
-        let mut comm = CommCost::default();
-        let mut serving_node = None;
-        for nd in candidates {
-            let out_bytes = self.cluster.query_message_bytes(self.payload_coords);
-            comm.messages_out += 1;
-            comm.bytes_out += out_bytes;
-            per_node_loads[nd].bytes_out += out_bytes;
-            if self.health.contact(nd) {
-                serving_node = Some(nd);
-                break;
-            }
-            // The message was sent but the node died receiving it.
-            comm.modeled_time_us += self.cluster.message_time_us(out_bytes);
-        }
-
-        let (topk, evals, degraded) = match serving_node {
-            Some(node) => {
-                let list = &lists[best_rep];
-                let mut topk = TopK::new(k);
-                topk.push(Neighbor::new(reps[best_rep], rep_dists[best_rep]));
-                let mut evals = 0u64;
-                for &member in &list.members {
-                    if self.rep_flags[member] {
-                        continue;
-                    }
-                    evals += 1;
-                    topk.push(Neighbor::new(member, metric.dist(query, db.get(member))));
-                }
-                let in_bytes = self.cluster.reply_message_bytes(k);
-                comm.messages_in += 1;
-                comm.bytes_in += in_bytes;
-                comm.modeled_time_us += self
-                    .cluster
-                    .message_time_us(self.cluster.query_message_bytes(self.payload_coords))
-                    + self.cluster.message_time_us(in_bytes);
-                per_node_loads[node].queries += 1;
-                per_node_loads[node].groups += 1;
-                per_node_loads[node].evals += evals;
-                per_node_loads[node].bytes_in += in_bytes;
-                self.load.record_list_traffic(best_rep);
-                (topk, evals, false)
-            }
-            None => {
-                // Every replica is dead: degrade to the representative
-                // candidates the coordinator already evaluated.
-                let mut topk = TopK::new(k);
-                for (ri, &r) in reps.iter().enumerate() {
-                    topk.push(Neighbor::new(r, rep_dists[ri]));
-                }
-                (topk, 0, true)
-            }
-        };
-
-        let stats = DistributedQueryStats {
-            nodes_contacted: comm.messages_out,
-            lists_scanned: u64::from(!degraded),
-            coordinator_evals,
-            worker_evals: evals,
-            max_node_evals: evals,
-            comm,
-            queries: 1,
-            rerouted_groups: 0,
-            lost_groups: u64::from(degraded),
-            degraded: vec![degraded],
-            per_node: per_node_loads,
-        };
-        self.load.absorb(&stats.per_node);
-        self.load
-            .record_outcome(stats.degraded_queries(), 0, stats.lost_groups);
-        (topk.into_sorted(), stats)
-    }
-
     /// Batched exact distributed k-NN — the owner-first, two-round
     /// list-major protocol with replica-aware failover.
     ///
@@ -748,9 +623,7 @@ where
                     d_to_rep,
                     threshold_cap: gamma_k[qi],
                 };
-                let emptied = config.sorted_list_pruning
-                    && cursor.run_is_empty(lists[list].radius, tau[qi], shrink);
-                if !emptied {
+                if !cursor.run_is_empty(lists[list].radius, tau[qi], shrink) {
                     rest.push((qi, list));
                 }
             }
@@ -892,8 +765,7 @@ where
                         // came. Bytes and wire time are both charged:
                         // retries are modeled sequentially (the
                         // coordinator only learns of the failure after
-                        // shipping the request), matching the one-shot
-                        // path's accounting of the same event.
+                        // shipping the request).
                         ledger.comm.messages_out += 1;
                         ledger.comm.bytes_out += out_bytes;
                         ledger.comm.modeled_time_us += self.cluster.message_time_us(out_bytes);
@@ -967,7 +839,7 @@ where
             metric: self.rbc.metric(),
             list: |li: usize| self.rbc.list_view(li),
             shrink: 1.0 + config.epsilon,
-            sorted_cut: config.sorted_list_pruning,
+            sorted_cut: true,
             skip: Some(&self.rep_flags),
         };
         let node_stats = stage2.nearest_then_rest(&rows, &part.gamma_k, &accumulators);
@@ -1108,7 +980,6 @@ where
             .collect();
         let request = QueryRequest {
             k: k as u16,
-            sorted_cut: config.sorted_list_pruning,
             shrink: 1.0 + config.epsilon,
             dim: dim as u16,
             gammas,
@@ -1166,9 +1037,6 @@ where
     /// has no effect over the wire: the equivalent mid-batch failure is
     /// a real peer that hangs or drops, injected on the server side
     /// (see `NodeServer::arm_hang`).
-    ///
-    /// The one-shot protocol ([`query_one_shot`](Self::query_one_shot))
-    /// stays in-process; only the batched protocol crosses the wire.
     ///
     /// # Panics
     /// Panics if the endpoint count does not match the cluster size.
@@ -1523,91 +1391,6 @@ mod tests {
     }
 
     #[test]
-    fn one_shot_contacts_exactly_one_node() {
-        let db = cloud(1200, 6, 9);
-        let queries = cloud(30, 6, 10);
-        let dist = build(&db, 10, 11);
-        for qi in 0..queries.len() {
-            let (answer, stats) = dist.query_one_shot(queries.point(qi), 1);
-            assert_eq!(stats.nodes_contacted, 1);
-            assert_eq!(stats.lists_scanned, 1);
-            assert_eq!(stats.comm.messages_out, 1);
-            assert_eq!(stats.degraded, vec![false]);
-            assert!(!answer.is_empty());
-            assert!(answer[0].index < db.len());
-            let active: Vec<&NodeLoad> = stats.per_node.iter().filter(|l| l.queries > 0).collect();
-            assert_eq!(active.len(), 1);
-            assert_eq!(active[0].evals, stats.worker_evals);
-        }
-    }
-
-    #[test]
-    fn one_shot_fails_over_to_a_replica_and_degrades_without_one() {
-        let db = cloud(1200, 6, 70);
-        let queries = cloud(20, 6, 71);
-        let replicated = build_with_policy(&db, 4, 72, PlacementPolicy::Replicated { factor: 2 });
-        // With a replica, killing any single node never degrades one-shot.
-        for nd in 0..4 {
-            replicated.fail_node(nd);
-            for qi in 0..queries.len() {
-                let (answer, stats) = replicated.query_one_shot(queries.point(qi), 1);
-                assert_eq!(stats.degraded, vec![false], "node {nd} query {qi}");
-                assert!(!answer.is_empty());
-            }
-            replicated.revive_node(nd);
-        }
-        // Single owner + every node down: the rep candidates still answer,
-        // flagged.
-        let single = build(&db, 2, 73);
-        single.fail_node(0);
-        single.fail_node(1);
-        let (answer, stats) = single.query_one_shot(queries.point(0), 1);
-        assert_eq!(stats.degraded, vec![true]);
-        assert_eq!(stats.lost_groups, 1);
-        assert_eq!(stats.nodes_contacted, 0);
-        assert_eq!(stats.worker_evals, 0);
-        assert!(!answer.is_empty(), "representatives are always available");
-        assert!(
-            answer[0].dist >= 0.0 && answer[0].index < db.len(),
-            "the degraded answer is a real database point"
-        );
-    }
-
-    #[test]
-    fn one_shot_spreads_load_across_replicas() {
-        let db = cloud(1200, 6, 80);
-        let queries = cloud(4, 6, 81);
-        let dist = build_with_policy(&db, 4, 82, PlacementPolicy::Replicated { factor: 2 });
-        // The same query hits the same list every time; with two live
-        // replicas and load-aware selection the serving node must
-        // alternate (each answer adds evals to the server's cumulative
-        // load, making the other replica the least-loaded next time).
-        let q = queries.point(0);
-        let mut servers = std::collections::BTreeSet::new();
-        let mut answers = Vec::new();
-        for _ in 0..6 {
-            let (answer, stats) = dist.query_one_shot(q, 3);
-            assert_eq!(stats.nodes_contacted, 1);
-            let served: Vec<usize> = stats
-                .per_node
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| l.queries > 0)
-                .map(|(nd, _)| nd)
-                .collect();
-            assert_eq!(served.len(), 1);
-            servers.insert(served[0]);
-            answers.push(answer);
-        }
-        assert!(
-            servers.len() >= 2,
-            "repeated identical queries stuck to one replica: {servers:?}"
-        );
-        // Spreading changes *where* the list is scanned, never the answer.
-        assert!(answers.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
     fn hot_groups_split_across_replicas_without_changing_answers() {
         // Every query in one tight ball around a single database point:
         // pruning funnels essentially the whole batch onto that point's
@@ -1638,42 +1421,6 @@ mod tests {
         );
         let active = stats.per_node.iter().filter(|l| l.evals > 0).count();
         assert!(active >= 2, "all scan work landed on {active} node");
-    }
-
-    #[test]
-    fn one_shot_routing_finds_good_neighbors_cheaply() {
-        let db = cloud(2000, 6, 12);
-        let queries = cloud(100, 6, 13);
-        let dist = build(&db, 8, 14);
-        let bf = BruteForce::new();
-        let mut exact_hits = 0;
-        let mut near_misses = 0;
-        for qi in 0..queries.len() {
-            let q = queries.point(qi);
-            let (got, stats) = dist.query_one_shot(q, 1);
-            let truth = bf.nn_single(q, &db, &Euclidean).0;
-            if got[0].index == truth.index {
-                exact_hits += 1;
-            }
-            // Even a "miss" must return something in the query's own
-            // cluster (clusters are ~20 units apart, noise ±0.3).
-            if got[0].dist <= truth.dist + 1.5 {
-                near_misses += 1;
-            }
-            assert!(stats.total_evals() < db.len() as u64 / 4);
-        }
-        // The non-overlapping (exact-structure) lists make single-list
-        // routing noticeably weaker than the dedicated one-shot build, but
-        // it must still beat chance by a wide margin and essentially always
-        // land in the right neighborhood.
-        assert!(
-            exact_hits >= 50,
-            "distributed one-shot recall too low: {exact_hits}/100"
-        );
-        assert!(
-            near_misses >= 95,
-            "one-shot answers left the neighborhood: {near_misses}/100"
-        );
     }
 
     #[test]

@@ -16,15 +16,13 @@
 //!   studying skewed layouts;
 //! * every node holds only its shard of the database; the coordinator
 //!   keeps the (small, `O(√n)`) representative set;
-//! * an **exact** query runs the usual first stage locally on the
-//!   coordinator, applies the paper's pruning rules, and forwards the
-//!   query *only to the nodes owning surviving lists* — first to the owner
-//!   of its nearest list, then, under the threshold that scan returned, to
-//!   the owners of the lists it still needs; each contacted node answers
-//!   from its shard and the coordinator reduces the partial results;
-//! * a **one-shot** query contacts exactly one node — the one owning the
-//!   nearest representative's list — which is the property that makes the
-//!   representative-based distribution attractive in the first place.
+//! * a query runs the usual first stage locally on the coordinator,
+//!   applies the paper's pruning rules, and is forwarded *only to the
+//!   nodes owning surviving lists* — first to the owner of its nearest
+//!   list, then, under the threshold that scan returned, to the owners of
+//!   the lists it still needs; each contacted node answers from its shard
+//!   and the coordinator reduces the partial results. This exact batch
+//!   protocol is the cluster's only one; a single query is a batch of one.
 //!
 //! Two transports run this protocol, bit-identically. The default is a
 //! single-process simulation (see the `rbc-distributed` section of

@@ -217,10 +217,7 @@ pub struct WireGroup {
 pub struct QueryRequest {
     /// Neighbors requested per query.
     pub k: u16,
-    /// Whether the sorted-list cut is enabled (the coordinator's
-    /// `RbcConfig::sorted_list_pruning`).
-    pub sorted_cut: bool,
-    /// The `(1 + ε)` threshold shrink factor.
+    /// The `(1 + ε)` threshold shrink factor: finite and at least 1.
     pub shrink: f64,
     /// Coordinate dimension of every shipped query.
     pub dim: u16,
@@ -246,7 +243,6 @@ impl QueryRequest {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.u16(self.k);
-        w.u8(u8::from(self.sorted_cut));
         w.f64(self.shrink);
         w.u16(self.dim);
         w.u16(self.gammas.len() as u16);
@@ -285,11 +281,6 @@ impl QueryRequest {
     pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut r = WireReader::new(bytes);
         let k = r.u16()?;
-        let sorted_cut = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(CodecError::Invalid("sorted_cut flag")),
-        };
         let shrink = r.f64()?;
         let dim = r.u16()?;
         let n_queries = r.u16()? as usize;
@@ -297,6 +288,7 @@ impl QueryRequest {
         if k == 0 {
             return Err(CodecError::Invalid("k must be at least 1"));
         }
+        check_shrink(shrink).map_err(CodecError::Invalid)?;
         r.claim(n_queries, 8 + 4 * dim as usize)?;
         let mut gammas = Vec::with_capacity(n_queries);
         for _ in 0..n_queries {
@@ -334,13 +326,24 @@ impl QueryRequest {
         r.finish()?;
         Ok(Self {
             k,
-            sorted_cut,
             shrink,
             dim,
             gammas,
             coords,
             groups,
         })
+    }
+}
+
+/// Checks that `shrink` is a `(1 + ε)` factor with a finite `ε ≥ 0` — the
+/// rule `RbcConfig::with_epsilon` enforces on the coordinator. A smaller
+/// factor clips every run empty and a non-finite one cuts away true
+/// neighbours, so a node refuses both instead of answering wrongly.
+pub(crate) fn check_shrink(shrink: f64) -> Result<(), &'static str> {
+    if shrink.is_finite() && shrink >= 1.0 {
+        Ok(())
+    } else {
+        Err("shrink must be finite and at least 1")
     }
 }
 
@@ -444,7 +447,6 @@ mod tests {
     fn sample_request() -> QueryRequest {
         QueryRequest {
             k: 3,
-            sorted_cut: true,
             shrink: 1.0,
             dim: 2,
             gammas: vec![0.5, f64::INFINITY],
@@ -502,7 +504,6 @@ mod tests {
         // `WireGroup::encode` itself can never produce.
         let mut w = WireWriter::new();
         w.u16(3); // k
-        w.u8(1); // sorted_cut
         w.f64(1.0); // shrink
         w.u16(2); // dim
         w.u16(2); // n_queries

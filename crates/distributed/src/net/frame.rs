@@ -25,7 +25,9 @@ use std::io::{self, Read, Write};
 pub const FRAME_MAGIC: [u8; 4] = *b"RBCW";
 
 /// Version byte carried by every frame; receivers reject anything else.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// Version 2 dropped the request's sorted-cut flag byte, so a version-1
+/// request is refused rather than misread.
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Fixed size of the frame header that precedes every payload.
 pub const FRAME_HEADER_BYTES: usize = 20;
@@ -295,12 +297,16 @@ mod tests {
             Err(FrameError::BadMagic(_))
         ));
 
-        let mut bad = good.clone();
-        bad[4] = 99;
-        assert!(matches!(
-            read_frame(&mut bad.as_slice()),
-            Err(FrameError::BadVersion(99))
-        ));
+        // 1 is the previous layout, whose requests still carry a flag
+        // byte; it must be refused, not parsed as the current one.
+        for version in [1, 99] {
+            let mut bad = good.clone();
+            bad[4] = version;
+            assert!(matches!(
+                read_frame(&mut bad.as_slice()),
+                Err(FrameError::BadVersion(v)) if v == version
+            ));
+        }
 
         let mut bad = good.clone();
         bad[5] = 0;

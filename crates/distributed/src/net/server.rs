@@ -31,7 +31,7 @@ use rbc_core::batch_plan::{CandidateRow, ListView, Stage2};
 use rbc_core::ExactRbc;
 use rbc_metric::{Dataset, Dist, Metric, VectorSet, VectorSetBuilder};
 
-use super::codec::{ProbeAck, QueryReply, QueryRequest};
+use super::codec::{check_shrink, ProbeAck, QueryReply, QueryRequest};
 use super::endpoint::{NetConfig, NodeEndpoint, TcpNodeClient};
 use super::frame::{read_frame, write_frame, CountingReader, FrameError, MsgKind};
 use crate::distributed::DistributedRbc;
@@ -178,12 +178,14 @@ impl<M: Metric<[f32]>> NodeShard<M> {
     ///
     /// # Errors
     /// A static message when the request is inconsistent with this
-    /// shard (wrong dimension, a list not placed here, `k == 0`).
+    /// shard (wrong dimension, a list not placed here, `k == 0`), or when
+    /// `shrink` is not finite or is below 1.
     pub fn execute(&self, request: &QueryRequest) -> Result<QueryReply, &'static str> {
         let k = request.k as usize;
         if k == 0 {
             return Err("k must be at least 1");
         }
+        check_shrink(request.shrink)?;
         if request.dim as usize != self.dim {
             return Err("query dimension does not match the shard");
         }
@@ -224,7 +226,7 @@ impl<M: Metric<[f32]>> NodeShard<M> {
                 }
             },
             shrink: request.shrink,
-            sorted_cut: request.sorted_cut,
+            sorted_cut: true,
             skip: Some(&self.rep_flags),
         };
         let evals = stage2

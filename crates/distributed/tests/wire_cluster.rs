@@ -19,8 +19,8 @@ use rbc_bruteforce::{BruteForce, Neighbor};
 use rbc_core::batch_plan::seeded_survivors;
 use rbc_core::{ExactRbc, RbcConfig, RbcParams};
 use rbc_distributed::net::{
-    spawn_local_cluster, InFlight, NetConfig, NetError, NodeServer, NodeShard, ProbeAck,
-    QueryReply, QueryRequest, TcpNodeClient, WireGroup,
+    spawn_local_cluster, CodecError, InFlight, NetConfig, NetError, NodeServer, NodeShard,
+    ProbeAck, QueryReply, QueryRequest, TcpNodeClient, WireGroup,
 };
 use rbc_distributed::{
     ClusterConfig, DistributedQueryStats, DistributedRbc, NodeEndpoint, PlacementPolicy,
@@ -405,8 +405,9 @@ fn an_endpoint_without_send_sees_every_exchange_through_execute() {
 
 /// A shard that holds none of a query's three nearest lists starts its
 /// two phases from the nearest *local* list — a poor witness — and must
-/// still contribute exactly what a full scan of the lists it was sent
-/// would: merged with the coordinator's seeds, the same top-k.
+/// still contribute exactly what the same request without the
+/// coordinator's cap (`γ = ∞`) would: merged with the coordinator's seeds,
+/// the same top-k.
 #[test]
 fn shard_without_a_querys_near_lists_still_contributes_exactly() {
     let (db, queries) = clustered(600, 16, 5);
@@ -448,9 +449,8 @@ fn shard_without_a_querys_near_lists_still_contributes_exactly() {
         }
         checked += 1;
         let shard = NodeShard::from_exact(&rbc, placement, far);
-        let request = |sorted_cut: bool, gamma: f64| QueryRequest {
+        let request = |gamma: f64| QueryRequest {
             k: k as u16,
-            sorted_cut,
             shrink: 1.0,
             dim: db.dim() as u16,
             gammas: vec![gamma],
@@ -464,14 +464,62 @@ fn shard_without_a_querys_near_lists_still_contributes_exactly() {
             }
             topk.into_sorted()
         };
-        let cut = shard
-            .execute(&request(true, seeded[0].threshold()))
-            .unwrap();
-        let full = shard.execute(&request(false, f64::INFINITY)).unwrap();
+        let cut = shard.execute(&request(seeded[0].threshold())).unwrap();
+        let full = shard.execute(&request(f64::INFINITY)).unwrap();
         assert!(cut.evals <= full.evals);
         assert_eq!(merged(cut), merged(full), "query {qi}, node {far}");
     }
     assert!(checked >= 4, "only {checked} queries exercised a far shard");
+}
+
+/// The `(1+ε)` shrink a node receives obeys the coordinator's own rule:
+/// finite and at least 1. A factor below 1 would clip every run empty and
+/// an infinite one would cut true neighbours away, so both the decoder
+/// and the shard refuse such a request instead of answering it wrongly.
+#[test]
+fn a_shrink_below_one_or_not_finite_is_refused() {
+    let (db, queries) = clustered(300, 1, 31);
+    let rbc = build_rbc(&db, 31, 16);
+    let index = DistributedRbc::from_exact_with_policy(
+        rbc.clone(),
+        ClusterConfig::with_nodes(1),
+        PlacementPolicy::SingleOwner,
+        db.dim(),
+    );
+    let shard = NodeShard::from_exact(&rbc, index.placement(), 0);
+    let request = |shrink: f64| QueryRequest {
+        k: 3,
+        shrink,
+        dim: db.dim() as u16,
+        gammas: vec![f64::INFINITY],
+        coords: queries.point(0).to_vec(),
+        groups: (0..rbc.lists().len())
+            .map(|list| WireGroup {
+                list_index: list as u32,
+                members: vec![0],
+            })
+            .collect(),
+    };
+    for shrink in [1.0, 1.5] {
+        let request = request(shrink);
+        assert_eq!(QueryRequest::decode(&request.encode()), Ok(request.clone()));
+        let reply = shard.execute(&request).expect("a valid shrink executes");
+        assert_eq!(reply.results[0].len(), 3, "shrink {shrink}");
+    }
+    for shrink in [-1.0, 0.5, f64::NAN, f64::INFINITY] {
+        let request = request(shrink);
+        assert!(
+            matches!(
+                QueryRequest::decode(&request.encode()),
+                Err(CodecError::Invalid(_))
+            ),
+            "decode accepted shrink {shrink}"
+        );
+        assert!(
+            shard.execute(&request).is_err(),
+            "execute accepted shrink {shrink}"
+        );
+    }
 }
 
 /// A node that hangs mid-frame — accepts the connection, emits two

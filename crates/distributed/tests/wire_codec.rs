@@ -39,7 +39,7 @@ impl Lcg {
 
 /// A well-formed routed sub-plan request: a query table of `n` entries
 /// (coords + per-query γ_k) and groups whose members index into it.
-fn make_request(n: usize, dim: usize, k: u16, sorted_cut: bool, seed: u64) -> QueryRequest {
+fn make_request(n: usize, dim: usize, k: u16, seed: u64) -> QueryRequest {
     let mut rng = Lcg::new(seed);
     let gammas: Vec<f64> = (0..n).map(|_| rng.next_f64().abs()).collect();
     let coords: Vec<f32> = (0..n * dim).map(|_| rng.next_f64() as f32).collect();
@@ -59,7 +59,6 @@ fn make_request(n: usize, dim: usize, k: u16, sorted_cut: bool, seed: u64) -> Qu
         .collect();
     QueryRequest {
         k,
-        sorted_cut,
         shrink: 1.0 + (rng.next_u64() % 500) as f64 / 1000.0,
         dim: dim as u16,
         gammas,
@@ -104,11 +103,10 @@ proptest! {
         n in 1usize..12,
         dim in 1usize..6,
         k in 1u16..9,
-        sorted_cut in any::<bool>(),
         seed in any::<u64>(),
         cut_seed in any::<usize>(),
     ) {
-        let request = make_request(n, dim, k, sorted_cut, seed);
+        let request = make_request(n, dim, k, seed);
         let bytes = request.encode();
         let back = QueryRequest::decode(&bytes).expect("well-formed request must decode");
         prop_assert_eq!(back, request);
@@ -127,7 +125,7 @@ proptest! {
         at_seed in any::<usize>(),
         flip in 1u8..=255,
     ) {
-        let mut bytes = make_request(n, dim, 3, true, seed).encode();
+        let mut bytes = make_request(n, dim, 3, seed).encode();
         let at = at_seed % bytes.len();
         bytes[at] ^= flip;
         let _ = QueryRequest::decode(&bytes);
@@ -249,7 +247,6 @@ fn dangling_group_member_is_rejected() {
     // can never produce. The bitmap is the last byte of the encoding.
     let request = QueryRequest {
         k: 2,
-        sorted_cut: true,
         shrink: 1.0,
         dim: 2,
         gammas: vec![1.0, 2.0],

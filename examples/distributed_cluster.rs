@@ -2,10 +2,10 @@
 //!
 //! The paper's conclusion suggests distributing the database across nodes
 //! "according to the representatives". This example builds that system on
-//! a simulated cluster: an exact RBC is sharded over 8 nodes, exact and
-//! one-shot queries are routed to the nodes that can contain the answer,
-//! and the harness reports how many nodes each query touched and how much
-//! communication the protocol would have cost.
+//! a simulated cluster: an exact RBC is sharded over 2 to 16 nodes, each
+//! batch of exact queries is routed to the nodes that can contain the
+//! answers, and the harness reports how many nodes each query touched and
+//! how much communication the protocol would have cost.
 //!
 //! Run with:
 //! ```text
@@ -70,23 +70,6 @@ fn main() {
             "   work           : {:.0} distance evals/query ({:.0} on the busiest node)",
             stats.total_evals() as f64 / queries.len() as f64,
             stats.max_node_evals as f64
-        );
-
-        // One-shot routing: a single node per query.
-        let (_, os_stats) = {
-            let mut agg = rbc::distributed::DistributedQueryStats::default();
-            let mut answers = Vec::new();
-            for qi in 0..queries.len() {
-                let (a, s) = index.query_one_shot(queries.point(qi), 1);
-                agg.merge(&s);
-                answers.push(a);
-            }
-            (answers, agg)
-        };
-        println!(
-            "   one-shot route : {:.2} nodes contacted per query, {:.0} distance evals/query",
-            os_stats.nodes_contacted_per_query(),
-            os_stats.total_evals() as f64 / queries.len() as f64
         );
     }
 }
