@@ -10,7 +10,7 @@
 //! 1. **Cluster sweep** — the same clustered query stream replayed in
 //!    micro-batches of several sizes against single-owner clusters of
 //!    several node counts: worker/coordinator work, per-batch fan-out,
-//!    bytes on the wire, modeled communication time, observed skew.
+//!    bytes on the wire, observed skew.
 //! 2. **Placement sweep** — a *skewed* stream (Zipf-weighted cluster
 //!    choice via `rbc_data::adversarial::skewed_queries`, the traffic
 //!    shape that melts one node under single-owner placement) replayed
@@ -47,13 +47,10 @@
 //!
 //! With `--wire` the binary runs the wire smoke instead: it stands up a
 //! real framed-TCP cluster (`rbc_distributed::net`), replays the stream
-//! over the sockets, and **cross-validates the CommCost model against
-//! the bytes that actually crossed the wire** — asserting bit-identity
-//! with the in-process transport, identical worker evals, and measured
-//! frame bytes within 20% of the modeled message bytes per cell. The
-//! framing overheads only sit inside that tolerance when payloads
-//! dominate headers, so run it in a payload-dominated regime (CI uses
-//! `--dim 32 --k 4`).
+//! over the sockets, and asserts per cell bit-identity with the
+//! in-process transport, identical worker evals, identical counted
+//! frames on both transports, and **counted frame bytes equal to the
+//! bytes that actually crossed the sockets**.
 
 use std::time::Instant;
 
@@ -95,8 +92,8 @@ struct Options {
     replication: Option<usize>,
     /// Focused failover smoke: the node to kill.
     fail_node: Option<usize>,
-    /// Wire smoke: run over a real framed-TCP cluster and validate the
-    /// CommCost model against measured wire bytes.
+    /// Wire smoke: run over a real framed-TCP cluster and check the
+    /// counted frame bytes against the bytes on the sockets.
     wire: bool,
 }
 
@@ -169,13 +166,10 @@ struct Record {
     coordinator_evals: u64,
     worker_evals: u64,
     max_node_evals: u64,
-    nodes_contacted: u64,
     messages_out: u64,
     bytes_out: u64,
     bytes_in: u64,
     bytes_per_query: f64,
-    placement_bytes: u64,
-    modeled_comm_us_per_batch: f64,
     eval_skew: f64,
     degraded_queries: u64,
     rerouted_groups: u64,
@@ -240,13 +234,10 @@ fn record<D: Dataset<Item = [f32]>>(
         coordinator_evals: stats.coordinator_evals,
         worker_evals: stats.worker_evals,
         max_node_evals: stats.max_node_evals,
-        nodes_contacted: stats.nodes_contacted,
         messages_out: stats.comm.messages_out,
         bytes_out: stats.comm.bytes_out,
         bytes_in: stats.comm.bytes_in,
         bytes_per_query: stats.comm.total_bytes() as f64 / opts.queries as f64,
-        placement_bytes: index.placement_comm().bytes_out,
-        modeled_comm_us_per_batch: stats.comm.modeled_time_us / batches as f64,
         eval_skew: eval_skew(&stats.per_node),
         degraded_queries: stats.degraded_queries(),
         rerouted_groups: stats.rerouted_groups,
@@ -319,9 +310,9 @@ fn failover_smoke(opts: &Options) {
 /// * **identical work** — worker distance evals match the in-process
 ///   shards exactly (nodes recompute stage-1 rep distances
 ///   bit-identically);
-/// * **the CommCost model is honest** — the bytes that actually
-///   crossed the sockets (frame headers included) sit within 20% of
-///   `stats.comm.total_bytes()`, the modeled message bytes.
+/// * **exact counts** — both transports count the same frames, and
+///   `stats.comm.total_bytes()` equals the bytes that actually crossed
+///   the sockets (frame headers included).
 fn wire_smoke(opts: &Options) {
     use rbc_distributed::net::{spawn_local_cluster, NetConfig};
     println!(
@@ -342,8 +333,8 @@ fn wire_smoke(opts: &Options) {
         .filter(|&b| b <= opts.queries)
         .collect();
     let mut table = Table::new(
-        "wire transport: measured frame bytes vs the CommCost model",
-        &["nodes", "batch", "model B/q", "wire B/q", "ratio", "ms"],
+        "wire transport: counted frame bytes equal the socket bytes",
+        &["nodes", "batch", "frames", "wire B/q", "ms"],
     );
     for nodes in [2usize, 4] {
         let local = DistributedRbc::from_exact(
@@ -377,20 +368,22 @@ fn wire_smoke(opts: &Options) {
                 "wire nodes must do exactly the work the in-process shards do \
                  ({nodes} nodes, batch size {batch_size})"
             );
-            let model = stats.comm.total_bytes();
-            let ratio = measured as f64 / model as f64;
-            assert!(
-                (ratio - 1.0).abs() <= 0.20,
-                "measured wire bytes diverged from the CommCost model by more than 20%: \
-                 {measured} measured vs {model} modeled (ratio {ratio:.3}) at {nodes} nodes, \
-                 batch size {batch_size}"
+            assert_eq!(
+                stats.comm, local_stats.comm,
+                "both transports must count the same frames \
+                 ({nodes} nodes, batch size {batch_size})"
+            );
+            assert_eq!(
+                stats.comm.total_bytes(),
+                measured,
+                "counted frame bytes must equal the socket bytes \
+                 ({nodes} nodes, batch size {batch_size})"
             );
             table.row(&[
                 nodes.to_string(),
                 batch_size.to_string(),
-                format!("{:.0}", model as f64 / opts.queries as f64),
+                (stats.comm.messages_out + stats.comm.messages_in).to_string(),
                 format!("{:.0}", measured as f64 / opts.queries as f64),
-                format!("{ratio:.3}"),
                 format!("{elapsed_ms:.1}"),
             ]);
         }
@@ -400,7 +393,7 @@ fn wire_smoke(opts: &Options) {
     table.print();
     println!(
         "\nwire answers bit-identical to the in-process transport and the centralized \
-         search; measured frame bytes within 20% of the CommCost model (asserted)."
+         search; counted frame bytes equal the socket bytes (asserted)."
     );
 }
 
@@ -448,15 +441,7 @@ fn main() {
     let mut table = Table::new(
         "sharded batched exact search: routed list-major protocol (single owner)",
         &[
-            "nodes",
-            "batch",
-            "evals/q",
-            "busiest",
-            "msgs",
-            "B/query",
-            "comm us/b",
-            "skew",
-            "ms",
+            "nodes", "batch", "evals/q", "busiest", "msgs", "B/query", "skew", "ms",
         ],
     );
 
@@ -485,7 +470,6 @@ fn main() {
                 format!("{:.0}", stats.max_node_evals),
                 stats.comm.messages_out.to_string(),
                 format!("{bytes_per_query:.0}"),
-                format!("{:.1}", stats.comm.modeled_time_us / batches as f64),
                 format!("{:.2}", eval_skew(&stats.per_node)),
                 format!("{elapsed_ms:.1}"),
             ]);
@@ -556,7 +540,6 @@ fn main() {
             "skew",
             "busiest",
             "B/query",
-            "store B",
             "rerouted",
             "lost",
             "degraded",
@@ -576,7 +559,6 @@ fn main() {
                 "{:.0}",
                 stats.comm.total_bytes() as f64 / opts.queries as f64
             ),
-            index.placement_comm().bytes_out.to_string(),
             stats.rerouted_groups.to_string(),
             stats.lost_groups.to_string(),
             stats.degraded_queries().to_string(),

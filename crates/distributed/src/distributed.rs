@@ -81,13 +81,6 @@ fn absorb(collectors: &mut [TopK], replies: &[Vec<Vec<Neighbor>>]) {
 /// embed the raw record in their JSON reports.
 #[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct DistributedQueryStats {
-    /// Fan-out messages sent to worker nodes. For the batched protocol
-    /// this counts *per-round* contacts: a node contacted in a fan-out
-    /// round contributes 1, however many queries it served. A batch has
-    /// two rounds (the owners of the queries' nearest lists, then the
-    /// rest), so a live node is contacted at most twice per batch; a
-    /// failover retry contributes one more contact per re-contacted node.
-    pub nodes_contacted: u64,
     /// Ownership-list groups actually executed across all contacted
     /// nodes. Under the batched protocol each shared (list, group) scan
     /// counts once, however many queries of the batch it served; lost
@@ -102,7 +95,12 @@ pub struct DistributedQueryStats {
     /// the per-query (or per-batch) critical path, since nodes work in
     /// parallel.
     pub max_node_evals: u64,
-    /// Accumulated communication.
+    /// The frames exchanged with worker nodes. `comm.messages_out` counts
+    /// *per-round* contacts: a node contacted in a fan-out round
+    /// contributes 1, however many queries it served. A batch has two
+    /// rounds (the owners of the queries' nearest lists, then the rest),
+    /// so a live node is contacted at most twice per batch; a failover
+    /// retry contributes one more contact per re-contacted node.
     pub comm: CommCost,
     /// Queries aggregated into this record.
     pub queries: u64,
@@ -136,7 +134,6 @@ impl DistributedQueryStats {
 
     /// Merges another record (e.g. one batch of a stream) into this one.
     pub fn merge(&mut self, other: &Self) {
-        self.nodes_contacted += other.nodes_contacted;
         self.lists_scanned += other.lists_scanned;
         self.coordinator_evals += other.coordinator_evals;
         self.worker_evals += other.worker_evals;
@@ -156,16 +153,16 @@ impl DistributedQueryStats {
         }
     }
 
-    /// Mean number of nodes contacted per query. Under the batched
-    /// protocol a node serving many queries of one batch is counted once
-    /// per fan-out round,
-    /// so this measures fan-out messages, not query routings (see
+    /// Mean number of nodes contacted per query (`comm.messages_out` over
+    /// `queries`). Under the batched protocol a node serving many queries
+    /// of one batch is counted once per fan-out round, so this measures
+    /// fan-out messages, not query routings (see
     /// [`per_node`](Self::per_node) for the latter).
     pub fn nodes_contacted_per_query(&self) -> f64 {
         if self.queries == 0 {
             0.0
         } else {
-            self.nodes_contacted as f64 / self.queries as f64
+            self.comm.messages_out as f64 / self.queries as f64
         }
     }
 }
@@ -206,13 +203,11 @@ where
     /// with the balanced single-owner (LPT) placement — the
     /// replication-free baseline.
     ///
-    /// `payload_coords` is the number of coordinates a query occupies on
-    /// the wire (the dimension, for dense vector data); it only affects the
-    /// communication cost model, never the answers.
+    /// `payload_coords` is the query dimension that sizes request frames
+    /// in [`DistributedQueryStats::comm`]; it never affects the answers.
     ///
     /// # Panics
-    /// Panics if `cluster` fails [`ClusterConfig::validate`] (zero nodes,
-    /// zero bandwidth, ...).
+    /// Panics if `cluster` has zero nodes.
     pub fn from_exact(rbc: ExactRbc<D, M>, cluster: ClusterConfig, payload_coords: usize) -> Self {
         Self::from_exact_with_policy(rbc, cluster, PlacementPolicy::SingleOwner, payload_coords)
     }
@@ -223,7 +218,7 @@ where
     /// [`repartitioned`](Self::repartitioned) for the warm path).
     ///
     /// # Panics
-    /// Panics if `cluster` fails [`ClusterConfig::validate`].
+    /// Panics if `cluster` has zero nodes.
     pub fn from_exact_with_policy(
         rbc: ExactRbc<D, M>,
         cluster: ClusterConfig,
@@ -240,18 +235,15 @@ where
     /// replaying a placement recorded elsewhere.
     ///
     /// # Panics
-    /// Panics if `cluster` fails [`ClusterConfig::validate`], or if the
-    /// placement fails [`Placement::validate`] against this structure's
-    /// ownership lists and `cluster.nodes` nodes.
+    /// Panics if the placement fails [`Placement::validate`] against this
+    /// structure's ownership lists and `cluster.nodes` nodes (an empty
+    /// cluster included).
     pub fn from_exact_with_placement(
         rbc: ExactRbc<D, M>,
         cluster: ClusterConfig,
         placement: Placement,
         payload_coords: usize,
     ) -> Self {
-        cluster
-            .validate()
-            .unwrap_or_else(|error| panic!("invalid ClusterConfig: {error}"));
         let list_sizes: Vec<usize> = rbc.lists().iter().map(|l| l.len()).collect();
         placement
             .validate(&list_sizes, cluster.nodes)
@@ -285,7 +277,7 @@ where
         &self.rbc
     }
 
-    /// The cluster model in use.
+    /// The cluster's size.
     pub fn cluster(&self) -> ClusterConfig {
         self.cluster
     }
@@ -331,19 +323,6 @@ where
     /// that steers skew-aware replication.
     pub fn observed_list_traffic(&self) -> Vec<u64> {
         self.load.list_traffic()
-    }
-
-    /// The one-time communication cost of shipping every stored list copy
-    /// to its node at placement time ([`CommCost::placement_round`]) —
-    /// this is where replicated storage is paid for: replication adds no
-    /// per-query messages (each group still goes to exactly one replica),
-    /// but every extra copy crosses the wire once at build.
-    pub fn placement_comm(&self) -> CommCost {
-        CommCost::placement_round(
-            &self.cluster,
-            &self.placement.points_per_node,
-            self.payload_coords,
-        )
     }
 
     /// Distinct queries whose groups a sub-plan carries — the payload size
@@ -547,14 +526,17 @@ where
     /// calls on the rayon pool instead. In-process, each contacted node's
     /// sub-plan runs on the pool.
     ///
-    /// Communication is accounted per **round** ([`CommCost::batched_round`]):
-    /// one query payload per contacted node per fan-out round rather than
+    /// Communication is counted in frames ([`DistributedQueryStats::comm`]):
+    /// one request frame per contacted node per fan-out round rather than
     /// one message per `(query, node)` pair, so headers amortise and bytes
-    /// on the wire grow sublinearly in batch size — at most two messages
-    /// per live node per batch, plus failover retries; a failed contact's
-    /// request bytes are charged (the link carried them) with no reply.
-    /// Per-node work and traffic are reported in
-    /// [`DistributedQueryStats::per_node`].
+    /// on the wire grow sublinearly in batch size — at most two requests
+    /// per live node per batch, plus failover retries. A contact that
+    /// replies adds one reply frame; a failed contact's request is counted
+    /// (the link carried it) with no reply. Each frame counts at its
+    /// encoded size ([`QueryRequest::frame_bytes`],
+    /// [`QueryReply::frame_bytes`]) on either transport, so over the wire
+    /// the count equals the bytes the sockets carried. Per-node work and
+    /// traffic are reported in [`DistributedQueryStats::per_node`].
     pub fn query_batch_exact<Q>(
         &self,
         queries: &Q,
@@ -667,7 +649,6 @@ where
 
         let per_node = ledger.per_node;
         let stats = DistributedQueryStats {
-            nodes_contacted: ledger.comm.messages_out,
             lists_scanned: ledger.lists_scanned,
             coordinator_evals: rep_stats.distance_evals,
             worker_evals: per_node.iter().map(|l| l.evals).sum(),
@@ -735,51 +716,35 @@ where
                     .collect(),
             };
 
-            let mut payloads = vec![0usize; self.cluster.nodes];
             let mut failed: Vec<ListGroup> = Vec::new();
             for (&nd, reply) in contacted.iter().zip(replies) {
                 let part = std::mem::take(&mut parts[nd]);
                 let payload = Self::distinct_queries(&part);
-                let out_bytes = self
-                    .cluster
-                    .batch_query_message_bytes(self.payload_coords, payload);
-                match reply {
-                    Some((node_partials, evals)) => {
-                        payloads[nd] = payload;
-                        for group in &part.groups {
-                            self.load.record_list_traffic(group.list_index);
-                        }
-                        ledger.lists_scanned += part.groups.len() as u64;
-                        ledger.per_node[nd].accumulate(&NodeLoad {
-                            node: nd,
-                            queries: payload as u64,
-                            groups: part.groups.len() as u64,
-                            evals,
-                            bytes_out: out_bytes,
-                            bytes_in: self.cluster.batch_reply_message_bytes(k, payload),
-                        });
-                        partials.push(node_partials);
-                    }
-                    None => {
-                        // The request crossed the wire; the reply never
-                        // came. Bytes and wire time are both charged:
-                        // retries are modeled sequentially (the
-                        // coordinator only learns of the failure after
-                        // shipping the request).
-                        ledger.comm.messages_out += 1;
-                        ledger.comm.bytes_out += out_bytes;
-                        ledger.comm.modeled_time_us += self.cluster.message_time_us(out_bytes);
-                        ledger.per_node[nd].bytes_out += out_bytes;
-                        failed.extend(part.groups);
-                    }
+                let out_bytes =
+                    QueryRequest::frame_bytes(payload, self.payload_coords, part.groups.len());
+                ledger.comm.messages_out += 1;
+                ledger.comm.bytes_out += out_bytes;
+                ledger.per_node[nd].bytes_out += out_bytes;
+                let Some((node_partials, evals)) = reply else {
+                    // The request crossed the wire; the reply never came.
+                    failed.extend(part.groups);
+                    continue;
+                };
+                let records = node_partials.iter().map(Vec::len).sum();
+                let in_bytes = QueryReply::frame_bytes(payload, records);
+                ledger.comm.messages_in += 1;
+                ledger.comm.bytes_in += in_bytes;
+                for group in &part.groups {
+                    self.load.record_list_traffic(group.list_index);
                 }
+                ledger.lists_scanned += part.groups.len() as u64;
+                let load = &mut ledger.per_node[nd];
+                load.queries += payload as u64;
+                load.groups += part.groups.len() as u64;
+                load.evals += evals;
+                load.bytes_in += in_bytes;
+                partials.push(node_partials);
             }
-            ledger.comm.merge(&CommCost::batched_round(
-                &self.cluster,
-                &payloads,
-                self.payload_coords,
-                k,
-            ));
             if failed.is_empty() {
                 return partials;
             }
@@ -1217,9 +1182,8 @@ mod tests {
             assert_eq!(stats.queries, queries.len() as u64);
             // Per-round fan-out: at most one contact per node per round,
             // two rounds per batch, and every contact answered.
-            assert!(stats.nodes_contacted <= 2 * 6);
-            assert_eq!(stats.comm.messages_out, stats.nodes_contacted);
-            assert_eq!(stats.comm.messages_in, stats.nodes_contacted);
+            assert!(stats.comm.messages_out <= 2 * 6);
+            assert_eq!(stats.comm.messages_in, stats.comm.messages_out);
             // Per-node accounting is consistent with the aggregates.
             assert_eq!(stats.per_node.len(), 6);
             let evals: u64 = stats.per_node.iter().map(|l| l.evals).sum();
@@ -1433,7 +1397,6 @@ mod tests {
         let (b, stats_large) = large.query_batch_exact(&queries, 1);
         assert_eq!(a, b, "the cluster size must not change the answers");
         assert!(stats_large.comm.messages_out >= stats_small.comm.messages_out);
-        assert!(stats_large.nodes_contacted >= stats_small.nodes_contacted);
     }
 
     #[test]
@@ -1555,14 +1518,10 @@ mod tests {
     }
 
     #[test]
-    fn placement_comm_charges_replicated_storage_up_front() {
+    fn replication_is_paid_in_storage() {
         let db = cloud(1000, 5, 95);
         let single = build_with_policy(&db, 4, 96, PlacementPolicy::SingleOwner);
         let replicated = build_with_policy(&db, 4, 96, PlacementPolicy::Replicated { factor: 2 });
-        let base = single.placement_comm();
-        let double = replicated.placement_comm();
-        assert!(double.bytes_out > base.bytes_out, "copies cost bytes");
-        assert_eq!(base.messages_in, 0);
         assert!(replicated.load().storage_overhead() > 1.9);
         assert!((single.load().storage_overhead() - 1.0).abs() < 1e-12);
     }
@@ -1586,8 +1545,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid ClusterConfig")]
-    fn degenerate_cluster_model_is_rejected_at_build() {
+    #[should_panic(expected = "zero nodes")]
+    fn an_empty_cluster_is_rejected_at_build() {
         let db = cloud(100, 3, 28);
         let rbc = ExactRbc::build(
             &db,
@@ -1595,11 +1554,7 @@ mod tests {
             RbcParams::standard(db.len(), 29),
             RbcConfig::default(),
         );
-        let broken = ClusterConfig {
-            bandwidth_mb_per_s: 0.0,
-            ..ClusterConfig::default()
-        };
-        let _ = DistributedRbc::from_exact(rbc, broken, db.dim());
+        let _ = DistributedRbc::from_exact(rbc, ClusterConfig { nodes: 0 }, db.dim());
     }
 
     #[test]

@@ -27,17 +27,15 @@
 //! Two transports run this protocol, bit-identically. The default is a
 //! single-process simulation (see the `rbc-distributed` section of
 //! docs/ARCHITECTURE.md): worker shards are
-//! ordinary in-memory structures queried in parallel, and the
-//! communication that *would* occur is accounted by an explicit cost
-//! model ([`ClusterConfig`]). The [`net`] module is the real thing:
-//! length-prefixed framed TCP between a coordinator and node processes
-//! that each own only their shard, with deadline-based failure
-//! detection instead of the in-process liveness oracle
-//! ([`DistributedRbc::with_endpoints`]). Because the wire payloads are
-//! the cost model's messages made literal, `shard_bench --wire`
-//! cross-validates the model against measured bytes on the wire — the
-//! "I/O and communication costs" the paper defers to future work,
-//! studied both analytically and empirically.
+//! ordinary in-memory structures queried in parallel. The [`net`] module
+//! is the real thing: length-prefixed framed TCP between a coordinator
+//! and node processes that each own only their shard, with
+//! deadline-based failure detection instead of the in-process liveness
+//! oracle ([`DistributedRbc::with_endpoints`]). Both transports count
+//! the same frames at their exact encoded size ([`CommCost`]), so over
+//! the wire the count equals the bytes the sockets carried —
+//! `shard_bench --wire` asserts that equality. These are the
+//! "I/O and communication costs" the paper defers to future work.
 //!
 //! # Sharded serving architecture
 //!
@@ -116,8 +114,7 @@
 //! Replication is paid for in **storage**, not per-query messages: each
 //! group is still routed to exactly one replica (the least-loaded live
 //! one, so a hot list's groups spread across its homes), and the extra
-//! copies cross the wire once at build time
-//! ([`DistributedRbc::placement_comm`]).
+//! copies show in [`ClusterLoad::storage_overhead`].
 //!
 //! **Failover and the degradation contract.** Node liveness is shared
 //! state ([`NodeHealth`]): a failed node is routed around; a node that

@@ -7,18 +7,24 @@
 //! panic, and every length field is validated against the bytes actually
 //! present before any allocation is sized by it.
 //!
-//! The query payload is deliberately tight, because `shard_bench --wire`
-//! holds it against the [`crate::cluster::CommCost`] paper model: a
-//! request ships each distinct query once (its `dim × f32` coordinates
-//! plus its `f64` cap, `γ_k` or `τ_q`), and each routed group as a list id plus
-//! `u16` indices into that query table. Nodes recompute `ρ(q, rep_ℓ)`
-//! from their stored representative coordinates instead of having one
-//! `f64` per (query, list) pair shipped to them — bit-identical by the
-//! SIMD kernel invariant, and cheaper than the wire. Replies carry one
-//! `(u64 index, f64 distance)` record per neighbor — exactly the 16
-//! bytes per candidate the cost model charges.
+//! The query payload is deliberately tight: a request ships each distinct
+//! query once (its `dim × f32` coordinates plus its `f64` cap, `γ_k` or
+//! `τ_q`), and each routed group as a list id plus a bitmap over that
+//! query table. Nodes recompute `ρ(q, rep_ℓ)` from their stored
+//! representative coordinates instead of having one `f64` per
+//! (query, list) pair shipped to them — bit-identical by the SIMD kernel
+//! invariant, and cheaper than the wire. Replies carry one
+//! `(u64 index, f64 distance)` record per neighbor.
+//!
+//! This module is the only one that knows how large a frame is:
+//! [`QueryRequest::frame_bytes`] and [`QueryReply::frame_bytes`] give a
+//! frame's size from its counts, and the coordinator's
+//! [`crate::cluster::CommCost`] counts every exchange with them, so over
+//! the wire it equals the bytes the sockets carried.
 
 use std::fmt;
+
+use super::frame::FRAME_HEADER_BYTES;
 
 /// Why a message body could not be decoded.
 #[derive(Debug, PartialEq, Eq)]
@@ -205,8 +211,7 @@ pub struct WireGroup {
     /// A member *set*, **strictly ascending**: on the wire each group
     /// is a bitmap over the query table (⌈queries / 8⌉ bytes), which
     /// both enforces the set property and keeps the routing metadata
-    /// cheap enough that measured wire bytes track the `CommCost`
-    /// model. Member order cannot affect results: each member's scan
+    /// cheap. Member order cannot affect results: each member's scan
     /// feeds only that query's own accumulator, and the per-query
     /// top-k is totally ordered by `(distance, index)`.
     pub members: Vec<u16>,
@@ -237,6 +242,16 @@ impl QueryRequest {
     /// Number of distinct queries shipped.
     pub fn queries(&self) -> usize {
         self.gammas.len()
+    }
+
+    /// Bytes of the frame carrying a request that ships `queries`
+    /// queries of dimension `dim` and `groups` routed groups, header
+    /// included: `FRAME_HEADER_BYTES + encode().len()`, without encoding.
+    pub fn frame_bytes(queries: usize, dim: usize, groups: usize) -> u64 {
+        // k, shrink, dim, query count, group count.
+        let head = 2 + 8 + 2 + 2 + 4;
+        let body = head + queries * (8 + 4 * dim) + groups * (4 + queries.div_ceil(8));
+        (FRAME_HEADER_BYTES + body) as u64
     }
 
     /// Encodes the message body.
@@ -360,6 +375,15 @@ pub struct QueryReply {
 }
 
 impl QueryReply {
+    /// Bytes of the frame carrying a reply with `queries` result sets
+    /// holding `records` neighbors in all, header included:
+    /// `FRAME_HEADER_BYTES + encode().len()`, without encoding.
+    pub fn frame_bytes(queries: usize, records: usize) -> u64 {
+        // evals, result-set count; then a length per set, 16 B per record.
+        let body = 8 + 2 + 2 * queries + 16 * records;
+        (FRAME_HEADER_BYTES + body) as u64
+    }
+
     /// Encodes the message body.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::new();

@@ -170,8 +170,8 @@ impl InFlight<'_> {
 
 /// Per-endpoint wire telemetry: actual bytes and frames on the socket
 /// (headers included), detected timeouts, and established connections.
-/// This is the measurement side of the `CommCost` validation — the
-/// model predicts, these counters observe.
+/// Over the query exchanges, the bytes equal what the coordinator's
+/// `CommCost` counts; probe and control frames are only here.
 #[derive(Debug, Default)]
 pub struct NetCounters {
     /// Bytes written to the socket, frame headers included.

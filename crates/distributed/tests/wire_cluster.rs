@@ -107,7 +107,9 @@ fn wire_transport_is_bit_identical_to_in_process() {
 
         for k in [1usize, 3, 5] {
             let (want, want_stats) = local.query_batch_exact(&queries, k);
+            let before = cluster.wire_bytes();
             let (got, got_stats) = wired.query_batch_exact(&queries, k);
+            let on_socket = cluster.wire_bytes() - before;
             assert_eq!(
                 got, want,
                 "wire answers diverged (nodes={nodes}, k={k}, policy={policy:?})"
@@ -126,8 +128,10 @@ fn wire_transport_is_bit_identical_to_in_process() {
                 evals(&want_stats),
                 "nodes must do exactly the work the in-process shards do"
             );
-            assert_eq!(got_stats.nodes_contacted, want_stats.nodes_contacted);
+            // Both transports count the same frames, and those frames
+            // are exactly what crossed the sockets.
             assert_eq!(got_stats.comm, want_stats.comm);
+            assert_eq!(got_stats.comm.total_bytes(), on_socket);
             assert_eq!(got_stats.degraded_queries(), 0);
             assert_eq!(got_stats.lost_groups, 0);
         }
@@ -244,7 +248,7 @@ fn every_round_sends_all_its_requests_before_it_reads_a_reply() {
                 "two rounds at most, each one exchange: {rounds:?}"
             );
             let sent: usize = rounds.iter().map(Vec::len).sum();
-            assert_eq!(sent as u64, got_stats.nodes_contacted);
+            assert_eq!(sent as u64, got_stats.comm.messages_out);
             for round in &rounds {
                 assert!(round.windows(2).all(|w| w[0] < w[1]), "{round:?}");
                 widest = widest.max(round.len());
@@ -398,7 +402,7 @@ fn an_endpoint_without_send_sees_every_exchange_through_execute() {
         let (got, got_stats) = wired.query_batch_exact(&queries, k);
         assert_eq!(got, want, "k={k}");
         assert_eq!(evals(&got_stats), evals(&want_stats));
-        assert_eq!(calls.load(Ordering::Relaxed), got_stats.nodes_contacted);
+        assert_eq!(calls.load(Ordering::Relaxed), got_stats.comm.messages_out);
     }
     cluster.shutdown();
 }

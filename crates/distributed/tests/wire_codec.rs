@@ -95,9 +95,10 @@ const ALL_KINDS: [MsgKind; 8] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Requests round-trip bit-identically through encode/decode, and
-    /// every strict prefix of the encoding errors — never panics,
-    /// never yields a message.
+    /// Requests round-trip bit-identically through encode/decode, their
+    /// frame size is known from their counts alone, and every strict
+    /// prefix of the encoding errors — never panics, never yields a
+    /// message.
     #[test]
     fn request_round_trip_and_truncation(
         n in 1usize..12,
@@ -108,6 +109,10 @@ proptest! {
     ) {
         let request = make_request(n, dim, k, seed);
         let bytes = request.encode();
+        prop_assert_eq!(
+            QueryRequest::frame_bytes(n, dim, request.groups.len()),
+            (FRAME_HEADER_BYTES + bytes.len()) as u64
+        );
         let back = QueryRequest::decode(&bytes).expect("well-formed request must decode");
         prop_assert_eq!(back, request);
         let cut = cut_seed % bytes.len();
@@ -131,7 +136,8 @@ proptest! {
         let _ = QueryRequest::decode(&bytes);
     }
 
-    /// Replies round-trip bit-identically; strict prefixes error.
+    /// Replies round-trip bit-identically, their frame size is known from
+    /// their counts alone, and strict prefixes error.
     #[test]
     fn reply_round_trip_and_truncation(
         rows in 0usize..10,
@@ -140,6 +146,11 @@ proptest! {
     ) {
         let reply = make_reply(rows, seed);
         let bytes = reply.encode();
+        let records = reply.results.iter().map(Vec::len).sum();
+        prop_assert_eq!(
+            QueryReply::frame_bytes(rows, records),
+            (FRAME_HEADER_BYTES + bytes.len()) as u64
+        );
         let back = QueryReply::decode(&bytes).expect("well-formed reply must decode");
         prop_assert_eq!(back, reply);
         let cut = cut_seed % bytes.len();

@@ -69,13 +69,12 @@ fn main() {
     let chaos = index.health();
     println!(
         "placed {} ownership lists over {} nodes: {:.2} replicas/list, \
-         {:.2}x storage, imbalance {:.2}, one-time shard shipping {:.1} MB",
+         {:.2}x storage, imbalance {:.2}",
         index.rbc().num_reps(),
         nodes,
         index.placement().mean_replication(),
         index.load().storage_overhead(),
         index.placement().imbalance(),
-        index.placement_comm().bytes_out as f64 / 1e6,
     );
 
     // Serve the sharded index: micro-batches of up to 64; the 2ms linger

@@ -13,7 +13,8 @@
 //! 1. **bit-identity** — replays a clustered query stream over the
 //!    wire and asserts every answer equals an untouched in-process
 //!    twin of the same placement (and therefore the centralized
-//!    search);
+//!    search), and that the frames the coordinator counted are exactly
+//!    the bytes the replay put on the sockets;
 //! 2. **hang drill** — orders one node to *hang mid-frame* (it keeps
 //!    the socket open and goes silent halfway through a reply header;
 //!    nothing ever "closes" to signal failure), replays the stream
@@ -197,6 +198,8 @@ fn main() {
         points += ack.points;
     }
     assert_eq!(points as usize, n, "the shards must partition the database");
+    let socket_bytes = || -> u64 { clients.iter().map(|c| c.counters().total_bytes()).sum() };
+    let probed = socket_bytes();
     let wired = wired.with_endpoints(
         clients
             .iter()
@@ -225,16 +228,21 @@ fn main() {
     let (want, _) = run(&local);
     let started = Instant::now();
     let (got, stats) = run(&wired);
-    let wire_bytes: u64 = clients.iter().map(|c| c.counters().total_bytes()).sum();
+    let replayed = socket_bytes() - probed;
     assert_eq!(got, want, "wire answers diverged from the in-process twin");
     assert_eq!(stats.degraded_queries(), 0);
+    assert_eq!(
+        stats.comm.total_bytes(),
+        replayed,
+        "the counted frames must be exactly the replay's socket bytes"
+    );
     println!(
         "phase 1: {} queries over the wire in {:.0} ms — bit-identical to the \
-         in-process twin ({} modeled B, {} measured B on the sockets).",
+         in-process twin; {} B counted = {} B on the sockets.",
         query_pool.len(),
         started.elapsed().as_secs_f64() * 1e3,
         stats.comm.total_bytes(),
-        wire_bytes,
+        replayed,
     );
 
     // ---- Phase 2: the hang drill. ------------------------------------

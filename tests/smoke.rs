@@ -97,7 +97,7 @@ fn facade_modules_expose_the_workspace_crates() {
     let _ = rbc::bruteforce::BruteForce::new();
     let _ = rbc::core::RbcParams::standard(64, 1);
     let _ = rbc::data::low_dim_manifold(64, 2, 4, 0.0, 5);
-    let _ = rbc::distributed::ClusterConfig::default();
+    let _ = rbc::distributed::ClusterConfig::with_nodes(8);
     let _ = rbc::metric::Manhattan.dist(db.point(0), db.point(1));
     let _ = rbc::serve::ServeConfig::default();
 }
