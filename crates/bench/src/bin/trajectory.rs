@@ -577,47 +577,11 @@ fn run_serve(scale: f64, seed: u64) -> TrajectoryFile {
     for stream_name in ["matched", "adversarial"] {
         let stream = make_stream(stream_name, pool, seed);
         let truth = ground_truth(&database, &stream, k);
-        // (cell id, engine config, variant tag, max batch). The `locked` /
-        // `sharded` variants differ in the submission queue only (one shard
-        // vs eight); both must serve the same exact answers, and the serve
-        // gate deliberately ignores their timing.
-        let grid: Vec<(String, ServeConfig, &str, usize)> = vec![
-            (
-                format!("serve/b1/{stream_name}"),
-                ServeConfig::default()
-                    .with_max_batch(1)
-                    .with_linger(Duration::from_micros(500)),
-                "",
-                1,
-            ),
-            (
-                format!("serve/b32/{stream_name}"),
-                ServeConfig::default()
-                    .with_max_batch(32)
-                    .with_linger(Duration::from_micros(500)),
-                "",
-                32,
-            ),
-            (
-                format!("serve/b32/{stream_name}/locked"),
-                ServeConfig::default()
-                    .with_max_batch(32)
-                    .with_linger(Duration::from_micros(500))
-                    .with_queue_shards(1),
-                "locked",
-                32,
-            ),
-            (
-                format!("serve/b32/{stream_name}/sharded"),
-                ServeConfig::default()
-                    .with_max_batch(32)
-                    .with_linger(Duration::from_micros(500))
-                    .with_queue_shards(8),
-                "sharded",
-                32,
-            ),
-        ];
-        for (id, policy, variant, max_batch) in grid {
+        for max_batch in [1, 32] {
+            let id = format!("serve/b{max_batch}/{stream_name}");
+            let policy = ServeConfig::default()
+                .with_max_batch(max_batch)
+                .with_linger(Duration::from_micros(500));
             let engine = Engine::start(Arc::clone(&index), policy).expect("valid serve policy");
             let start = Instant::now();
             let answers = drive(&engine, &stream);
@@ -653,7 +617,7 @@ fn run_serve(scale: f64, seed: u64) -> TrajectoryFile {
                 nodes: 0,
                 replication: 0,
                 failed_nodes: 0,
-                variant: variant.to_string(),
+                variant: String::new(),
                 metrics,
             });
         }

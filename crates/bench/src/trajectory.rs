@@ -35,9 +35,8 @@ use serde::{Deserialize, Serialize};
 /// added, removed, or changes meaning; `--check` refuses to compare
 /// files across versions.
 ///
-/// v2: added [`Cell::variant`] — the serve-area cells now sweep the
-/// hot-path configuration (locked vs sharded accumulators and
-/// submission queues) as an explicit coordinate.
+/// v2: added [`Cell::variant`], an implementation-variant coordinate.
+/// No area sweeps a variant any more, so every cell leaves it empty.
 pub const SCHEMA_VERSION: u32 = 2;
 
 /// The four benchmark areas, in the order the binary runs them. Each
@@ -93,11 +92,8 @@ pub struct Cell {
     pub replication: usize,
     /// Nodes deliberately killed before the replay.
     pub failed_nodes: usize,
-    /// Implementation variant under test, when the area sweeps one —
-    /// e.g. the serve hot-path configuration (`"locked"` = locked
-    /// accumulators + single submission queue, `"sharded"` = sharded
-    /// accumulators + sharded queues). Empty when the area has only one
-    /// variant.
+    /// Implementation variant under test, when an area sweeps one. No
+    /// area does today, so this is always empty.
     #[serde(default)]
     pub variant: String,
     /// The measurements.

@@ -1,4 +1,4 @@
-//! An optional LRU answer cache, composed *under* the engine.
+//! An optional exact answer cache, composed *under* the engine.
 //!
 //! [`CachedIndex`] wraps any [`SearchIndex`] and is itself a
 //! [`SearchIndex`], so caching is orthogonal to scheduling: wrap the index
@@ -12,12 +12,11 @@
 //! same entry only if they are bit-identical, so a hit is always the exact
 //! answer — the cache never introduces approximation.
 //!
-//! Two replacement policies are available behind [`CachePolicy`]: plain
-//! LRU (the original baseline) and the default [`TinyLfuCache`] — a
-//! segmented LRU whose admissions are gated by a [W-TinyLFU]-style
-//! frequency sketch, so a one-pass scan of cold queries cannot flush the
-//! hot working set. Either way the answers served are identical to the
-//! uncached index; only *which* misses get remembered differs.
+//! The store is a [`TinyLfuCache`]: a segmented LRU whose admissions are
+//! gated by a [W-TinyLFU]-style frequency sketch, so a one-pass scan of
+//! cold queries cannot flush the hot working set. The answers served are
+//! identical to the uncached index; the policy only decides *which*
+//! misses get remembered.
 //!
 //! [W-TinyLFU]: https://arxiv.org/abs/1512.00727
 
@@ -446,52 +445,6 @@ impl<V> TinyLfuCache<V> {
     }
 }
 
-/// Which replacement policy a [`CachedIndex`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CachePolicy {
-    /// Plain LRU — the original policy, kept as the A/B baseline.
-    Lru,
-    /// Segmented LRU with TinyLFU admission (the default): same exact-hit
-    /// semantics, but scan-resistant under mixed hot/cold traffic.
-    #[default]
-    TinyLfu,
-}
-
-/// The policy-dispatched store behind a [`CachedIndex`].
-#[derive(Debug)]
-enum AnswerCache<V> {
-    Lru(LruCache<V>),
-    TinyLfu(TinyLfuCache<V>),
-}
-
-impl<V> AnswerCache<V> {
-    fn new(capacity: usize, policy: CachePolicy) -> Self {
-        match policy {
-            CachePolicy::Lru => Self::Lru(LruCache::new(capacity)),
-            CachePolicy::TinyLfu => Self::TinyLfu(TinyLfuCache::new(capacity)),
-        }
-    }
-
-    fn get(&mut self, key: &[u8]) -> Option<&V> {
-        match self {
-            Self::Lru(cache) => cache.get(key),
-            Self::TinyLfu(cache) => cache.get(key),
-        }
-    }
-
-    /// Inserts, returning whether the key was admitted (LRU always
-    /// admits; TinyLFU may refuse at capacity).
-    fn insert(&mut self, key: Vec<u8>, value: V) -> bool {
-        match self {
-            Self::Lru(cache) => {
-                cache.insert(key, value);
-                true
-            }
-            Self::TinyLfu(cache) => cache.insert(key, value),
-        }
-    }
-}
-
 /// Shared hit/miss counters of a [`CachedIndex`].
 ///
 /// The counters live behind an `Arc` so they can be handed to an
@@ -537,8 +490,7 @@ impl CacheCounters {
         self.admitted.load(Ordering::Relaxed)
     }
 
-    /// Answers the admission policy refused so far (always `0` under
-    /// [`CachePolicy::Lru`], which admits unconditionally).
+    /// Answers the admission policy refused so far.
     pub fn rejected(&self) -> u64 {
         self.rejected.load(Ordering::Relaxed)
     }
@@ -575,8 +527,8 @@ impl rbc_trace::Collector for CacheCounters {
     }
 }
 
-/// A [`SearchIndex`] wrapper that answers repeated queries from an LRU
-/// cache.
+/// A [`SearchIndex`] wrapper that answers repeated queries from a
+/// [`TinyLfuCache`].
 ///
 /// Cache hits cost zero distance evaluations and are excluded from the
 /// inner index's batches; misses are forwarded (batched together when
@@ -584,8 +536,7 @@ impl rbc_trace::Collector for CacheCounters {
 #[derive(Debug)]
 pub struct CachedIndex<I> {
     inner: I,
-    cache: Mutex<AnswerCache<Vec<Neighbor>>>,
-    policy: CachePolicy,
+    cache: Mutex<TinyLfuCache<Vec<Neighbor>>>,
     counters: Arc<CacheCounters>,
 }
 
@@ -593,33 +544,17 @@ impl<I: SearchIndex> CachedIndex<I>
 where
     I::Query: CacheKey,
 {
-    /// Wraps `inner` with a cache of at most `capacity` answers under the
-    /// default policy ([`CachePolicy::TinyLfu`]).
+    /// Wraps `inner` with a cache of at most `capacity` answers.
     ///
     /// # Panics
-    /// Panics if `capacity` is zero (see [`LruCache::new`]); to serve
+    /// Panics if `capacity` is zero (see [`TinyLfuCache::new`]); to serve
     /// uncached, hand the engine the bare index instead.
     pub fn new(inner: I, capacity: usize) -> Self {
-        Self::with_policy(inner, capacity, CachePolicy::default())
-    }
-
-    /// Wraps `inner` with an explicit replacement policy — the A/B switch
-    /// between plain LRU and TinyLFU-gated segmented LRU.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn with_policy(inner: I, capacity: usize, policy: CachePolicy) -> Self {
         Self {
             inner,
-            cache: Mutex::new(AnswerCache::new(capacity, policy)),
-            policy,
+            cache: Mutex::new(TinyLfuCache::new(capacity)),
             counters: Arc::new(CacheCounters::default()),
         }
-    }
-
-    /// The replacement policy this cache runs.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
     }
 
     /// The wrapped index.
@@ -972,10 +907,9 @@ mod tests {
 
     #[test]
     fn admission_counters_track_policy_decisions() {
-        // Capacity 2 under TinyLFU: the third distinct query is refused
-        // (tie with the victim), but re-asking it earns admission.
-        let cached = CachedIndex::with_policy(toy_index(), 2, CachePolicy::TinyLfu);
-        assert_eq!(cached.policy(), CachePolicy::TinyLfu);
+        // Capacity 2: the third distinct query is refused (tie with the
+        // victim), but re-asking it earns admission.
+        let cached = CachedIndex::new(toy_index(), 2);
         let a = vec![1.0f32, 1.0, 0.1];
         let b = vec![9.0f32, 2.0, 0.7];
         let c = vec![4.0f32, 8.0, 1.3];
@@ -1011,24 +945,14 @@ mod tests {
             find("rbc_cache_admission_rejected_total"),
             rbc_trace::MetricValue::Counter(1)
         );
-
-        // The LRU baseline admits unconditionally.
-        let baseline = CachedIndex::with_policy(toy_index(), 2, CachePolicy::Lru);
-        assert_eq!(baseline.policy(), CachePolicy::Lru);
-        for q in [&a, &b, &c] {
-            baseline.search(q, 1);
-        }
-        assert_eq!(baseline.counters().admitted(), 3);
-        assert_eq!(baseline.counters().rejected(), 0);
     }
 
     #[test]
-    fn policies_serve_identical_answers() {
-        let tinylfu = CachedIndex::with_policy(toy_index(), 4, CachePolicy::TinyLfu);
-        let lru = CachedIndex::with_policy(toy_index(), 4, CachePolicy::Lru);
+    fn cached_answers_equal_the_uncached_index() {
+        let cached = CachedIndex::new(toy_index(), 4);
         let bare = toy_index();
-        // More distinct queries than capacity, repeated: the policies
-        // cache different subsets but must serve the same answers.
+        // More distinct queries than capacity, repeated: the cache keeps
+        // a subset but must serve the same answers as the bare index.
         let queries: Vec<Vec<f32>> = (0..8)
             .map(|i| vec![i as f32 * 1.7, (8 - i) as f32 * 0.9, i as f32 * 0.05])
             .collect();
@@ -1036,8 +960,7 @@ mod tests {
             for q in &queries {
                 let k = 1 + round % 2;
                 let (want, _) = bare.search(q, k);
-                assert_eq!(tinylfu.search(q, k).0, want);
-                assert_eq!(lru.search(q, k).0, want);
+                assert_eq!(cached.search(q, k).0, want);
             }
         }
     }

@@ -16,15 +16,9 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Longest time a pending query may wait for co-travellers before its
     /// batch is dispatched anyway. `Duration::ZERO` dispatches whatever is
-    /// pending immediately. With [`adaptive_linger`](Self::adaptive_linger)
-    /// set this is the SLO *ceiling*, not the wait itself.
+    /// pending immediately; a linger the clock cannot add to an arrival
+    /// time (`Duration::MAX`) leaves only the size and shutdown triggers.
     pub linger: Duration,
-    /// Scale the linger from the observed arrival rate: the effective
-    /// linger becomes the expected time to fill the batch (inter-arrival
-    /// EWMA × free slots), capped by `linger` as the latency SLO. Heavy
-    /// traffic dispatches as soon as further waiting stops buying
-    /// co-travellers; light traffic never waits past the SLO.
-    pub adaptive_linger: bool,
     /// Bound on the pending queue. When full, [`submit`] blocks
     /// (backpressure) and [`try_submit`] returns
     /// [`ServeError::QueueFull`].
@@ -36,17 +30,6 @@ pub struct ServeConfig {
     /// batches independently, so batch formation never stalls behind a
     /// slow execution.
     pub workers: usize,
-    /// Number of independent submission-queue shards. `1` (the default)
-    /// is a single mutex-guarded queue; larger values spread producers
-    /// over shards (round-robin home affinity per handle, spilling to
-    /// siblings when the home shard is full) and let workers steal
-    /// batches from foreign shards when their home shard is quiet, so
-    /// heavy producer concurrency stops serialising on one queue lock.
-    /// Capacity is split `ceil(queue_capacity / queue_shards)` per shard
-    /// and the size-or-linger/deadline/backpressure contract holds per
-    /// shard. A sensible setting is the expected number of concurrent
-    /// producers, capped by a small multiple of `workers`.
-    pub queue_shards: usize,
 }
 
 impl Default for ServeConfig {
@@ -54,10 +37,8 @@ impl Default for ServeConfig {
         Self {
             max_batch: 32,
             linger: Duration::from_millis(1),
-            adaptive_linger: false,
             queue_capacity: 1024,
             workers: 2,
-            queue_shards: 1,
         }
     }
 }
@@ -77,14 +58,6 @@ impl ServeConfig {
         self
     }
 
-    /// Enables or disables arrival-rate-adaptive lingering (see
-    /// [`adaptive_linger`](Self::adaptive_linger)).
-    #[must_use]
-    pub fn with_adaptive_linger(mut self, adaptive: bool) -> Self {
-        self.adaptive_linger = adaptive;
-        self
-    }
-
     /// Overrides the queue capacity.
     #[must_use]
     pub fn with_queue_capacity(mut self, queue_capacity: usize) -> Self {
@@ -96,14 +69,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Overrides the submission-queue shard count (see
-    /// [`queue_shards`](Self::queue_shards)).
-    #[must_use]
-    pub fn with_queue_shards(mut self, queue_shards: usize) -> Self {
-        self.queue_shards = queue_shards;
         self
     }
 
@@ -128,11 +93,6 @@ impl ServeConfig {
         if self.workers == 0 {
             return Err(ServeError::InvalidConfig(
                 "ServeConfig::workers must be at least 1 (got 0)".into(),
-            ));
-        }
-        if self.queue_shards == 0 {
-            return Err(ServeError::InvalidConfig(
-                "ServeConfig::queue_shards must be at least 1 (got 0)".into(),
             ));
         }
         Ok(())
@@ -195,7 +155,6 @@ mod tests {
                 "queue_capacity",
             ),
             (ServeConfig::default().with_workers(0), "workers"),
-            (ServeConfig::default().with_queue_shards(0), "queue_shards"),
         ];
         for (config, field) in cases {
             match config.validate() {
@@ -212,18 +171,12 @@ mod tests {
         let c = ServeConfig::default()
             .with_max_batch(7)
             .with_linger(Duration::from_micros(300))
-            .with_adaptive_linger(true)
             .with_queue_capacity(9)
-            .with_workers(3)
-            .with_queue_shards(4);
+            .with_workers(3);
         assert_eq!(c.max_batch, 7);
         assert_eq!(c.linger, Duration::from_micros(300));
-        assert!(c.adaptive_linger);
-        assert!(!ServeConfig::default().adaptive_linger);
         assert_eq!(c.queue_capacity, 9);
         assert_eq!(c.workers, 3);
-        assert_eq!(c.queue_shards, 4);
-        assert_eq!(ServeConfig::default().queue_shards, 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use rbc_core::SearchIndex;
 
 use crate::config::{ServeConfig, ServeError};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
-use crate::queue::{Request, ShardedQueue};
+use crate::queue::{Request, SubmitQueue};
 use crate::ticket::{ServeReply, Ticket};
 
 /// A cloneable producer handle onto a running [`Engine`].
@@ -33,19 +33,12 @@ use crate::ticket::{ServeReply, Ticket};
 /// `O` is the *owned* query payload (`Vec<f32>`, `String`, …); it only
 /// needs to [`Borrow`] the index's borrowed query type, so producers hand
 /// over their buffers and the scheduler coalesces them without copying.
-///
-/// Each handle carries its own **home shard** of the submission queue
-/// (dealt round-robin at creation, including on [`Clone`]), so concurrent
-/// producers that each hold their own handle spread over the shards
-/// instead of contending on one queue lock. With
-/// [`queue_shards`](ServeConfig::queue_shards)` = 1` every handle homes
-/// on the single shard and behaviour matches the unsharded engine.
+/// Every handle, original or clone, pushes onto the engine's one bounded
+/// submission queue.
 #[derive(Debug)]
 pub struct ServeHandle<O> {
-    queue: Arc<ShardedQueue<O>>,
+    queue: Arc<SubmitQueue<O>>,
     metrics: Arc<ServeMetrics>,
-    /// This producer's home shard.
-    home: usize,
 }
 
 impl<O> Clone for ServeHandle<O> {
@@ -53,10 +46,6 @@ impl<O> Clone for ServeHandle<O> {
         Self {
             queue: Arc::clone(&self.queue),
             metrics: Arc::clone(&self.metrics),
-            // A fresh affinity, not the parent's: cloning is how
-            // producer threads get their handles, and giving every clone
-            // the same home shard would re-serialise them.
-            home: self.queue.assign_home(),
         }
     }
 }
@@ -94,9 +83,9 @@ impl<O> ServeHandle<O> {
         // concurrent snapshot would read completed > submitted.
         self.metrics.record_submitted();
         let pushed = if blocking {
-            self.queue.push(self.home, request)
+            self.queue.push(request)
         } else {
-            self.queue.try_push(self.home, request)
+            self.queue.try_push(request)
         };
         match pushed {
             Ok(()) => Ok(ticket),
@@ -155,7 +144,7 @@ impl<O> ServeHandle<O> {
 #[derive(Debug)]
 pub struct Engine<I, O> {
     index: Arc<I>,
-    queue: Arc<ShardedQueue<O>>,
+    queue: Arc<SubmitQueue<O>>,
     metrics: Arc<ServeMetrics>,
     workers: Vec<JoinHandle<()>>,
     config: ServeConfig,
@@ -171,13 +160,10 @@ where
     pub fn start(index: I, config: ServeConfig) -> Result<Self, ServeError> {
         config.validate()?;
         let index = Arc::new(index);
-        let queue = Arc::new(ShardedQueue::new(
-            config.queue_shards,
-            config.queue_capacity,
-        ));
+        let queue = Arc::new(SubmitQueue::new(config.queue_capacity));
         let metrics = Arc::new(ServeMetrics::new(config.max_batch));
-        // Expose the queue's per-shard accounting through the metrics
-        // sink (snapshots and the `rbc_serve_queue_shard_*` family).
+        // Expose the queue's depth through the metrics sink (snapshots
+        // and the `rbc_serve_queue_depth` gauge).
         metrics.track_queue(Arc::clone(&queue) as _);
         // Publish this engine's metrics (and whatever cache/cluster
         // counters get tracked later) through the global trace registry,
@@ -190,18 +176,10 @@ where
                 let index = Arc::clone(&index);
                 let queue = Arc::clone(&queue);
                 let metrics = Arc::clone(&metrics);
-                // Workers spread over the shards by id; each drains its
-                // home shard first and steals from the others when idle.
-                let home = worker_id % queue.shard_count();
                 std::thread::Builder::new()
                     .name(format!("rbc-serve-{worker_id}"))
                     .spawn(move || {
-                        while let Some(batch) = queue.next_batch(
-                            home,
-                            config.max_batch,
-                            config.linger,
-                            config.adaptive_linger,
-                        ) {
+                        while let Some(batch) = queue.next_batch(config.max_batch, config.linger) {
                             execute_batch(&*index, batch, &metrics);
                         }
                     })
@@ -217,13 +195,11 @@ where
         })
     }
 
-    /// A new producer handle; clone it freely across threads (every
-    /// handle — original or clone — gets its own queue-shard affinity).
+    /// A new producer handle; clone it freely across threads.
     pub fn handle(&self) -> ServeHandle<O> {
         ServeHandle {
             queue: Arc::clone(&self.queue),
             metrics: Arc::clone(&self.metrics),
-            home: self.queue.assign_home(),
         }
     }
 
@@ -492,36 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_linger_serves_bursts_without_waiting_out_the_slo() {
-        // An SLO no test should ever wait out: only the adaptive policy
-        // (expected fill time ≈ 0 under a burst) can dispatch these fast.
-        let engine = toy_engine(
-            ServeConfig::default()
-                .with_workers(1)
-                .with_max_batch(64)
-                .with_linger(Duration::from_secs(120))
-                .with_adaptive_linger(true),
-        );
-        let handle = engine.handle();
-        let queries = cloud(6, 4, 8);
-        let tickets: Vec<Ticket> = (0..queries.len())
-            .map(|i| handle.submit(queries.point(i).to_vec(), 2).unwrap())
-            .collect();
-        let start = Instant::now();
-        for (qi, ticket) in tickets.into_iter().enumerate() {
-            let reply = ticket.wait().expect("served");
-            let (direct, _) = engine.index().query_k(queries.point(qi), 2);
-            assert_eq!(reply.neighbors, direct, "query {qi}");
-        }
-        assert!(
-            start.elapsed() < Duration::from_secs(30),
-            "adaptive linger must dispatch the burst long before the SLO"
-        );
-        let snapshot = engine.shutdown();
-        assert_eq!(snapshot.completed, 6);
-    }
-
-    #[test]
     fn shutdown_drains_pending_requests() {
         let engine = toy_engine(
             ServeConfig::default()
@@ -699,17 +645,16 @@ mod tests {
     }
 
     #[test]
-    fn a_sharded_queue_serves_concurrent_producers_correctly() {
+    fn concurrent_producers_are_served_correctly() {
         let engine = toy_engine(
             ServeConfig::default()
                 .with_workers(2)
-                .with_queue_shards(4)
                 .with_linger(Duration::from_micros(200)),
         );
         let handle = engine.handle();
         let queries = cloud(32, 4, 13);
-        // Eight producer threads, each with its own cloned handle (and
-        // hence its own home shard), submitting four queries each.
+        // Eight producer threads, each with its own cloned handle,
+        // submitting four queries each.
         std::thread::scope(|scope| {
             for producer in 0..8 {
                 let handle = handle.clone();
@@ -730,21 +675,34 @@ mod tests {
             }
         });
         let snapshot = engine.shutdown();
+        assert_eq!(snapshot.submitted, 32);
         assert_eq!(snapshot.completed, 32);
         assert_eq!(snapshot.shed, 0);
         assert_eq!(snapshot.failed, 0);
-        // Per-shard accounting must cover every submission and spread
-        // over more than one shard (9 handles round-robin over 4 shards).
-        assert_eq!(snapshot.queue_shards.len(), 4);
-        let pushed: u64 = snapshot.queue_shards.iter().map(|s| s.pushed).sum();
-        assert_eq!(pushed, 32);
-        let active = snapshot
-            .queue_shards
-            .iter()
-            .filter(|s| s.pushed > 0)
-            .count();
-        assert!(active > 1, "all submissions landed on one shard");
-        assert!(snapshot.queue_shards.iter().all(|s| s.depth == 0));
+        assert_eq!(snapshot.queue_depth, 0);
+    }
+
+    #[test]
+    fn a_linger_too_long_for_the_clock_waits_for_size_or_shutdown() {
+        let engine = toy_engine(
+            ServeConfig::default()
+                .with_workers(1)
+                .with_max_batch(2)
+                .with_linger(Duration::MAX),
+        );
+        let handle = engine.handle();
+        let queries = cloud(3, 4, 17);
+        let first = handle.submit(queries.point(0).to_vec(), 1).unwrap();
+        // Let the worker find the lone request and wait on it.
+        std::thread::sleep(Duration::from_millis(20));
+        let second = handle.submit(queries.point(1).to_vec(), 1).unwrap();
+        for ticket in [first, second] {
+            assert_eq!(ticket.wait().expect("served").batch_size, 2);
+        }
+        let third = handle.submit(queries.point(2).to_vec(), 1).unwrap();
+        let snapshot = engine.shutdown();
+        assert_eq!(snapshot.completed, 3);
+        assert_eq!(third.wait().expect("drained").batch_size, 1);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! * **Deadlines** — [`ServeHandle::submit_with_deadline`] attaches a
 //!   latency budget; requests whose budget expires before execution are
 //!   shed, protecting the batch from wasted work under overload.
-//! * **[`CachedIndex`]** — an optional exact LRU answer cache composed
-//!   under the engine, for traffic with repeated queries.
+//! * **[`CachedIndex`]** — an optional exact answer cache (TinyLFU
+//!   admission over a segmented LRU) composed under the engine, for
+//!   traffic with repeated queries.
 //! * **[`ServeMetrics`]** — throughput, achieved-batch-size histogram and
 //!   p50/p95/p99 latency, snapshotted as serialisable records that the
 //!   `serve_bench` binary writes next to the paper-reproduction reports.
@@ -73,12 +74,10 @@ pub mod metrics;
 mod queue;
 pub mod ticket;
 
-pub use cache::{CacheCounters, CacheKey, CachePolicy, CachedIndex, LruCache, TinyLfuCache};
+pub use cache::{CacheCounters, CacheKey, CachedIndex, LruCache, TinyLfuCache};
 pub use config::{ServeConfig, ServeError};
 pub use engine::{Engine, ServeHandle};
-pub use metrics::{
-    BatchSizeBucket, LatencyHistogram, MetricsSnapshot, QueueShardSnapshot, ServeMetrics,
-};
+pub use metrics::{BatchSizeBucket, LatencyHistogram, MetricsSnapshot, ServeMetrics};
 pub use ticket::{ServeReply, Ticket};
 
 // Re-exported so downstream code can name the trait bound without adding

@@ -16,33 +16,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::CacheCounters;
 
-/// Point-in-time accounting for one submission-queue shard, as reported
-/// by the engine's sharded submission queue (`ShardedQueue::shard_snapshots`)
-/// and surfaced in [`MetricsSnapshot::queue_shards`] and the
-/// `rbc_serve_queue_shard_*` metric family.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct QueueShardSnapshot {
-    /// Shard index (the `shard` label of the exported series).
-    pub shard: usize,
-    /// Requests this shard accepted.
-    pub pushed: u64,
-    /// Of those, requests that spilled here because the producer's home
-    /// shard was full — persistent spill means home shards are undersized
-    /// or producer affinity is badly skewed.
-    pub spilled: u64,
-    /// Batches drained from this shard by a worker homed elsewhere — the
-    /// work-stealing traffic.
-    pub stolen: u64,
-    /// Requests pending on this shard right now (a gauge, not a counter).
-    pub depth: u64,
-}
-
-/// A source of per-shard queue accounting that [`ServeMetrics`] can poll
-/// at snapshot/collect time. Object-safe so the metrics sink does not
-/// need the queue's payload type parameter.
+/// A submission queue whose depth [`ServeMetrics`] can poll at
+/// snapshot/collect time. Object-safe so the metrics sink does not need
+/// the queue's payload type parameter.
 pub(crate) trait QueueProbe: Send + Sync {
-    /// Current per-shard accounting, one entry per shard.
-    fn shard_snapshots(&self) -> Vec<QueueShardSnapshot>;
+    /// Requests pending right now.
+    fn depth(&self) -> usize;
 }
 
 /// The tracked queue slot, opaque in `Debug` output (the probe's payload
@@ -201,9 +180,8 @@ pub struct ServeMetrics {
     /// (`DistributedRbc`) index and registered it; `None` means snapshots
     /// report no node loads.
     cluster: Mutex<Option<Arc<ClusterLoad>>>,
-    /// The engine's sharded submission queue, polled at snapshot and
-    /// collect time for per-shard accounting; `None` means snapshots
-    /// report no queue shards.
+    /// The engine's submission queue, polled at snapshot and collect
+    /// time for its depth; `None` means snapshots report depth 0.
     queue: Mutex<TrackedQueue>,
 }
 
@@ -244,8 +222,7 @@ impl ServeMetrics {
     }
 
     /// Registers the engine's submission queue so snapshots and the
-    /// collector report per-shard push/spill/steal counters and depths.
-    /// Replaces any previously tracked queue.
+    /// collector report its depth. Replaces any previously tracked queue.
     pub(crate) fn track_queue(&self, queue: Arc<dyn QueueProbe>) {
         recover(&self.queue).0 = Some(queue);
     }
@@ -331,10 +308,10 @@ impl ServeMetrics {
             (load.mean_replication(), load.storage_overhead())
         });
         drop(cluster);
-        let queue_shards = recover(&self.queue)
+        let queue_depth = recover(&self.queue)
             .0
             .as_ref()
-            .map_or_else(Vec::new, |queue| queue.shard_snapshots());
+            .map_or(0, |queue| queue.depth() as u64);
         MetricsSnapshot {
             uptime_secs: uptime.as_secs_f64(),
             submitted: self.submitted.load(Ordering::Relaxed),
@@ -370,7 +347,7 @@ impl ServeMetrics {
             lost_groups,
             mean_replication,
             storage_overhead,
-            queue_shards,
+            queue_depth,
         }
     }
 }
@@ -418,25 +395,10 @@ impl Collector for ServeMetrics {
             value: MetricValue::Histogram(recover(&self.latency).trace_snapshot()),
         });
         if let Some(queue) = recover(&self.queue).0.as_ref() {
-            for shard in queue.shard_snapshots() {
-                let label = shard.shard.to_string();
-                out.push(
-                    MetricSample::counter("rbc_serve_queue_shard_pushed_total", shard.pushed)
-                        .with_label("shard", label.clone()),
-                );
-                out.push(
-                    MetricSample::counter("rbc_serve_queue_shard_spilled_total", shard.spilled)
-                        .with_label("shard", label.clone()),
-                );
-                out.push(
-                    MetricSample::counter("rbc_serve_queue_shard_stolen_total", shard.stolen)
-                        .with_label("shard", label.clone()),
-                );
-                out.push(
-                    MetricSample::gauge("rbc_serve_queue_shard_depth", shard.depth as f64)
-                        .with_label("shard", label),
-                );
-            }
+            out.push(MetricSample::gauge(
+                "rbc_serve_queue_depth",
+                queue.depth() as f64,
+            ));
         }
         if let Some(cache) = recover(&self.cache).as_ref() {
             out.extend(cache.collect());
@@ -529,14 +491,11 @@ pub struct MetricsSnapshot {
     /// Stored points over primary points of the served placement (1.0 =
     /// no replica storage; 0.0 when no cluster is tracked).
     pub storage_overhead: f64,
-    /// Per-shard submission-queue accounting — one record per queue
-    /// shard (push/spill/steal counters and current depth), so producer
-    /// skew and work-stealing traffic are observable from the serving
-    /// layer. Empty in snapshots taken before an engine registered its
-    /// queue, and absent from pre-sharding JSON reports (defaults to
-    /// empty on deserialisation).
+    /// Requests pending in the submission queue at snapshot time (a
+    /// gauge). 0 before an engine registered its queue, and on
+    /// deserialising reports written without the field.
     #[serde(default)]
-    pub queue_shards: Vec<QueueShardSnapshot>,
+    pub queue_depth: u64,
 }
 
 #[cfg(test)]
@@ -804,78 +763,44 @@ mod tests {
         assert_eq!(s.node_loads[0], NodeLoad::idle(0));
     }
 
-    /// A stand-in queue probe with fixed per-shard accounting.
+    /// A stand-in queue probe with a fixed depth.
     #[derive(Debug)]
     struct FakeQueue;
 
     impl QueueProbe for FakeQueue {
-        fn shard_snapshots(&self) -> Vec<QueueShardSnapshot> {
-            vec![
-                QueueShardSnapshot {
-                    shard: 0,
-                    pushed: 10,
-                    spilled: 0,
-                    stolen: 2,
-                    depth: 1,
-                },
-                QueueShardSnapshot {
-                    shard: 1,
-                    pushed: 7,
-                    spilled: 3,
-                    stolen: 0,
-                    depth: 0,
-                },
-            ]
+        fn depth(&self) -> usize {
+            3
         }
     }
 
     #[test]
-    fn tracked_queue_shards_flow_into_the_snapshot_and_collector() {
+    fn tracked_queue_depth_flows_into_the_snapshot_and_collector() {
         let m = ServeMetrics::new(4);
-        assert!(m.snapshot().queue_shards.is_empty());
+        assert_eq!(m.snapshot().queue_depth, 0);
+        assert!(m
+            .collect()
+            .iter()
+            .all(|s| s.name != "rbc_serve_queue_depth"));
         m.track_queue(Arc::new(FakeQueue));
         let s = m.snapshot();
-        assert_eq!(s.queue_shards.len(), 2);
-        assert_eq!(s.queue_shards[1].pushed, 7);
-        assert_eq!(s.queue_shards[1].spilled, 3);
-        assert_eq!(s.queue_shards[0].stolen, 2);
-        // The snapshot round-trips with the per-shard records included.
+        assert_eq!(s.queue_depth, 3);
+        // The snapshot round-trips with the depth included.
         let json = serde_json::to_string(&s).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
-        // Pre-sharding reports lack the field entirely; they must still
-        // deserialise (to an empty shard list).
-        let legacy = json.replace(
-            &format!(
-                ",\"queue_shards\":{}",
-                serde_json::to_string(&s.queue_shards).unwrap()
-            ),
-            "",
-        );
+        // Reports written without the field still deserialise (depth 0).
+        let legacy = json.replace(",\"queue_depth\":3", "");
         assert_ne!(legacy, json, "field should have been stripped");
         let old: MetricsSnapshot = serde_json::from_str(&legacy).unwrap();
-        assert!(old.queue_shards.is_empty());
-        // The collector exports one labeled series per shard.
+        assert_eq!(old.queue_depth, 0);
+        // The collector exports one unlabelled gauge.
         let samples = m.collect();
-        let pushed: Vec<_> = samples
-            .iter()
-            .filter(|s| s.name == "rbc_serve_queue_shard_pushed_total")
-            .collect();
-        assert_eq!(pushed.len(), 2);
-        assert_eq!(pushed[0].labels, vec![("shard".into(), "0".into())]);
-        assert_eq!(pushed[1].labels, vec![("shard".into(), "1".into())]);
-        assert_eq!(pushed[1].value, MetricValue::Counter(7));
-        assert!(samples
-            .iter()
-            .any(|s| s.name == "rbc_serve_queue_shard_spilled_total"));
-        assert!(samples
-            .iter()
-            .any(|s| s.name == "rbc_serve_queue_shard_stolen_total"));
         let depth = samples
             .iter()
-            .find(|s| s.name == "rbc_serve_queue_shard_depth")
+            .find(|s| s.name == "rbc_serve_queue_depth")
             .expect("depth gauge exported");
-        assert_eq!(depth.value, MetricValue::Gauge(1.0));
+        assert!(depth.labels.is_empty());
+        assert_eq!(depth.value, MetricValue::Gauge(3.0));
     }
 
     #[test]

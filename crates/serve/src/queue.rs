@@ -8,39 +8,19 @@
 //! [`push`](SubmitQueue::push) (backpressure) and fails
 //! [`try_push`](SubmitQueue::try_push).
 //!
-//! With the **adaptive** linger policy the configured linger becomes an
-//! SLO ceiling rather than the wait itself: the queue keeps an EWMA of
-//! the observed inter-arrival gap, and the effective linger is the
-//! expected time to *fill* the batch at the current arrival rate
-//! (`gap × free slots`), capped by the configured linger. Heavy traffic
-//! thus dispatches the moment further waiting stops buying co-travellers,
-//! instead of taxing every batch with the full SLO.
-//!
-//! Under heavy producer concurrency a single queue serialises every
-//! submission on one lock, so [`ShardedQueue`] spreads the pending set
-//! over N independent [`SubmitQueue`] shards: each producer handle gets a
-//! **home shard** (round-robin affinity at handle creation) and only
-//! spills to siblings when its home is full; each worker drains its home
-//! shard first and **steals** batches from the others when its home is
-//! quiet. Every shard keeps the full size-or-linger contract — deadlines,
-//! backpressure and the adaptive linger all apply per shard — and one
-//! shared [`Doorbell`] wakes sleeping workers whichever shard an arrival
-//! lands on, so no request can linger past its shard's effective linger
-//! just because the "wrong" worker was asleep.
+//! One mutex guards the pending requests and the closed flag, and both
+//! condvars wait on it: workers sleep on `not_empty` (until an arrival,
+//! the oldest request's linger, or close), blocked producers on
+//! `not_full`. A worker checks the state and starts waiting under the
+//! same lock a push or close changes it under, so no wake-up can fall
+//! between the check and the sleep.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::config::ServeError;
-use crate::metrics::QueueShardSnapshot;
 use crate::ticket::TicketCell;
-
-/// Smoothing factor of the inter-arrival EWMA: each new gap contributes a
-/// quarter, so the estimate tracks bursts within a few arrivals without
-/// whiplashing on a single straggler.
-const ARRIVAL_EWMA_ALPHA: f64 = 0.25;
 
 /// One enqueued query awaiting its batch.
 #[derive(Debug)]
@@ -58,144 +38,51 @@ pub(crate) struct Request<O> {
     pub ticket: Arc<TicketCell>,
 }
 
-/// A wakeup channel shared by every shard of a queue: pushes and closes
-/// ring it, and a worker that found nothing dispatchable anywhere sleeps
-/// on it instead of on any single shard's state lock.
-///
-/// The sequence number makes the sleep race-free: a worker reads the
-/// sequence *before* scanning the shards, so an arrival that lands while
-/// it scans bumps the sequence and [`wait_past`](Self::wait_past) returns
-/// immediately instead of missing the wakeup.
-#[derive(Debug, Default)]
-pub(crate) struct Doorbell {
-    seq: Mutex<u64>,
-    bell: Condvar,
-}
-
-impl Doorbell {
-    /// The current ring count; pass it to
-    /// [`wait_past`](Self::wait_past) to sleep only if nothing has rung
-    /// since this read.
-    fn sequence(&self) -> u64 {
-        *self.seq.lock().expect("doorbell lock poisoned")
-    }
-
-    /// Wakes every sleeping worker.
-    fn ring(&self) {
-        let mut seq = self.seq.lock().expect("doorbell lock poisoned");
-        *seq = seq.wrapping_add(1);
-        self.bell.notify_all();
-    }
-
-    /// Sleeps until the doorbell rings past `seen` or `timeout` elapses
-    /// (`None` waits indefinitely). Spurious wakeups are harmless: every
-    /// caller re-polls its shards on return.
-    fn wait_past(&self, seen: u64, timeout: Option<Duration>) {
-        let start = Instant::now();
-        let mut seq = self.seq.lock().expect("doorbell lock poisoned");
-        while *seq == seen {
-            match timeout {
-                None => {
-                    seq = self.bell.wait(seq).expect("doorbell lock poisoned");
-                }
-                Some(timeout) => {
-                    let waited = start.elapsed();
-                    if waited >= timeout {
-                        return;
-                    }
-                    let (guard, _timed_out) = self
-                        .bell
-                        .wait_timeout(seq, timeout - waited)
-                        .expect("doorbell lock poisoned");
-                    seq = guard;
-                }
-            }
-        }
-    }
-}
-
-/// The outcome of one non-blocking batch poll on a shard.
-#[derive(Debug)]
-pub(crate) enum BatchPoll<O> {
-    /// A batch closed and was drained.
-    Ready(Vec<Request<O>>),
-    /// Requests are pending but the effective linger has not elapsed;
-    /// nothing can close before the returned instant (unless more
-    /// requests arrive, which rings the doorbell).
-    WaitUntil(Instant),
-    /// The shard is open and empty.
-    Empty,
-    /// The shard is closed and fully drained.
-    Closed,
-}
-
 #[derive(Debug)]
 struct State<O> {
     pending: VecDeque<Request<O>>,
     closed: bool,
-    /// When the previous request arrived, for the inter-arrival EWMA.
-    last_arrival: Option<Instant>,
-    /// EWMA of the inter-arrival gap in microseconds; `None` until two
-    /// arrivals have been observed.
-    ewma_gap_us: Option<f64>,
 }
 
-impl<O> State<O> {
-    /// Folds one arrival into the inter-arrival EWMA.
-    fn observe_arrival(&mut self, now: Instant) {
-        if let Some(prev) = self.last_arrival {
-            let gap = now.duration_since(prev).as_secs_f64() * 1e6;
-            self.ewma_gap_us = Some(match self.ewma_gap_us {
-                Some(ewma) => ARRIVAL_EWMA_ALPHA * gap + (1.0 - ARRIVAL_EWMA_ALPHA) * ewma,
-                None => gap,
-            });
-        }
-        self.last_arrival = Some(now);
-    }
-}
-
-/// A bounded MPMC queue of pending requests with batch-closing semantics
-/// — one shard of a [`ShardedQueue`], or the whole queue when only one
-/// shard is configured.
+/// A bounded MPMC queue of pending requests with batch-closing semantics.
 #[derive(Debug)]
 pub(crate) struct SubmitQueue<O> {
     capacity: usize,
     state: Mutex<State<O>>,
-    /// Rung when `pending` gains an element or the queue closes; shared
-    /// with the sibling shards of a [`ShardedQueue`] so any worker,
-    /// wherever it sleeps, sees the arrival.
-    doorbell: Arc<Doorbell>,
+    /// Signalled when `pending` gains an element or the queue closes.
+    not_empty: Condvar,
     /// Signalled when `pending` loses elements (backpressure release).
     not_full: Condvar,
 }
 
 impl<O> SubmitQueue<O> {
-    /// A standalone shard with a private doorbell; production code always
-    /// goes through [`ShardedQueue`], so this is a test-only convenience.
-    #[cfg(test)]
     pub(crate) fn new(capacity: usize) -> Self {
-        Self::with_doorbell(capacity, Arc::new(Doorbell::default()))
-    }
-
-    /// A shard ringing a shared doorbell on every arrival.
-    pub(crate) fn with_doorbell(capacity: usize, doorbell: Arc<Doorbell>) -> Self {
         debug_assert!(capacity > 0, "queue capacity validated by ServeConfig");
         Self {
             capacity,
             state: Mutex::new(State {
                 pending: VecDeque::new(),
                 closed: false,
-                last_arrival: None,
-                ewma_gap_us: None,
             }),
-            doorbell,
+            not_empty: Condvar::new(),
             not_full: Condvar::new(),
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, State<O>> {
+        self.state.lock().expect("serve queue lock poisoned")
+    }
+
+    /// Appends `request` to an open queue with room and wakes a worker.
+    fn enqueue(&self, mut state: MutexGuard<'_, State<O>>, request: Request<O>) {
+        state.pending.push_back(request);
+        drop(state);
+        self.not_empty.notify_one();
+    }
+
     /// Enqueues a request, blocking while the queue is at capacity.
     pub(crate) fn push(&self, request: Request<O>) -> Result<(), (Request<O>, ServeError)> {
-        let mut state = self.state.lock().expect("serve queue lock poisoned");
+        let mut state = self.lock();
         while state.pending.len() >= self.capacity && !state.closed {
             state = self
                 .not_full
@@ -205,342 +92,90 @@ impl<O> SubmitQueue<O> {
         if state.closed {
             return Err((request, ServeError::Shutdown));
         }
-        state.observe_arrival(Instant::now());
-        state.pending.push_back(request);
-        drop(state);
-        self.doorbell.ring();
+        self.enqueue(state, request);
         Ok(())
     }
 
     /// Enqueues a request or fails immediately when the queue is full.
     pub(crate) fn try_push(&self, request: Request<O>) -> Result<(), (Request<O>, ServeError)> {
-        let mut state = self.state.lock().expect("serve queue lock poisoned");
+        let state = self.lock();
         if state.closed {
             return Err((request, ServeError::Shutdown));
         }
         if state.pending.len() >= self.capacity {
             return Err((request, ServeError::QueueFull));
         }
-        state.observe_arrival(Instant::now());
-        state.pending.push_back(request);
-        drop(state);
-        self.doorbell.ring();
+        self.enqueue(state, request);
         Ok(())
     }
 
-    /// Attempts to close a batch right now, without ever blocking.
+    /// Blocks until a batch can be closed and returns it; `None` once the
+    /// queue is closed *and* drained (worker shutdown signal).
     ///
     /// Closing rule: dispatch when `max_batch` requests are pending, when
-    /// the oldest pending request has waited the effective linger, or
-    /// unconditionally during shutdown (drain). With `adaptive` set the
-    /// effective linger is the expected time to fill the batch at the
-    /// observed arrival rate (inter-arrival EWMA × free slots), capped by
-    /// `linger` as the SLO; otherwise it is `linger` itself. Each
-    /// successful poll drains at most `max_batch` requests.
-    pub(crate) fn poll_batch(
-        &self,
-        max_batch: usize,
-        linger: Duration,
-        adaptive: bool,
-    ) -> BatchPoll<O> {
-        let mut state = self.state.lock().expect("serve queue lock poisoned");
-        if state.pending.is_empty() {
-            return if state.closed {
-                BatchPoll::Closed
-            } else {
-                BatchPoll::Empty
+    /// the oldest pending request has waited `linger`, or unconditionally
+    /// during shutdown (drain). A linger so long that the clock cannot
+    /// represent its end has no time trigger: the batch waits for its
+    /// size or for shutdown. Each batch holds at most `max_batch`
+    /// requests; several workers may close batches concurrently.
+    pub(crate) fn next_batch(&self, max_batch: usize, linger: Duration) -> Option<Vec<Request<O>>> {
+        let mut state = self.lock();
+        loop {
+            // When the linger closes the pending batch; `None` when only
+            // an arrival or `close` can.
+            let due = match state.pending.front() {
+                None if state.closed => return None,
+                None => None,
+                Some(_) if state.closed || state.pending.len() >= max_batch => break,
+                Some(oldest) => match oldest.submitted_at.checked_add(linger) {
+                    Some(due) if due <= Instant::now() => break,
+                    due => due,
+                },
             };
-        }
-        if state.pending.len() < max_batch && !state.closed {
-            // Recomputed on every poll: both the pending count and the
-            // arrival-rate estimate move between polls.
-            let effective = if adaptive {
-                match state.ewma_gap_us {
-                    Some(gap_us) => {
-                        let free_slots = (max_batch - state.pending.len()) as f64;
-                        Duration::from_secs_f64((gap_us * free_slots).max(0.0) * 1e-6).min(linger)
-                    }
-                    // No rate observed yet (a single lone arrival): the
-                    // SLO is all we have.
-                    None => linger,
+            state = match due {
+                Some(due) => {
+                    let wait = due.saturating_duration_since(Instant::now());
+                    self.not_empty
+                        .wait_timeout(state, wait)
+                        .expect("serve queue lock poisoned")
+                        .0
                 }
-            } else {
-                linger
+                None => self
+                    .not_empty
+                    .wait(state)
+                    .expect("serve queue lock poisoned"),
             };
-            let oldest = state.pending.front().expect("nonempty").submitted_at;
-            if oldest.elapsed() < effective {
-                return BatchPoll::WaitUntil(oldest + effective);
-            }
         }
         let take = state.pending.len().min(max_batch);
         let batch: Vec<Request<O>> = state.pending.drain(..take).collect();
-        self.not_full.notify_all();
-        BatchPoll::Ready(batch)
-    }
-
-    /// Blocks until a batch can be closed and returns it; `None` once the
-    /// queue is closed *and* drained (worker shutdown signal). The
-    /// blocking loop around [`poll_batch`](Self::poll_batch): multiple
-    /// workers may close batches concurrently. The engine drives shards
-    /// through [`ShardedQueue::next_batch`]; this single-queue form is
-    /// the same loop without the steal scan, kept for direct use of a
-    /// standalone queue.
-    #[allow(dead_code)]
-    pub(crate) fn next_batch(
-        &self,
-        max_batch: usize,
-        linger: Duration,
-        adaptive: bool,
-    ) -> Option<Vec<Request<O>>> {
-        loop {
-            // Read the doorbell before polling so an arrival that lands
-            // mid-poll is never slept through.
-            let seen = self.doorbell.sequence();
-            match self.poll_batch(max_batch, linger, adaptive) {
-                BatchPoll::Ready(batch) => return Some(batch),
-                BatchPoll::Closed => return None,
-                BatchPoll::Empty => self.doorbell.wait_past(seen, None),
-                BatchPoll::WaitUntil(deadline) => {
-                    let now = Instant::now();
-                    if deadline > now {
-                        self.doorbell.wait_past(seen, Some(deadline - now));
-                    }
-                }
-            }
+        let more = !state.pending.is_empty();
+        drop(state);
+        // A push wakes one worker; hand what this batch left behind to
+        // the next.
+        if more {
+            self.not_empty.notify_one();
         }
+        self.not_full.notify_all();
+        Some(batch)
     }
 
     /// Closes the queue: further pushes fail with
     /// [`ServeError::Shutdown`], and workers drain what remains.
     pub(crate) fn close(&self) {
-        let mut state = self.state.lock().expect("serve queue lock poisoned");
-        state.closed = true;
+        self.lock().closed = true;
+        self.not_empty.notify_all();
         self.not_full.notify_all();
-        drop(state);
-        self.doorbell.ring();
     }
 
     /// Number of requests currently pending (diagnostic).
     pub(crate) fn depth(&self) -> usize {
-        self.state
-            .lock()
-            .expect("serve queue lock poisoned")
-            .pending
-            .len()
+        self.lock().pending.len()
     }
 }
 
-/// Per-shard submission accounting (relaxed atomics; read by the metrics
-/// collector, never on the submit path's critical section).
-#[derive(Debug, Default)]
-struct ShardStats {
-    /// Requests this shard accepted.
-    pushed: AtomicU64,
-    /// Of those, requests whose producer's home shard was full and
-    /// spilled here — persistent spill means home shards are undersized
-    /// or affinity is badly skewed.
-    spilled: AtomicU64,
-    /// Batches drained from this shard by a worker homed elsewhere —
-    /// the work-stealing traffic.
-    stolen: AtomicU64,
-}
-
-/// N [`SubmitQueue`] shards behind one doorbell: per-producer affinity
-/// with spill-on-full, per-worker affinity with batch stealing, and the
-/// full size-or-linger/deadline/backpressure contract per shard.
-///
-/// `shards == 1` degenerates to the single mutex-guarded queue (one
-/// shard, every producer and worker homed on it), which is what
-/// [`ServeConfig::queue_shards`](crate::config::ServeConfig::queue_shards)
-/// defaults to.
-#[derive(Debug)]
-pub(crate) struct ShardedQueue<O> {
-    shards: Vec<SubmitQueue<O>>,
-    stats: Vec<ShardStats>,
-    doorbell: Arc<Doorbell>,
-    /// Round-robin cursor dealing home shards to producer handles.
-    next_home: AtomicUsize,
-}
-
-impl<O> ShardedQueue<O> {
-    /// Creates `shards` shards splitting `capacity` between them (each
-    /// shard gets `ceil(capacity / shards)`, so the queue as a whole
-    /// never holds fewer pending requests than a single queue of the
-    /// same capacity would).
-    pub(crate) fn new(shards: usize, capacity: usize) -> Self {
-        debug_assert!(shards > 0, "shard count validated by ServeConfig");
-        let doorbell = Arc::new(Doorbell::default());
-        let per_shard = capacity.div_ceil(shards).max(1);
-        Self {
-            shards: (0..shards)
-                .map(|_| SubmitQueue::with_doorbell(per_shard, Arc::clone(&doorbell)))
-                .collect(),
-            stats: (0..shards).map(|_| ShardStats::default()).collect(),
-            doorbell,
-            next_home: AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of shards.
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Deals the next home shard (round-robin) — one per producer handle
-    /// and one per worker, so both sides spread evenly without
-    /// coordination.
-    pub(crate) fn assign_home(&self) -> usize {
-        self.next_home.fetch_add(1, Ordering::Relaxed) % self.shards.len()
-    }
-
-    /// Accounts an accepted push on `shard` (spilled if a non-home shard
-    /// took it).
-    fn record_push(&self, shard: usize, home: usize) {
-        self.stats[shard].pushed.fetch_add(1, Ordering::Relaxed);
-        if shard != home {
-            self.stats[shard].spilled.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Enqueues on the home shard, spilling to siblings when it is full
-    /// and blocking on the home shard once every shard is full — the
-    /// same backpressure contract as a single bounded queue.
-    pub(crate) fn push(
-        &self,
-        home: usize,
-        request: Request<O>,
-    ) -> Result<(), (Request<O>, ServeError)> {
-        let n = self.shards.len();
-        let mut request = request;
-        for offset in 0..n {
-            let shard = (home + offset) % n;
-            match self.shards[shard].try_push(request) {
-                Ok(()) => {
-                    self.record_push(shard, home);
-                    return Ok(());
-                }
-                // Shutdown closes every shard at once; report it straight
-                // away rather than probing the siblings.
-                Err((returned, ServeError::Shutdown)) => {
-                    return Err((returned, ServeError::Shutdown))
-                }
-                Err((returned, _full)) => request = returned,
-            }
-        }
-        self.shards[home].push(request).map(|()| {
-            self.record_push(home, home);
-        })
-    }
-
-    /// Non-blocking enqueue: home shard first, then siblings, then
-    /// [`ServeError::QueueFull`] once every shard has refused.
-    pub(crate) fn try_push(
-        &self,
-        home: usize,
-        request: Request<O>,
-    ) -> Result<(), (Request<O>, ServeError)> {
-        let n = self.shards.len();
-        let mut request = request;
-        for offset in 0..n {
-            let shard = (home + offset) % n;
-            match self.shards[shard].try_push(request) {
-                Ok(()) => {
-                    self.record_push(shard, home);
-                    return Ok(());
-                }
-                Err((returned, ServeError::Shutdown)) => {
-                    return Err((returned, ServeError::Shutdown))
-                }
-                Err((returned, _full)) => request = returned,
-            }
-        }
-        Err((request, ServeError::QueueFull))
-    }
-
-    /// Blocks until any shard can close a batch — the worker's home
-    /// shard is polled first, then the others (work stealing) — and
-    /// returns it; `None` once every shard is closed and drained.
-    ///
-    /// When nothing is dispatchable anywhere, the worker sleeps on the
-    /// shared doorbell until the nearest shard linger expires or any
-    /// arrival rings, so the per-shard size-or-linger contract holds no
-    /// matter which worker is awake.
-    pub(crate) fn next_batch(
-        &self,
-        home: usize,
-        max_batch: usize,
-        linger: Duration,
-        adaptive: bool,
-    ) -> Option<Vec<Request<O>>> {
-        let n = self.shards.len();
-        loop {
-            let seen = self.doorbell.sequence();
-            let mut nearest: Option<Instant> = None;
-            let mut closed = 0usize;
-            for offset in 0..n {
-                let shard = (home + offset) % n;
-                match self.shards[shard].poll_batch(max_batch, linger, adaptive) {
-                    BatchPoll::Ready(batch) => {
-                        if shard != home {
-                            self.stats[shard].stolen.fetch_add(1, Ordering::Relaxed);
-                        }
-                        return Some(batch);
-                    }
-                    BatchPoll::WaitUntil(deadline) => {
-                        nearest = Some(nearest.map_or(deadline, |d| d.min(deadline)));
-                    }
-                    BatchPoll::Empty => {}
-                    BatchPoll::Closed => closed += 1,
-                }
-            }
-            if closed == n {
-                return None;
-            }
-            match nearest {
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if deadline > now {
-                        self.doorbell.wait_past(seen, Some(deadline - now));
-                    }
-                }
-                None => self.doorbell.wait_past(seen, None),
-            }
-        }
-    }
-
-    /// Closes every shard; workers drain what remains and then stop.
-    pub(crate) fn close(&self) {
-        for shard in &self.shards {
-            shard.close();
-        }
-    }
-
-    /// Total requests pending across all shards (diagnostic).
-    pub(crate) fn depth(&self) -> usize {
-        self.shards.iter().map(SubmitQueue::depth).sum()
-    }
-
-    /// Point-in-time per-shard accounting, for metrics snapshots and the
-    /// `rbc_serve_queue_shard_*` exposition.
-    pub(crate) fn shard_snapshots(&self) -> Vec<QueueShardSnapshot> {
-        self.shards
-            .iter()
-            .zip(&self.stats)
-            .enumerate()
-            .map(|(shard, (queue, stats))| QueueShardSnapshot {
-                shard,
-                pushed: stats.pushed.load(Ordering::Relaxed),
-                spilled: stats.spilled.load(Ordering::Relaxed),
-                stolen: stats.stolen.load(Ordering::Relaxed),
-                depth: queue.depth() as u64,
-            })
-            .collect()
-    }
-}
-
-impl<O: Send> crate::metrics::QueueProbe for ShardedQueue<O> {
-    fn shard_snapshots(&self) -> Vec<QueueShardSnapshot> {
-        ShardedQueue::shard_snapshots(self)
+impl<O: Send> crate::metrics::QueueProbe for SubmitQueue<O> {
+    fn depth(&self) -> usize {
+        SubmitQueue::depth(self)
     }
 }
 
@@ -579,7 +214,7 @@ mod tests {
         }
         // linger is an hour: only the size trigger can fire.
         let batch = queue
-            .next_batch(4, Duration::from_secs(3600), false)
+            .next_batch(4, Duration::from_secs(3600))
             .expect("open queue");
         assert_eq!(batch.len(), 4);
         assert_eq!(batch[0].query, 0);
@@ -592,7 +227,7 @@ mod tests {
         queue.try_push(request(7)).unwrap();
         let start = Instant::now();
         let batch = queue
-            .next_batch(64, Duration::from_millis(10), false)
+            .next_batch(64, Duration::from_millis(10))
             .expect("open queue");
         assert_eq!(batch.len(), 1);
         assert!(
@@ -602,86 +237,30 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_linger_dispatches_fast_arrivals_well_before_the_slo() {
-        let queue = SubmitQueue::new(64);
-        // Four near-simultaneous arrivals: the observed gap is ~zero, so
-        // the expected fill time — and hence the effective linger — is
-        // tiny even though the configured SLO is an hour.
-        for i in 0..4 {
-            queue.try_push(request(i)).unwrap();
-        }
-        let start = Instant::now();
-        let batch = queue
-            .next_batch(64, Duration::from_secs(3600), true)
-            .expect("open queue");
-        assert_eq!(batch.len(), 4);
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "adaptive dispatch must not wait out the hour-long SLO"
-        );
-    }
-
-    #[test]
-    fn adaptive_linger_is_capped_by_the_configured_slo() {
-        let queue = SubmitQueue::new(64);
-        // Two arrivals 25ms apart: expected fill time for the remaining
-        // 62 slots is ~1.5s, so the 15ms SLO must cap the wait.
-        queue.try_push(request(1)).unwrap();
-        std::thread::sleep(Duration::from_millis(25));
-        queue.try_push(request(2)).unwrap();
-        let start = Instant::now();
-        let batch = queue
-            .next_batch(64, Duration::from_millis(15), true)
-            .expect("open queue");
-        assert_eq!(batch.len(), 2);
-        assert!(
-            start.elapsed() < Duration::from_millis(500),
-            "the SLO cap must bound the adaptive wait"
-        );
-    }
-
-    #[test]
-    fn adaptive_linger_with_no_observed_rate_falls_back_to_the_slo() {
-        let queue = SubmitQueue::new(16);
-        queue.try_push(request(9)).unwrap();
-        let start = Instant::now();
-        // One lone arrival: no inter-arrival gap has ever been observed,
-        // so the configured linger governs exactly as in fixed mode.
-        let batch = queue
-            .next_batch(16, Duration::from_millis(10), true)
-            .expect("open queue");
-        assert_eq!(batch.len(), 1);
-        assert!(start.elapsed() >= Duration::from_millis(9));
-    }
-
-    #[test]
-    fn arrival_ewma_tracks_the_gap() {
-        let queue = SubmitQueue::new(16);
-        queue.try_push(request(0)).unwrap();
-        std::thread::sleep(Duration::from_millis(5));
-        queue.try_push(request(1)).unwrap();
-        let state = queue.state.lock().unwrap();
-        let gap = state.ewma_gap_us.expect("two arrivals seed the EWMA");
-        assert!(gap >= 4_000.0, "observed gap ~5ms, got {gap}us");
-    }
-
-    #[test]
     fn close_drains_remaining_then_signals_shutdown() {
         let queue = SubmitQueue::new(16);
         queue.try_push(request(1)).unwrap();
         queue.try_push(request(2)).unwrap();
         queue.close();
-        let batch = queue
-            .next_batch(64, Duration::from_secs(3600), false)
-            .unwrap();
+        let batch = queue.next_batch(64, Duration::from_secs(3600)).unwrap();
         assert_eq!(batch.len(), 2);
-        assert!(queue
-            .next_batch(64, Duration::from_secs(3600), false)
-            .is_none());
+        assert!(queue.next_batch(64, Duration::from_secs(3600)).is_none());
         let (_, err) = queue.try_push(request(3)).unwrap_err();
         assert_eq!(err, ServeError::Shutdown);
         let (_, err) = queue.push(request(4)).unwrap_err();
         assert_eq!(err, ServeError::Shutdown);
+    }
+
+    #[test]
+    fn close_wakes_a_worker_blocked_on_an_empty_queue() {
+        let queue = Arc::new(SubmitQueue::<u32>::new(4));
+        let q2 = Arc::clone(&queue);
+        let worker = std::thread::spawn(move || {
+            q2.next_batch(8, Duration::from_secs(3600)).map(|b| b.len())
+        });
+        std::thread::sleep(Duration::from_millis(5));
+        queue.close();
+        assert_eq!(worker.join().unwrap(), None);
     }
 
     #[test]
@@ -692,7 +271,7 @@ mod tests {
         let producer = std::thread::spawn(move || q2.push(request(2)).map_err(|(_, e)| e));
         // Give the producer time to block, then free a slot.
         std::thread::sleep(Duration::from_millis(5));
-        let batch = queue.next_batch(1, Duration::ZERO, false).unwrap();
+        let batch = queue.next_batch(1, Duration::ZERO).unwrap();
         assert_eq!(batch[0].query, 1);
         producer.join().unwrap().unwrap();
         assert_eq!(queue.depth(), 1);
@@ -702,127 +281,38 @@ mod tests {
     fn waiting_worker_wakes_on_push() {
         let queue = Arc::new(SubmitQueue::<u32>::new(4));
         let q2 = Arc::clone(&queue);
-        let worker = std::thread::spawn(move || {
-            q2.next_batch(8, Duration::from_millis(1), false)
-                .map(|b| b.len())
-        });
+        let worker =
+            std::thread::spawn(move || q2.next_batch(8, Duration::from_millis(1)).map(|b| b.len()));
         std::thread::sleep(Duration::from_millis(5));
         queue.try_push(request(9)).unwrap();
         assert_eq!(worker.join().unwrap(), Some(1));
     }
 
     #[test]
-    fn sharded_pushes_stay_on_the_home_shard_until_it_fills() {
-        let queue = ShardedQueue::new(2, 4); // 2 shards × capacity 2
-        for i in 0..2 {
-            queue.try_push(0, request(i)).unwrap();
-        }
-        let shards = queue.shard_snapshots();
-        assert_eq!(shards[0].pushed, 2);
-        assert_eq!(shards[0].spilled, 0);
-        assert_eq!(shards[1].pushed, 0);
-        // Home shard 0 is now full: the next pushes spill to shard 1.
-        for i in 2..4 {
-            queue.try_push(0, request(i)).unwrap();
-        }
-        let shards = queue.shard_snapshots();
-        assert_eq!(shards[1].pushed, 2);
-        assert_eq!(shards[1].spilled, 2);
-        // All shards full: try_push fails, blocking push would block.
-        let (_, err) = queue.try_push(0, request(9)).unwrap_err();
-        assert_eq!(err, ServeError::QueueFull);
-        assert_eq!(queue.depth(), 4);
-    }
-
-    #[test]
-    fn workers_steal_batches_from_foreign_shards() {
-        let queue = ShardedQueue::new(2, 8);
-        // Everything lands on shard 0; a worker homed on shard 1 must
-        // still drain it (work stealing), and the steal is accounted.
-        for i in 0..3 {
-            queue.try_push(0, request(i)).unwrap();
-        }
-        let batch = queue
-            .next_batch(1, 8, Duration::ZERO, false)
-            .expect("stealable batch");
-        assert_eq!(batch.len(), 3);
-        let shards = queue.shard_snapshots();
-        assert_eq!(shards[0].stolen, 1);
-        assert_eq!(shards[1].stolen, 0);
-        assert_eq!(queue.depth(), 0);
-    }
-
-    #[test]
-    fn sleeping_worker_wakes_on_a_foreign_shard_arrival() {
-        let queue = Arc::new(ShardedQueue::<u32>::new(4, 16));
+    fn a_push_that_fills_the_batch_releases_a_lingering_worker() {
+        let queue = Arc::new(SubmitQueue::<u32>::new(8));
+        queue.try_push(request(0)).unwrap();
         let q2 = Arc::clone(&queue);
-        // Worker homed on shard 3, request arriving on shard 0: the
-        // shared doorbell must wake it across shards.
-        let worker = std::thread::spawn(move || {
-            q2.next_batch(3, 8, Duration::from_millis(1), false)
-                .map(|b| b.len())
-        });
-        std::thread::sleep(Duration::from_millis(5));
-        queue.try_push(0, request(9)).unwrap();
-        assert_eq!(worker.join().unwrap(), Some(1));
-    }
-
-    #[test]
-    fn sharded_close_drains_every_shard_then_signals_shutdown() {
-        let queue = ShardedQueue::new(3, 9);
-        queue.try_push(0, request(1)).unwrap();
-        queue.try_push(1, request(2)).unwrap();
-        queue.try_push(2, request(3)).unwrap();
-        queue.close();
-        let mut drained = 0;
-        while let Some(batch) = queue.next_batch(0, 8, Duration::from_secs(3600), false) {
-            drained += batch.len();
-        }
-        assert_eq!(drained, 3);
-        let (_, err) = queue.try_push(1, request(4)).unwrap_err();
-        assert_eq!(err, ServeError::Shutdown);
-        let (_, err) = queue.push(2, request(5)).unwrap_err();
-        assert_eq!(err, ServeError::Shutdown);
-    }
-
-    #[test]
-    fn home_assignment_deals_shards_round_robin() {
-        let queue = ShardedQueue::<u32>::new(3, 9);
-        let homes: Vec<usize> = (0..6).map(|_| queue.assign_home()).collect();
-        assert_eq!(homes, vec![0, 1, 2, 0, 1, 2]);
-        assert_eq!(queue.shard_count(), 3);
-    }
-
-    #[test]
-    fn single_shard_degenerates_to_one_queue() {
-        let queue = ShardedQueue::new(1, 2);
-        queue.try_push(0, request(1)).unwrap();
-        queue.try_push(0, request(2)).unwrap();
-        let (_, err) = queue.try_push(0, request(3)).unwrap_err();
-        assert_eq!(err, ServeError::QueueFull);
-        let batch = queue.next_batch(0, 8, Duration::ZERO, false).unwrap();
-        assert_eq!(batch.len(), 2);
-        let shards = queue.shard_snapshots();
-        assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].pushed, 2);
-        assert_eq!(shards[0].spilled, 0);
-        assert_eq!(shards[0].stolen, 0);
-    }
-
-    #[test]
-    fn linger_holds_per_shard_even_for_stolen_work() {
-        // A request on a foreign shard with a real linger: the stealing
-        // worker must wait the linger out (WaitUntil path), not spin.
-        let queue = ShardedQueue::new(2, 8);
-        queue.try_push(1, request(5)).unwrap();
         let start = Instant::now();
-        let batch = queue
-            .next_batch(0, 8, Duration::from_millis(10), false)
-            .expect("open queue");
-        assert_eq!(batch.len(), 1);
+        // An hour-long linger: only the size trigger can release it.
+        let worker = std::thread::spawn(move || {
+            q2.next_batch(4, Duration::from_secs(3600)).map(|b| b.len())
+        });
+        // Let the worker start waiting on its one request.
+        std::thread::sleep(Duration::from_millis(5));
+        let q3 = Arc::clone(&queue);
+        std::thread::spawn(move || {
+            for i in 1..4 {
+                q3.try_push(request(i)).unwrap();
+            }
+        })
+        .join()
+        .unwrap();
+        assert_eq!(worker.join().unwrap(), Some(4));
         assert!(
-            start.elapsed() >= Duration::from_millis(9),
-            "stolen batch closed before its shard's linger elapsed"
+            start.elapsed() < Duration::from_secs(60),
+            "the filling push never woke the lingering worker"
         );
+        assert_eq!(queue.depth(), 0);
     }
 }

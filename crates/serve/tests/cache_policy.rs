@@ -1,7 +1,7 @@
-//! Property tests for the answer-cache policies.
+//! Property tests for the answer cache's admission policy.
 //!
 //! The cache is an execution shortcut, never an approximation: whatever
-//! admission policy is active, a [`CachedIndex`] must serve exactly what
+//! the admission policy decides, a [`CachedIndex`] must serve exactly what
 //! the uncached index would — the right answer when the backend is
 //! healthy, the backend's own flagged partial answer when it is degraded,
 //! and *never* a stale degraded answer dressed up as a fresh one. These
@@ -16,7 +16,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rbc_bruteforce::Neighbor;
 use rbc_core::SearchIndex;
-use rbc_serve::{CachePolicy, CachedIndex};
+use rbc_serve::CachedIndex;
 
 /// A backend with a controllable outage. Queries are item ids; the full
 /// answer and the degraded answer for an id are deterministic and
@@ -102,8 +102,8 @@ const IDS: usize = 12;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Cache-policy equivalence under random hit/miss/degraded
-    /// interleavings, for both policies. Invariants per served query:
+    /// Cache equivalence under random hit/miss/degraded
+    /// interleavings. Invariants per served query:
     ///
     /// * an un-flagged answer is always the backend's full answer — a
     ///   cached degraded answer would surface here as the wrong content;
@@ -117,14 +117,11 @@ proptest! {
         ops in prop::collection::vec((0usize..IDS, any::<bool>()), 1..100),
         fragile in prop::collection::vec(any::<bool>(), IDS),
         capacity in 1usize..8,
-        policy_is_tinylfu in any::<bool>(),
     ) {
-        let policy = if policy_is_tinylfu { CachePolicy::TinyLfu } else { CachePolicy::Lru };
         let outage = Arc::new(AtomicBool::new(false));
-        let cached = CachedIndex::with_policy(
+        let cached = CachedIndex::new(
             FlakyIndex::new(64, fragile.clone(), Arc::clone(&outage)),
             capacity,
-            policy,
         );
         let twin = FlakyIndex::new(64, fragile.clone(), Arc::clone(&outage));
 
@@ -169,9 +166,5 @@ proptest! {
             counters.misses()
         );
         prop_assert!(counters.admitted() + counters.rejected() <= counters.misses());
-        if policy == CachePolicy::Lru {
-            // Plain LRU admits every healthy miss unconditionally.
-            prop_assert_eq!(counters.rejected(), 0);
-        }
     }
 }

@@ -1,8 +1,8 @@
 //! Sharded serving: the serving layer, replicated placement, and failover
 //! composed into one system.
 //!
-//! `rbc-serve` coalesces a live stream of requests into micro-batches
-//! (here with the arrival-rate-adaptive linger); `rbc-distributed` shards
+//! `rbc-serve` coalesces a live stream of requests into micro-batches;
+//! `rbc-distributed` shards
 //! the database by representative across a (simulated) cluster with every
 //! ownership list on **two** nodes. Because `DistributedRbc` is a batched
 //! `SearchIndex`, the engine can put one on top of the other: every
@@ -77,15 +77,13 @@ fn main() {
         index.placement().imbalance(),
     );
 
-    // Serve the sharded index: micro-batches of up to 64; the 2ms linger
-    // is an SLO ceiling — the adaptive policy dispatches as soon as the
-    // observed arrival rate says waiting longer will not fill the batch.
+    // Serve the sharded index: micro-batches of up to 64, dispatched
+    // after a 2ms linger at most.
     let engine = Engine::start(
         Arc::clone(&index),
         ServeConfig::default()
             .with_max_batch(64)
-            .with_linger(Duration::from_millis(2))
-            .with_adaptive_linger(true),
+            .with_linger(Duration::from_millis(2)),
     )
     .expect("valid serving configuration");
     // Register the cluster's load counters so the serving snapshot carries
@@ -146,7 +144,7 @@ fn main() {
         stats.throughput_qps, stats.batches
     );
     println!(
-        "  achieved batch  : mean {:.1} queries/batch (max_batch = 64, adaptive linger)",
+        "  achieved batch  : mean {:.1} queries/batch (max_batch = 64, linger 2ms)",
         stats.mean_batch_size
     );
     println!(
