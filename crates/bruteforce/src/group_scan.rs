@@ -91,7 +91,7 @@ const SCREEN_AHEAD_GROUPS: usize = 16;
 /// The `query` field indexes both the query dataset and the accumulator
 /// slice; the remaining fields drive the per-query sorted-list
 /// triangle-inequality cut.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct GroupCursor {
     /// Position of the query within the batch — also the index of its
     /// top-k accumulator in the accumulator slice.

@@ -17,14 +17,20 @@
 //! are worth a cursor. The buffer-k-d-tree discipline: a query's own leaf
 //! first, then the leaves it still has to visit.
 //!
+//! The plan between the two brute-force calls is a kernel of its own, read
+//! from flat per-list arrays ([`ListBounds`]): stage 1 finishes each row
+//! with one branch-light pass (the seeds, the survivors and the nearest of
+//! them), and between the phases [`replan`] cuts every row against its
+//! query's threshold in one serial pass and buckets what is left by list
+//! with a counting sort.
+//!
 //! [`BatchPlan`] is a set of survivor pairs in inverted form, grouped by
-//! list. The in-process search never builds one (it never inverts the
-//! pairs its re-plan drops); the distributed coordinator does, because it
-//! holds no lists: a plan is what its router balances on and what crosses
-//! the wire. It runs the same two phases as rounds across the cluster —
-//! each query's nearest list on that list's owner, then, from the
-//! thresholds that come back ([`seeded_survivors`] rows, re-planned with
-//! [`GroupCursor::run_is_empty`]), the rest — and each node runs
+//! list. The in-process search never builds one; the distributed
+//! coordinator does, because it holds no lists: a plan is what its router
+//! balances on and what crosses the wire. It runs the same two phases as
+//! rounds across the cluster — each query's nearest list on that list's
+//! owner, then, from the thresholds that come back ([`seeded_survivors`]
+//! rows, cut by the same [`replan`]), the rest — and each node runs
 //! [`Stage2::nearest_then_rest`] on the part it was sent.
 //!
 //! Planning costs no distance evaluations, and every cut is the triangle
@@ -34,6 +40,8 @@
 //! points inside the `(1+ε)` margin: every answer honours the approximation
 //! guarantee, but which eligible one comes back may depend on the batch.
 
+use std::cell::RefCell;
+use std::hint::select_unpredictable;
 use std::sync::Mutex;
 
 use rayon::prelude::*;
@@ -41,16 +49,11 @@ use rayon::prelude::*;
 use rbc_bruteforce::{
     BruteForce, GroupCursor, GroupScanStats, ListMirror, Neighbor, TopK, MIN_PARALLEL_EVALS,
 };
-use rbc_metric::{Dataset, Dist, Metric};
+use rbc_metric::{cut_mask, Dataset, Dist, Metric};
 
 use crate::params::RbcConfig;
 use crate::reps::OwnershipList;
 use crate::stats::SearchStats;
-
-/// Queries per parallel claim while planning: a survivor row costs ~3 µs,
-/// and waking a helper for less than ~50 µs of work loses (batches of four
-/// planned 60 % slower in parallel than on the caller's thread).
-const PLAN_MIN_QUERIES: usize = 16;
 
 /// The queries that must scan one ownership list.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -253,7 +256,7 @@ impl BatchPlan {
     }
 }
 
-/// One ownership list as stage 2 reads it, wherever it is stored (the
+/// One ownership list as stage 2 scans it, wherever it is stored (the
 /// index's [`OwnershipList`]s and mirrors, or a wire node's shard).
 #[derive(Clone, Copy, Debug)]
 pub struct ListView<'a> {
@@ -261,9 +264,6 @@ pub struct ListView<'a> {
     pub members: &'a [usize],
     /// Ascending distances of `members` to the list's representative.
     pub member_dists: &'a [Dist],
-    /// The last of `member_dists`, the list's radius `ψ_r` — carried so the
-    /// re-plan tests a list without touching its arrays.
-    pub radius: Dist,
     /// The list's blocked mirror, gathered from `members` with the scan's
     /// `skip` flags masked; `None` scores member by member from the database.
     pub mirror: Option<&'a ListMirror>,
@@ -275,17 +275,84 @@ impl<'a> ListView<'a> {
         Self {
             members: &list.members,
             member_dists: &list.member_dists,
-            radius: list.radius,
             mirror,
         }
     }
 }
 
-/// One planned group scan: a list (as [`Stage2::list`] names it), and the
-/// cursors of the queries that scan it.
+/// Each list's radius and member count, by list id, as flat arrays: what
+/// the plan reads of the lists, without walking them.
+#[derive(Clone, Debug)]
+pub struct ListBounds {
+    /// `ψ_r`: zero for an empty list, NaN for a list holding a NaN point
+    /// (which every cut keeps).
+    radius: Vec<Dist>,
+    len: Vec<usize>,
+    /// Bit `l % 64` of word `l / 64`: list `l` has members.
+    nonempty: Vec<u64>,
+}
+
+impl ListBounds {
+    /// The bounds of lists given as `(radius, members)`, by list id.
+    pub fn new(lists: impl IntoIterator<Item = (Dist, usize)>) -> Self {
+        let (radius, len): (Vec<Dist>, Vec<usize>) = lists.into_iter().unzip();
+        let mut nonempty = vec![0u64; len.len().div_ceil(64)];
+        for l in (0..len.len()).filter(|&l| len[l] > 0) {
+            nonempty[l / 64] |= 1 << (l % 64);
+        }
+        Self {
+            radius,
+            len,
+            nonempty,
+        }
+    }
+
+    /// The bounds of `lists`, by position.
+    pub(crate) fn of(lists: &[OwnershipList]) -> Self {
+        Self::new(lists.iter().map(|list| (list.radius, list.len())))
+    }
+}
+
+/// Cursors bucketed by list, each list's in the order they arrived: list
+/// `l`'s run from `offsets[l]` up to `offsets[l + 1]`.
+#[derive(Debug)]
+pub struct ListBuckets {
+    offsets: Vec<usize>,
+    cursors: Vec<GroupCursor>,
+}
+
+impl ListBuckets {
+    /// A counting sort of `(list, cursor)` pairs over `n_lists` lists: one
+    /// pass counts, one fills.
+    fn sort(n_lists: usize, pairs: impl Iterator<Item = (usize, GroupCursor)> + Clone) -> Self {
+        let mut offsets = vec![0; n_lists + 1];
+        for (list, _) in pairs.clone() {
+            offsets[list + 1] += 1;
+        }
+        for l in 1..=n_lists {
+            offsets[l] += offsets[l - 1];
+        }
+        let (mut next, blank) = (offsets.clone(), GroupCursor::default());
+        let mut cursors = vec![blank; offsets[n_lists]];
+        for (list, cursor) in pairs {
+            cursors[next[list]] = cursor;
+            next[list] += 1;
+        }
+        Self { offsets, cursors }
+    }
+
+    /// Every `(query, list)` pair, list after list.
+    pub fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let lists = self.offsets.windows(2).enumerate();
+        lists.flat_map(|(l, at)| self.cursors[at[0]..at[1]].iter().map(move |c| (c.query, l)))
+    }
+}
+
+/// One planned group scan: a list (as [`Stage2::list`] names it), and its
+/// bucket of cursors.
 struct CursorGroup {
     list: usize,
-    cursors: Vec<GroupCursor>,
+    cursors: std::ops::Range<usize>,
     /// The smallest `ρ(q, r)` among the cursors. A phase runs its groups in
     /// ascending order of it: the nearer a list is to one of its queries,
     /// the sooner scanning it tightens that query's threshold for the
@@ -325,13 +392,18 @@ pub struct Stage2<'a, Q, D, M, L> {
     pub db: &'a D,
     /// The metric.
     pub metric: &'a M,
-    /// List id → the list. Must be cheap: it is called per planned pair.
+    /// List id → the list. Called once per group a phase scans.
     pub list: L,
+    /// Every list's radius and length, by list id.
+    pub bounds: &'a ListBounds,
     /// The `(1+ε)` relaxation of every cut.
     pub shrink: f64,
-    /// Whether scans apply the sorted-list cut (and the re-plan with it):
-    /// set for lists sorted by distance to their representative; clear for
-    /// one-shot cursors, whose `ρ(q, r)` is a placeholder.
+    /// Whether scans apply the sorted-list cut: set for lists sorted by
+    /// distance to their representative (which [`nearest_then_rest`]
+    /// requires); clear for one-shot cursors, whose `ρ(q, r)` is a
+    /// placeholder.
+    ///
+    /// [`nearest_then_rest`]: Self::nearest_then_rest
     pub sorted_cut: bool,
     /// Members a scan must not admit (the exact search's representatives).
     pub skip: Option<&'a [bool]>,
@@ -351,6 +423,7 @@ where
     /// evaluation costs whatever the metric costs, and is always shared.
     fn scan_groups(
         &self,
+        buckets: &ListBuckets,
         groups: &[CursorGroup],
         accumulators: &[Mutex<TopK>],
     ) -> Vec<GroupScanStats> {
@@ -367,7 +440,7 @@ where
                 self.metric,
                 list.members,
                 list.member_dists,
-                &group.cursors,
+                &buckets.cursors[group.cursors.clone()],
                 self.shrink,
                 self.sorted_cut,
                 self.skip,
@@ -384,51 +457,37 @@ where
         }
     }
 
-    /// Groups `pairs` by list, in the order the groups should run (see
-    /// [`CursorGroup::nearest`]).
-    fn invert(&self, pairs: impl Iterator<Item = (usize, GroupCursor)>) -> Vec<CursorGroup> {
-        let mut cursors: Vec<(usize, GroupCursor)> = pairs.collect();
-        cursors.sort_by_key(|&(list, _)| list); // stable: a list's cursors keep their order
-        let mut groups: Vec<CursorGroup> = cursors
-            .chunk_by(|a, b| a.0 == b.0)
-            .map(|run| {
-                let cursors: Vec<GroupCursor> = run.iter().map(|&(_, cursor)| cursor).collect();
-                let to_reps = cursors.iter().map(|cursor| cursor.d_to_rep);
-                CursorGroup {
-                    list: run[0].0,
-                    nearest: to_reps.fold(Dist::INFINITY, Dist::min),
-                    work: cursors.len() * (self.list)(run[0].0).members.len(),
-                    cursors,
-                }
-            })
-            .collect();
-        groups.sort_by(|a, b| {
-            let by_nearest = a.nearest.total_cmp(&b.nearest);
-            let then_largest = by_nearest.then_with(|| b.work.cmp(&a.work));
-            then_largest.then_with(|| a.list.cmp(&b.list))
-        });
-        groups
-    }
-
     /// One dense phase — the whole of the one-shot search's stage 2, each
-    /// half of the exact search's. Groups the `(list, cursor)` `pairs` by
+    /// half of the exact search's. Buckets the `(list, cursor)` `pairs` by
     /// list, scans each list once for its group (cursors in the order
     /// their pairs arrived), merging candidates into `accumulators` (one
     /// per batch position, already holding whatever the caller seeded), and
-    /// adds the phase's account to
-    /// `work` — `reps_examined` (cursors built), `list_scans` (group scans)
-    /// and the list evaluation, skip, tile-pass and re-rank counts — and each
-    /// cursor's evaluations to `list_evals[query]`, so tail statistics stay
-    /// exact although the scans are shared.
+    /// adds the phase's account to `work` — `reps_examined` (cursors built),
+    /// `list_scans` (group scans) and the list evaluation, skip, tile-pass
+    /// and re-rank counts — and each cursor's evaluations to
+    /// `list_evals[query]`, so tail statistics stay exact although the
+    /// scans are shared.
     pub fn scan_pairs(
         &self,
-        pairs: impl Iterator<Item = (usize, GroupCursor)>,
+        pairs: impl Iterator<Item = (usize, GroupCursor)> + Clone,
         accumulators: &[Mutex<TopK>],
         work: &mut SearchStats,
         list_evals: &mut [u64],
     ) {
-        let groups = self.invert(pairs);
-        let per_group = self.scan_groups(&groups, accumulators);
+        let buckets = ListBuckets::sort(self.bounds.len.len(), pairs);
+        self.scan_buckets(&buckets, accumulators, work, list_evals);
+    }
+
+    /// [`scan_pairs`](Self::scan_pairs) over pairs already bucketed.
+    fn scan_buckets(
+        &self,
+        buckets: &ListBuckets,
+        accumulators: &[Mutex<TopK>],
+        work: &mut SearchStats,
+        list_evals: &mut [u64],
+    ) {
+        let groups = cursor_groups(buckets, self.bounds);
+        let per_group = self.scan_groups(buckets, &groups, accumulators);
         for (group, scan) in groups.iter().zip(&per_group) {
             work.reps_examined += group.cursors.len() as u64;
             work.list_scans += 1;
@@ -436,7 +495,8 @@ where
             work.list_points_skipped += scan.points_skipped;
             work.list_tile_passes += scan.tile_passes;
             work.list_reranked_groups += scan.reranked;
-            for (cursor, &evals) in group.cursors.iter().zip(&scan.evals_per_cursor) {
+            let cursors = &buckets.cursors[group.cursors.clone()];
+            for (cursor, &evals) in cursors.iter().zip(&scan.evals_per_cursor) {
                 list_evals[cursor.query] += evals;
             }
         }
@@ -444,19 +504,16 @@ where
 
     /// The exact search's stage 2: **nearest list first, then plan**.
     ///
-    /// *Phase A* scans, for every query, the nearest list of its row (the
-    /// one-shot plan restricted to survivors; ties toward the earlier
-    /// entry) — where Theorem 2 says its neighbours most likely are. Then
-    /// each query's tightened threshold `τ_q` is read once from its
-    /// accumulator, and *phase B* plans only what is left of the rows: a
-    /// list whose run `τ_q` already empties
-    /// ([`GroupCursor::run_is_empty`], the scan's own near-side cut taken
-    /// at the list's radius — strict, so a list that may hold a point at
-    /// exactly `τ_q` stays and ties still resolve by index) is dropped
-    /// before a cursor is built for it. A dropped pair is a pair whose scan
-    /// would have evaluated nothing, so answers are those of scanning every
-    /// row in full, and `(1+ε)`-sound by the argument the cut already
-    /// carries. Both phases cut against `caps` (`γ_k`) as well.
+    /// *Phase A* scans, for every query, the nearest list of its row
+    /// (`nearest[qi]`, the row's [`nearest_entry`]) — where Theorem 2 says
+    /// its neighbours most likely are. Then each query's tightened
+    /// threshold `τ_q` is read once from its accumulator, and *phase B*
+    /// scans only what [`replan`] leaves of the rows: a list whose run
+    /// `τ_q` already empties is dropped before a cursor is built for it. A
+    /// dropped pair is a pair whose scan would have evaluated nothing, so
+    /// answers are those of scanning every row in full, and `(1+ε)`-sound
+    /// by the argument the cut already carries. Both phases cut against
+    /// `caps` (`γ_k`) as well.
     ///
     /// Returns the stage-2 share of a [`SearchStats`]: `queries`,
     /// `reps_examined` (cursors built, A + B), `list_scans` (group scans,
@@ -466,9 +523,11 @@ where
     pub fn nearest_then_rest(
         &self,
         rows: &[CandidateRow],
+        nearest: &[Option<usize>],
         caps: &[Dist],
         accumulators: &[Mutex<TopK>],
     ) -> SearchStats {
+        debug_assert!(self.sorted_cut, "the re-plan cuts sorted lists");
         let mut work = SearchStats {
             queries: rows.len() as u64,
             ..SearchStats::default()
@@ -480,55 +539,91 @@ where
             d_to_rep,
             threshold_cap: caps[qi],
         };
-
-        // The nearest entry of each row: its position, so phase B can leave
-        // exactly that entry out.
-        let nearest: Vec<Option<usize>> = rows.iter().map(|row| nearest_entry(row)).collect();
         let firsts = nearest.iter().enumerate().filter_map(|(qi, at)| {
             let (list, d_to_rep) = rows[qi][(*at)?];
             Some((list, cursor(qi, d_to_rep)))
         });
         self.scan_pairs(firsts, accumulators, &mut work, &mut list_evals);
 
-        // The re-plan, per query: the cursors of its row that survive τ_q,
-        // and how many members the dropped lists hold.
-        let replan = |qi: usize| -> (Vec<(usize, GroupCursor)>, u64) {
-            let tau = accumulators[qi]
-                .lock()
-                .expect("top-k accumulator lock poisoned")
-                .threshold();
-            let mut skipped = 0u64;
-            let mut rest = Vec::new();
-            for (at, &(list, d_to_rep)) in rows[qi].iter().enumerate() {
-                if Some(at) == nearest[qi] {
-                    continue;
-                }
-                let cursor = cursor(qi, d_to_rep);
-                let view = (self.list)(list);
-                if self.sorted_cut && cursor.run_is_empty(view.radius, tau, self.shrink) {
-                    skipped += view.members.len() as u64;
-                } else {
-                    rest.push((list, cursor));
-                }
-            }
-            (rest, skipped)
-        };
-        let rests: Vec<(Vec<(usize, GroupCursor)>, u64)> = if self.parallel {
-            (0..rows.len())
-                .into_par_iter()
-                .with_min_len(PLAN_MIN_QUERIES)
-                .map(replan)
-                .collect()
-        } else {
-            (0..rows.len()).map(replan).collect()
-        };
-        work.list_points_skipped += rests.iter().map(|(_, skipped)| skipped).sum::<u64>();
-        let rest = rests.iter().flat_map(|(rest, _)| rest.iter().copied());
-        self.scan_pairs(rest, accumulators, &mut work, &mut list_evals);
+        let replan_span = rbc_trace::span("core.replan");
+        let tau: Vec<Dist> = accumulators
+            .iter()
+            .map(|acc| acc.lock().expect("top-k accumulator lock poisoned"))
+            .map(|topk| topk.threshold())
+            .collect();
+        let (rest, skipped) = replan(rows, nearest, caps, &tau, self.shrink, self.bounds);
+        work.list_points_skipped += skipped;
+        drop(replan_span);
+        self.scan_buckets(&rest, accumulators, &mut work, &mut list_evals);
 
         work.max_query_evals = list_evals.into_iter().max().unwrap_or(0);
         work
     }
+}
+
+/// The non-empty buckets as groups, in the order they should run (see
+/// [`CursorGroup::nearest`]).
+fn cursor_groups(buckets: &ListBuckets, bounds: &ListBounds) -> Vec<CursorGroup> {
+    let bucketed = buckets.offsets.windows(2).enumerate();
+    let mut groups: Vec<CursorGroup> = bucketed
+        .filter(|(_, at)| at[0] < at[1])
+        .map(|(list, at)| {
+            let to_reps = buckets.cursors[at[0]..at[1]].iter().map(|c| c.d_to_rep);
+            CursorGroup {
+                list,
+                cursors: at[0]..at[1],
+                nearest: to_reps.fold(Dist::INFINITY, Dist::min),
+                work: (at[1] - at[0]) * bounds.len[list],
+            }
+        })
+        .collect();
+    groups.sort_by(|a, b| {
+        let by_nearest = a.nearest.total_cmp(&b.nearest);
+        let then_largest = by_nearest.then_with(|| b.work.cmp(&a.work));
+        then_largest.then_with(|| a.list.cmp(&b.list))
+    });
+    groups
+}
+
+/// The re-plan between the two phases, one serial pass: every entry but a
+/// query's nearest (phase A scanned it) keeps its cursor unless the query's
+/// threshold already empties its run — [`GroupCursor::run_is_empty`] at the
+/// list's radius, strict and false on NaN, its limit taken once per query.
+/// The kept entries are compacted without a branch and counting-sorted by
+/// list, in query order: the phase's groups. Also returns the members of
+/// the dropped lists, which their scans would have skipped.
+pub fn replan(
+    rows: &[CandidateRow],
+    nearest: &[Option<usize>],
+    caps: &[Dist],
+    tau: &[Dist],
+    shrink: f64,
+    bounds: &ListBounds,
+) -> (ListBuckets, u64) {
+    let entries = rows.iter().map(Vec::len).sum();
+    let cursor = |query: usize, d_to_rep: Dist| GroupCursor {
+        query,
+        d_to_rep,
+        threshold_cap: caps[query],
+    };
+    ENTRIES.with_borrow_mut(|kept| {
+        kept.resize(kept.len().max(entries), Default::default());
+        let (mut m, mut skipped) = (0, 0);
+        for (qi, row) in rows.iter().enumerate() {
+            let limit = tau[qi].min(caps[qi]) / shrink;
+            let at = nearest[qi].unwrap_or(row.len());
+            for part in [&row[..at], row.get(at + 1..).unwrap_or_default()] {
+                for &(list, d_to_rep) in part {
+                    let cut = d_to_rep - bounds.radius[list] > limit;
+                    kept[m] = (list, cursor(qi, d_to_rep));
+                    m += usize::from(!cut);
+                    skipped += select_unpredictable(cut, bounds.len[list], 0);
+                }
+            }
+        }
+        let cursors = kept[..m].iter().copied();
+        (ListBuckets::sort(bounds.len.len(), cursors), skipped as u64)
+    })
 }
 
 /// The one-shot plan proper: groups batch positions by the list of their
@@ -562,12 +657,13 @@ pub(crate) fn group_by_nearest(
 }
 
 /// The position of a candidate row's nearest list: its first minimum of
-/// `ρ(q, r)`, so ties go to the earlier entry. Phase A of
+/// `ρ(q, r)` in [`Neighbor`]'s order — a NaN after every number, ties to
+/// the earlier entry — so an all-NaN row names its first entry. Phase A of
 /// [`Stage2::nearest_then_rest`] scans it first, and the distributed
 /// coordinator's first round sends it to its owner. `None` for an empty
 /// row.
 pub fn nearest_entry(row: &[(usize, Dist)]) -> Option<usize> {
-    (0..row.len()).reduce(|best, at| if row[at].1 < row[best].1 { at } else { best })
+    (0..row.len()).min_by_key(|&at| Neighbor::new(at, row[at].1))
 }
 
 /// Takes the sorted answers out of a batch's accumulators.
@@ -589,9 +685,13 @@ pub fn into_answers(accumulators: Vec<Mutex<TopK>>) -> Vec<Vec<Neighbor>> {
 /// representative distance), and the candidate row of the lists the
 /// pruning rules (eq. 1 / eq. 2) keep, ascending, each with its `ρ(q, r)`.
 /// The distributed coordinator starts from these, and so does
-/// [`BatchPlan::plan_exact`]; the in-process search hands the per-row rule
-/// to `BruteForce::rows_with` and never holds a matrix. Runs on the rayon
-/// pool when `config.bf.parallel`.
+/// [`BatchPlan::plan_exact`]; the in-process search runs the same kernel
+/// inside `BruteForce::rows_with` and never holds a matrix.
+///
+/// Runs on the caller's thread. The kernel costs 1.4–2.3 µs per row of
+/// 409–451 representatives (2-vCPU host), so a pool claim worth a helper's
+/// wake-up (≥ 50 µs) would take 22–36 rows, and the coordinator's batches
+/// of at most 32 would make one such claim at best.
 ///
 /// # Panics
 /// Panics if `rep_dists.len()` is not a multiple of `lists.len()`.
@@ -607,30 +707,51 @@ pub fn seeded_survivors(
         rep_dists.len().is_multiple_of(n_lists),
         "distance matrix does not tile into rows of {n_lists}"
     );
-    let nq = rep_dists.len() / n_lists;
-    let row_survivors = |qi: usize| {
-        survivors(
-            &rep_dists[qi * n_lists..(qi + 1) * n_lists],
-            lists,
-            k,
-            config,
-        )
-    };
-    let per_query: Vec<(TopK, CandidateRow)> = if config.bf.parallel {
-        (0..nq)
-            .into_par_iter()
-            .with_min_len(PLAN_MIN_QUERIES)
-            .map(row_survivors)
-            .collect()
-    } else {
-        (0..nq).map(row_survivors).collect()
-    };
-    per_query.into_iter().unzip()
+    let reps: Vec<usize> = lists.iter().map(|list| list.rep_index).collect();
+    let bounds = ListBounds::of(lists);
+    let rows = rep_dists.chunks_exact(n_lists);
+    let survivors = rows.map(|row| survivors(row, &reps, &bounds, k, config.epsilon));
+    survivors.map(|(seeded, kept, _)| (seeded, kept)).unzip()
 }
 
-/// One query's stage-1 outcome, from its `row` of representative distances:
-/// a top-k collector seeded with the representatives, and the lists its
-/// pruning rules keep (ascending), each with its `ρ(q, r)`.
+/// The smallest number in `chunk` (`+∞` if none: a NaN never lowers it),
+/// over four running minima that do not wait on each other.
+fn chunk_min(chunk: &[Dist]) -> Dist {
+    let min = |m: Dist, d: Dist| if d < m { d } else { m };
+    let quads = chunk.chunks_exact(4);
+    let rest = quads
+        .remainder()
+        .iter()
+        .fold(Dist::INFINITY, |m, &d| min(m, d));
+    let lanes = quads.fold([Dist::INFINITY; 4], |m, q| {
+        std::array::from_fn(|i| min(m[i], q[i]))
+    });
+    lanes.into_iter().fold(rest, min)
+}
+
+/// Calls `visit` with the position of every set bit of `mask`, ascending.
+fn for_each_set(mask: &[u64], mut visit: impl FnMut(usize)) {
+    for (w, &word) in mask.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            visit(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+thread_local! {
+    /// The per-thread scratch of [`survivors`] (a row's mask) and of
+    /// [`replan`] (the compacted entries).
+    static MASK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    static ENTRIES: RefCell<Vec<(usize, GroupCursor)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One query's stage-1 outcome, from its `row` of representative distances
+/// (list `i`'s representative is `reps[i]`): a top-k collector seeded with
+/// the representatives, the lists its pruning rules keep (ascending), each
+/// with its `ρ(q, r)`, and the position of the nearest of them (the row's
+/// [`nearest_entry`]).
 ///
 /// The collector's threshold is `γ_k`, the k-th smallest representative
 /// distance. Representatives are database points, so this is a valid upper
@@ -638,40 +759,73 @@ pub fn seeded_survivors(
 /// fewer than `k` representatives it is `INFINITY`: no such bound exists, so
 /// pruning is disabled (the query degenerates to a full scan but stays
 /// exact).
+///
+/// No entry is tested behind a branch: the largest of `k` chunk minima
+/// bounds `γ_k` from above (each chunk holds an entry at or under it), so
+/// one [`cut_mask`] picks the few entries the collector must see, and a
+/// second applies eq. 1 / eq. 2; only set bits are visited.
 pub(crate) fn survivors(
     row: &[Dist],
-    lists: &[OwnershipList],
+    reps: &[usize],
+    bounds: &ListBounds,
     k: usize,
-    config: &RbcConfig,
-) -> (TopK, CandidateRow) {
-    let mut seeded = TopK::new(k);
-    for (list, &d_qr) in lists.iter().zip(row) {
-        // Most representatives lose to the current k-th: skip the push.
-        if d_qr <= seeded.threshold() {
-            seeded.push(Neighbor::new(list.rep_index, d_qr));
+    epsilon: f64,
+) -> (TopK, CandidateRow, Option<usize>) {
+    let n = row.len();
+    let bound = if n < k {
+        Dist::INFINITY
+    } else {
+        let minima = row.chunks_exact(n / k).take(k).map(chunk_min);
+        minima.fold(Dist::NEG_INFINITY, Dist::max)
+    };
+    MASK.with_borrow_mut(|mask| {
+        mask.resize(n.div_ceil(64), 0);
+        // A NaN shift turns eq. 1's cut off; a NaN passes the cap but never
+        // seeds.
+        cut_mask(row, &bounds.radius, Dist::NAN, bound, mask);
+        let mut seeded = TopK::new(k);
+        for_each_set(mask, |ri| {
+            if !row[ri].is_nan() {
+                seeded.push(Neighbor::new(reps[ri], row[ri]));
+            }
+        });
+        // eq. (1): every owned point is at distance ≥ ρ(q, r) − ψ_r ≥
+        // γ/(1+ε), so the list cannot improve the answer beyond the allowed
+        // approximation; eq. (2) / Lemma 1, generalised to γ_k for k-NN.
+        let gamma = seeded.threshold();
+        cut_mask(
+            row,
+            &bounds.radius,
+            gamma / (1.0 + epsilon),
+            3.0 * gamma,
+            mask,
+        );
+        let mut count = 0;
+        for (word, &nonempty) in mask.iter_mut().zip(&bounds.nonempty) {
+            *word &= nonempty;
+            count += word.count_ones() as usize;
         }
-    }
-    let gamma = seeded.threshold();
-    let within = gamma / (1.0 + config.epsilon);
-    let mut kept = Vec::with_capacity(lists.len());
-    for (ri, (list, &d_qr)) in lists.iter().zip(row).enumerate() {
-        // eq. (1): every owned point is at distance ≥ d_qr − ψ_r ≥ γ/(1+ε);
-        // the list cannot improve the answer beyond the allowed
-        // approximation.
-        let radius_pruned = d_qr >= within + list.radius;
-        // eq. (2) / Lemma 1, generalised to γ_k for k-NN.
-        let lemma1_pruned = d_qr > 3.0 * gamma;
-        if !(list.is_empty() || radius_pruned || lemma1_pruned) {
-            kept.push((ri, d_qr));
-        }
-    }
-    (seeded, kept)
+        let mut kept = Vec::with_capacity(count);
+        let (mut nearest, mut nearest_d) = (None, Dist::INFINITY);
+        for_each_set(mask, |ri| {
+            if row[ri] < nearest_d {
+                (nearest, nearest_d) = (Some(kept.len()), row[ri]);
+            }
+            kept.push((ri, row[ri]));
+        });
+        // Every kept entry +∞ or NaN: the first in `Neighbor`'s order.
+        let nearest = nearest.or_else(|| nearest_entry(&kept));
+        (seeded, kept, nearest)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::RbcConfig;
+    use proptest::prelude::*;
+    use rand::prelude::*;
+    use rand::rngs::StdRng;
     use rbc_metric::{Euclidean, VectorSet};
 
     fn singleton_lists(radii: &[Dist]) -> Vec<OwnershipList> {
@@ -935,11 +1089,13 @@ mod tests {
                 db: &self.db,
                 metric: &Euclidean,
                 list: |li: usize| ListView::of(&self.lists[li], None),
+                bounds: &ListBounds::of(&self.lists),
                 shrink: 1.0 + epsilon,
                 sorted_cut: true,
                 skip: Some(&self.skip),
             };
-            let stats = stage2.nearest_then_rest(&[row], &[gamma_k], &accumulators);
+            let nearest = nearest_entry(&row);
+            let stats = stage2.nearest_then_rest(&[row], &[nearest], &[gamma_k], &accumulators);
             (into_answers(accumulators).remove(0), stats)
         }
     }
@@ -1058,5 +1214,232 @@ mod tests {
     fn ragged_distance_matrix_rejected() {
         let lists = singleton_lists(&[1.0, 1.0]);
         let _ = BatchPlan::plan_exact(&[1.0, 2.0, 3.0], &lists, 1, &RbcConfig::default());
+    }
+
+    /// The per-row rule before the kernel: every entry offered to the
+    /// collector behind a branch on its threshold, then every list tested
+    /// behind a branch on eq. 1 / eq. 2. The kernel's reference.
+    fn reference_survivors(
+        row: &[Dist],
+        lists: &[OwnershipList],
+        k: usize,
+        config: &RbcConfig,
+    ) -> (TopK, CandidateRow) {
+        let mut seeded = TopK::new(k);
+        for (list, &d_qr) in lists.iter().zip(row) {
+            if d_qr <= seeded.threshold() {
+                seeded.push(Neighbor::new(list.rep_index, d_qr));
+            }
+        }
+        let gamma = seeded.threshold();
+        let within = gamma / (1.0 + config.epsilon);
+        let mut kept = Vec::with_capacity(lists.len());
+        for (ri, (list, &d_qr)) in lists.iter().zip(row).enumerate() {
+            let radius_pruned = d_qr >= within + list.radius;
+            let lemma1_pruned = d_qr > 3.0 * gamma;
+            if !(list.is_empty() || radius_pruned || lemma1_pruned) {
+                kept.push((ri, d_qr));
+            }
+        }
+        (seeded, kept)
+    }
+
+    /// Groups as lists, each with its cursors' bits.
+    type Groups = Vec<(usize, Vec<[u64; 3]>)>;
+
+    /// The re-plan before the fused pass: a cursor per surviving entry
+    /// through `run_is_empty`, a stable sort by list, one group per run of
+    /// equal lists, then the run order. Each group as its list and its
+    /// cursors' bits.
+    fn reference_replan(
+        rows: &[CandidateRow],
+        caps: &[Dist],
+        tau: &[Dist],
+        shrink: f64,
+        bounds: &ListBounds,
+    ) -> (Groups, u64) {
+        let mut skipped = 0;
+        let mut rest = Vec::new();
+        for (qi, row) in rows.iter().enumerate() {
+            let nearest = nearest_entry(row);
+            for (at, &(list, d_to_rep)) in row.iter().enumerate() {
+                if Some(at) == nearest {
+                    continue;
+                }
+                let cursor = GroupCursor {
+                    query: qi,
+                    d_to_rep,
+                    threshold_cap: caps[qi],
+                };
+                if cursor.run_is_empty(bounds.radius[list], tau[qi], shrink) {
+                    skipped += bounds.len[list] as u64;
+                } else {
+                    rest.push((list, cursor));
+                }
+            }
+        }
+        rest.sort_by_key(|&(list, _)| list);
+        let mut groups: Vec<(usize, Vec<GroupCursor>, Dist, usize)> = rest
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| {
+                let cursors: Vec<GroupCursor> = run.iter().map(|&(_, c)| c).collect();
+                let nearest = cursors
+                    .iter()
+                    .map(|c| c.d_to_rep)
+                    .fold(Dist::INFINITY, Dist::min);
+                let work = cursors.len() * bounds.len[run[0].0];
+                (run[0].0, cursors, nearest, work)
+            })
+            .collect();
+        groups.sort_by(|a, b| {
+            let by_nearest = a.2.total_cmp(&b.2);
+            let then_largest = by_nearest.then_with(|| b.3.cmp(&a.3));
+            then_largest.then_with(|| a.0.cmp(&b.0))
+        });
+        let groups = groups
+            .into_iter()
+            .map(|(list, cursors, _, _)| (list, bits(&cursors)));
+        (groups.collect(), skipped)
+    }
+
+    fn bits(cursors: &[GroupCursor]) -> Vec<[u64; 3]> {
+        let bits = |c: &GroupCursor| {
+            [
+                c.query as u64,
+                c.d_to_rep.to_bits(),
+                c.threshold_cap.to_bits(),
+            ]
+        };
+        cursors.iter().map(bits).collect()
+    }
+
+    /// A distance from a small set, so ties are common, with NaN and ±∞
+    /// mixed in.
+    fn coarse_dist(rng: &mut StdRng) -> Dist {
+        match rng.gen_range(0..20) {
+            0 => Dist::NAN,
+            1 => Dist::INFINITY,
+            2 => Dist::NEG_INFINITY,
+            _ => f64::from(rng.gen_range(0..12u8)) * 0.25,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The kernel keeps the reference's rows and seeds the reference's
+        /// collectors, and names each kept row's `nearest_entry`.
+        #[test]
+        fn the_survivors_kernel_equals_the_reference(
+            size in 0usize..4,
+            k in 1usize..14,
+            wide_k in any::<bool>(),
+            epsilon_on in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n_r = [1usize, 2, 409, 1225][size];
+            // k > n_r leaves γ_k at ∞.
+            let k = if wide_k { n_r + k } else { k };
+            let config = RbcConfig::default().with_epsilon(if epsilon_on { 0.5 } else { 0.0 });
+            // Distinct representatives in no particular order.
+            let reps: Vec<usize> = (0..n_r).map(|ri| (7919 * ri) % 12_289).collect();
+            let lists: Vec<OwnershipList> = reps
+                .iter()
+                .map(|&rep| match rng.gen_range(0..10) {
+                    0 => OwnershipList::from_pairs(rep, Vec::new()),
+                    1 => OwnershipList::from_pairs(rep, vec![(rep, 0.0), (rep + 1, Dist::NAN)]),
+                    _ => OwnershipList::from_pairs(rep, vec![(rep, 0.0), (rep + 1, coarse_dist(&mut rng).abs())]),
+                })
+                .collect();
+            let smooth = rng.gen_bool(0.5);
+            let rows: Vec<Vec<Dist>> = (0..3)
+                .map(|_| {
+                    let entry = |rng: &mut StdRng| if smooth && rng.gen_range(0..10) > 0 {
+                        rng.gen_range(0.0..3.0)
+                    } else {
+                        coarse_dist(rng)
+                    };
+                    (0..n_r).map(|_| entry(&mut rng)).collect()
+                })
+                .collect();
+            let bounds = ListBounds::of(&lists);
+            let sorted = |seeds: TopK| -> Vec<(usize, u64)> {
+                seeds.into_sorted().iter().map(|n| (n.index, n.dist.to_bits())).collect()
+            };
+            for row in &rows {
+                let (want_seeds, want_row) = reference_survivors(row, &lists, k, &config);
+                let (seeds, got_row, nearest) = survivors(row, &reps, &bounds, k, config.epsilon);
+                prop_assert_eq!(seeds.threshold().to_bits(), want_seeds.threshold().to_bits());
+                prop_assert_eq!(sorted(seeds), sorted(want_seeds));
+                let row_bits = |row: &CandidateRow| -> Vec<(usize, u64)> {
+                    row.iter().map(|&(ri, d)| (ri, d.to_bits())).collect()
+                };
+                prop_assert_eq!(row_bits(&got_row), row_bits(&want_row));
+                prop_assert_eq!(nearest, nearest_entry(&want_row));
+            }
+            let matrix: Vec<Dist> = rows.concat();
+            let (seeds, kept) = seeded_survivors(&matrix, &lists, k, &config);
+            prop_assert_eq!(seeds.len(), rows.len());
+            for (row, got) in rows.iter().zip(&kept) {
+                prop_assert_eq!(got.len(), reference_survivors(row, &lists, k, &config).1.len());
+            }
+        }
+
+        /// The fused re-plan forms the groups the per-query re-plan and the
+        /// stable-sort inversion formed: same lists, same cursors in the
+        /// same order, same run order, same members skipped.
+        #[test]
+        fn the_fused_replan_equals_the_replan_and_inversion(
+            n_lists in 1usize..40,
+            queries in 0usize..40,
+            shrink_on in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let bounds =
+                ListBounds::new((0..n_lists).map(|_| (coarse_dist(&mut rng).abs(), rng.gen_range(0..5))));
+            let rows: Vec<CandidateRow> = (0..queries)
+                .map(|_| {
+                    let mut row = CandidateRow::new();
+                    for list in 0..n_lists {
+                        if rng.gen_bool(0.6) {
+                            row.push((list, coarse_dist(&mut rng).abs()));
+                        }
+                    }
+                    row
+                })
+                .collect();
+            let caps: Vec<Dist> = (0..queries).map(|_| coarse_dist(&mut rng).abs()).collect();
+            let tau: Vec<Dist> = (0..queries).map(|_| coarse_dist(&mut rng).abs()).collect();
+            let shrink = if shrink_on { 1.5 } else { 1.0 };
+            let nearest: Vec<Option<usize>> = rows.iter().map(|row| nearest_entry(row)).collect();
+
+            let (buckets, skipped) = replan(&rows, &nearest, &caps, &tau, shrink, &bounds);
+            let groups = cursor_groups(&buckets, &bounds);
+            let got: Groups = groups
+                .iter()
+                .map(|g| (g.list, bits(&buckets.cursors[g.cursors.clone()])))
+                .collect();
+            let (want, want_skipped) = reference_replan(&rows, &caps, &tau, shrink, &bounds);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(skipped, want_skipped);
+        }
+    }
+
+    #[test]
+    fn nearest_entry_orders_like_a_neighbor() {
+        let nan = Dist::NAN;
+        // A leading NaN sits after every number.
+        assert_eq!(nearest_entry(&[(0, nan), (1, 0.5)]), Some(1));
+        assert_eq!(
+            nearest_entry(&[(0, nan), (1, 0.5), (2, nan), (3, 0.5)]),
+            Some(1)
+        );
+        // An all-NaN row names its first entry; an empty row none.
+        assert_eq!(nearest_entry(&[(4, nan), (7, nan)]), Some(0));
+        assert_eq!(nearest_entry(&[]), None);
+        // Ties go to the earlier entry, whatever the lists.
+        assert_eq!(nearest_entry(&[(9, 2.0), (3, 1.0), (1, 1.0)]), Some(1));
     }
 }

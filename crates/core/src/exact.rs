@@ -26,7 +26,7 @@ use std::sync::Mutex;
 use rbc_bruteforce::{BfConfig, BfStats, BruteForce, ListMirror, Neighbor, TopK};
 use rbc_metric::{BlockedVectors, Dataset, Dist, Metric, QueryBatch};
 
-use crate::batch_plan::{self, CandidateRow, ListView, Stage2};
+use crate::batch_plan::{self, CandidateRow, ListBounds, ListView, Stage2};
 use crate::params::{RbcConfig, RbcParams};
 use crate::reps::{gather_mirrors, sample_representatives, OwnershipList};
 use crate::stats::{QueryStats, SearchStats};
@@ -40,6 +40,8 @@ pub struct ExactRbc<D, M> {
     config: RbcConfig,
     rep_indices: Vec<usize>,
     lists: Vec<OwnershipList>,
+    /// The lists' radii and lengths as flat arrays, for the plan.
+    bounds: ListBounds,
     /// `rep_flags[i]` is true iff database item `i` is a representative.
     /// Representatives are answered from the first search stage (their
     /// distances are computed there anyway), so list scans skip them.
@@ -122,6 +124,7 @@ where
             params,
             config,
             rep_indices,
+            bounds: ListBounds::of(&lists),
             lists,
             rep_flags,
             rep_blocked,
@@ -250,11 +253,15 @@ where
         let n_reps = self.rep_indices.len();
 
         let stage1_span = rbc_trace::span("core.stage1");
-        let (per_query, rep_stats) = self.stage1(queries, k);
+        let (per_query, rep_stats) = self.stage1_survivors(queries, k);
         drop(stage1_span);
 
         let plan_span = rbc_trace::span("core.plan");
-        let (seeded, rows): (Vec<TopK>, Vec<CandidateRow>) = per_query.into_iter().unzip();
+        let nearest: Vec<Option<usize>> = per_query.iter().map(|&(_, _, at)| at).collect();
+        let (seeded, rows): (Vec<TopK>, Vec<CandidateRow>) = per_query
+            .into_iter()
+            .map(|(seeds, row, _)| (seeds, row))
+            .unzip();
         let gamma_k: Vec<Dist> = seeded.iter().map(TopK::threshold).collect();
         let accumulators: Vec<Mutex<TopK>> = seeded.into_iter().map(Mutex::new).collect();
         drop(plan_span);
@@ -274,11 +281,12 @@ where
             db: &self.db,
             metric: &self.metric,
             list: |ri: usize| self.list_view(ri),
+            bounds: &self.bounds,
             shrink: 1.0 + self.config.epsilon,
             sorted_cut: true,
             skip: Some(&self.rep_flags),
         };
-        let mut stats = stage2.nearest_then_rest(&rows, &gamma_k, &accumulators);
+        let mut stats = stage2.nearest_then_rest(&rows, &nearest, &gamma_k, &accumulators);
         drop(scan_span);
         stats.rep_distance_evals = rep_stats.distance_evals;
         stats.rep_reranked_groups = rep_stats.reranked_groups;
@@ -288,8 +296,9 @@ where
 
     /// Stage 1 of a batch: one dense `BF(Q, R)` pass whose rows never leave
     /// the thread that scored them — each is turned into its query's
-    /// [`survivors`](batch_plan::survivors) on the spot: the candidate row,
-    /// and the collector seeded with the representatives.
+    /// [`survivors`](batch_plan::survivors) on the spot: the collector seeded
+    /// with the representatives, the candidate row, and the position of its
+    /// nearest entry.
     ///
     /// Seeding the representatives — their exact distances are computed
     /// here anyway and they are genuine database points — guarantees a
@@ -301,13 +310,18 @@ where
     /// skip them (`rep_flags`): already answered, and a second entry would
     /// duplicate a k-NN result. The rows stay per query; stage 2 inverts
     /// only what its re-plan leaves.
-    fn stage1<Q>(&self, queries: &Q, k: usize) -> (Vec<(TopK, CandidateRow)>, BfStats)
+    fn stage1_survivors<Q>(
+        &self,
+        queries: &Q,
+        k: usize,
+    ) -> (Vec<(TopK, CandidateRow, Option<usize>)>, BfStats)
     where
         Q: Dataset<Item = D::Item>,
     {
         let bf = BruteForce::with_config(self.config.bf);
         let rep_view = self.db.subset(&self.rep_indices);
-        let plan_row = |_, row: &[Dist]| batch_plan::survivors(row, &self.lists, k, &self.config);
+        let (reps, bounds, epsilon) = (&self.rep_indices, &self.bounds, self.config.epsilon);
+        let plan_row = |_, row: &[Dist]| batch_plan::survivors(row, reps, bounds, k, epsilon);
         bf.rows_with(
             queries,
             &rep_view,
@@ -317,10 +331,16 @@ where
         )
     }
 
-    /// List `ri` as stage 2 reads it.
+    /// List `ri` as stage 2 scans it.
     pub fn list_view(&self, ri: usize) -> ListView<'_> {
         let mirrors = self.list_blocks.as_ref();
         ListView::of(&self.lists[ri], mirrors.and_then(|b| b[ri].as_ref()))
+    }
+
+    /// Every list's radius and length as flat arrays, by list id — what the
+    /// plan reads of the lists.
+    pub fn list_bounds(&self) -> &ListBounds {
+        &self.bounds
     }
 
     // --- accessors -----------------------------------------------------
@@ -399,6 +419,19 @@ mod tests {
             })
             .collect();
         VectorSet::from_rows(&rows)
+    }
+
+    impl<D: Dataset, M: Metric<D::Item>> ExactRbc<D, M> {
+        /// Stage 1's seeds and rows without the nearest entries — the shape
+        /// [`batch_plan::seeded_survivors`] gives a matrix.
+        fn stage1<Q>(&self, queries: &Q, k: usize) -> (Vec<(TopK, CandidateRow)>, BfStats)
+        where
+            Q: Dataset<Item = D::Item>,
+        {
+            let (per_query, stats) = self.stage1_survivors(queries, k);
+            let pairs = per_query.into_iter().map(|(seeds, row, _)| (seeds, row));
+            (pairs.collect(), stats)
+        }
     }
 
     fn brute_knn(db: &VectorSet, q: &[f32], k: usize) -> Vec<Neighbor> {

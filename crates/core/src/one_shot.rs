@@ -25,7 +25,7 @@ use rayon::prelude::*;
 use rbc_bruteforce::{BfConfig, BruteForce, GroupCursor, ListMirror, Neighbor, TopK};
 use rbc_metric::{BlockedVectors, Dataset, Dist, Metric, QueryBatch};
 
-use crate::batch_plan::{self, ListView, Stage2};
+use crate::batch_plan::{self, ListBounds, ListView, Stage2};
 use crate::params::{RbcConfig, RbcParams};
 use crate::reps::{sample_representatives, OwnershipList};
 use crate::stats::{QueryStats, SearchStats};
@@ -50,6 +50,8 @@ pub struct OneShotRbc<D, M> {
     config: RbcConfig,
     rep_indices: Vec<usize>,
     lists: Vec<OwnershipList>,
+    /// The lists' radii and lengths as flat arrays, for stage 2.
+    bounds: ListBounds,
     /// Blocked SoA mirror of the representative set for stage-1 scans
     /// (`None` when the metric has no lane kernel or the dataset no blocked
     /// layout).
@@ -162,6 +164,7 @@ where
             params,
             config,
             rep_indices,
+            bounds: ListBounds::of(&lists),
             lists,
             rep_blocked,
             list_blocks,
@@ -259,6 +262,7 @@ where
                 let mirrors = self.list_blocks.as_ref();
                 ListView::of(&self.lists[ri], mirrors.and_then(|b| b[ri].as_ref()))
             },
+            bounds: &self.bounds,
             shrink: 1.0,
             sorted_cut: false,
             skip: None,

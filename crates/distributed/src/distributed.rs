@@ -4,9 +4,10 @@ use std::sync::{Arc, Mutex};
 
 use rayon::prelude::*;
 
-use rbc_bruteforce::{BfConfig, BruteForce, GroupCursor, Neighbor, TopK};
+use rbc_bruteforce::{BfConfig, BruteForce, Neighbor, TopK};
 use rbc_core::batch_plan::{
-    into_answers, nearest_entry, seeded_survivors, BatchPlan, CandidateRow, ListGroup, Stage2,
+    into_answers, nearest_entry, replan, seeded_survivors, BatchPlan, CandidateRow, ListGroup,
+    Stage2,
 };
 use rbc_core::{ExactRbc, SearchIndex};
 use rbc_metric::{Dataset, Dist, Metric, QueryBatch};
@@ -464,8 +465,8 @@ where
     /// **Between rounds** the coordinator merges the round-1 partials into
     /// the seeded collectors and reads each query's threshold
     /// `τ_q = min(γ_k, k-th candidate so far)`. A remaining pair whose run
-    /// `τ_q` already empties ([`GroupCursor::run_is_empty`] at the list's
-    /// radius — the in-process re-plan's cut) is dropped: by the triangle
+    /// `τ_q` already empties is dropped by the in-process re-plan itself
+    /// ([`replan`], the scan's cut at the list's radius): by the triangle
     /// inequality every point of that list is *strictly* farther than
     /// `τ_q`, and `τ_q` is the distance of a real candidate, so the list
     /// holds nothing that could enter the top-k (a point at exactly `τ_q`
@@ -589,28 +590,14 @@ where
         let partials = self.fan_out(&owner_first, queries, k, &rep_dists, &mut ledger);
 
         // Between the rounds: τ_q from the seeds and round 1, then the
-        // in-process re-plan's cut over what is left of each row.
+        // in-process re-plan over what is left of each row.
         let replan_span = rbc_trace::span("dist.replan");
         absorb(&mut seeded, &partials);
         let tau: Vec<Dist> = seeded.iter().map(TopK::threshold).collect();
         let shrink = 1.0 + config.epsilon;
-        let mut rest = Vec::new();
-        for (qi, row) in rows.iter().enumerate() {
-            for (at, &(list, d_to_rep)) in row.iter().enumerate() {
-                if Some(at) == nearest[qi] {
-                    continue;
-                }
-                let cursor = GroupCursor {
-                    query: qi,
-                    d_to_rep,
-                    threshold_cap: gamma_k[qi],
-                };
-                if !cursor.run_is_empty(lists[list].radius, tau[qi], shrink) {
-                    rest.push((qi, list));
-                }
-            }
-        }
-        let rest = BatchPlan::from_pairs(rest, tau, lists);
+        let bounds = self.rbc.list_bounds();
+        let (rest, _) = replan(&rows, &nearest, &gamma_k, &tau, shrink, bounds);
+        let rest = BatchPlan::from_pairs(rest.pairs(), tau, lists);
         drop(replan_span);
         let partials = self.fan_out(&rest, queries, k, &rep_dists, &mut ledger);
         drop(scan_span);
@@ -803,11 +790,13 @@ where
             db: self.rbc.database(),
             metric: self.rbc.metric(),
             list: |li: usize| self.rbc.list_view(li),
+            bounds: self.rbc.list_bounds(),
             shrink: 1.0 + config.epsilon,
             sorted_cut: true,
             skip: Some(&self.rep_flags),
         };
-        let node_stats = stage2.nearest_then_rest(&rows, &part.gamma_k, &accumulators);
+        let nearest: Vec<Option<usize>> = rows.iter().map(|row| nearest_entry(row)).collect();
+        let node_stats = stage2.nearest_then_rest(&rows, &nearest, &part.gamma_k, &accumulators);
         Some((into_answers(accumulators), node_stats.list_distance_evals))
     }
 

@@ -58,8 +58,9 @@
 //! 3. **Re-plan between the rounds.** The round-one partials are merged
 //!    into the seeded collectors, and each query's threshold `τ_q` drops
 //!    every remaining list whose run it already empties — the centralized
-//!    search's re-plan, made where the thresholds come back. Only
-//!    thresholds cross the network, never lists.
+//!    search's re-plan (`rbc_core::batch_plan::replan`, the same function),
+//!    made where the thresholds come back. Only thresholds cross the
+//!    network, never lists.
 //! 4. **Round two: the rest, capped by `τ_q`.** What is left goes out with
 //!    `τ_q` as each query's cap, and the coordinator merges seeds, round
 //!    one and round two. With `epsilon == 0` the merged answers are

@@ -27,7 +27,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use rbc_bruteforce::{BfConfig, BruteForce, ListMirror, TopK};
-use rbc_core::batch_plan::{CandidateRow, ListView, Stage2};
+use rbc_core::batch_plan::{nearest_entry, CandidateRow, ListBounds, ListView, Stage2};
 use rbc_core::ExactRbc;
 use rbc_metric::{Dataset, Dist, Metric, VectorSet, VectorSetBuilder};
 
@@ -39,13 +39,11 @@ use crate::placement::Placement;
 
 /// One ownership list as stored on its node: members as local point
 /// indices (original list order), the sorted representative distances
-/// that drive the sorted-list cut (and the largest of them, the list's
-/// radius), the representative's coordinates,
+/// that drive the sorted-list cut, the representative's coordinates,
 /// and the blocked SIMD mirror (representatives masked).
 struct ShardList {
     members: Vec<usize>,
     member_dists: Vec<Dist>,
-    radius: Dist,
     rep_coords: Vec<f32>,
     blocks: Option<ListMirror>,
 }
@@ -64,6 +62,8 @@ pub struct NodeShard<M> {
     /// coordinator's stage 1; node scans skip them).
     rep_flags: Vec<bool>,
     lists: Vec<ShardList>,
+    /// The placed lists' radii and lengths, by slot, for the re-plan.
+    bounds: ListBounds,
     slot_of_list: HashMap<usize, usize>,
 }
 
@@ -129,7 +129,6 @@ impl<M: Metric<[f32]>> NodeShard<M> {
             shard_lists.push(ShardList {
                 members,
                 member_dists: list.member_dists.clone(),
-                radius: list.radius,
                 rep_coords: db.get(list.rep_index).to_vec(),
                 blocks,
             });
@@ -151,6 +150,7 @@ impl<M: Metric<[f32]>> NodeShard<M> {
             global_ids,
             rep_flags,
             lists: shard_lists,
+            bounds: ListBounds::new(placed.iter().map(|&l| (lists[l].radius, lists[l].len()))),
             slot_of_list,
         }
     }
@@ -221,16 +221,17 @@ impl<M: Metric<[f32]>> NodeShard<M> {
                 ListView {
                     members: &list.members,
                     member_dists: &list.member_dists,
-                    radius: list.radius,
                     mirror: list.blocks.as_ref(),
                 }
             },
+            bounds: &self.bounds,
             shrink: request.shrink,
             sorted_cut: true,
             skip: Some(&self.rep_flags),
         };
+        let nearest: Vec<Option<usize>> = rows.iter().map(|row| nearest_entry(row)).collect();
         let evals = stage2
-            .nearest_then_rest(&rows, &request.gammas, &accumulators)
+            .nearest_then_rest(&rows, &nearest, &request.gammas, &accumulators)
             .list_distance_evals;
         let results = accumulators
             .into_iter()

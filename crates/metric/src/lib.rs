@@ -44,7 +44,7 @@ pub use discrete::{Hamming, Levenshtein, StringSet};
 pub use graph::{GraphDataset, ShortestPath};
 pub use metric::{Dist, Metric, PerPoint};
 pub use simd::{
-    active_kernel, force_kernel, screen_codes_l2, screen_squared_l2, squared_l2_lanes,
+    active_kernel, cut_mask, force_kernel, screen_codes_l2, screen_squared_l2, squared_l2_lanes,
     BlockedVectors, CodeBlock, CodedVectors, KernelChoice, LaneBlock, LaneGroup, LANES,
 };
 pub use validate::{check_metric_axioms, MetricViolation};

@@ -1162,6 +1162,125 @@ unsafe fn avx2_screen_code_groups<const G: usize>(
     }
 }
 
+/// Which entries of a row two cuts leave standing, as a bit mask: bit
+/// `i % 64` of `out[i / 64]` is set unless `values[i] >= shift +
+/// offsets[i]` or `values[i] > cap`. Both comparisons are false on NaN, so
+/// a NaN value or offset clears nothing, and a NaN `shift` turns the first
+/// cut off. Bits past `values.len()` in the last word are clear.
+///
+/// One addition and two comparisons per entry, each exact, so every kernel
+/// sets the same bits — this mask is inside the bit-compatibility contract.
+///
+/// # Panics
+/// Panics if `offsets` is shorter than `values` or `out` shorter than
+/// `values.len().div_ceil(64)`.
+pub fn cut_mask(values: &[Dist], offsets: &[Dist], shift: Dist, cap: Dist, out: &mut [u64]) {
+    let words = values.len().div_ceil(64);
+    let (offsets, out) = (&offsets[..values.len()], &mut out[..words]);
+    match active_kernel() {
+        KernelChoice::Scalar => scalar_cut_mask(values, offsets, shift, cap, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the kernel choice is runtime-detected or clamped by
+        // `force_kernel`, so the features are present; both kernels read
+        // whole lanes only inside the equally long `values` and `offsets`.
+        KernelChoice::Sse2 => unsafe { sse2_cut_mask(values, offsets, shift, cap, out) },
+        #[cfg(target_arch = "x86_64")]
+        KernelChoice::Avx2Fma => unsafe { avx2_cut_mask(values, offsets, shift, cap, out) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => scalar_cut_mask(values, offsets, shift, cap, out),
+    }
+}
+
+/// The bits of `values[from..]` (at most one word's worth, starting at bit
+/// `from`), entry by entry: the portable kernel, and every SIMD kernel's tail.
+#[inline]
+fn cut_bits(values: &[Dist], offsets: &[Dist], shift: Dist, cap: Dist, from: usize) -> u64 {
+    let entries = values[from..].iter().zip(&offsets[from..]);
+    entries.enumerate().fold(0, |bits, (j, (&v, &o))| {
+        let cut = (v >= shift + o) | (v > cap);
+        bits | u64::from(!cut) << (from + j)
+    })
+}
+
+fn scalar_cut_mask(values: &[Dist], offsets: &[Dist], shift: Dist, cap: Dist, out: &mut [u64]) {
+    for ((word, v), o) in out
+        .iter_mut()
+        .zip(values.chunks(64))
+        .zip(offsets.chunks(64))
+    {
+        *word = cut_bits(v, o, shift, cap, 0);
+    }
+}
+
+/// SSE2: two entries per comparison.
+///
+/// # Safety
+/// The CPU must support SSE2, `offsets` must be as long as `values`, and
+/// `out` must have a word per 64 values.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+unsafe fn sse2_cut_mask(
+    values: &[Dist],
+    offsets: &[Dist],
+    shift: Dist,
+    cap: Dist,
+    out: &mut [u64],
+) {
+    use std::arch::x86_64::*;
+    let (shifts, caps) = (_mm_set1_pd(shift), _mm_set1_pd(cap));
+    for ((word, v), o) in out
+        .iter_mut()
+        .zip(values.chunks(64))
+        .zip(offsets.chunks(64))
+    {
+        let pairs = v.len() / 2 * 2;
+        let mut bits = cut_bits(v, o, shift, cap, pairs);
+        for j in (0..pairs).step_by(2) {
+            let x = _mm_loadu_pd(v.as_ptr().add(j));
+            let limit = _mm_add_pd(shifts, _mm_loadu_pd(o.as_ptr().add(j)));
+            // "Not greater (or equal)" is true on NaN: a NaN cuts nothing.
+            let kept = _mm_and_pd(_mm_cmpnge_pd(x, limit), _mm_cmpngt_pd(x, caps));
+            bits |= (_mm_movemask_pd(kept) as u64) << j;
+        }
+        *word = bits;
+    }
+}
+
+/// AVX2: four entries per comparison.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA, `offsets` must be as long as
+/// `values`, and `out` must have a word per 64 values.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn avx2_cut_mask(
+    values: &[Dist],
+    offsets: &[Dist],
+    shift: Dist,
+    cap: Dist,
+    out: &mut [u64],
+) {
+    use std::arch::x86_64::*;
+    let (shifts, caps) = (_mm256_set1_pd(shift), _mm256_set1_pd(cap));
+    for ((word, v), o) in out
+        .iter_mut()
+        .zip(values.chunks(64))
+        .zip(offsets.chunks(64))
+    {
+        let quads = v.len() / 4 * 4;
+        let mut bits = cut_bits(v, o, shift, cap, quads);
+        for j in (0..quads).step_by(4) {
+            let x = _mm256_loadu_pd(v.as_ptr().add(j));
+            let limit = _mm256_add_pd(shifts, _mm256_loadu_pd(o.as_ptr().add(j)));
+            // "Not greater (or equal), unordered": a NaN cuts nothing.
+            let below = _mm256_cmp_pd::<_CMP_NGE_UQ>(x, limit);
+            let kept = _mm256_and_pd(below, _mm256_cmp_pd::<_CMP_NGT_UQ>(x, caps));
+            bits |= (_mm256_movemask_pd(kept) as u64) << j;
+        }
+        *word = bits;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1315,6 +1434,59 @@ mod tests {
                 }
             }
             force_kernel(None);
+        }
+    }
+
+    #[test]
+    fn every_kernel_cuts_the_same_bits() {
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.0,
+            1.5,
+            2.5,
+        ];
+        // Every (value, offset) pair of specials, in turn and then shuffled
+        // by a stride, so each lane of each kernel meets every pair and
+        // `value == shift + offset` comes up at every shift.
+        let n = specials.len();
+        let pair = |i: usize| (specials[i % n], specials[i / n % n]);
+        for len in [0usize, 1, 2, 3, 5, 63, 64, 65, 130, 409] {
+            let (values, offsets): (Vec<f64>, Vec<f64>) = (0..len)
+                .map(|i| pair(if len < 130 { i } else { i * 37 }))
+                .unzip();
+            for (shift, cap) in [
+                (0.5, 2.0),
+                (1.0, 1.5),
+                (0.0, 1.0),
+                (f64::NAN, 1.5),
+                (1.0, f64::INFINITY),
+                (-1.0, f64::NAN),
+            ] {
+                let mut want = vec![0u64; len.div_ceil(64)];
+                for (i, (&v, &o)) in values.iter().zip(&offsets).enumerate() {
+                    if !(v >= shift + o || v > cap) {
+                        want[i / 64] |= 1 << (i % 64);
+                    }
+                }
+                for choice in [
+                    KernelChoice::Scalar,
+                    KernelChoice::Sse2,
+                    KernelChoice::Avx2Fma,
+                ] {
+                    force_kernel(Some(choice));
+                    let mut got = vec![u64::MAX; len.div_ceil(64)];
+                    cut_mask(&values, &offsets, shift, cap, &mut got);
+                    assert_eq!(
+                        got, want,
+                        "kernel {choice:?}, {len} values, shift {shift}, cap {cap}"
+                    );
+                }
+                force_kernel(None);
+            }
         }
     }
 
