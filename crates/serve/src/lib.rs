@@ -74,7 +74,7 @@ pub mod metrics;
 mod queue;
 pub mod ticket;
 
-pub use cache::{CacheCounters, CacheKey, CachedIndex, LruCache, TinyLfuCache};
+pub use cache::{CacheCounters, CacheKey, CachedIndex, TinyLfuCache};
 pub use config::{ServeConfig, ServeError};
 pub use engine::{Engine, ServeHandle};
 pub use metrics::{BatchSizeBucket, LatencyHistogram, MetricsSnapshot, ServeMetrics};
