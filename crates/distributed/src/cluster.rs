@@ -3,10 +3,10 @@
 //! The paper defers "I/O and communication costs" of a distributed RBC to
 //! future work; this module makes them explicit. A [`CommCost`] counts the
 //! frames a batch exchanged with its nodes, each at its exact encoded size
-//! ([`QueryRequest::frame_bytes`], [`QueryReply::frame_bytes`]), on either
-//! transport: over framed TCP the count equals the bytes the sockets
-//! carried, and the in-process simulation counts the frames it would have
-//! sent.
+//! ([`QueryRequest::frame_bytes`], [`QueryReply::frame_bytes`]), whatever
+//! the endpoint: over framed TCP the count equals the bytes the sockets
+//! carried, and a node in the coordinator's process counts the frames
+//! the same request and reply would have made.
 //!
 //! [`QueryRequest::frame_bytes`]: crate::net::QueryRequest::frame_bytes
 //! [`QueryReply::frame_bytes`]: crate::net::QueryReply::frame_bytes

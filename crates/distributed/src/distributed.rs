@@ -1,14 +1,11 @@
 //! The distributed RBC index and its query protocols.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rayon::prelude::*;
 
-use rbc_bruteforce::{BfConfig, BruteForce, Neighbor, TopK};
-use rbc_core::batch_plan::{
-    into_answers, nearest_entry, replan, seeded_survivors, BatchPlan, CandidateRow, ListGroup,
-    Stage2,
-};
+use rbc_bruteforce::{BruteForce, Neighbor, TopK};
+use rbc_core::batch_plan::{nearest_entry, replan, seeded_survivors, BatchPlan, ListGroup};
 use rbc_core::{ExactRbc, SearchIndex};
 use rbc_metric::{Dataset, Dist, Metric, QueryBatch};
 use serde::Serialize;
@@ -17,37 +14,8 @@ use crate::cluster::{ClusterConfig, CommCost};
 use crate::load::{ClusterLoad, NodeHealth, NodeLoad};
 use crate::net::codec::{QueryReply, QueryRequest, WireGroup};
 use crate::net::endpoint::{InFlight, NetError, NodeEndpoint};
+use crate::net::server::{LocalNode, NodeShard};
 use crate::placement::{Placement, PlacementPolicy};
-
-/// The attached wire transport: one endpoint per node, plus the
-/// coordinate extractor captured when the transport was attached (the
-/// only point where `D::Item = [f32]` is known, so the generic query
-/// path can serialize items without carrying that bound).
-pub(crate) struct Wire<D: Dataset> {
-    endpoints: Vec<Arc<dyn NodeEndpoint>>,
-    coords: for<'a> fn(&'a D::Item) -> &'a [f32],
-}
-
-impl<D: Dataset> Clone for Wire<D> {
-    fn clone(&self) -> Self {
-        Self {
-            endpoints: self.endpoints.clone(),
-            coords: self.coords,
-        }
-    }
-}
-
-impl<D: Dataset> std::fmt::Debug for Wire<D> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Wire")
-            .field("endpoints", &self.endpoints.len())
-            .finish()
-    }
-}
-
-/// A node's reply to one sub-plan: per-query partial top-k results by batch
-/// position, and the node's list distance evaluations.
-type Reply = (Vec<Vec<Neighbor>>, u64);
 
 /// What a batch's fan-out rounds have done so far, accumulated over both
 /// rounds and their failover retries.
@@ -63,17 +31,6 @@ struct Ledger {
     rerouted_groups: u64,
     /// Groups no live replica could take.
     lost: Vec<ListGroup>,
-}
-
-/// Merges every reply's partial top-k into the per-query collectors.
-fn absorb(collectors: &mut [TopK], replies: &[Vec<Vec<Neighbor>>]) {
-    for partials in replies {
-        for (topk, partial) in collectors.iter_mut().zip(partials) {
-            for &candidate in partial {
-                topk.push(candidate);
-            }
-        }
-    }
 }
 
 /// Work and communication performed by one distributed query (or a batch).
@@ -168,17 +125,14 @@ impl DistributedQueryStats {
     }
 }
 
-/// A Random Ball Cover sharded across the nodes of a (simulated) cluster
-/// by representative, as sketched in the paper's conclusion — with
+/// A Random Ball Cover sharded across the nodes of a cluster by
+/// representative, as sketched in the paper's conclusion — with
 /// replicated, skew-aware placement and failover routing on top.
 #[derive(Clone, Debug)]
 pub struct DistributedRbc<D: Dataset, M> {
     rbc: ExactRbc<D, M>,
     cluster: ClusterConfig,
     placement: Placement,
-    /// True for database indices that are representatives (answered by the
-    /// coordinator's first stage, so worker scans skip them).
-    rep_flags: Vec<bool>,
     /// Number of coordinates serialized when a query is shipped to a node
     /// (the vector dimension for dense data).
     payload_coords: usize,
@@ -188,17 +142,18 @@ pub struct DistributedRbc<D: Dataset, M> {
     /// Shared liveness flags; `Arc`-shared so failures injected from a
     /// test, a bench, or an operator thread are seen by every clone.
     health: Arc<NodeHealth>,
-    /// When attached ([`with_endpoints`](Self::with_endpoints)), every
-    /// routed sub-plan crosses a real wire instead of being executed
-    /// in-process, and node failure is detected by deadline instead of
-    /// consulting the [`NodeHealth`] oracle.
-    wire: Option<Wire<D>>,
+    /// Node `i`'s shard of the index, by node.
+    shards: Vec<Arc<NodeShard<M>>>,
+    /// The endpoint each node is contacted through, by node: a
+    /// [`LocalNode`] over `shards[i]`, until
+    /// [`with_endpoints`](Self::with_endpoints) replaces them.
+    nodes: Vec<Arc<dyn NodeEndpoint>>,
 }
 
 impl<D, M> DistributedRbc<D, M>
 where
-    D: Dataset,
-    M: Metric<D::Item>,
+    D: Dataset<Item = [f32]>,
+    M: Metric<[f32]> + Clone + Send + Sync + 'static,
 {
     /// Distributes an already-built exact RBC across `cluster.nodes` nodes
     /// with the balanced single-owner (LPT) placement — the
@@ -233,7 +188,9 @@ where
 
     /// Distributes an already-built exact RBC with an explicit
     /// [`Placement`] — for studying skewed placements, draining a node, or
-    /// replaying a placement recorded elsewhere.
+    /// replaying a placement recorded elsewhere. Each node's shard
+    /// ([`NodeShard`]) is built here and served in this process until
+    /// [`with_endpoints`](Self::with_endpoints) replaces the endpoints.
     ///
     /// # Panics
     /// Panics if the placement fails [`Placement::validate`] against this
@@ -249,10 +206,6 @@ where
         placement
             .validate(&list_sizes, cluster.nodes)
             .unwrap_or_else(|error| panic!("invalid Placement: {error}"));
-        let mut rep_flags = vec![false; rbc.database().len()];
-        for &r in rbc.rep_indices() {
-            rep_flags[r] = true;
-        }
         let primary_points: usize = list_sizes.iter().sum();
         let load = Arc::new(ClusterLoad::with_placement(
             cluster.nodes,
@@ -261,16 +214,60 @@ where
             placement.storage_overhead(primary_points),
         ));
         let health = Arc::new(NodeHealth::new(cluster.nodes));
+        let shards: Vec<Arc<NodeShard<M>>> = (0..cluster.nodes)
+            .map(|node| Arc::new(NodeShard::from_exact(&rbc, &placement, node)))
+            .collect();
+        let nodes = shards
+            .iter()
+            .map(|shard| {
+                Arc::new(LocalNode {
+                    shard: Arc::clone(shard),
+                    health: Arc::clone(&health),
+                }) as Arc<dyn NodeEndpoint>
+            })
+            .collect();
         Self {
             rbc,
             cluster,
             placement,
-            rep_flags,
             payload_coords,
             load,
             health,
-            wire: None,
+            shards,
+            nodes,
         }
+    }
+
+    /// Contacts every node through `endpoints[i]` instead of its
+    /// in-process shard — one [`NodeEndpoint`] per cluster node, for
+    /// example the framed-TCP clients of [`crate::net`]. The protocol,
+    /// the answers and the counted frames do not change: every contact
+    /// was already a [`QueryRequest`] to an endpoint.
+    ///
+    /// An endpoint's failure is whatever its exchange reports — over TCP
+    /// a missed deadline — and the coordinator then marks the node dead.
+    /// [`fail_node`](Self::fail_node) / [`revive_node`](Self::revive_node)
+    /// still drain and restore nodes (routing consults the shared
+    /// liveness view), but [`poison_node`](Self::poison_node) only arms
+    /// the in-process endpoints, which these replace: the remote
+    /// equivalent is a peer that hangs or drops, injected on the server
+    /// side (see `NodeServer::arm_hang`).
+    ///
+    /// # Panics
+    /// Panics if the endpoint count does not match the cluster size.
+    pub fn with_endpoints(mut self, endpoints: Vec<Arc<dyn NodeEndpoint>>) -> Self {
+        assert_eq!(
+            endpoints.len(),
+            self.cluster.nodes,
+            "one endpoint per cluster node"
+        );
+        self.nodes = endpoints;
+        self
+    }
+
+    /// The nodes' shards, by node.
+    pub(crate) fn shards(&self) -> &[Arc<NodeShard<M>>] {
+        &self.shards
     }
 
     /// The underlying (coordinator-side) RBC.
@@ -311,6 +308,9 @@ where
     /// Arms `node` to fail at its next contact — the mid-batch crash: the
     /// router ships it a sub-plan, the reply never comes, and the affected
     /// groups are re-routed to surviving replicas within the same batch.
+    /// Only the in-process endpoints consult the arming; endpoints attached
+    /// with [`with_endpoints`](Self::with_endpoints) fail by their own
+    /// transport.
     pub fn poison_node(&self, node: usize) {
         self.health.poison(node);
     }
@@ -324,19 +324,6 @@ where
     /// that steers skew-aware replication.
     pub fn observed_list_traffic(&self) -> Vec<u64> {
         self.load.list_traffic()
-    }
-
-    /// Distinct queries whose groups a sub-plan carries — the payload size
-    /// of the message delivering it.
-    fn distinct_queries(part: &BatchPlan) -> usize {
-        let mut qs: Vec<usize> = part
-            .groups
-            .iter()
-            .flat_map(|g| g.queries.iter().copied())
-            .collect();
-        qs.sort_unstable();
-        qs.dedup();
-        qs.len()
     }
 
     /// Splits atomic hot spots before routing. A `(list, queries)` group
@@ -442,7 +429,7 @@ where
     /// behaviour of [`query_batch_exact`](Self::query_batch_exact),
     /// including flagged partial answers when an unreplicated list's node
     /// is down.
-    pub fn query_exact(&self, query: &D::Item, k: usize) -> (Vec<Neighbor>, DistributedQueryStats) {
+    pub fn query_exact(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, DistributedQueryStats) {
         let (mut results, stats) = self.query_batch_exact(&QueryBatch::new(&[query]), k);
         (results.pop().expect("one query in, one answer out"), stats)
     }
@@ -482,10 +469,12 @@ where
     /// ([`BatchPlan::split_routed`]): each group goes to the least-loaded
     /// **live** replica of its list, so a replicated hot list spreads its
     /// groups across all of its homes instead of melting one node. Every
-    /// node contacted in a round receives **one** message carrying the
-    /// distinct queries its groups need, runs the shared stage 2
-    /// ([`Stage2::nearest_then_rest`]) over its own pairs, and replies with
-    /// per-query partial top-k results.
+    /// node contacted in a round receives **one** [`QueryRequest`] carrying
+    /// the distinct queries its groups need; its [`NodeShard`] runs the
+    /// shared stage 2 ([`Stage2::nearest_then_rest`]) over its own pairs
+    /// and replies with per-query partial top-k results.
+    ///
+    /// [`Stage2::nearest_then_rest`]: rbc_core::batch_plan::Stage2::nearest_then_rest
     ///
     /// **Failover.** A node that dies mid-batch (its contact fails — see
     /// [`NodeHealth::poison`]) never replies; the coordinator re-routes
@@ -516,16 +505,15 @@ where
     /// neighbor, and the deterministic `(distance, index)` order makes
     /// merging per-node partial top-k sets equivalent to one global top-k.
     ///
-    /// **Over the wire** ([`with_endpoints`](Self::with_endpoints)) each
-    /// round is one pipelined exchange on the calling thread: every
-    /// contacted node's request is encoded and written, and only then are
-    /// the replies read, in contact order, so the nodes scan at the same
-    /// time. A node whose send or read fails is marked dead and its groups
-    /// take the failover path above; every other exchange of the round is
-    /// still read. Endpoints that cannot split an exchange
-    /// ([`NodeEndpoint::send`]'s provided version) make their blocking
-    /// calls on the rayon pool instead. In-process, each contacted node's
-    /// sub-plan runs on the pool.
+    /// Each round is one exchange with its contacted nodes on the calling
+    /// thread: every request is sent ([`NodeEndpoint::send`]) before any
+    /// reply is read, in contact order, so nodes that can split an
+    /// exchange — over TCP, [`with_endpoints`](Self::with_endpoints) —
+    /// scan at the same time. A node whose exchange fails is marked dead
+    /// and its groups take the failover path above; every other exchange
+    /// of the round is still read. Endpoints that cannot split an exchange
+    /// (the provided `send`, which the in-process nodes keep) make their
+    /// blocking calls on the rayon pool instead.
     ///
     /// Communication is counted in frames ([`DistributedQueryStats::comm`]):
     /// one request frame per contacted node per fan-out round rather than
@@ -535,18 +523,28 @@ where
     /// replies adds one reply frame; a failed contact's request is counted
     /// (the link carried it) with no reply. Each frame counts at its
     /// encoded size ([`QueryRequest::frame_bytes`],
-    /// [`QueryReply::frame_bytes`]) on either transport, so over the wire
-    /// the count equals the bytes the sockets carried. Per-node work and
-    /// traffic are reported in [`DistributedQueryStats::per_node`].
+    /// [`QueryReply::frame_bytes`]) whatever the endpoint, so over the
+    /// wire the count equals the bytes the sockets carried. Per-node work
+    /// and traffic are reported in [`DistributedQueryStats::per_node`].
+    ///
+    /// A `k` above the database size is served as `k = n`: every point,
+    /// which is what any `k ≥ n` returns.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`. The request frame carries `k` and each node's
+    /// query-table slots as `u16`, so it also panics if `min(k, n)` exceeds
+    /// 65 535, or if one node is sent more than 65 535 distinct queries in
+    /// one round.
     pub fn query_batch_exact<Q>(
         &self,
         queries: &Q,
         k: usize,
     ) -> (Vec<Vec<Neighbor>>, DistributedQueryStats)
     where
-        Q: Dataset<Item = D::Item>,
+        Q: Dataset<Item = [f32]>,
     {
         assert!(k > 0, "k must be at least 1");
+        let k = k.min(self.rbc.database().len());
         let nq = queries.len();
         if nq == 0 {
             return (Vec::new(), DistributedQueryStats::default());
@@ -557,8 +555,7 @@ where
         let n_reps = lists.len();
 
         // Stage 1, coordinator: one dense BF(Q, R), all distances kept
-        // (the in-process nodes' rows and the degradation bounds read
-        // them), then the γ_k rules per query.
+        // (the degradation bounds read them), then the γ_k rules per query.
         let plan_span = rbc_trace::span("dist.plan");
         let coordinator_bf = BruteForce::with_config(config.bf);
         let rep_view = db.subset(self.rbc.rep_indices());
@@ -587,19 +584,18 @@ where
             lost: Vec::new(),
         };
         let scan_span = rbc_trace::span("dist.scan");
-        let partials = self.fan_out(&owner_first, queries, k, &rep_dists, &mut ledger);
+        self.fan_out(&owner_first, queries, k, &mut seeded, &mut ledger);
 
         // Between the rounds: τ_q from the seeds and round 1, then the
-        // in-process re-plan over what is left of each row.
+        // coordinator's re-plan over what is left of each row.
         let replan_span = rbc_trace::span("dist.replan");
-        absorb(&mut seeded, &partials);
         let tau: Vec<Dist> = seeded.iter().map(TopK::threshold).collect();
         let shrink = 1.0 + config.epsilon;
         let bounds = self.rbc.list_bounds();
         let (rest, _) = replan(&rows, &nearest, &gamma_k, &tau, shrink, bounds);
         let rest = BatchPlan::from_pairs(rest.pairs(), tau, lists);
         drop(replan_span);
-        let partials = self.fan_out(&rest, queries, k, &rep_dists, &mut ledger);
+        self.fan_out(&rest, queries, k, &mut seeded, &mut ledger);
         drop(scan_span);
         let merge_span = rbc_trace::span("dist.merge");
 
@@ -618,9 +614,8 @@ where
             }
         }
 
-        // Coordinator reduce: seeds and round 1 are already merged; add
-        // round 2, then the degraded truncation.
-        absorb(&mut seeded, &partials);
+        // Coordinator reduce: seeds and both rounds are merged; apply the
+        // degraded truncation.
         let results: Vec<Vec<Neighbor>> = seeded
             .into_iter()
             .zip(degraded.iter().zip(cutoff))
@@ -657,30 +652,27 @@ where
     }
 
     /// One fan-out round: routes `plan`'s groups (see
-    /// [`route_parts`](Self::route_parts)), ships every contacted node its
-    /// sub-plan — the nodes run in parallel, each over its own shard through
-    /// the same stage 2 as the centralized search; over the wire the round
-    /// is one pipelined exchange ([`wire_round`](Self::wire_round)) — and
-    /// returns every reply's per-query partial top-k. A contact that fails
-    /// (the node died after routing) yields no reply; its groups are
-    /// re-routed to surviving replicas and retried until each has executed
-    /// or is lost. Work, traffic and losses go to `ledger`.
+    /// [`route_parts`](Self::route_parts)), sends every contacted node its
+    /// sub-plan as one [`QueryRequest`] ([`wire_round`](Self::wire_round))
+    /// and merges every reply's per-query partial top-k into `collectors`.
+    /// A contact that fails (the node died after routing) yields no reply;
+    /// its node is marked dead and its groups are re-routed to surviving
+    /// replicas and retried until each has executed or is lost. Work,
+    /// traffic and losses go to `ledger`.
     fn fan_out<Q>(
         &self,
         plan: &BatchPlan,
         queries: &Q,
         k: usize,
-        rep_dists: &[Dist],
+        collectors: &mut [TopK],
         ledger: &mut Ledger,
-    ) -> Vec<Vec<Vec<Neighbor>>>
-    where
-        Q: Dataset<Item = D::Item>,
+    ) where
+        Q: Dataset<Item = [f32]>,
     {
-        // Node spans may close on other threads (in-process executions run
-        // on rayon threads); capture the enclosing scan span's context here
+        // Node spans may close on other threads (deferred calls run on
+        // rayon threads); capture the enclosing scan span's context here
         // so each one parents under it.
         let scan_ctx = rbc_trace::current();
-        let mut partials = Vec::new();
         let mut retry: Option<BatchPlan> = None;
         loop {
             let route_span = rbc_trace::span("dist.route");
@@ -695,29 +687,28 @@ where
             let contacted: Vec<usize> = (0..self.cluster.nodes)
                 .filter(|&nd| !parts[nd].groups.is_empty())
                 .collect();
-            let replies: Vec<Option<Reply>> = match &self.wire {
-                Some(wire) => self.wire_round(wire, &contacted, &parts, queries, k, scan_ctx),
-                None => contacted
-                    .par_iter()
-                    .map(|&nd| self.execute_part(nd, &parts[nd], queries, k, rep_dists, scan_ctx))
-                    .collect(),
-            };
+            let requests: Vec<(QueryRequest, Vec<usize>)> = contacted
+                .iter()
+                .map(|&nd| self.wire_request(&parts[nd], queries, k))
+                .collect();
+            let replies = self.wire_round(&contacted, &requests, scan_ctx);
 
             let mut failed: Vec<ListGroup> = Vec::new();
-            for (&nd, reply) in contacted.iter().zip(replies) {
+            for ((&nd, (_, positions)), reply) in contacted.iter().zip(&requests).zip(replies) {
                 let part = std::mem::take(&mut parts[nd]);
-                let payload = Self::distinct_queries(&part);
+                let payload = positions.len();
                 let out_bytes =
                     QueryRequest::frame_bytes(payload, self.payload_coords, part.groups.len());
                 ledger.comm.messages_out += 1;
                 ledger.comm.bytes_out += out_bytes;
                 ledger.per_node[nd].bytes_out += out_bytes;
-                let Some((node_partials, evals)) = reply else {
+                let Some(reply) = reply else {
                     // The request crossed the wire; the reply never came.
+                    self.health.fail(nd);
                     failed.extend(part.groups);
                     continue;
                 };
-                let records = node_partials.iter().map(Vec::len).sum();
+                let records = reply.results.iter().map(Vec::len).sum();
                 let in_bytes = QueryReply::frame_bytes(payload, records);
                 ledger.comm.messages_in += 1;
                 ledger.comm.bytes_in += in_bytes;
@@ -728,12 +719,16 @@ where
                 let load = &mut ledger.per_node[nd];
                 load.queries += payload as u64;
                 load.groups += part.groups.len() as u64;
-                load.evals += evals;
+                load.evals += reply.evals;
                 load.bytes_in += in_bytes;
-                partials.push(node_partials);
+                for (&position, result) in positions.iter().zip(&reply.results) {
+                    for &(index, dist) in result {
+                        collectors[position].push(Neighbor::new(index as usize, dist));
+                    }
+                }
             }
             if failed.is_empty() {
-                return partials;
+                return;
             }
             // Re-route what the dead nodes dropped among the survivors.
             retry = Some(BatchPlan {
@@ -745,101 +740,33 @@ where
         }
     }
 
-    /// Runs one node's sub-plan in-process against the node's lists.
-    /// `None` when the node fails to reply.
-    fn execute_part<Q>(
-        &self,
-        nd: usize,
-        part: &BatchPlan,
-        queries: &Q,
-        k: usize,
-        rep_dists: &[Dist],
-        scan_ctx: Option<rbc_trace::SpanCtx>,
-    ) -> Option<Reply>
-    where
-        Q: Dataset<Item = D::Item>,
-    {
-        // In-process, the liveness oracle simulates at contact time what
-        // the wire detects by deadline.
-        if !self.health.contact(nd) {
-            return None;
-        }
-        let _node_span = rbc_trace::span_under("dist.node", scan_ctx);
-        let config = self.rbc.config();
-        let n_reps = self.rbc.lists().len();
-        // Accumulators start empty (the sub-plan's per-query cap still
-        // bounds the cut); the coordinator holds the seeds.
-        let accumulators: Vec<Mutex<TopK>> = (0..part.queries)
-            .map(|_| Mutex::new(TopK::new(k)))
-            .collect();
-        let mut rows = vec![CandidateRow::new(); part.queries];
-        for group in &part.groups {
-            let li = group.list_index;
-            for &qi in &group.queries {
-                rows[qi].push((li, rep_dists[qi * n_reps + li]));
-            }
-        }
-        let node_bf = BruteForce::with_config(BfConfig {
-            parallel: false,
-            ..config.bf
-        });
-        let stage2 = Stage2 {
-            bf: &node_bf,
-            parallel: false,
-            queries,
-            db: self.rbc.database(),
-            metric: self.rbc.metric(),
-            list: |li: usize| self.rbc.list_view(li),
-            bounds: self.rbc.list_bounds(),
-            shrink: 1.0 + config.epsilon,
-            sorted_cut: true,
-            skip: Some(&self.rep_flags),
-        };
-        let nearest: Vec<Option<usize>> = rows.iter().map(|row| nearest_entry(row)).collect();
-        let node_stats = stage2.nearest_then_rest(&rows, &nearest, &part.gamma_k, &accumulators);
-        Some((into_answers(accumulators), node_stats.list_distance_evals))
-    }
-
-    /// One fan-out round over the wire, as one pipelined exchange on this
-    /// thread: every contacted node's request is built, then every request
-    /// is sent, and only then are the replies read, in contact order. The
-    /// nodes therefore scan at the same time, and no pool thread blocks on
-    /// a socket. Sends go out in ascending node order, so rounds that share
-    /// endpoints take their connection locks in one order.
+    /// One fan-out round as one exchange on this thread: every contacted
+    /// node's request is sent, and only then are the replies read, in
+    /// contact order. Nodes that split the exchange therefore scan at the
+    /// same time, and no pool thread blocks on a socket. Sends go out in
+    /// ascending node order, so rounds that share endpoints take their
+    /// connection locks in one order.
     ///
-    /// Liveness is *detected*: a failed send or read — a missed deadline
-    /// included, most importantly from a peer that hangs mid-frame — marks
-    /// that node dead ([`NodeHealth::fail`]) and yields no reply, and the
-    /// caller's re-route and flagged-prefix degradation take over. A
-    /// failure never abandons another node's exchange: every sent request
-    /// is read (or its connection dropped) before the round returns.
-    ///
-    /// An endpoint whose [`send`](NodeEndpoint::send) defers
+    /// A node whose exchange fails — a missed deadline included, most
+    /// importantly from a peer that hangs mid-frame — has no reply
+    /// (`None`). A failure never abandons another node's exchange: every
+    /// sent request is read (or its connection dropped) before the round
+    /// returns. An endpoint whose [`send`](NodeEndpoint::send) defers
     /// ([`InFlight::Deferred`]) sent nothing; its blocking call runs on
     /// the pool, under a `dist.node` span of its own.
-    fn wire_round<Q>(
+    fn wire_round(
         &self,
-        wire: &Wire<D>,
         contacted: &[usize],
-        parts: &[BatchPlan],
-        queries: &Q,
-        k: usize,
+        requests: &[(QueryRequest, Vec<usize>)],
         scan_ctx: Option<rbc_trace::SpanCtx>,
-    ) -> Vec<Option<Reply>>
-    where
-        Q: Dataset<Item = D::Item>,
-    {
-        let requests: Vec<(QueryRequest, Vec<usize>)> = contacted
-            .iter()
-            .map(|&nd| self.wire_request(wire, &parts[nd], queries, k))
-            .collect();
+    ) -> Vec<Option<QueryReply>> {
         let mut sent = Vec::with_capacity(contacted.len());
         let mut deferred = Vec::new();
-        for (slot, (&nd, (request, _))) in contacted.iter().zip(&requests).enumerate() {
+        for (slot, (&nd, (request, _))) in contacted.iter().zip(requests).enumerate() {
             // The node's span runs from its send to its decoded reply, with
             // the exchange's `net.send` and `net.recv` under it.
             let node_span = rbc_trace::span_under("dist.node", scan_ctx);
-            match wire.endpoints[nd].send(request) {
+            match self.nodes[nd].send(request) {
                 InFlight::Sent(reply) => sent.push((slot, node_span, reply)),
                 InFlight::Deferred(call) => {
                     node_span.discard();
@@ -847,7 +774,7 @@ where
                 }
             }
         }
-        let mut replies: Vec<Option<Reply>> = vec![None; contacted.len()];
+        let mut replies: Vec<Option<QueryReply>> = vec![None; contacted.len()];
         let called: Vec<(usize, Result<QueryReply, NetError>)> = deferred
             .into_par_iter()
             .map(|(slot, call)| {
@@ -856,12 +783,10 @@ where
             })
             .collect();
         for (slot, result) in called {
-            let nd = contacted[slot];
-            replies[slot] = self.wire_reply(nd, &parts[nd], &requests[slot].1, result);
+            replies[slot] = result.ok();
         }
         for (slot, node_span, reply) in sent {
-            let nd = contacted[slot];
-            replies[slot] = self.wire_reply(nd, &parts[nd], &requests[slot].1, reply());
+            replies[slot] = reply().ok();
             drop(node_span);
         }
         replies
@@ -875,15 +800,9 @@ where
     /// as slot indices into that table; the node recomputes `ρ(q, rep_ℓ)`
     /// from its stored representative coordinates, which is bit-identical
     /// to the coordinator's stage-1 values by the SIMD kernel invariant.
-    fn wire_request<Q>(
-        &self,
-        wire: &Wire<D>,
-        part: &BatchPlan,
-        queries: &Q,
-        k: usize,
-    ) -> (QueryRequest, Vec<usize>)
+    fn wire_request<Q>(&self, part: &BatchPlan, queries: &Q, k: usize) -> (QueryRequest, Vec<usize>)
     where
-        Q: Dataset<Item = D::Item>,
+        Q: Dataset<Item = [f32]>,
     {
         let config = self.rbc.config();
         let mut positions: Vec<usize> = part
@@ -901,7 +820,7 @@ where
         let mut coords = Vec::new();
         for &p in &positions {
             gammas.push(part.gamma_k[p]);
-            coords.extend_from_slice((wire.coords)(queries.get(p)));
+            coords.extend_from_slice(queries.get(p));
         }
         let dim = if positions.is_empty() {
             0
@@ -942,81 +861,12 @@ where
         };
         (request, positions)
     }
-
-    /// Scatters node `nd`'s reply back to batch positions, or marks the
-    /// node dead when its exchange failed.
-    fn wire_reply(
-        &self,
-        nd: usize,
-        part: &BatchPlan,
-        positions: &[usize],
-        result: Result<QueryReply, NetError>,
-    ) -> Option<Reply> {
-        match result {
-            Ok(reply) => {
-                let mut partials = vec![Vec::new(); part.queries];
-                for (slot, result) in reply.results.iter().enumerate() {
-                    partials[positions[slot]] = result
-                        .iter()
-                        .map(|&(index, dist)| Neighbor::new(index as usize, dist))
-                        .collect();
-                }
-                Some((partials, reply.evals))
-            }
-            Err(_) => {
-                self.health.fail(nd);
-                None
-            }
-        }
-    }
 }
 
 impl<D, M> DistributedRbc<D, M>
 where
-    D: Dataset<Item = [f32]>,
-    M: Metric<[f32]>,
-{
-    /// Attaches a wire transport: one [`NodeEndpoint`] per cluster
-    /// node (see [`crate::net`]). Every routed sub-plan of
-    /// [`query_batch_exact`](Self::query_batch_exact) is then shipped
-    /// over the endpoint instead of executed in-process, the partial
-    /// results come back over the wire, and node failure is detected
-    /// by the transport's deadlines rather than the [`NodeHealth`]
-    /// oracle — with answers bit-identical to the in-process path,
-    /// whichever transport runs.
-    ///
-    /// [`fail_node`](Self::fail_node) / [`revive_node`](Self::revive_node)
-    /// still work as administrative drain controls (routing consults
-    /// the shared liveness view), but [`poison_node`](Self::poison_node)
-    /// has no effect over the wire: the equivalent mid-batch failure is
-    /// a real peer that hangs or drops, injected on the server side
-    /// (see `NodeServer::arm_hang`).
-    ///
-    /// # Panics
-    /// Panics if the endpoint count does not match the cluster size.
-    pub fn with_endpoints(mut self, endpoints: Vec<Arc<dyn NodeEndpoint>>) -> Self {
-        assert_eq!(
-            endpoints.len(),
-            self.cluster.nodes,
-            "one endpoint per cluster node"
-        );
-        self.wire = Some(Wire {
-            endpoints,
-            coords: |item: &[f32]| item,
-        });
-        self
-    }
-
-    /// Whether a wire transport is attached.
-    pub fn is_wired(&self) -> bool {
-        self.wire.is_some()
-    }
-}
-
-impl<D, M> DistributedRbc<D, M>
-where
-    D: Dataset + Clone,
-    M: Metric<D::Item> + Clone,
+    D: Dataset<Item = [f32]> + Clone,
+    M: Metric<[f32]> + Clone + Send + Sync + 'static,
 {
     /// A new index over the same structure whose placement is rebuilt by
     /// `policy`, **steered by this index's observed per-list traffic** —
@@ -1042,21 +892,21 @@ where
 /// composition of the serving and sharding layers.
 impl<D, M> SearchIndex for DistributedRbc<D, M>
 where
-    D: Dataset,
-    M: Metric<D::Item>,
+    D: Dataset<Item = [f32]>,
+    M: Metric<[f32]> + Clone + Send + Sync + 'static,
 {
-    type Query = D::Item;
+    type Query = [f32];
 
     fn size(&self) -> usize {
         self.rbc.database().len()
     }
 
-    fn search(&self, query: &D::Item, k: usize) -> (Vec<Neighbor>, u64) {
+    fn search(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
         let (neighbors, stats) = self.query_exact(query, k);
         (neighbors, stats.total_evals())
     }
 
-    fn search_batch(&self, queries: &[&D::Item], k: usize) -> (Vec<Vec<Neighbor>>, u64) {
+    fn search_batch(&self, queries: &[&[f32]], k: usize) -> (Vec<Vec<Neighbor>>, u64) {
         let (results, stats) = self.query_batch_exact(&QueryBatch::new(queries), k);
         (results, stats.total_evals())
     }
@@ -1068,7 +918,7 @@ where
     /// [`DistributedQueryStats::degraded`].
     fn search_batch_flagged(
         &self,
-        queries: &[&D::Item],
+        queries: &[&[f32]],
         k: usize,
     ) -> (Vec<Vec<Neighbor>>, Vec<bool>, u64) {
         let (results, stats) = self.query_batch_exact(&QueryBatch::new(queries), k);

@@ -24,16 +24,18 @@
 //!   and the coordinator reduces the partial results. This exact batch
 //!   protocol is the cluster's only one; a single query is a batch of one.
 //!
-//! Two transports run this protocol, bit-identically. The default is a
-//! single-process simulation (see the `rbc-distributed` section of
-//! docs/ARCHITECTURE.md): worker shards are
-//! ordinary in-memory structures queried in parallel. The [`net`] module
-//! is the real thing: length-prefixed framed TCP between a coordinator
-//! and node processes that each own only their shard, with
-//! deadline-based failure detection instead of the in-process liveness
-//! oracle ([`DistributedRbc::with_endpoints`]). Both transports count
-//! the same frames at their exact encoded size ([`CommCost`]), so over
-//! the wire the count equals the bytes the sockets carried —
+//! One protocol runs the cluster, and a node is reached only through a
+//! [`NodeEndpoint`]: every contact is one [`QueryRequest`](net::QueryRequest)
+//! per node per round, answered by that node's [`NodeShard`](net::NodeShard)
+//! — its placed lists and only their points. Two endpoints serve a shard.
+//! The default keeps each shard in the coordinator's process and asks the
+//! shared liveness flags ([`NodeHealth`]) before each contact (see the
+//! `rbc-distributed` section of docs/ARCHITECTURE.md). The [`net`] module
+//! puts the same requests on length-prefixed framed TCP to node processes
+//! that each own only their shard, where failure is detected by deadline
+//! ([`DistributedRbc::with_endpoints`]). Either way the coordinator counts
+//! the same frames at their exact encoded size ([`CommCost`]), so over the
+//! wire the count equals the bytes the sockets carried —
 //! `shard_bench --wire` asserts that equality. These are the
 //! "I/O and communication costs" the paper defers to future work.
 //!

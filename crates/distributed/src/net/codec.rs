@@ -365,8 +365,8 @@ pub(crate) fn check_shrink(shrink: f64) -> Result<(), &'static str> {
 /// Node → coordinator: partial top-k results for one executed sub-plan.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QueryReply {
-    /// Distance evaluations the node's list scans performed (the same
-    /// quantity the in-process path reports per node).
+    /// Distance evaluations the node's list scans performed (reported
+    /// per node in `DistributedQueryStats::per_node`).
     pub evals: u64,
     /// One result set per shipped query, aligned with the request's
     /// query table: `(global database index, distance)` pairs in

@@ -7,8 +7,8 @@
 //! a connect that cannot be established within its deadline, a read
 //! that misses its deadline (including a peer that hangs mid-frame),
 //! or a malformed reply all surface as a [`NetError`], and the
-//! coordinator reacts exactly as it does to an in-process mid-batch
-//! crash (re-route, then degrade).
+//! coordinator reacts exactly as it does to a failed in-process node
+//! (re-route, then degrade).
 //!
 //! An exchange comes in two halves: [`NodeEndpoint::send`] starts it and
 //! [`InFlight::wait`] reads the reply. The coordinator's fan-out round
@@ -101,12 +101,13 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// A node the coordinator can ship sub-plans to. The in-process
-/// simulation bypasses this entirely; the wire transport implements it
-/// over framed TCP ([`TcpNodeClient`]), and tests can implement it with
-/// anything that honors the contract: `execute` returns the partial
-/// top-k results for the request's query table, or an error the
-/// coordinator treats as a mid-batch node failure.
+/// A node the coordinator can ship sub-plans to — its only way to reach
+/// one. A `DistributedRbc` starts with an endpoint per node that executes
+/// the request on a shard in the same process; [`TcpNodeClient`] ships it
+/// over framed TCP, and tests can implement it with anything that honors
+/// the contract: `execute` returns the partial top-k results for the
+/// request's query table, or an error the coordinator treats as a
+/// mid-batch node failure.
 ///
 /// An exchange may also be split: [`send`](Self::send) starts it and
 /// [`InFlight::wait`] finishes it, so a caller can put several nodes'

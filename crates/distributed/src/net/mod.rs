@@ -1,8 +1,9 @@
-//! The real wire transport under the sharded cluster.
+//! The cluster's node protocol: its messages, its endpoints and its nodes.
 //!
-//! Everything in this module exists so that `DistributedRbc` can run
-//! the *same* routed-batch protocol over an actual network instead of
-//! the in-process simulation — bit-identically:
+//! `DistributedRbc` reaches every node through a [`NodeEndpoint`] with one
+//! [`QueryRequest`] per contacted node per round, and a [`NodeShard`]
+//! answers it. This module holds both sides, in process and over an actual
+//! network — bit-identically:
 //!
 //! * [`frame`] — length-prefixed, versioned binary frames over
 //!   `std::net` TCP, with request-id correlation and defensive reads;
@@ -20,19 +21,20 @@
 //!   the `NodeHealth` oracle: a peer that hangs mid-frame is *detected*,
 //!   not declared;
 //! * [`server`] — the node's side: [`NodeShard`] (a worker owning only
-//!   its placed lists) behind [`NodeServer`]'s accept loop, which binds
-//!   port 0 and publishes the actual address. [`spawn_local_cluster`]
-//!   stands a whole wire cluster up in-process for tests and
-//!   `shard_bench --wire`; `examples/wire_cluster.rs` runs the same
-//!   servers as separate OS processes.
+//!   its placed lists), served in the coordinator's process by the
+//!   endpoint every `DistributedRbc` starts with, or behind
+//!   [`NodeServer`]'s accept loop, which binds port 0 and publishes the
+//!   actual address. [`spawn_local_cluster`] serves an index's own shards
+//!   that way in-process for tests and `shard_bench --wire`;
+//!   `examples/wire_cluster.rs` runs the same servers as separate OS
+//!   processes.
 //!
-//! Attach endpoints with [`DistributedRbc::with_endpoints`]; the
-//! coordinator then ships every routed sub-plan of both fan-out rounds
-//! over the wire, each round as one pipelined exchange (all requests
-//! written, then all replies read in contact order, so the nodes scan at
-//! the same time), and a missed deadline in either round feeds the
-//! existing mid-batch failover and flagged-prefix degradation paths
-//! unchanged.
+//! Attach TCP endpoints with [`DistributedRbc::with_endpoints`]; each
+//! fan-out round is then one pipelined exchange (all requests written,
+//! then all replies read in contact order, so the nodes scan at the same
+//! time), and a missed deadline in either round feeds the same mid-batch
+//! failover and flagged-prefix degradation paths as a failed in-process
+//! node.
 //!
 //! [`DistributedRbc::with_endpoints`]: crate::DistributedRbc::with_endpoints
 

@@ -1,5 +1,5 @@
-//! Node side of the wire transport: a shard that owns its placed
-//! lists, and the framed-TCP serve loop around it.
+//! Node side of the cluster: a shard that owns its placed lists, and the
+//! two endpoints that serve it — in this process, or behind framed TCP.
 //!
 //! A [`NodeShard`] is what a worker actually stores: only the points of
 //! the ownership lists placed on it (gathered in ascending global index
@@ -7,10 +7,12 @@
 //! per-list sorted member distances, its lists' representative
 //! coordinates (to recompute `ρ(q, rep_ℓ)` on arrival instead of
 //! shipping one `f64` per routed pair), and the blocked SIMD mirrors —
-//! everything needed to run the same group-scan kernel the in-process
-//! node runs, bit-identically.
+//! everything needed to run the centralized search's group-scan kernel,
+//! bit-identically.
 //!
-//! [`NodeServer`] wraps a shard in a TCP accept loop. It binds
+//! `LocalNode` is the in-process endpoint: it answers each contact from
+//! the shard directly, after asking the shared [`NodeHealth`] whether the
+//! node is up. [`NodeServer`] wraps a shard in a TCP accept loop. It binds
 //! `127.0.0.1:0` and publishes the actual address, so concurrent CI
 //! jobs (or concurrent tests in one process) can never collide on a
 //! fixed port. A server can be *armed to hang*: it then stalls
@@ -19,6 +21,7 @@
 //! can detect.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -32,9 +35,10 @@ use rbc_core::ExactRbc;
 use rbc_metric::{Dataset, Dist, Metric, VectorSet, VectorSetBuilder};
 
 use super::codec::{check_shrink, ProbeAck, QueryReply, QueryRequest};
-use super::endpoint::{NetConfig, NodeEndpoint, TcpNodeClient};
+use super::endpoint::{NetConfig, NetError, NodeEndpoint, TcpNodeClient};
 use super::frame::{read_frame, write_frame, CountingReader, FrameError, MsgKind};
 use crate::distributed::DistributedRbc;
+use crate::load::NodeHealth;
 use crate::placement::Placement;
 
 /// One ownership list as stored on its node: members as local point
@@ -67,6 +71,16 @@ pub struct NodeShard<M> {
     slot_of_list: HashMap<usize, usize>,
 }
 
+impl<M> fmt::Debug for NodeShard<M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NodeShard")
+            .field("node", &self.node)
+            .field("lists", &self.lists.len())
+            .field("points", &self.global_ids.len())
+            .finish()
+    }
+}
+
 impl<M: Metric<[f32]>> NodeShard<M> {
     /// Extracts node `node`'s shard from a built index and its
     /// placement: every list whose replica set contains the node, with
@@ -88,7 +102,7 @@ impl<M: Metric<[f32]>> NodeShard<M> {
         // Gather owned points in ascending global order: local index
         // comparisons then agree with global ones, which preserves the
         // deterministic (distance, index) tie-break and hence
-        // bit-identity with the in-process scan.
+        // bit-identity with the centralized scan.
         let mut global_ids: Vec<usize> = placed
             .iter()
             .flat_map(|&l| lists[l].members.iter().copied())
@@ -134,8 +148,8 @@ impl<M: Metric<[f32]>> NodeShard<M> {
             });
         }
 
-        // Nodes scan their groups sequentially, exactly like the
-        // in-process simulation's per-node executions.
+        // A node scans its groups sequentially; the cluster's parallelism
+        // is across nodes.
         let bf = BruteForce::with_config(BfConfig {
             parallel: false,
             ..rbc.config().bf
@@ -170,6 +184,15 @@ impl<M: Metric<[f32]>> NodeShard<M> {
         self.global_ids.len()
     }
 
+    /// The shard's answer to a health probe.
+    fn probe_ack(&self) -> ProbeAck {
+        ProbeAck {
+            node: self.node as u32,
+            lists: self.lists.len() as u32,
+            points: self.global_ids.len() as u64,
+        }
+    }
+
     /// Executes a routed sub-plan against the shard: recompute each
     /// pair's `ρ(q, rep_ℓ)` from the stored representative, run the shared
     /// stage 2 over the pairs (every query's nearest *local* list first,
@@ -178,8 +201,9 @@ impl<M: Metric<[f32]>> NodeShard<M> {
     ///
     /// # Errors
     /// A static message when the request is inconsistent with this
-    /// shard (wrong dimension, a list not placed here, `k == 0`), or when
-    /// `shrink` is not finite or is below 1.
+    /// shard (wrong dimension, a list not placed here, `k == 0`), when a
+    /// group's members are not strictly ascending or reach past the query
+    /// table, or when `shrink` is not finite or is below 1.
     pub fn execute(&self, request: &QueryRequest) -> Result<QueryReply, &'static str> {
         let k = request.k as usize;
         if k == 0 {
@@ -196,14 +220,20 @@ impl<M: Metric<[f32]>> NodeShard<M> {
         let queries = VectorSet::from_flat(request.coords.clone(), self.dim.max(1));
         let accumulators: Vec<Mutex<TopK>> = (0..nq).map(|_| Mutex::new(TopK::new(k))).collect();
         // The routed pairs by query, each with its `ρ(q, rep_ℓ)`; lists are
-        // named by shard slot. Same rows, same driver as the in-process
-        // shard, so both transports do the same evaluations.
+        // named by shard slot. A member repeated within a group would scan
+        // its list twice for that query and could admit a point twice.
         let mut rows = vec![CandidateRow::new(); nq];
         for group in &request.groups {
             let &slot = self
                 .slot_of_list
                 .get(&(group.list_index as usize))
                 .ok_or("list not placed on this node")?;
+            if group.members.windows(2).any(|pair| pair[0] >= pair[1]) {
+                return Err("group members must be strictly ascending");
+            }
+            if group.members.last().is_some_and(|&m| m as usize >= nq) {
+                return Err("group member beyond the query table");
+            }
             let rep_coords = &self.lists[slot].rep_coords;
             for &m in &group.members {
                 let d_to_rep = self.metric.dist(queries.point(m as usize), rep_coords);
@@ -248,6 +278,42 @@ impl<M: Metric<[f32]>> NodeShard<M> {
     }
 }
 
+/// A cluster node in this process: the coordinator's own copy of the
+/// node's shard. A contact first asks the shared [`NodeHealth`] whether the
+/// node is up — so a failed node refuses it and a poisoned one fails it
+/// once, as a deadline would on the wire — and then executes the request
+/// on the shard. It keeps the provided [`NodeEndpoint::send`], so a round
+/// runs its local nodes' calls on the pool.
+pub(crate) struct LocalNode<M> {
+    pub(crate) shard: Arc<NodeShard<M>>,
+    pub(crate) health: Arc<NodeHealth>,
+}
+
+impl<M> fmt::Debug for LocalNode<M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("LocalNode").field(&self.shard).finish()
+    }
+}
+
+impl<M: Metric<[f32]> + Send + Sync> NodeEndpoint for LocalNode<M> {
+    fn node(&self) -> usize {
+        self.shard.node()
+    }
+
+    fn execute(&self, request: &QueryRequest) -> Result<QueryReply, NetError> {
+        if !self.health.contact(self.node()) {
+            return Err(NetError::Io(io::ErrorKind::NotConnected.into()));
+        }
+        self.shard
+            .execute(request)
+            .map_err(|msg| NetError::Protocol(msg.to_owned()))
+    }
+
+    fn probe(&self) -> Result<ProbeAck, NetError> {
+        Ok(self.shard.probe_ack())
+    }
+}
+
 /// How often idle server connections poll the stop flag.
 const SERVER_POLL: Duration = Duration::from_millis(100);
 
@@ -267,42 +333,37 @@ impl NodeServer {
     ///
     /// # Errors
     /// Any socket error while binding.
-    pub fn spawn<M>(shard: NodeShard<M>, verbose: bool) -> io::Result<Self>
+    pub fn spawn<M>(shard: Arc<NodeShard<M>>, verbose: bool) -> io::Result<Self>
     where
         M: Metric<[f32]> + Send + Sync + 'static,
     {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let hang = Arc::new(AtomicBool::new(false));
         let stop = Arc::new(AtomicBool::new(false));
-        let shard = Arc::new(shard);
         let handle = {
             let hang = Arc::clone(&hang);
             let stop = Arc::clone(&stop);
+            // `accept` blocks, so a connection is taken the moment it
+            // arrives; `stop` wakes the loop with a connection of its own.
             std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, peer)) => {
-                            if verbose {
-                                eprintln!("node {}: accepted {peer}", shard.node());
-                            }
-                            // Replies are single small writes on a
-                            // request/reply rhythm — Nagle + delayed
-                            // ACK would add tens of ms per query.
-                            let _ = stream.set_nodelay(true);
-                            let shard = Arc::clone(&shard);
-                            let hang = Arc::clone(&hang);
-                            let stop = Arc::clone(&stop);
-                            std::thread::spawn(move || {
-                                serve_connection(&stream, &shard, &hang, &stop, verbose);
-                            });
-                        }
-                        Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(SERVER_POLL.min(Duration::from_millis(20)));
-                        }
-                        Err(_) => break,
+                while let Ok((stream, peer)) = listener.accept() {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
                     }
+                    if verbose {
+                        eprintln!("node {}: accepted {peer}", shard.node());
+                    }
+                    // Replies are single small writes on a request/reply
+                    // rhythm — Nagle + delayed ACK would add tens of ms per
+                    // query.
+                    let _ = stream.set_nodelay(true);
+                    let shard = Arc::clone(&shard);
+                    let hang = Arc::clone(&hang);
+                    let stop = Arc::clone(&stop);
+                    std::thread::spawn(move || {
+                        serve_connection(&stream, &shard, &hang, &stop, verbose);
+                    });
                 }
             })
         };
@@ -337,6 +398,8 @@ impl NodeServer {
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(handle) = self.handle.take() {
+            // Wake the accept loop, blocked in `accept`, to see the flag.
+            let _ = TcpStream::connect(self.addr);
             let _ = handle.join();
         }
     }
@@ -424,19 +487,12 @@ fn serve_connection<M: Metric<[f32]>>(
                     e.to_string().as_bytes(),
                 ),
             },
-            MsgKind::Probe => {
-                let ack = ProbeAck {
-                    node: shard.node() as u32,
-                    lists: shard.lists() as u32,
-                    points: shard.points() as u64,
-                };
-                write_frame(
-                    &mut stream,
-                    MsgKind::ProbeAck,
-                    frame.request_id,
-                    &ack.encode(),
-                )
-            }
+            MsgKind::Probe => write_frame(
+                &mut stream,
+                MsgKind::ProbeAck,
+                frame.request_id,
+                &shard.probe_ack().encode(),
+            ),
             MsgKind::Hang => {
                 hang.store(true, Ordering::Relaxed);
                 write_frame(&mut stream, MsgKind::Ack, frame.request_id, &[])
@@ -514,9 +570,10 @@ impl LocalWireCluster {
     }
 }
 
-/// Spawns one wire node per cluster node for `index`'s placement, in
-/// this process, each bound to `127.0.0.1:0`, probes them all, and
-/// returns the cluster handle. Attach with:
+/// Spawns one wire node per cluster node of `index`, in this process,
+/// each serving the index's own shard for that node (so a wired index
+/// holds each shard once) and bound to `127.0.0.1:0`, probes them all,
+/// and returns the cluster handle. Attach with:
 ///
 /// ```ignore
 /// let cluster = spawn_local_cluster(&index, NetConfig::default(), false)?;
@@ -537,9 +594,8 @@ where
     let nodes = index.cluster().nodes;
     let mut servers = Vec::with_capacity(nodes);
     let mut clients = Vec::with_capacity(nodes);
-    for node in 0..nodes {
-        let shard = NodeShard::from_exact(index.rbc(), index.placement(), node);
-        let server = NodeServer::spawn(shard, verbose)?;
+    for (node, shard) in index.shards().iter().enumerate() {
+        let server = NodeServer::spawn(Arc::clone(shard), verbose)?;
         let client = Arc::new(TcpNodeClient::new(node, server.addr(), net));
         client
             .probe()

@@ -103,7 +103,6 @@ fn wire_transport_is_bit_identical_to_in_process() {
         let cluster =
             spawn_local_cluster(&wired, NetConfig::default(), false).expect("cluster must start");
         let wired = wired.with_endpoints(cluster.endpoints());
-        assert!(wired.is_wired());
 
         for k in [1usize, 3, 5] {
             let (want, want_stats) = local.query_batch_exact(&queries, k);
@@ -287,7 +286,7 @@ fn a_failure_mid_round_leaves_the_other_connections_in_step() {
         let mut servers: Vec<NodeServer> = (0..4)
             .map(|node| {
                 let shard = NodeShard::from_exact(wired.rbc(), wired.placement(), node);
-                NodeServer::spawn(shard, false).expect("node must start")
+                NodeServer::spawn(Arc::new(shard), false).expect("node must start")
             })
             .collect();
         let clients: Vec<Arc<TcpNodeClient>> = servers
@@ -524,6 +523,64 @@ fn a_shrink_below_one_or_not_finite_is_refused() {
             "execute accepted shrink {shrink}"
         );
     }
+}
+
+/// A group's members are a strictly ascending set of query-table slots,
+/// which is what the decoder's bitmap yields. A member past the table, a
+/// repeated member (it would scan the list twice for that query and could
+/// admit a point twice) and a descending pair are refused by the shard
+/// itself, which an in-process node reaches without decoding.
+#[test]
+fn a_group_member_past_the_table_or_out_of_order_is_refused() {
+    let (db, queries) = clustered(300, 2, 41);
+    let rbc = build_rbc(&db, 41, 16);
+    let index = DistributedRbc::from_exact_with_policy(
+        rbc.clone(),
+        ClusterConfig::with_nodes(1),
+        PlacementPolicy::SingleOwner,
+        db.dim(),
+    );
+    let shard = NodeShard::from_exact(&rbc, index.placement(), 0);
+    let request = |members: Vec<u16>| QueryRequest {
+        k: 3,
+        shrink: 1.0,
+        dim: db.dim() as u16,
+        gammas: vec![f64::INFINITY; 2],
+        coords: [queries.point(0), queries.point(1)].concat(),
+        groups: vec![WireGroup {
+            list_index: 0,
+            members,
+        }],
+    };
+    assert!(shard.execute(&request(vec![0, 1])).is_ok());
+    for members in [vec![2], vec![0, 2], vec![0, 0], vec![1, 0]] {
+        assert!(
+            shard.execute(&request(members.clone())).is_err(),
+            "execute accepted members {members:?}"
+        );
+    }
+}
+
+/// A `k` above the database size is served as `k = n` — every point — in
+/// process and over loopback alike, although the request frame carries
+/// `k` as a `u16`.
+#[test]
+fn a_k_beyond_the_database_returns_every_point() {
+    let (db, queries) = clustered(500, 8, 37);
+    let rbc = build_rbc(&db, 37, 22);
+    let k = 70_000;
+    let (want, _) = rbc.query_batch_k(&queries, k);
+    assert!(want.iter().all(|answer| answer.len() == db.len()));
+    let (local, wired) = twins(&rbc, 4, PlacementPolicy::Replicated { factor: 2 }, db.dim());
+    let cluster =
+        spawn_local_cluster(&wired, NetConfig::default(), false).expect("cluster must start");
+    let wired = wired.with_endpoints(cluster.endpoints());
+    for (index, transport) in [(&local, "in process"), (&wired, "loopback")] {
+        let (got, stats) = index.query_batch_exact(&queries, k);
+        assert_eq!(got, want, "{transport}");
+        assert_eq!(stats.degraded_queries(), 0, "{transport}");
+    }
+    cluster.shutdown();
 }
 
 /// A node that hangs mid-frame — accepts the connection, emits two

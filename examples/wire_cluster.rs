@@ -41,6 +41,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rbc::distributed::net::{NetConfig, NodeEndpoint, NodeServer, NodeShard, TcpNodeClient};
@@ -83,7 +84,7 @@ fn run_node(node: usize, n: usize) -> ! {
         shard.lists(),
         shard.points()
     );
-    let server = NodeServer::spawn(shard, true).expect("node must bind 127.0.0.1:0");
+    let server = NodeServer::spawn(Arc::new(shard), true).expect("node must bind 127.0.0.1:0");
     // The contract with the coordinator: one line, the actual address.
     println!("WIRE-NODE {node} {}", server.addr());
     std::io::stdout().flush().expect("publish address");
@@ -179,11 +180,11 @@ fn main() {
         wired.placement(),
         "the deterministic build must reproduce one placement everywhere"
     );
-    let clients: Vec<std::sync::Arc<TcpNodeClient>> = addrs
+    let clients: Vec<Arc<TcpNodeClient>> = addrs
         .iter()
         .enumerate()
         .map(|(i, addr)| {
-            std::sync::Arc::new(TcpNodeClient::new(
+            Arc::new(TcpNodeClient::new(
                 i,
                 addr.parse().expect("socket address"),
                 net,
@@ -203,7 +204,7 @@ fn main() {
     let wired = wired.with_endpoints(
         clients
             .iter()
-            .map(|c| std::sync::Arc::clone(c) as std::sync::Arc<dyn NodeEndpoint>)
+            .map(|c| Arc::clone(c) as Arc<dyn NodeEndpoint>)
             .collect(),
     );
 
