@@ -11,7 +11,7 @@
 //! `BF(Q_group, X[L])` shape — merging candidates into per-query top-k
 //! accumulators. [`Stage2`] is that execution. For the exact search it runs
 //! as two dense phases with the plan *between* them
-//! ([`Stage2::nearest_then_rest`]): every query first meets the nearest
+//! ([`Candidates::nearest_then_rest`]): every query first meets the nearest
 //! list its `γ_k` rules (eq. 1 / eq. 2) keep, and only then — against the
 //! threshold that scan left — is it decided which of its other survivors
 //! are worth a cursor. The buffer-k-d-tree discipline: a query's own leaf
@@ -20,18 +20,15 @@
 //! The plan between the two brute-force calls is a kernel of its own, read
 //! from flat per-list arrays ([`ListBounds`]): stage 1 finishes each row
 //! with one branch-light pass (the seeds, the survivors and the nearest of
-//! them), and between the phases [`replan`] cuts every row against its
+//! them), and between the phases the re-plan cuts every row against its
 //! query's threshold in one serial pass and buckets what is left by list
 //! with a counting sort.
 //!
-//! [`BatchPlan`] is a set of survivor pairs in inverted form, grouped by
-//! list. The in-process search never builds one; the distributed
-//! coordinator does, because it holds no lists: a plan is what its router
-//! balances on and what crosses the wire. It runs the same two phases as
-//! rounds across the cluster — each query's nearest list on that list's
-//! owner, then, from the thresholds that come back ([`seeded_survivors`]
-//! rows, cut by the same [`replan`]), the rest — and each node runs
-//! [`Stage2::nearest_then_rest`] on the part it was sent.
+//! That driver is generic over how a phase runs ([`PhaseExecutor`]): in a
+//! process as [`Stage2`]'s group scans (the exact search, and every
+//! `rbc-distributed` node over the pairs it was sent); on the distributed
+//! coordinator, which holds no lists, as a fan-out round of a routed
+//! [`BatchPlan`].
 //!
 //! Planning costs no distance evaluations, and every cut is the triangle
 //! inequality at a strict threshold, so batched and brute-force answers
@@ -79,14 +76,6 @@ pub struct BatchPlan {
     /// into one contiguous run per thread would give the first thread every
     /// heavy group.
     pub groups: Vec<ListGroup>,
-    /// Per-query pruning cap. For the exact plan it is `γ_k` — the k-th
-    /// smallest representative distance, a valid upper bound on the k-th
-    /// NN distance because representatives are database points;
-    /// `INFINITY` (pruning disabled) when fewer than `k` representatives
-    /// exist. A plan built by [`from_pairs`](Self::from_pairs) carries
-    /// whatever caps its caller proved, such as the distributed
-    /// coordinator's second-round thresholds `τ_q ≤ γ_k`.
-    pub gamma_k: Vec<Dist>,
     /// Number of queries the plan covers.
     pub queries: usize,
     /// Total (query, list) scan pairs — the number of list scans the batch's
@@ -109,17 +98,23 @@ impl BatchPlan {
         k: usize,
         config: &RbcConfig,
     ) -> Self {
-        let (seeds, rows) = seeded_survivors(rep_dists, lists, k, config);
-        let pairs = rows
-            .iter()
-            .enumerate()
-            .flat_map(|(qi, row)| row.iter().map(move |&(list, _)| (qi, list)));
-        Self::from_pairs(pairs, seeds.iter().map(TopK::threshold).collect(), lists)
+        let n_lists = lists.len();
+        assert!(
+            rep_dists.len().is_multiple_of(n_lists),
+            "distance matrix does not tile into rows of {n_lists}"
+        );
+        let reps: Vec<usize> = lists.iter().map(|list| list.rep_index).collect();
+        let bounds = ListBounds::of(lists);
+        let rows = rep_dists.chunks_exact(n_lists).enumerate();
+        let pairs = rows.flat_map(|(qi, row)| {
+            let (_, kept, _) = survivors(row, &reps, &bounds, k, config.epsilon);
+            kept.into_iter().map(move |(list, _)| (qi, list))
+        });
+        Self::from_pairs(pairs, rep_dists.len() / n_lists, lists)
     }
 
-    /// Inverts `(query, list)` pairs into list groups, largest scan first
-    /// (queries × list members). `caps` holds one pruning cap per query of
-    /// the batch and becomes [`gamma_k`](Self::gamma_k). Pairs are taken
+    /// Inverts `(query, list)` pairs of a batch of `queries` into list
+    /// groups, largest scan first (queries × list members). Pairs are taken
     /// in the order given, so pairs sorted by query give every group its
     /// queries ascending. This is how the distributed coordinator turns
     /// the pairs of each of its fan-out rounds into a routable plan.
@@ -128,36 +123,16 @@ impl BatchPlan {
     /// Panics if a pair names a list `>= lists.len()`.
     pub fn from_pairs(
         pairs: impl IntoIterator<Item = (usize, usize)>,
-        caps: Vec<Dist>,
+        queries: usize,
         lists: &[OwnershipList],
     ) -> Self {
-        let mut per_list: Vec<Vec<usize>> = vec![Vec::new(); lists.len()];
-        let mut total = 0;
-        for (qi, list) in pairs {
-            per_list[list].push(qi);
-            total += 1;
-        }
-        let mut groups: Vec<ListGroup> = per_list
-            .into_iter()
-            .enumerate()
-            .filter(|(_, queries)| !queries.is_empty())
-            .map(|(list_index, queries)| ListGroup {
-                list_index,
-                queries,
-            })
-            .collect();
         // Largest scans first: work ≈ queries × list members streamed.
-        groups.sort_by_key(|g| {
-            (
-                std::cmp::Reverse(g.queries.len() * lists[g.list_index].len()),
-                g.list_index,
-            )
-        });
+        let work = |g: &ListGroup| g.queries.len() * lists[g.list_index].len();
+        let groups = invert(pairs, lists.len(), work);
         Self {
+            pairs: groups.iter().map(|group| group.queries.len()).sum(),
             groups,
-            queries: caps.len(),
-            gamma_k: caps,
-            pairs: total,
+            queries,
         }
     }
 
@@ -187,7 +162,6 @@ impl BatchPlan {
         Self {
             pairs: groups.iter().map(|group| group.queries.len()).sum(),
             groups,
-            gamma_k: Vec::new(),
             queries: rep_dists.len() / n_lists,
         }
     }
@@ -203,8 +177,7 @@ impl BatchPlan {
     /// the cluster nodes holding the shards — under replication the policy
     /// picks the least-loaded **live** replica of each group's list, and a
     /// group whose replicas are all dead comes back in the unroutable set.
-    /// `queries` and `gamma_k` are carried into every sub-plan (each node
-    /// prunes against the same per-query caps, and accumulator slices stay
+    /// `queries` is carried into every sub-plan (accumulator slices stay
     /// indexed by batch position), while `pairs` is recomputed per owner so
     /// each sub-plan's [`sharing_factor`](Self::sharing_factor) describes
     /// only the work that owner performs. Executing every sub-plan and
@@ -221,7 +194,6 @@ impl BatchPlan {
         let mut parts: Vec<BatchPlan> = (0..owners)
             .map(|_| BatchPlan {
                 groups: Vec::new(),
-                gamma_k: self.gamma_k.clone(),
                 queries: self.queries,
                 pairs: 0,
             })
@@ -369,6 +341,79 @@ struct CursorGroup {
 /// rules keep (or, on a worker node, the part of them routed there).
 pub type CandidateRow = Vec<(usize, Dist)>;
 
+/// How one phase of the exact search's stage 2 is executed: the phase's
+/// `(list, cursor)` pairs, bucketed by list, are scanned and their
+/// candidates merged into the batch's collectors, one per batch position.
+pub trait PhaseExecutor {
+    /// The label of the span around the re-plan between the two phases.
+    const REPLAN_SPAN: &'static str;
+
+    /// Executes one phase.
+    fn scan(&mut self, buckets: &ListBuckets);
+
+    /// Every query's threshold as its collector now stands — after the
+    /// first phase, `τ_q`.
+    fn thresholds(&self) -> Vec<Dist>;
+}
+
+/// A batch's stage-2 candidates, by batch position.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Candidates {
+    /// Each query's candidate row, lists ascending.
+    pub rows: Vec<CandidateRow>,
+    /// The position of each row's nearest entry (its first minimum of
+    /// `ρ(q, r)` in [`Neighbor`]'s order); `None` for an empty row.
+    pub nearest: Vec<Option<usize>>,
+}
+
+impl Candidates {
+    /// The candidates of rows without their nearest entries (a node's
+    /// routed pairs): each row's is found here.
+    pub fn new(rows: Vec<CandidateRow>) -> Self {
+        let nearest = rows.iter().map(|row| nearest_entry(row)).collect();
+        Self { rows, nearest }
+    }
+
+    /// The exact search's stage 2: **nearest list first, then plan**.
+    ///
+    /// *Phase A* scans, for every query, the nearest list of its row —
+    /// where Theorem 2 says its neighbours most likely are. Then each
+    /// query's tightened threshold `τ_q` is read once from its collector,
+    /// and *phase B* scans only what the re-plan (under the executor's
+    /// span) leaves of the rows: a list whose run `τ_q` already empties is
+    /// dropped before a cursor is built for it. A dropped pair is a pair
+    /// whose scan would have evaluated nothing, so answers are those of
+    /// scanning every row in full, and `(1+ε)`-sound (`shrink` = 1 + ε) by
+    /// the argument the cut already carries. Both phases cut against
+    /// `caps` (`γ_k`, or what a node was sent) as well. Returns the members
+    /// of the dropped lists, which their scans would have skipped.
+    pub fn nearest_then_rest<X: PhaseExecutor>(
+        &self,
+        caps: &[Dist],
+        shrink: f64,
+        bounds: &ListBounds,
+        executor: &mut X,
+    ) -> u64 {
+        let firsts = self.nearest.iter().enumerate().filter_map(|(qi, at)| {
+            let (list, d_to_rep) = self.rows[qi][(*at)?];
+            let cursor = GroupCursor {
+                query: qi,
+                d_to_rep,
+                threshold_cap: caps[qi],
+            };
+            Some((list, cursor))
+        });
+        executor.scan(&ListBuckets::sort(bounds.len.len(), firsts));
+
+        let replan_span = rbc_trace::span(X::REPLAN_SPAN);
+        let tau = executor.thresholds();
+        let (rest, skipped) = replan(&self.rows, &self.nearest, caps, &tau, shrink, bounds);
+        drop(replan_span);
+        executor.scan(&rest);
+        skipped
+    }
+}
+
 /// Stage 2 of a batched search — everything a group scan needs besides the
 /// groups themselves. Shared by the exact and one-shot searches and by
 /// `rbc-distributed`'s nodes (in-process and wire), so every caller makes
@@ -475,19 +520,72 @@ where
         list_evals: &mut [u64],
     ) {
         let buckets = ListBuckets::sort(self.bounds.len.len(), pairs);
-        self.scan_buckets(&buckets, accumulators, work, list_evals);
+        let mut scans = GroupScans {
+            stage2: self,
+            accumulators,
+            work,
+            list_evals,
+        };
+        scans.scan(&buckets);
     }
 
-    /// [`scan_pairs`](Self::scan_pairs) over pairs already bucketed.
-    fn scan_buckets(
+    /// [`Candidates::nearest_then_rest`] in this process: each phase as
+    /// [`scan_pairs`](Self::scan_pairs) runs its one.
+    ///
+    /// Returns the stage-2 share of a [`SearchStats`]: `queries`,
+    /// `reps_examined` (cursors built, A + B), `list_scans` (group scans,
+    /// A + B), the list evaluation, skip (a dropped pair skips its whole
+    /// list) and tile-pass counts, and in `max_query_evals` the largest
+    /// per-query *list* evaluation count.
+    pub fn nearest_then_rest(
         &self,
-        buckets: &ListBuckets,
+        candidates: &Candidates,
+        caps: &[Dist],
         accumulators: &[Mutex<TopK>],
-        work: &mut SearchStats,
-        list_evals: &mut [u64],
-    ) {
-        let groups = cursor_groups(buckets, self.bounds);
-        let per_group = self.scan_groups(buckets, &groups, accumulators);
+    ) -> SearchStats {
+        debug_assert!(self.sorted_cut, "the re-plan cuts sorted lists");
+        let queries = candidates.rows.len();
+        let mut work = SearchStats {
+            queries: queries as u64,
+            ..SearchStats::default()
+        };
+        let mut list_evals = vec![0; queries];
+        let mut scans = GroupScans {
+            stage2: self,
+            accumulators,
+            work: &mut work,
+            list_evals: &mut list_evals,
+        };
+        work.list_points_skipped +=
+            candidates.nearest_then_rest(caps, self.shrink, self.bounds, &mut scans);
+        work.max_query_evals = list_evals.into_iter().max().unwrap_or(0);
+        work
+    }
+}
+
+/// [`Stage2`]'s group scans as a [`PhaseExecutor`]: into the shared
+/// accumulators, with each phase's account added to `work` and each
+/// cursor's evaluations to `list_evals[query]`.
+struct GroupScans<'s, 'a, Q, D, M, L> {
+    stage2: &'s Stage2<'a, Q, D, M, L>,
+    accumulators: &'s [Mutex<TopK>],
+    work: &'s mut SearchStats,
+    list_evals: &'s mut [u64],
+}
+
+impl<'a, Q, D, M, L> PhaseExecutor for GroupScans<'_, 'a, Q, D, M, L>
+where
+    Q: Dataset,
+    D: Dataset<Item = Q::Item>,
+    M: Metric<Q::Item>,
+    L: Fn(usize) -> ListView<'a> + Sync,
+{
+    const REPLAN_SPAN: &'static str = "core.replan";
+
+    fn scan(&mut self, buckets: &ListBuckets) {
+        let groups = cursor_groups(buckets, self.stage2.bounds);
+        let per_group = self.stage2.scan_groups(buckets, &groups, self.accumulators);
+        let work = &mut *self.work;
         for (group, scan) in groups.iter().zip(&per_group) {
             work.reps_examined += group.cursors.len() as u64;
             work.list_scans += 1;
@@ -497,67 +595,15 @@ where
             work.list_reranked_groups += scan.reranked;
             let cursors = &buckets.cursors[group.cursors.clone()];
             for (cursor, &evals) in cursors.iter().zip(&scan.evals_per_cursor) {
-                list_evals[cursor.query] += evals;
+                self.list_evals[cursor.query] += evals;
             }
         }
     }
 
-    /// The exact search's stage 2: **nearest list first, then plan**.
-    ///
-    /// *Phase A* scans, for every query, the nearest list of its row
-    /// (`nearest[qi]`, the row's [`nearest_entry`]) — where Theorem 2 says
-    /// its neighbours most likely are. Then each query's tightened
-    /// threshold `τ_q` is read once from its accumulator, and *phase B*
-    /// scans only what [`replan`] leaves of the rows: a list whose run
-    /// `τ_q` already empties is dropped before a cursor is built for it. A
-    /// dropped pair is a pair whose scan would have evaluated nothing, so
-    /// answers are those of scanning every row in full, and `(1+ε)`-sound
-    /// by the argument the cut already carries. Both phases cut against
-    /// `caps` (`γ_k`) as well.
-    ///
-    /// Returns the stage-2 share of a [`SearchStats`]: `queries`,
-    /// `reps_examined` (cursors built, A + B), `list_scans` (group scans,
-    /// A + B), the list evaluation, skip (a dropped pair skips its whole
-    /// list) and tile-pass counts, and in `max_query_evals` the largest
-    /// per-query *list* evaluation count.
-    pub fn nearest_then_rest(
-        &self,
-        rows: &[CandidateRow],
-        nearest: &[Option<usize>],
-        caps: &[Dist],
-        accumulators: &[Mutex<TopK>],
-    ) -> SearchStats {
-        debug_assert!(self.sorted_cut, "the re-plan cuts sorted lists");
-        let mut work = SearchStats {
-            queries: rows.len() as u64,
-            ..SearchStats::default()
-        };
-        let mut list_evals = vec![0u64; rows.len()];
-
-        let cursor = |qi: usize, d_to_rep: Dist| GroupCursor {
-            query: qi,
-            d_to_rep,
-            threshold_cap: caps[qi],
-        };
-        let firsts = nearest.iter().enumerate().filter_map(|(qi, at)| {
-            let (list, d_to_rep) = rows[qi][(*at)?];
-            Some((list, cursor(qi, d_to_rep)))
-        });
-        self.scan_pairs(firsts, accumulators, &mut work, &mut list_evals);
-
-        let replan_span = rbc_trace::span("core.replan");
-        let tau: Vec<Dist> = accumulators
-            .iter()
-            .map(|acc| acc.lock().expect("top-k accumulator lock poisoned"))
-            .map(|topk| topk.threshold())
-            .collect();
-        let (rest, skipped) = replan(rows, nearest, caps, &tau, self.shrink, self.bounds);
-        work.list_points_skipped += skipped;
-        drop(replan_span);
-        self.scan_buckets(&rest, accumulators, &mut work, &mut list_evals);
-
-        work.max_query_evals = list_evals.into_iter().max().unwrap_or(0);
-        work
+    fn thresholds(&self) -> Vec<Dist> {
+        let accumulators = self.accumulators.iter();
+        let locked = accumulators.map(|acc| acc.lock().expect("top-k accumulator lock poisoned"));
+        locked.map(|topk| topk.threshold()).collect()
     }
 }
 
@@ -592,7 +638,7 @@ fn cursor_groups(buckets: &ListBuckets, bounds: &ListBounds) -> Vec<CursorGroup>
 /// The kept entries are compacted without a branch and counting-sorted by
 /// list, in query order: the phase's groups. Also returns the members of
 /// the dropped lists, which their scans would have skipped.
-pub fn replan(
+fn replan(
     rows: &[CandidateRow],
     nearest: &[Option<usize>],
     caps: &[Dist],
@@ -637,32 +683,42 @@ pub(crate) fn group_by_nearest(
     nearest: impl IntoIterator<Item = Neighbor>,
     n_lists: usize,
 ) -> Vec<ListGroup> {
+    let nearest = nearest.into_iter().enumerate();
+    let joined = nearest.filter(|(_, n)| !(n.is_sentinel() || n.dist.is_nan()));
+    let pairs = joined.map(|(qi, n)| (qi, n.index));
+    invert(pairs, n_lists, |g| g.queries.len())
+}
+
+/// Inverts `(query, list)` pairs over `n_lists` lists into the non-empty
+/// list groups, each group's queries in the order given, by descending
+/// `work`, ties toward the lower list index.
+fn invert(
+    pairs: impl IntoIterator<Item = (usize, usize)>,
+    n_lists: usize,
+    work: impl Fn(&ListGroup) -> usize,
+) -> Vec<ListGroup> {
     let mut per_list: Vec<Vec<usize>> = vec![Vec::new(); n_lists];
-    for (qi, nearest) in nearest.into_iter().enumerate() {
-        if !(nearest.is_sentinel() || nearest.dist.is_nan()) {
-            per_list[nearest.index].push(qi);
-        }
+    for (qi, list) in pairs {
+        per_list[list].push(qi);
     }
+    let per_list = per_list.into_iter().enumerate();
     let mut groups: Vec<ListGroup> = per_list
-        .into_iter()
-        .enumerate()
         .filter(|(_, queries)| !queries.is_empty())
         .map(|(list_index, queries)| ListGroup {
             list_index,
             queries,
         })
         .collect();
-    groups.sort_by_key(|g| (std::cmp::Reverse(g.queries.len()), g.list_index));
+    groups.sort_by_key(|g| (std::cmp::Reverse(work(g)), g.list_index));
     groups
 }
 
 /// The position of a candidate row's nearest list: its first minimum of
 /// `ρ(q, r)` in [`Neighbor`]'s order — a NaN after every number, ties to
 /// the earlier entry — so an all-NaN row names its first entry. Phase A of
-/// [`Stage2::nearest_then_rest`] scans it first, and the distributed
-/// coordinator's first round sends it to its owner. `None` for an empty
+/// [`Candidates::nearest_then_rest`] scans it first. `None` for an empty
 /// row.
-pub fn nearest_entry(row: &[(usize, Dist)]) -> Option<usize> {
+fn nearest_entry(row: &[(usize, Dist)]) -> Option<usize> {
     (0..row.len()).min_by_key(|&at| Neighbor::new(at, row[at].1))
 }
 
@@ -676,42 +732,6 @@ pub fn into_answers(accumulators: Vec<Mutex<TopK>>) -> Vec<Vec<Neighbor>> {
                 .into_sorted()
         })
         .collect()
-}
-
-/// Every query's stage-1 outcome from a stage-1 distance matrix
-/// `rep_dists` somebody else computed (row-major, one row of `lists.len()`
-/// distances per query), by batch position: a top-k collector seeded with
-/// the representatives (its threshold is `γ_k`, the k-th smallest
-/// representative distance), and the candidate row of the lists the
-/// pruning rules (eq. 1 / eq. 2) keep, ascending, each with its `ρ(q, r)`.
-/// The distributed coordinator starts from these, and so does
-/// [`BatchPlan::plan_exact`]; the in-process search runs the same kernel
-/// inside `BruteForce::rows_with` and never holds a matrix.
-///
-/// Runs on the caller's thread. The kernel costs 1.4–2.3 µs per row of
-/// 409–451 representatives (2-vCPU host), so a pool claim worth a helper's
-/// wake-up (≥ 50 µs) would take 22–36 rows, and the coordinator's batches
-/// of at most 32 would make one such claim at best.
-///
-/// # Panics
-/// Panics if `rep_dists.len()` is not a multiple of `lists.len()`.
-pub fn seeded_survivors(
-    rep_dists: &[Dist],
-    lists: &[OwnershipList],
-    k: usize,
-    config: &RbcConfig,
-) -> (Vec<TopK>, Vec<CandidateRow>) {
-    let n_lists = lists.len();
-    assert!(n_lists > 0, "cannot plan over zero ownership lists");
-    assert!(
-        rep_dists.len().is_multiple_of(n_lists),
-        "distance matrix does not tile into rows of {n_lists}"
-    );
-    let reps: Vec<usize> = lists.iter().map(|list| list.rep_index).collect();
-    let bounds = ListBounds::of(lists);
-    let rows = rep_dists.chunks_exact(n_lists);
-    let survivors = rows.map(|row| survivors(row, &reps, &bounds, k, config.epsilon));
-    survivors.map(|(seeded, kept, _)| (seeded, kept)).unzip()
 }
 
 /// The smallest number in `chunk` (`+∞` if none: a NaN never lowers it),
@@ -860,7 +880,6 @@ mod tests {
         assert_eq!(plan.groups[1].queries, vec![0]);
         assert_eq!(plan.groups[2].list_index, 2);
         assert_eq!(plan.groups[2].queries, vec![1]);
-        assert_eq!(plan.gamma_k, vec![1.0, 1.0]);
         assert!((plan.sharing_factor() - 4.0 / 3.0).abs() < 1e-12);
     }
 
@@ -984,11 +1003,10 @@ mod tests {
         assert_eq!(parts[1].pairs, 3);
         assert!(parts[2].groups.is_empty());
         assert_eq!(parts[2].pairs, 0);
-        // Every sub-plan keeps the batch-wide query count and caps so the
-        // per-node executions stay indexed by batch position.
+        // Every sub-plan keeps the batch-wide query count so the per-node
+        // executions stay indexed by batch position.
         for part in &parts {
             assert_eq!(part.queries, plan.queries);
-            assert_eq!(part.gamma_k, plan.gamma_k);
         }
         let total_pairs: usize = parts.iter().map(|p| p.pairs).sum();
         assert_eq!(total_pairs, plan.pairs);
@@ -1094,8 +1112,8 @@ mod tests {
                 sorted_cut: true,
                 skip: Some(&self.skip),
             };
-            let nearest = nearest_entry(&row);
-            let stats = stage2.nearest_then_rest(&[row], &[nearest], &[gamma_k], &accumulators);
+            let candidates = Candidates::new(vec![row]);
+            let stats = stage2.nearest_then_rest(&candidates, &[gamma_k], &accumulators);
             (into_answers(accumulators).remove(0), stats)
         }
     }
@@ -1379,11 +1397,10 @@ mod tests {
                 prop_assert_eq!(nearest, nearest_entry(&want_row));
             }
             let matrix: Vec<Dist> = rows.concat();
-            let (seeds, kept) = seeded_survivors(&matrix, &lists, k, &config);
-            prop_assert_eq!(seeds.len(), rows.len());
-            for (row, got) in rows.iter().zip(&kept) {
-                prop_assert_eq!(got.len(), reference_survivors(row, &lists, k, &config).1.len());
-            }
+            let plan = BatchPlan::plan_exact(&matrix, &lists, k, &config);
+            prop_assert_eq!(plan.queries, rows.len());
+            let kept = rows.iter().map(|row| reference_survivors(row, &lists, k, &config).1.len());
+            prop_assert_eq!(plan.pairs, kept.sum::<usize>());
         }
 
         /// The fused re-plan forms the groups the per-query re-plan and the

@@ -26,7 +26,7 @@ use std::sync::Mutex;
 use rbc_bruteforce::{BfConfig, BfStats, BruteForce, ListMirror, Neighbor, TopK};
 use rbc_metric::{BlockedVectors, Dataset, Dist, Metric, QueryBatch};
 
-use crate::batch_plan::{self, CandidateRow, ListBounds, ListView, Stage2};
+use crate::batch_plan::{self, Candidates, ListBounds, ListView, Stage2};
 use crate::params::{RbcConfig, RbcParams};
 use crate::reps::{gather_mirrors, sample_representatives, OwnershipList};
 use crate::stats::{QueryStats, SearchStats};
@@ -134,8 +134,7 @@ where
     }
 
     /// The blocked SoA mirror of the representative set, if one was built
-    /// (callers running their own stage-1 `BF(Q, R)` scans — the
-    /// distributed coordinator — reuse it).
+    /// (callers running their own `BF(Q, R)` scans reuse it).
     pub fn rep_blocked(&self) -> Option<&BlockedVectors> {
         self.rep_blocked.as_ref()
     }
@@ -253,15 +252,10 @@ where
         let n_reps = self.rep_indices.len();
 
         let stage1_span = rbc_trace::span("core.stage1");
-        let (per_query, rep_stats) = self.stage1_survivors(queries, k);
+        let (seeded, candidates, rep_stats) = self.stage1(queries, k);
         drop(stage1_span);
 
         let plan_span = rbc_trace::span("core.plan");
-        let nearest: Vec<Option<usize>> = per_query.iter().map(|&(_, _, at)| at).collect();
-        let (seeded, rows): (Vec<TopK>, Vec<CandidateRow>) = per_query
-            .into_iter()
-            .map(|(seeds, row, _)| (seeds, row))
-            .unzip();
         let gamma_k: Vec<Dist> = seeded.iter().map(TopK::threshold).collect();
         let accumulators: Vec<Mutex<TopK>> = seeded.into_iter().map(Mutex::new).collect();
         drop(plan_span);
@@ -286,7 +280,7 @@ where
             sorted_cut: true,
             skip: Some(&self.rep_flags),
         };
-        let mut stats = stage2.nearest_then_rest(&rows, &nearest, &gamma_k, &accumulators);
+        let mut stats = stage2.nearest_then_rest(&candidates, &gamma_k, &accumulators);
         drop(scan_span);
         stats.rep_distance_evals = rep_stats.distance_evals;
         stats.rep_reranked_groups = rep_stats.reranked_groups;
@@ -294,11 +288,11 @@ where
         (batch_plan::into_answers(accumulators), stats)
     }
 
-    /// Stage 1 of a batch: one dense `BF(Q, R)` pass whose rows never leave
-    /// the thread that scored them — each is turned into its query's
-    /// [`survivors`](batch_plan::survivors) on the spot: the collector seeded
-    /// with the representatives, the candidate row, and the position of its
-    /// nearest entry.
+    /// Stage 1 of a batch, which the distributed coordinator runs too: one
+    /// dense `BF(Q, R)` pass whose rows never leave the thread that scored
+    /// them — each becomes its query's collector seeded with the
+    /// representatives (threshold `γ_k`) and its candidate row of the lists
+    /// eq. 1 / eq. 2 keep, each with its `ρ(q, r)`.
     ///
     /// Seeding the representatives — their exact distances are computed
     /// here anyway and they are genuine database points — guarantees a
@@ -310,11 +304,7 @@ where
     /// skip them (`rep_flags`): already answered, and a second entry would
     /// duplicate a k-NN result. The rows stay per query; stage 2 inverts
     /// only what its re-plan leaves.
-    fn stage1_survivors<Q>(
-        &self,
-        queries: &Q,
-        k: usize,
-    ) -> (Vec<(TopK, CandidateRow, Option<usize>)>, BfStats)
+    pub fn stage1<Q>(&self, queries: &Q, k: usize) -> (Vec<TopK>, Candidates, BfStats)
     where
         Q: Dataset<Item = D::Item>,
     {
@@ -322,13 +312,13 @@ where
         let rep_view = self.db.subset(&self.rep_indices);
         let (reps, bounds, epsilon) = (&self.rep_indices, &self.bounds, self.config.epsilon);
         let plan_row = |_, row: &[Dist]| batch_plan::survivors(row, reps, bounds, k, epsilon);
-        bf.rows_with(
-            queries,
-            &rep_view,
-            &self.metric,
-            self.rep_blocked.as_ref(),
-            plan_row,
-        )
+        let blocks = self.rep_blocked.as_ref();
+        let (per_query, stats) = bf.rows_with(queries, &rep_view, &self.metric, blocks, plan_row);
+        let ((seeds, rows), nearest) = per_query
+            .into_iter()
+            .map(|(seeds, row, nearest)| ((seeds, row), nearest))
+            .unzip();
+        (seeds, Candidates { rows, nearest }, stats)
     }
 
     /// List `ri` as stage 2 scans it.
@@ -390,7 +380,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch_plan::BatchPlan;
+    use crate::batch_plan::{BatchPlan, CandidateRow};
     use rand::prelude::*;
     use rand::rngs::StdRng;
     use rbc_metric::{Euclidean, Manhattan, PerPoint, VectorSet};
@@ -421,17 +411,17 @@ mod tests {
         VectorSet::from_rows(&rows)
     }
 
-    impl<D: Dataset, M: Metric<D::Item>> ExactRbc<D, M> {
-        /// Stage 1's seeds and rows without the nearest entries — the shape
-        /// [`batch_plan::seeded_survivors`] gives a matrix.
-        fn stage1<Q>(&self, queries: &Q, k: usize) -> (Vec<(TopK, CandidateRow)>, BfStats)
-        where
-            Q: Dataset<Item = D::Item>,
-        {
-            let (per_query, stats) = self.stage1_survivors(queries, k);
-            let pairs = per_query.into_iter().map(|(seeds, row, _)| (seeds, row));
-            (pairs.collect(), stats)
-        }
+    /// Stage 1's seeds and rows from a distance matrix computed elsewhere,
+    /// each row through the same `survivors` kernel.
+    fn matrix_survivors<D: Dataset, M: Metric<D::Item>>(
+        matrix: &[Dist],
+        rbc: &ExactRbc<D, M>,
+        k: usize,
+    ) -> (Vec<TopK>, Vec<CandidateRow>) {
+        let (reps, bounds, epsilon) = (rbc.rep_indices(), rbc.list_bounds(), rbc.config().epsilon);
+        let rows = matrix.chunks_exact(rbc.num_reps());
+        let survivors = rows.map(|row| batch_plan::survivors(row, reps, bounds, k, epsilon));
+        survivors.map(|(seeds, kept, _)| (seeds, kept)).unzip()
     }
 
     fn brute_knn(db: &VectorSet, q: &[f32], k: usize) -> Vec<Neighbor> {
@@ -532,9 +522,8 @@ mod tests {
             let (matrix, matrix_stats) =
                 BruteForce::new().pairwise_with_blocks(&queries, &reps, &Euclidean, None);
             for k in [1usize, 10] {
-                let (seeds, rows) =
-                    batch_plan::seeded_survivors(&matrix, rbc.lists(), k, rbc.config());
-                let (fused, stats) = rbc.stage1(&queries, k);
+                let (seeds, rows) = matrix_survivors(&matrix, &rbc, k);
+                let (fused_seeds, fused, stats) = rbc.stage1(&queries, k);
                 // The same work; only the layout (and so which groups the
                 // lane kernel scored) differs.
                 assert_eq!(stats.queries, matrix_stats.queries);
@@ -543,8 +532,7 @@ mod tests {
                     stats.distance_evals,
                     (queries.len() * rbc.num_reps()) as u64
                 );
-                let (fused_seeds, fused_rows): (Vec<TopK>, Vec<CandidateRow>) =
-                    fused.into_iter().unzip();
+                let fused_rows = fused.rows;
                 assert_eq!(fused_rows, rows);
                 let sorted = |seeds: Vec<TopK>| -> Vec<Vec<Neighbor>> {
                     seeds.into_iter().map(TopK::into_sorted).collect()

@@ -4,8 +4,8 @@ use std::sync::Arc;
 
 use rayon::prelude::*;
 
-use rbc_bruteforce::{BruteForce, Neighbor, TopK};
-use rbc_core::batch_plan::{nearest_entry, replan, seeded_survivors, BatchPlan, ListGroup};
+use rbc_bruteforce::{Neighbor, TopK};
+use rbc_core::batch_plan::{BatchPlan, ListBuckets, ListGroup, PhaseExecutor};
 use rbc_core::{ExactRbc, SearchIndex};
 use rbc_metric::{Dataset, Dist, Metric, QueryBatch};
 use serde::Serialize;
@@ -344,21 +344,16 @@ where
     /// list (one per chunk instead of one total), which is exactly the
     /// trade the split makes: tile sharing for critical-path parallelism.
     fn split_hot_groups(&self, plan: &BatchPlan, live: &[bool]) -> Option<BatchPlan> {
-        let lists = self.rbc.lists();
         let live_nodes = live.iter().filter(|&&up| up).count().max(1);
-        let cost_of = |group: &ListGroup| -> u64 {
-            (group.queries.len() * lists[group.list_index].len().max(1)) as u64
-        };
+        let cost_of = |group: &ListGroup| self.scan_cost(group);
         let total: u64 = plan.groups.iter().map(cost_of).sum();
         let fair = (total / live_nodes as u64).max(1);
+        let homes = |group: &ListGroup| {
+            let replicas = self.placement.replicas_of_list[group.list_index].iter();
+            replicas.filter(|&&nd| live[nd]).count()
+        };
         let splittable = |group: &ListGroup| {
-            group.queries.len() >= 2
-                && cost_of(group) > fair
-                && self.placement.replicas_of_list[group.list_index]
-                    .iter()
-                    .filter(|&&nd| live[nd])
-                    .count()
-                    > 1
+            group.queries.len() >= 2 && cost_of(group) > fair && homes(group) > 1
         };
         if !plan.groups.iter().any(splittable) {
             return None;
@@ -369,12 +364,8 @@ where
                 groups.push(group.clone());
                 continue;
             }
-            let homes = self.placement.replicas_of_list[group.list_index]
-                .iter()
-                .filter(|&&nd| live[nd])
-                .count();
             let ways = (cost_of(group).div_ceil(fair) as usize)
-                .min(homes)
+                .min(homes(group))
                 .min(group.queries.len());
             let chunk = group.queries.len().div_ceil(ways);
             for part in group.queries.chunks(chunk) {
@@ -386,10 +377,14 @@ where
         }
         Some(BatchPlan {
             groups,
-            gamma_k: plan.gamma_k.clone(),
             queries: plan.queries,
             pairs: plan.pairs,
         })
+    }
+
+    /// A group's estimated scan work: queries × list length (at least 1).
+    fn scan_cost(&self, group: &ListGroup) -> u64 {
+        (group.queries.len() * self.rbc.lists()[group.list_index].len().max(1)) as u64
     }
 
     /// Routes a plan's groups to replicas: each group goes to the
@@ -405,11 +400,10 @@ where
         live: &[bool],
         est: &mut [u64],
     ) -> (Vec<BatchPlan>, Vec<ListGroup>) {
-        let lists = self.rbc.lists();
         let split = self.split_hot_groups(plan, live);
         let plan = split.as_ref().unwrap_or(plan);
         plan.split_routed(self.cluster.nodes, |group| {
-            let cost = (group.queries.len() * lists[group.list_index].len().max(1)) as u64;
+            let cost = self.scan_cost(group);
             let chosen = self.placement.replicas_of_list[group.list_index]
                 .iter()
                 .copied()
@@ -434,36 +428,25 @@ where
         (results.pop().expect("one query in, one answer out"), stats)
     }
 
-    /// Batched exact distributed k-NN — the owner-first, two-round
-    /// list-major protocol with replica-aware failover.
+    /// Batched exact distributed k-NN — the centralized search run with its
+    /// two phases as fan-out rounds, and replica-aware failover.
     ///
-    /// **Stage 1** runs **once** on the coordinator: one dense `BF(Q, R)`
-    /// pass and the paper's pruning rules per query against `γ_k`
-    /// ([`seeded_survivors`]), which leave each query a collector seeded
-    /// with the representatives and a row of surviving lists.
+    /// **Stage 1** runs **once** on the coordinator and is the centralized
+    /// search's own ([`ExactRbc::stage1`]): each query gets a collector
+    /// seeded with the representatives (threshold `γ_k`) and a row of the
+    /// lists the paper's pruning rules keep. No `n_q × n_r` matrix is kept.
     ///
-    /// **Round 1** sends each query's *nearest* surviving list
-    /// ([`nearest_entry`]: the first minimum of its row in list order, the
-    /// list phase A of [`Stage2::nearest_then_rest`] scans) to that list's
-    /// owner, capped by
-    /// `γ_k`. Where Theorem 2 says a query's neighbours most likely are,
-    /// they are scanned first, on the node that holds them.
-    ///
-    /// **Between rounds** the coordinator merges the round-1 partials into
-    /// the seeded collectors and reads each query's threshold
-    /// `τ_q = min(γ_k, k-th candidate so far)`. A remaining pair whose run
-    /// `τ_q` already empties is dropped by the in-process re-plan itself
-    /// ([`replan`], the scan's cut at the list's radius): by the triangle
-    /// inequality every point of that list is *strictly* farther than
-    /// `τ_q`, and `τ_q` is the distance of a real candidate, so the list
-    /// holds nothing that could enter the top-k (a point at exactly `τ_q`
-    /// is kept, so ties still resolve by index).
-    ///
-    /// **Round 2** sends what is left with `τ_q` as each query's cap, and
-    /// the coordinator merges seeds, round 1 and round 2. Each node cuts
-    /// only against bounds a true top-k point satisfies, so at
-    /// `epsilon == 0` the answers are exact; with `epsilon > 0` every cut
-    /// is `(1+ε)`-relaxed and answers honour that factor.
+    /// **Stage 2** is the centralized search's driver
+    /// ([`Candidates::nearest_then_rest`]) with fan-out rounds as its
+    /// executor. **Round 1** sends each query's *nearest* surviving list
+    /// to that list's owner, capped by `γ_k` — where Theorem 2 says its
+    /// neighbours most likely are. Between the rounds the driver reads
+    /// each query's `τ_q = min(γ_k, k-th candidate so far)` from the
+    /// merged collectors and drops every remaining list whose run `τ_q`
+    /// already empties. **Round 2** sends what is left, capped by `τ_q`.
+    /// Every cut is at a strict threshold a true top-k point satisfies, so
+    /// at `epsilon == 0` the answers are exact; with `epsilon > 0` every
+    /// cut is `(1+ε)`-relaxed and answers honour that factor.
     ///
     /// In each round the groups are routed by policy
     /// ([`BatchPlan::split_routed`]): each group goes to the least-loaded
@@ -471,9 +454,11 @@ where
     /// groups across all of its homes instead of melting one node. Every
     /// node contacted in a round receives **one** [`QueryRequest`] carrying
     /// the distinct queries its groups need; its [`NodeShard`] runs the
-    /// shared stage 2 ([`Stage2::nearest_then_rest`]) over its own pairs
-    /// and replies with per-query partial top-k results.
+    /// same driver over its own pairs, with the in-process group scans
+    /// ([`Stage2::nearest_then_rest`]) as the executor, and replies with
+    /// per-query partial top-k results.
     ///
+    /// [`Candidates::nearest_then_rest`]: rbc_core::batch_plan::Candidates::nearest_then_rest
     /// [`Stage2::nearest_then_rest`]: rbc_core::batch_plan::Stage2::nearest_then_rest
     ///
     /// **Failover.** A node that dies mid-batch (its contact fails — see
@@ -487,7 +472,8 @@ where
     /// (`degraded[qi] == true`): the representative candidates plus every
     /// surviving group's candidates, truncated to the distances provably
     /// unaffected by the lost lists — every point of a lost list `ℓ` is at
-    /// distance `≥ ρ(q, rep_ℓ) − ψ_ℓ` by the triangle inequality, so at
+    /// distance `≥ ρ(q, rep_ℓ) − ψ_ℓ` by the triangle inequality (`ρ` read
+    /// from the query's row, of which a lost list is always an entry), so at
     /// `epsilon == 0` every returned neighbor strictly inside that bound
     /// is guaranteed to be a true member of the exact top-k, in true rank
     /// order (the degraded answer is a *prefix* of the exact answer,
@@ -549,74 +535,57 @@ where
         if nq == 0 {
             return (Vec::new(), DistributedQueryStats::default());
         }
-        let db = self.rbc.database();
         let lists = self.rbc.lists();
-        let config = self.rbc.config();
-        let n_reps = lists.len();
 
-        // Stage 1, coordinator: one dense BF(Q, R), all distances kept
-        // (the degradation bounds read them), then the γ_k rules per query.
+        // Stage 1, coordinator: the in-process search's own — one dense
+        // BF(Q, R) whose rows meet the γ_k rules where they are scored.
         let plan_span = rbc_trace::span("dist.plan");
-        let coordinator_bf = BruteForce::with_config(config.bf);
-        let rep_view = db.subset(self.rbc.rep_indices());
-        let (rep_dists, rep_stats) = coordinator_bf.pairwise_with_blocks(
-            queries,
-            &rep_view,
-            self.rbc.metric(),
-            self.rbc.rep_blocked(),
-        );
-        let (mut seeded, rows) = seeded_survivors(&rep_dists, lists, k, config);
-        let gamma_k: Vec<Dist> = seeded.iter().map(TopK::threshold).collect();
-        let nearest: Vec<Option<usize>> = rows.iter().map(|row| nearest_entry(row)).collect();
-        let firsts = nearest
-            .iter()
-            .enumerate()
-            .filter_map(|(qi, at)| Some((qi, rows[qi][(*at)?].0)));
-        let owner_first = BatchPlan::from_pairs(firsts, gamma_k.clone(), lists);
+        let (seeds, candidates, rep_stats) = self.rbc.stage1(queries, k);
+        let gamma_k: Vec<Dist> = seeds.iter().map(TopK::threshold).collect();
         drop(plan_span);
 
-        let mut ledger = Ledger {
-            est: self.load.snapshot().iter().map(|l| l.evals).collect(),
-            per_node: (0..self.cluster.nodes).map(NodeLoad::idle).collect(),
-            comm: CommCost::default(),
-            lists_scanned: 0,
-            rerouted_groups: 0,
-            lost: Vec::new(),
+        // Stage 2: the in-process search's two phases, each a fan-out round.
+        let mut rounds = Rounds {
+            index: self,
+            queries,
+            k,
+            collectors: seeds,
+            ledger: Ledger {
+                est: self.load.snapshot().iter().map(|l| l.evals).collect(),
+                per_node: (0..self.cluster.nodes).map(NodeLoad::idle).collect(),
+                comm: CommCost::default(),
+                lists_scanned: 0,
+                rerouted_groups: 0,
+                lost: Vec::new(),
+            },
         };
         let scan_span = rbc_trace::span("dist.scan");
-        self.fan_out(&owner_first, queries, k, &mut seeded, &mut ledger);
-
-        // Between the rounds: τ_q from the seeds and round 1, then the
-        // coordinator's re-plan over what is left of each row.
-        let replan_span = rbc_trace::span("dist.replan");
-        let tau: Vec<Dist> = seeded.iter().map(TopK::threshold).collect();
-        let shrink = 1.0 + config.epsilon;
-        let bounds = self.rbc.list_bounds();
-        let (rest, _) = replan(&rows, &nearest, &gamma_k, &tau, shrink, bounds);
-        let rest = BatchPlan::from_pairs(rest.pairs(), tau, lists);
-        drop(replan_span);
-        self.fan_out(&rest, queries, k, &mut seeded, &mut ledger);
+        let shrink = 1.0 + self.rbc.config().epsilon;
+        candidates.nearest_then_rest(&gamma_k, shrink, self.rbc.list_bounds(), &mut rounds);
         drop(scan_span);
         let merge_span = rbc_trace::span("dist.merge");
+        let (collectors, ledger) = (rounds.collectors, rounds.ledger);
 
         // Degradation: queries with groups lost in either round are
         // answered with the provably-unaffected prefix. Every point of lost
         // list ℓ is at distance ≥ ρ(q, rep_ℓ) − ψ_ℓ, so candidates strictly
-        // inside the smallest such bound keep their exact rank.
+        // inside the smallest such bound keep their exact rank. A lost list
+        // is an entry of each of its queries' rows, which hold ρ(q, rep_ℓ).
         let mut degraded = vec![false; nq];
         let mut cutoff = vec![Dist::INFINITY; nq];
         for group in &ledger.lost {
-            let list = &lists[group.list_index];
+            let list = group.list_index;
             for &qi in &group.queries {
                 degraded[qi] = true;
-                let bound = rep_dists[qi * n_reps + group.list_index] - list.radius;
-                cutoff[qi] = cutoff[qi].min(bound);
+                let row = &candidates.rows[qi];
+                let (_, to_rep) = row[row.partition_point(|&(l, _)| l < list)];
+                cutoff[qi] = cutoff[qi].min(to_rep - lists[list].radius);
             }
         }
 
         // Coordinator reduce: seeds and both rounds are merged; apply the
         // degraded truncation.
-        let results: Vec<Vec<Neighbor>> = seeded
+        let results: Vec<Vec<Neighbor>> = collectors
             .into_iter()
             .zip(degraded.iter().zip(cutoff))
             .map(|(topk, (&degraded, cutoff))| {
@@ -649,95 +618,6 @@ where
             stats.lost_groups,
         );
         (results, stats)
-    }
-
-    /// One fan-out round: routes `plan`'s groups (see
-    /// [`route_parts`](Self::route_parts)), sends every contacted node its
-    /// sub-plan as one [`QueryRequest`] ([`wire_round`](Self::wire_round))
-    /// and merges every reply's per-query partial top-k into `collectors`.
-    /// A contact that fails (the node died after routing) yields no reply;
-    /// its node is marked dead and its groups are re-routed to surviving
-    /// replicas and retried until each has executed or is lost. Work,
-    /// traffic and losses go to `ledger`.
-    fn fan_out<Q>(
-        &self,
-        plan: &BatchPlan,
-        queries: &Q,
-        k: usize,
-        collectors: &mut [TopK],
-        ledger: &mut Ledger,
-    ) where
-        Q: Dataset<Item = [f32]>,
-    {
-        // Node spans may close on other threads (deferred calls run on
-        // rayon threads); capture the enclosing scan span's context here
-        // so each one parents under it.
-        let scan_ctx = rbc_trace::current();
-        let mut retry: Option<BatchPlan> = None;
-        loop {
-            let route_span = rbc_trace::span("dist.route");
-            let live = self.health.live_view();
-            let round = retry.as_ref().unwrap_or(plan);
-            let (mut parts, lost) = self.route_parts(round, &live, &mut ledger.est);
-            drop(route_span);
-            ledger.lost.extend(lost);
-            if retry.is_some() {
-                ledger.rerouted_groups += parts.iter().map(|p| p.groups.len() as u64).sum::<u64>();
-            }
-            let contacted: Vec<usize> = (0..self.cluster.nodes)
-                .filter(|&nd| !parts[nd].groups.is_empty())
-                .collect();
-            let requests: Vec<(QueryRequest, Vec<usize>)> = contacted
-                .iter()
-                .map(|&nd| self.wire_request(&parts[nd], queries, k))
-                .collect();
-            let replies = self.wire_round(&contacted, &requests, scan_ctx);
-
-            let mut failed: Vec<ListGroup> = Vec::new();
-            for ((&nd, (_, positions)), reply) in contacted.iter().zip(&requests).zip(replies) {
-                let part = std::mem::take(&mut parts[nd]);
-                let payload = positions.len();
-                let out_bytes =
-                    QueryRequest::frame_bytes(payload, self.payload_coords, part.groups.len());
-                ledger.comm.messages_out += 1;
-                ledger.comm.bytes_out += out_bytes;
-                ledger.per_node[nd].bytes_out += out_bytes;
-                let Some(reply) = reply else {
-                    // The request crossed the wire; the reply never came.
-                    self.health.fail(nd);
-                    failed.extend(part.groups);
-                    continue;
-                };
-                let records = reply.results.iter().map(Vec::len).sum();
-                let in_bytes = QueryReply::frame_bytes(payload, records);
-                ledger.comm.messages_in += 1;
-                ledger.comm.bytes_in += in_bytes;
-                for group in &part.groups {
-                    self.load.record_list_traffic(group.list_index);
-                }
-                ledger.lists_scanned += part.groups.len() as u64;
-                let load = &mut ledger.per_node[nd];
-                load.queries += payload as u64;
-                load.groups += part.groups.len() as u64;
-                load.evals += reply.evals;
-                load.bytes_in += in_bytes;
-                for (&position, result) in positions.iter().zip(&reply.results) {
-                    for &(index, dist) in result {
-                        collectors[position].push(Neighbor::new(index as usize, dist));
-                    }
-                }
-            }
-            if failed.is_empty() {
-                return;
-            }
-            // Re-route what the dead nodes dropped among the survivors.
-            retry = Some(BatchPlan {
-                groups: failed,
-                gamma_k: plan.gamma_k.clone(),
-                queries: plan.queries,
-                pairs: 0,
-            });
-        }
     }
 
     /// One fan-out round as one exchange on this thread: every contacted
@@ -791,20 +671,130 @@ where
         }
         replies
     }
+}
 
+/// A batch's fan-out rounds — the cluster as the executor of the exact
+/// search's two phases: each phase's pairs are routed to the nodes and
+/// their replies merged into the batch's representative-seeded collectors.
+/// A round's caps are the collectors' thresholds as it starts: `γ_k` in
+/// round one, `τ_q` in round two.
+struct Rounds<'a, D: Dataset, M, Q> {
+    index: &'a DistributedRbc<D, M>,
+    queries: &'a Q,
+    k: usize,
+    collectors: Vec<TopK>,
+    ledger: Ledger,
+}
+
+impl<D, M, Q> PhaseExecutor for Rounds<'_, D, M, Q>
+where
+    D: Dataset<Item = [f32]>,
+    M: Metric<[f32]> + Clone + Send + Sync + 'static,
+    Q: Dataset<Item = [f32]>,
+{
+    const REPLAN_SPAN: &'static str = "dist.replan";
+
+    /// One fan-out round: routes the phase's groups (see
+    /// [`route_parts`](DistributedRbc::route_parts)), sends every contacted
+    /// node its sub-plan as one [`QueryRequest`]
+    /// ([`wire_round`](DistributedRbc::wire_round)) and merges every reply's
+    /// per-query partial top-k into the collectors. A contact that fails
+    /// (the node died after routing) yields no reply; its node is marked
+    /// dead and its groups are re-routed to surviving replicas and retried
+    /// until each has executed or is lost. Work, traffic and losses go to
+    /// the ledger.
+    fn scan(&mut self, buckets: &ListBuckets) {
+        let index = self.index;
+        let caps = self.thresholds();
+        let plan = BatchPlan::from_pairs(buckets.pairs(), caps.len(), index.rbc.lists());
+        // Node spans may close on other threads (deferred calls run on
+        // rayon threads); capture the enclosing scan span's context here
+        // so each one parents under it.
+        let scan_ctx = rbc_trace::current();
+        let mut retry: Option<BatchPlan> = None;
+        loop {
+            let route_span = rbc_trace::span("dist.route");
+            let live = index.health.live_view();
+            let round = retry.as_ref().unwrap_or(&plan);
+            let (mut parts, lost) = index.route_parts(round, &live, &mut self.ledger.est);
+            drop(route_span);
+            self.ledger.lost.extend(lost);
+            if retry.is_some() {
+                let rerouted = parts.iter().map(|p| p.groups.len() as u64);
+                self.ledger.rerouted_groups += rerouted.sum::<u64>();
+            }
+            let contacted: Vec<usize> = (0..index.cluster.nodes)
+                .filter(|&nd| !parts[nd].groups.is_empty())
+                .collect();
+            let requests: Vec<(QueryRequest, Vec<usize>)> = contacted
+                .iter()
+                .map(|&nd| self.wire_request(&parts[nd], &caps))
+                .collect();
+            let replies = index.wire_round(&contacted, &requests, scan_ctx);
+
+            let ledger = &mut self.ledger;
+            let mut failed: Vec<ListGroup> = Vec::new();
+            for ((&nd, (_, positions)), reply) in contacted.iter().zip(&requests).zip(replies) {
+                let part = std::mem::take(&mut parts[nd]);
+                let payload = positions.len();
+                let out_bytes =
+                    QueryRequest::frame_bytes(payload, index.payload_coords, part.groups.len());
+                ledger.comm.messages_out += 1;
+                ledger.comm.bytes_out += out_bytes;
+                ledger.per_node[nd].bytes_out += out_bytes;
+                let Some(reply) = reply else {
+                    // The request crossed the wire; the reply never came.
+                    index.health.fail(nd);
+                    failed.extend(part.groups);
+                    continue;
+                };
+                let records = reply.results.iter().map(Vec::len).sum();
+                let in_bytes = QueryReply::frame_bytes(payload, records);
+                ledger.comm.messages_in += 1;
+                ledger.comm.bytes_in += in_bytes;
+                for group in &part.groups {
+                    index.load.record_list_traffic(group.list_index);
+                }
+                ledger.lists_scanned += part.groups.len() as u64;
+                let load = &mut ledger.per_node[nd];
+                load.queries += payload as u64;
+                load.groups += part.groups.len() as u64;
+                load.evals += reply.evals;
+                load.bytes_in += in_bytes;
+                for (&position, result) in positions.iter().zip(&reply.results) {
+                    for &(index, dist) in result {
+                        self.collectors[position].push(Neighbor::new(index as usize, dist));
+                    }
+                }
+            }
+            if failed.is_empty() {
+                return;
+            }
+            // Re-route what the dead nodes dropped among the survivors.
+            retry = Some(BatchPlan {
+                groups: failed,
+                queries: plan.queries,
+                pairs: 0,
+            });
+        }
+    }
+
+    fn thresholds(&self) -> Vec<Dist> {
+        self.collectors.iter().map(TopK::threshold).collect()
+    }
+}
+
+impl<D: Dataset<Item = [f32]>, M: Metric<[f32]>, Q: Dataset<Item = [f32]>> Rounds<'_, D, M, Q> {
     /// The request that ships one routed sub-plan, and the batch position
     /// of each of its query-table slots.
     ///
-    /// The request ships each distinct query once (coordinates + the
-    /// round's cap: `γ_k` in round one, `τ_q` in round two) and each group
+    /// The request ships each distinct query once (coordinates + its cap
+    /// from `caps`: `γ_k` in round one, `τ_q` in round two) and each group
     /// as slot indices into that table; the node recomputes `ρ(q, rep_ℓ)`
     /// from its stored representative coordinates, which is bit-identical
     /// to the coordinator's stage-1 values by the SIMD kernel invariant.
-    fn wire_request<Q>(&self, part: &BatchPlan, queries: &Q, k: usize) -> (QueryRequest, Vec<usize>)
-    where
-        Q: Dataset<Item = [f32]>,
-    {
-        let config = self.rbc.config();
+    fn wire_request(&self, part: &BatchPlan, caps: &[Dist]) -> (QueryRequest, Vec<usize>) {
+        let (queries, k) = (self.queries, self.k);
         let mut positions: Vec<usize> = part
             .groups
             .iter()
@@ -819,28 +809,19 @@ where
         let mut gammas = Vec::with_capacity(positions.len());
         let mut coords = Vec::new();
         for &p in &positions {
-            gammas.push(part.gamma_k[p]);
+            gammas.push(caps[p]);
             coords.extend_from_slice(queries.get(p));
         }
-        let dim = if positions.is_empty() {
-            0
-        } else {
-            coords.len() / positions.len()
+        let dim = coords.len().checked_div(positions.len()).unwrap_or(0);
+        let slot = |q: &usize| {
+            let slot = positions.binary_search(q);
+            slot.expect("group member collected into the query table") as u16
         };
         let groups: Vec<WireGroup> = part
             .groups
             .iter()
             .map(|g| {
-                let mut members: Vec<u16> = g
-                    .queries
-                    .iter()
-                    .map(|&q| {
-                        positions
-                            .binary_search(&q)
-                            .expect("group member collected into the query table")
-                            as u16
-                    })
-                    .collect();
+                let mut members: Vec<u16> = g.queries.iter().map(slot).collect();
                 // The wire carries member *sets* (a bitmap over the
                 // query table); order within a group cannot affect
                 // results — each member feeds only its own accumulator.
@@ -853,7 +834,7 @@ where
             .collect();
         let request = QueryRequest {
             k: k as u16,
-            shrink: 1.0 + config.epsilon,
+            shrink: 1.0 + self.index.rbc.config().epsilon,
             dim: dim as u16,
             gammas,
             coords,
@@ -1133,6 +1114,30 @@ mod tests {
             }
         }
         assert!(verified_prefixes > 0);
+        // Not too tight either: no point of node 0's lists is nearer than
+        // m = min over them of ρ(q, rep) − ψ (from a matrix of its own), so
+        // a degraded answer holds every exact neighbour strictly inside m.
+        let lists = dist.rbc().lists();
+        let reps = db.subset(dist.rbc().rep_indices());
+        let (rep_dists, _) = BruteForce::new().pairwise(&queries, &reps, &Euclidean);
+        let dead: Vec<usize> = (0..lists.len())
+            .filter(|&l| dist.placement().replicas_of_list[l] == [0])
+            .collect();
+        for qi in (0..queries.len()).filter(|&qi| stats.degraded[qi]) {
+            let row = &rep_dists[qi * lists.len()..][..lists.len()];
+            let bounds = dead.iter().map(|&l| row[l] - lists[l].radius);
+            let m = bounds.fold(Dist::INFINITY, Dist::min);
+            let safe = want[qi].iter().filter(|n| n.dist < m).count();
+            assert!(
+                got[qi].len() >= safe,
+                "query {qi}: {} of the {safe} neighbours inside {m}",
+                got[qi].len()
+            );
+        }
+        assert!(
+            (0..queries.len()).any(|qi| stats.degraded[qi] && !got[qi].is_empty()),
+            "every degraded answer is empty"
+        );
         // The cumulative counters saw the degradation.
         assert_eq!(dist.load().degraded_queries(), stats.degraded_queries());
         assert_eq!(dist.load().lost_groups(), stats.lost_groups);

@@ -48,11 +48,12 @@
 //! routed list-major protocol
 //! ([`query_batch_exact`](DistributedRbc::query_batch_exact)):
 //!
-//! 1. **Plan once, centrally.** The coordinator runs one dense `BF(Q, R)`
-//!    pass and the paper's pruning rules against `γ_k`
-//!    (`rbc_core::batch_plan::seeded_survivors`): each query keeps a
-//!    collector seeded with the representatives and a row of surviving
-//!    lists.
+//! 1. **Plan once, centrally.** The coordinator runs the centralized
+//!    search's stage 1 (`rbc_core::ExactRbc::stage1`, no matrix kept): each
+//!    query keeps a collector seeded with the representatives and a row of
+//!    surviving lists. Steps 2–4 are that search's stage-2 driver
+//!    (`rbc_core::batch_plan::Candidates::nearest_then_rest`) with fan-out
+//!    rounds as its executor.
 //! 2. **Round one: nearest list first, where it lives.** Each query's
 //!    nearest surviving list — the list the centralized search scans first
 //!    (its phase A) — is inverted into a
@@ -60,9 +61,8 @@
 //! 3. **Re-plan between the rounds.** The round-one partials are merged
 //!    into the seeded collectors, and each query's threshold `τ_q` drops
 //!    every remaining list whose run it already empties — the centralized
-//!    search's re-plan (`rbc_core::batch_plan::replan`, the same function),
-//!    made where the thresholds come back. Only thresholds cross the
-//!    network, never lists.
+//!    search's re-plan, made where the thresholds come back. Only
+//!    thresholds cross the network, never lists.
 //! 4. **Round two: the rest, capped by `τ_q`.** What is left goes out with
 //!    `τ_q` as each query's cap, and the coordinator merges seeds, round
 //!    one and round two. With `epsilon == 0` the merged answers are
@@ -75,8 +75,9 @@
 //! message per round carrying the distinct query payloads its groups need
 //! — not one message per `(query, node)` pair, so headers amortise and
 //! bytes on the wire grow sublinearly in the batch size. Each node runs
-//! the shared stage 2 (`rbc_core::batch_plan::Stage2::nearest_then_rest`)
-//! over its pairs, each list streamed once per group through
+//! the same driver over its pairs with the in-process group scans as the
+//! executor (`rbc_core::batch_plan::Stage2::nearest_then_rest`), each list
+//! streamed once per group through
 //! `rbc_bruteforce::BruteForce::knn_group_in_list`, and replies with
 //! per-query partial top-k sets.
 //!

@@ -30,7 +30,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use rbc_bruteforce::{BfConfig, BruteForce, ListMirror, TopK};
-use rbc_core::batch_plan::{nearest_entry, CandidateRow, ListBounds, ListView, Stage2};
+use rbc_core::batch_plan::{CandidateRow, Candidates, ListBounds, ListView, Stage2};
 use rbc_core::ExactRbc;
 use rbc_metric::{Dataset, Dist, Metric, VectorSet, VectorSetBuilder};
 
@@ -203,7 +203,8 @@ impl<M: Metric<[f32]>> NodeShard<M> {
     /// A static message when the request is inconsistent with this
     /// shard (wrong dimension, a list not placed here, `k == 0`), when a
     /// group's members are not strictly ascending or reach past the query
-    /// table, or when `shrink` is not finite or is below 1.
+    /// table, when a query is a member of two groups of one list, or when
+    /// `shrink` is not finite or is below 1.
     pub fn execute(&self, request: &QueryRequest) -> Result<QueryReply, &'static str> {
         let k = request.k as usize;
         if k == 0 {
@@ -220,8 +221,10 @@ impl<M: Metric<[f32]>> NodeShard<M> {
         let queries = VectorSet::from_flat(request.coords.clone(), self.dim.max(1));
         let accumulators: Vec<Mutex<TopK>> = (0..nq).map(|_| Mutex::new(TopK::new(k))).collect();
         // The routed pairs by query, each with its `ρ(q, rep_ℓ)`; lists are
-        // named by shard slot. A member repeated within a group would scan
-        // its list twice for that query and could admit a point twice.
+        // named by shard slot. A pair repeated, within a group or across two
+        // groups of one list, would scan its list twice for that query and
+        // could admit a point twice. Two groups of one list with disjoint
+        // members are the chunks of a split hot group routed to one home.
         let mut rows = vec![CandidateRow::new(); nq];
         for group in &request.groups {
             let &slot = self
@@ -236,8 +239,12 @@ impl<M: Metric<[f32]>> NodeShard<M> {
             }
             let rep_coords = &self.lists[slot].rep_coords;
             for &m in &group.members {
+                let row = &mut rows[m as usize];
+                if row.iter().any(|&(listed, _)| listed == slot) {
+                    return Err("a query is a member of two groups of one list");
+                }
                 let d_to_rep = self.metric.dist(queries.point(m as usize), rep_coords);
-                rows[m as usize].push((slot, d_to_rep));
+                row.push((slot, d_to_rep));
             }
         }
         let stage2 = Stage2 {
@@ -259,9 +266,9 @@ impl<M: Metric<[f32]>> NodeShard<M> {
             sorted_cut: true,
             skip: Some(&self.rep_flags),
         };
-        let nearest: Vec<Option<usize>> = rows.iter().map(|row| nearest_entry(row)).collect();
+        let candidates = Candidates::new(rows);
         let evals = stage2
-            .nearest_then_rest(&rows, &nearest, &request.gammas, &accumulators)
+            .nearest_then_rest(&candidates, &request.gammas, &accumulators)
             .list_distance_evals;
         let results = accumulators
             .into_iter()

@@ -13,7 +13,6 @@
 
 use proptest::prelude::*;
 use rbc_bruteforce::BruteForce;
-use rbc_core::batch_plan::{nearest_entry, seeded_survivors};
 use rbc_core::{ExactRbc, RbcConfig, RbcParams};
 use rbc_distributed::{
     eval_skew, ClusterConfig, DistributedRbc, NodeLoad, Placement, PlacementPolicy,
@@ -443,10 +442,9 @@ fn round_nodes(
     k: usize,
 ) -> (Option<usize>, Vec<usize>) {
     let db = rbc.database();
-    let reps = db.subset(rbc.rep_indices());
-    let (rep_dists, _) = BruteForce::new().pairwise(&QueryBatch::new(&[query]), &reps, &Euclidean);
-    let (_, rows) = seeded_survivors(&rep_dists, rbc.lists(), k, rbc.config());
-    let owner = nearest_entry(&rows[0]).and_then(|at| {
+    let (_, candidates, _) = rbc.stage1(&QueryBatch::new(&[query]), k);
+    let rows = &candidates.rows;
+    let owner = candidates.nearest[0].and_then(|at| {
         placement.replicas_of_list[rows[0][at].0]
             .iter()
             .min()

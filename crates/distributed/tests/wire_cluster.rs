@@ -16,7 +16,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rbc_bruteforce::{BruteForce, Neighbor};
-use rbc_core::batch_plan::seeded_survivors;
 use rbc_core::{ExactRbc, RbcConfig, RbcParams};
 use rbc_distributed::net::{
     spawn_local_cluster, CodecError, InFlight, NetConfig, NetError, NodeServer, NodeShard,
@@ -429,7 +428,8 @@ fn shard_without_a_querys_near_lists_still_contributes_exactly() {
         let query = [queries.point(qi)];
         let (rep_dists, _) =
             BruteForce::new().pairwise(&QueryBatch::new(&query), &reps, &Euclidean);
-        let (seeded, rows) = seeded_survivors(&rep_dists, rbc.lists(), k, rbc.config());
+        let (seeded, candidates, _) = rbc.stage1(&QueryBatch::new(&query), k);
+        let rows = candidates.rows;
         let mut by_nearness: Vec<usize> = (0..rep_dists.len()).collect();
         by_nearness.sort_by(|&a, &b| rep_dists[a].total_cmp(&rep_dists[b]));
         // Three lists have at most three owners: one of four nodes is far.
@@ -558,6 +558,83 @@ fn a_group_member_past_the_table_or_out_of_order_is_refused() {
             shard.execute(&request(members.clone())).is_err(),
             "execute accepted members {members:?}"
         );
+    }
+}
+
+/// A query is a member of at most one group of a list: a second would scan
+/// the list twice for it and admit its points twice. Two groups of one
+/// list with disjoint members — a split hot group whose chunks were routed
+/// to one home — are one group.
+#[test]
+fn a_query_in_two_groups_of_one_list_is_refused() {
+    let (db, queries) = clustered(300, 2, 41);
+    let rbc = build_rbc(&db, 41, 16);
+    let index = DistributedRbc::from_exact_with_policy(
+        rbc.clone(),
+        ClusterConfig::with_nodes(1),
+        PlacementPolicy::SingleOwner,
+        db.dim(),
+    );
+    let shard = NodeShard::from_exact(&rbc, index.placement(), 0);
+    let request = |groups: &[&[u16]]| QueryRequest {
+        k: 5,
+        shrink: 1.0,
+        dim: db.dim() as u16,
+        gammas: vec![f64::INFINITY; 2],
+        coords: [queries.point(0), queries.point(1)].concat(),
+        groups: groups
+            .iter()
+            .map(|members| WireGroup {
+                list_index: 0,
+                members: members.to_vec(),
+            })
+            .collect(),
+    };
+    for groups in [&[&[0u16][..], &[0]][..], &[&[0], &[0, 1]]] {
+        assert!(
+            shard.execute(&request(groups)).is_err(),
+            "execute accepted groups {groups:?}"
+        );
+    }
+    let split = shard
+        .execute(&request(&[&[0], &[1]]))
+        .expect("disjoint chunks");
+    let whole = shard.execute(&request(&[&[0, 1]])).expect("one group");
+    assert_eq!(split, whole);
+}
+
+/// A query with a NaN coordinate measures NaN to every representative, so
+/// no pruning rule or cut ever fires for it. Through the cluster — either
+/// placement, in process and over loopback — it must not panic, degrade
+/// or disturb its batch: its answer is the centralized search's, and the
+/// finite query beside it gets its brute-force answer.
+#[test]
+fn a_nan_query_through_the_cluster_is_answered_as_centrally() {
+    let (db, queries) = clustered(800, 1, 43);
+    let rbc = build_rbc(&db, 43, 28);
+    let mut poisoned = queries.point(0).to_vec();
+    poisoned[2] = f32::NAN;
+    let finite = queries.point(0);
+    let rows = [&poisoned[..], finite];
+    let batch = QueryBatch::new(&rows);
+    let k = 5;
+    let (want, _) = rbc.query_batch_k(&batch, k);
+    let (truth, _) = BruteForce::new().knn_single(finite, &db, &Euclidean, k);
+    for policy in [
+        PlacementPolicy::SingleOwner,
+        PlacementPolicy::Replicated { factor: 2 },
+    ] {
+        let (local, wired) = twins(&rbc, 4, policy, db.dim());
+        let cluster =
+            spawn_local_cluster(&wired, NetConfig::default(), false).expect("cluster must start");
+        let wired = wired.with_endpoints(cluster.endpoints());
+        for (index, transport) in [(&local, "in process"), (&wired, "loopback")] {
+            let (got, stats) = index.query_batch_exact(&batch, k);
+            assert_eq!(stats.degraded, vec![false; 2], "{policy:?} {transport}");
+            assert_eq!(got[1], truth, "{policy:?} {transport}");
+            assert_eq!(got[0], want[0], "{policy:?} {transport}");
+        }
+        cluster.shutdown();
     }
 }
 
