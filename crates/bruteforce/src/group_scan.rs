@@ -15,9 +15,10 @@
 //!
 //! **Screened.** Inside its run a cursor scores a block of lane groups at a
 //! time, each group masked by a screen against the cursor's top-k threshold
-//! — [`Metric::screen_lanes`] over a mirror of `f32` lanes, sixteen groups
-//! of the run per call, [`Metric::screen_codes`] over one of `u8` codes, one
-//! block per call; for the Euclidean metrics one pure `f32` pass that may
+//! — [`Metric::screen_lanes`] over a mirror of `f32` lanes, a window of
+//! sixteen groups per call for up to [`SCREEN_QUERIES`] cursors at once,
+//! [`Metric::screen_codes`] over one of `u8` codes, one block per call and
+//! cursor; for the Euclidean metrics one pure `f32` pass that may
 //! clear a lane only when its distance is certainly above the threshold at
 //! the call, and so above every later one. A cleared lane is neither scored
 //! nor offered, and a group left without a kept lane is done. The screen
@@ -43,19 +44,25 @@
 //! (`shrink == 1.0`) answers are those of a full private scan; `TopK`
 //! breaks ties deterministically.
 //!
-//! **Shared.** A group's cursors scan one after another on one thread, so
-//! the list is fetched from memory once per group scan and every cursor
-//! after the first finds its tiles in cache (a √n-sized list at n = 10⁶ is
-//! 64 KB of mirror): the traffic saving of list-major batching, which
-//! [`GroupScanStats::tile_passes`] counts. Each cursor scans into a private
-//! copy of its query's accumulator, and hands it over whole when no other
-//! scan admitted anything into the query's accumulator in the meantime.
+//! **Shared.** A group's cursors run on one thread in *tiles* of up to
+//! [`SCREEN_QUERIES`], taken in ascending `d_to_rep`, so that the runs of a
+//! tile overlap. A tile walks the union of its cursors' runs one window at
+//! a time, and the screen loads each lane group of a window once for every
+//! cursor of the tile whose run reaches into it; each cursor then scores
+//! the groups of the window inside its own run, in its own blocks, with
+//! its own re-clips, exactly as it would alone. So every cursor's
+//! evaluations, skips and answers are those of a scan of its own, and the
+//! list is fetched from memory once per group scan — the traffic saving
+//! of list-major batching, which [`GroupScanStats::tile_passes`] counts.
+//! Each cursor scans into a private copy of its query's accumulator, and
+//! hands it over whole when no other scan admitted anything into the
+//! query's accumulator in the meantime.
 
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Mutex;
 
-use rbc_metric::{BlockedVectors, CodedVectors, Dataset, Dist, Metric, LANES};
+use rbc_metric::{BlockedVectors, CodedVectors, Dataset, Dist, Metric, LANES, SCREEN_QUERIES};
 
 use crate::neighbor::Neighbor;
 use crate::primitive::BruteForce;
@@ -286,19 +293,30 @@ impl ListMirror {
         }
     }
 
-    /// Screens lane groups `groups` for query `q` against `bound`, with the
-    /// metric's screen for the kind of lanes held.
+    /// Screens lane groups `groups` for each of `queries` against its
+    /// bound, with the metric's screen for the kind of lanes held: query
+    /// `t`'s masks go to `keep[t * groups.len()..]`. An `f32` mirror loads
+    /// each group once for the whole tile; a coded one is screened query by
+    /// query.
     fn screen<T: ?Sized, M: Metric<T>>(
         &self,
         metric: &M,
-        q: &T,
+        queries: &[&T],
         groups: Range<usize>,
-        bound: Dist,
+        bounds: &[Dist],
         keep: &mut [u8],
     ) {
         match &self.lanes {
-            Lanes::Floats(blocks) => metric.screen_lanes(q, blocks.block(groups), bound, keep),
-            Lanes::Codes(codes) => metric.screen_codes(q, codes.block(groups), bound, keep),
+            Lanes::Floats(blocks) => {
+                metric.screen_lanes(queries, blocks.block(groups), bounds, keep)
+            }
+            Lanes::Codes(codes) => {
+                let width = groups.len();
+                for (t, (&q, &bound)) in queries.iter().zip(bounds).enumerate() {
+                    let keep = &mut keep[t * width..][..width];
+                    metric.screen_codes(q, codes.block(groups.clone()), bound, keep);
+                }
+            }
         }
     }
 }
@@ -313,14 +331,79 @@ fn live_lanes(group: &[usize], skip: Option<&[bool]>) -> u8 {
 /// Scan state reused across a thread's scans, so the steady state
 /// allocates nothing per (cursor, list) pair.
 struct Scratch {
-    /// A cursor's private collector: seeded from the shared accumulator
+    /// One slot per cursor of a tile.
+    slots: Vec<Slot>,
+    /// The group's cursors by position, in ascending `d_to_rep`.
+    order: Vec<usize>,
+    /// Per lane group of the list: did any cursor score it? A tile with a
+    /// scored group is a tile pass.
+    scored: Vec<bool>,
+}
+
+/// One cursor of a tile, mid-scan.
+struct Slot {
+    /// The cursor's position in the group.
+    at: usize,
+    cursor: GroupCursor,
+    /// What is left of the cursor's run: `run.start` is the next lane group
+    /// it scores.
+    run: Range<usize>,
+    /// Where the block of [`RECLIP_GROUPS`] groups being scored ends, and
+    /// the run may be re-clipped.
+    block_end: usize,
+    /// The bound the run was last clipped against.
+    bound: Dist,
+    /// The shared accumulator's admissions when `local` was seeded from it.
+    seen: u64,
+    /// The cursor's private collector: seeded from the shared accumulator
     /// when its scan starts, tightening from its own candidates only.
     local: TopK,
     /// Candidates `local` admitted — what the shared accumulator has not
     /// seen yet and is handed when the cursor's run is exhausted.
     fresh: Vec<Neighbor>,
-    /// Per tile of the list: did any cursor score a lane group in it?
-    touched: Vec<bool>,
+    work: CursorWork,
+}
+
+impl Slot {
+    fn new() -> Self {
+        Self {
+            at: 0,
+            cursor: GroupCursor::default(),
+            run: 0..0,
+            block_end: 0,
+            bound: Dist::INFINITY,
+            seen: 0,
+            local: TopK::new(1),
+            fresh: Vec::new(),
+            work: CursorWork::default(),
+        }
+    }
+
+    /// Readies the slot for the cursor at position `at` of its group, whose
+    /// entry run is `run`, seeding its collector from the `shared`
+    /// accumulator.
+    fn seed(&mut self, at: usize, cursor: GroupCursor, run: Range<usize>, shared: &TopK) {
+        self.local.clone_from(shared);
+        self.seen = shared.admissions;
+        self.bound = shared.threshold().min(cursor.threshold_cap);
+        self.block_end = (run.start + RECLIP_GROUPS).min(run.end);
+        (self.at, self.cursor, self.run) = (at, cursor, run);
+        self.work = CursorWork::default();
+    }
+
+    /// Closes the block that ended at `run.start`: when it tightened the
+    /// threshold so far that an end group of the rest of the run is cut,
+    /// the rest is re-clipped. Then the next block begins.
+    fn next_block<D: Dataset, M: Metric<D::Item>>(&mut self, list: &ListScan<'_, D, M>) {
+        let tightened = self.local.threshold().min(self.cursor.threshold_cap);
+        if tightened < self.bound && !self.run.is_empty() {
+            self.bound = tightened;
+            if list.ends_can_move(&self.cursor, tightened, &self.run) {
+                self.run = list.clip(&self.cursor, tightened, self.run.clone());
+            }
+        }
+        self.block_end = (self.run.start + RECLIP_GROUPS).min(self.run.end);
+    }
 }
 
 thread_local! {
@@ -427,17 +510,31 @@ where
         self.members.len().div_ceil(LANES)
     }
 
-    /// This thread's scratch, with no tile of this list touched yet.
+    /// This thread's scratch, with no lane group of this list scored yet.
     fn scratch(&self) -> Scratch {
         let mut scratch = SCRATCH.take().unwrap_or_else(|| Scratch {
-            local: TopK::new(1),
-            fresh: Vec::new(),
-            touched: Vec::new(),
+            slots: Vec::with_capacity(SCREEN_QUERIES),
+            order: Vec::new(),
+            scored: Vec::new(),
         });
-        scratch.touched.clear();
-        let tiles = self.groups().div_ceil(self.tile_groups);
-        scratch.touched.resize(tiles, false);
+        scratch.scored.clear();
+        scratch.scored.resize(self.groups(), false);
         scratch
+    }
+
+    /// Reads one entry of every cache line of the run-search summary. The
+    /// reads do not depend on each other, so their misses overlap, where the
+    /// first cursor's binary searches would wait for one miss after another
+    /// (`exact_batch`, one thread: ≈ 3 % of a query).
+    fn touch_summary(&self) {
+        let lines = self.summary.iter().step_by(4);
+        std::hint::black_box(lines.fold(0u64, |acc, ends| acc ^ ends.0.to_bits()));
+    }
+
+    /// The tiles of the list holding a lane group some cursor `scored`.
+    fn tile_passes(&self, scored: &[bool]) -> u64 {
+        let tiles = scored.chunks(self.tile_groups);
+        tiles.filter(|tile| tile.contains(&true)).count() as u64
     }
 
     /// The members of lane group `g` (fewer than `LANES` in the last one).
@@ -568,88 +665,192 @@ where
             || (run.len() == 1 && cursor.beyond(first.1, t))
     }
 
-    /// Scores `run` — what [`enter`](Self::enter) returned for `topk`'s
-    /// threshold — into `topk`, [`RECLIP_GROUPS`] lane groups at a time: the
-    /// block's masks come from a screen against an earlier or the current
-    /// threshold, its surviving groups are scored canonically, and when that
-    /// tightened the threshold so far that an end group of the rest of the
-    /// run is cut, the rest is re-clipped. `fresh` receives every candidate
-    /// `topk` let in, `touched` every tile a group of the run lies in.
-    fn scan(
+    /// Scans a tile's cursors ([`scan_tile`](Self::scan_tile)), hands each
+    /// one's collector over to its query's accumulator and adds its work
+    /// to `stats`, whose `points_skipped` starts at every member of every
+    /// cursor.
+    fn run_tile<Q: Dataset<Item = D::Item>>(
         &self,
-        cursor: &GroupCursor,
-        q: &D::Item,
-        mut run: Range<usize>,
-        topk: &mut TopK,
-        touched: &mut [bool],
-        fresh: &mut Vec<Neighbor>,
-    ) -> CursorWork {
-        let mut bound = topk.threshold().min(cursor.threshold_cap);
-        let mut work = CursorWork::default();
-        let mut lane_dists = [0.0 as Dist; LANES];
+        queries: &Q,
+        slots: &mut [Slot],
+        accumulators: &[Mutex<TopK>],
+        scored: &mut [bool],
+        stats: &mut GroupScanStats,
+    ) {
+        let Some(first) = slots.first() else {
+            return;
+        };
+        let mut items = [queries.get(first.cursor.query); SCREEN_QUERIES];
+        for (item, slot) in items.iter_mut().zip(slots.iter()) {
+            *item = queries.get(slot.cursor.query);
+        }
+        self.scan_tile(&items[..slots.len()], slots, scored);
+        for slot in slots {
+            if !slot.fresh.is_empty() {
+                let accumulator = &accumulators[slot.cursor.query];
+                let mut shared = accumulator.lock().expect("top-k accumulator lock poisoned");
+                hand_over(&mut shared, slot.seen, &mut slot.local, &mut slot.fresh);
+            }
+            stats.distance_evals += slot.work.evals;
+            stats.points_skipped -= slot.work.scored as u64;
+            stats.evals_per_cursor[slot.at] = slot.work.evals;
+            stats.reranked += slot.work.reranked;
+        }
+    }
+
+    /// Scores the runs of a tile's cursors — what [`enter`](Self::enter)
+    /// returned for their collectors' thresholds — into their collectors.
+    /// The tile walks the union of the runs a window of lane groups at a
+    /// time: one screen loads each group of the window once for every
+    /// cursor whose run reaches into it, against each one's threshold at the
+    /// call, and each cursor then scores the groups of the window inside its
+    /// own run. A cursor's run is consumed [`RECLIP_GROUPS`] groups at a
+    /// time from its own start, and re-clipped between its blocks, exactly
+    /// as if it were scanned alone; the window decides only which mask each
+    /// group is scored under. `queries[s]` is slot `s`'s query; `scored`
+    /// receives every group of the runs.
+    fn scan_tile(&self, queries: &[&D::Item], slots: &mut [Slot], scored: &mut [bool]) {
         let ahead = match self.mirror.map(|mirror| &mirror.lanes) {
             Some(Lanes::Floats(_)) => SCREEN_AHEAD_GROUPS,
             _ => RECLIP_GROUPS,
         };
-        // The masks of the lane groups `screened`, or every lane kept when
-        // there is no mirror to screen.
-        let mut masks = [u8::MAX; SCREEN_AHEAD_GROUPS];
-        let mut screened = 0..0;
-        while !run.is_empty() {
-            let block = run.start..(run.start + RECLIP_GROUPS).min(run.end);
-            // A lane the screen clears is above the threshold of the call
-            // and the threshold only falls, so `TopK` would turn it away
-            // whenever it got to it: it is neither scored nor offered.
-            let keep = match self.mirror {
-                Some(mirror) => {
-                    if block.end > screened.end {
-                        screened = block.start..(block.start + ahead).min(run.end);
-                        let keep = &mut masks[..screened.len()];
-                        mirror.screen(self.metric, q, screened.clone(), topk.threshold(), keep);
-                    }
-                    &masks[block.start - screened.start..][..block.len()]
-                }
-                None => &masks[..block.len()],
-            };
-            for (g, &keep) in block.clone().zip(keep) {
-                let live = self.live(g);
-                work.evals += u64::from(live.count_ones());
-                let kept = live & keep;
-                if kept == 0 {
-                    continue;
-                }
-                work.reranked += 1;
-                self.score(q, g, kept, &mut lane_dists);
-                // Whole-group admission filter: no kept lane at or under
-                // the current kth means no lane can enter the heap (ties
-                // can still be admitted by index order, hence `<=`).
-                let kth = topk.threshold();
-                let is_kept = |lane: usize| (kept >> lane) & 1 != 0;
-                let lanes = lane_dists.iter().enumerate();
-                if lanes.fold(false, |any, (lane, &d)| any | (is_kept(lane) & (d <= kth))) {
-                    for (lane, &d) in lane_dists.iter().enumerate() {
-                        // A dead lane may be padding, past the members' end.
-                        if is_kept(lane) {
-                            let candidate = Neighbor::new(self.members[g * LANES + lane], d);
-                            if topk.push(candidate) {
-                                fresh.push(candidate);
-                            }
-                        }
-                    }
+        // The masks of a window, one row per cursor screened, or every lane
+        // kept when there is no mirror to screen.
+        let mut masks = [u8::MAX; SCREEN_QUERIES * SCREEN_AHEAD_GROUPS];
+        let mut lane_dists = [0.0 as Dist; LANES];
+        loop {
+            // The window starts at the nearest group a cursor still needs.
+            let (mut start, mut reach) = (usize::MAX, 0);
+            for slot in slots.iter().filter(|slot| !slot.run.is_empty()) {
+                start = start.min(slot.run.start);
+                reach = reach.max(slot.run.end);
+            }
+            if start == usize::MAX {
+                return;
+            }
+            let window = start..reach.min(start + ahead);
+            // The cursors whose runs reach into the window.
+            let mut screened = [0; SCREEN_QUERIES];
+            let mut rows = 0;
+            for (s, slot) in slots.iter().enumerate() {
+                if !slot.run.is_empty() && slot.run.start < window.end {
+                    screened[rows] = s;
+                    rows += 1;
                 }
             }
-            work.scored += (block.end * LANES).min(self.members.len()) - block.start * LANES;
-            touched[block.start / self.tile_groups..=(block.end - 1) / self.tile_groups].fill(true);
-            run.start = block.end;
-            let tightened = topk.threshold().min(cursor.threshold_cap);
-            if tightened < bound && !run.is_empty() {
-                bound = tightened;
-                if self.ends_can_move(cursor, bound, &run) {
-                    run = self.clip(cursor, bound, run);
+            let screened = &screened[..rows];
+            if let Some(mirror) = self.mirror {
+                // A lane the screen clears is above its cursor's threshold
+                // at the call and thresholds only fall, so `TopK` would turn
+                // it away whenever it got to it: it is neither scored nor
+                // offered.
+                let mut tile = [queries[0]; SCREEN_QUERIES];
+                let mut bounds = [0.0; SCREEN_QUERIES];
+                for ((q, bound), &s) in tile.iter_mut().zip(&mut bounds).zip(screened) {
+                    (*q, *bound) = (queries[s], slots[s].local.threshold());
                 }
+                let keep = &mut masks[..rows * window.len()];
+                mirror.screen(
+                    self.metric,
+                    &tile[..rows],
+                    window.clone(),
+                    &bounds[..rows],
+                    keep,
+                );
+            }
+            for (row, &s) in screened.iter().enumerate() {
+                let keep = match self.mirror {
+                    Some(_) => &masks[row * window.len()..][..window.len()],
+                    None => &masks[..window.len()],
+                };
+                self.scan_window(
+                    queries[s],
+                    &mut slots[s],
+                    &window,
+                    keep,
+                    scored,
+                    &mut lane_dists,
+                );
             }
         }
-        work
+    }
+
+    /// Scores the groups of `window` inside a cursor's run under their
+    /// masks `keep`, block by block of the cursor's own, re-clipping
+    /// between its blocks.
+    fn scan_window(
+        &self,
+        q: &D::Item,
+        slot: &mut Slot,
+        window: &Range<usize>,
+        keep: &[u8],
+        scored: &mut [bool],
+        lane_dists: &mut [Dist; LANES],
+    ) {
+        let mut stop = window.end.min(slot.run.end);
+        while slot.run.start < stop {
+            // Up to the end of the window or of the cursor's block.
+            let segment = slot.run.start..stop.min(slot.block_end);
+            for g in segment.clone() {
+                // Every live lane is an evaluation; the kept ones are scored.
+                let live = self.live(g);
+                slot.work.evals += u64::from(live.count_ones());
+                let kept = live & keep[g - window.start];
+                if kept != 0 {
+                    self.score_group(q, slot, g, kept, lane_dists);
+                }
+            }
+            self.account(slot, segment.clone(), scored);
+            slot.run.start = segment.end;
+            if segment.end == slot.block_end {
+                slot.next_block(self);
+                stop = window.end.min(slot.run.end);
+            }
+        }
+    }
+
+    /// Counts the members of the lane groups `scored` as scored by the
+    /// cursor in `slot`, and the groups as scored by the group scan.
+    fn account(&self, slot: &mut Slot, groups: Range<usize>, scored: &mut [bool]) {
+        slot.work.scored += (groups.end * LANES).min(self.members.len()) - groups.start * LANES;
+        scored[groups].fill(true);
+    }
+
+    /// Scores the `kept` lanes of lane group `g` canonically for a cursor,
+    /// and offers those at or under its k-th distance to its collector.
+    fn score_group(
+        &self,
+        q: &D::Item,
+        slot: &mut Slot,
+        g: usize,
+        kept: u8,
+        lane_dists: &mut [Dist; LANES],
+    ) {
+        slot.work.reranked += 1;
+        self.score(q, g, kept, lane_dists);
+        // No kept lane at or under the k-th means none can enter the heap
+        // (ties can still be admitted by index order, hence `<=`). Past
+        // that, a lane above the k-th is turned away and is not offered; a
+        // NaN lane is, and `TopK` decides.
+        let kth = slot.local.threshold();
+        let (mut under, mut over) = (0u8, 0u8);
+        for (lane, &d) in lane_dists.iter().enumerate() {
+            under |= u8::from(d <= kth) << lane;
+            over |= u8::from(d > kth) << lane;
+        }
+        if kept & under == 0 {
+            return;
+        }
+        // A dead lane may be padding, past the members' end.
+        let mut offered = kept & !over;
+        while offered != 0 {
+            let lane = offered.trailing_zeros() as usize;
+            offered &= offered - 1;
+            let candidate = Neighbor::new(self.members[g * LANES + lane], lane_dists[lane]);
+            if slot.local.push(candidate) {
+                slot.fresh.push(candidate);
+            }
+        }
     }
 }
 
@@ -688,7 +889,7 @@ impl BruteForce {
     /// **Private, then merged.** Each cursor takes its accumulator's lock
     /// twice: once to read the threshold its run is clipped against, to
     /// note how many candidates the accumulator has admitted and to seed a
-    /// private `TopK`; once when its run is exhausted and the private copy
+    /// private `TopK`; once when its tile is done and the private copy
     /// admitted something. If the shared accumulator admitted nothing in
     /// between — always so for a query's only cursor in flight — the private
     /// copy *is* the merged result and the two are swapped; otherwise the
@@ -696,6 +897,12 @@ impl BruteForce {
     /// entries, which the shared accumulator already holds, so nothing is
     /// duplicated). All distance arithmetic runs outside the lock, so
     /// concurrent groups sharing a query never serialise their evaluations.
+    ///
+    /// **Tiled.** The cursors run in tiles (see the [module docs](self)),
+    /// each cursor with its own run, blocks and collector, so answers and
+    /// per-cursor evaluations are those of the cursors scanned one at a
+    /// time. A group names each query once; a cursor whose query is already
+    /// in the tile starts the next one, after the first has handed over.
     #[allow(clippy::too_many_arguments)] // deliberately a flat kernel signature
     pub fn knn_group_in_list<Q, D, M>(
         &self,
@@ -730,35 +937,52 @@ impl BruteForce {
         );
         let mut scratch = list.scratch();
         let Scratch {
-            local,
-            fresh,
-            touched,
+            slots,
+            order,
+            scored,
         } = &mut scratch;
         let mut stats = GroupScanStats {
-            evals_per_cursor: Vec::with_capacity(cursors.len()),
+            evals_per_cursor: vec![0; cursors.len()],
+            points_skipped: (members.len() * cursors.len()) as u64,
             ..GroupScanStats::default()
         };
-        for cursor in cursors {
+        list.touch_summary();
+        // Cursors near each other on the list's distance axis have runs
+        // that overlap: tile them in that order.
+        order.clear();
+        order.extend(0..cursors.len());
+        order.sort_by(|&a, &b| cursors[a].d_to_rep.total_cmp(&cursors[b].d_to_rep));
+        let mut len = 0;
+        for &at in order.iter() {
+            let cursor = cursors[at];
+            // A query's second cursor enters after its first has handed
+            // over, as it would one cursor at a time.
+            if slots[..len]
+                .iter()
+                .any(|slot| slot.cursor.query == cursor.query)
+            {
+                list.run_tile(queries, &mut slots[..len], accumulators, scored, &mut stats);
+                len = 0;
+            }
             let accumulator = &accumulators[cursor.query];
             let shared = accumulator.lock().expect("top-k accumulator lock poisoned");
-            let run = list.enter(cursor, shared.threshold());
-            let seen = shared.admissions;
-            if !run.is_empty() {
-                local.clone_from(&shared);
+            let run = list.enter(&cursor, shared.threshold());
+            if run.is_empty() {
+                continue;
             }
+            if slots.len() == len {
+                slots.push(Slot::new());
+            }
+            slots[len].seed(at, cursor, run, &shared);
             drop(shared);
-            let q = queries.get(cursor.query);
-            let work = list.scan(cursor, q, run, local, touched, fresh);
-            if !fresh.is_empty() {
-                let mut shared = accumulator.lock().expect("top-k accumulator lock poisoned");
-                hand_over(&mut shared, seen, local, fresh);
+            len += 1;
+            if len == SCREEN_QUERIES {
+                list.run_tile(queries, &mut slots[..len], accumulators, scored, &mut stats);
+                len = 0;
             }
-            stats.distance_evals += work.evals;
-            stats.points_skipped += (members.len() - work.scored) as u64;
-            stats.evals_per_cursor.push(work.evals);
-            stats.reranked += work.reranked;
         }
-        stats.tile_passes = touched.iter().filter(|&&t| t).count() as u64;
+        list.run_tile(queries, &mut slots[..len], accumulators, scored, &mut stats);
+        stats.tile_passes = list.tile_passes(scored);
         SCRATCH.set(Some(scratch));
         if rbc_trace::enabled() {
             record_group_scan(&stats);

@@ -781,7 +781,12 @@ impl BruteForce {
                                     let last =
                                         first + ((tile_end - pos) / LANES).min(SCREEN_GROUPS);
                                     let mut keep = [0u8; SCREEN_GROUPS];
-                                    metric.screen_lanes(q, b.block(first..last), bound, &mut keep);
+                                    metric.screen_lanes(
+                                        &[q],
+                                        b.block(first..last),
+                                        &[bound],
+                                        &mut keep,
+                                    );
                                     for (g, keep) in (first..last).zip(keep) {
                                         if keep != 0 {
                                             reranked += 1;

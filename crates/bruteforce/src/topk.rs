@@ -17,6 +17,8 @@
 //! [`BruteForce::select_with`](crate::BruteForce::select_with)) decides
 //! which one it fills.
 
+use std::hint::select_unpredictable;
+
 use crate::neighbor::Neighbor;
 use rbc_metric::Dist;
 
@@ -88,6 +90,34 @@ impl TopK {
         }
     }
 
+    /// The collector that pushing every one of `candidates` into
+    /// [`TopK::new(k)`](Self::new) would leave: the `k` smallest in
+    /// [`Neighbor`]'s order, selected in one pass and made a heap once,
+    /// instead of sifted in one candidate at a time. `candidates` is left
+    /// empty (its allocation is the caller's to reuse); `admissions` counts
+    /// the neighbours kept.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`.
+    pub fn from_candidates(k: usize, candidates: &mut Vec<Neighbor>) -> Self {
+        assert!(k > 0, "k must be at least 1");
+        if candidates.len() > k {
+            candidates.select_nth_unstable(k - 1);
+            candidates.truncate(k);
+        }
+        let mut heap = Vec::with_capacity(k);
+        heap.append(candidates);
+        let mut topk = Self {
+            k,
+            admissions: heap.len() as u64,
+            heap,
+        };
+        for i in (0..topk.heap.len() / 2).rev() {
+            topk.sift_down(i);
+        }
+        topk
+    }
+
     /// The `k` this collector was created with.
     pub fn k(&self) -> usize {
         self.k
@@ -157,35 +187,45 @@ impl TopK {
         self.heap.iter().copied().min()
     }
 
+    /// Moves the neighbour at `i` up to its place. The entry is held out
+    /// of the heap while its parents move down into the hole, so each
+    /// level costs one comparison and one move, not a swap.
     fn sift_up(&mut self, mut i: usize) {
+        let heap = &mut self.heap[..];
+        let item = heap[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.heap[i] > self.heap[parent] {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
+            if item <= heap[parent] {
                 break;
             }
+            heap[i] = heap[parent];
+            i = parent;
         }
+        heap[i] = item;
     }
 
+    /// Moves the neighbour at `i` down to its place, holding it out of the
+    /// heap as [`sift_up`](Self::sift_up) does. The larger child is chosen
+    /// without a branch: which one it is depends on the data alone, and a
+    /// mispredicted choice at every level was most of an admission's cost.
+    /// The heap ends exactly as a swap-based sift leaves it.
     fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
+        let heap = &mut self.heap[..];
+        let item = heap[i];
         loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut largest = i;
-            if l < n && self.heap[l] > self.heap[largest] {
-                largest = l;
-            }
-            if r < n && self.heap[r] > self.heap[largest] {
-                largest = r;
-            }
-            if largest == i {
+            let left = 2 * i + 1;
+            let Some(&left_child) = heap.get(left) else {
+                break;
+            };
+            let right_wins = heap.get(left + 1).is_some_and(|right| *right > left_child);
+            let child = select_unpredictable(right_wins, left + 1, left);
+            if heap[child] <= item {
                 break;
             }
-            self.heap.swap(i, largest);
-            i = largest;
+            heap[i] = heap[child];
+            i = child;
         }
+        heap[i] = item;
     }
 }
 
@@ -324,6 +364,29 @@ mod tests {
             let mut heap = TopK::new(k);
             stream.iter().for_each(|&cand| { heap.push(cand); });
             prop_assert_eq!(select_sorted(k, &stream), heap.into_sorted());
+        }
+
+        /// A collector built from its candidates in one step holds what
+        /// pushing them one at a time leaves, reports the same threshold,
+        /// and goes on admitting exactly what the pushed one admits.
+        #[test]
+        fn a_collector_built_from_candidates_equals_one_pushed_into(
+            entries in prop::collection::vec((0u8..6, 0u32..1_000_000), 0..60),
+            later in prop::collection::vec((0u8..6, 0u32..1_000_000), 0..20),
+            k in 1usize..12,
+        ) {
+            let stream = arrivals(&entries, |level| Dist::from(level) * 0.5);
+            let mut pushed = TopK::new(k);
+            stream.iter().for_each(|&cand| { pushed.push(cand); });
+            let mut candidates = stream.clone();
+            let mut built = TopK::from_candidates(k, &mut candidates);
+            prop_assert!(candidates.is_empty());
+            prop_assert_eq!(built.threshold().to_bits(), pushed.threshold().to_bits());
+            for cand in arrivals(&later, |level| Dist::from(level) * 0.5) {
+                prop_assert_eq!(built.push(cand), pushed.push(cand));
+                prop_assert_eq!(built.threshold().to_bits(), pushed.threshold().to_bits());
+            }
+            prop_assert_eq!(built.into_sorted(), pushed.into_sorted());
         }
 
         /// Levels 0 and 1 are NaNs of either sign, arriving anywhere in the

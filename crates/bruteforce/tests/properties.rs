@@ -252,3 +252,130 @@ proptest! {
         }
     }
 }
+
+/// Shapes of a tiled group scan's cursor: at or near its own query's true
+/// distance to the representative, a NaN distance, far outside the list
+/// with a zero cap (an empty run), or with a finite cap.
+#[derive(Clone, Copy, Debug)]
+enum CursorShape {
+    True,
+    Nan,
+    Empty,
+    Capped,
+}
+
+impl CursorShape {
+    /// Half true cursors, a quarter capped, an eighth each NaN and empty.
+    fn from_draw(draw: usize) -> Self {
+        match draw % 8 {
+            0..=3 => Self::True,
+            4 | 5 => Self::Capped,
+            6 => Self::Nan,
+            _ => Self::Empty,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A group scan runs its cursors in tiles; each tile screens a lane
+    /// group once for all its cursors, but every cursor keeps its own run,
+    /// blocks, re-clips and collector. So a group of up to nine cursors
+    /// gives the same answers, the same evaluations per cursor and the same
+    /// skipped members as the same cursors scanned one group scan each —
+    /// with `f32` lanes, coded lanes and none, with NaN distances to the
+    /// representative, `+∞` and finite caps, empty runs and flagged members.
+    #[test]
+    fn a_tiled_group_scan_equals_its_cursors_scanned_one_at_a_time(
+        (seed, n, k, db_tile) in (any::<u64>(), 1usize..=200, 1usize..=6, 0usize..4),
+        draws in prop::collection::vec(0usize..8, 1..=9),
+        flagged in prop::collection::vec(0usize..200, 0..12),
+        seeded in any::<bool>(),
+    ) {
+        use rbc_bruteforce::{GroupCursor, ListMirror, TopK};
+        use std::sync::Mutex;
+        let shapes: Vec<CursorShape> = draws.into_iter().map(CursorShape::from_draw).collect();
+        let mut next = unit_stream(seed);
+        let mut cloud = |len: usize| -> Vec<Vec<f32>> {
+            (0..len).map(|_| (0..DIM).map(|_| next() * 10.0).collect()).collect()
+        };
+        let rows = cloud(n);
+        let q_rows = cloud(shapes.len());
+        let rep = vec![0.0f32; DIM];
+        let db = VectorSet::from_rows(&rows);
+        let queries = VectorSet::from_rows(&q_rows);
+        // The list: every point, sorted by distance to the representative.
+        let mut order: Vec<(f64, usize)> =
+            (0..n).map(|i| (Euclidean.dist(db.point(i), &rep), i)).collect();
+        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let members: Vec<usize> = order.iter().map(|&(_, i)| i).collect();
+        let member_dists: Vec<f64> = order.iter().map(|&(d, _)| d).collect();
+        let mut skip = vec![false; n];
+        for &i in &flagged {
+            skip[i % n] = true;
+        }
+        let cursors: Vec<GroupCursor> = shapes
+            .iter()
+            .enumerate()
+            .map(|(qi, shape)| {
+                let d_to_rep = Euclidean.dist(queries.point(qi), &rep);
+                let (d_to_rep, threshold_cap) = match shape {
+                    CursorShape::True => (d_to_rep, f64::INFINITY),
+                    CursorShape::Nan => (f64::NAN, f64::INFINITY),
+                    CursorShape::Empty => (d_to_rep + 1e3, 0.0),
+                    CursorShape::Capped => (d_to_rep, 2.0),
+                };
+                GroupCursor { query: qi, d_to_rep, threshold_cap }
+            })
+            .collect();
+        // Accumulators seeded as the exact search seeds them, with points
+        // from outside the list, or empty.
+        let accumulators = || -> Vec<Mutex<TopK>> {
+            (0..shapes.len())
+                .map(|qi| {
+                    let mut topk = TopK::new(k);
+                    if seeded {
+                        topk.push(Neighbor::new(n + qi, 3.0 + qi as f64 * 0.25));
+                    }
+                    Mutex::new(topk)
+                })
+                .collect()
+        };
+        let bf = BruteForce::with_config(BfConfig {
+            db_tile: DB_TILES[db_tile],
+            ..BfConfig::sequential()
+        });
+        let floats = ListMirror::gather(&db, &members, Some(&member_dists), Some(&skip));
+        let codes = ListMirror::gather_codes(&db, &members, Some(&member_dists), Some(&skip));
+        for mirror in [floats.as_ref(), codes.as_ref(), None] {
+            let scan = |cursors: &[GroupCursor], accumulators: &[Mutex<TopK>]| {
+                bf.knn_group_in_list(
+                    &queries, &db, &Euclidean, &members, &member_dists, cursors, 1.0, true,
+                    Some(&skip), mirror, accumulators,
+                )
+            };
+            let together = accumulators();
+            let stats = scan(&cursors, &together);
+            let alone = accumulators();
+            let mut evals = Vec::new();
+            let mut skipped = 0;
+            for cursor in &cursors {
+                let single = scan(std::slice::from_ref(cursor), &alone);
+                evals.extend(single.evals_per_cursor);
+                skipped += single.points_skipped;
+            }
+            let answers = |accumulators: Vec<Mutex<TopK>>| -> Vec<Vec<(usize, u64)>> {
+                accumulators
+                    .into_iter()
+                    .map(|m| m.into_inner().unwrap().into_sorted().iter().map(bits).collect())
+                    .collect()
+            };
+            let case = format!("mirror {} shapes {:?}", mirror.is_some(), shapes);
+            prop_assert_eq!(answers(together), answers(alone), "{}", case);
+            prop_assert_eq!(&stats.evals_per_cursor, &evals, "{}", case);
+            prop_assert_eq!(stats.distance_evals, evals.iter().sum::<u64>(), "{}", case);
+            prop_assert_eq!(stats.points_skipped, skipped, "{}", case);
+        }
+    }
+}

@@ -78,9 +78,6 @@ pub struct BatchPlan {
     pub groups: Vec<ListGroup>,
     /// Number of queries the plan covers.
     pub queries: usize,
-    /// Total (query, list) scan pairs — the number of list scans the batch's
-    /// queries would perform one at a time.
-    pub pairs: usize,
 }
 
 impl BatchPlan {
@@ -128,10 +125,8 @@ impl BatchPlan {
     ) -> Self {
         // Largest scans first: work ≈ queries × list members streamed.
         let work = |g: &ListGroup| g.queries.len() * lists[g.list_index].len();
-        let groups = invert(pairs, lists.len(), work);
         Self {
-            pairs: groups.iter().map(|group| group.queries.len()).sum(),
-            groups,
+            groups: invert(pairs, lists.len(), work),
             queries,
         }
     }
@@ -141,8 +136,7 @@ impl BatchPlan {
     /// ties broken towards the lower list index, the rule of every
     /// `BF(q, R)` reduction), then the crate's `group_by_nearest`, which
     /// the in-process one-shot search also ends in. A row with no
-    /// nearest entry (all NaN) joins no group, and `pairs` counts the
-    /// queries that joined one.
+    /// nearest entry (all NaN) joins no group.
     ///
     /// # Panics
     /// Panics if `rep_dists.len()` is not a multiple of `n_lists`.
@@ -158,10 +152,8 @@ impl BatchPlan {
                 .map(|(ri, &d)| Neighbor::new(ri, d))
                 .fold(Neighbor::farthest(), Neighbor::closer)
         });
-        let groups = group_by_nearest(nearest, n_lists);
         Self {
-            pairs: groups.iter().map(|group| group.queries.len()).sum(),
-            groups,
+            groups: group_by_nearest(nearest, n_lists),
             queries: rep_dists.len() / n_lists,
         }
     }
@@ -178,9 +170,7 @@ impl BatchPlan {
     /// picks the least-loaded **live** replica of each group's list, and a
     /// group whose replicas are all dead comes back in the unroutable set.
     /// `queries` is carried into every sub-plan (accumulator slices stay
-    /// indexed by batch position), while `pairs` is recomputed per owner so
-    /// each sub-plan's [`sharing_factor`](Self::sharing_factor) describes
-    /// only the work that owner performs. Executing every sub-plan and
+    /// indexed by batch position). Executing every sub-plan and
     /// merging the per-query partial top-k results is equivalent to
     /// executing the whole plan minus the unroutable groups (see
     /// `rbc-distributed`).
@@ -195,7 +185,6 @@ impl BatchPlan {
             .map(|_| BatchPlan {
                 groups: Vec::new(),
                 queries: self.queries,
-                pairs: 0,
             })
             .collect();
         let mut unroutable = Vec::new();
@@ -207,24 +196,12 @@ impl BatchPlan {
                         "list {} routed to {owner}, but only {owners} owners exist",
                         group.list_index
                     );
-                    parts[owner].pairs += group.queries.len();
                     parts[owner].groups.push(group.clone());
                 }
                 None => unroutable.push(group.clone()),
             }
         }
         (parts, unroutable)
-    }
-
-    /// Mean number of queries sharing each planned list scan — how many
-    /// one-query scans one shared scan replaces.
-    /// `0.0` for an empty plan.
-    pub fn sharing_factor(&self) -> f64 {
-        if self.groups.is_empty() {
-            0.0
-        } else {
-            self.pairs as f64 / self.groups.len() as f64
-        }
     }
 }
 
@@ -761,9 +738,11 @@ fn for_each_set(mask: &[u64], mut visit: impl FnMut(usize)) {
 }
 
 thread_local! {
-    /// The per-thread scratch of [`survivors`] (a row's mask) and of
-    /// [`replan`] (the compacted entries).
+    /// The per-thread scratch of [`survivors`] (a row's mask and the
+    /// representatives it seeds from) and of [`replan`] (the compacted
+    /// entries).
     static MASK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    static SEEDS: RefCell<Vec<Neighbor>> = const { RefCell::new(Vec::new()) };
     static ENTRIES: RefCell<Vec<(usize, GroupCursor)>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -783,7 +762,8 @@ thread_local! {
 /// No entry is tested behind a branch: the largest of `k` chunk minima
 /// bounds `γ_k` from above (each chunk holds an entry at or under it), so
 /// one [`cut_mask`] picks the few entries the collector must see, and a
-/// second applies eq. 1 / eq. 2; only set bits are visited.
+/// second applies eq. 1 / eq. 2; only set bits are visited. The collector is
+/// built from the few in one step ([`TopK::from_candidates`]).
 pub(crate) fn survivors(
     row: &[Dist],
     reps: &[usize],
@@ -803,11 +783,13 @@ pub(crate) fn survivors(
         // A NaN shift turns eq. 1's cut off; a NaN passes the cap but never
         // seeds.
         cut_mask(row, &bounds.radius, Dist::NAN, bound, mask);
-        let mut seeded = TopK::new(k);
-        for_each_set(mask, |ri| {
-            if !row[ri].is_nan() {
-                seeded.push(Neighbor::new(reps[ri], row[ri]));
-            }
+        let seeded = SEEDS.with_borrow_mut(|seeds| {
+            for_each_set(mask, |ri| {
+                if !row[ri].is_nan() {
+                    seeds.push(Neighbor::new(reps[ri], row[ri]));
+                }
+            });
+            TopK::from_candidates(k, seeds)
         });
         // eq. (1): every owned point is at distance ≥ ρ(q, r) − ψ_r ≥
         // γ/(1+ε), so the list cannot improve the answer beyond the allowed
@@ -848,6 +830,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rbc_metric::{Euclidean, VectorSet};
 
+    /// The (query, list) pairs a plan scans: its group sizes summed.
+    fn pairs(plan: &BatchPlan) -> usize {
+        plan.groups.iter().map(|group| group.queries.len()).sum()
+    }
+
     fn singleton_lists(radii: &[Dist]) -> Vec<OwnershipList> {
         radii
             .iter()
@@ -870,7 +857,7 @@ mod tests {
         ];
         let plan = BatchPlan::plan_exact(&rep_dists, &lists, 1, &RbcConfig::default());
         assert_eq!(plan.queries, 2);
-        assert_eq!(plan.pairs, 4);
+        assert_eq!(pairs(&plan), 4);
         assert_eq!(plan.groups.len(), 3);
         // Largest scan first: list 1 serves both queries, then the two
         // single-query lists in index order.
@@ -880,7 +867,7 @@ mod tests {
         assert_eq!(plan.groups[1].queries, vec![0]);
         assert_eq!(plan.groups[2].list_index, 2);
         assert_eq!(plan.groups[2].queries, vec![1]);
-        assert!((plan.sharing_factor() - 4.0 / 3.0).abs() < 1e-12);
+        assert_eq!((pairs(&plan), plan.groups.len()), (4, 3));
     }
 
     #[test]
@@ -936,8 +923,7 @@ mod tests {
         // List 1: d_qr = 1.0 ≥ γ(1.0) + ψ(0.0) → also pruned: this is the
         // all-lists-pruned corner, where stage 1 alone answers the query.
         assert!(plan.groups.is_empty());
-        assert_eq!(plan.pairs, 0);
-        assert_eq!(plan.sharing_factor(), 0.0);
+        assert_eq!(pairs(&plan), 0);
     }
 
     #[test]
@@ -959,12 +945,12 @@ mod tests {
         ];
         let plan = BatchPlan::plan_one_shot(&rep_dists, 3);
         assert_eq!(plan.queries, 4);
-        assert_eq!(plan.pairs, 4);
+        assert_eq!(pairs(&plan), 4);
         assert_eq!(plan.groups.len(), 3);
         assert_eq!(plan.groups[0].queries, vec![0, 3]);
         assert_eq!(plan.groups[1].queries, vec![1]);
         assert_eq!(plan.groups[2].queries, vec![2]);
-        assert!((plan.sharing_factor() - 4.0 / 3.0).abs() < 1e-12);
+        assert_eq!((pairs(&plan), plan.groups.len()), (4, 3));
     }
 
     #[test]
@@ -977,7 +963,7 @@ mod tests {
         ];
         let plan = BatchPlan::plan_one_shot(&rep_dists, 3);
         assert_eq!(plan.queries, 3);
-        assert_eq!(plan.pairs, 2);
+        assert_eq!(pairs(&plan), 2);
         assert_eq!(plan.groups.len(), 1);
         assert_eq!(plan.groups[0].list_index, 1);
         assert_eq!(plan.groups[0].queries, vec![0, 2]);
@@ -998,18 +984,18 @@ mod tests {
         assert_eq!(parts.len(), 3);
         assert_eq!(parts[0].groups.len(), 1);
         assert_eq!(parts[0].groups[0].list_index, 2);
-        assert_eq!(parts[0].pairs, 1);
+        assert_eq!(pairs(&parts[0]), 1);
         assert_eq!(parts[1].groups.len(), 2);
-        assert_eq!(parts[1].pairs, 3);
+        assert_eq!(pairs(&parts[1]), 3);
         assert!(parts[2].groups.is_empty());
-        assert_eq!(parts[2].pairs, 0);
+        assert_eq!(pairs(&parts[2]), 0);
         // Every sub-plan keeps the batch-wide query count so the per-node
         // executions stay indexed by batch position.
         for part in &parts {
             assert_eq!(part.queries, plan.queries);
         }
-        let total_pairs: usize = parts.iter().map(|p| p.pairs).sum();
-        assert_eq!(total_pairs, plan.pairs);
+        let total_pairs: usize = parts.iter().map(pairs).sum();
+        assert_eq!(total_pairs, pairs(&plan));
     }
 
     #[test]
@@ -1035,9 +1021,9 @@ mod tests {
         assert_eq!(unroutable[0].list_index, 1);
         assert_eq!(unroutable[0].queries, vec![0, 1]);
         // Routed + unroutable account for every planned pair.
-        let routed_pairs: usize = parts.iter().map(|p| p.pairs).sum();
+        let routed_pairs: usize = parts.iter().map(pairs).sum();
         let lost_pairs: usize = unroutable.iter().map(|g| g.queries.len()).sum();
-        assert_eq!(routed_pairs + lost_pairs, plan.pairs);
+        assert_eq!(routed_pairs + lost_pairs, pairs(&plan));
     }
 
     #[test]
@@ -1400,7 +1386,7 @@ mod tests {
             let plan = BatchPlan::plan_exact(&matrix, &lists, k, &config);
             prop_assert_eq!(plan.queries, rows.len());
             let kept = rows.iter().map(|row| reference_survivors(row, &lists, k, &config).1.len());
-            prop_assert_eq!(plan.pairs, kept.sum::<usize>());
+            prop_assert_eq!(pairs(&plan), kept.sum::<usize>());
         }
 
         /// The fused re-plan forms the groups the per-query re-plan and the

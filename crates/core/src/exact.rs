@@ -322,7 +322,7 @@ where
     }
 
     /// List `ri` as stage 2 scans it.
-    pub fn list_view(&self, ri: usize) -> ListView<'_> {
+    fn list_view(&self, ri: usize) -> ListView<'_> {
         let mirrors = self.list_blocks.as_ref();
         ListView::of(&self.lists[ri], mirrors.and_then(|b| b[ri].as_ref()))
     }
@@ -432,7 +432,11 @@ mod tests {
     fn gamma_k_pairs(rbc: &ExactRbc<&VectorSet, Euclidean>, queries: &VectorSet, k: usize) -> u64 {
         let reps = rbc.database().subset(rbc.rep_indices());
         let (rep_dists, _) = BruteForce::new().pairwise(queries, &reps, rbc.metric());
-        BatchPlan::plan_exact(&rep_dists, rbc.lists(), k, rbc.config()).pairs as u64
+        let plan = BatchPlan::plan_exact(&rep_dists, rbc.lists(), k, rbc.config());
+        plan.groups
+            .iter()
+            .map(|group| group.queries.len() as u64)
+            .sum()
     }
 
     #[test]

@@ -222,7 +222,8 @@ proptest! {
         // for: only ever γ_k survivors. A physical scan serves at least one.
         let reps = db.subset(rbc.rep_indices());
         let (rep_dists, _) = BruteForce::new().pairwise(&queries, &reps, &Euclidean);
-        let survivors = BatchPlan::plan_exact(&rep_dists, rbc.lists(), 1, rbc.config()).pairs;
+        let plan = BatchPlan::plan_exact(&rep_dists, rbc.lists(), 1, rbc.config());
+        let survivors: usize = plan.groups.iter().map(|group| group.queries.len()).sum();
         prop_assert!(stats.reps_examined <= survivors as u64);
         prop_assert!(stats.list_scans <= stats.reps_examined);
     }

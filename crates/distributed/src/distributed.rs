@@ -378,7 +378,6 @@ where
         Some(BatchPlan {
             groups,
             queries: plan.queries,
-            pairs: plan.pairs,
         })
     }
 
@@ -774,7 +773,6 @@ where
             retry = Some(BatchPlan {
                 groups: failed,
                 queries: plan.queries,
-                pairs: 0,
             });
         }
     }

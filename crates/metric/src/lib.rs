@@ -46,6 +46,7 @@ pub use metric::{Dist, Metric, PerPoint};
 pub use simd::{
     active_kernel, cut_mask, force_kernel, screen_codes_l2, screen_squared_l2, squared_l2_lanes,
     BlockedVectors, CodeBlock, CodedVectors, KernelChoice, LaneBlock, LaneGroup, LANES,
+    SCREEN_QUERIES,
 };
 pub use validate::{check_metric_axioms, MetricViolation};
 pub use vector::{Chebyshev, Cosine, Euclidean, Manhattan, Minkowski, SquaredEuclidean};

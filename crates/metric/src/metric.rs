@@ -79,22 +79,35 @@ pub trait Metric<T: ?Sized>: Sync {
         false
     }
 
-    /// Cheaply screens the lane groups of `block` against `bound` before
-    /// anyone pays for [`dist_lanes`](Self::dist_lanes): bit `lane` of
-    /// `keep[j]` may be cleared only if `dist_lanes` on group `j` is
-    /// certain to report a distance **greater than** `bound` for that lane
-    /// (a NaN bound clears nothing). A set bit promises nothing; callers
-    /// recompute a group with `dist_lanes` before using any lane of it, so
-    /// the screen decides what is skipped, never what is answered — which is
-    /// why its masks, unlike distances, may differ between kernels.
+    /// Cheaply screens the lane groups of `block` for up to
+    /// [`SCREEN_QUERIES`](crate::SCREEN_QUERIES) queries, each against its
+    /// own bound, before anyone pays for [`dist_lanes`](Self::dist_lanes):
+    /// bit `lane` of `keep[t * block.groups() + j]` may be cleared only if
+    /// `dist_lanes` for `queries[t]` on group `j` is certain to report a
+    /// distance **greater than** `bounds[t]` for that lane (a NaN bound
+    /// clears nothing). A set bit promises nothing; callers recompute a
+    /// group with `dist_lanes` before using any lane of it, so the screen
+    /// decides what is skipped, never what is answered — which is why its
+    /// masks, unlike distances, may differ between kernels. They may not
+    /// differ with the tile: query `t`'s mask is the one a call for it
+    /// alone returns.
     ///
     /// The default keeps every lane, which is always valid.
     ///
     /// # Panics
-    /// Implementations may panic if `keep` is shorter than `block.groups()`.
+    /// Implementations may panic if `bounds` is not one bound per query, if
+    /// there are more than [`SCREEN_QUERIES`](crate::SCREEN_QUERIES)
+    /// queries, or if `keep` is shorter than `queries.len() *
+    /// block.groups()`.
     #[inline]
-    fn screen_lanes(&self, _query: &T, block: LaneBlock<'_>, _bound: Dist, keep: &mut [u8]) {
-        keep[..block.groups()].fill(u8::MAX);
+    fn screen_lanes(
+        &self,
+        queries: &[&T],
+        block: LaneBlock<'_>,
+        _bounds: &[Dist],
+        keep: &mut [u8],
+    ) {
+        keep[..queries.len() * block.groups()].fill(u8::MAX);
     }
 
     /// [`screen_lanes`](Self::screen_lanes) from a `u8`-coded block
@@ -140,8 +153,8 @@ impl<T: ?Sized, M: Metric<T>> Metric<T> for &M {
     }
 
     #[inline]
-    fn screen_lanes(&self, query: &T, block: LaneBlock<'_>, bound: Dist, keep: &mut [u8]) {
-        (**self).screen_lanes(query, block, bound, keep);
+    fn screen_lanes(&self, queries: &[&T], block: LaneBlock<'_>, bounds: &[Dist], keep: &mut [u8]) {
+        (**self).screen_lanes(queries, block, bounds, keep);
     }
 
     #[inline]
@@ -200,8 +213,15 @@ mod tests {
         }
         let blocked = crate::BlockedVectors::from_flat(&[0.0; 20], 1);
         let mut keep = [0u8; 4];
-        Unscreened.screen_lanes(&[9.0][..], blocked.block(0..3), 0.0, &mut keep);
+        Unscreened.screen_lanes(&[&[9.0][..]], blocked.block(0..3), &[0.0], &mut keep);
         assert_eq!(keep, [u8::MAX, u8::MAX, u8::MAX, 0]);
+        let mut keep = [0u8; 7];
+        let queries = [&[9.0][..], &[1.0][..]];
+        Unscreened.screen_lanes(&queries, blocked.block(0..3), &[0.0, 0.0], &mut keep);
+        assert_eq!(
+            keep,
+            [u8::MAX, u8::MAX, u8::MAX, u8::MAX, u8::MAX, u8::MAX, 0]
+        );
         let coded = crate::CodedVectors::gather_flat(&[0.0; 20], 1, &[0; 20]);
         let mut keep = [0u8; 4];
         Unscreened.screen_codes(&[9.0][..], coded.block(0..3), 0.0, &mut keep);

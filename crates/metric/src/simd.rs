@@ -16,9 +16,11 @@
 //!   from one query to all eight lanes of a group, dispatched at runtime
 //!   to an AVX2+FMA, SSE2, or portable scalar implementation.
 //! * [`screen_squared_l2`] — the block screen: for a run of consecutive
-//!   lane groups ([`LaneBlock`]), which lanes *might* lie within a bound.
-//!   Pure `f32`, no converts, no square roots; it decides only what is not
-//!   worth the group kernel, never a distance.
+//!   lane groups ([`LaneBlock`]), which lanes *might* lie within a bound,
+//!   for a tile of up to [`SCREEN_QUERIES`] queries, each with its own
+//!   bound, every group loaded once for the tile. Pure `f32`, no converts,
+//!   no square roots; it decides only what is not worth the group kernel,
+//!   never a distance.
 //! * [`CodedVectors`] — the same lane-blocked layout with one `u8` code per
 //!   coordinate (a quarter of the bytes), a per-dimension decode
 //!   `x̂ = lo + step·code` and one error radius `err ≥ max ‖x − x̂‖`; and
@@ -48,12 +50,15 @@
 //! accumulates the same `f32` differences in `f32`, and its three variants
 //! round differently (one rounding per term with FMA, two with multiply +
 //! add), so which lanes it clears near the bound depends on the active
-//! kernel. That is allowed because of what a cleared lane means — "the
-//! canonical distance is certainly above the bound" — and the callers'
-//! discipline: a screened-out lane is skipped, a kept lane is *recomputed*
-//! by the canonical kernel before anything is compared or stored. The
-//! screen's sums never leave this module. How many groups survive it
-//! (`GroupScanStats::reranked`) is therefore reported, never compared.
+//! kernel — but not on the tile: a query's sums are accumulated in the
+//! same order whatever other queries share its call, so its masks are
+//! those of a call for it alone. That is allowed because of what a cleared
+//! lane means — "the canonical distance is certainly above the bound" — and
+//! the callers' discipline: a screened-out lane is skipped, a kept lane is
+//! *recomputed* by the canonical kernel before anything is compared or
+//! stored. The screen's sums never leave this module. How many groups
+//! survive it (`GroupScanStats::reranked`) is therefore reported, never
+//! compared.
 //!
 //! **Why the screen is conservative.** Write `u = 2⁻²⁴`, `dᵢ` for the
 //! `f32` differences (the same in both computations), `T = Σ dᵢ²` exactly,
@@ -772,176 +777,342 @@ fn screen_limit(sq_bound: f64, dim: usize) -> f32 {
     }
 }
 
-/// Screens the lane groups of `block` against a canonical **squared**
-/// distance bound: `keep[j]` gets one bit per lane of group `j`, cleared
-/// only if that lane's [`squared_l2_lanes`] result is certainly above
-/// `sq_bound` (and its square root above `sqrt(sq_bound)`), on every
-/// kernel. A set bit promises nothing — recompute the group canonically
-/// before using any lane of it. Padding lanes are screened like the point
-/// they replicate; `keep` beyond `block.groups()` is left alone.
-///
-/// The masks themselves are *not* part of the bit-compatibility contract
-/// (see the module docs). Dimensions beyond `min(query.len(), block.dim())`
-/// are ignored, as in the group kernel.
-///
-/// # Panics
-/// Panics if `keep` is shorter than `block.groups()`.
-pub fn screen_squared_l2(query: &[f32], block: LaneBlock<'_>, sq_bound: Dist, keep: &mut [u8]) {
-    let keep = &mut keep[..block.groups()];
-    let dim = block.dim.min(query.len());
-    let limit = screen_limit(sq_bound, dim);
-    if limit == f32::INFINITY {
-        keep.fill(u8::MAX);
-        return;
-    }
-    let (query, stride) = (&query[..dim], block.dim * LANES);
-    match active_kernel() {
-        KernelChoice::Scalar => scalar_screen(query, block.data, stride, limit, keep),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the kernel choice is either runtime-detected or clamped
-        // by `force_kernel`, so the required features are present. A
-        // `LaneBlock` holds `keep.len()` whole groups of `stride` floats
-        // and `query.len() * LANES <= stride`, which is every float the
-        // kernels read: `query.len() * LANES` from the start of each group.
-        KernelChoice::Sse2 => unsafe { sse2_screen(query, block.data, stride, limit, keep) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as for SSE2 above.
-        KernelChoice::Avx2Fma => unsafe { avx2_screen(query, block.data, stride, limit, keep) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar_screen(query, block.data, stride, limit, keep),
-    }
-}
-
-/// Portable screen: per lane, the `f32` differences squared and summed in
-/// `f32` (two roundings per term). Lane-outer like [`scalar_lanes`].
-fn scalar_screen(query: &[f32], data: &[f32], stride: usize, limit: f32, keep: &mut [u8]) {
-    for (slot, group) in keep.iter_mut().zip(data.chunks_exact(stride)) {
-        *slot = 0;
-        for lane in 0..LANES {
-            let mut sum = 0.0f32;
-            for (d, &qv) in query.iter().enumerate() {
-                let diff = qv - group[d * LANES + lane];
-                sum += diff * diff;
-            }
-            // Not `sum <= limit`: a NaN sum must keep its lane.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            let kept = !(sum > limit);
-            *slot |= u8::from(kept) << lane;
-        }
-    }
-}
-
-/// Runs a `G`-groups-at-a-time screen kernel over all of `keep`: blocks of
-/// four (one accumulator per group, so four independent dependency
-/// chains), then the 1–3 groups left over in one call. The kernel takes the
-/// `[lead]` arguments, a pointer to its first group in `data`, `stride`,
-/// `limit` and its slice of `keep`.
+/// Runs a `G`-groups-at-a-time screen kernel over `groups` lane groups of
+/// `data`: blocks of four (one accumulator per group and query, so at
+/// least four independent dependency chains), then the 1–3 groups left
+/// over in one call. The kernel takes the `[lead]` arguments, a pointer to
+/// its first group, `stride`, and the index of its first group — where its
+/// masks go in `keep` — and, when given, the tile size `<T>` after `G`.
 #[cfg(target_arch = "x86_64")]
 macro_rules! screen_in_fours {
-    ($kernel:ident, [$($lead:ident),+], $data:ident, $stride:ident, $limit:ident, $keep:ident) => {{
-        let mut fours = $keep.chunks_exact_mut(4);
+    ($kernel:ident $(<$tile:ident>)?, [$($lead:ident),+], $data:ident, $stride:ident, $groups:expr) => {{
+        let groups: usize = $groups;
         let mut at = 0;
-        for four in &mut fours {
-            $kernel::<4>($($lead,)+ $data.as_ptr().add(at), $stride, $limit, four);
-            at += 4 * $stride;
+        while at + 4 <= groups {
+            $kernel::<4 $(, $tile)?>($($lead,)+ $data.as_ptr().add(at * $stride), $stride, at);
+            at += 4;
         }
-        let data = $data.as_ptr().add(at);
-        match fours.into_remainder() {
-            rest @ [_, _, _] => $kernel::<3>($($lead,)+ data, $stride, $limit, rest),
-            rest @ [_, _] => $kernel::<2>($($lead,)+ data, $stride, $limit, rest),
-            rest @ [_] => $kernel::<1>($($lead,)+ data, $stride, $limit, rest),
+        let data = $data.as_ptr().add(at * $stride);
+        match groups - at {
+            3 => $kernel::<3 $(, $tile)?>($($lead,)+ data, $stride, at),
+            2 => $kernel::<2 $(, $tile)?>($($lead,)+ data, $stride, at),
+            1 => $kernel::<1 $(, $tile)?>($($lead,)+ data, $stride, at),
             _ => {}
         }
     }};
 }
 
-/// SSE2 screen: each group's 8 lanes as two `f32` quads, multiply + add
-/// (two roundings per term).
-///
-/// # Safety
-/// The CPU must support SSE2, and `data` must hold `keep.len()` groups of
-/// `stride >= query.len() * LANES` floats.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn sse2_screen(query: &[f32], data: &[f32], stride: usize, limit: f32, keep: &mut [u8]) {
-    debug_assert!(data.len() >= keep.len() * stride && stride >= query.len() * LANES);
-    screen_in_fours!(sse2_screen_groups, [query], data, stride, limit, keep);
-}
+/// Most queries one [`screen_squared_l2`] call screens: every lane group it
+/// loads is subtracted from up to this many queries before the next one is
+/// read, and the exact group scan tiles a list's cursors by it. Four is the
+/// most whose sums fit beside a block's rows in the sixteen AVX2 registers
+/// (as two pairs of four-group blocks). Measured on a 2-vCPU AVX2+FMA host
+/// at `exact_batch`'s shape (n = 200 000, k = 10, batches of 128), in one
+/// process against the untiled scan, medians of 20 alternations: tiles of
+/// one ran `exact_batch` at 0.96× its time, of two at 0.94–0.96×, of four
+/// at 0.93× on one thread and on two. On an L1-hot block the kernel costs
+/// 0.7–0.9 ns per lane and query at T = 2–4 against 1.1–1.3 ns at T = 1;
+/// the rest of a screen is the first read of each group, which a tile
+/// makes once, and the untiled scan made once too, its later cursors
+/// finding the run in L1.
+pub const SCREEN_QUERIES: usize = 4;
 
-/// # Safety
-/// The CPU must support SSE2, `keep.len() == G`, and `data` must point at
-/// `G` groups of `stride >= query.len() * LANES` readable floats.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-#[inline]
-unsafe fn sse2_screen_groups<const G: usize>(
-    query: &[f32],
-    data: *const f32,
-    stride: usize,
-    limit: f32,
+/// Screens the lane groups of `block` for up to [`SCREEN_QUERIES`]
+/// queries at once, each against its own canonical **squared** distance
+/// bound: `keep[t * block.groups() + j]` gets one bit per lane of group
+/// `j` for query `t`, cleared only if that lane's [`squared_l2_lanes`]
+/// result for `queries[t]` is certainly above `sq_bounds[t]` (and its
+/// square root above `sqrt(sq_bounds[t])`), on every kernel. A set bit
+/// promises nothing — recompute the group canonically before using any
+/// lane of it. Padding lanes are screened like the point they replicate;
+/// `keep` beyond `queries.len() * block.groups()` is left alone.
+///
+/// Each group is loaded once for the whole tile, and each query's mask is
+/// the one a call for that query alone would return, bit for bit: its
+/// sums are accumulated in the same order with the same roundings. The
+/// masks themselves are *not* part of the bit-compatibility contract
+/// between kernels (see the module docs). Dimensions beyond
+/// `min(queries[t].len(), block.dim())` are ignored, as in the group
+/// kernel.
+///
+/// # Panics
+/// Panics if `sq_bounds` is not one bound per query, if there are more
+/// than [`SCREEN_QUERIES`] queries, or if `keep` is shorter than
+/// `queries.len() * block.groups()`.
+pub fn screen_squared_l2(
+    queries: &[&[f32]],
+    block: LaneBlock<'_>,
+    sq_bounds: &[Dist],
     keep: &mut [u8],
 ) {
-    use std::arch::x86_64::*;
-    let mut acc = [[_mm_setzero_ps(); 2]; G];
-    for (d, &qv) in query.iter().enumerate() {
-        let q = _mm_set1_ps(qv);
-        let row = data.add(d * LANES);
-        for (j, halves) in acc.iter_mut().enumerate() {
-            for (half, sum) in halves.iter_mut().enumerate() {
-                let diff = _mm_sub_ps(q, _mm_loadu_ps(row.add(j * stride + half * 4)));
-                *sum = _mm_add_ps(*sum, _mm_mul_ps(diff, diff));
+    assert!(
+        queries.len() == sq_bounds.len() && queries.len() <= SCREEN_QUERIES,
+        "a screen takes one bound per query and at most {SCREEN_QUERIES} queries"
+    );
+    let groups = block.groups();
+    let keep = &mut keep[..queries.len() * groups];
+    match *queries {
+        _ if groups == 0 => {}
+        [] => {}
+        [q] => screen_tile([q], [sq_bounds[0]], block, groups, keep),
+        _ => screen_tiles(queries, block, sq_bounds, groups, keep),
+    }
+}
+
+/// [`screen_squared_l2`] for two to [`SCREEN_QUERIES`] queries, out of
+/// line, so that the one-query calls (every stage-1 screen, a lone cursor's)
+/// stay short.
+#[inline(never)]
+fn screen_tiles(
+    queries: &[&[f32]],
+    block: LaneBlock<'_>,
+    sq_bounds: &[Dist],
+    groups: usize,
+    keep: &mut [u8],
+) {
+    let dim = |query: &[f32]| block.dim.min(query.len());
+    if queries.iter().any(|&query| dim(query) != dim(queries[0])) {
+        // Queries of unequal lengths screen different dimensions: one by one.
+        let rows = keep.chunks_mut(groups);
+        for ((&query, &sq_bound), keep) in queries.iter().zip(sq_bounds).zip(rows) {
+            screen_tile([query], [sq_bound], block, groups, keep);
+        }
+        return;
+    }
+    let b = sq_bounds;
+    match *queries {
+        [q, r] => screen_tile([q, r], [b[0], b[1]], block, groups, keep),
+        [q, r, s] => screen_tile([q, r, s], [b[0], b[1], b[2]], block, groups, keep),
+        [q, r, s, t] => {
+            // Sixteen accumulators do not fit beside the rows: two pairs,
+            // the second reading the groups the first just brought into L1.
+            let (front, back) = keep.split_at_mut(2 * groups);
+            screen_tile([q, r], [b[0], b[1]], block, groups, front);
+            screen_tile([s, t], [b[2], b[3]], block, groups, back);
+        }
+        _ => unreachable!("two to {SCREEN_QUERIES} queries"),
+    }
+}
+
+/// [`screen_squared_l2`] for a tile of `T` queries, all screening the same
+/// dimensions, over the `groups` lane groups of `block`: query `t`'s masks
+/// go to `keep[t * groups..]`.
+#[inline(always)]
+fn screen_tile<const T: usize>(
+    queries: [&[f32]; T],
+    sq_bounds: [Dist; T],
+    block: LaneBlock<'_>,
+    groups: usize,
+    keep: &mut [u8],
+) {
+    let dim = block.dim.min(queries[0].len());
+    // A query whose limit is `+∞` keeps every lane; the kernels say so too,
+    // at the price of a screen.
+    let limits = sq_bounds.map(|sq_bound| screen_limit(sq_bound, dim));
+    if limits.iter().all(|&limit| limit == f32::INFINITY) {
+        keep.fill(u8::MAX);
+        return;
+    }
+    let queries = queries.map(|query| &query[..dim]);
+    let (data, stride) = (block.data, block.dim * LANES);
+    match active_kernel() {
+        KernelChoice::Scalar => scalar_screen(&queries, &limits, keep, groups, data, stride),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the kernel choice is either runtime-detected or clamped
+        // by `force_kernel`, so the required features are present. A
+        // `LaneBlock` holds `groups` whole groups of `stride` floats, `keep`
+        // one row of `groups` masks per query, and every query is `dim` long
+        // with `dim * LANES <= stride`, which is every float the kernels
+        // read: `dim * LANES` from the start of each group.
+        KernelChoice::Sse2 => unsafe { sse2_screen(queries, limits, keep, groups, data, stride) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as for SSE2 above.
+        KernelChoice::Avx2Fma => unsafe {
+            avx2_screen(queries, limits, keep, groups, data, stride)
+        },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => scalar_screen(&queries, &limits, keep, groups, data, stride),
+    }
+}
+
+/// Portable screen: per query and lane, the `f32` differences squared and
+/// summed in `f32` (two roundings per term). Lane-outer like
+/// [`scalar_lanes`].
+fn scalar_screen<const T: usize>(
+    queries: &[&[f32]; T],
+    limits: &[f32; T],
+    keep: &mut [u8],
+    groups: usize,
+    data: &[f32],
+    stride: usize,
+) {
+    for ((query, &limit), keep) in queries.iter().zip(limits).zip(keep.chunks_mut(groups)) {
+        for (slot, group) in keep.iter_mut().zip(data.chunks_exact(stride)) {
+            *slot = 0;
+            for lane in 0..LANES {
+                let mut sum = 0.0f32;
+                for (d, &qv) in query.iter().enumerate() {
+                    let diff = qv - group[d * LANES + lane];
+                    sum += diff * diff;
+                }
+                // Not `sum <= limit`: a NaN sum must keep its lane.
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                let kept = !(sum > limit);
+                *slot |= u8::from(kept) << lane;
             }
         }
     }
-    let limit = _mm_set1_ps(limit);
-    for (slot, [lo, hi]) in keep.iter_mut().zip(acc) {
-        // "Not greater than" is true on NaN: a NaN sum keeps its lane.
-        let lo = _mm_movemask_ps(_mm_cmpngt_ps(lo, limit));
-        let hi = _mm_movemask_ps(_mm_cmpngt_ps(hi, limit));
-        *slot = (lo | hi << 4) as u8;
+}
+
+/// SSE2 screen of `groups` groups of `data` for `T` queries, query `t`'s
+/// masks to `keep[t * groups..]`.
+///
+/// # Safety
+/// The CPU must support SSE2, the queries must all be `dim` long, and
+/// `data` must hold `groups` groups of `stride >= dim * LANES` floats.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+unsafe fn sse2_screen<const T: usize>(
+    queries: [&[f32]; T],
+    limits: [f32; T],
+    keep: &mut [u8],
+    groups: usize,
+    data: &[f32],
+    stride: usize,
+) {
+    debug_assert!(data.len() >= groups * stride && keep.len() >= T * groups);
+    debug_assert!(queries
+        .iter()
+        .all(|q| q.len() == queries[0].len() && q.len() * LANES <= stride));
+    let (queries, limits) = (&queries, &limits);
+    screen_in_fours!(
+        sse2_screen_groups<T>,
+        [queries, limits, keep, groups],
+        data,
+        stride,
+        groups
+    );
+}
+
+/// SSE2 screen of `G` groups for `T` queries: each group's 8 lanes as two
+/// `f32` quads, multiply + add (two roundings per term); the masks of
+/// group `at + j` for query `t` go to `keep[t * groups + at + j]`.
+///
+/// # Safety
+/// The CPU must support SSE2, the queries must all be `dim` long, and
+/// `data` must point at `G` groups of `stride >= dim * LANES` readable
+/// floats.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+#[inline]
+unsafe fn sse2_screen_groups<const G: usize, const T: usize>(
+    queries: &[&[f32]; T],
+    limits: &[f32; T],
+    keep: &mut [u8],
+    groups: usize,
+    data: *const f32,
+    stride: usize,
+    at: usize,
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [[[_mm_setzero_ps(); 2]; G]; T];
+    for d in 0..queries[0].len() {
+        let row = data.add(d * LANES);
+        for (sums, query) in acc.iter_mut().zip(queries) {
+            // SAFETY: `d < queries[0].len()`, and every query is as long
+            // (the caller's contract, which `screen_squared_l2` makes
+            // true by slicing each query to the shared `dim`). Checked
+            // indexing here cost the one-query screen ≈ 25 %.
+            let q = _mm_set1_ps(*query.get_unchecked(d));
+            for (j, halves) in sums.iter_mut().enumerate() {
+                for (half, sum) in halves.iter_mut().enumerate() {
+                    let diff = _mm_sub_ps(q, _mm_loadu_ps(row.add(j * stride + half * 4)));
+                    *sum = _mm_add_ps(*sum, _mm_mul_ps(diff, diff));
+                }
+            }
+        }
+    }
+    for (t, (sums, &limit)) in acc.into_iter().zip(limits).enumerate() {
+        let limit = _mm_set1_ps(limit);
+        for (slot, [lo, hi]) in keep[t * groups + at..][..G].iter_mut().zip(sums) {
+            // "Not greater than" is true on NaN: a NaN sum keeps its lane.
+            let lo = _mm_movemask_ps(_mm_cmpngt_ps(lo, limit));
+            let hi = _mm_movemask_ps(_mm_cmpngt_ps(hi, limit));
+            *slot = (lo | hi << 4) as u8;
+        }
     }
 }
 
-/// AVX2 + FMA screen: one 8-wide load, subtract and fused multiply-add per
-/// group and dimension (one rounding per term).
+/// AVX2 + FMA screen of `groups` groups of `data` for `T` queries.
 ///
 /// # Safety
-/// The CPU must support AVX2 and FMA, and `data` must hold `keep.len()`
-/// groups of `stride >= query.len() * LANES` floats.
+/// The CPU must support AVX2 and FMA; otherwise as [`sse2_screen`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn avx2_screen(query: &[f32], data: &[f32], stride: usize, limit: f32, keep: &mut [u8]) {
-    debug_assert!(data.len() >= keep.len() * stride && stride >= query.len() * LANES);
-    screen_in_fours!(avx2_screen_groups, [query], data, stride, limit, keep);
+unsafe fn avx2_screen<const T: usize>(
+    queries: [&[f32]; T],
+    limits: [f32; T],
+    keep: &mut [u8],
+    groups: usize,
+    data: &[f32],
+    stride: usize,
+) {
+    debug_assert!(data.len() >= groups * stride && keep.len() >= T * groups);
+    debug_assert!(queries
+        .iter()
+        .all(|q| q.len() == queries[0].len() && q.len() * LANES <= stride));
+    let (queries, limits) = (&queries, &limits);
+    screen_in_fours!(
+        avx2_screen_groups<T>,
+        [queries, limits, keep, groups],
+        data,
+        stride,
+        groups
+    );
 }
 
+/// AVX2 + FMA screen of `G` groups for `T` queries: per group and
+/// dimension one 8-wide load, then per query a subtract and a fused
+/// multiply-add (one rounding per term); masks placed as in
+/// [`sse2_screen_groups`].
+///
 /// # Safety
-/// The CPU must support AVX2 and FMA, `keep.len() == G`, and `data` must
-/// point at `G` groups of `stride >= query.len() * LANES` readable floats.
+/// The CPU must support AVX2 and FMA; otherwise as [`sse2_screen_groups`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[inline]
-unsafe fn avx2_screen_groups<const G: usize>(
-    query: &[f32],
+unsafe fn avx2_screen_groups<const G: usize, const T: usize>(
+    queries: &[&[f32]; T],
+    limits: &[f32; T],
+    keep: &mut [u8],
+    groups: usize,
     data: *const f32,
     stride: usize,
-    limit: f32,
-    keep: &mut [u8],
+    at: usize,
 ) {
     use std::arch::x86_64::*;
-    let mut acc = [_mm256_setzero_ps(); G];
-    for (d, &qv) in query.iter().enumerate() {
-        let q = _mm256_set1_ps(qv);
+    let mut acc = [[_mm256_setzero_ps(); G]; T];
+    for d in 0..queries[0].len() {
         let row = data.add(d * LANES);
-        for (j, sum) in acc.iter_mut().enumerate() {
-            let diff = _mm256_sub_ps(q, _mm256_loadu_ps(row.add(j * stride)));
-            *sum = _mm256_fmadd_ps(diff, diff, *sum);
+        let mut x = [_mm256_setzero_ps(); G];
+        for (j, x) in x.iter_mut().enumerate() {
+            *x = _mm256_loadu_ps(row.add(j * stride));
+        }
+        for (sums, query) in acc.iter_mut().zip(queries) {
+            // SAFETY: as in `sse2_screen_groups`.
+            let q = _mm256_set1_ps(*query.get_unchecked(d));
+            for (sum, &x) in sums.iter_mut().zip(&x) {
+                let diff = _mm256_sub_ps(q, x);
+                *sum = _mm256_fmadd_ps(diff, diff, *sum);
+            }
         }
     }
-    let limit = _mm256_set1_ps(limit);
-    for (slot, sum) in keep.iter_mut().zip(acc) {
-        // "Not greater than, unordered": a NaN sum keeps its lane.
-        *slot = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NGT_UQ>(sum, limit)) as u8;
+    for (t, (sums, &limit)) in acc.into_iter().zip(limits).enumerate() {
+        let limit = _mm256_set1_ps(limit);
+        for (slot, sum) in keep[t * groups + at..][..G].iter_mut().zip(sums) {
+            // "Not greater than, unordered": a NaN sum keeps its lane.
+            *slot = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NGT_UQ>(sum, limit)) as u8;
+        }
     }
 }
 
@@ -1043,28 +1214,29 @@ unsafe fn sse2_screen_codes(
     debug_assert!(lo.len() == query.len() && step.len() == query.len());
     screen_in_fours!(
         sse2_screen_code_groups,
-        [query, lo, step],
+        [query, lo, step, limit, keep],
         codes,
         stride,
-        limit,
-        keep
+        keep.len()
     );
 }
 
 /// # Safety
-/// As [`sse2_screen_codes`], with `keep.len() == G` and `codes` pointing at
-/// `G` groups.
+/// As [`sse2_screen_codes`], with `codes` pointing at `G` groups, whose
+/// masks go to `keep[at..at + G]`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 #[inline]
+#[allow(clippy::too_many_arguments)] // the flat kernel signature of `screen_in_fours!`
 unsafe fn sse2_screen_code_groups<const G: usize>(
     query: &[f32],
     lo: &[f32],
     step: &[f32],
-    codes: *const u8,
-    stride: usize,
     limit: f32,
     keep: &mut [u8],
+    codes: *const u8,
+    stride: usize,
+    at: usize,
 ) {
     use std::arch::x86_64::*;
     let zero = _mm_setzero_si128();
@@ -1087,7 +1259,7 @@ unsafe fn sse2_screen_code_groups<const G: usize>(
         }
     }
     let limit = _mm_set1_ps(limit);
-    for (slot, [lo, hi]) in keep.iter_mut().zip(acc) {
+    for (slot, [lo, hi]) in keep[at..][..G].iter_mut().zip(acc) {
         // "Not greater than" is true on NaN: a NaN sum keeps its lane.
         let lo = _mm_movemask_ps(_mm_cmpngt_ps(lo, limit));
         let hi = _mm_movemask_ps(_mm_cmpngt_ps(hi, limit));
@@ -1116,28 +1288,29 @@ unsafe fn avx2_screen_codes(
     debug_assert!(lo.len() == query.len() && step.len() == query.len());
     screen_in_fours!(
         avx2_screen_code_groups,
-        [query, lo, step],
+        [query, lo, step, limit, keep],
         codes,
         stride,
-        limit,
-        keep
+        keep.len()
     );
 }
 
 /// # Safety
-/// As [`avx2_screen_codes`], with `keep.len() == G` and `codes` pointing at
-/// `G` groups.
+/// As [`avx2_screen_codes`], with `codes` pointing at `G` groups, whose
+/// masks go to `keep[at..at + G]`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[inline]
+#[allow(clippy::too_many_arguments)] // the flat kernel signature of `screen_in_fours!`
 unsafe fn avx2_screen_code_groups<const G: usize>(
     query: &[f32],
     lo: &[f32],
     step: &[f32],
-    codes: *const u8,
-    stride: usize,
     limit: f32,
     keep: &mut [u8],
+    codes: *const u8,
+    stride: usize,
+    at: usize,
 ) {
     use std::arch::x86_64::*;
     let mut acc = [_mm256_setzero_ps(); G];
@@ -1156,7 +1329,7 @@ unsafe fn avx2_screen_code_groups<const G: usize>(
         }
     }
     let limit = _mm256_set1_ps(limit);
-    for (slot, sum) in keep.iter_mut().zip(acc) {
+    for (slot, sum) in keep[at..][..G].iter_mut().zip(acc) {
         // "Not greater than, unordered": a NaN sum keeps its lane.
         *slot = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NGT_UQ>(sum, limit)) as u8;
     }
@@ -1372,6 +1545,30 @@ mod tests {
         let joined = [blocked.group(1).as_slice(), blocked.group(2).as_slice()].concat();
         assert_eq!(block.data, joined);
         assert_eq!(blocked.block(4..4).groups(), 0);
+    }
+
+    #[test]
+    fn a_screen_of_no_groups_writes_nothing_whatever_the_tile() {
+        let blocked = BlockedVectors::from_flat(&[0.5; 24], 3);
+        let (short, long) = ([1.0f32, 2.0], [1.0f32, 2.0, 3.0]);
+        for kernel in [
+            KernelChoice::Scalar,
+            KernelChoice::Sse2,
+            KernelChoice::Avx2Fma,
+        ] {
+            force_kernel(Some(kernel));
+            for queries in [
+                &[&long[..]][..],
+                &[&long, &long, &long, &long],
+                &[&short, &long],
+            ] {
+                let mut keep = [7u8; 4];
+                let bounds = vec![1.0; queries.len()];
+                screen_squared_l2(queries, blocked.block(1..1), &bounds, &mut keep);
+                assert_eq!(keep, [7; 4]);
+            }
+        }
+        force_kernel(None);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use crate::metric::{Dist, Metric};
 use crate::simd::{
     screen_codes_l2, screen_squared_l2, squared_l2_lanes, CodeBlock, LaneBlock, LaneGroup, LANES,
+    SCREEN_QUERIES,
 };
 
 #[inline]
@@ -63,10 +64,21 @@ impl Metric<[f32]> for Euclidean {
     }
 
     #[inline]
-    fn screen_lanes(&self, query: &[f32], block: LaneBlock<'_>, bound: Dist, keep: &mut [u8]) {
+    fn screen_lanes(
+        &self,
+        queries: &[&[f32]],
+        block: LaneBlock<'_>,
+        bounds: &[Dist],
+        keep: &mut [u8],
+    ) {
         // `sqrt_rn(c) <= bound` puts `c` within a few ulps of `bound²`; the
         // screen's slack covers them and this product's own rounding.
-        screen_squared_l2(query, block, bound * bound, keep);
+        let mut squares = [0.0; SCREEN_QUERIES];
+        let squares = &mut squares[..bounds.len()];
+        for (square, &bound) in squares.iter_mut().zip(bounds) {
+            *square = bound * bound;
+        }
+        screen_squared_l2(queries, block, squares, keep);
     }
 
     #[inline]
@@ -108,8 +120,14 @@ impl Metric<[f32]> for SquaredEuclidean {
     }
 
     #[inline]
-    fn screen_lanes(&self, query: &[f32], block: LaneBlock<'_>, bound: Dist, keep: &mut [u8]) {
-        screen_squared_l2(query, block, bound, keep);
+    fn screen_lanes(
+        &self,
+        queries: &[&[f32]],
+        block: LaneBlock<'_>,
+        bounds: &[Dist],
+        keep: &mut [u8],
+    ) {
+        screen_squared_l2(queries, block, bounds, keep);
     }
 
     #[inline]

@@ -13,7 +13,8 @@
 //! contract — **conservatism**: they may keep anything, but under no
 //! kernel, magnitude or bound may they clear a lane whose canonical
 //! distance is within the bound (for the code screen: the distance of the
-//! point the lane codes, not of its decode).
+//! point the lane codes, not of its decode). And a tile of queries screened
+//! together gets, per query, exactly the masks of that query screened alone.
 //!
 //! Kernel forcing mutates process-global dispatch state, so every test
 //! that forces serialises on one mutex and restores auto-detection
@@ -24,7 +25,7 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 use rbc_metric::{
     force_kernel, squared_l2_lanes, BlockedVectors, CodedVectors, Euclidean, KernelChoice, Metric,
-    SquaredEuclidean, LANES,
+    SquaredEuclidean, LANES, SCREEN_QUERIES,
 };
 
 /// Dimensions that stress every kernel path: below one SSE quad, exactly
@@ -297,9 +298,9 @@ proptest! {
                     let mut keep = [0u8; MAX_N.div_ceil(LANES)];
                     let block = blocked.block(groups.clone());
                     if euclidean {
-                        Euclidean.screen_lanes(&query, block, bound, &mut keep);
+                        Euclidean.screen_lanes(&[&query], block, &[bound], &mut keep);
                     } else {
-                        SquaredEuclidean.screen_lanes(&query, block, bound, &mut keep);
+                        SquaredEuclidean.screen_lanes(&[&query], block, &[bound], &mut keep);
                     }
                     let case = format!(
                         "kernel {kernel:?} euclidean {euclidean} dim {dim} regime {regime} bound {bound}"
@@ -450,6 +451,90 @@ proptest! {
                     );
                 }
             }
+        }
+        force_kernel(None);
+    }
+}
+
+/// Largest dimension of the tiled-screen property: past one AVX2 register
+/// of dimensions, and past the 16 of the benchmark.
+const TILE_MAX_DIM: usize = 33;
+/// Lane groups of the tiled-screen property: four blocks of four.
+const TILE_MAX_GROUPS: usize = 16;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A tile of up to [`SCREEN_QUERIES`] queries is screened as if each
+    /// query were screened alone: on every kernel and for both metrics,
+    /// query `t`'s row of masks equals, bit for bit, the masks a call for
+    /// that query alone writes — whatever the bounds, among them NaN, ±∞,
+    /// 0, bounds under the screen's `2⁻¹⁰⁰` floor and every mixture of
+    /// them in one tile — and nothing past the tile's rows is written.
+    #[test]
+    fn tiled_screen_masks_equal_single_query_masks(
+        unit in prop::collection::vec(-1.0f32..1.0, TILE_MAX_GROUPS * LANES * TILE_MAX_DIM),
+        qunit in prop::collection::vec(-1.0f32..1.0, SCREEN_QUERIES * TILE_MAX_DIM),
+        dim in 1usize..=TILE_MAX_DIM,
+        groups in 1usize..=TILE_MAX_GROUPS,
+        tile in 1usize..=SCREEN_QUERIES,
+        picks in prop::collection::vec((0usize..10, 0usize..TILE_MAX_GROUPS * LANES), SCREEN_QUERIES),
+    ) {
+        let _guard = lock();
+        let n = groups * LANES;
+        let flat: Vec<f32> = unit[..n * dim].to_vec();
+        let blocked = BlockedVectors::from_flat(&flat, dim);
+        let queries: Vec<Vec<f32>> = (0..tile)
+            .map(|t| qunit[t * TILE_MAX_DIM..][..dim].to_vec())
+            .collect();
+        let tiled: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+        for (kernel, euclidean) in KERNELS.into_iter().flat_map(|k| [(k, true), (k, false)]) {
+            force_kernel(Some(kernel));
+            let dist = |q: &[f32], point: usize| {
+                let row = &flat[point * dim..][..dim];
+                if euclidean { Euclidean.dist(q, row) } else { SquaredEuclidean.dist(q, row) }
+            };
+            // Each query's bound: a member's canonical distance, beside it,
+            // well inside or outside it, or one of the special values.
+            let bounds: Vec<f64> = tiled
+                .iter()
+                .zip(&picks)
+                .map(|(q, &(kind, member))| {
+                    let on = dist(q, member % n);
+                    match kind {
+                        0 => on,
+                        1 => on.next_down(),
+                        2 => on * 0.5,
+                        3 => on * 2.0,
+                        4 => 0.0,
+                        5 => f64::INFINITY,
+                        6 => f64::NEG_INFINITY,
+                        7 => f64::NAN,
+                        8 => 1e-40,
+                        _ => on.next_up(),
+                    }
+                })
+                .collect();
+            let screen = |queries: &[&[f32]], bounds: &[f64], keep: &mut [u8]| {
+                let block = blocked.block(0..groups);
+                if euclidean {
+                    Euclidean.screen_lanes(queries, block, bounds, keep);
+                } else {
+                    SquaredEuclidean.screen_lanes(queries, block, bounds, keep);
+                }
+            };
+            let mut keep = vec![0xA5u8; SCREEN_QUERIES * TILE_MAX_GROUPS + 1];
+            screen(&tiled, &bounds, &mut keep);
+            let case = format!("kernel {kernel:?} euclidean {euclidean} dim {dim} bounds {bounds:?}");
+            for (t, (&query, &bound)) in tiled.iter().zip(&bounds).enumerate() {
+                let mut alone = vec![0xA5u8; groups];
+                screen(&[query], &[bound], &mut alone);
+                prop_assert_eq!(&keep[t * groups..][..groups], &alone[..], "{}: query {}", case, t);
+            }
+            prop_assert!(
+                keep[tile * groups..].iter().all(|&mask| mask == 0xA5),
+                "{}: wrote past the tile", case
+            );
         }
         force_kernel(None);
     }
