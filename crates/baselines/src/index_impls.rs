@@ -1,13 +1,10 @@
-//! [`SearchIndex`] implementations for the baseline structures, so the
-//! online serving engine (`rbc-serve`) can schedule micro-batches over a
-//! Cover Tree, vp-tree, kd-tree, LSH table or plain linear scan exactly as
-//! it does over the RBC — which is what makes serving-layer comparisons
-//! between the paper's index and its competitors apples-to-apples.
+//! The [`SearchIndex`] implementation for the cover tree, so the online
+//! serving engine (`rbc-serve`) can schedule micro-batches over it exactly
+//! as it does over the RBC — which is what makes serving-layer comparisons
+//! between the paper's index and its Table 3 competitor apples-to-apples.
 //!
-//! The tree indexes answer batches by looping their sequential per-query
-//! search (their traversals do not share database tiles — the paper's
-//! point); [`LinearScan`] overrides the batched path with the tiled
-//! `BF(Q, X)` primitive, which is the brute-force serving baseline.
+//! The tree answers batches by looping its sequential per-query search
+//! (its traversals do not share database tiles — the paper's point).
 
 use rbc_core::SearchIndex;
 use rbc_metric::{Dataset, Metric, QueryBatch};
@@ -15,50 +12,6 @@ use rbc_metric::{Dataset, Metric, QueryBatch};
 use rbc_bruteforce::Neighbor;
 
 use crate::cover_tree::CoverTree;
-use crate::kd_tree::KdTree;
-use crate::linear::LinearScan;
-use crate::lsh::LshIndex;
-use crate::vp_tree::VpTree;
-
-impl<D, M> SearchIndex for LinearScan<D, M>
-where
-    D: Dataset,
-    M: Metric<D::Item>,
-{
-    type Query = D::Item;
-
-    fn size(&self) -> usize {
-        self.len()
-    }
-
-    fn search(&self, query: &D::Item, k: usize) -> (Vec<Neighbor>, u64) {
-        self.query_k(query, k)
-    }
-
-    fn search_batch(&self, queries: &[&D::Item], k: usize) -> (Vec<Vec<Neighbor>>, u64) {
-        self.query_batch_k(&QueryBatch::new(queries), k)
-    }
-}
-
-impl<D, M> SearchIndex for VpTree<D, M>
-where
-    D: Dataset,
-    M: Metric<D::Item>,
-{
-    type Query = D::Item;
-
-    fn size(&self) -> usize {
-        self.len()
-    }
-
-    fn search(&self, query: &D::Item, k: usize) -> (Vec<Neighbor>, u64) {
-        self.query_k(query, k)
-    }
-
-    fn search_batch(&self, queries: &[&D::Item], k: usize) -> (Vec<Vec<Neighbor>>, u64) {
-        self.query_batch_k(&QueryBatch::new(queries), k)
-    }
-}
 
 impl<D, M> SearchIndex for CoverTree<D, M>
 where
@@ -80,37 +33,10 @@ where
     }
 }
 
-impl SearchIndex for KdTree<'_> {
-    type Query = [f32];
-
-    fn size(&self) -> usize {
-        self.len()
-    }
-
-    fn search(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
-        self.query_k(query, k)
-    }
-}
-
-/// LSH is approximate: `search` returns the same candidates the inherent
-/// [`LshIndex::query_k`] does, which may miss true neighbors. The serving
-/// layer does not care — it only requires batch answers to agree with
-/// single-query answers, which holds because both run the same probes.
-impl SearchIndex for LshIndex<'_> {
-    type Query = [f32];
-
-    fn size(&self) -> usize {
-        self.len()
-    }
-
-    fn search(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
-        self.query_k(query, k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rbc_bruteforce::BruteForce;
     use rbc_metric::{Euclidean, VectorSet};
 
     fn cloud(n: usize, dim: usize, seed: u64) -> VectorSet {
@@ -129,39 +55,27 @@ mod tests {
         VectorSet::from_rows(&rows)
     }
 
-    /// The Send/Sync audit for the baseline indexes: the serving layer
-    /// shares them across worker threads behind an `Arc`.
+    /// The Send/Sync audit for the cover tree: the serving layer shares it
+    /// across worker threads behind an `Arc`.
     #[test]
     fn send_sync_audit() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<LinearScan<VectorSet, Euclidean>>();
-        assert_send_sync::<VpTree<VectorSet, Euclidean>>();
         assert_send_sync::<CoverTree<VectorSet, Euclidean>>();
-        assert_send_sync::<KdTree<'static>>();
-        assert_send_sync::<LshIndex<'static>>();
     }
 
     #[test]
     fn exact_baselines_agree_through_the_trait() {
         let db = cloud(250, 4, 1);
         let queries = cloud(8, 4, 2);
-        let linear = LinearScan::new(&db, Euclidean);
-        let vp = VpTree::build(&db, Euclidean);
         let cover = CoverTree::build(&db, Euclidean);
-        let kd = KdTree::build(&db);
 
         for qi in 0..queries.len() {
             let q = queries.point(qi);
-            let (want, _) = SearchIndex::search(&linear, q, 3);
+            let want = BruteForce::new().knn_single(q, &db, &Euclidean, 3).0;
             let want_idx: Vec<usize> = want.iter().map(|n| n.index).collect();
-            for got in [
-                SearchIndex::search(&vp, q, 3).0,
-                SearchIndex::search(&cover, q, 3).0,
-                SearchIndex::search(&kd, q, 3).0,
-            ] {
-                let got_idx: Vec<usize> = got.iter().map(|n| n.index).collect();
-                assert_eq!(got_idx, want_idx, "query {qi}");
-            }
+            let got = SearchIndex::search(&cover, q, 3).0;
+            let got_idx: Vec<usize> = got.iter().map(|n| n.index).collect();
+            assert_eq!(got_idx, want_idx, "query {qi}");
         }
     }
 
@@ -171,20 +85,16 @@ mod tests {
         let queries = cloud(7, 3, 4);
         let refs: Vec<&[f32]> = (0..queries.len()).map(|i| queries.point(i)).collect();
 
-        let linear = LinearScan::new(&db, Euclidean);
-        let vp = VpTree::build(&db, Euclidean);
-        let kd = KdTree::build(&db);
+        let cover = CoverTree::build(&db, Euclidean);
 
-        let (lin_batch, lin_work) = linear.search_batch(&refs, 2);
-        let (vp_batch, _) = vp.search_batch(&refs, 2);
-        let (kd_batch, _) = kd.search_batch(&refs, 2);
-        assert_eq!(lin_work, (refs.len() * db.len()) as u64);
+        let (batch, batch_work) = cover.search_batch(&refs, 2);
+        let mut single_work = 0;
         for (qi, q) in refs.iter().enumerate() {
-            assert_eq!(lin_batch[qi], linear.search(q, 2).0);
-            assert_eq!(vp_batch[qi], vp.search(q, 2).0);
-            assert_eq!(kd_batch[qi], kd.search(q, 2).0);
+            let (single, work) = cover.search(q, 2);
+            assert_eq!(batch[qi], single);
+            single_work += work;
         }
-        assert_eq!(SearchIndex::size(&linear), db.len());
-        assert_eq!(SearchIndex::size(&kd), db.len());
+        assert_eq!(batch_work, single_work);
+        assert_eq!(SearchIndex::size(&cover), db.len());
     }
 }

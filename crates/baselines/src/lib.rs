@@ -1,43 +1,23 @@
-//! Baseline nearest-neighbor indexes used by the paper's comparisons.
+//! The exact comparator of the paper's evaluation besides brute force.
 //!
-//! * [`CoverTree`] — the Cover Tree of Beygelzimer, Kakade & Langford
-//!   (2006): the state-of-the-art sequential metric index the paper
-//!   compares the exact RBC against in §7.4 / Table 3. Like the RBC, its
-//!   query-time guarantees depend on the expansion rate (O(c⁶ log n) per
-//!   query); unlike the RBC, its search is a deep, conditional tree
-//!   traversal that does not map well onto wide parallel hardware — which
-//!   is the paper's central argument.
-//! * [`VpTree`] — a classic metric ball tree (vantage-point tree in the
-//!   style of Yianilos / Omohundro's ball trees, refs [23, 31]), the
-//!   "metric tree" family the paper uses to motivate why interleaved
-//!   bound/distance computations are hard to parallelize (§3).
-//! * [`KdTree`] — the axis-aligned splitting structure the paper mentions
-//!   as "extremely effective" in very low dimensions (§7.1), used to
-//!   justify why the evaluation focuses on higher-dimensional data.
-//! * [`LshIndex`] — p-stable Locality-Sensitive Hashing for `ℓ2`, the
-//!   alternative approximate approach the related-work section contrasts
-//!   the RBC against (§2, ref \[16\]).
-//! * [`LinearScan`] — brute force behind the same counting interface, the
-//!   baseline every speedup in the paper is measured against.
+//! [`CoverTree`] is the Cover Tree of Beygelzimer, Kakade & Langford
+//! (2006): the state-of-the-art sequential metric index the paper compares
+//! the exact RBC against in §7.4 / Table 3. Like the RBC, its query-time
+//! guarantees depend on the expansion rate (O(c⁶ log n) per query);
+//! unlike the RBC, its search is a deep, conditional tree traversal that
+//! does not map well onto wide parallel hardware — which is the paper's
+//! central argument.
 //!
-//! All indexes are exact, report their work in distance evaluations, and
-//! are deliberately *sequential* per query: the paper runs the Cover Tree
-//! on a single core (§7.4) because its conditional structure does not
-//! benefit from naive parallelisation, and the others serve as work
-//! baselines for the benchmark harness.
+//! The tree is exact, reports its work in distance evaluations, and is
+//! deliberately *sequential* per query: the paper runs the Cover Tree on a
+//! single core (§7.4) because its conditional structure does not benefit
+//! from naive parallelisation. Brute force, the other comparator, is
+//! `rbc_bruteforce::BruteForce`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod cover_tree;
 pub mod index_impls;
-pub mod kd_tree;
-pub mod linear;
-pub mod lsh;
-pub mod vp_tree;
 
 pub use cover_tree::CoverTree;
-pub use kd_tree::KdTree;
-pub use linear::LinearScan;
-pub use lsh::{LshIndex, LshParams};
-pub use vp_tree::VpTree;

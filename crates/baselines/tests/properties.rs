@@ -1,12 +1,11 @@
-//! Property-based exactness tests for the baseline indexes.
+//! Property-based exactness tests for the cover tree.
 //!
-//! Whatever the point cloud, every baseline must return the same neighbor
-//! distances as a naive scan — these trees exist to be *exact* comparators
-//! for the RBC experiments, so silent approximation would corrupt every
-//! table that uses them.
+//! Whatever the point cloud, the tree must return the same neighbor
+//! distances as a naive scan — it exists to be an *exact* comparator for
+//! the RBC experiments, so silent approximation would corrupt Table 3.
 
 use proptest::prelude::*;
-use rbc_baselines::{CoverTree, KdTree, LinearScan, VpTree};
+use rbc_baselines::CoverTree;
 use rbc_bruteforce::{BruteForce, Neighbor};
 use rbc_metric::{Euclidean, VectorSet};
 
@@ -39,55 +38,8 @@ proptest! {
         }
     }
 
-    #[test]
-    fn vp_tree_is_exact(
-        db_rows in cloud(1..80),
-        q in prop::collection::vec(-30.0f32..30.0, DIM),
-        k in 1usize..6,
-        leaf in 1usize..20,
-    ) {
-        let db = VectorSet::from_rows(&db_rows);
-        let vp = VpTree::build_with_leaf_size(&db, Euclidean, leaf);
-        let (got, _) = vp.query_k(&q[..], k);
-        let want = brute(&db, &q, k);
-        prop_assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(want.iter()) {
-            prop_assert!((g.dist - w.dist).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn kd_tree_is_exact(
-        db_rows in cloud(1..80),
-        q in prop::collection::vec(-30.0f32..30.0, DIM),
-        k in 1usize..6,
-        leaf in 1usize..20,
-    ) {
-        let db = VectorSet::from_rows(&db_rows);
-        let kd = KdTree::build_with_leaf_size(&db, leaf);
-        let (got, _) = kd.query_k(&q, k);
-        let want = brute(&db, &q, k);
-        prop_assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(want.iter()) {
-            prop_assert!((g.dist - w.dist).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn linear_scan_matches_primitive_and_counts_n(
-        db_rows in cloud(1..50),
-        q in prop::collection::vec(-30.0f32..30.0, DIM),
-    ) {
-        let db = VectorSet::from_rows(&db_rows);
-        let scan = LinearScan::new(&db, Euclidean);
-        let (nn, evals) = scan.query(&q[..]);
-        let want = brute(&db, &q, 1)[0];
-        prop_assert_eq!(nn, want);
-        prop_assert_eq!(evals, db_rows.len() as u64);
-    }
-
-    /// Tree baselines never do more distance evaluations than a full scan
-    /// plus the tree's internal nodes (sanity bound on the counters).
+    /// The cover tree never does more distance evaluations than a full scan
+    /// plus the tree's internal nodes (sanity bound on the counter).
     #[test]
     fn work_counters_are_bounded(
         db_rows in cloud(2..60),
@@ -96,10 +48,6 @@ proptest! {
         let db = VectorSet::from_rows(&db_rows);
         let n = db.len() as u64;
         let ct = CoverTree::build(&db, Euclidean);
-        let vp = VpTree::build(&db, Euclidean);
-        let kd = KdTree::build(&db);
         prop_assert!(ct.query(&q[..]).1 <= 2 * n);
-        prop_assert!(vp.query(&q[..]).1 <= 2 * n);
-        prop_assert!(kd.query(&q).1 <= n);
     }
 }

@@ -37,24 +37,6 @@ impl PreparedWorkload {
     pub fn n(&self) -> usize {
         self.database.len()
     }
-
-    /// Caps the workload at `max_n` database points and `max_queries`
-    /// queries (keeping prefixes). The criterion micro-benchmarks use this
-    /// so a single benchmark iteration stays in the tens of milliseconds;
-    /// the experiment binaries use full-size workloads instead.
-    #[must_use]
-    pub fn truncated(&self, max_n: usize, max_queries: usize) -> Self {
-        let (database, _) = self.database.split_at(max_n.min(self.database.len()));
-        let (queries, _) = self.queries.split_at(max_queries.min(self.queries.len()));
-        let mut spec = self.spec.clone();
-        spec.n = database.len();
-        spec.n_queries = queries.len();
-        Self {
-            spec,
-            database,
-            queries,
-        }
-    }
 }
 
 /// One measured batch of queries: answers, wall-clock, and work.

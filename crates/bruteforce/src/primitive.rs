@@ -4,7 +4,7 @@ use std::sync::Mutex;
 
 use rayon::prelude::*;
 
-use rbc_metric::{BlockedVectors, Dataset, Dist, Metric, QueryBatch, LANES};
+use rbc_metric::{BlockedVectors, Dataset, Dist, Metric, LANES};
 
 use crate::neighbor::Neighbor;
 use crate::stats::BfStats;
@@ -181,36 +181,9 @@ impl BruteForce {
         )
     }
 
-    /// [`knn`](Self::knn) with an explicitly supplied blocked mirror of
-    /// `db` (e.g. a representative set gathered out of a larger database,
-    /// which has no mirror of its own). Bit-identical to `knn`; only the
-    /// scan layout differs.
-    pub fn knn_with_blocks<Q, D, M>(
-        &self,
-        queries: &Q,
-        db: &D,
-        metric: &M,
-        k: usize,
-        blocks: Option<&BlockedVectors>,
-    ) -> (Vec<Vec<Neighbor>>, BfStats)
-    where
-        Q: Dataset,
-        D: Dataset<Item = Q::Item>,
-        M: Metric<Q::Item>,
-    {
-        self.knn_over::<false, _, _, _, _, _, _, _>(
-            queries,
-            db,
-            metric,
-            None,
-            blocks,
-            heaps(k),
-            sorted_answer,
-        )
-    }
-
     /// [`nn`](Self::nn) with an explicitly supplied blocked mirror of `db`
-    /// (see [`knn_with_blocks`](Self::knn_with_blocks)).
+    /// (e.g. a representative set gathered out of a larger database, which
+    /// has no mirror of its own).
     ///
     /// A *screened* dense scan. Once a query has a finite nearest
     /// distance, the lane groups of each database tile are screened four
@@ -340,61 +313,6 @@ impl BruteForce {
             heaps(k),
             sorted_answer,
         )
-    }
-
-    /// 1-NN for every query against the sub-database `X[L]`.
-    pub fn nn_in_list<Q, D, M>(
-        &self,
-        queries: &Q,
-        db: &D,
-        list: &[usize],
-        metric: &M,
-    ) -> (Vec<Neighbor>, BfStats)
-    where
-        Q: Dataset,
-        D: Dataset<Item = Q::Item>,
-        M: Metric<Q::Item>,
-    {
-        let (knn, stats) = self.knn_in_list(queries, db, list, metric, 1);
-        let nn = knn
-            .into_iter()
-            .map(|mut v| v.pop().unwrap_or_else(Neighbor::farthest))
-            .collect();
-        (nn, stats)
-    }
-
-    /// k-NN for a batch of *individually owned* queries (e.g. `Vec<f32>`
-    /// buffers or `String`s accumulated by an online serving layer),
-    /// without first copying them into a contiguous dataset.
-    ///
-    /// This is the entry point a micro-batching scheduler wants: it
-    /// coalesces queries that arrived one at a time and hands the slice
-    /// over directly, so the only data movement is the one unavoidable
-    /// read during the distance computation.
-    pub fn knn_items<O, D, M>(
-        &self,
-        queries: &[O],
-        db: &D,
-        metric: &M,
-        k: usize,
-    ) -> (Vec<Vec<Neighbor>>, BfStats)
-    where
-        D: Dataset,
-        O: std::borrow::Borrow<D::Item> + Sync,
-        M: Metric<D::Item>,
-    {
-        self.knn(&QueryBatch::new(queries), db, metric, k)
-    }
-
-    /// 1-NN for a batch of individually owned queries (see
-    /// [`knn_items`](Self::knn_items)).
-    pub fn nn_items<O, D, M>(&self, queries: &[O], db: &D, metric: &M) -> (Vec<Neighbor>, BfStats)
-    where
-        D: Dataset,
-        O: std::borrow::Borrow<D::Item> + Sync,
-        M: Metric<D::Item>,
-    {
-        self.nn(&QueryBatch::new(queries), db, metric)
     }
 
     /// All items of `db` within distance `radius` of each query, sorted by
@@ -891,7 +809,7 @@ fn sorted_answer(_query: usize, best: TopK) -> Vec<Neighbor> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbc_metric::{Euclidean, Manhattan, PerPoint, VectorSet};
+    use rbc_metric::{Euclidean, Manhattan, PerPoint, QueryBatch, VectorSet};
 
     /// A deterministic pseudo-random cloud (no dependency on `rand` needed
     /// for unit tests).
@@ -1000,15 +918,6 @@ mod tests {
             }
         }
         assert_eq!(stats.distance_evals, 5 * list.len() as u64);
-    }
-
-    #[test]
-    fn empty_list_yields_sentinel_nn() {
-        let db = cloud(50, 3, 9);
-        let queries = cloud(2, 3, 10);
-        let bf = BruteForce::new();
-        let (nn, _) = bf.nn_in_list(&queries, &db, &[], &Euclidean);
-        assert!(nn.iter().all(Neighbor::is_sentinel));
     }
 
     #[test]
@@ -1397,12 +1306,13 @@ mod tests {
         let owned: Vec<Vec<f32>> = queries.iter().map(<[f32]>::to_vec).collect();
         let bf = BruteForce::new();
         let (from_set, set_stats) = bf.knn(&queries, &db, &Euclidean, 3);
-        let (from_items, item_stats) = bf.knn_items(&owned, &db, &Euclidean, 3);
+        let batch = QueryBatch::new(&owned);
+        let (from_items, item_stats) = bf.knn(&batch, &db, &Euclidean, 3);
         assert_eq!(from_set, from_items);
         assert_eq!(set_stats, item_stats);
 
         let (nn_set, _) = bf.nn(&queries, &db, &Euclidean);
-        let (nn_items, _) = bf.nn_items(&owned, &db, &Euclidean);
+        let (nn_items, _) = bf.nn(&batch, &db, &Euclidean);
         assert_eq!(nn_set, nn_items);
     }
 

@@ -26,9 +26,9 @@
 //!   `serve_bench` binary writes next to the paper-reproduction reports.
 //!
 //! The engine serves anything implementing [`rbc_core::SearchIndex`]:
-//! both RBC variants, the baseline trees, or a linear scan — which makes
-//! "how much does micro-batching buy on this index?" a measurable
-//! question rather than an architectural commitment.
+//! both RBC variants, the distributed cluster, or the cover tree —
+//! which makes "how much does micro-batching buy on this index?" a
+//! measurable question rather than an architectural commitment.
 //!
 //! # Example
 //!

@@ -10,8 +10,8 @@
 //!   [`Euclidean`], edit distance, graph shortest-path, …).
 //! * [`bruteforce`] (`rbc-bruteforce`) — the parallel brute-force primitive
 //!   everything is built from.
-//! * [`baselines`] (`rbc-baselines`) — Cover Tree, vp-tree, kd-tree and
-//!   linear scan comparators.
+//! * [`baselines`] (`rbc-baselines`) — the Cover Tree, the paper's exact
+//!   comparator besides brute force (Table 3).
 //! * [`data`] (`rbc-data`) — synthetic workload generators, random
 //!   projection, expansion-rate estimation.
 //! * [`distributed`] (`rbc-distributed`) — the paper's future-work

@@ -2,7 +2,7 @@
 //! workload generation through indexing, search and baselines, exercised
 //! the way the experiment harness uses it.
 
-use rbc::baselines::{CoverTree, KdTree, LinearScan, VpTree};
+use rbc::baselines::CoverTree;
 use rbc::data::{standard_catalog, ExpansionRate, RandomProjection};
 use rbc::prelude::*;
 
@@ -24,18 +24,14 @@ fn exact_rbc_and_all_baselines_agree_on_catalog_workloads() {
         let params = RbcParams::standard(db.len(), 7);
         let rbc = ExactRbc::build(&db, Euclidean, params, RbcConfig::default());
         let cover = CoverTree::build(&db, Euclidean);
-        let vp = VpTree::build(&db, Euclidean);
-        let kd = KdTree::build(&db);
-        let scan = LinearScan::new(&db, Euclidean);
+        let bf = BruteForce::new();
 
         for qi in 0..queries.len() {
             let q = queries.point(qi);
-            let (truth, _) = scan.query(q);
+            let (truth, _) = bf.nn_single(q, &db, &Euclidean);
             let (a, _) = rbc.query(q);
             let (b, _) = cover.query(q);
-            let (c, _) = vp.query(q);
-            let (d, _) = kd.query(q);
-            for (label, got) in [("rbc", a), ("cover", b), ("vp", c), ("kd", d)] {
+            for (label, got) in [("rbc", a), ("cover", b)] {
                 assert!(
                     (got.dist - truth.dist).abs() < 1e-9,
                     "{label} disagreed with brute force on {name} query {qi}"
@@ -48,9 +44,9 @@ fn exact_rbc_and_all_baselines_agree_on_catalog_workloads() {
 #[test]
 fn one_shot_recall_improves_with_larger_parameter() {
     let (db, queries) = small_workload("bio");
-    let scan = LinearScan::new(&db, Euclidean);
+    let bf = BruteForce::new();
     let truth: Vec<Neighbor> = (0..queries.len())
-        .map(|qi| scan.query(queries.point(qi)).0)
+        .map(|qi| bf.nn_single(queries.point(qi), &db, &Euclidean).0)
         .collect();
 
     let recall_at = |mult: f64| -> f64 {
@@ -145,12 +141,10 @@ fn random_projection_preserves_neighbors_well_enough_to_index() {
         RbcParams::standard(db_lo.len(), 13),
         RbcConfig::default(),
     );
-    let scan = LinearScan::new(&db_hi, Euclidean);
     let mut rank_sum = 0.0;
     for qi in 0..q_lo.len() {
         let (projected_nn, _) = rbc.query(q_lo.point(qi));
         // rank of that answer in the *original* space
-        let (_, _) = scan.query(q_hi.point(qi));
         let d_ret = Euclidean.dist(q_hi.point(qi), db_hi.point(projected_nn.index));
         let rank = (0..db_hi.len())
             .filter(|&j| Euclidean.dist(q_hi.point(qi), db_hi.point(j)) < d_ret)

@@ -93,7 +93,7 @@ fn facade_modules_expose_the_workspace_crates() {
     // Touch one item from every re-exported crate so a broken re-export is
     // a compile error here rather than a downstream surprise.
     let db = VectorSet::from_rows(&random_rows(64, 4, 3));
-    let _ = rbc::baselines::LinearScan::new(&db, Euclidean);
+    let _ = rbc::baselines::CoverTree::build(&db, Euclidean);
     let _ = rbc::bruteforce::BruteForce::new();
     let _ = rbc::core::RbcParams::standard(64, 1);
     let _ = rbc::data::low_dim_manifold(64, 2, 4, 0.0, 5);
