@@ -41,16 +41,17 @@
 //! Usage: `shard_bench [--n N] [--queries N] [--clusters N] [--dim N]
 //! [--k N] [--seed N] [--replication N] [--fail-node N] [--wire]`
 //!
-//! With `--replication` and/or `--fail-node` the binary runs only the
-//! focused failover smoke (build a replicated index, kill the node,
-//! assert nothing is lost) — the CI failover step.
+//! With `--replication` and/or `--fail-node` (and no `--wire`) the binary
+//! runs only the focused failover smoke (build a replicated index, kill
+//! the node, assert nothing is lost) — the CI failover step.
 //!
 //! With `--wire` the binary runs the wire smoke instead: it stands up a
 //! real framed-TCP cluster (`rbc_distributed::net`), replays the stream
 //! over the sockets, and asserts per cell bit-identity with the
 //! in-process transport, identical worker evals, identical counted
 //! frames on both transports, and **counted frame bytes equal to the
-//! bytes that actually crossed the sockets**.
+//! bytes that actually crossed the sockets**. Its placement is
+//! single-owner, or `--replication N`-fold replicated.
 
 use std::time::Instant;
 
@@ -88,7 +89,8 @@ struct Options {
     k: usize,
     /// Base RNG seed for the database, streams, and representatives.
     seed: u64,
-    /// Focused failover smoke: replication factor (with `fail_node`).
+    /// Focused failover smoke: replication factor (with `fail_node`); with
+    /// `wire`, the wire smoke's placement.
     replication: Option<usize>,
     /// Focused failover smoke: the node to kill.
     fail_node: Option<usize>,
@@ -303,7 +305,8 @@ fn failover_smoke(opts: &Options) {
 /// process — node servers each owning only their shard behind
 /// `127.0.0.1:0` sockets — replaying the same stream that the
 /// in-process transport runs, cell by cell over node counts × batch
-/// sizes. Asserted per cell:
+/// sizes, single-owner or `--replication N`-fold replicated. Asserted per
+/// cell:
 ///
 /// * **bit-identity** — wire answers equal the in-process answers and
 ///   the centralized list-major reference;
@@ -315,8 +318,12 @@ fn failover_smoke(opts: &Options) {
 ///   the sockets (frame headers included).
 fn wire_smoke(opts: &Options) {
     use rbc_distributed::net::{spawn_local_cluster, NetConfig};
+    let policy = match opts.replication {
+        Some(factor) => PlacementPolicy::Replicated { factor },
+        None => PlacementPolicy::SingleOwner,
+    };
     println!(
-        "wire smoke: n = {}, {} clustered queries (dim {}), k = {}\n",
+        "wire smoke: n = {}, {} clustered queries (dim {}), k = {}, {policy:?}\n",
         opts.n, opts.queries, opts.dim, opts.k
     );
     let database = gaussian_mixture(opts.n, opts.dim, opts.clusters, 0.03, 7 + opts.seed);
@@ -337,9 +344,10 @@ fn wire_smoke(opts: &Options) {
         &["nodes", "batch", "frames", "wire B/q", "ms"],
     );
     for nodes in [2usize, 4] {
-        let local = DistributedRbc::from_exact(
+        let local = DistributedRbc::from_exact_with_policy(
             rbc.clone(),
             ClusterConfig::with_nodes(nodes),
+            policy,
             database.dim(),
         );
         let wired = DistributedRbc::from_exact_with_placement(

@@ -14,17 +14,23 @@
 //! quarter of the bytes, and the same range.
 //!
 //! **Screened.** Inside its run a cursor scores a block of lane groups at a
-//! time, each group masked by a screen against the cursor's top-k threshold
-//! — [`Metric::screen_lanes`] over a mirror of `f32` lanes, a window of
-//! sixteen groups per call for up to [`SCREEN_QUERIES`] cursors at once,
-//! [`Metric::screen_codes`] over one of `u8` codes, one block per call and
-//! cursor; for the Euclidean metrics one pure `f32` pass that may
-//! clear a lane only when its distance is certainly above the threshold at
-//! the call, and so above every later one. A cleared lane is neither scored
-//! nor offered, and a group left without a kept lane is done. The screen
-//! decides only what is skipped: every distance that reaches `TopK` is
-//! computed by the canonical kernels below, so answers, ties, thresholds and
-//! evaluation counts do not depend on it.
+//! time, each group masked by a screen against the cursor's *bound* — the
+//! same `t` the run was cut with, the smaller of its top-k threshold and its
+//! `threshold_cap` — [`Metric::screen_lanes`] over a mirror of `f32` lanes,
+//! a window of sixteen groups per call for up to [`SCREEN_QUERIES`] cursors
+//! at once, [`Metric::screen_codes`] over one of `u8` codes, one block per
+//! call and cursor; for the Euclidean metrics one pure `f32` pass that may
+//! clear a lane only when its distance is certainly above the bound at the
+//! call, and so above every later one. A cleared lane is neither scored nor
+//! offered, and a group left without a kept lane is done. Of the rescored
+//! lanes, only those at or under the bound are offered to the collector. So
+//! the cap bounds the run, the screen and the offers alike: a scan into an
+//! empty accumulator (a cluster node's) collects only candidates at or
+//! under its cap, and one whose accumulator already sits at or under the
+//! cap (the in-process searches') is unchanged by it. The screen decides
+//! only what is skipped: every distance that reaches `TopK` is computed by
+//! the canonical kernels below, so answers, ties, thresholds and evaluation
+//! counts do not depend on it.
 //!
 //! **Dense.** The kept lanes are scored canonically — a whole group at once
 //! from an `f32` [`ListMirror`], lane by lane from the row-major database
@@ -107,12 +113,26 @@ pub struct GroupCursor {
     pub query: usize,
     /// Distance from this query to the list's representative, `ρ(q, r)`.
     pub d_to_rep: Dist,
-    /// Static cap folded into the pruning threshold (the exact search's
-    /// `γ_k`); `Dist::INFINITY` leaves only the evolving top-k threshold.
+    /// Static cap on the cursor's bound: the scan's run, its screen and
+    /// the candidates it offers are all held to the smaller of the evolving
+    /// top-k threshold and this cap (the exact search's `γ_k`, or the
+    /// round's cap a cluster node was sent), so no candidate above the cap
+    /// is collected. `Dist::INFINITY` (or NaN) leaves only the top-k
+    /// threshold.
     pub threshold_cap: Dist,
 }
 
 impl GroupCursor {
+    /// The cursor's bound when its collector's k-th distance is `kth`:
+    /// the smaller of that and the cap (`min` takes the number, so a NaN
+    /// cap leaves `kth`). Every decision of a scan reads it: the entry run,
+    /// the re-clips, the screen of each window and which rescored lanes are
+    /// offered.
+    #[inline]
+    fn bound(&self, kth: Dist) -> Dist {
+        kth.min(self.threshold_cap)
+    }
+
     /// The sorted-list cut on the near side: a member at `d_xr` from the
     /// list's representative is at least `d_to_rep − d_xr` from the query,
     /// farther than the bound `t` allows. Monotone in `d_xr`, and false on
@@ -137,7 +157,7 @@ impl GroupCursor {
     /// may hold a point at exactly `kth` is kept, so ties still resolve by
     /// index — and false on NaN. Callers skip the scan when it is true.
     pub fn run_is_empty(&self, radius: Dist, kth: Dist, shrink: f64) -> bool {
-        self.behind(radius, kth.min(self.threshold_cap) / shrink)
+        self.behind(radius, self.bound(kth) / shrink)
     }
 }
 
@@ -352,7 +372,7 @@ struct Slot {
     /// the run may be re-clipped.
     block_end: usize,
     /// The bound the run was last clipped against.
-    bound: Dist,
+    clipped_at: Dist,
     /// The shared accumulator's admissions when `local` was seeded from it.
     seen: u64,
     /// The cursor's private collector: seeded from the shared accumulator
@@ -371,7 +391,7 @@ impl Slot {
             cursor: GroupCursor::default(),
             run: 0..0,
             block_end: 0,
-            bound: Dist::INFINITY,
+            clipped_at: Dist::INFINITY,
             seen: 0,
             local: TopK::new(1),
             fresh: Vec::new(),
@@ -385,19 +405,27 @@ impl Slot {
     fn seed(&mut self, at: usize, cursor: GroupCursor, run: Range<usize>, shared: &TopK) {
         self.local.clone_from(shared);
         self.seen = shared.admissions;
-        self.bound = shared.threshold().min(cursor.threshold_cap);
         self.block_end = (run.start + RECLIP_GROUPS).min(run.end);
         (self.at, self.cursor, self.run) = (at, cursor, run);
+        self.clipped_at = self.bound();
         self.work = CursorWork::default();
     }
 
+    /// The cursor's bound now ([`GroupCursor::bound`] at its collector's
+    /// k-th): what the run is clipped to, each window is screened against
+    /// and a rescored lane must not exceed to be offered.
+    #[inline]
+    fn bound(&self) -> Dist {
+        self.cursor.bound(self.local.threshold())
+    }
+
     /// Closes the block that ended at `run.start`: when it tightened the
-    /// threshold so far that an end group of the rest of the run is cut,
-    /// the rest is re-clipped. Then the next block begins.
+    /// bound so far that an end group of the rest of the run is cut, the
+    /// rest is re-clipped. Then the next block begins.
     fn next_block<D: Dataset, M: Metric<D::Item>>(&mut self, list: &ListScan<'_, D, M>) {
-        let tightened = self.local.threshold().min(self.cursor.threshold_cap);
-        if tightened < self.bound && !self.run.is_empty() {
-            self.bound = tightened;
+        let tightened = self.bound();
+        if tightened < self.clipped_at && !self.run.is_empty() {
+            self.clipped_at = tightened;
             if list.ends_can_move(&self.cursor, tightened, &self.run) {
                 self.run = list.clip(&self.cursor, tightened, self.run.clone());
             }
@@ -627,7 +655,7 @@ where
 
     /// The run of a cursor whose top-k threshold is `kth` on entry.
     fn enter(&self, cursor: &GroupCursor, kth: Dist) -> Range<usize> {
-        self.clip(cursor, kth.min(cursor.threshold_cap), 0..self.groups())
+        self.clip(cursor, cursor.bound(kth), 0..self.groups())
     }
 
     /// The distances to the representative of the first and the last member
@@ -740,14 +768,14 @@ where
             }
             let screened = &screened[..rows];
             if let Some(mirror) = self.mirror {
-                // A lane the screen clears is above its cursor's threshold
-                // at the call and thresholds only fall, so `TopK` would turn
-                // it away whenever it got to it: it is neither scored nor
-                // offered.
+                // A lane the screen clears is above its cursor's bound at
+                // the call and bounds only fall, so the offer filter would
+                // turn it away whenever it got to it: it is neither scored
+                // nor offered.
                 let mut tile = [queries[0]; SCREEN_QUERIES];
                 let mut bounds = [0.0; SCREEN_QUERIES];
                 for ((q, bound), &s) in tile.iter_mut().zip(&mut bounds).zip(screened) {
-                    (*q, *bound) = (queries[s], slots[s].local.threshold());
+                    (*q, *bound) = (queries[s], slots[s].bound());
                 }
                 let keep = &mut masks[..rows * window.len()];
                 mirror.screen(
@@ -817,7 +845,7 @@ where
     }
 
     /// Scores the `kept` lanes of lane group `g` canonically for a cursor,
-    /// and offers those at or under its k-th distance to its collector.
+    /// and offers those at or under its bound to its collector.
     fn score_group(
         &self,
         q: &D::Item,
@@ -828,15 +856,16 @@ where
     ) {
         slot.work.reranked += 1;
         self.score(q, g, kept, lane_dists);
-        // No kept lane at or under the k-th means none can enter the heap
-        // (ties can still be admitted by index order, hence `<=`). Past
-        // that, a lane above the k-th is turned away and is not offered; a
-        // NaN lane is, and `TopK` decides.
-        let kth = slot.local.threshold();
+        // No kept lane at or under the bound means none is offered (ties
+        // at the k-th can still be admitted by index order, hence `<=`).
+        // Past that, a lane above the bound — the k-th, or the cap below
+        // it — is turned away and is not offered; a NaN lane is, and
+        // `TopK` decides.
+        let bound = slot.bound();
         let (mut under, mut over) = (0u8, 0u8);
         for (lane, &d) in lane_dists.iter().enumerate() {
-            under |= u8::from(d <= kth) << lane;
-            over |= u8::from(d > kth) << lane;
+            under |= u8::from(d <= bound) << lane;
+            over |= u8::from(d > bound) << lane;
         }
         if kept & under == 0 {
             return;

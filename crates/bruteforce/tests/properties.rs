@@ -27,6 +27,10 @@ const KERNELS: [KernelChoice; 3] = [
 /// What a poisoned coordinate becomes.
 const SPECIALS: [f32; 3] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
 
+/// Held while a test forces a kernel: the choice is process-wide, and a
+/// test that compares two scans' rescored groups needs both on one kernel.
+static KERNEL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn points(n_range: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<f32>>> {
     prop::collection::vec(prop::collection::vec(-50.0f32..50.0, DIM), n_range)
 }
@@ -234,6 +238,7 @@ proptest! {
         let (canonical, canonical_stats) = blocked.nn(&queries, &db, &PerPoint(Euclidean));
         let canonical: Vec<_> = canonical.iter().map(bits).collect();
 
+        let _kernel = KERNEL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         for kernel in KERNELS {
             force_kernel(Some(kernel));
             let (screened, stats) =
@@ -377,5 +382,124 @@ proptest! {
             prop_assert_eq!(stats.distance_evals, evals.iter().sum::<u64>(), "{}", case);
             prop_assert_eq!(stats.points_skipped, skipped, "{}", case);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A cursor's cap bounds its screen and its offers, not only its run. A
+    /// cursor capped at `c` scanning into an empty accumulator collects
+    /// exactly the numbers at or under `c` of what the uncapped scan
+    /// collects (a NaN cap is no cap; NaN lanes are offered either way, so
+    /// they may fill what the cap left free) and rescores no more groups —
+    /// for `c` below, at and above the true k-th distance, `+∞` and NaN,
+    /// with `f32` lanes, coded lanes and none, on every kernel. For a
+    /// finite `c` it is the scan of an uncapped cursor whose accumulator
+    /// holds `k` sentinels at `c` (the exact search's seeding): the same
+    /// numbers, evaluations, skips and rescored groups, which a screen that
+    /// ignored the cap would exceed. Where the cap cannot clip the run, the
+    /// evaluations are the uncapped scan's.
+    #[test]
+    fn a_capped_scan_collects_the_uncapped_answers_at_or_under_its_cap(
+        (seed, n, k, db_tile) in (any::<u64>(), 1usize..=200, 1usize..=6, 0usize..4),
+        flagged in prop::collection::vec(0usize..200, 0..12),
+        (sorted_cut, poisoned) in (any::<bool>(), 0usize..3),
+    ) {
+        use rbc_bruteforce::{GroupCursor, GroupScanStats, ListMirror, TopK};
+        use std::sync::Mutex;
+        let mut next = unit_stream(seed);
+        let mut rows: Vec<Vec<f32>> =
+            (0..n).map(|_| (0..DIM).map(|_| next() * 10.0).collect()).collect();
+        for p in 0..poisoned {
+            rows[(seed as usize).wrapping_add(p * 7) % n][p % DIM] = f32::NAN;
+        }
+        let query: Vec<f32> = (0..DIM).map(|_| next() * 10.0).collect();
+        let rep = vec![0.0f32; DIM];
+        let db = VectorSet::from_rows(&rows);
+        let queries = VectorSet::from_rows(&[query]);
+        let mut order: Vec<(f64, usize)> =
+            (0..n).map(|i| (Euclidean.dist(db.point(i), &rep), i)).collect();
+        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let members: Vec<usize> = order.iter().map(|&(_, i)| i).collect();
+        let member_dists: Vec<f64> = order.iter().map(|&(d, _)| d).collect();
+        let mut skip = vec![false; n];
+        for &i in &flagged {
+            skip[i % n] = true;
+        }
+        let d_to_rep = Euclidean.dist(queries.point(0), &rep);
+        let bf = BruteForce::with_config(BfConfig {
+            db_tile: DB_TILES[db_tile],
+            ..BfConfig::sequential()
+        });
+        let floats = ListMirror::gather(&db, &members, Some(&member_dists), Some(&skip));
+        let codes = ListMirror::gather_codes(&db, &members, Some(&member_dists), Some(&skip));
+        let numbers = |answers: &[Neighbor]| -> Vec<(usize, u64)> {
+            answers.iter().filter(|a| !a.dist.is_nan() && a.index < n).map(bits).collect()
+        };
+        let _kernel = KERNEL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        for kernel in KERNELS {
+            force_kernel(Some(kernel));
+            for mirror in [floats.as_ref(), codes.as_ref(), None] {
+                let scan = |cap: f64, sentinels: usize| -> (Vec<Neighbor>, GroupScanStats) {
+                    let mut topk = TopK::new(k);
+                    for s in 0..sentinels {
+                        topk.push(Neighbor::new(n + s, cap));
+                    }
+                    let accumulators = [Mutex::new(topk)];
+                    let cursor = GroupCursor { query: 0, d_to_rep, threshold_cap: cap };
+                    let stats = bf.knn_group_in_list(
+                        &queries, &db, &Euclidean, &members, &member_dists, &[cursor], 1.0,
+                        sorted_cut, Some(&skip), mirror, &accumulators,
+                    );
+                    let [accumulator] = accumulators;
+                    (accumulator.into_inner().unwrap().into_sorted(), stats)
+                };
+                let (uncapped, open) = scan(f64::INFINITY, 0);
+                let finite: Vec<f64> =
+                    uncapped.iter().map(|a| a.dist).filter(|d| !d.is_nan()).collect();
+                let kth = finite.last().copied().unwrap_or(1.0);
+                let nearest = finite.first().copied().unwrap_or(1.0);
+                let caps = [
+                    0.0,
+                    kth * 0.5,
+                    (nearest + kth) / 2.0,
+                    kth,
+                    kth * 1.5,
+                    f64::INFINITY,
+                    f64::NAN,
+                ];
+                for cap in caps {
+                    let case = format!(
+                        "kernel {kernel:?}, mirror {}, cap {cap}, kth {kth}",
+                        mirror.map_or("none", |m| if m.codes().is_some() { "codes" } else { "f32" })
+                    );
+                    // A NaN cap is no cap.
+                    let within = |d: f64| d <= cap || cap.is_nan();
+                    let (capped, stats) = scan(cap, 0);
+                    let want: Vec<(usize, u64)> = uncapped
+                        .iter()
+                        .filter(|a| !a.dist.is_nan() && within(a.dist))
+                        .map(bits)
+                        .collect();
+                    prop_assert_eq!(numbers(&capped), want, "{}", &case);
+                    if poisoned == 0 {
+                        prop_assert!(capped.iter().all(|a| within(a.dist)), "{}", &case);
+                    }
+                    prop_assert!(stats.reranked <= open.reranked, "{}", &case);
+                    if !sorted_cut || !cap.is_finite() {
+                        prop_assert_eq!(stats.distance_evals, open.distance_evals, "{}", &case);
+                    }
+                    if cap.is_finite() {
+                        let (seeded, twin) = scan(cap, k);
+                        prop_assert_eq!(numbers(&seeded), numbers(&capped), "{}", &case);
+                        prop_assert_eq!(twin.distance_evals, stats.distance_evals, "{}", &case);
+                        prop_assert_eq!(twin.points_skipped, stats.points_skipped, "{}", &case);
+                        prop_assert_eq!(twin.reranked, stats.reranked, "{}", &case);
+                    }
+                }
+            }
+        }
+        force_kernel(None);
     }
 }

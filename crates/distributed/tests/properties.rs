@@ -11,11 +11,14 @@
 //! consistent with the aggregates, including under a deliberately skewed
 //! placement where one node owns almost every list.
 
+use std::sync::{Arc, Mutex};
+
 use proptest::prelude::*;
 use rbc_bruteforce::BruteForce;
 use rbc_core::{ExactRbc, RbcConfig, RbcParams};
+use rbc_distributed::net::{InFlight, NetError, NodeShard, ProbeAck, QueryReply, QueryRequest};
 use rbc_distributed::{
-    eval_skew, ClusterConfig, DistributedRbc, NodeLoad, Placement, PlacementPolicy,
+    eval_skew, ClusterConfig, DistributedRbc, NodeEndpoint, NodeLoad, Placement, PlacementPolicy,
 };
 use rbc_metric::{Dataset, QueryBatch, VectorSet};
 // The Euclidean metric lives in rbc-metric.
@@ -395,6 +398,137 @@ fn two_rounds_equal_the_centralized_search_on_every_cluster_shape() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// One exchange a [`Recording`] endpoint saw.
+#[derive(Clone, Debug)]
+enum Exchange {
+    /// A round sent the node a request.
+    Sent,
+    /// The node replied to a request with these caps.
+    Replied(Vec<f64>, QueryReply),
+}
+
+/// An in-process node — its shard, executed in this process — that logs
+/// every request's caps and every reply, in the order the coordinator
+/// sends and collects them.
+#[derive(Debug)]
+struct Recording {
+    shard: NodeShard<Euclidean>,
+    log: Arc<Mutex<Vec<Exchange>>>,
+}
+
+impl NodeEndpoint for Recording {
+    fn node(&self) -> usize {
+        self.shard.node()
+    }
+
+    fn execute(&self, request: &QueryRequest) -> Result<QueryReply, NetError> {
+        let reply = self
+            .shard
+            .execute(request)
+            .map_err(|msg| NetError::Protocol(msg.to_owned()))?;
+        let exchange = Exchange::Replied(request.gammas.clone(), reply.clone());
+        self.log.lock().unwrap().push(exchange);
+        Ok(reply)
+    }
+
+    fn send<'a>(&'a self, request: &'a QueryRequest) -> InFlight<'a> {
+        self.log.lock().unwrap().push(Exchange::Sent);
+        InFlight::Deferred(Box::new(move || self.execute(request)))
+    }
+
+    fn probe(&self) -> Result<ProbeAck, NetError> {
+        Ok(ProbeAck {
+            node: self.shard.node() as u32,
+            lists: self.shard.lists() as u32,
+            points: self.shard.points() as u64,
+        })
+    }
+}
+
+/// A node prunes at the coordinator's bound: the round's cap (`γ_k` in
+/// round one, `τ_q` in round two) bounds what its scans screen and offer,
+/// so no reply row holds a distance above its query's cap (NaN excepted)
+/// — over both rounds of several batches on a 4-node, 2-fold replicated
+/// cluster, with the answers still those of the centralized search.
+#[test]
+fn node_replies_hold_only_candidates_at_or_under_the_round_cap() {
+    let centers = vec![
+        vec![-30.0f32, 0.0, 9.0],
+        vec![25.0, -14.0, 3.0],
+        vec![4.0, 31.0, -22.0],
+        vec![-9.0, -27.0, 15.0],
+    ];
+    let shapes = [
+        ("clustered", clustered(&centers, 1200, 48, 5)),
+        ("uniform", uniform(1200, 48, 6)),
+    ];
+    for (shape, (db, queries)) in &shapes {
+        let rbc = ExactRbc::build(
+            db,
+            Euclidean,
+            RbcParams::standard(db.len(), 9),
+            RbcConfig::default(),
+        );
+        let nodes = 4;
+        let sharded = DistributedRbc::from_exact_with_policy(
+            rbc.clone(),
+            ClusterConfig::with_nodes(nodes),
+            PlacementPolicy::Replicated { factor: 2 },
+            db.dim(),
+        );
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let endpoints = (0..nodes)
+            .map(|node| {
+                Arc::new(Recording {
+                    shard: NodeShard::from_exact(&rbc, sharded.placement(), node),
+                    log: Arc::clone(&log),
+                }) as Arc<dyn NodeEndpoint>
+            })
+            .collect();
+        let recorded = sharded.with_endpoints(endpoints);
+        for k in [1usize, 5, 10] {
+            let (want, _) = rbc.query_batch_k(queries, k);
+            let mut got = Vec::new();
+            let mut rounds = 0;
+            let mut second_rounds = 0;
+            for batch in 0..queries.len() / 8 {
+                let rows: Vec<usize> = (batch * 8..(batch + 1) * 8).collect();
+                let (answers, stats) = recorded.query_batch_exact(&queries.gather(&rows), k);
+                assert_eq!(stats.degraded_queries(), 0);
+                got.extend(answers);
+                // A round is a run of sends, then the replies to them.
+                let log = std::mem::take(&mut *log.lock().unwrap());
+                let mut batch_rounds = 0;
+                let mut previous_sent = false;
+                for exchange in &log {
+                    let sent = matches!(exchange, Exchange::Sent);
+                    batch_rounds += usize::from(sent && !previous_sent);
+                    previous_sent = sent;
+                    let Exchange::Replied(caps, reply) = exchange else {
+                        continue;
+                    };
+                    assert_eq!(reply.results.len(), caps.len());
+                    for (row, &cap) in reply.results.iter().zip(caps) {
+                        for &(index, dist) in row {
+                            assert!(
+                                dist.is_nan() || dist <= cap,
+                                "{shape} k={k}: point {index} at {dist} replied above the cap {cap}"
+                            );
+                        }
+                    }
+                }
+                rounds += batch_rounds;
+                second_rounds += usize::from(batch_rounds == 2);
+            }
+            assert_eq!(got, want, "{shape} k={k}");
+            assert!(
+                rounds > 0 && second_rounds > 0,
+                "{shape} k={k}: both rounds must run"
+            );
         }
     }
 }

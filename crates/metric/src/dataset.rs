@@ -240,24 +240,6 @@ impl VectorSet {
         }
     }
 
-    /// Splits the set into two owned sets: the first `n_first` rows and the
-    /// rest. Used to carve a query set off a generated database.
-    ///
-    /// # Panics
-    /// Panics if `n_first > self.len()`.
-    pub fn split_at(&self, n_first: usize) -> (VectorSet, VectorSet) {
-        assert!(n_first <= self.len, "split point beyond end of set");
-        let cut = n_first * self.dim;
-        (
-            VectorSet::from_flat(self.data[..cut].to_vec(), self.dim),
-            if n_first == self.len {
-                VectorSet::empty(self.dim)
-            } else {
-                VectorSet::from_flat(self.data[cut..].to_vec(), self.dim)
-            },
-        )
-    }
-
     /// Iterates over the points in order.
     pub fn iter(&self) -> impl Iterator<Item = &[f32]> + '_ {
         (0..self.len).map(move |i| self.point(i))
@@ -517,21 +499,6 @@ mod tests {
         assert_eq!(g.point(0), &[2.0, 2.0]);
         assert_eq!(g.point(1), &[0.0, 0.0]);
         assert_eq!(g.point(2), &[2.0, 2.0]);
-    }
-
-    #[test]
-    fn split_at_partitions_rows() {
-        let s = small_set();
-        let (a, b) = s.split_at(1);
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 3);
-        assert_eq!(a.point(0), s.point(0));
-        assert_eq!(b.point(2), s.point(3));
-
-        let (c, d) = s.split_at(4);
-        assert_eq!(c.len(), 4);
-        assert_eq!(d.len(), 0);
-        assert!(d.is_empty());
     }
 
     #[test]
