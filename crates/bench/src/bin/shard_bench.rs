@@ -14,10 +14,9 @@
 //! 2. **Placement sweep** — a *skewed* stream (Zipf-weighted cluster
 //!    choice via `rbc_data::adversarial::skewed_queries`, the traffic
 //!    shape that melts one node under single-owner placement) replayed
-//!    against single-owner,
-//!    2-fold-replicated, and traffic-steered hottest-list placements,
-//!    plus failure cells: one node down before the stream, and one node
-//!    dying mid-batch.
+//!    against single-owner and 2-fold-replicated placements, plus failure
+//!    cells: one node down before the stream, and one node dying
+//!    mid-batch.
 //!
 //! Several properties are asserted, so the binary doubles as an
 //! end-to-end check in CI:
@@ -51,7 +50,9 @@
 //! in-process transport, identical worker evals, identical counted
 //! frames on both transports, and **counted frame bytes equal to the
 //! bytes that actually crossed the sockets**. Its placement is
-//! single-owner, or `--replication N`-fold replicated.
+//! single-owner, or `--replication N`-fold replicated. It runs no
+//! failover, so `--fail-node` with `--wire` is a usage error (wired
+//! failover is covered by `crates/distributed/tests/wire_cluster.rs`).
 
 use std::time::Instant;
 
@@ -137,6 +138,9 @@ fn parse_options() -> Options {
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown flag {other}")),
         }
+    }
+    if opts.wire && opts.fail_node.is_some() {
+        usage("--fail-node cannot be combined with --wire: the wire smoke runs no failover");
     }
     opts
 }
@@ -654,33 +658,6 @@ fn main() {
              single-owner {single_skew:.2} vs replicated {rep2_skew:.2}"
         );
     }
-
-    // Traffic-steered hottest-list replication: the feedback loop — the
-    // single-owner replay above recorded per-list frequencies; replicate
-    // only where the stream actually concentrated.
-    let hottest = single.repartitioned(PlacementPolicy::HottestLists {
-        factor: 2,
-        hot_fraction: 0.15,
-    });
-    let (answers, hottest_stats, batches, elapsed_ms) =
-        run_sweep(&hottest, &skewed, replay_batch, opts.k);
-    assert_eq!(answers, skewed_reference, "hottest-list skewed stream");
-    placement_row("hottest-lists", &hottest, 0, &hottest_stats);
-    records.push(record(
-        "placement",
-        "hottest-lists",
-        &hottest,
-        0,
-        replay_batch,
-        batches,
-        &opts,
-        &hottest_stats,
-        elapsed_ms,
-    ));
-    assert!(
-        hottest.load().storage_overhead() < replicated.load().storage_overhead(),
-        "hottest-list replication must cost less storage than full 2-fold"
-    );
 
     // ---- Hot-list cells: the atomic-hot-spot worst case. -------------
     //

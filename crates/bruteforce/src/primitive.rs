@@ -174,7 +174,6 @@ impl BruteForce {
             queries,
             db,
             metric,
-            None,
             auto_blocks(db, metric),
             heaps(k),
             sorted_answer,
@@ -217,7 +216,6 @@ impl BruteForce {
             queries,
             db,
             metric,
-            None,
             blocks,
             heaps(1),
             |_, best: TopK| best.into_sorted().pop().unwrap_or_else(Neighbor::farthest),
@@ -281,83 +279,10 @@ impl BruteForce {
             queries,
             db,
             metric,
-            None,
             blocks,
             |qi| SelectK::new(k, cap(qi)),
             |qi, best: SelectK| finish(qi, &best.into_sorted()),
         )
-    }
-
-    /// k-NN for every query against the sub-database `X[L]` given by
-    /// `list`. Returned neighbor indices refer to the *original* database.
-    pub fn knn_in_list<Q, D, M>(
-        &self,
-        queries: &Q,
-        db: &D,
-        list: &[usize],
-        metric: &M,
-        k: usize,
-    ) -> (Vec<Vec<Neighbor>>, BfStats)
-    where
-        Q: Dataset,
-        D: Dataset<Item = Q::Item>,
-        M: Metric<Q::Item>,
-    {
-        let list = Some(list);
-        self.knn_over::<false, _, _, _, _, _, _, _>(
-            queries,
-            db,
-            metric,
-            list,
-            None,
-            heaps(k),
-            sorted_answer,
-        )
-    }
-
-    /// All items of `db` within distance `radius` of each query, sorted by
-    /// ascending distance (ε-range search).
-    pub fn range<Q, D, M>(
-        &self,
-        queries: &Q,
-        db: &D,
-        metric: &M,
-        radius: Dist,
-    ) -> (Vec<Vec<Neighbor>>, BfStats)
-    where
-        Q: Dataset,
-        D: Dataset<Item = Q::Item>,
-        M: Metric<Q::Item>,
-    {
-        let nq = queries.len();
-        let n = db.len();
-        let work = |qi: usize| -> (Vec<Neighbor>, u64) {
-            let q = queries.get(qi);
-            let mut hits = Vec::new();
-            for j in 0..n {
-                let d = metric.dist(q, db.get(j));
-                if d <= radius {
-                    hits.push(Neighbor::new(j, d));
-                }
-            }
-            hits.sort();
-            (hits, n as u64)
-        };
-
-        let per_query: Vec<(Vec<Neighbor>, u64)> = if self.config.parallel {
-            (0..nq).into_par_iter().map(work).collect()
-        } else {
-            (0..nq).map(work).collect()
-        };
-
-        let mut stats = BfStats::new();
-        let mut out = Vec::with_capacity(nq);
-        for (hits, evals) in per_query {
-            stats.distance_evals += evals;
-            stats.queries += 1;
-            out.push(hits);
-        }
-        (out, stats)
     }
 
     /// Dense pairwise distance matrix (row-major, `queries.len() × db.len()`).
@@ -579,34 +504,6 @@ impl BruteForce {
         self.knn_single_in_list(query, db, &all, metric, k)
     }
 
-    /// All distances from one query to every item of `db`, in database
-    /// order. The exact search algorithm calls this on the representative
-    /// set because it must retain the distances for its pruning rules.
-    pub fn distances_single<D, M>(
-        &self,
-        query: &D::Item,
-        db: &D,
-        metric: &M,
-    ) -> (Vec<Dist>, BfStats)
-    where
-        D: Dataset,
-        M: Metric<D::Item>,
-    {
-        let n = db.len();
-        let stats = BfStats::full_scan(1, n as u64);
-        let chunk = self.config.db_tile.max(1);
-        let dists: Vec<Dist> = if self.config.parallel && n > chunk {
-            (0..n)
-                .into_par_iter()
-                .with_min_len(chunk)
-                .map(|j| metric.dist(query, db.get(j)))
-                .collect()
-        } else {
-            (0..n).map(|j| metric.dist(query, db.get(j))).collect()
-        };
-        (dists, stats)
-    }
-
     // ------------------------------------------------------------------
     // Core tiled implementation
     // ------------------------------------------------------------------
@@ -631,7 +528,6 @@ impl BruteForce {
         queries: &Q,
         db: &D,
         metric: &M,
-        list: Option<&[usize]>,
         blocks: Option<&BlockedVectors>,
         start: S,
         finish: F,
@@ -646,17 +542,11 @@ impl BruteForce {
         F: Fn(usize, C) -> R + Sync,
     {
         let nq = queries.len();
-        let n_candidates = list.map_or(db.len(), <[usize]>::len);
+        let n = db.len();
         if nq == 0 {
             return (Vec::new(), BfStats::new());
         }
-        // The blocked mirror indexes the database directly, so it only
-        // applies to full-database scans, not index-list sub-scans.
-        let blocks = if list.is_none() {
-            lane_gate(blocks, metric, n_candidates)
-        } else {
-            None
-        };
+        let blocks = lane_gate(blocks, metric, n);
 
         let query_tile = self.config.query_tile.max(1);
         let db_tile = self.config.db_tile.max(1);
@@ -673,8 +563,8 @@ impl BruteForce {
             let mut reranked = 0u64;
 
             let mut tile_start = 0usize;
-            while tile_start < n_candidates {
-                let tile_end = (tile_start + db_tile).min(n_candidates);
+            while tile_start < n {
+                let tile_end = (tile_start + db_tile).min(n);
                 for (ci, qi) in (q_start..q_end).enumerate() {
                     let q = queries.get(qi);
                     let collector = &mut collectors[ci];
@@ -722,10 +612,7 @@ impl BruteForce {
                                 continue;
                             }
                         }
-                        let (db_idx, item) = match list {
-                            Some(l) => (l[pos], db.get(l[pos])),
-                            None => (pos, db.get(pos)),
-                        };
+                        let item = db.get(pos);
                         let threshold = collector.threshold();
                         if threshold.is_finite() && metric.dist_lower_bound(q, item) > threshold {
                             skips += 1;
@@ -733,7 +620,7 @@ impl BruteForce {
                             continue;
                         }
                         evals += 1;
-                        collector.offer(Neighbor::new(db_idx, metric.dist(q, item)));
+                        collector.offer(Neighbor::new(pos, metric.dist(q, item)));
                         pos += 1;
                     }
                 }
@@ -830,24 +717,13 @@ mod tests {
     }
 
     /// Reference: naive sequential k-NN.
-    fn naive_knn(
-        queries: &VectorSet,
-        db: &VectorSet,
-        k: usize,
-        list: Option<&[usize]>,
-    ) -> Vec<Vec<Neighbor>> {
+    fn naive_knn(queries: &VectorSet, db: &VectorSet, k: usize) -> Vec<Vec<Neighbor>> {
         let mut out = Vec::new();
         for qi in 0..queries.len() {
             let q = queries.point(qi);
-            let mut all: Vec<Neighbor> = match list {
-                Some(l) => l
-                    .iter()
-                    .map(|&j| Neighbor::new(j, Euclidean.dist(q, db.point(j))))
-                    .collect(),
-                None => (0..db.len())
-                    .map(|j| Neighbor::new(j, Euclidean.dist(q, db.point(j))))
-                    .collect(),
-            };
+            let mut all: Vec<Neighbor> = (0..db.len())
+                .map(|j| Neighbor::new(j, Euclidean.dist(q, db.point(j))))
+                .collect();
             all.sort();
             all.truncate(k);
             out.push(all);
@@ -861,7 +737,7 @@ mod tests {
         let queries = cloud(40, 8, 2);
         let bf = BruteForce::new();
         let (nn, stats) = bf.nn(&queries, &db, &Euclidean);
-        let expect = naive_knn(&queries, &db, 1, None);
+        let expect = naive_knn(&queries, &db, 1);
         for (got, want) in nn.iter().zip(expect.iter()) {
             assert_eq!(got.index, want[0].index);
             assert!((got.dist - want[0].dist).abs() < 1e-12);
@@ -881,7 +757,7 @@ mod tests {
                 ..BfConfig::default()
             });
             let (knn, _) = bf.knn(&queries, &db, &Euclidean, 5);
-            let expect = naive_knn(&queries, &db, 5, None);
+            let expect = naive_knn(&queries, &db, 5);
             assert_eq!(knn.len(), expect.len());
             for (got, want) in knn.iter().zip(expect.iter()) {
                 let gi: Vec<usize> = got.iter().map(|n| n.index).collect();
@@ -901,23 +777,6 @@ mod tests {
         let (b, sb) = seq.knn(&queries, &db, &Euclidean, 3);
         assert_eq!(a, b);
         assert_eq!(sa.distance_evals, sb.distance_evals);
-    }
-
-    #[test]
-    fn knn_in_list_returns_original_indices() {
-        let db = cloud(100, 4, 7);
-        let queries = cloud(5, 4, 8);
-        let list: Vec<usize> = (0..100).filter(|i| i % 3 == 0).collect();
-        let bf = BruteForce::new();
-        let (knn, stats) = bf.knn_in_list(&queries, &db, &list, &Euclidean, 4);
-        let expect = naive_knn(&queries, &db, 4, Some(&list));
-        assert_eq!(knn, expect);
-        for per_q in &knn {
-            for n in per_q {
-                assert!(list.contains(&n.index));
-            }
-        }
-        assert_eq!(stats.distance_evals, 5 * list.len() as u64);
     }
 
     #[test]
@@ -954,42 +813,6 @@ mod tests {
         let (nn, stats) = bf.nn_single(&[0.0, 0.0, 0.0][..], &db, &Euclidean);
         assert!(nn.is_sentinel());
         assert_eq!(stats.distance_evals, 0);
-    }
-
-    #[test]
-    fn distances_single_matches_direct_metric_calls() {
-        let db = cloud(123, 4, 15);
-        let q = cloud(1, 4, 16);
-        let bf = BruteForce::new();
-        let (dists, stats) = bf.distances_single(q.point(0), &db, &Euclidean);
-        assert_eq!(dists.len(), 123);
-        assert_eq!(stats.distance_evals, 123);
-        for (j, &d) in dists.iter().enumerate() {
-            assert_eq!(d, Euclidean.dist(q.point(0), db.point(j)));
-        }
-    }
-
-    #[test]
-    fn range_returns_exactly_the_points_within_radius() {
-        let db = cloud(250, 3, 17);
-        let queries = cloud(8, 3, 18);
-        let bf = BruteForce::new();
-        let radius = 6.0;
-        let (hits, stats) = bf.range(&queries, &db, &Euclidean, radius);
-        assert_eq!(stats.distance_evals, 8 * 250);
-        for (qi, query_hits) in hits.iter().enumerate() {
-            let q = queries.point(qi);
-            let expected: Vec<usize> = (0..db.len())
-                .filter(|&j| Euclidean.dist(q, db.point(j)) <= radius)
-                .collect();
-            let mut got: Vec<usize> = query_hits.iter().map(|n| n.index).collect();
-            got.sort_unstable();
-            assert_eq!(got, expected);
-            // and results are sorted by distance
-            for w in query_hits.windows(2) {
-                assert!(w[0].dist <= w[1].dist);
-            }
-        }
     }
 
     #[test]

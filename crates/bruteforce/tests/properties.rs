@@ -6,9 +6,7 @@
 
 use proptest::prelude::*;
 use rbc_bruteforce::{BfConfig, BruteForce, Neighbor};
-use rbc_metric::{
-    force_kernel, Dataset, Euclidean, KernelChoice, Manhattan, Metric, PerPoint, VectorSet,
-};
+use rbc_metric::{force_kernel, Dataset, Euclidean, KernelChoice, Metric, PerPoint, VectorSet};
 
 const DIM: usize = 4;
 
@@ -91,32 +89,6 @@ proptest! {
         prop_assert_eq!(stats.distance_evals, (db_rows.len() * q_rows.len()) as u64);
     }
 
-    /// Restricting to a list is the same as filtering the naive result.
-    #[test]
-    fn knn_in_list_agrees_with_filtered_naive(
-        db_rows in points(2..50),
-        q_rows in points(1..6),
-        k in 1usize..5,
-        mask in prop::collection::vec(any::<bool>(), 2..50),
-    ) {
-        let db = VectorSet::from_rows(&db_rows);
-        let queries = VectorSet::from_rows(&q_rows);
-        let list: Vec<usize> = (0..db.len()).filter(|&i| *mask.get(i).unwrap_or(&false)).collect();
-        prop_assume!(!list.is_empty());
-
-        let bf = BruteForce::new();
-        let (got, _) = bf.knn_in_list(&queries, &db, &list, &Euclidean, k);
-
-        for (qi, got_q) in got.iter().enumerate() {
-            let mut all: Vec<Neighbor> = list.iter()
-                .map(|&j| Neighbor::new(j, Euclidean.dist(queries.point(qi), db.point(j))))
-                .collect();
-            all.sort();
-            all.truncate(k);
-            prop_assert_eq!(got_q.clone(), all);
-        }
-    }
-
     /// The streaming single-query path returns the same nearest neighbor as
     /// the batched path.
     #[test]
@@ -130,35 +102,6 @@ proptest! {
         let (batched, _) = bf.nn(&queries, &db, &Euclidean);
         let (single, _) = bf.nn_single(&q[..], &db, &Euclidean);
         prop_assert_eq!(batched[0], single);
-    }
-
-    /// Range search returns every point within the radius and nothing else,
-    /// for both L2 and L1.
-    #[test]
-    fn range_search_is_exact(
-        db_rows in points(1..60),
-        q in prop::collection::vec(-50.0f32..50.0, DIM),
-        radius in 0.0f64..100.0,
-    ) {
-        let db = VectorSet::from_rows(&db_rows);
-        let queries = VectorSet::from_rows(std::slice::from_ref(&q));
-        let bf = BruteForce::new();
-
-        let (l2_hits, _) = bf.range(&queries, &db, &Euclidean, radius);
-        let expect_l2: Vec<usize> = (0..db.len())
-            .filter(|&j| Euclidean.dist(&q, db.point(j)) <= radius)
-            .collect();
-        let mut got_l2: Vec<usize> = l2_hits[0].iter().map(|n| n.index).collect();
-        got_l2.sort_unstable();
-        prop_assert_eq!(got_l2, expect_l2);
-
-        let (l1_hits, _) = bf.range(&queries, &db, &Manhattan, radius);
-        let expect_l1: Vec<usize> = (0..db.len())
-            .filter(|&j| Manhattan.dist(&q, db.point(j)) <= radius)
-            .collect();
-        let mut got_l1: Vec<usize> = l1_hits[0].iter().map(|n| n.index).collect();
-        got_l1.sort_unstable();
-        prop_assert_eq!(got_l1, expect_l1);
     }
 
     /// k-NN results are always sorted, contain no duplicate indices, and

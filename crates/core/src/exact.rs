@@ -165,9 +165,18 @@ where
     pub fn query_range(&self, query: &D::Item, radius: Dist) -> (Vec<Neighbor>, QueryStats) {
         assert!(radius >= 0.0, "radius must be non-negative");
         let bf = BruteForce::with_config(self.config.bf);
-        // Stage 1: all representative distances.
+        // Stage 1: all representative distances, from the dense kernel the
+        // k-NN search's stage 1 runs.
         let rep_view = self.db.subset(&self.rep_indices);
-        let (rep_dists, rep_stats) = bf.distances_single(query, &rep_view, &self.metric);
+        let blocks = self.rep_blocked.as_ref();
+        let (mut rows, rep_stats) = bf.rows_with(
+            &QueryBatch::new(&[query]),
+            &rep_view,
+            &self.metric,
+            blocks,
+            |_, row| row.to_vec(),
+        );
+        let rep_dists = rows.pop().unwrap_or_default();
 
         let mut hits = Vec::new();
         let mut list_evals = 0u64;
@@ -718,29 +727,38 @@ mod tests {
 
     #[test]
     fn range_query_matches_brute_force_filter() {
-        let db = clustered_cloud(800, 6, 20);
-        let queries = clustered_cloud(25, 6, 21);
-        let rbc = ExactRbc::build(
-            &db,
-            Euclidean,
-            RbcParams::standard(db.len(), 22),
-            RbcConfig::default(),
-        );
-        for radius in [0.1f64, 1.0, 5.0] {
+        /// `query_range` against the filter `{j : ρ(q, x_j) ≤ r}` in
+        /// `(dist, index)` order, at radii on, just below and just above
+        /// member distances, at 0 and past the farthest point.
+        fn check<M: Metric<[f32]>>(metric: M, lanes: bool) {
+            let db = clustered_cloud(800, 6, 20);
+            let queries = clustered_cloud(25, 6, 21);
+            let params = RbcParams::standard(db.len(), 22);
+            let rbc = ExactRbc::build(&db, metric, params, RbcConfig::default());
+            assert_eq!(rbc.rep_blocked().is_some(), lanes);
             for qi in 0..queries.len() {
                 let q = queries.point(qi);
-                let (hits, _) = rbc.query_range(q, radius);
-                let mut got: Vec<usize> = hits.iter().map(|n| n.index).collect();
-                got.sort_unstable();
-                let expect: Vec<usize> = (0..db.len())
-                    .filter(|&j| Euclidean.dist(q, db.point(j)) <= radius)
+                let mut all: Vec<Neighbor> = (0..db.len())
+                    .map(|j| Neighbor::new(j, rbc.metric().dist(q, db.point(j))))
                     .collect();
-                assert_eq!(got, expect, "radius {radius} query {qi}");
-                for w in hits.windows(2) {
-                    assert!(w[0].dist <= w[1].dist);
+                all.sort();
+                let farthest = all.last().expect("non-empty database").dist;
+                let mut radii = vec![0.0, farthest + 1.0];
+                for member in all.iter().step_by(97) {
+                    let d = member.dist;
+                    radii.extend([d, d.next_down().max(0.0), d.next_up()]);
+                }
+                for radius in radii {
+                    let (hits, stats) = rbc.query_range(q, radius);
+                    let expect: Vec<Neighbor> =
+                        all.iter().copied().filter(|n| n.dist <= radius).collect();
+                    assert_eq!(hits, expect, "radius {radius} query {qi}");
+                    assert_eq!(stats.rep_distance_evals, rbc.num_reps() as u64);
                 }
             }
         }
+        check(Euclidean, true);
+        check(PerPoint(Euclidean), false);
     }
 
     #[test]

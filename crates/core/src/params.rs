@@ -101,13 +101,6 @@ impl RbcParams {
         self.list_size = list_size;
         self
     }
-
-    /// Overrides the sampling seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 /// Search-time settings shared by both structures. The exact search
@@ -201,11 +194,10 @@ mod tests {
     fn builders_override_fields() {
         let p = RbcParams::standard(100, 7)
             .with_n_reps(13)
-            .with_list_size(29)
-            .with_seed(99);
+            .with_list_size(29);
         assert_eq!(p.n_reps, 13);
         assert_eq!(p.list_size, 29);
-        assert_eq!(p.seed, 99);
+        assert_eq!(p.seed, 7);
     }
 
     #[test]

@@ -96,14 +96,6 @@ impl OwnershipList {
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
-
-    /// Number of leading members with `ρ(x, r) ≤ cutoff` — how much of the
-    /// sorted list a scan bounded by `cutoff` must touch. The paper notes
-    /// (footnote 2) this can be computed in `O(log |L_r|)` for scheduling
-    /// purposes, which is exactly this binary search.
-    pub fn prefix_within(&self, cutoff: Dist) -> usize {
-        self.member_dists.partition_point(|&d| d <= cutoff)
-    }
 }
 
 /// How a list's mirror is made: [`ListMirror::gather`] (`f32` lanes) or
@@ -210,7 +202,6 @@ mod tests {
         let l = OwnershipList::from_pairs(0, vec![(3, Dist::NAN), (8, 2.0), (1, Dist::INFINITY)]);
         assert_eq!(l.members, vec![8, 1, 3]);
         assert!(l.member_dists[2].is_nan());
-        assert_eq!(l.prefix_within(5.0), 1);
     }
 
     #[test]
@@ -218,15 +209,6 @@ mod tests {
         let l = OwnershipList::from_pairs(0, vec![]);
         assert!(l.is_empty());
         assert_eq!(l.radius, 0.0);
-        assert_eq!(l.prefix_within(10.0), 0);
-    }
-
-    #[test]
-    fn prefix_within_counts_inclusive() {
-        let l = OwnershipList::from_pairs(0, vec![(1, 1.0), (2, 2.0), (3, 2.0), (4, 5.0)]);
-        assert_eq!(l.prefix_within(0.5), 0);
-        assert_eq!(l.prefix_within(2.0), 3);
-        assert_eq!(l.prefix_within(100.0), 4);
     }
 
     #[test]

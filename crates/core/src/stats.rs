@@ -35,15 +35,6 @@ impl QueryStats {
     pub fn total_distance_evals(&self) -> u64 {
         self.rep_distance_evals + self.list_distance_evals
     }
-
-    /// Fraction of representatives that survived pruning.
-    pub fn rep_survival_rate(&self) -> f64 {
-        if self.reps_total == 0 {
-            0.0
-        } else {
-            self.reps_examined as f64 / self.reps_total as f64
-        }
-    }
 }
 
 /// Aggregated work over a batch of queries.
@@ -153,15 +144,6 @@ impl SearchStats {
         }
     }
 
-    /// Mean number of ownership lists scanned per query.
-    pub fn reps_examined_per_query(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.reps_examined as f64 / self.queries as f64
-        }
-    }
-
     /// Mean number of queries served per physical list scan — the achieved
     /// stage-2 tile-sharing factor: `1.0` when every scan served one query
     /// (always, for a batch of one), more whenever co-travelling queries
@@ -221,8 +203,6 @@ mod tests {
     fn query_totals_and_survival() {
         let q = sample_query(10, 25);
         assert_eq!(q.total_distance_evals(), 35);
-        assert!((q.rep_survival_rate() - 0.3).abs() < 1e-12);
-        assert_eq!(QueryStats::default().rep_survival_rate(), 0.0);
     }
 
     #[test]
@@ -265,7 +245,7 @@ mod tests {
         assert_eq!(a.total_distance_evals(), 22);
         assert_eq!(a.max_query_evals, 10);
         assert_eq!(a.evals_per_query(), 22.0 / 3.0);
-        assert_eq!(a.reps_examined_per_query(), 3.0);
+        assert_eq!(a.reps_examined, 9);
         assert_eq!((a.list_tile_passes, a.list_scans), (6, 9));
     }
 
@@ -283,7 +263,6 @@ mod tests {
     fn empty_aggregate_is_all_zero() {
         let agg = SearchStats::default();
         assert_eq!(agg.evals_per_query(), 0.0);
-        assert_eq!(agg.reps_examined_per_query(), 0.0);
         assert_eq!(agg.total_distance_evals(), 0);
     }
 }

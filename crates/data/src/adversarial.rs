@@ -16,8 +16,8 @@
 //! the parallel schedule (one RNG per point, like every generator in this
 //! crate). The *stream order* is part of the output: a drifting stream's
 //! early queries come from a different region than its late ones, which
-//! only matters to consumers — like the micro-batching serve engine or
-//! the traffic-steered placement policy — that see queries in order.
+//! only matters to consumers — like the micro-batching serve engine —
+//! that see queries in order.
 //!
 //! Used by the `trajectory` perf harness and `shard_bench` in
 //! `rbc-bench`; see `docs/BENCHMARKING.md`.

@@ -110,24 +110,11 @@ impl DistributedQueryStats {
             self.per_node[load.node].accumulate(load);
         }
     }
-
-    /// Mean number of nodes contacted per query (`comm.messages_out` over
-    /// `queries`). Under the batched protocol a node serving many queries
-    /// of one batch is counted once per fan-out round, so this measures
-    /// fan-out messages, not query routings (see
-    /// [`per_node`](Self::per_node) for the latter).
-    pub fn nodes_contacted_per_query(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.comm.messages_out as f64 / self.queries as f64
-        }
-    }
 }
 
 /// A Random Ball Cover sharded across the nodes of a cluster by
 /// representative, as sketched in the paper's conclusion — with
-/// replicated, skew-aware placement and failover routing on top.
+/// replicated placement and failover routing on top.
 #[derive(Clone, Debug)]
 pub struct DistributedRbc<D: Dataset, M> {
     rbc: ExactRbc<D, M>,
@@ -169,9 +156,7 @@ where
     }
 
     /// Distributes an already-built exact RBC with the placement built by
-    /// `policy` (cold: no traffic observed yet, so the skew-aware policy
-    /// falls back to list sizes as its heat proxy — see
-    /// [`repartitioned`](Self::repartitioned) for the warm path).
+    /// `policy` from the ownership lists' sizes.
     ///
     /// # Panics
     /// Panics if `cluster` has zero nodes.
@@ -182,7 +167,7 @@ where
         payload_coords: usize,
     ) -> Self {
         let list_sizes: Vec<usize> = rbc.lists().iter().map(|l| l.len()).collect();
-        let placement = policy.place(&list_sizes, &[], cluster.nodes);
+        let placement = policy.place(&list_sizes, cluster.nodes);
         Self::from_exact_with_placement(rbc, cluster, placement, payload_coords)
     }
 
@@ -209,7 +194,6 @@ where
         let primary_points: usize = list_sizes.iter().sum();
         let load = Arc::new(ClusterLoad::with_placement(
             cluster.nodes,
-            list_sizes.len(),
             placement.mean_replication(),
             placement.storage_overhead(primary_points),
         ));
@@ -318,12 +302,6 @@ where
     /// Brings `node` back into the routable set.
     pub fn revive_node(&self, node: usize) {
         self.health.revive(node);
-    }
-
-    /// Observed per-list routed-group frequencies — the traffic signal
-    /// that steers skew-aware replication.
-    pub fn observed_list_traffic(&self) -> Vec<u64> {
-        self.load.list_traffic()
     }
 
     /// Splits atomic hot spots before routing. A `(list, queries)` group
@@ -751,9 +729,6 @@ where
                 let in_bytes = QueryReply::frame_bytes(payload, records);
                 ledger.comm.messages_in += 1;
                 ledger.comm.bytes_in += in_bytes;
-                for group in &part.groups {
-                    index.load.record_list_traffic(group.list_index);
-                }
                 ledger.lists_scanned += part.groups.len() as u64;
                 let load = &mut ledger.per_node[nd];
                 load.queries += payload as u64;
@@ -839,29 +814,6 @@ impl<D: Dataset<Item = [f32]>, M: Metric<[f32]>, Q: Dataset<Item = [f32]>> Round
             groups,
         };
         (request, positions)
-    }
-}
-
-impl<D, M> DistributedRbc<D, M>
-where
-    D: Dataset<Item = [f32]> + Clone,
-    M: Metric<[f32]> + Clone + Send + Sync + 'static,
-{
-    /// A new index over the same structure whose placement is rebuilt by
-    /// `policy`, **steered by this index's observed per-list traffic** —
-    /// the feedback loop that turns balanced storage into balanced
-    /// traffic: serve a stream, read the skew, repartition, serve on. The
-    /// new index starts with fresh load counters and all nodes live.
-    pub fn repartitioned(&self, policy: PlacementPolicy) -> Self {
-        let list_sizes: Vec<usize> = self.rbc.lists().iter().map(|l| l.len()).collect();
-        let traffic = self.load.list_traffic();
-        let placement = policy.place(&list_sizes, &traffic, self.cluster.nodes);
-        Self::from_exact_with_placement(
-            self.rbc.clone(),
-            self.cluster,
-            placement,
-            self.payload_coords,
-        )
     }
 }
 
@@ -1022,10 +974,6 @@ mod tests {
         for policy in [
             PlacementPolicy::Replicated { factor: 2 },
             PlacementPolicy::Replicated { factor: 3 },
-            PlacementPolicy::HottestLists {
-                factor: 2,
-                hot_fraction: 0.25,
-            },
         ] {
             let dist = build_with_policy(&db, 5, 42, policy);
             assert!(dist.placement().mean_replication() > 1.0, "{policy:?}");
@@ -1252,7 +1200,6 @@ mod tests {
         assert_eq!(merged.queries, 2);
         assert_eq!(merged.total_evals(), s1.total_evals() + s2.total_evals());
         assert!(merged.max_node_evals >= s1.max_node_evals.min(s2.max_node_evals));
-        assert!(merged.nodes_contacted_per_query() >= 1.0);
         assert_eq!(merged.degraded, vec![false, false]);
         // Per-node loads merge elementwise.
         assert_eq!(merged.per_node.len(), 4);
@@ -1280,43 +1227,6 @@ mod tests {
                 "node {nd}"
             );
         }
-        // Per-list traffic was recorded for every executed group.
-        let traffic = dist.observed_list_traffic();
-        assert_eq!(traffic.len(), dist.rbc().lists().len());
-        let total: u64 = traffic.iter().sum();
-        assert_eq!(total, single.lists_scanned + batch.lists_scanned);
-    }
-
-    #[test]
-    fn repartitioning_replicates_the_observed_hot_lists() {
-        let db = cloud(1600, 5, 80);
-        // A pathologically hot stream: every query near the same point.
-        let hot_rows: Vec<Vec<f32>> = (0..64).map(|_| db.point(3).to_vec()).collect();
-        let hot = VectorSet::from_rows(&hot_rows);
-        let dist = build(&db, 4, 81);
-        let (_, _) = dist.query_batch_exact(&hot, 1);
-        let traffic = dist.observed_list_traffic();
-        assert!(traffic.iter().any(|&t| t > 0), "traffic was recorded");
-        let rebalanced = dist.repartitioned(PlacementPolicy::HottestLists {
-            factor: 2,
-            hot_fraction: 0.1,
-        });
-        // The hottest observed list is exactly what gained a replica.
-        let hottest = (0..traffic.len())
-            .max_by_key(|&l| (traffic[l], std::cmp::Reverse(l)))
-            .unwrap();
-        assert!(traffic[hottest] > 0);
-        assert_eq!(
-            rebalanced.placement().replicas_of_list[hottest].len(),
-            2,
-            "the observed hot list must be the one replicated"
-        );
-        assert!(rebalanced.placement().mean_replication() > 1.0);
-        // Fresh index: same answers as the original.
-        let queries = cloud(16, 5, 82);
-        let (a, _) = dist.query_batch_exact(&queries, 2);
-        let (b, _) = rebalanced.query_batch_exact(&queries, 2);
-        assert_eq!(a, b);
     }
 
     #[test]

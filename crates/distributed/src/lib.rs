@@ -11,9 +11,8 @@
 //!
 //! * the coordinator builds an exact RBC over the database and places
 //!   whole ownership lists onto worker nodes — balanced single-owner
-//!   storage, r-fold replication, or traffic-steered hottest-list
-//!   replication ([`placement`]) — or replays an explicit placement, for
-//!   studying skewed layouts;
+//!   storage or r-fold replication ([`placement`]) — or replays an
+//!   explicit placement, for studying skewed layouts;
 //! * every node holds only its shard of the database; the coordinator
 //!   keeps the (small, `O(√n)`) representative set;
 //! * a query runs the usual first stage locally on the coordinator,
@@ -108,12 +107,9 @@
 //! * [`SingleOwner`](PlacementPolicy::SingleOwner) — the LPT baseline,
 //!   one home per list;
 //! * [`Replicated`](PlacementPolicy::Replicated) — every list on `r`
-//!   distinct nodes, so any single failure leaves full coverage;
-//! * [`HottestLists`](PlacementPolicy::HottestLists) — replicas only for
-//!   the lists that actually receive traffic, steered by the observed
-//!   per-list group frequencies ([`ClusterLoad::list_traffic`]);
-//!   [`DistributedRbc::repartitioned`] closes the feedback loop (serve,
-//!   observe, repartition).
+//!   distinct nodes, so any single failure leaves full coverage.
+//!
+//! Both place lists by size alone (largest first onto the lightest node).
 //!
 //! Replication is paid for in **storage**, not per-query messages: each
 //! group is still routed to exactly one replica (the least-loaded live

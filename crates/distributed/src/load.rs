@@ -103,13 +103,9 @@ struct NodeCounters {
 /// point-in-time read, not a consistent cut, exactly like the rest of the
 /// serving metrics.
 ///
-/// Beyond the per-node counters it carries three more signals the
-/// placement-and-failover layer runs on:
+/// Beyond the per-node counters it carries two more signals of the
+/// placement-and-failover layer:
 ///
-/// * **per-list traffic** ([`record_list_traffic`](Self::record_list_traffic)
-///   / [`list_traffic`](Self::list_traffic)) — how many routed groups each
-///   ownership list served, the observed frequency that steers
-///   skew-aware (hottest-list) replication;
 /// * **degradation outcomes** ([`record_outcome`](Self::record_outcome)) —
 ///   cumulative degraded queries, re-routed groups, and lost groups, so a
 ///   serving snapshot shows whether failover is re-routing cleanly or
@@ -120,8 +116,6 @@ struct NodeCounters {
 #[derive(Debug)]
 pub struct ClusterLoad {
     nodes: Vec<NodeCounters>,
-    /// `list_traffic[l]` counts routed groups executed for list `l`.
-    list_traffic: Vec<AtomicU64>,
     degraded_queries: AtomicU64,
     rerouted_groups: AtomicU64,
     lost_groups: AtomicU64,
@@ -130,24 +124,17 @@ pub struct ClusterLoad {
 }
 
 impl ClusterLoad {
-    /// Zeroed counters for a cluster of `nodes` nodes with no per-list
-    /// tracking and a replication-free placement summary.
+    /// Zeroed counters for a cluster of `nodes` nodes with a
+    /// replication-free placement summary.
     pub fn new(nodes: usize) -> Self {
-        Self::with_placement(nodes, 0, 1.0, 1.0)
+        Self::with_placement(nodes, 1.0, 1.0)
     }
 
-    /// Zeroed counters for `nodes` nodes and `lists` ownership lists,
-    /// carrying the placement's static summary (mean replicas per list,
-    /// stored-over-primary storage ratio).
-    pub fn with_placement(
-        nodes: usize,
-        lists: usize,
-        mean_replication: f64,
-        storage_overhead: f64,
-    ) -> Self {
+    /// Zeroed counters for `nodes` nodes, carrying the placement's static
+    /// summary (mean replicas per list, stored-over-primary storage ratio).
+    pub fn with_placement(nodes: usize, mean_replication: f64, storage_overhead: f64) -> Self {
         Self {
             nodes: (0..nodes).map(|_| NodeCounters::default()).collect(),
-            list_traffic: (0..lists).map(|_| AtomicU64::new(0)).collect(),
             degraded_queries: AtomicU64::new(0),
             rerouted_groups: AtomicU64::new(0),
             lost_groups: AtomicU64::new(0),
@@ -171,25 +158,6 @@ impl ClusterLoad {
     /// replica storage; set at construction).
     pub fn storage_overhead(&self) -> f64 {
         self.storage_overhead
-    }
-
-    /// Records one routed group executed for `list`. Out-of-range lists
-    /// are ignored (no per-list tracking was configured).
-    pub fn record_list_traffic(&self, list: usize) {
-        if let Some(counter) = self.list_traffic.get(list) {
-            counter.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Cumulative routed-group count per ownership list — the observed
-    /// per-list frequency that steers skew-aware replica placement
-    /// (`PlacementPolicy::HottestLists`). Empty when the load was built
-    /// without per-list tracking.
-    pub fn list_traffic(&self) -> Vec<u64> {
-        self.list_traffic
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
     }
 
     /// Records one batch's degradation outcome: how many queries were
@@ -371,14 +339,6 @@ impl NodeHealth {
             .collect()
     }
 
-    /// Number of currently live nodes.
-    pub fn live_count(&self) -> usize {
-        self.live
-            .iter()
-            .filter(|l| l.load(Ordering::Relaxed))
-            .count()
-    }
-
     /// Attempts to deliver work to `node`; returns whether the contact
     /// succeeded. A poisoned node fails exactly here — the poison fires
     /// once, the node goes down, and the caller must re-route.
@@ -470,15 +430,13 @@ mod tests {
     }
 
     #[test]
-    fn list_traffic_and_outcomes_accumulate() {
-        let load = ClusterLoad::with_placement(2, 3, 2.0, 1.5);
+    fn placement_summary_and_outcomes_accumulate() {
+        let load = ClusterLoad::with_placement(2, 2.0, 1.5);
         assert_eq!(load.mean_replication(), 2.0);
         assert_eq!(load.storage_overhead(), 1.5);
-        load.record_list_traffic(0);
-        load.record_list_traffic(2);
-        load.record_list_traffic(2);
-        load.record_list_traffic(99); // ignored: out of range
-        assert_eq!(load.list_traffic(), vec![1, 0, 2]);
+        let unreplicated = ClusterLoad::new(2);
+        assert_eq!(unreplicated.mean_replication(), 1.0);
+        assert_eq!(unreplicated.storage_overhead(), 1.0);
         load.record_outcome(3, 2, 1);
         load.record_outcome(1, 0, 0);
         assert_eq!(load.degraded_queries(), 4);
@@ -487,19 +445,10 @@ mod tests {
     }
 
     #[test]
-    fn untracked_lists_report_empty_traffic() {
-        let load = ClusterLoad::new(2);
-        load.record_list_traffic(0);
-        assert!(load.list_traffic().is_empty());
-        assert_eq!(load.mean_replication(), 1.0);
-        assert_eq!(load.storage_overhead(), 1.0);
-    }
-
-    #[test]
     fn health_failure_and_revival_flow_through_the_routing_view() {
         let health = NodeHealth::new(3);
         assert_eq!(health.nodes(), 3);
-        assert_eq!(health.live_count(), 3);
+        assert_eq!(health.live_view(), vec![true; 3]);
         health.fail(1);
         assert!(!health.is_live(1));
         assert_eq!(health.live_view(), vec![true, false, true]);

@@ -9,7 +9,7 @@
 //!
 //! [`Placement`] closes both: each list now has a **replica set** of one
 //! or more distinct nodes, and the router picks the least-loaded live
-//! replica per group. Three policies build placements
+//! replica per group. Two policies build placements
 //! ([`PlacementPolicy`]):
 //!
 //! * **single owner** — the PR 4 baseline: longest-processing-time greedy
@@ -17,11 +17,7 @@
 //!   makespan), one replica per list;
 //! * **r-fold replication** — every list on `r` distinct nodes, copies
 //!   placed LPT-style, so any single node failure leaves full coverage
-//!   and the router has `r` choices for every group;
-//! * **hottest-list replication** — single-owner base plus extra replicas
-//!   for the lists that actually receive traffic, steered by the observed
-//!   per-list group frequencies (`ClusterLoad::list_traffic`), spending
-//!   replica storage only where the query stream concentrates.
+//!   and the router has `r` choices for every group.
 
 use serde::{Deserialize, Serialize};
 
@@ -44,7 +40,7 @@ pub struct Placement {
     pub points_per_node: Vec<usize>,
 }
 
-/// How a [`Placement`] is built from list sizes and observed traffic.
+/// How a [`Placement`] is built from list sizes.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum PlacementPolicy {
     /// Every list on exactly one node, sizes balanced by LPT — the
@@ -56,44 +52,22 @@ pub enum PlacementPolicy {
         /// Number of copies of every list.
         factor: usize,
     },
-    /// Single-owner base placement plus replicas (up to `factor` copies)
-    /// for the hottest `hot_fraction` of lists by observed per-list group
-    /// traffic. With no traffic recorded yet, list sizes stand in as the
-    /// heat proxy (big lists are the likeliest hot spots).
-    HottestLists {
-        /// Maximum copies of a hot list (clamped to the node count).
-        factor: usize,
-        /// Fraction of lists (by descending traffic) that get replicas,
-        /// clamped to `[0, 1]`.
-        hot_fraction: f64,
-    },
 }
 
 impl PlacementPolicy {
     /// Builds the placement for `list_sizes` over `nodes` nodes.
     ///
-    /// `traffic` is the observed per-list group frequency (how many routed
-    /// groups each list served, e.g. [`ClusterLoad::list_traffic`]); only
-    /// [`HottestLists`](Self::HottestLists) reads it, and an empty or
-    /// all-zero slice falls back to list sizes as the heat proxy.
-    ///
-    /// [`ClusterLoad::list_traffic`]: crate::ClusterLoad::list_traffic
-    ///
     /// # Panics
     /// Panics if `nodes == 0`.
-    pub fn place(&self, list_sizes: &[usize], traffic: &[u64], nodes: usize) -> Placement {
+    pub fn place(&self, list_sizes: &[usize], nodes: usize) -> Placement {
         match *self {
             Self::SingleOwner => Placement::single_owner(list_sizes, nodes),
             Self::Replicated { factor } => Placement::replicated(list_sizes, nodes, factor),
-            Self::HottestLists {
-                factor,
-                hot_fraction,
-            } => Placement::hottest_lists(list_sizes, traffic, nodes, factor, hot_fraction),
         }
     }
 }
 
-/// A mutable build in progress: greedy helpers shared by the constructors.
+/// A mutable build in progress: the greedy step of the LPT placement.
 struct Builder {
     replicas_of_list: Vec<Vec<usize>>,
     lists_of_node: Vec<Vec<usize>>,
@@ -161,50 +135,9 @@ impl Placement {
         assert!(nodes > 0, "cannot place lists onto zero nodes");
         let copies = factor.clamp(1, nodes);
         let mut builder = Builder::new(list_sizes.len(), nodes);
+        let order = largest_first(list_sizes);
         for _ in 0..copies {
-            for &list in &largest_first(list_sizes) {
-                builder.place_copy(list, list_sizes[list]);
-            }
-        }
-        builder.finish()
-    }
-
-    /// Skew-aware placement: single-owner LPT base, then extra replicas
-    /// (up to `factor` copies) for the hottest `hot_fraction` of lists by
-    /// observed traffic. Empty lists are never replicated (they serve no
-    /// groups); with no traffic signal, list sizes stand in for heat.
-    ///
-    /// # Panics
-    /// Panics if `nodes == 0`.
-    pub fn hottest_lists(
-        list_sizes: &[usize],
-        traffic: &[u64],
-        nodes: usize,
-        factor: usize,
-        hot_fraction: f64,
-    ) -> Self {
-        assert!(nodes > 0, "cannot place lists onto zero nodes");
-        let copies = factor.clamp(1, nodes);
-        let mut builder = Builder::new(list_sizes.len(), nodes);
-        for &list in &largest_first(list_sizes) {
-            builder.place_copy(list, list_sizes[list]);
-        }
-        // Heat per list: observed group traffic, or size when cold.
-        let warm = traffic.iter().any(|&t| t > 0);
-        let heat = |list: usize| -> u64 {
-            if warm {
-                traffic.get(list).copied().unwrap_or(0)
-            } else {
-                list_sizes[list] as u64
-            }
-        };
-        let mut by_heat: Vec<usize> = (0..list_sizes.len())
-            .filter(|&l| list_sizes[l] > 0 && heat(l) > 0)
-            .collect();
-        by_heat.sort_by_key(|&l| (std::cmp::Reverse(heat(l)), l));
-        let hot = ((list_sizes.len() as f64) * hot_fraction.clamp(0.0, 1.0)).ceil() as usize;
-        for &list in by_heat.iter().take(hot) {
-            for _ in 1..copies {
+            for &list in &order {
                 builder.place_copy(list, list_sizes[list]);
             }
         }
@@ -385,59 +318,15 @@ mod tests {
     }
 
     #[test]
-    fn hottest_lists_replicates_only_the_traffic_heavy_lists() {
-        let sizes = vec![10, 10, 10, 10, 10, 10];
-        // List 4 gets nearly all traffic, list 1 some, the rest none.
-        let traffic = vec![0u64, 8, 0, 1, 90, 0];
-        let p = Placement::hottest_lists(&sizes, &traffic, 3, 2, 2.0 / 6.0);
-        assert_eq!(p.replicas_of_list[4].len(), 2, "hottest list replicated");
-        assert_eq!(p.replicas_of_list[1].len(), 2, "second-hottest replicated");
-        for list in [0usize, 2, 3, 5] {
-            assert_eq!(p.replicas_of_list[list].len(), 1, "cold list {list}");
-        }
-        p.validate(&sizes, 3).expect("valid");
-    }
-
-    #[test]
-    fn hottest_lists_falls_back_to_sizes_when_cold() {
-        let sizes = vec![1, 50, 2, 3];
-        let p = Placement::hottest_lists(&sizes, &[], 2, 2, 0.25);
-        assert_eq!(
-            p.replicas_of_list[1].len(),
-            2,
-            "largest list is the presumed hot spot before any traffic"
-        );
-        assert_eq!(p.replicas_of_list[0].len(), 1);
-    }
-
-    #[test]
-    fn hottest_lists_never_replicates_empty_lists() {
-        let sizes = vec![0, 5, 0];
-        let traffic = vec![100u64, 1, 50];
-        let p = Placement::hottest_lists(&sizes, &traffic, 3, 3, 1.0);
-        assert_eq!(p.replicas_of_list[0].len(), 1, "empty list keeps one slot");
-        assert_eq!(p.replicas_of_list[2].len(), 1);
-        assert_eq!(p.replicas_of_list[1].len(), 3);
-    }
-
-    #[test]
     fn policy_place_dispatches_to_the_constructors() {
         let sizes = vec![3, 7, 2];
         assert_eq!(
-            PlacementPolicy::SingleOwner.place(&sizes, &[], 2),
+            PlacementPolicy::SingleOwner.place(&sizes, 2),
             Placement::single_owner(&sizes, 2)
         );
         assert_eq!(
-            PlacementPolicy::Replicated { factor: 2 }.place(&sizes, &[], 2),
+            PlacementPolicy::Replicated { factor: 2 }.place(&sizes, 2),
             Placement::replicated(&sizes, 2, 2)
-        );
-        assert_eq!(
-            PlacementPolicy::HottestLists {
-                factor: 2,
-                hot_fraction: 0.5
-            }
-            .place(&sizes, &[5, 1, 9], 2),
-            Placement::hottest_lists(&sizes, &[5, 1, 9], 2, 2, 0.5)
         );
     }
 

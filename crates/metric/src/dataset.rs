@@ -1,4 +1,4 @@
-//! Dataset abstractions: indexed collections of items that a [`Metric`]
+//! Dataset abstractions: indexed collections of items that a [`Metric`](crate::Metric)
 //! can measure distances over.
 //!
 //! The central concrete type is [`VectorSet`]: a dense, row-major `f32`
@@ -10,7 +10,6 @@
 //! [`SubsetView`] provides the `X[L]` notation from the paper: a borrowed
 //! view of a dataset restricted to a list of indices, without copying.
 
-use crate::metric::Metric;
 use crate::simd::{BlockedVectors, CodedVectors};
 use std::sync::OnceLock;
 
@@ -244,25 +243,6 @@ impl VectorSet {
     pub fn iter(&self) -> impl Iterator<Item = &[f32]> + '_ {
         (0..self.len).map(move |i| self.point(i))
     }
-
-    /// Computes all pairwise distances from item `i` to every item of
-    /// `other` under `metric`, appending into `out`. Convenience used by
-    /// tests and small tools; the tiled production path lives in
-    /// `rbc-bruteforce`.
-    pub fn distances_from<M: Metric<[f32]>>(
-        &self,
-        i: usize,
-        other: &VectorSet,
-        metric: &M,
-        out: &mut Vec<crate::metric::Dist>,
-    ) {
-        let q = self.point(i);
-        out.clear();
-        out.reserve(other.len());
-        for j in 0..other.len() {
-            out.push(metric.dist(q, other.point(j)));
-        }
-    }
 }
 
 impl Dataset for VectorSet {
@@ -364,12 +344,6 @@ impl<'a, D: Dataset> SubsetView<'a, D> {
     /// Creates a view of `base` restricted to `indices`.
     pub fn new(base: &'a D, indices: &'a [usize]) -> Self {
         Self { base, indices }
-    }
-
-    /// The index in the *underlying* dataset of the view's `i`-th item.
-    #[inline]
-    pub fn original_index(&self, i: usize) -> usize {
-        self.indices[i]
     }
 
     /// The index list backing this view.
@@ -509,21 +483,7 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert_eq!(v.get(0), s.point(2));
         assert_eq!(v.get(1), s.point(0));
-        assert_eq!(v.original_index(0), 2);
         assert_eq!(v.indices(), &[2, 0]);
-    }
-
-    #[test]
-    fn distances_from_matches_manual_computation() {
-        let s = small_set();
-        let q = VectorSet::from_rows(&[[0.0f32, 0.0]]);
-        let mut out = Vec::new();
-        q.distances_from(0, &s, &crate::vector::Euclidean, &mut out);
-        assert_eq!(out.len(), 4);
-        assert_eq!(out[0], 0.0);
-        assert_eq!(out[1], 1.0);
-        assert_eq!(out[2], 1.0);
-        assert!((out[3] - (8.0f64).sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! against the two small traits defined here:
 //!
 //! * [`Dataset`] — an indexed collection of items (dense vectors, strings,
-//!   graph vertices, …).
+//!   …).
 //! * [`Metric`] — a distance function over those items satisfying the metric
 //!   axioms (non-negativity, identity, symmetry, triangle inequality).
 //!
@@ -20,8 +20,6 @@
 //! * [`StringSet`] with [`Levenshtein`] edit distance and [`Hamming`]
 //!   distance — the paper motivates general metrics with the edit distance
 //!   on strings (§6).
-//! * [`GraphDataset`] with [`ShortestPath`] distance — the other general
-//!   metric example from §6 (shortest-path distance on graph nodes).
 //!
 //! Distances are returned as `f64` ([`Dist`]) regardless of the storage
 //! precision so that the theory-validation tests (triangle-inequality based
@@ -33,7 +31,6 @@
 
 pub mod dataset;
 pub mod discrete;
-pub mod graph;
 pub mod metric;
 pub mod simd;
 pub mod validate;
@@ -41,7 +38,6 @@ pub mod vector;
 
 pub use dataset::{Dataset, QueryBatch, SubsetView, VectorSet, VectorSetBuilder};
 pub use discrete::{Hamming, Levenshtein, StringSet};
-pub use graph::{GraphDataset, ShortestPath};
 pub use metric::{Dist, Metric, PerPoint};
 pub use simd::{
     active_kernel, cut_mask, force_kernel, screen_codes_l2, screen_squared_l2, squared_l2_lanes,

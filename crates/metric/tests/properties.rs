@@ -179,9 +179,9 @@ proptest! {
         let idx: Vec<usize> = raw_idx.into_iter().map(|i| i % rows.len()).collect();
         let view = set.subset(&idx);
         prop_assert_eq!(view.len(), idx.len());
+        prop_assert_eq!(view.indices(), &idx[..]);
         for (i, &original) in idx.iter().enumerate() {
             prop_assert_eq!(view.get(i), set.point(original));
-            prop_assert_eq!(view.original_index(i), original);
         }
     }
 }

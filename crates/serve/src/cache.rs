@@ -40,7 +40,7 @@ use rbc_core::SearchIndex;
 ///
 /// The written bytes must uniquely determine the query: equal bytes ⇒
 /// equal answers. Implementations exist for the workspace's query types
-/// (`[f32]` vectors, `str` strings, `usize` graph vertices).
+/// (`[f32]` vectors, `str` strings, `usize` ids).
 pub trait CacheKey {
     /// Appends the query's identity bytes to `out`.
     fn write_cache_key(&self, out: &mut Vec<u8>);

@@ -631,7 +631,7 @@ mod tests {
             100,
             &[Duration::from_micros(40), Duration::from_micros(60)],
         );
-        let load = Arc::new(ClusterLoad::with_placement(2, 4, 1.5, 1.2));
+        let load = Arc::new(ClusterLoad::with_placement(2, 1.5, 1.2));
         load.absorb(&[NodeLoad {
             node: 1,
             queries: 4,
@@ -724,7 +724,7 @@ mod tests {
     #[test]
     fn degradation_and_replica_distribution_flow_into_the_snapshot() {
         let m = ServeMetrics::new(4);
-        let load = Arc::new(ClusterLoad::with_placement(3, 5, 2.0, 1.8));
+        let load = Arc::new(ClusterLoad::with_placement(3, 2.0, 1.8));
         m.track_cluster(Arc::clone(&load));
         let s = m.snapshot();
         assert_eq!(s.mean_replication, 2.0);

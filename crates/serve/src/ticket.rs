@@ -59,16 +59,6 @@ impl Ticket {
         (Self { cell: cell.clone() }, cell)
     }
 
-    /// True once the answer (or a shed/shutdown error) is available;
-    /// [`wait`](Ticket::wait) will not block after this returns `true`.
-    pub fn is_ready(&self) -> bool {
-        self.cell
-            .slot
-            .lock()
-            .expect("ticket lock poisoned")
-            .is_some()
-    }
-
     /// Blocks until the query's batch has been executed (or the request
     /// was shed) and returns the outcome.
     pub fn wait(self) -> Result<ServeReply, ServeError> {
@@ -98,9 +88,7 @@ mod tests {
     #[test]
     fn wait_returns_a_prior_completion_immediately() {
         let (ticket, cell) = Ticket::new();
-        assert!(!ticket.is_ready());
         cell.complete(Ok(reply(4)));
-        assert!(ticket.is_ready());
         let got = ticket.wait().unwrap();
         assert_eq!(got.batch_size, 4);
         assert_eq!(got.neighbors[0].index, 3);

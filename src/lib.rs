@@ -7,7 +7,7 @@
 //! * [`core`](mod@core) (`rbc-core`) — the Random Ball Cover itself:
 //!   [`OneShotRbc`] and [`ExactRbc`] with their parameter types.
 //! * [`metric`] (`rbc-metric`) — datasets and metrics ([`VectorSet`],
-//!   [`Euclidean`], edit distance, graph shortest-path, …).
+//!   [`Euclidean`], edit distance, Hamming, …).
 //! * [`bruteforce`] (`rbc-bruteforce`) — the parallel brute-force primitive
 //!   everything is built from.
 //! * [`baselines`] (`rbc-baselines`) — the Cover Tree, the paper's exact
@@ -16,7 +16,7 @@
 //!   projection, expansion-rate estimation.
 //! * [`distributed`] (`rbc-distributed`) — the paper's future-work
 //!   extension: the database sharded across (simulated) cluster nodes by
-//!   representative, with replicated skew-aware placement
+//!   representative, with replicated placement
 //!   ([`PlacementPolicy`]), failover routing to the least-loaded live
 //!   replica, flagged partial answers when coverage is lost, and
 //!   communication-cost accounting. A [`DistributedRbc`] is itself a
