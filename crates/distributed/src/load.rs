@@ -430,18 +430,30 @@ mod tests {
     }
 
     #[test]
-    fn placement_summary_and_outcomes_accumulate() {
+    fn list_traffic_and_outcomes_accumulate() {
+        // Per-list traffic is no longer counted; the placement summary and
+        // the degradation outcomes are what a load still carries.
         let load = ClusterLoad::with_placement(2, 2.0, 1.5);
         assert_eq!(load.mean_replication(), 2.0);
         assert_eq!(load.storage_overhead(), 1.5);
-        let unreplicated = ClusterLoad::new(2);
-        assert_eq!(unreplicated.mean_replication(), 1.0);
-        assert_eq!(unreplicated.storage_overhead(), 1.0);
         load.record_outcome(3, 2, 1);
         load.record_outcome(1, 0, 0);
         assert_eq!(load.degraded_queries(), 4);
         assert_eq!(load.rerouted_groups(), 2);
         assert_eq!(load.lost_groups(), 1);
+    }
+
+    #[test]
+    fn untracked_lists_report_empty_traffic() {
+        // A load built without a placement reports a replication-free
+        // summary and no degradation.
+        let load = ClusterLoad::new(2);
+        assert_eq!(load.mean_replication(), 1.0);
+        assert_eq!(load.storage_overhead(), 1.0);
+        assert_eq!(load.degraded_queries(), 0);
+        assert_eq!(load.rerouted_groups(), 0);
+        assert_eq!(load.lost_groups(), 0);
+        assert_eq!(load.snapshot(), vec![NodeLoad::idle(0), NodeLoad::idle(1)]);
     }
 
     #[test]
