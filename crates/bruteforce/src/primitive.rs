@@ -1,10 +1,13 @@
 //! The brute-force primitive itself: batched, tiled, parallel scans.
 
+use std::ops::Range;
 use std::sync::Mutex;
 
 use rayon::prelude::*;
 
-use rbc_metric::{BlockedVectors, Dataset, Dist, Metric, LANES};
+use rbc_metric::{
+    BlockedVectors, Dataset, Dist, Metric, NormTile, LANES, TILE_BLOCK, TILE_GROUPS, TILE_QUERIES,
+};
 
 use crate::neighbor::Neighbor;
 use crate::stats::BfStats;
@@ -18,10 +21,6 @@ pub const MIN_PARALLEL_EVALS: usize = 1 << 16;
 /// Row tiles a shared [`BruteForce::rows_with`] call cuts per thread: the
 /// last tile a thread claims is then a quarter of its share at most.
 const TILES_PER_THREAD: usize = 4;
-
-/// Lane groups a screened dense scan screens at once: four give the screen
-/// kernel four independent accumulators.
-const SCREEN_GROUPS: usize = 4;
 
 /// Tiling and parallelism knobs for the primitive.
 ///
@@ -184,14 +183,17 @@ impl BruteForce {
     /// (e.g. a representative set gathered out of a larger database, which
     /// has no mirror of its own).
     ///
-    /// A *screened* dense scan. Once a query has a finite nearest
-    /// distance, the lane groups of each database tile are screened four
-    /// at a time with [`Metric::screen_lanes`] against it, and only groups
-    /// with a kept lane are scored canonically and admitted. Answers (ties
-    /// to the lower index, NaN last) and `distance_evals` are those of the
-    /// unscreened scan, bit for bit; [`BfStats::reranked_groups`] says how
-    /// many groups were scored. This is the one-shot search's stage 1 and
-    /// the exact build's `BF(X, R)`.
+    /// A *screened* dense scan. Four queries at a time meet each run of
+    /// lane groups in the metric's register tile ([`Metric::tile_lanes`]):
+    /// every pair's `f32` norm-form value, written to an L1-sized buffer.
+    /// Each query then scores canonically only the groups holding a lane
+    /// the tile cannot put above its nearest distance so far — the group
+    /// with its smallest value first; before it has one, the bound a
+    /// register block's own values give. Answers (ties to the lower index,
+    /// NaN last) and `distance_evals` are those of the unscreened scan, bit
+    /// for bit; [`BfStats::reranked_groups`] says how many groups were
+    /// scored. This is the one-shot search's stage 1 and the exact build's
+    /// `BF(X, R)`.
     ///
     /// [`select_with`](Self::select_with) screens the same way;
     /// [`knn`](Self::knn) does not. `knn` is the brute-force reference the
@@ -231,11 +233,13 @@ impl BruteForce {
     ///
     /// `nearest` is exactly what [`knn`](Self::knn) returns for that query,
     /// and `distance_evals` is `knn`'s too, but the scan is
-    /// [`nn_with_blocks`](Self::nn_with_blocks)'s: once a query's threshold
-    /// is finite, lane groups are screened four at a time against it and
-    /// only groups with a kept lane are scored. The comparison step differs
-    /// from `knn`'s as well: a bound and one `select_nth_unstable` each time
-    /// a `2k` buffer fills, not a `k`-deep heap sifted on every admission.
+    /// [`nn_with_blocks`](Self::nn_with_blocks)'s: the register tile, and
+    /// canonical scores only for the groups it leaves open under the
+    /// query's threshold (or, before there is one and for `k` up to a
+    /// register block's lanes, under the block's own bound). The comparison
+    /// step differs from `knn`'s as well: a bound and one
+    /// `select_nth_unstable` each time a `2k` buffer fills, not a `k`-deep
+    /// heap sifted on every admission.
     /// Either way a NaN distance is kept only when fewer than `k` numbers
     /// were seen, and sorts last.
     ///
@@ -513,11 +517,20 @@ impl BruteForce {
     /// and `finish(qi, collector)` turns it, filled, into its result, on the
     /// thread that scanned it.
     ///
-    /// `SCREEN` runs [`Metric::screen_lanes`] over the blocked arm, so only
-    /// lane groups with a lane the screen keeps are scored. It changes what
-    /// is skipped, never a distance, an answer or an evaluation count; a
-    /// canonical scan compiles to the one-group-at-a-time loop alone.
-    /// [`nn_with_blocks`](Self::nn_with_blocks) and
+    /// A task takes `query_tile` queries through the database one `db_tile`
+    /// at a time (the §3 block decomposition). The whole lane groups of a
+    /// database tile go to the blocked arm, the items around them to the
+    /// per-point arm; every lane counts as one evaluation either way.
+    ///
+    /// `SCREEN` decides the blocked arm. Without it, each query scores
+    /// every group canonically ([`admit_group`]). With it, the groups run
+    /// through the metric's register tile ([`Metric::tile_lanes`]), four
+    /// queries at a time, and each query scores canonically only the groups
+    /// in which the tile keeps a lane under its collector's threshold; a
+    /// collector with no threshold yet takes one from each register block
+    /// ([`NormTile::block_bound`]). What it skips changes no distance,
+    /// answer or evaluation count. A metric without a tile scores every
+    /// group. [`nn_with_blocks`](Self::nn_with_blocks) and
     /// [`select_with`](Self::select_with) pass `true`; `knn` is the
     /// brute-force reference every speedup is measured against. The
     /// parameter goes when it screens too (ROADMAP item 3, "Screen the
@@ -558,70 +571,99 @@ impl BruteForce {
         let process_tile = |q_start: usize| -> (Vec<R>, BfStats) {
             let q_end = (q_start + query_tile).min(nq);
             let mut collectors: Vec<C> = (q_start..q_end).map(&start).collect();
-            let mut evals = 0u64;
-            let mut skips = 0u64;
-            let mut reranked = 0u64;
+            let mut work = BfStats {
+                queries: (q_end - q_start) as u64,
+                ..BfStats::new()
+            };
+            let mut tile = SCREEN.then(NormTile::new);
 
             let mut tile_start = 0usize;
             while tile_start < n {
                 let tile_end = (tile_start + db_tile).min(n);
-                for (ci, qi) in (q_start..q_end).enumerate() {
-                    let q = queries.get(qi);
-                    let collector = &mut collectors[ci];
-                    let mut pos = tile_start;
-                    while pos < tile_end {
-                        // Blocked fast path over the lane-aligned whole
-                        // groups of the tile. A screened scan whose
-                        // threshold is finite first clears the lanes
-                        // certainly above it, up to `SCREEN_GROUPS` groups
-                        // at once, and scores only the groups with a kept
-                        // lane; a cleared lane could not be admitted now,
-                        // nor later, as the threshold only falls. Otherwise
-                        // (a canonical scan, or `+∞`, which clears nothing)
-                        // the group is scored outright. Every lane counts
-                        // as an evaluation. The partial tail group falls
-                        // through to the per-point arm.
-                        if let Some(b) = blocks {
-                            if pos.is_multiple_of(LANES) && pos + LANES <= tile_end {
-                                let first = pos / LANES;
-                                let bound = collector.threshold();
-                                if SCREEN && bound.is_finite() {
-                                    let last =
-                                        first + ((tile_end - pos) / LANES).min(SCREEN_GROUPS);
-                                    let mut keep = [0u8; SCREEN_GROUPS];
-                                    metric.screen_lanes(
-                                        &[q],
-                                        b.block(first..last),
-                                        &[bound],
-                                        &mut keep,
-                                    );
-                                    for (g, keep) in (first..last).zip(keep) {
-                                        if keep != 0 {
-                                            reranked += 1;
-                                            admit_group(metric, q, b, g, collector);
-                                        }
+                let groups = match blocks {
+                    Some(_) => tile_start.div_ceil(LANES)..tile_end / LANES,
+                    None => 0..0,
+                };
+                let (head, tail) = if groups.is_empty() {
+                    (tile_start..tile_end, tile_end..tile_end)
+                } else {
+                    (
+                        tile_start..groups.start * LANES,
+                        groups.end * LANES..tile_end,
+                    )
+                };
+                let rows = || (q_start..q_end).map(|qi| queries.get(qi)).zip(0..);
+                match (blocks, &mut tile) {
+                    (Some(b), Some(tile)) if !groups.is_empty() => {
+                        for (q, ci) in rows() {
+                            scan_points(
+                                metric,
+                                q,
+                                db,
+                                head.clone(),
+                                &mut collectors[ci],
+                                &mut work,
+                            );
+                        }
+                        for (sub, collectors) in collectors.chunks_mut(TILE_QUERIES).enumerate() {
+                            let first = q_start + sub * TILE_QUERIES;
+                            let mut tiled = [queries.get(first); TILE_QUERIES];
+                            for (t, q) in tiled.iter_mut().enumerate().take(collectors.len()) {
+                                *q = queries.get(first + t);
+                            }
+                            let tiled = &tiled[..collectors.len()];
+                            screen_groups(
+                                metric,
+                                tiled,
+                                collectors,
+                                b,
+                                groups.clone(),
+                                tile,
+                                &mut work,
+                            );
+                        }
+                        for (q, ci) in rows() {
+                            scan_points(
+                                metric,
+                                q,
+                                db,
+                                tail.clone(),
+                                &mut collectors[ci],
+                                &mut work,
+                            );
+                        }
+                    }
+                    _ => {
+                        // The canonical arm, position by position: a whole
+                        // lane group scored outright, anything else point
+                        // by point.
+                        for (q, ci) in rows() {
+                            let collector = &mut collectors[ci];
+                            let mut pos = tile_start;
+                            while pos < tile_end {
+                                if let Some(b) = blocks {
+                                    if pos.is_multiple_of(LANES) && pos + LANES <= tile_end {
+                                        admit_group(metric, q, b, pos / LANES, collector);
+                                        work.reranked_groups += 1;
+                                        work.distance_evals += LANES as u64;
+                                        pos += LANES;
+                                        continue;
                                     }
-                                    evals += ((last - first) * LANES) as u64;
-                                    pos = last * LANES;
-                                } else {
-                                    reranked += 1;
-                                    admit_group(metric, q, b, first, collector);
-                                    evals += LANES as u64;
-                                    pos += LANES;
                                 }
-                                continue;
+                                let item = db.get(pos);
+                                let threshold = collector.threshold();
+                                if threshold.is_finite()
+                                    && metric.dist_lower_bound(q, item) > threshold
+                                {
+                                    work.lower_bound_skips += 1;
+                                    pos += 1;
+                                    continue;
+                                }
+                                work.distance_evals += 1;
+                                collector.offer(Neighbor::new(pos, metric.dist(q, item)));
+                                pos += 1;
                             }
                         }
-                        let item = db.get(pos);
-                        let threshold = collector.threshold();
-                        if threshold.is_finite() && metric.dist_lower_bound(q, item) > threshold {
-                            skips += 1;
-                            pos += 1;
-                            continue;
-                        }
-                        evals += 1;
-                        collector.offer(Neighbor::new(pos, metric.dist(q, item)));
-                        pos += 1;
                     }
                 }
                 tile_start = tile_end;
@@ -631,13 +673,7 @@ impl BruteForce {
                 .zip(collectors)
                 .map(|(qi, collector)| finish(qi, collector))
                 .collect();
-            let stats = BfStats {
-                distance_evals: evals,
-                lower_bound_skips: skips,
-                queries: (q_end - q_start) as u64,
-                reranked_groups: reranked,
-            };
-            (results, stats)
+            (results, work)
         };
 
         let tile_starts: Vec<usize> = (0..nq).step_by(query_tile).collect();
@@ -655,6 +691,111 @@ impl BruteForce {
         }
         (out, stats)
     }
+}
+
+/// The per-point arm of `knn_over`: offers `q`'s distance to every item of
+/// `items` to `collector`, skipping an item whose lower bound is past the
+/// threshold (a skip, not an evaluation).
+#[inline]
+fn scan_points<D: Dataset, M: Metric<D::Item>, C: Collector>(
+    metric: &M,
+    q: &D::Item,
+    db: &D,
+    items: Range<usize>,
+    collector: &mut C,
+    work: &mut BfStats,
+) {
+    for pos in items {
+        let item = db.get(pos);
+        let threshold = collector.threshold();
+        if threshold.is_finite() && metric.dist_lower_bound(q, item) > threshold {
+            work.lower_bound_skips += 1;
+            continue;
+        }
+        work.distance_evals += 1;
+        collector.offer(Neighbor::new(pos, metric.dist(q, item)));
+    }
+}
+
+/// The screened blocked arm of `knn_over`: lane groups `groups` of
+/// `blocks` for up to [`TILE_QUERIES`] queries and their collectors, in
+/// runs of at most [`TILE_GROUPS`] groups. Each run fills the metric's
+/// register tile once; then each query scores canonically
+/// ([`admit_group`]) only the groups in which the tile keeps a lane under
+/// the limit of its collector's threshold, re-taken whenever an admission
+/// moves it. A collector with no threshold scores the group holding its
+/// smallest value first, and decides any register block it still meets
+/// without one under the block's own bound ([`NormTile::block_bound`]). A
+/// cleared lane could not be admitted now, nor later, as thresholds only
+/// fall. Without a tile every group is scored.
+fn screen_groups<T: ?Sized, M: Metric<T>, C: Collector>(
+    metric: &M,
+    queries: &[&T],
+    collectors: &mut [C],
+    blocks: &BlockedVectors,
+    groups: Range<usize>,
+    tile: &mut NormTile,
+    work: &mut BfStats,
+) {
+    for from in groups.clone().step_by(TILE_GROUPS) {
+        let run = from..(from + TILE_GROUPS).min(groups.end);
+        work.distance_evals += (queries.len() * run.len() * LANES) as u64;
+        if !metric.tile_lanes(queries, blocks.block(run.clone()), tile) {
+            for (&q, collector) in queries.iter().zip(collectors.iter_mut()) {
+                for g in run.clone() {
+                    admit_group(metric, q, blocks, g, collector);
+                }
+            }
+            work.reranked_groups += (queries.len() * run.len()) as u64;
+            continue;
+        }
+        for (t, (&q, collector)) in queries.iter().zip(collectors.iter_mut()).enumerate() {
+            let mut admit = |j: usize, collector: &mut C| {
+                work.reranked_groups += 1;
+                admit_group(metric, q, blocks, run.start + j, collector);
+            };
+            let all = 0..run.len();
+            // Bit `j`: group `j` of the run is still to be decided.
+            let mut open = bits(all.clone());
+            if collector.threshold() == Dist::INFINITY {
+                // Nothing is cleared yet: score the group holding the least
+                // value first, the likeliest to give the collector a bound.
+                if let Some(j) = tile.nearest_group(t) {
+                    open &= !(1 << j);
+                    admit(j, collector);
+                }
+            }
+            let mut taken = None;
+            while open != 0 {
+                let threshold = collector.threshold();
+                if threshold == Dist::INFINITY {
+                    // Still no bound: the first undecided register block is
+                    // decided under its own.
+                    let block = open.trailing_zeros() as usize / TILE_BLOCK;
+                    let members =
+                        block * TILE_BLOCK..(block * TILE_BLOCK + TILE_BLOCK).min(run.len());
+                    let limit = tile.limit(t, tile.block_bound(t, block, collector.k()));
+                    let mut kept = tile.open_groups(t, members.clone(), limit) & open;
+                    open &= !bits(members);
+                    while kept != 0 {
+                        admit(kept.trailing_zeros() as usize, collector);
+                        kept &= kept - 1;
+                    }
+                } else if taken != Some(threshold) {
+                    taken = Some(threshold);
+                    open &= tile.open_groups(t, all.clone(), tile.limit(t, threshold));
+                } else {
+                    admit(open.trailing_zeros() as usize, collector);
+                    open &= open - 1;
+                }
+            }
+        }
+    }
+}
+
+/// The bit mask of `range`, which lies within `0..64`.
+fn bits(range: Range<usize>) -> u64 {
+    u64::MAX.checked_shr((64 - range.len()) as u32).unwrap_or(0) << range.start
 }
 
 /// Scores lane group `g` of `blocks` for `q` with the lane kernel and, if
@@ -696,7 +837,9 @@ fn sorted_answer(_query: usize, best: TopK) -> Vec<Neighbor> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbc_metric::{Euclidean, Manhattan, PerPoint, QueryBatch, VectorSet};
+    use rbc_metric::{
+        force_kernel, Euclidean, KernelChoice, Manhattan, PerPoint, QueryBatch, VectorSet,
+    };
 
     /// A deterministic pseudo-random cloud (no dependency on `rand` needed
     /// for unit tests).
@@ -1003,13 +1146,37 @@ mod tests {
         // Every point three times over (ties at every distance), sizes on
         // both sides of a lane group and a `db_tile`, `k` from one to past
         // the database; uncapped, and capped at each query's `k`-th
-        // distance, the tightest cap there is.
-        let distinct = cloud(91, 6, 55);
-        let mut db = VectorSet::empty(6);
-        for _ in 0..3 {
-            distinct.iter().for_each(|point| db.push(point));
+        // distance, the tightest cap there is; at the origin and translated
+        // to 10³ and 10⁶, where the tile's norm form cancels; on every
+        // kernel.
+        for offset in [0.0, 1e3, 1e6] {
+            let shift = |set: VectorSet| {
+                let rows: Vec<Vec<f32>> = set
+                    .iter()
+                    .map(|p| p.iter().map(|x| x + offset).collect())
+                    .collect();
+                VectorSet::from_rows(&rows)
+            };
+            let distinct = shift(cloud(91, 6, 55));
+            let mut db = VectorSet::empty(6);
+            for _ in 0..3 {
+                distinct.iter().for_each(|point| db.push(point));
+            }
+            let queries = shift(cloud(21, 6, 56));
+            for kernel in [
+                KernelChoice::Scalar,
+                KernelChoice::Sse2,
+                KernelChoice::Avx2Fma,
+            ] {
+                force_kernel(Some(kernel));
+                select_with_against_knn(&queries, &db);
+            }
+            force_kernel(None);
         }
-        let queries = cloud(21, 6, 56);
+    }
+
+    /// [`select_with_hands_each_query_what_knn_returns`] on one data set.
+    fn select_with_against_knn(queries: &VectorSet, db: &VectorSet) {
         fn check<M: Metric<[f32]>>(
             bf: &BruteForce,
             queries: &VectorSet,
@@ -1052,11 +1219,11 @@ mod tests {
                 parallel,
             });
             if per_point {
-                check(&bf, &queries, &db, &PerPoint(Euclidean));
+                check(&bf, queries, db, &PerPoint(Euclidean));
             } else {
-                check(&bf, &queries, &db, &Euclidean);
+                check(&bf, queries, db, &Euclidean);
             }
-            check(&bf, &queries, &db, &Manhattan);
+            check(&bf, queries, db, &Manhattan);
         }
     }
 

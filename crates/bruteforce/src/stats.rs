@@ -21,11 +21,12 @@ pub struct BfStats {
     /// Lane groups the canonical lane kernel scored: all of them on an
     /// unscreened blocked scan (a dense scan leaves the partial last group
     /// to the per-point arm, the row kernel scores it too), the groups the
-    /// screen kept on a screened one
-    /// ([`BruteForce::nn_with_blocks`](crate::BruteForce::nn_with_blocks)),
-    /// zero on the per-point path. Unlike the other fields it depends on
-    /// the active kernel's rounding and on scan order: a report, never a
-    /// gate, and never compared for equality across kernels or schedules.
+    /// register tile left open on a screened one
+    /// ([`BruteForce::nn_with_blocks`](crate::BruteForce::nn_with_blocks),
+    /// [`BruteForce::select_with`](crate::BruteForce::select_with)), zero
+    /// on the per-point path. Unlike the other fields it depends on the
+    /// active kernel's rounding and on scan order: a report, never a gate,
+    /// and never compared for equality across kernels or schedules.
     pub reranked_groups: u64,
 }
 

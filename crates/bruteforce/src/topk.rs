@@ -30,6 +30,9 @@ pub(crate) trait Collector {
     /// true `k`-th distance so far — never smaller.
     fn threshold(&self) -> Dist;
 
+    /// How many candidates the collector keeps.
+    fn k(&self) -> usize;
+
     /// Offers a candidate.
     fn offer(&mut self, cand: Neighbor);
 }
@@ -38,6 +41,11 @@ impl Collector for TopK {
     #[inline]
     fn threshold(&self) -> Dist {
         TopK::threshold(self)
+    }
+
+    #[inline]
+    fn k(&self) -> usize {
+        self.k
     }
 
     #[inline]
@@ -304,6 +312,11 @@ impl Collector for SelectK {
             Some(bound) if !bound.dist.is_nan() => bound.dist.min(self.cap),
             _ => self.cap,
         }
+    }
+
+    #[inline]
+    fn k(&self) -> usize {
+        self.k
     }
 
     #[inline]

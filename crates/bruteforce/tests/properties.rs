@@ -22,6 +22,9 @@ const KERNELS: [KernelChoice; 3] = [
     KernelChoice::Sse2,
     KernelChoice::Avx2Fma,
 ];
+/// Where a cloud sits: at the origin, or translated far from it relative
+/// to its spread.
+const OFFSETS: [f32; 3] = [0.0, 1e3, 1e6];
 /// What a poisoned coordinate becomes.
 const SPECIALS: [f32; 3] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
 
@@ -127,18 +130,23 @@ proptest! {
         }
     }
 
-    /// The screened k = 1 scan (`nn_with_blocks`) answers exactly what the
-    /// unscreened blocked scan (`knn` with k = 1) and the per-point scan
-    /// (`PerPoint(Euclidean)`) answer — index and distance bits, NaN included —
-    /// with the same evaluation count, on every kernel, tiling and schedule.
+    /// The screened dense scans answer exactly what the unscreened blocked
+    /// scan (`knn`) and the per-point scan (`PerPoint(Euclidean)`) answer —
+    /// index and distance bits, NaN included, ties to the lower index —
+    /// with the same evaluation count, on every kernel, tiling and schedule:
+    /// `nn_with_blocks` against `knn` with k = 1, and `select_with`, capped
+    /// at each query's true `k`-th distance and uncapped, against `knn`.
     /// Databases reach from tail-only (n < 8) through exact multiples of 8;
-    /// some rows are duplicated (the lower index must win) and some
-    /// coordinates poisoned with NaN or ±∞, in rows and in queries.
+    /// some rows are duplicated (the lower index must win), some
+    /// coordinates poisoned with NaN or ±∞, in rows and in queries, and
+    /// some clouds translated to 10³ or 10⁶ from the origin, where the
+    /// tile's norm form cancels.
     #[test]
     fn screened_nn_is_bit_identical_to_the_canonical_scan(
         (seed, dim, n_raw, n_shape) in (any::<u64>(), 1usize..=65, 1usize..=300, 0usize..3),
         (nq, db_tile, query_tile, scale) in (1usize..=20, 0usize..4, 0usize..2, 0usize..4),
         (duplicates, poisoned, parallel) in (0usize..6, 0usize..4, any::<bool>()),
+        (offset, k) in (0usize..OFFSETS.len(), 1usize..=12),
     ) {
         let n = match n_shape {
             0 => n_raw % 7 + 1,
@@ -148,7 +156,7 @@ proptest! {
         let mut next = unit_stream(seed);
         let mut cloud = |len: usize| -> Vec<Vec<f32>> {
             (0..len)
-                .map(|_| (0..dim).map(|_| next() * SCALES[scale]).collect())
+                .map(|_| (0..dim).map(|_| OFFSETS[offset] + next() * SCALES[scale]).collect())
                 .collect()
         };
         let mut rows = cloud(n);
@@ -197,6 +205,22 @@ proptest! {
             prop_assert_eq!(stats.distance_evals, (n * nq) as u64);
             // The screen only ever removes canonical work.
             prop_assert!(stats.reranked_groups <= knn_stats.reranked_groups);
+
+            force_kernel(Some(kernel));
+            let (want, want_stats) = blocked.knn(&queries, &db, &Euclidean, k);
+            let kth: Vec<f64> = want.iter().map(|near| near[near.len() - 1].dist).collect();
+            for caps in [None, Some(&kth[..])] {
+                let (got, stats) = blocked
+                    .select_with(&queries, &db, &Euclidean, k, caps, |_, near| near.to_vec());
+                let got: Vec<Vec<_>> = got.iter().map(|near| near.iter().map(bits).collect()).collect();
+                let want: Vec<Vec<_>> = want.iter().map(|near| near.iter().map(bits).collect()).collect();
+                prop_assert_eq!(
+                    got, want, "kernel {:?}, n {}, dim {}, k {}, capped {}", kernel, n, dim, k, caps.is_some()
+                );
+                prop_assert_eq!(stats.distance_evals, want_stats.distance_evals);
+                prop_assert!(stats.reranked_groups <= want_stats.reranked_groups);
+            }
+            force_kernel(None);
         }
     }
 }

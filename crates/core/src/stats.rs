@@ -94,7 +94,8 @@ pub struct SearchStats {
     /// Lane groups stage 1 scored with the canonical lane kernel
     /// (`BfStats::reranked_groups` of its `BF(Q, R)`): every lane group of
     /// the representatives' mirror for the exact search, the groups the
-    /// `f32` screen kept for the one-shot search's screened k = 1 scan.
+    /// register tile left open for the one-shot search's screened k = 1
+    /// scan.
     /// Like `list_reranked_groups`, a report that depends on the kernel and
     /// is never gated or compared for equality.
     pub rep_reranked_groups: u64,

@@ -1,6 +1,6 @@
 //! The [`Metric`] trait: a distance function over items of some type.
 
-use crate::simd::{CodeBlock, LaneBlock, LaneGroup, LANES};
+use crate::simd::{CodeBlock, LaneBlock, LaneGroup, NormTile, LANES};
 
 /// Distances throughout the library are `f64`.
 ///
@@ -110,6 +110,25 @@ pub trait Metric<T: ?Sized>: Sync {
         keep[..queries.len() * block.groups()].fill(u8::MAX);
     }
 
+    /// Fills `tile` with the register tile of `queries` (up to
+    /// [`TILE_QUERIES`](crate::TILE_QUERIES)) against the lane groups of
+    /// `block`, on this metric's reported scale, and returns `true`; the
+    /// dense scans then score canonically only the groups in which
+    /// [`NormTile::open_groups`] finds a lane under [`NormTile::limit`] of
+    /// the collector's bound. Returns `false` when there is no tile, and the
+    /// scans score every group with [`dist_lanes`](Self::dist_lanes).
+    ///
+    /// Like [`screen_lanes`](Self::screen_lanes), a tile decides what is
+    /// skipped, never what is answered: it may clear a lane only when
+    /// `dist_lanes` is certain to report a distance **greater than** the
+    /// bound its limit was taken from.
+    ///
+    /// The default has no tile, which is always valid.
+    #[inline]
+    fn tile_lanes(&self, _queries: &[&T], _block: LaneBlock<'_>, _tile: &mut NormTile) -> bool {
+        false
+    }
+
     /// [`screen_lanes`](Self::screen_lanes) from a `u8`-coded block
     /// ([`CodedVectors`](crate::CodedVectors)): bit `lane` of `keep[j]` may
     /// be cleared only if [`dist`](Self::dist) on the *original* point that
@@ -155,6 +174,11 @@ impl<T: ?Sized, M: Metric<T>> Metric<T> for &M {
     #[inline]
     fn screen_lanes(&self, queries: &[&T], block: LaneBlock<'_>, bounds: &[Dist], keep: &mut [u8]) {
         (**self).screen_lanes(queries, block, bounds, keep);
+    }
+
+    #[inline]
+    fn tile_lanes(&self, queries: &[&T], block: LaneBlock<'_>, tile: &mut NormTile) -> bool {
+        (**self).tile_lanes(queries, block, tile)
     }
 
     #[inline]

@@ -26,6 +26,13 @@
 //!   `x̂ = lo + step·code` and one error radius `err ≥ max ‖x − x̂‖`; and
 //!   [`screen_codes_l2`], the screen that reads it. The codes are never
 //!   distances either: what survives is scored from the original rows.
+//! * [`NormTile`] — the dense scans' register tile: for [`TILE_QUERIES`]
+//!   queries and a run of lane groups, every pair's `f32` norm form
+//!   `‖r‖² − 2·q·r` (the query's `‖q‖²` moved to the limits) in an L1-sized
+//!   buffer, from four queries × [`TILE_BLOCK`] groups of independent
+//!   accumulators, and a keep pass that says which groups hold a lane that
+//!   could be within a bound. Like the screens it decides only what is
+//!   skipped.
 //!
 //! # Bit-compatibility contract
 //!
@@ -125,6 +132,58 @@
 //! bound or `err` makes the limit `+∞`, a NaN query coordinate makes the
 //! sum NaN.
 //!
+//! **The norm-form tile.** [`NormTile::fill`] writes, per query `q` and
+//! lane `r`, `w = fl(fl(α·n_r) − 2·d)`: `n_r` is the norm [`BlockedVectors`]
+//! stores for the lane (the `f64` sum of its squares rounded to `f32`), `d`
+//! the `f32` dot product (one rounding per term with FMA, two with
+//! multiply + add) and `α = 1 − x`, with `x = (2·dim + 8)·u` as above. The
+//! query's `S_q = Σ qᵢ²` is summed in `f64` per fill. Which lanes clear
+//! depends on the kernel, as with the screen; the bound does not.
+//!
+//! Write `N_q = ‖q‖²`, `N_r = ‖r‖²` and `E = N_q + N_r − 2·q·r = ‖q − r‖²`,
+//! exactly. With both norms under `2¹⁰⁰` no product or sum overflows, and
+//! `γ = dim·u/(1 − dim·u)`:
+//!
+//! * the dot product errs by at most `γ·Σ|qᵢrᵢ| ≤ γ·(N_q + N_r)/2`, on
+//!   every kernel;
+//! * `n_r` is within `u` of `N_r` (and `2⁻³⁷` for the `f64` sum), `fl(α·n_r)`
+//!   within another `u`, and the subtraction adds `u·|α·n_r − 2·d| ≤
+//!   u·(1 + γ)·(2·N_r + N_q)`;
+//! * underflow adds at most `(2·dim + 4)·2⁻¹⁴⁹ ≤ 2⁻¹³¹` in all.
+//!
+//! `α` takes `x` off `N_r`, more than the `N_r` share of those errors
+//! (`γ + 4u + 2⁻³⁶ ≤ x`), and their `N_q` share is at most `γ + 2u ≤ x`, so
+//! `E ≥ w + (1 − x)·N_q − 2⁻¹³¹`. A lane that matters has `E ≤ B·(1 +
+//! x·(1 + x))` for the squared bound `B`, by the screen's argument
+//! (`c ≥ E·(1 − u)²·(1 − 2⁻⁵³)^dim`, and the `8u` left over covers the
+//! `f64` terms). So [`NormTile::limit`] is
+//!
+//! `L = ⌈B·(1 + x·(1 + x)) + 2⁻¹⁰⁰ − (1 − x − 2⁻³⁰)·S_q⌉`, rounded up to
+//! `f32`,
+//!
+//! and a lane is cleared only when `w > L`: then `E > B·(1 + x·(1 + x))`.
+//! The `2⁻³⁰·S_q` covers `S_q`'s own `f64` rounding and the roundings of
+//! forming `L`; `2⁻¹⁰⁰` covers underflow.
+//!
+//! The same terms bound `E` from above: `E ≤ w + 2x·N_r + (1 + x)·N_q +
+//! 2⁻¹³¹`. [`NormTile::block_bound`] takes the `k`-th smallest of `w +
+//! 3x·n_r` over a register block's lanes (the `3x` covers `n_r`'s rounding
+//! and the `f64` sum), adds `(1 + x + 2⁻³⁰)·S_q + 2⁻¹⁰⁰` and multiplies by
+//! `1 + x·(1 + x)`: at least `k` of the block's canonical squared distances
+//! are within it. That is the bound a collector with none yet may screen
+//! the block against — once those lanes are offered its `k`-th is within
+//! it. For [`Euclidean`](crate::Euclidean) both go through the square root,
+//! so a lane is cleared only when its *reported* distance is above the
+//! bound, and distinct squares that round to one root are never split.
+//!
+//! Every special value keeps: a point with a NaN or infinite coordinate, or
+//! a norm at or past `2¹⁰⁰`, stores a NaN norm, so its values are NaN; a
+//! query outside the proof gets `L = +∞`, as do a NaN or `+∞` bound; a NaN
+//! value never counts towards a block bound; above `dim = 2¹⁶` there is no
+//! tile. The error scales with the norms, not the distances: far from the
+//! origin (points at 10⁶) the tile keeps everything and the scan scores
+//! every group canonically, as it would without a tile.
+//!
 //! # Kernel selection
 //!
 //! The kernel is chosen once per process by runtime feature detection
@@ -161,6 +220,10 @@ pub struct BlockedVectors {
     /// aligned regardless of where the allocator put the `Vec`.
     data: Vec<f32>,
     offset: usize,
+    /// Each lane's squared norm as the norm-form tile reads it
+    /// ([`tile_norm`]), `num_groups() * LANES` long, padding lanes
+    /// replicating the last point like the data.
+    norms: Vec<f32>,
     dim: usize,
     len: usize,
 }
@@ -202,21 +265,24 @@ impl BlockedVectors {
         // data at the first 64-byte boundary inside the buffer.
         let misalign = (data.as_ptr() as usize / std::mem::size_of::<f32>()) % ALIGN_FLOATS;
         let offset = (ALIGN_FLOATS - misalign) % ALIGN_FLOATS;
+        let mut norms = vec![0.0f32; groups * LANES];
         for g in 0..groups {
             let base = offset + g * dim * LANES;
             for lane in 0..LANES {
                 // Padding lanes replicate the last real point, so group
                 // reductions (e.g. a min over the group's distances) stay
                 // valid without masking.
-                let point = row((g * LANES + lane).min(len - 1));
-                for (d, &value) in point.iter().enumerate().take(dim) {
+                let point = &row((g * LANES + lane).min(len - 1))[..dim];
+                for (d, &value) in point.iter().enumerate() {
                     data[base + d * LANES + lane] = value;
                 }
+                norms[g * LANES + lane] = tile_norm(squared_norm(point));
             }
         }
         Self {
             data,
             offset,
+            norms,
             dim,
             len,
         }
@@ -275,6 +341,7 @@ impl BlockedVectors {
         LaneBlock {
             data: &self.data
                 [self.offset + groups.start * stride..self.offset + groups.end * stride],
+            norms: &self.norms[groups.start * LANES..groups.end * LANES],
             dim: self.dim,
         }
     }
@@ -318,6 +385,8 @@ impl LaneGroup<'_> {
 pub struct LaneBlock<'a> {
     /// Always a whole number of groups: `groups() * dim * LANES` floats.
     data: &'a [f32],
+    /// The lanes' [`tile_norm`]s, `groups() * LANES` of them.
+    norms: &'a [f32],
     dim: usize,
 }
 
@@ -860,8 +929,7 @@ pub fn screen_squared_l2(
 }
 
 /// [`screen_squared_l2`] for two to [`SCREEN_QUERIES`] queries, out of
-/// line, so that the one-query calls (every stage-1 screen, a lone cursor's)
-/// stay short.
+/// line, so that a lone cursor's one-query calls stay short.
 #[inline(never)]
 fn screen_tiles(
     queries: &[&[f32]],
@@ -1112,6 +1180,524 @@ unsafe fn avx2_screen_groups<const G: usize, const T: usize>(
         for (slot, sum) in keep[t * groups + at..][..G].iter_mut().zip(sums) {
             // "Not greater than, unordered": a NaN sum keeps its lane.
             *slot = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NGT_UQ>(sum, limit)) as u8;
+        }
+    }
+}
+
+/// Squared norms at or past this (`2¹⁰⁰`) are outside the tile's proof:
+/// below it no `f32` product, dot product or sum the tile forms can
+/// overflow.
+const NORM_CEILING: f64 = f64::from_bits((1023 + 100) << 52);
+
+/// The canonical-order `f64` sum of a row's squares: exact squares, one
+/// rounding per add.
+fn squared_norm(row: &[f32]) -> f64 {
+    row.iter().map(|&x| f64::from(x) * f64::from(x)).sum()
+}
+
+/// A squared norm as the tile stores it: rounded to `f32`, or NaN — which
+/// keeps every lane it touches — where the tile's bound is not proven (a
+/// non-finite coordinate, or a norm at or past [`NORM_CEILING`]).
+fn tile_norm(sq_norm: f64) -> f32 {
+    if sq_norm < NORM_CEILING {
+        sq_norm as f32
+    } else {
+        f32::NAN
+    }
+}
+
+/// The tile's rounding allowance `x = (2·dim + 8)·u` for `dim`
+/// dimensions — the `x` of [`screen_limit`]'s slack.
+fn tile_slack(dim: usize) -> f64 {
+    (2 * dim + 8) as f64 * F32_ROUNDOFF
+}
+
+/// `value` rounded up to `f32` (`as` rounds to nearest and saturates).
+fn round_up_f32(value: f64) -> f32 {
+    let nearest = value as f32;
+    if f64::from(nearest) < value {
+        nearest.next_up()
+    } else {
+        nearest
+    }
+}
+
+/// Queries one [`NormTile`] fill holds: the register tile's rows.
+pub const TILE_QUERIES: usize = 4;
+
+/// Most lane groups one [`NormTile`] fill covers. Its values —
+/// `TILE_QUERIES × TILE_GROUPS × LANES` floats, 4 KiB — stay in L1 while
+/// the keep pass reads them.
+pub const TILE_GROUPS: usize = 32;
+
+/// Lane groups of one register block: the tile's inner loop keeps
+/// `TILE_QUERIES × TILE_BLOCK` accumulators of [`LANES`] lanes, and a fresh
+/// collector's bound ([`NormTile::block_bound`]) is taken over one block.
+pub const TILE_BLOCK: usize = 2;
+
+const TILE_ITEMS: usize = TILE_GROUPS * LANES;
+
+/// What a metric reports for a pair whose canonical squared distance is
+/// `c`: the bounds a [`NormTile`] is handed are on that scale.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reported {
+    /// `c` itself ([`SquaredEuclidean`](crate::SquaredEuclidean)).
+    Squared,
+    /// `sqrt(c)`, correctly rounded ([`Euclidean`](crate::Euclidean)).
+    Root,
+}
+
+/// The register tile of the dense scans: for up to [`TILE_QUERIES`] queries
+/// and up to [`TILE_GROUPS`] lane groups, every pair's `f32` norm-form
+/// value, kept in an L1-sized buffer for a separate keep pass.
+///
+/// [`fill`](Self::fill) writes, per query `q` and lane `r`, the value
+/// `w = α·‖r‖² − 2·q·r` in `f32` (the query's own `‖q‖²` is left to the
+/// limits). [`limit`](Self::limit) turns a bound on the metric's reported
+/// distance into an `f32` limit, and a lane is **cleared** only when its
+/// value is above it: the module docs prove that its canonical distance is
+/// then certainly above the bound. A NaN value, a NaN or `+∞` bound, and a
+/// query or point the proof does not cover keep. The values are not
+/// distances and never leave the keep pass: a kept lane's group is scored
+/// by the canonical kernel before anything is compared or stored.
+#[derive(Clone, Debug)]
+pub struct NormTile {
+    /// Row `t`: query `t`'s values, lane `j·LANES + lane` for group `j`.
+    values: [[f32; TILE_ITEMS]; TILE_QUERIES],
+    /// Row `t`: each group's least value, or NaN if the group holds a NaN
+    /// norm (whose lanes' values are NaN).
+    least: [[f32; TILE_GROUPS]; TILE_QUERIES],
+    /// The block's [`tile_norm`]s, lane for lane.
+    norms: [f32; TILE_ITEMS],
+    /// Each query's [`squared_norm`].
+    sq_norms: [f64; TILE_QUERIES],
+    /// Each query's share of its limits, `2⁻¹⁰⁰ − (1 − x − 2⁻³⁰)·‖q‖²`;
+    /// NaN for a query outside the proof.
+    offsets: [f64; TILE_QUERIES],
+    /// The bound's reach on the exact squared distance, `1 + x·(1 + x)`.
+    lift: f64,
+    groups: usize,
+    dim: usize,
+    reported: Reported,
+}
+
+impl Default for NormTile {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl NormTile {
+    /// An empty tile, ready to be filled.
+    pub fn new() -> Self {
+        Self {
+            values: [[0.0; TILE_ITEMS]; TILE_QUERIES],
+            least: [[0.0; TILE_GROUPS]; TILE_QUERIES],
+            norms: [0.0; TILE_ITEMS],
+            sq_norms: [0.0; TILE_QUERIES],
+            offsets: [0.0; TILE_QUERIES],
+            lift: 1.0,
+            groups: 0,
+            dim: 0,
+            reported: Reported::Squared,
+        }
+    }
+
+    /// Computes the values of `queries` against every lane of `block`,
+    /// whose bounds will be on the `reported` scale. Returns `false` — and
+    /// the tile is not to be read — when it does not apply: no queries or more than
+    /// [`TILE_QUERIES`], more than [`TILE_GROUPS`] groups, a query whose
+    /// length is not the block's dimension, or a dimension past the proof.
+    /// The caller then scores every group canonically.
+    pub fn fill(&mut self, queries: &[&[f32]], block: LaneBlock<'_>, reported: Reported) -> bool {
+        let (groups, dim) = (block.groups(), block.dim);
+        let fits = (1..=TILE_QUERIES).contains(&queries.len())
+            && groups <= TILE_GROUPS
+            && dim <= SCREEN_MAX_DIM
+            && queries.iter().all(|query| query.len() == dim);
+        if !fits {
+            return false;
+        }
+        (self.groups, self.dim, self.reported) = (groups, dim, reported);
+        let x = tile_slack(dim);
+        self.lift = 1.0 + x * (1.0 + x);
+        for ((sq_norm, offset), query) in
+            self.sq_norms.iter_mut().zip(&mut self.offsets).zip(queries)
+        {
+            *sq_norm = squared_norm(query);
+            *offset = if *sq_norm < NORM_CEILING {
+                SCREEN_FLOOR - (1.0 - x - TILE_QUERY_MARGIN) * *sq_norm
+            } else {
+                Dist::NAN
+            };
+        }
+        self.norms[..groups * LANES].copy_from_slice(block.norms);
+        // A short tile repeats its last query; those rows are never read.
+        let rows: [&[f32]; TILE_QUERIES] =
+            std::array::from_fn(|t| queries[t.min(queries.len() - 1)]);
+        // Exact: `x` is a whole number of `2⁻²⁴` below `2⁻⁷`.
+        let alpha = (1.0 - x) as f32;
+        let (data, stride) = (block.data, dim * LANES);
+        match active_kernel() {
+            KernelChoice::Scalar => scalar_tile(
+                &rows[..queries.len()],
+                data,
+                &self.norms,
+                alpha,
+                stride,
+                groups,
+                (&mut self.values, &mut self.least),
+            ),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the kernel choice is either runtime-detected or clamped
+            // by `force_kernel`, so the required features are present. A
+            // `LaneBlock` holds `groups` whole groups of `stride = dim *
+            // LANES` floats and `groups * LANES` norms, every query is `dim`
+            // long, and `groups <= TILE_GROUPS` keeps every store inside a
+            // row of `values`.
+            KernelChoice::Sse2 => unsafe {
+                let out = (&mut self.values, &mut self.least);
+                sse2_tile(&rows, data, &self.norms, alpha, stride, groups, out)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as for SSE2 above.
+            KernelChoice::Avx2Fma => unsafe {
+                let out = (&mut self.values, &mut self.least);
+                avx2_tile(&rows, data, &self.norms, alpha, stride, groups, out)
+            },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => scalar_tile(
+                &rows[..queries.len()],
+                data,
+                &self.norms,
+                alpha,
+                stride,
+                groups,
+                (&mut self.values, &mut self.least),
+            ),
+        }
+        true
+    }
+
+    /// The `f32` limit for query `t` under `bound`, a bound on the reported
+    /// distance: a lane whose value is above it has a canonical distance
+    /// certainly above `bound`. `+∞` — keep everything — for a NaN or `+∞`
+    /// bound and for a query the proof does not cover.
+    #[inline]
+    pub fn limit(&self, t: usize, bound: Dist) -> f32 {
+        let sq_bound = match self.reported {
+            Reported::Squared => bound,
+            Reported::Root => bound * bound,
+        };
+        // The canonical bound's reach on the exact squared distance (the
+        // plain screen's slack), the underflow allowance, and the query's
+        // share of the norm form's error, moved to this side.
+        let limit = sq_bound * self.lift + self.offsets[t];
+        if limit.is_nan() {
+            return f32::INFINITY;
+        }
+        round_up_f32(limit)
+    }
+
+    /// The lane groups among `groups` in which query `t` keeps a lane under
+    /// `limit` (one not above it, NaN included): bit `j` for group `j`.
+    ///
+    /// # Panics
+    /// Panics if `groups` reaches past the filled groups.
+    #[inline]
+    pub fn open_groups(&self, t: usize, groups: Range<usize>, limit: f32) -> u64 {
+        let least = &self.least[t][groups.clone()];
+        if limit == f32::INFINITY {
+            // Everything, NaN included; the values of a query outside the
+            // proof may be anything.
+            return u64::MAX.checked_shr(64 - groups.len() as u32).unwrap_or(0) << groups.start;
+        }
+        let open = least.iter().enumerate().fold(0, |open, (j, &least)| {
+            // Not `least <= limit`: a NaN value keeps.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            let kept = !(least > limit);
+            open | u64::from(kept) << j
+        });
+        open << groups.start
+    }
+
+    /// The lane group holding query `t`'s smallest value (the first such;
+    /// `None` if every value is NaN) — the group most likely to hold its
+    /// nearest point, which a scan may score first.
+    #[inline]
+    pub fn nearest_group(&self, t: usize) -> Option<usize> {
+        let least = &self.least[t][..self.groups];
+        let min = least
+            .iter()
+            .fold(f32::INFINITY, |min, &v| if v < min { v } else { min });
+        least.iter().position(|&v| v == min && v < f32::INFINITY)
+    }
+
+    /// For a collector that has no bound yet: a bound, on the reported
+    /// scale, at or above the `k`-th smallest canonical distance between
+    /// query `t` and the lanes of register block `block` (groups
+    /// `block·TILE_BLOCK ..`, the last block possibly shorter). Once those
+    /// lanes are offered the collector's `k`-th is within it, so every lane
+    /// it clears is one the collector would not keep. `+∞` when fewer than
+    /// `k` lanes have a finite bound, or the query is outside the proof.
+    pub fn block_bound(&self, t: usize, block: usize, k: usize) -> Dist {
+        let sq_norm = self.sq_norms[t];
+        let groups = block * TILE_BLOCK..(block * TILE_BLOCK + TILE_BLOCK).min(self.groups);
+        let lanes = groups.start * LANES..groups.end * LANES;
+        // A query outside the proof has a NaN offset.
+        if k == 0 || k > lanes.len() || self.offsets[t].is_nan() {
+            return Dist::INFINITY;
+        }
+        let x = tile_slack(self.dim);
+        // Per lane, `w + 3x·‖r‖²` over-reaches the exact squared distance
+        // less the query's term (module docs); a NaN norm or value gives a
+        // NaN, which is never counted.
+        let values = &self.values[t][lanes.clone()];
+        let reach = values
+            .iter()
+            .zip(&self.norms[lanes])
+            .map(|(&w, &norm)| f64::from(w) + 3.0 * x * f64::from(norm));
+        let kth = if k == 1 {
+            // `min` skips NaN; all NaN leaves `+∞`.
+            reach.fold(Dist::INFINITY, Dist::min)
+        } else {
+            let mut numbers = [Dist::INFINITY; TILE_BLOCK * LANES];
+            let mut count = 0;
+            for r in reach.filter(|r| !r.is_nan()) {
+                numbers[count] = r;
+                count += 1;
+            }
+            if count < k {
+                return Dist::INFINITY;
+            }
+            *numbers[..count]
+                .select_nth_unstable_by(k - 1, Dist::total_cmp)
+                .1
+        };
+        let query_term = (1.0 + x + TILE_QUERY_MARGIN) * sq_norm + SCREEN_FLOOR;
+        let sq_bound = (kth + query_term).max(0.0) * (1.0 + x * (1.0 + x));
+        match self.reported {
+            Reported::Squared => sq_bound,
+            Reported::Root => sq_bound.sqrt(),
+        }
+    }
+}
+
+/// The query-side margin of the tile's limits: covers the `f64` roundings
+/// of `‖q‖²` and of the limit's own arithmetic (module docs).
+const TILE_QUERY_MARGIN: f64 = 1.0 / (1u64 << 30) as f64;
+
+/// A tile's outputs: per query, every lane's value and each group's least.
+type TileOut<'a> = (
+    &'a mut [[f32; TILE_ITEMS]; TILE_QUERIES],
+    &'a mut [[f32; TILE_GROUPS]; TILE_QUERIES],
+);
+
+/// Portable tile: per query and lane, the dot product in `f32` with a
+/// multiply and an add per term (two roundings), then `α·‖r‖² − 2·dot`;
+/// and per group the least value, a NaN skipped. Lane-outer like
+/// [`scalar_lanes`].
+fn scalar_tile(
+    queries: &[&[f32]],
+    data: &[f32],
+    norms: &[f32],
+    alpha: f32,
+    stride: usize,
+    groups: usize,
+    (values, least): TileOut<'_>,
+) {
+    for ((query, values), least) in queries.iter().zip(values.iter_mut()).zip(least) {
+        for (g, group) in data.chunks_exact(stride).take(groups).enumerate() {
+            for lane in 0..LANES {
+                let mut dot = 0.0f32;
+                for (d, &qv) in query.iter().enumerate() {
+                    dot += qv * group[d * LANES + lane];
+                }
+                let i = g * LANES + lane;
+                values[i] = alpha * norms[i] - 2.0 * dot;
+            }
+            let lanes = &values[g * LANES..][..LANES];
+            least[g] = if lanes.iter().any(|w| w.is_nan()) {
+                f32::NAN
+            } else {
+                lanes.iter().copied().fold(f32::INFINITY, f32::min)
+            };
+        }
+    }
+}
+
+/// SSE2 tile: register blocks of [`TILE_BLOCK`] groups, each group's 8
+/// lanes as two `f32` quads, multiply + add.
+///
+/// # Safety
+/// The CPU must support SSE2, every query must be `stride / LANES` long,
+/// `data` must hold `groups` groups of `stride` floats and `norms` a norm
+/// per lane, and `groups <= TILE_GROUPS`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+unsafe fn sse2_tile(
+    queries: &[&[f32]; TILE_QUERIES],
+    data: &[f32],
+    norms: &[f32],
+    alpha: f32,
+    stride: usize,
+    groups: usize,
+    out: TileOut<'_>,
+) {
+    debug_assert!(data.len() >= groups * stride && groups <= TILE_GROUPS);
+    let (data, (values, least)) = (data.as_ptr(), out);
+    let mut at = 0;
+    while at + TILE_BLOCK <= groups {
+        sse2_tile_block::<TILE_BLOCK>(queries, data, norms, alpha, stride, values, least, at);
+        at += TILE_BLOCK;
+    }
+    if at < groups {
+        sse2_tile_block::<1>(queries, data, norms, alpha, stride, values, least, at);
+    }
+}
+
+/// # Safety
+/// As [`sse2_tile`], for groups `at..at + G`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+#[inline]
+#[allow(clippy::too_many_arguments)] // the flat signature of a kernel body
+unsafe fn sse2_tile_block<const G: usize>(
+    queries: &[&[f32]; TILE_QUERIES],
+    data: *const f32,
+    norms: &[f32],
+    alpha: f32,
+    stride: usize,
+    values: &mut [[f32; TILE_ITEMS]; TILE_QUERIES],
+    least: &mut [[f32; TILE_GROUPS]; TILE_QUERIES],
+    at: usize,
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [[[_mm_setzero_ps(); 2]; G]; TILE_QUERIES];
+    for d in 0..stride / LANES {
+        let mut x = [[_mm_setzero_ps(); 2]; G];
+        for (j, halves) in x.iter_mut().enumerate() {
+            let row = data.add((at + j) * stride + d * LANES);
+            *halves = [_mm_loadu_ps(row), _mm_loadu_ps(row.add(4))];
+        }
+        for (sums, query) in acc.iter_mut().zip(queries) {
+            // SAFETY: `d < stride / LANES`, every query's length.
+            let q = _mm_set1_ps(*query.get_unchecked(d));
+            for (sums, halves) in sums.iter_mut().zip(&x) {
+                for (sum, &half) in sums.iter_mut().zip(halves) {
+                    *sum = _mm_add_ps(*sum, _mm_mul_ps(q, half));
+                }
+            }
+        }
+    }
+    let (alpha, two) = (_mm_set1_ps(alpha), _mm_set1_ps(2.0));
+    for ((sums, values), least) in acc.iter().zip(values.iter_mut()).zip(least) {
+        for (j, halves) in sums.iter().enumerate() {
+            let (mut w, mut nan) = ([_mm_setzero_ps(); 2], 0);
+            for (half, (&dot, w)) in halves.iter().zip(&mut w).enumerate() {
+                let i = (at + j) * LANES + half * 4;
+                let scaled = _mm_mul_ps(alpha, _mm_loadu_ps(norms.as_ptr().add(i)));
+                nan |= _mm_movemask_ps(_mm_cmpunord_ps(scaled, scaled));
+                *w = _mm_sub_ps(scaled, _mm_mul_ps(two, dot));
+                _mm_storeu_ps(values.as_mut_ptr().add(i), *w);
+            }
+            least[at + j] = group_least(_mm_min_ps(w[0], w[1]), nan);
+        }
+    }
+}
+
+/// A group's least value from the lane-wise least of its two halves, or
+/// NaN if `nan` (a NaN norm's lanes) — `_mm_min_ps` alone may drop a NaN.
+///
+/// # Safety
+/// The CPU must support SSE2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+#[inline]
+unsafe fn group_least(quad: std::arch::x86_64::__m128, nan: i32) -> f32 {
+    use std::arch::x86_64::*;
+    let pair = _mm_min_ps(_mm_movehl_ps(quad, quad), quad);
+    let least = _mm_cvtss_f32(_mm_min_ss(_mm_shuffle_ps::<1>(pair, pair), pair));
+    if nan == 0 {
+        least
+    } else {
+        f32::NAN
+    }
+}
+
+/// AVX2 + FMA tile: register blocks of [`TILE_BLOCK`] groups, a fused
+/// multiply-add per term into `TILE_QUERIES × TILE_BLOCK` independent
+/// accumulators — per dimension, two 8-wide loads, four broadcasts and
+/// eight FMAs.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA; otherwise as [`sse2_tile`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn avx2_tile(
+    queries: &[&[f32]; TILE_QUERIES],
+    data: &[f32],
+    norms: &[f32],
+    alpha: f32,
+    stride: usize,
+    groups: usize,
+    out: TileOut<'_>,
+) {
+    debug_assert!(data.len() >= groups * stride && groups <= TILE_GROUPS);
+    let (data, (values, least)) = (data.as_ptr(), out);
+    let mut at = 0;
+    while at + TILE_BLOCK <= groups {
+        avx2_tile_block::<TILE_BLOCK>(queries, data, norms, alpha, stride, values, least, at);
+        at += TILE_BLOCK;
+    }
+    if at < groups {
+        avx2_tile_block::<1>(queries, data, norms, alpha, stride, values, least, at);
+    }
+}
+
+/// # Safety
+/// As [`avx2_tile`], for groups `at..at + G`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+#[allow(clippy::too_many_arguments)] // the flat signature of a kernel body
+unsafe fn avx2_tile_block<const G: usize>(
+    queries: &[&[f32]; TILE_QUERIES],
+    data: *const f32,
+    norms: &[f32],
+    alpha: f32,
+    stride: usize,
+    values: &mut [[f32; TILE_ITEMS]; TILE_QUERIES],
+    least: &mut [[f32; TILE_GROUPS]; TILE_QUERIES],
+    at: usize,
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [[_mm256_setzero_ps(); G]; TILE_QUERIES];
+    for d in 0..stride / LANES {
+        let mut x = [_mm256_setzero_ps(); G];
+        for (j, x) in x.iter_mut().enumerate() {
+            *x = _mm256_loadu_ps(data.add((at + j) * stride + d * LANES));
+        }
+        for (sums, query) in acc.iter_mut().zip(queries) {
+            // SAFETY: `d < stride / LANES`, every query's length.
+            let q = _mm256_set1_ps(*query.get_unchecked(d));
+            for (sum, &x) in sums.iter_mut().zip(&x) {
+                *sum = _mm256_fmadd_ps(q, x, *sum);
+            }
+        }
+    }
+    let (alpha, two) = (_mm256_set1_ps(alpha), _mm256_set1_ps(2.0));
+    for ((sums, values), least) in acc.iter().zip(values.iter_mut()).zip(least) {
+        for (j, &dot) in sums.iter().enumerate() {
+            let i = (at + j) * LANES;
+            let scaled = _mm256_mul_ps(alpha, _mm256_loadu_ps(norms.as_ptr().add(i)));
+            let nan = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(scaled, scaled));
+            // `scaled − 2·dot` with one rounding, as the other kernels:
+            // doubling is exact.
+            let w = _mm256_fnmadd_ps(two, dot, scaled);
+            _mm256_storeu_ps(values.as_mut_ptr().add(i), w);
+            let halves = (_mm256_castps256_ps128(w), _mm256_extractf128_ps::<1>(w));
+            least[at + j] = group_least(_mm_min_ps(halves.0, halves.1), nan);
         }
     }
 }

@@ -16,8 +16,8 @@
 
 use crate::metric::{Dist, Metric};
 use crate::simd::{
-    screen_codes_l2, screen_squared_l2, squared_l2_lanes, CodeBlock, LaneBlock, LaneGroup, LANES,
-    SCREEN_QUERIES,
+    screen_codes_l2, screen_squared_l2, squared_l2_lanes, CodeBlock, LaneBlock, LaneGroup,
+    NormTile, Reported, LANES, SCREEN_QUERIES,
 };
 
 #[inline]
@@ -82,6 +82,11 @@ impl Metric<[f32]> for Euclidean {
     }
 
     #[inline]
+    fn tile_lanes(&self, queries: &[&[f32]], block: LaneBlock<'_>, tile: &mut NormTile) -> bool {
+        tile.fill(queries, block, Reported::Root)
+    }
+
+    #[inline]
     fn screen_codes(&self, query: &[f32], block: CodeBlock<'_>, bound: Dist, keep: &mut [u8]) {
         screen_codes_l2(query, block, bound, keep);
     }
@@ -128,6 +133,11 @@ impl Metric<[f32]> for SquaredEuclidean {
         keep: &mut [u8],
     ) {
         screen_squared_l2(queries, block, bounds, keep);
+    }
+
+    #[inline]
+    fn tile_lanes(&self, queries: &[&[f32]], block: LaneBlock<'_>, tile: &mut NormTile) -> bool {
+        tile.fill(queries, block, Reported::Squared)
     }
 
     #[inline]

@@ -25,7 +25,7 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 use rbc_metric::{
     force_kernel, squared_l2_lanes, BlockedVectors, CodedVectors, Euclidean, KernelChoice, Metric,
-    SquaredEuclidean, LANES, SCREEN_QUERIES,
+    NormTile, SquaredEuclidean, LANES, SCREEN_QUERIES, TILE_BLOCK, TILE_QUERIES,
 };
 
 /// Dimensions that stress every kernel path: below one SSE quad, exactly
@@ -47,6 +47,10 @@ const KERNELS: [KernelChoice; 3] = [
 /// that overflow `f32` but not `f64` (3e19), and differences that overflow
 /// `f32` themselves (3e38).
 const SCALES: [f32; 8] = [1.0, 1e-20, 1e-30, 1e-39, 1e-18, 1e18, 3e19, 3e38];
+
+/// Translations of ordinary points: the norm form's error grows with the
+/// norms, so far from the origin the tile keeps more, never less.
+const OFFSETS: [f32; 2] = [1e3, 1e6];
 
 /// Serialises tests that force the process-global kernel choice.
 static KERNEL_LOCK: Mutex<()> = Mutex::new(());
@@ -236,10 +240,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The safety net under the screen: whatever the kernel, the metric,
-    /// the magnitudes and the bound, a lane whose canonical distance is
-    /// `<=` the bound keeps its bit — and on ordinary data the screen still
-    /// earns its keep, clearing every lane clearly above the bound.
+    /// The safety net under the screen and the norm-form tile: whatever
+    /// the kernel, the metric, the magnitudes and the bound, a lane whose
+    /// canonical distance is `<=` the bound keeps its bit, and a tile of one
+    /// to [`TILE_QUERIES`] queries leaves open every group holding one —
+    /// while a fresh collector's block bound is never below the block's
+    /// `k`-th distance. On ordinary data both still earn their keep,
+    /// clearing what is clearly above the bound.
     #[test]
     fn screen_never_clears_a_lane_within_the_bound(
         unit in prop::collection::vec(-1.0f32..1.0, MAX_N * MAX_DIM),
@@ -249,19 +256,25 @@ proptest! {
         first_group in 0usize..3,
         poison in prop::collection::vec((0usize..MAX_N * MAX_DIM, 0usize..3), 6),
         target in 0usize..MAX_N,
+        tiled in 1usize..=TILE_QUERIES,
     ) {
         let _guard = lock();
         // Coordinate magnitudes: one scale for everything (ordinary, or
         // differences and squares that underflow or overflow `f32`), a
-        // different scale per coordinate, or that with NaN and ±∞ sprinkled
-        // over the points and the query.
-        for regime in 0..SCALES.len() + 2 {
-            let scale =
-                |i: usize| SCALES[if regime < SCALES.len() { regime } else { i % SCALES.len() }];
+        // different scale per coordinate, that with NaN and ±∞ sprinkled
+        // over the points and the query, or ordinary points translated to
+        // 10³ and 10⁶ from the origin, where the norm form cancels.
+        for regime in 0..SCALES.len() + 2 + OFFSETS.len() {
+            let scale = |i: usize| match regime {
+                r if r < SCALES.len() => SCALES[r],
+                r if r <= SCALES.len() + 1 => SCALES[i % SCALES.len()],
+                _ => 1.0,
+            };
+            let offset = OFFSETS.get(regime.wrapping_sub(SCALES.len() + 2)).copied().unwrap_or(0.0);
             let mut flat: Vec<f32> =
-                (0..n * dim).map(|i| unit[i] * scale(i / dim + i % dim)).collect();
-            let mut query: Vec<f32> = (0..dim).map(|d| qunit[d] * scale(d)).collect();
-            if regime > SCALES.len() {
+                (0..n * dim).map(|i| offset + unit[i] * scale(i / dim + i % dim)).collect();
+            let mut query: Vec<f32> = (0..dim).map(|d| offset + qunit[d] * scale(d)).collect();
+            if regime == SCALES.len() + 1 {
                 let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
                 for (k, &(at, which)) in poison.iter().enumerate() {
                     if k == 0 {
@@ -326,6 +339,74 @@ proptest! {
                         keep[groups.len()..].iter().all(|&mask| mask == 0),
                         "{}: wrote past the block", case
                     );
+                }
+
+                // The tile: the query, then points of the block (ties at
+                // distance 0 with themselves and their duplicates).
+                let rows: Vec<&[f32]> = (0..tiled)
+                    .map(|t| if t == 0 { &query[..] } else { &flat[(member + t) % n * dim..][..dim] })
+                    .collect();
+                let mut tile = NormTile::new();
+                let block = blocked.block(groups.clone());
+                let filled = if euclidean {
+                    Euclidean.tile_lanes(&rows, block, &mut tile)
+                } else {
+                    SquaredEuclidean.tile_lanes(&rows, block, &mut tile)
+                };
+                prop_assert!(filled, "a block of {} groups is tiled", groups.len());
+                for (t, &row) in rows.iter().enumerate() {
+                    let dists: Vec<[f64; LANES]> = groups
+                        .clone()
+                        .map(|g| {
+                            let mut out = [0.0f64; LANES];
+                            if euclidean {
+                                Euclidean.dist_lanes(row, blocked.group(g), &mut out);
+                            } else {
+                                SquaredEuclidean.dist_lanes(row, blocked.group(g), &mut out);
+                            }
+                            out
+                        })
+                        .collect();
+                    let on = dists[(member - groups.start * LANES) / LANES][member % LANES];
+                    let bounds =
+                        [on, on.next_down(), on.next_up(), on * 0.5, on * 2.0, 0.0, f64::INFINITY, f64::NAN];
+                    for bound in bounds {
+                        let open = tile.open_groups(t, 0..groups.len(), tile.limit(t, bound));
+                        let case = format!(
+                            "tile of {tiled}, row {t}: kernel {kernel:?} euclidean {euclidean} \
+                             dim {dim} regime {regime} bound {bound}"
+                        );
+                        for (j, lanes) in dists.iter().enumerate() {
+                            let is_open = open >> j & 1 != 0;
+                            if bound.is_nan() || bound == f64::INFINITY {
+                                prop_assert!(is_open, "{}: group {} screened anyway", case, j);
+                            }
+                            for &dist in lanes {
+                                prop_assert!(
+                                    is_open || dist.partial_cmp(&bound).is_some_and(|o| o.is_gt()),
+                                    "{}: group {} cleared with a lane at {}", case, j, dist
+                                );
+                            }
+                            let far = |&dist: &f64| dist > bound * 1.001 + 0.01;
+                            if regime == 0 && bound.is_finite() && lanes.iter().all(far) {
+                                prop_assert!(!is_open, "{}: group {} kept", case, j);
+                            }
+                        }
+                        prop_assert_eq!(open >> groups.len(), 0, "{}: opened past the block", case);
+                    }
+                    // A fresh collector's bound over each register block.
+                    for (b, block) in dists.chunks(TILE_BLOCK).enumerate() {
+                        let mut numbers: Vec<f64> =
+                            block.iter().flatten().copied().filter(|d| !d.is_nan()).collect();
+                        numbers.sort_by(f64::total_cmp);
+                        for k in 1..=block.len() * LANES {
+                            let bound = tile.block_bound(t, b, k);
+                            prop_assert!(
+                                bound == f64::INFINITY || numbers.get(k - 1).is_some_and(|&kth| kth <= bound),
+                                "row {} block {} k {}: bound {} under {:?}", t, b, k, bound, numbers
+                            );
+                        }
+                    }
                 }
             }
         }
