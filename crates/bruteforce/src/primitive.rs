@@ -6,7 +6,7 @@ use std::sync::Mutex;
 use rayon::prelude::*;
 
 use rbc_metric::{
-    BlockedVectors, Dataset, Dist, Metric, NormTile, LANES, TILE_BLOCK, TILE_GROUPS, TILE_QUERIES,
+    BlockedVectors, Dataset, Dist, Metric, NormTile, LANES, TILE_GROUPS, TILE_QUERIES,
 };
 
 use crate::neighbor::Neighbor;
@@ -185,11 +185,11 @@ impl BruteForce {
     ///
     /// A *screened* dense scan. Four queries at a time meet each run of
     /// lane groups in the metric's register tile ([`Metric::tile_lanes`]):
-    /// every pair's `f32` norm-form value, written to an L1-sized buffer.
-    /// Each query then scores canonically only the groups holding a lane
-    /// the tile cannot put above its nearest distance so far — the group
-    /// with its smallest value first; before it has one, the bound a
-    /// register block's own values give. Answers (ties to the lower index,
+    /// every pair's `f32` norm-form value, measured from the centre of the
+    /// blocked points, reduced to each group's least. Each query then
+    /// scores canonically only the groups holding a lane the tile cannot
+    /// put above its nearest distance so far, the group with its smallest
+    /// value first while it has none. Answers (ties to the lower index,
     /// NaN last) and `distance_evals` are those of the unscreened scan, bit
     /// for bit; [`BfStats::reranked_groups`] says how many groups were
     /// scored. This is the one-shot search's stage 1 and the exact build's
@@ -235,8 +235,8 @@ impl BruteForce {
     /// and `distance_evals` is `knn`'s too, but the scan is
     /// [`nn_with_blocks`](Self::nn_with_blocks)'s: the register tile, and
     /// canonical scores only for the groups it leaves open under the
-    /// query's threshold (or, before there is one and for `k` up to a
-    /// register block's lanes, under the block's own bound). The comparison
+    /// query's threshold — every group, in order, until the selection has
+    /// one, after the group holding the tile's least value. The comparison
     /// step differs from `knn`'s as well: a bound and one
     /// `select_nth_unstable` each time a `2k` buffer fills, not a `k`-deep
     /// heap sifted on every admission.
@@ -526,11 +526,10 @@ impl BruteForce {
     /// every group canonically ([`admit_group`]). With it, the groups run
     /// through the metric's register tile ([`Metric::tile_lanes`]), four
     /// queries at a time, and each query scores canonically only the groups
-    /// in which the tile keeps a lane under its collector's threshold; a
-    /// collector with no threshold yet takes one from each register block
-    /// ([`NormTile::block_bound`]). What it skips changes no distance,
-    /// answer or evaluation count. A metric without a tile scores every
-    /// group. [`nn_with_blocks`](Self::nn_with_blocks) and
+    /// in which the tile keeps a lane under its collector's threshold. What
+    /// it skips changes no distance, answer or evaluation count. A metric
+    /// without a tile takes the canonical arm.
+    /// [`nn_with_blocks`](Self::nn_with_blocks) and
     /// [`select_with`](Self::select_with) pass `true`; `knn` is the
     /// brute-force reference every speedup is measured against. The
     /// parameter goes when it screens too (ROADMAP item 3, "Screen the
@@ -560,6 +559,12 @@ impl BruteForce {
             return (Vec::new(), BfStats::new());
         }
         let blocks = lane_gate(blocks, metric, n);
+        // Whether the metric tiles these blocks depends on nothing but
+        // their dimension: ask once, with the first query and no groups.
+        let tiled = SCREEN
+            && blocks.is_some_and(|b| {
+                metric.tile_lanes(&[queries.get(0)], b.block(0..0), &mut NormTile::new())
+            });
 
         let query_tile = self.config.query_tile.max(1);
         let db_tile = self.config.db_tile.max(1);
@@ -575,7 +580,7 @@ impl BruteForce {
                 queries: (q_end - q_start) as u64,
                 ..BfStats::new()
             };
-            let mut tile = SCREEN.then(NormTile::new);
+            let mut tile = tiled.then(NormTile::new);
 
             let mut tile_start = 0usize;
             while tile_start < n {
@@ -723,11 +728,9 @@ fn scan_points<D: Dataset, M: Metric<D::Item>, C: Collector>(
 /// register tile once; then each query scores canonically
 /// ([`admit_group`]) only the groups in which the tile keeps a lane under
 /// the limit of its collector's threshold, re-taken whenever an admission
-/// moves it. A collector with no threshold scores the group holding its
-/// smallest value first, and decides any register block it still meets
-/// without one under the block's own bound ([`NormTile::block_bound`]). A
-/// cleared lane could not be admitted now, nor later, as thresholds only
-/// fall. Without a tile every group is scored.
+/// lowers it. A collector with no threshold scores the group holding its
+/// smallest value first. A cleared lane could not be admitted now, nor
+/// later, as thresholds only fall.
 fn screen_groups<T: ?Sized, M: Metric<T>, C: Collector>(
     metric: &M,
     queries: &[&T],
@@ -740,50 +743,31 @@ fn screen_groups<T: ?Sized, M: Metric<T>, C: Collector>(
     for from in groups.clone().step_by(TILE_GROUPS) {
         let run = from..(from + TILE_GROUPS).min(groups.end);
         work.distance_evals += (queries.len() * run.len() * LANES) as u64;
-        if !metric.tile_lanes(queries, blocks.block(run.clone()), tile) {
-            for (&q, collector) in queries.iter().zip(collectors.iter_mut()) {
-                for g in run.clone() {
-                    admit_group(metric, q, blocks, g, collector);
-                }
-            }
-            work.reranked_groups += (queries.len() * run.len()) as u64;
-            continue;
-        }
+        assert!(
+            metric.tile_lanes(queries, blocks.block(run.clone()), tile),
+            "a metric tiles every block of a dimension it tiles"
+        );
         for (t, (&q, collector)) in queries.iter().zip(collectors.iter_mut()).enumerate() {
             let mut admit = |j: usize, collector: &mut C| {
                 work.reranked_groups += 1;
                 admit_group(metric, q, blocks, run.start + j, collector);
             };
-            let all = 0..run.len();
+            let mut taken = collector.threshold();
             // Bit `j`: group `j` of the run is still to be decided.
-            let mut open = bits(all.clone());
-            if collector.threshold() == Dist::INFINITY {
-                // Nothing is cleared yet: score the group holding the least
-                // value first, the likeliest to give the collector a bound.
+            let mut open = tile.open_groups(t, tile.limit(t, taken));
+            if taken == Dist::INFINITY {
+                // Score the group holding the least value first, the
+                // likeliest to give the collector a bound.
                 if let Some(j) = tile.nearest_group(t) {
                     open &= !(1 << j);
                     admit(j, collector);
                 }
             }
-            let mut taken = None;
             while open != 0 {
                 let threshold = collector.threshold();
-                if threshold == Dist::INFINITY {
-                    // Still no bound: the first undecided register block is
-                    // decided under its own.
-                    let block = open.trailing_zeros() as usize / TILE_BLOCK;
-                    let members =
-                        block * TILE_BLOCK..(block * TILE_BLOCK + TILE_BLOCK).min(run.len());
-                    let limit = tile.limit(t, tile.block_bound(t, block, collector.k()));
-                    let mut kept = tile.open_groups(t, members.clone(), limit) & open;
-                    open &= !bits(members);
-                    while kept != 0 {
-                        admit(kept.trailing_zeros() as usize, collector);
-                        kept &= kept - 1;
-                    }
-                } else if taken != Some(threshold) {
-                    taken = Some(threshold);
-                    open &= tile.open_groups(t, all.clone(), tile.limit(t, threshold));
+                if threshold < taken {
+                    taken = threshold;
+                    open &= tile.open_groups(t, tile.limit(t, taken));
                 } else {
                     admit(open.trailing_zeros() as usize, collector);
                     open &= open - 1;
@@ -791,11 +775,6 @@ fn screen_groups<T: ?Sized, M: Metric<T>, C: Collector>(
             }
         }
     }
-}
-
-/// The bit mask of `range`, which lies within `0..64`.
-fn bits(range: Range<usize>) -> u64 {
-    u64::MAX.checked_shr((64 - range.len()) as u32).unwrap_or(0) << range.start
 }
 
 /// Scores lane group `g` of `blocks` for `q` with the lane kernel and, if
@@ -1142,6 +1121,35 @@ mod tests {
     }
 
     #[test]
+    fn the_screened_scan_clears_as_much_far_from_the_origin() {
+        // One cloud (coordinates in [-10, 10]) at the origin and translated
+        // to 10³ and 10⁶, where a norm form measured from the origin
+        // cancels: the tile measures from the points' centre, so the
+        // screened k = 1 scan scores about as few groups canonically
+        // wherever the cloud sits, and answers as `knn` does.
+        let bf = BruteForce::with_config(BfConfig::sequential());
+        let reranked = |offset: f32| {
+            let shift = |set: VectorSet| {
+                let rows: Vec<Vec<f32>> = set
+                    .iter()
+                    .map(|p| p.iter().map(|x| x + offset).collect())
+                    .collect();
+                VectorSet::from_rows(&rows)
+            };
+            let (db, queries) = (shift(cloud(1000, 8, 63)), shift(cloud(40, 8, 64)));
+            let (nearest, stats) = bf.nn(&queries, &db, &Euclidean);
+            let (want, all) = bf.knn(&queries, &db, &Euclidean, 1);
+            assert_eq!(nearest, want.concat(), "offset {offset}");
+            assert!(4 * stats.reranked_groups < all.reranked_groups, "{stats:?}");
+            stats.reranked_groups
+        };
+        let origin = reranked(0.0);
+        for offset in [1e3, 1e6] {
+            assert!(reranked(offset) <= 2 * origin, "offset {offset}");
+        }
+    }
+
+    #[test]
     fn select_with_hands_each_query_what_knn_returns() {
         // Every point three times over (ties at every distance), sizes on
         // both sides of a lane group and a `db_tile`, `k` from one to past
@@ -1230,9 +1238,10 @@ mod tests {
     #[test]
     fn a_capped_selection_screens_from_its_first_group() {
         // The query's eight nearest are the last lane group, every other
-        // point ~2 000 away. Uncapped, the selection's running bound only
-        // falls to the far points' eighth, which leaves far groups open;
-        // capped at the true eighth distance, only the near group is scored.
+        // point ~2 000 away. Uncapped, the selection has no bound until its
+        // buffer of `2k` fills: it scores the tile's nearest group, the near
+        // one, then a far one, and only then clears the rest. Capped at the
+        // true eighth distance, only the near group is scored.
         let dim = 4;
         let mut db = VectorSet::empty(dim);
         for point in cloud(15 * LANES, dim, 58).iter() {
@@ -1252,7 +1261,7 @@ mod tests {
         assert_eq!((uncapped, capped), (want.clone(), want));
         assert_eq!(tight.distance_evals, db.len() as u64);
         assert_eq!(tight.reranked_groups, 1);
-        assert!(loose.reranked_groups > 2, "{loose:?}");
+        assert_eq!(loose.reranked_groups, 2, "{loose:?}");
     }
 
     #[test]

@@ -30,9 +30,6 @@ pub(crate) trait Collector {
     /// true `k`-th distance so far — never smaller.
     fn threshold(&self) -> Dist;
 
-    /// How many candidates the collector keeps.
-    fn k(&self) -> usize;
-
     /// Offers a candidate.
     fn offer(&mut self, cand: Neighbor);
 }
@@ -41,11 +38,6 @@ impl Collector for TopK {
     #[inline]
     fn threshold(&self) -> Dist {
         TopK::threshold(self)
-    }
-
-    #[inline]
-    fn k(&self) -> usize {
-        self.k
     }
 
     #[inline]
@@ -312,11 +304,6 @@ impl Collector for SelectK {
             Some(bound) if !bound.dist.is_nan() => bound.dist.min(self.cap),
             _ => self.cap,
         }
-    }
-
-    #[inline]
-    fn k(&self) -> usize {
-        self.k
     }
 
     #[inline]

@@ -42,7 +42,7 @@ pub use metric::{Dist, Metric, PerPoint};
 pub use simd::{
     active_kernel, cut_mask, force_kernel, screen_codes_l2, screen_squared_l2, squared_l2_lanes,
     BlockedVectors, CodeBlock, CodedVectors, KernelChoice, LaneBlock, LaneGroup, NormTile,
-    Reported, LANES, SCREEN_QUERIES, TILE_BLOCK, TILE_GROUPS, TILE_QUERIES,
+    Reported, LANES, SCREEN_QUERIES, TILE_GROUPS, TILE_QUERIES,
 };
 pub use validate::{check_metric_axioms, MetricViolation};
 pub use vector::{Chebyshev, Cosine, Euclidean, Manhattan, Minkowski, SquaredEuclidean};

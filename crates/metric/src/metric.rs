@@ -115,8 +115,11 @@ pub trait Metric<T: ?Sized>: Sync {
     /// `block`, on this metric's reported scale, and returns `true`; the
     /// dense scans then score canonically only the groups in which
     /// [`NormTile::open_groups`] finds a lane under [`NormTile::limit`] of
-    /// the collector's bound. Returns `false` when there is no tile, and the
-    /// scans score every group with [`dist_lanes`](Self::dist_lanes).
+    /// the collector's bound. Returns `false` when the metric has no tile
+    /// for blocks of this dimension, and the scans score every group with
+    /// [`dist_lanes`](Self::dist_lanes). The answer may depend on the
+    /// metric and the block's dimension only — a scan asks once, with an
+    /// empty block — so a query of another length must still fill.
     ///
     /// Like [`screen_lanes`](Self::screen_lanes), a tile decides what is
     /// skipped, never what is answered: it may clear a lane only when

@@ -28,9 +28,10 @@
 //!   distances either: what survives is scored from the original rows.
 //! * [`NormTile`] — the dense scans' register tile: for [`TILE_QUERIES`]
 //!   queries and a run of lane groups, every pair's `f32` norm form
-//!   `‖r‖² − 2·q·r` (the query's `‖q‖²` moved to the limits) in an L1-sized
-//!   buffer, from four queries × [`TILE_BLOCK`] groups of independent
-//!   accumulators, and a keep pass that says which groups hold a lane that
+//!   `‖r − c‖² − 2·(q − c)·(r − c)` measured from the set's centre `c` (the
+//!   query's `‖q − c‖²` moved to the limits), from four queries × two groups
+//!   of independent accumulators, reduced to each group's least value in a
+//!   small buffer; and a keep pass that says which groups hold a lane that
 //!   could be within a bound. Like the screens it decides only what is
 //!   skipped.
 //!
@@ -132,57 +133,63 @@
 //! bound or `err` makes the limit `+∞`, a NaN query coordinate makes the
 //! sum NaN.
 //!
-//! **The norm-form tile.** [`NormTile::fill`] writes, per query `q` and
-//! lane `r`, `w = fl(fl(α·n_r) − 2·d)`: `n_r` is the norm [`BlockedVectors`]
-//! stores for the lane (the `f64` sum of its squares rounded to `f32`), `d`
-//! the `f32` dot product (one rounding per term with FMA, two with
-//! multiply + add) and `α = 1 − x`, with `x = (2·dim + 8)·u` as above. The
-//! query's `S_q = Σ qᵢ²` is summed in `f64` per fill. Which lanes clear
-//! depends on the kernel, as with the screen; the bound does not.
+//! **The norm-form tile.** [`BlockedVectors`] stores a centre `c` (per
+//! dimension, the mean of its points with finite coordinates, in `f32`)
+//! and, per lane, `n_r`: the `f64` sum of the squares of `r' = fl(r − c)`
+//! rounded to `f32`. [`NormTile::fill`] forms `q' = fl(q − c)` and `S_q =
+//! Σ q'ᵢ²` in `f64`, and writes per query and lane `w = fl(fl(α·n_r) − 2·d)`:
+//! `d` the `f32` dot product of `q'` and `r'` (each `r'ᵢ` subtracted in the
+//! kernel, one rounding per term with FMA, two with multiply + add) and `α =
+//! 1 − x`, with `x = (2·dim + 8)·u` as above. Which lanes clear depends on
+//! the kernel, as with the screen; the bound does not.
 //!
-//! Write `N_q = ‖q‖²`, `N_r = ‖r‖²` and `E = N_q + N_r − 2·q·r = ‖q − r‖²`,
-//! exactly. With both norms under `2¹⁰⁰` no product or sum overflows, and
-//! `γ = dim·u/(1 − dim·u)`:
+//! Write `N_q = ‖q'‖²`, `N_r = ‖r'‖²` and `E' = N_q + N_r − 2·q'·r' = ‖q' −
+//! r'‖²`, exactly. With both norms under `2¹⁰⁰` no product or sum
+//! overflows, and `γ = dim·u/(1 − dim·u)`:
 //!
-//! * the dot product errs by at most `γ·Σ|qᵢrᵢ| ≤ γ·(N_q + N_r)/2`, on
+//! * the dot product errs by at most `γ·Σ|q'ᵢr'ᵢ| ≤ γ·(N_q + N_r)/2`, on
 //!   every kernel;
 //! * `n_r` is within `u` of `N_r` (and `2⁻³⁷` for the `f64` sum), `fl(α·n_r)`
 //!   within another `u`, and the subtraction adds `u·|α·n_r − 2·d| ≤
 //!   u·(1 + γ)·(2·N_r + N_q)`;
 //! * underflow adds at most `(2·dim + 4)·2⁻¹⁴⁹ ≤ 2⁻¹³¹` in all.
 //!
-//! `α` takes `x` off `N_r`, more than the `N_r` share of those errors
-//! (`γ + 4u + 2⁻³⁶ ≤ x`), and their `N_q` share is at most `γ + 2u ≤ x`, so
-//! `E ≥ w + (1 − x)·N_q − 2⁻¹³¹`. A lane that matters has `E ≤ B·(1 +
-//! x·(1 + x))` for the squared bound `B`, by the screen's argument
-//! (`c ≥ E·(1 − u)²·(1 − 2⁻⁵³)^dim`, and the `8u` left over covers the
-//! `f64` terms). So [`NormTile::limit`] is
+//! So `E' ≥ w + (1 − γ − 2u)·N_q + (x − γ − 4u − 2⁻³⁶)·N_r − 2⁻¹³¹`.
+//!
+//! Centring moves the points, not the distances, but it rounds: with `E =
+//! ‖q − r‖²` and `v = u/(1 − u)`, each `|q'ᵢ − (qᵢ − cᵢ)| ≤ v·|q'ᵢ|` (a
+//! difference that lands below `2⁻¹²⁶` is exact), so `‖(q' − r') − (q −
+//! r)‖ ≤ δ = v·(‖q'‖ + ‖r'‖)`, and `E' ≤ (√E + δ)² ≤ (1 + v)·E + 2v·(1 +
+//! v)·(N_q + N_r)`. `x − γ ≥ 8u` covers the `N_r` share, `4u + 2⁻³⁶` and
+//! `2v·(1 + v)`, and the `N_q` share, `2u + 2v·(1 + v)`, so
+//!
+//! `E ≥ (w + (1 − x)·N_q − 2⁻¹³¹)/(1 + v)`.
+//!
+//! A lane that matters has `E ≤ B·(1 + 2u)·(1 + 2⁻³³)` for the squared
+//! bound `B` (`c ≥ E·(1 − u)²·(1 − 2⁻⁵³)^dim`, and the `f64` terms of the
+//! screen's argument), and `(1 + v)·(1 + 2u)·(1 + 2⁻³³) ≤ 1 + x·(1 + x)`
+//! as `x ≥ 8u`. So [`NormTile::limit`] is
 //!
 //! `L = ⌈B·(1 + x·(1 + x)) + 2⁻¹⁰⁰ − (1 − x − 2⁻³⁰)·S_q⌉`, rounded up to
 //! `f32`,
 //!
-//! and a lane is cleared only when `w > L`: then `E > B·(1 + x·(1 + x))`.
-//! The `2⁻³⁰·S_q` covers `S_q`'s own `f64` rounding and the roundings of
-//! forming `L`; `2⁻¹⁰⁰` covers underflow.
-//!
-//! The same terms bound `E` from above: `E ≤ w + 2x·N_r + (1 + x)·N_q +
-//! 2⁻¹³¹`. [`NormTile::block_bound`] takes the `k`-th smallest of `w +
-//! 3x·n_r` over a register block's lanes (the `3x` covers `n_r`'s rounding
-//! and the `f64` sum), adds `(1 + x + 2⁻³⁰)·S_q + 2⁻¹⁰⁰` and multiplies by
-//! `1 + x·(1 + x)`: at least `k` of the block's canonical squared distances
-//! are within it. That is the bound a collector with none yet may screen
-//! the block against — once those lanes are offered its `k`-th is within
-//! it. For [`Euclidean`](crate::Euclidean) both go through the square root,
+//! and a lane is cleared only when `w > L`: then `E > B·(1 + 2u)·(1 +
+//! 2⁻³³)`, and the lane does not matter. The `2⁻³⁰·S_q` covers `S_q`'s own
+//! `f64` rounding and the roundings of forming `L`; `2⁻¹⁰⁰` covers
+//! underflow. The keep pass compares each group's least `w` with `L`, so a
+//! group is cleared only when every lane of it is. For
+//! [`Euclidean`](crate::Euclidean) the bound goes through the square root,
 //! so a lane is cleared only when its *reported* distance is above the
 //! bound, and distinct squares that round to one root are never split.
 //!
 //! Every special value keeps: a point with a NaN or infinite coordinate, or
-//! a norm at or past `2¹⁰⁰`, stores a NaN norm, so its values are NaN; a
-//! query outside the proof gets `L = +∞`, as do a NaN or `+∞` bound; a NaN
-//! value never counts towards a block bound; above `dim = 2¹⁶` there is no
-//! tile. The error scales with the norms, not the distances: far from the
-//! origin (points at 10⁶) the tile keeps everything and the scan scores
-//! every group canonically, as it would without a tile.
+//! a norm from the centre at or past `2¹⁰⁰`, stores a NaN norm, so its
+//! values are NaN and its group's least is NaN; a query with such a
+//! coordinate or norm, or of another length, gets `L = +∞`, as do a NaN or
+//! `+∞` bound; above `dim = 2¹⁶` there is no tile. Because the error
+//! follows the norms from the centre, not from the origin, the tile clears
+//! as much for a cloud translated far from the origin as for the same cloud
+//! at it.
 //!
 //! # Kernel selection
 //!
@@ -220,8 +227,11 @@ pub struct BlockedVectors {
     /// aligned regardless of where the allocator put the `Vec`.
     data: Vec<f32>,
     offset: usize,
-    /// Each lane's squared norm as the norm-form tile reads it
-    /// ([`tile_norm`]), `num_groups() * LANES` long, padding lanes
+    /// The points' centre as the norm-form tile reads them ([`centre`]):
+    /// `dim` floats.
+    centre: Vec<f32>,
+    /// Each lane's squared norm, less the centre, as the tile reads it
+    /// ([`tile_norm`]): `num_groups() * LANES` long, padding lanes
     /// replicating the last point like the data.
     norms: Vec<f32>,
     dim: usize,
@@ -265,6 +275,7 @@ impl BlockedVectors {
         // data at the first 64-byte boundary inside the buffer.
         let misalign = (data.as_ptr() as usize / std::mem::size_of::<f32>()) % ALIGN_FLOATS;
         let offset = (ALIGN_FLOATS - misalign) % ALIGN_FLOATS;
+        let centre = centre(dim, (0..len).map(|i| &row(i)[..dim]));
         let mut norms = vec![0.0f32; groups * LANES];
         for g in 0..groups {
             let base = offset + g * dim * LANES;
@@ -276,12 +287,13 @@ impl BlockedVectors {
                 for (d, &value) in point.iter().enumerate() {
                     data[base + d * LANES + lane] = value;
                 }
-                norms[g * LANES + lane] = tile_norm(squared_norm(point));
+                norms[g * LANES + lane] = tile_norm(centred_norm(point, &centre));
             }
         }
         Self {
             data,
             offset,
+            centre,
             norms,
             dim,
             len,
@@ -341,6 +353,7 @@ impl BlockedVectors {
         LaneBlock {
             data: &self.data
                 [self.offset + groups.start * stride..self.offset + groups.end * stride],
+            centre: &self.centre,
             norms: &self.norms[groups.start * LANES..groups.end * LANES],
             dim: self.dim,
         }
@@ -385,6 +398,8 @@ impl LaneGroup<'_> {
 pub struct LaneBlock<'a> {
     /// Always a whole number of groups: `groups() * dim * LANES` floats.
     data: &'a [f32],
+    /// The set's [`centre`], `dim` floats.
+    centre: &'a [f32],
     /// The lanes' [`tile_norm`]s, `groups() * LANES` of them.
     norms: &'a [f32],
     dim: usize,
@@ -1195,6 +1210,35 @@ fn squared_norm(row: &[f32]) -> f64 {
     row.iter().map(|&x| f64::from(x) * f64::from(x)).sum()
 }
 
+/// The point the norm-form tile measures from: per dimension, the mean of
+/// the points whose coordinates are all finite, rounded to `f32` (the
+/// origin when there are none). Distances do not change under
+/// translation, but the norm form's error grows with the norms: measured
+/// from the centre it follows the points' spread, wherever they sit.
+fn centre<'a>(dim: usize, points: impl Iterator<Item = &'a [f32]>) -> Vec<f32> {
+    let mut sums = vec![0.0f64; dim];
+    let mut count = 0u32;
+    for point in points.filter(|point| point.iter().all(|x| x.is_finite())) {
+        for (sum, &x) in sums.iter_mut().zip(point) {
+            *sum += f64::from(x);
+        }
+        count += 1;
+    }
+    let count = f64::from(count.max(1));
+    sums.iter().map(|&sum| (sum / count) as f32).collect()
+}
+
+/// `point`'s squared norm from `centre` as the tile sees it: each
+/// coordinate less the centre's in `f32` (the kernels' rounding), then
+/// [`squared_norm`].
+fn centred_norm(point: &[f32], centre: &[f32]) -> f64 {
+    point
+        .iter()
+        .zip(centre)
+        .map(|(&x, &c)| f64::from(x - c) * f64::from(x - c))
+        .sum()
+}
+
 /// A squared norm as the tile stores it: rounded to `f32`, or NaN — which
 /// keeps every lane it touches — where the tile's bound is not proven (a
 /// non-finite coordinate, or a norm at or past [`NORM_CEILING`]).
@@ -1225,17 +1269,13 @@ fn round_up_f32(value: f64) -> f32 {
 /// Queries one [`NormTile`] fill holds: the register tile's rows.
 pub const TILE_QUERIES: usize = 4;
 
-/// Most lane groups one [`NormTile`] fill covers. Its values —
-/// `TILE_QUERIES × TILE_GROUPS × LANES` floats, 4 KiB — stay in L1 while
-/// the keep pass reads them.
+/// Most lane groups one [`NormTile`] fill covers: one bit each in the
+/// masks of [`NormTile::open_groups`].
 pub const TILE_GROUPS: usize = 32;
 
 /// Lane groups of one register block: the tile's inner loop keeps
-/// `TILE_QUERIES × TILE_BLOCK` accumulators of [`LANES`] lanes, and a fresh
-/// collector's bound ([`NormTile::block_bound`]) is taken over one block.
-pub const TILE_BLOCK: usize = 2;
-
-const TILE_ITEMS: usize = TILE_GROUPS * LANES;
+/// `TILE_QUERIES × TILE_BLOCK` accumulators of [`LANES`] lanes.
+const TILE_BLOCK: usize = 2;
 
 /// What a metric reports for a pair whose canonical squared distance is
 /// `c`: the bounds a [`NormTile`] is handed are on that scale.
@@ -1248,36 +1288,33 @@ pub enum Reported {
 }
 
 /// The register tile of the dense scans: for up to [`TILE_QUERIES`] queries
-/// and up to [`TILE_GROUPS`] lane groups, every pair's `f32` norm-form
-/// value, kept in an L1-sized buffer for a separate keep pass.
+/// and up to [`TILE_GROUPS`] lane groups, each group's least `f32`
+/// norm-form value per query, for a separate keep pass.
 ///
-/// [`fill`](Self::fill) writes, per query `q` and lane `r`, the value
-/// `w = α·‖r‖² − 2·q·r` in `f32` (the query's own `‖q‖²` is left to the
-/// limits). [`limit`](Self::limit) turns a bound on the metric's reported
-/// distance into an `f32` limit, and a lane is **cleared** only when its
-/// value is above it: the module docs prove that its canonical distance is
-/// then certainly above the bound. A NaN value, a NaN or `+∞` bound, and a
-/// query or point the proof does not cover keep. The values are not
-/// distances and never leave the keep pass: a kept lane's group is scored
-/// by the canonical kernel before anything is compared or stored.
+/// [`fill`](Self::fill) computes, per query `q` and lane `r`, the value
+/// `w = α·‖r − c‖² − 2·(q − c)·(r − c)` in `f32`, `c` the centre of the
+/// set the block is cut from (the query's own `‖q − c‖²` is left to the
+/// limits), and keeps each group's least. [`limit`](Self::limit) turns a
+/// bound on the metric's reported distance into an `f32` limit, and a
+/// group is **cleared** only when its least value is above it: the module
+/// docs prove that every lane's canonical distance is then certainly above
+/// the bound. A NaN value, a NaN or `+∞` bound, and a query or point the
+/// proof does not cover keep. The values are not distances and never leave
+/// the keep pass: a kept group is scored by the canonical kernel before
+/// anything is compared or stored.
 #[derive(Clone, Debug)]
 pub struct NormTile {
-    /// Row `t`: query `t`'s values, lane `j·LANES + lane` for group `j`.
-    values: [[f32; TILE_ITEMS]; TILE_QUERIES],
-    /// Row `t`: each group's least value, or NaN if the group holds a NaN
-    /// norm (whose lanes' values are NaN).
+    /// Row `t`: each group's least value for query `t`, or NaN if the group
+    /// holds a NaN norm; `+∞` past the filled groups.
     least: [[f32; TILE_GROUPS]; TILE_QUERIES],
-    /// The block's [`tile_norm`]s, lane for lane.
-    norms: [f32; TILE_ITEMS],
-    /// Each query's [`squared_norm`].
-    sq_norms: [f64; TILE_QUERIES],
-    /// Each query's share of its limits, `2⁻¹⁰⁰ − (1 − x − 2⁻³⁰)·‖q‖²`;
+    /// The queries less the centre, `dim` floats a row.
+    centred: Vec<f32>,
+    /// Each query's share of its limits, `2⁻¹⁰⁰ − (1 − x − 2⁻³⁰)·‖q − c‖²`;
     /// NaN for a query outside the proof.
     offsets: [f64; TILE_QUERIES],
     /// The bound's reach on the exact squared distance, `1 + x·(1 + x)`.
     lift: f64,
     groups: usize,
-    dim: usize,
     reported: Reported,
 }
 
@@ -1291,90 +1328,83 @@ impl NormTile {
     /// An empty tile, ready to be filled.
     pub fn new() -> Self {
         Self {
-            values: [[0.0; TILE_ITEMS]; TILE_QUERIES],
             least: [[0.0; TILE_GROUPS]; TILE_QUERIES],
-            norms: [0.0; TILE_ITEMS],
-            sq_norms: [0.0; TILE_QUERIES],
+            centred: Vec::new(),
             offsets: [0.0; TILE_QUERIES],
             lift: 1.0,
             groups: 0,
-            dim: 0,
             reported: Reported::Squared,
         }
     }
 
     /// Computes the values of `queries` against every lane of `block`,
     /// whose bounds will be on the `reported` scale. Returns `false` — and
-    /// the tile is not to be read — when it does not apply: no queries or more than
-    /// [`TILE_QUERIES`], more than [`TILE_GROUPS`] groups, a query whose
-    /// length is not the block's dimension, or a dimension past the proof.
-    /// The caller then scores every group canonically.
+    /// the tile is not to be read — when the block's dimension is past the
+    /// proof, which is the only thing the answer depends on. A query whose
+    /// length is not the block's dimension is outside the proof: its limits
+    /// keep everything.
+    ///
+    /// # Panics
+    /// Panics unless there are 1 to [`TILE_QUERIES`] queries and at most
+    /// [`TILE_GROUPS`] groups.
     pub fn fill(&mut self, queries: &[&[f32]], block: LaneBlock<'_>, reported: Reported) -> bool {
         let (groups, dim) = (block.groups(), block.dim);
-        let fits = (1..=TILE_QUERIES).contains(&queries.len())
-            && groups <= TILE_GROUPS
-            && dim <= SCREEN_MAX_DIM
-            && queries.iter().all(|query| query.len() == dim);
-        if !fits {
+        assert!(
+            (1..=TILE_QUERIES).contains(&queries.len()) && groups <= TILE_GROUPS,
+            "a tile holds 1 to {TILE_QUERIES} queries and at most {TILE_GROUPS} groups"
+        );
+        if dim > SCREEN_MAX_DIM {
             return false;
         }
-        (self.groups, self.dim, self.reported) = (groups, dim, reported);
+        (self.groups, self.reported) = (groups, reported);
         let x = tile_slack(dim);
         self.lift = 1.0 + x * (1.0 + x);
-        for ((sq_norm, offset), query) in
-            self.sq_norms.iter_mut().zip(&mut self.offsets).zip(queries)
+        self.centred.resize(TILE_QUERIES * dim, 0.0);
+        for (t, (row, offset)) in self
+            .centred
+            .chunks_exact_mut(dim)
+            .zip(&mut self.offsets)
+            .enumerate()
         {
-            *sq_norm = squared_norm(query);
-            *offset = if *sq_norm < NORM_CEILING {
-                SCREEN_FLOOR - (1.0 - x - TILE_QUERY_MARGIN) * *sq_norm
+            // A short tile repeats its last query; those rows are never read.
+            let query = queries[t.min(queries.len() - 1)];
+            let sq_norm = if query.len() == dim {
+                for ((centred, &q), &c) in row.iter_mut().zip(query).zip(block.centre) {
+                    *centred = q - c;
+                }
+                squared_norm(row)
+            } else {
+                row.fill(0.0);
+                Dist::NAN
+            };
+            *offset = if sq_norm < NORM_CEILING {
+                SCREEN_FLOOR - (1.0 - x - TILE_QUERY_MARGIN) * sq_norm
             } else {
                 Dist::NAN
             };
         }
-        self.norms[..groups * LANES].copy_from_slice(block.norms);
-        // A short tile repeats its last query; those rows are never read.
-        let rows: [&[f32]; TILE_QUERIES] =
-            std::array::from_fn(|t| queries[t.min(queries.len() - 1)]);
+        let rows: [&[f32]; TILE_QUERIES] = std::array::from_fn(|t| &self.centred[t * dim..][..dim]);
         // Exact: `x` is a whole number of `2⁻²⁴` below `2⁻⁷`.
         let alpha = (1.0 - x) as f32;
-        let (data, stride) = (block.data, dim * LANES);
+        let least = &mut self.least;
+        for row in least.iter_mut() {
+            row[groups..].fill(f32::INFINITY);
+        }
         match active_kernel() {
-            KernelChoice::Scalar => scalar_tile(
-                &rows[..queries.len()],
-                data,
-                &self.norms,
-                alpha,
-                stride,
-                groups,
-                (&mut self.values, &mut self.least),
-            ),
+            KernelChoice::Scalar => scalar_tile(&rows[..queries.len()], block, alpha, least),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the kernel choice is either runtime-detected or clamped
             // by `force_kernel`, so the required features are present. A
-            // `LaneBlock` holds `groups` whole groups of `stride = dim *
-            // LANES` floats and `groups * LANES` norms, every query is `dim`
-            // long, and `groups <= TILE_GROUPS` keeps every store inside a
-            // row of `values`.
-            KernelChoice::Sse2 => unsafe {
-                let out = (&mut self.values, &mut self.least);
-                sse2_tile(&rows, data, &self.norms, alpha, stride, groups, out)
-            },
+            // `LaneBlock` holds `groups` whole groups of `dim * LANES` floats,
+            // `groups * LANES` norms and a `dim`-long centre, every row is
+            // `dim` long, and `groups <= TILE_GROUPS` keeps every store
+            // inside a row of `least`.
+            KernelChoice::Sse2 => unsafe { sse2_tile(&rows, block, alpha, least) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as for SSE2 above.
-            KernelChoice::Avx2Fma => unsafe {
-                let out = (&mut self.values, &mut self.least);
-                avx2_tile(&rows, data, &self.norms, alpha, stride, groups, out)
-            },
+            KernelChoice::Avx2Fma => unsafe { avx2_tile(&rows, block, alpha, least) },
             #[cfg(not(target_arch = "x86_64"))]
-            _ => scalar_tile(
-                &rows[..queries.len()],
-                data,
-                &self.norms,
-                alpha,
-                stride,
-                groups,
-                (&mut self.values, &mut self.least),
-            ),
+            _ => scalar_tile(&rows[..queries.len()], block, alpha, least),
         }
         true
     }
@@ -1399,160 +1429,113 @@ impl NormTile {
         round_up_f32(limit)
     }
 
-    /// The lane groups among `groups` in which query `t` keeps a lane under
-    /// `limit` (one not above it, NaN included): bit `j` for group `j`.
-    ///
-    /// # Panics
-    /// Panics if `groups` reaches past the filled groups.
+    /// The filled groups in which query `t` keeps a lane under `limit` (one
+    /// not above it, NaN included): bit `j` for group `j`.
     #[inline]
-    pub fn open_groups(&self, t: usize, groups: Range<usize>, limit: f32) -> u64 {
-        let least = &self.least[t][groups.clone()];
+    pub fn open_groups(&self, t: usize, limit: f32) -> u64 {
+        let filled = u64::MAX.checked_shr(64 - self.groups as u32).unwrap_or(0);
         if limit == f32::INFINITY {
             // Everything, NaN included; the values of a query outside the
             // proof may be anything.
-            return u64::MAX.checked_shr(64 - groups.len() as u32).unwrap_or(0) << groups.start;
+            return filled;
         }
-        let open = least.iter().enumerate().fold(0, |open, (j, &least)| {
+        // A byte per group first, so the comparisons vectorise; then each
+        // eight bytes of 0 or 1 gather into eight bits with one multiply.
+        let mut kept = [0u8; TILE_GROUPS];
+        for (kept, &least) in kept.iter_mut().zip(&self.least[t]) {
             // Not `least <= limit`: a NaN value keeps.
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            let kept = !(least > limit);
-            open | u64::from(kept) << j
-        });
-        open << groups.start
+            let keep = !(least > limit);
+            *kept = u8::from(keep);
+        }
+        let open = kept
+            .chunks_exact(8)
+            .enumerate()
+            .fold(0, |open, (j, bytes)| {
+                let bytes = u64::from_le_bytes(bytes.try_into().expect("eight bytes"));
+                open | (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * j)
+            });
+        open & filled
     }
 
     /// The lane group holding query `t`'s smallest value (the first such;
-    /// `None` if every value is NaN) — the group most likely to hold its
-    /// nearest point, which a scan may score first.
+    /// `None` if no group's least is a number below `+∞`) — the group most
+    /// likely to hold its nearest point, which a scan may score first.
     #[inline]
     pub fn nearest_group(&self, t: usize) -> Option<usize> {
-        let least = &self.least[t][..self.groups];
-        let min = least
-            .iter()
-            .fold(f32::INFINITY, |min, &v| if v < min { v } else { min });
-        least.iter().position(|&v| v == min && v < f32::INFINITY)
-    }
-
-    /// For a collector that has no bound yet: a bound, on the reported
-    /// scale, at or above the `k`-th smallest canonical distance between
-    /// query `t` and the lanes of register block `block` (groups
-    /// `block·TILE_BLOCK ..`, the last block possibly shorter). Once those
-    /// lanes are offered the collector's `k`-th is within it, so every lane
-    /// it clears is one the collector would not keep. `+∞` when fewer than
-    /// `k` lanes have a finite bound, or the query is outside the proof.
-    pub fn block_bound(&self, t: usize, block: usize, k: usize) -> Dist {
-        let sq_norm = self.sq_norms[t];
-        let groups = block * TILE_BLOCK..(block * TILE_BLOCK + TILE_BLOCK).min(self.groups);
-        let lanes = groups.start * LANES..groups.end * LANES;
-        // A query outside the proof has a NaN offset.
-        if k == 0 || k > lanes.len() || self.offsets[t].is_nan() {
-            return Dist::INFINITY;
-        }
-        let x = tile_slack(self.dim);
-        // Per lane, `w + 3x·‖r‖²` over-reaches the exact squared distance
-        // less the query's term (module docs); a NaN norm or value gives a
-        // NaN, which is never counted.
-        let values = &self.values[t][lanes.clone()];
-        let reach = values
-            .iter()
-            .zip(&self.norms[lanes])
-            .map(|(&w, &norm)| f64::from(w) + 3.0 * x * f64::from(norm));
-        let kth = if k == 1 {
-            // `min` skips NaN; all NaN leaves `+∞`.
-            reach.fold(Dist::INFINITY, Dist::min)
-        } else {
-            let mut numbers = [Dist::INFINITY; TILE_BLOCK * LANES];
-            let mut count = 0;
-            for r in reach.filter(|r| !r.is_nan()) {
-                numbers[count] = r;
-                count += 1;
+        // Four running minima, so the search vectorises; `v < min` skips
+        // a NaN, and the rows past the filled groups hold `+∞`.
+        let mut mins = [f32::INFINITY; 4];
+        for values in self.least[t].chunks_exact(4) {
+            for (min, &v) in mins.iter_mut().zip(values) {
+                *min = if v < *min { v } else { *min };
             }
-            if count < k {
-                return Dist::INFINITY;
-            }
-            *numbers[..count]
-                .select_nth_unstable_by(k - 1, Dist::total_cmp)
-                .1
-        };
-        let query_term = (1.0 + x + TILE_QUERY_MARGIN) * sq_norm + SCREEN_FLOOR;
-        let sq_bound = (kth + query_term).max(0.0) * (1.0 + x * (1.0 + x));
-        match self.reported {
-            Reported::Squared => sq_bound,
-            Reported::Root => sq_bound.sqrt(),
         }
+        let min = mins.into_iter().fold(f32::INFINITY, f32::min);
+        (min < f32::INFINITY).then(|| self.least[t].iter().position(|&v| v == min))?
     }
 }
 
 /// The query-side margin of the tile's limits: covers the `f64` roundings
-/// of `‖q‖²` and of the limit's own arithmetic (module docs).
+/// of `‖q − c‖²` and of the limit's own arithmetic (module docs).
 const TILE_QUERY_MARGIN: f64 = 1.0 / (1u64 << 30) as f64;
 
-/// A tile's outputs: per query, every lane's value and each group's least.
-type TileOut<'a> = (
-    &'a mut [[f32; TILE_ITEMS]; TILE_QUERIES],
-    &'a mut [[f32; TILE_GROUPS]; TILE_QUERIES],
-);
-
-/// Portable tile: per query and lane, the dot product in `f32` with a
-/// multiply and an add per term (two roundings), then `α·‖r‖² − 2·dot`;
-/// and per group the least value, a NaN skipped. Lane-outer like
-/// [`scalar_lanes`].
+/// Portable tile: per query and lane, the dot product of the centred rows
+/// in `f32` with a subtraction, a multiply and an add per term, then
+/// `α·‖r − c‖² − 2·dot`; per group the least value, NaN if any is NaN.
+/// Lane-outer like [`scalar_lanes`].
 fn scalar_tile(
     queries: &[&[f32]],
-    data: &[f32],
-    norms: &[f32],
+    block: LaneBlock<'_>,
     alpha: f32,
-    stride: usize,
-    groups: usize,
-    (values, least): TileOut<'_>,
+    least: &mut [[f32; TILE_GROUPS]; TILE_QUERIES],
 ) {
-    for ((query, values), least) in queries.iter().zip(values.iter_mut()).zip(least) {
-        for (g, group) in data.chunks_exact(stride).take(groups).enumerate() {
-            for lane in 0..LANES {
+    let stride = block.dim * LANES;
+    for (query, least) in queries.iter().zip(least) {
+        for ((group, norms), least) in block
+            .data
+            .chunks_exact(stride)
+            .zip(block.norms.chunks_exact(LANES))
+            .zip(least.iter_mut())
+        {
+            let (mut min, mut nan) = (f32::INFINITY, false);
+            for (lane, &norm) in norms.iter().enumerate() {
                 let mut dot = 0.0f32;
-                for (d, &qv) in query.iter().enumerate() {
-                    dot += qv * group[d * LANES + lane];
+                for (d, (&qv, &c)) in query.iter().zip(block.centre).enumerate() {
+                    dot += qv * (group[d * LANES + lane] - c);
                 }
-                let i = g * LANES + lane;
-                values[i] = alpha * norms[i] - 2.0 * dot;
+                let w = alpha * norm - 2.0 * dot;
+                nan |= w.is_nan();
+                min = min.min(w);
             }
-            let lanes = &values[g * LANES..][..LANES];
-            least[g] = if lanes.iter().any(|w| w.is_nan()) {
-                f32::NAN
-            } else {
-                lanes.iter().copied().fold(f32::INFINITY, f32::min)
-            };
+            *least = if nan { f32::NAN } else { min };
         }
     }
 }
 
 /// SSE2 tile: register blocks of [`TILE_BLOCK`] groups, each group's 8
-/// lanes as two `f32` quads, multiply + add.
+/// lanes as two `f32` quads, subtract + multiply + add.
 ///
 /// # Safety
-/// The CPU must support SSE2, every query must be `stride / LANES` long,
-/// `data` must hold `groups` groups of `stride` floats and `norms` a norm
-/// per lane, and `groups <= TILE_GROUPS`.
+/// The CPU must support SSE2, every row must be `block.dim` long, and the
+/// block must hold at most `TILE_GROUPS` groups.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 unsafe fn sse2_tile(
     queries: &[&[f32]; TILE_QUERIES],
-    data: &[f32],
-    norms: &[f32],
+    block: LaneBlock<'_>,
     alpha: f32,
-    stride: usize,
-    groups: usize,
-    out: TileOut<'_>,
+    least: &mut [[f32; TILE_GROUPS]; TILE_QUERIES],
 ) {
-    debug_assert!(data.len() >= groups * stride && groups <= TILE_GROUPS);
-    let (data, (values, least)) = (data.as_ptr(), out);
+    let groups = block.groups();
+    debug_assert!(groups <= TILE_GROUPS);
     let mut at = 0;
     while at + TILE_BLOCK <= groups {
-        sse2_tile_block::<TILE_BLOCK>(queries, data, norms, alpha, stride, values, least, at);
+        sse2_tile_block::<TILE_BLOCK>(queries, block, alpha, least, at);
         at += TILE_BLOCK;
     }
     if at < groups {
-        sse2_tile_block::<1>(queries, data, norms, alpha, stride, values, least, at);
+        sse2_tile_block::<1>(queries, block, alpha, least, at);
     }
 }
 
@@ -1561,27 +1544,28 @@ unsafe fn sse2_tile(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 #[inline]
-#[allow(clippy::too_many_arguments)] // the flat signature of a kernel body
 unsafe fn sse2_tile_block<const G: usize>(
     queries: &[&[f32]; TILE_QUERIES],
-    data: *const f32,
-    norms: &[f32],
+    block: LaneBlock<'_>,
     alpha: f32,
-    stride: usize,
-    values: &mut [[f32; TILE_ITEMS]; TILE_QUERIES],
     least: &mut [[f32; TILE_GROUPS]; TILE_QUERIES],
     at: usize,
 ) {
     use std::arch::x86_64::*;
+    let (data, stride) = (block.data.as_ptr(), block.dim * LANES);
     let mut acc = [[[_mm_setzero_ps(); 2]; G]; TILE_QUERIES];
-    for d in 0..stride / LANES {
+    for (d, &c) in block.centre.iter().enumerate() {
+        let c = _mm_set1_ps(c);
         let mut x = [[_mm_setzero_ps(); 2]; G];
         for (j, halves) in x.iter_mut().enumerate() {
             let row = data.add((at + j) * stride + d * LANES);
-            *halves = [_mm_loadu_ps(row), _mm_loadu_ps(row.add(4))];
+            *halves = [
+                _mm_sub_ps(_mm_loadu_ps(row), c),
+                _mm_sub_ps(_mm_loadu_ps(row.add(4)), c),
+            ];
         }
         for (sums, query) in acc.iter_mut().zip(queries) {
-            // SAFETY: `d < stride / LANES`, every query's length.
+            // SAFETY: `d < block.dim`, every row's length.
             let q = _mm_set1_ps(*query.get_unchecked(d));
             for (sums, halves) in sums.iter_mut().zip(&x) {
                 for (sum, &half) in sums.iter_mut().zip(halves) {
@@ -1591,16 +1575,19 @@ unsafe fn sse2_tile_block<const G: usize>(
         }
     }
     let (alpha, two) = (_mm_set1_ps(alpha), _mm_set1_ps(2.0));
-    for ((sums, values), least) in acc.iter().zip(values.iter_mut()).zip(least) {
-        for (j, halves) in sums.iter().enumerate() {
-            let (mut w, mut nan) = ([_mm_setzero_ps(); 2], 0);
-            for (half, (&dot, w)) in halves.iter().zip(&mut w).enumerate() {
-                let i = (at + j) * LANES + half * 4;
-                let scaled = _mm_mul_ps(alpha, _mm_loadu_ps(norms.as_ptr().add(i)));
-                nan |= _mm_movemask_ps(_mm_cmpunord_ps(scaled, scaled));
-                *w = _mm_sub_ps(scaled, _mm_mul_ps(two, dot));
-                _mm_storeu_ps(values.as_mut_ptr().add(i), *w);
-            }
+    for j in 0..G {
+        let norms = block.norms.as_ptr().add((at + j) * LANES);
+        let scaled = [
+            _mm_mul_ps(alpha, _mm_loadu_ps(norms)),
+            _mm_mul_ps(alpha, _mm_loadu_ps(norms.add(4))),
+        ];
+        // Unordered where either half's lane is NaN: all eight lanes.
+        let nan = _mm_movemask_ps(_mm_cmpunord_ps(scaled[0], scaled[1]));
+        for (sums, least) in acc.iter().zip(least.iter_mut()) {
+            let w = [
+                _mm_sub_ps(scaled[0], _mm_mul_ps(two, sums[j][0])),
+                _mm_sub_ps(scaled[1], _mm_mul_ps(two, sums[j][1])),
+            ];
             least[at + j] = group_least(_mm_min_ps(w[0], w[1]), nan);
         }
     }
@@ -1627,8 +1614,8 @@ unsafe fn group_least(quad: std::arch::x86_64::__m128, nan: i32) -> f32 {
 
 /// AVX2 + FMA tile: register blocks of [`TILE_BLOCK`] groups, a fused
 /// multiply-add per term into `TILE_QUERIES × TILE_BLOCK` independent
-/// accumulators — per dimension, two 8-wide loads, four broadcasts and
-/// eight FMAs.
+/// accumulators — per dimension, two 8-wide loads less the centre, four
+/// broadcasts and eight FMAs.
 ///
 /// # Safety
 /// The CPU must support AVX2 and FMA; otherwise as [`sse2_tile`].
@@ -1636,22 +1623,19 @@ unsafe fn group_least(quad: std::arch::x86_64::__m128, nan: i32) -> f32 {
 #[target_feature(enable = "avx2,fma")]
 unsafe fn avx2_tile(
     queries: &[&[f32]; TILE_QUERIES],
-    data: &[f32],
-    norms: &[f32],
+    block: LaneBlock<'_>,
     alpha: f32,
-    stride: usize,
-    groups: usize,
-    out: TileOut<'_>,
+    least: &mut [[f32; TILE_GROUPS]; TILE_QUERIES],
 ) {
-    debug_assert!(data.len() >= groups * stride && groups <= TILE_GROUPS);
-    let (data, (values, least)) = (data.as_ptr(), out);
+    let groups = block.groups();
+    debug_assert!(groups <= TILE_GROUPS);
     let mut at = 0;
     while at + TILE_BLOCK <= groups {
-        avx2_tile_block::<TILE_BLOCK>(queries, data, norms, alpha, stride, values, least, at);
+        avx2_tile_block::<TILE_BLOCK>(queries, block, alpha, least, at);
         at += TILE_BLOCK;
     }
     if at < groups {
-        avx2_tile_block::<1>(queries, data, norms, alpha, stride, values, least, at);
+        avx2_tile_block::<1>(queries, block, alpha, least, at);
     }
 }
 
@@ -1660,26 +1644,24 @@ unsafe fn avx2_tile(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[inline]
-#[allow(clippy::too_many_arguments)] // the flat signature of a kernel body
 unsafe fn avx2_tile_block<const G: usize>(
     queries: &[&[f32]; TILE_QUERIES],
-    data: *const f32,
-    norms: &[f32],
+    block: LaneBlock<'_>,
     alpha: f32,
-    stride: usize,
-    values: &mut [[f32; TILE_ITEMS]; TILE_QUERIES],
     least: &mut [[f32; TILE_GROUPS]; TILE_QUERIES],
     at: usize,
 ) {
     use std::arch::x86_64::*;
+    let (data, stride) = (block.data.as_ptr(), block.dim * LANES);
     let mut acc = [[_mm256_setzero_ps(); G]; TILE_QUERIES];
-    for d in 0..stride / LANES {
+    for (d, &c) in block.centre.iter().enumerate() {
+        let c = _mm256_set1_ps(c);
         let mut x = [_mm256_setzero_ps(); G];
         for (j, x) in x.iter_mut().enumerate() {
-            *x = _mm256_loadu_ps(data.add((at + j) * stride + d * LANES));
+            *x = _mm256_sub_ps(_mm256_loadu_ps(data.add((at + j) * stride + d * LANES)), c);
         }
         for (sums, query) in acc.iter_mut().zip(queries) {
-            // SAFETY: `d < stride / LANES`, every query's length.
+            // SAFETY: `d < block.dim`, every row's length.
             let q = _mm256_set1_ps(*query.get_unchecked(d));
             for (sum, &x) in sums.iter_mut().zip(&x) {
                 *sum = _mm256_fmadd_ps(q, x, *sum);
@@ -1687,15 +1669,14 @@ unsafe fn avx2_tile_block<const G: usize>(
         }
     }
     let (alpha, two) = (_mm256_set1_ps(alpha), _mm256_set1_ps(2.0));
-    for ((sums, values), least) in acc.iter().zip(values.iter_mut()).zip(least) {
-        for (j, &dot) in sums.iter().enumerate() {
-            let i = (at + j) * LANES;
-            let scaled = _mm256_mul_ps(alpha, _mm256_loadu_ps(norms.as_ptr().add(i)));
-            let nan = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(scaled, scaled));
+    for j in 0..G {
+        let norms = block.norms.as_ptr().add((at + j) * LANES);
+        let scaled = _mm256_mul_ps(alpha, _mm256_loadu_ps(norms));
+        let nan = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(scaled, scaled));
+        for (sums, least) in acc.iter().zip(least.iter_mut()) {
             // `scaled − 2·dot` with one rounding, as the other kernels:
             // doubling is exact.
-            let w = _mm256_fnmadd_ps(two, dot, scaled);
-            _mm256_storeu_ps(values.as_mut_ptr().add(i), w);
+            let w = _mm256_fnmadd_ps(two, sums[j], scaled);
             let halves = (_mm256_castps256_ps128(w), _mm256_extractf128_ps::<1>(w));
             least[at + j] = group_least(_mm_min_ps(halves.0, halves.1), nan);
         }
@@ -2152,6 +2133,47 @@ mod tests {
                 let bounds = vec![1.0; queries.len()];
                 screen_squared_l2(queries, blocked.block(1..1), &bounds, &mut keep);
                 assert_eq!(keep, [7; 4]);
+            }
+        }
+        force_kernel(None);
+    }
+
+    #[test]
+    fn a_full_tile_opens_exactly_the_groups_within_the_limit() {
+        // Group `g` holds eight copies of a point `10·v(g)` from the query,
+        // `v` a permutation of the run, every group of a full tile; the
+        // points sit at 10⁶ from the origin, which the centre takes off.
+        let at = |v: usize| 10.0 * v as f32;
+        let v = |g: usize| (g * 7 + 3) % TILE_GROUPS;
+        let flat: Vec<f32> = (0..TILE_GROUPS * LANES)
+            .flat_map(|i| [1e6 + at(v(i / LANES)), 1e6])
+            .collect();
+        let blocked = BlockedVectors::from_flat(&flat, 2);
+        let query = [1e6f32, 1e6];
+        let queries: Vec<&[f32]> = vec![&query[..]; TILE_QUERIES];
+        for kernel in [
+            KernelChoice::Scalar,
+            KernelChoice::Sse2,
+            KernelChoice::Avx2Fma,
+        ] {
+            force_kernel(Some(kernel));
+            let mut tile = NormTile::new();
+            let block = blocked.block(0..TILE_GROUPS);
+            assert!(tile.fill(&queries, block, Reported::Root));
+            for t in 0..TILE_QUERIES {
+                assert_eq!(
+                    tile.nearest_group(t),
+                    (0..TILE_GROUPS).position(|g| v(g) == 0)
+                );
+                for reach in 0..TILE_GROUPS {
+                    let open = tile.open_groups(t, tile.limit(t, f64::from(at(reach)) + 1.0));
+                    let want = (0..TILE_GROUPS)
+                        .filter(|&g| v(g) <= reach)
+                        .fold(0u64, |open, g| open | 1 << g);
+                    assert_eq!(open, want, "{kernel:?}, query {t}, reach {reach}");
+                }
+                let all = tile.open_groups(t, tile.limit(t, f64::INFINITY));
+                assert_eq!(all, (1u64 << TILE_GROUPS) - 1);
             }
         }
         force_kernel(None);
